@@ -17,30 +17,26 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraint import ConstraintSpec, phi_eval_batch
+from .constraint import ConstraintSpec, coefficient_arrays, phi_eval_batch
+from .ddw import solve_temporal_block
 from .exceptions import (
-    CompatibilityError,
-    DdwSolveError,
     DimensionMismatchError,
     DriftError,
     EvaluationError,
     IntegrationError,
     InvalidArgumentError,
 )
-from .jet import Dims, _STENCILS
+from .jet import Dims, periodic_derivative
 from .lagrangian import (
     LagrangianModel,
     derivative_bundle_arrays,
     first_derivatives_arrays,
+    hessian_flat,
     omega_eval_batch,
 )
-from .projector import solve_zeta_flat
+from .projector import multiplier_matrix, project_lifts, solve_zeta_flat
 
 _DERIVATIVES = ("spectral", "fd4")
-
-
-def grid_spacing(shape: tuple, axis: int) -> float:
-    return 1.0 / shape[axis]
 
 
 def grid_derivative(arr: np.ndarray, grid_shape: tuple, axis: int,
@@ -54,13 +50,7 @@ def grid_derivative(arr: np.ndarray, grid_shape: tuple, axis: int,
         spec = np.fft.fft(arr, axis=axis) * k.reshape(shape)
         return np.real(np.fft.ifft(spec, axis=axis))
     if method == "fd4":
-        w = _STENCILS[4]
-        r = len(w) // 2
-        out = np.zeros_like(np.asarray(arr, dtype=float))
-        for s, c in zip(range(-r, r + 1), w):
-            if c != 0.0:
-                out += c * np.roll(arr, -s, axis=axis)
-        return out * N
+        return periodic_derivative(arr, 1.0 / N, axis=axis, order=4)
     raise InvalidArgumentError(f"derivative method must be one of {_DERIVATIVES}")
 
 
@@ -241,31 +231,7 @@ def tilde_omega_contract(model: LagrangianModel, state: CauchyState,
                          method: str = "spectral") -> float:
     """Omega-tilde_L(W, W') = integral of Omega_L(W', W, T_1..T_n) over the
     grid, with T_i the embedding tangents."""
-    x, y, v = state.jet_arrays(method)
-    bundle = derivative_bundle_arrays(model, x, y, v)
-    T = state.tangent_vectors(method)
-    vecs = np.concatenate(
-        [Wp.dense()[..., None, :], W.dense()[..., None, :], T], axis=-2
-    )
-    vals = omega_eval_batch(bundle, v, vecs)
-    return float(np.mean(vals))
-
-
-def _coefficients_arrays(spec: ConstraintSpec, x, y, v, dphidv):
-    if spec.coeff_mode == "chetaev":
-        return np.swapaxes(dphidv, -1, -2)
-    C = np.asarray(spec.custom_coeffs(JetPointArrays(x, y, v)), dtype=float)
-    want = v.shape[:-2] + (spec.k, spec.dims.nx, spec.dims.m)
-    return np.broadcast_to(C, want)
-
-
-@dataclass(frozen=True)
-class JetPointArrays:
-    """Batched stand-in for JetPoint handed to custom coefficient fields."""
-
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
+    return _omega_tilde(_slice_geometry(model, state, method), W, Wp)
 
 
 def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
@@ -273,11 +239,11 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
                       drift_tol: float = 1e-6) -> StateVariation:
     """The (projected) second-order vector field evaluated on the state.
 
-    Per grid point: solve the free De Donder-Weyl temporal block with the
-    spatial block pinned from grid derivatives, then (with a constraint)
-    apply the nonholonomic projector to the time-horizontal lift.  The
-    returned variation has dx = (1, 0, ...) and dy equal to the state's
-    v0 block, which is the second-order condition.
+    On the whole grid at once: solve the free De Donder-Weyl temporal block
+    with the spatial block pinned from grid derivatives, then (with a
+    constraint) project the time-horizontal lift through the nonholonomic
+    projector.  The returned variation has dx = (1, 0, ...) and dy equal to
+    the state's v0 block, which is the second-order condition.
     """
     G = state.grid_shape
     n, m = state.n, state.m
@@ -290,23 +256,7 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
     for i in range(n):
         dv = grid_derivative(v, G, i, method)  # (G.., m, nx)
         Gsp[..., :, i, :] = dv
-
-    # temporal block from the m form equations, minimum norm
-    R = (
-        bundle.dLdy
-        - np.einsum("...tat->...a", bundle.d2Ldxdv)
-        - np.einsum("...bt,...bat->...a", v, bundle.d2Ldydv)
-    )
-    A0 = np.swapaxes(bundle.H[..., :, 0, :, :], -3, -2).reshape(G + (m, m * nx))
-    Rp = R - np.einsum("...bian,...bin->...a", bundle.H[..., :, 1:, :, :], Gsp)
-    Gt = np.einsum("...ij,...j->...i", np.linalg.pinv(A0), Rp).reshape(G + (m, nx))
-    resid = np.abs(np.einsum("...ij,...j->...i", A0, Gt.reshape(G + (m * nx,))) - Rp)
-    scale = 1.0 + np.max(np.abs(Rp), initial=0.0)
-    if np.max(resid, initial=0.0) > 1e-8 * scale:
-        idx = np.unravel_index(np.argmax(resid.reshape(-1)), resid.shape)
-        raise DdwSolveError(
-            f"temporal connection block unsolvable at grid point {idx[:-1]}"
-        )
+    Gt = solve_temporal_block(bundle, v, Gsp)
 
     if spec is not None:
         phi = spec.values_arrays(x, y, v)
@@ -317,30 +267,15 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
                 f"exceeds {drift_tol:.1e}"
             )
         dphidx, dphidy, dphidv = spec.derivatives_arrays(x, y, v)
-        C = _coefficients_arrays(spec, x, y, v, dphidv)
-        k = spec.k
-        Hflat = bundle.H.reshape(G + (m * nx, m * nx))
-        zeta = solve_zeta_flat(Hflat, C)  # (G.., k, m, nx)
-        mmat = np.einsum("...kan,...lan->...kl", zeta, dphidv)
-        scale_m = np.linalg.norm(zeta.reshape(G + (k, -1)), axis=-1).max(axis=-1) * \
-            np.linalg.norm(dphidv.reshape(G + (k, -1)), axis=-1).max(axis=-1)
-        svals = np.linalg.svd(mmat, compute_uv=False)
-        bad = svals[..., -1] <= 1e-10 * np.maximum(scale_m, 1e-300)
-        if np.any(bad):
-            idx = np.unravel_index(np.argmax(bad.reshape(-1)), bad.shape)
-            raise CompatibilityError(
-                f"compatibility fails at grid point {idx}: the constraint "
-                "distribution meets TC nontrivially"
-            )
-        # dphi(H_0) with Gamma^b_0 = v^b_0 and the solved temporal block
-        dphiH0 = (
-            dphidx[..., 0]
-            + np.einsum("...kb,...b->...k", dphidy, v[..., :, 0])
-            + np.einsum("...kbn,...bn->...k", dphidv, Gt)
+        C = coefficient_arrays(spec, x, y, v, dphidv)
+        zeta = solve_zeta_flat(hessian_flat(bundle), C)
+        dphi = np.concatenate(
+            [dphidx, dphidy, dphidv.reshape(G + (spec.k, -1))], axis=-1
         )
-        Lam = np.swapaxes(np.linalg.inv(mmat), -1, -2)
-        lam0 = np.einsum("...kl,...l->...k", Lam, dphiH0)
-        Gt = Gt - np.einsum("...k,...kan->...an", lam0, zeta)
+        # the time-horizontal lift H_0: Gamma^b_0 = v^b_0 and the solved block
+        Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi,
+                                  multiplier_matrix(zeta, dphidv), zeta)
+        Gt = Gamma2[..., :, 0, :]
 
     dx = np.zeros(G + (nx,))
     dx[..., 0] = 1.0
@@ -404,7 +339,7 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
          for W in variations]
     )
     dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)[2]
-    C = _coefficients_arrays(spec, geom.x, geom.y, geom.v, dphidv)
+    C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
     G = state.grid_shape
     B = int(np.prod(G))
     cols = []
@@ -428,7 +363,7 @@ def ftilde_annihilator_rows(spec: ConstraintSpec, geom: _SliceGeometry) -> np.nd
     dims = spec.dims
     G = geom.v.shape[:-2]
     dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)[2]
-    C = _coefficients_arrays(spec, geom.x, geom.y, geom.v, dphidv)
+    C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
     rows = np.empty(G + (spec.k, dims.N))
     basis = np.eye(dims.N)
     for j in range(dims.N):
@@ -557,8 +492,7 @@ class EvolutionResult:
 def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
            state0: CauchyState, dt: float, steps: int,
            integrator: str = "rk4", method: str = "spectral",
-           drift_tol: float = 1e-6, stabilize: bool = False,
-           record_states: bool = True) -> EvolutionResult:
+           drift_tol: float = 1e-6, stabilize: bool = False) -> EvolutionResult:
     """Explicit time stepping of the (projected) second-order field.
 
     Diagnostics recorded per stored step: time, max |phi_alpha|, holonomy
@@ -605,13 +539,10 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
             state = _unpack(state, ynew, t0 + dt)
             if stabilize and spec is not None:
                 state = project_onto_constraint(spec, state, method)
-            if record_states:
-                states.append(state)
+            states.append(state)
             record(state)
         except EvaluationError as exc:
             raise IntegrationError(
                 f"integration blew up at step {step + 1}: {exc}"
             ) from exc
-    if not record_states:
-        states.append(state)
     return EvolutionResult(states, {k: np.asarray(v) for k, v in diags.items()})

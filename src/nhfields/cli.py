@@ -35,7 +35,7 @@ from .exceptions import (
     NhfieldsError,
 )
 from .fluid import null_lagrangian_residual, psi_divergence_residual
-from .jet import JetPoint
+from .jet import _STENCILS, JetPoint
 from .lagrangian import derivative_bundle, make_model, regularity_check
 from .projector import build_projectors, compatibility_matrix, solve_zeta, zeta_residual
 
@@ -143,6 +143,12 @@ def load_config(path=None, overrides=None) -> dict:
             cfg[key] = val
     if cfg["task"] not in ("verify", "evolve", "fluid-identities"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
+    width = len(_STENCILS[4])
+    if cfg["derivative"] == "fd4" and int(cfg["grid"]["nu"]) < width:
+        raise ConfigError(
+            f"grid.nu = {cfg['grid']['nu']} is too small for the fd4 stencil, "
+            f"which needs at least {width} points"
+        )
     return cfg
 
 
@@ -222,9 +228,9 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
     out["regular"] = reg["regular"]
     out["rank"] = constraint_rank_check(spec, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
-    out["zeta_residual"] = zeta_residual(bundle, C, zb, p, rng=rng, spec=spec)
-    comp = compatibility_matrix(zb, spec.derivatives(p)[2])
+    zb = solve_zeta(bundle, C)
+    out["zeta_residual"] = zeta_residual(bundle, C, zb, p, rng=rng)
+    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
     out["compatibility_det"] = comp["det"]
     out["compatible"] = comp["compatible"]
     if not comp["compatible"]:
@@ -241,7 +247,7 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
     free = solve_free_ddw(model, p, rng=rng, tuples=tuples)
     out["free_ddw_residual"] = free.residuals["ddw_form"]
     out["semiholonomic"] = free.residuals["semiholonomic"]
-    proj = project_connection(free, pp, zb, p, bundle=bundle, coeffs=C, spec=spec,
+    proj = project_connection(free, pp, zb, p, bundle=bundle, coeffs=C,
                               rng=rng, tuples=tuples)
     res = nh_ddw_residual(model, spec, proj, p, rng=rng, tuples=tuples)
     out["nh_form_residual"] = res["form_residual"]

@@ -34,7 +34,10 @@ class ConstraintSpec:
     """k constraint functions with their coefficient rule.
 
     coeff_mode is "chetaev" or "custom"; in custom mode ``custom_coeffs(p)``
-    must return the (k, n+1, m) coefficient array (C_alpha)^mu_a.
+    receives a ``JetPointArrays`` with batched x (..., n+1), y (..., m) and
+    v (..., m, n+1) and must return the coefficients (C_alpha)^mu_a with
+    trailing axes (k, n+1, m); leading axes broadcast against the batch, so
+    a constant (k, n+1, m) array is valid.
     Constraints are evaluated on a neighborhood of the constraint set, not
     only on it, since projector construction needs off-manifold derivatives.
     """
@@ -125,29 +128,45 @@ class ConstraintSpec:
             )
 
 
+@dataclass(frozen=True)
+class JetPointArrays:
+    """Batched stand-in for JetPoint handed to custom coefficient fields."""
+
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+
+
+def coefficient_arrays(spec: ConstraintSpec, x, y, v, dphidv) -> np.ndarray:
+    """(C_alpha)^mu_a over a batch, shape (..., k, n+1, m): dphi/dv in
+    Chetaev mode, the user field in custom mode (see ``ConstraintSpec``)."""
+    if spec.coeff_mode == "chetaev":
+        return np.swapaxes(dphidv, -1, -2)  # (.., k, m, n+1) -> (.., k, n+1, m)
+    C = np.asarray(spec.custom_coeffs(JetPointArrays(x, y, v)), dtype=float)
+    expected = (spec.k, spec.dims.nx, spec.dims.m)
+    if C.shape[-3:] == expected:
+        try:
+            return np.broadcast_to(C, np.shape(v)[:-2] + expected)
+        except ValueError:
+            pass
+    raise DimensionMismatchError(
+        f"custom coefficients shape {C.shape}, expected trailing axes {expected}"
+    )
+
+
 def chetaev_coefficients(spec: ConstraintSpec, p: JetPoint) -> np.ndarray:
-    """(C_alpha)^mu_a, shape (k, n+1, m): dphi/dv in Chetaev mode, the user
-    matrix in custom mode."""
-    if spec.coeff_mode == "custom":
-        C = np.asarray(spec.custom_coeffs(p), dtype=float)
-        expected = (spec.k, spec.dims.nx, spec.dims.m)
-        if C.shape != expected:
-            raise DimensionMismatchError(
-                f"custom coefficients shape {C.shape}, expected {expected}"
-            )
-        return C
-    _, _, dphidv = spec.derivatives(p)
-    return np.swapaxes(dphidv, -1, -2)  # (k, m, n+1) -> (k, n+1, m)
+    """(C_alpha)^mu_a at one point, shape (k, n+1, m): a batch of one of
+    ``coefficient_arrays``."""
+    return coefficient_arrays(spec, p.x, p.y, p.v, spec.derivatives(p)[2])
 
 
-def constraint_forms(spec: ConstraintSpec, p: JetPoint, coeffs: np.ndarray | None = None):
-    """The k constraint forms Phi_alpha at p as explicit Form objects."""
-    if coeffs is None:
-        coeffs = chetaev_coefficients(spec, p)
+def constraint_forms(p: JetPoint, coeffs: np.ndarray):
+    """The constraint forms Phi_alpha at p as explicit Form objects, one per
+    coefficient row (C_alpha)^mu_a of ``coeffs`` (k, n+1, m)."""
     theta = contact_covectors(p)
     m, nx = p.v.shape
     forms = []
-    for alpha in range(spec.k):
+    for alpha in range(coeffs.shape[0]):
         terms = []
         for a in range(m):
             for mu in range(nx):
@@ -155,7 +174,7 @@ def constraint_forms(spec: ConstraintSpec, p: JetPoint, coeffs: np.ndarray | Non
                 terms.append(
                     (coeffs[alpha, mu, a] * ((-1.0) ** mu), [theta[a]] + rest)
                 )
-        forms.append(Form.from_terms(terms, dim=spec.dims.N))
+        forms.append(Form.from_terms(terms, dim=theta.shape[1]))
     return forms
 
 
@@ -165,7 +184,7 @@ def constraint_form_eval(spec: ConstraintSpec, p: JetPoint, vecs) -> np.ndarray:
         raise DimensionMismatchError(
             f"constraint forms take n+1 = {spec.dims.nx} vectors, got {len(vecs)}"
         )
-    return np.array([f(vecs) for f in constraint_forms(spec, p)])
+    return np.array([f(vecs) for f in constraint_forms(p, chetaev_coefficients(spec, p))])
 
 
 def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .lagrangian import (
     derivative_bundle,
     omega_form,
 )
-from .projector import ProjectorPair, ZetaBasis
+from .projector import ProjectorPair, ZetaBasis, project_lifts
 
 _SOLVE_TOL = 1e-9
 
@@ -112,33 +112,62 @@ def solve_free_ddw(model: LagrangianModel, p: JetPoint,
 def _solve_ddw_coeffs(bundle: DerivativeBundle, v: np.ndarray,
                       fixed_spatial: np.ndarray | None) -> ConnectionCoeffs:
     m, nx = v.shape
-    H = bundle.H
-    R = free_ddw_rhs(bundle, v)
     if fixed_spatial is None:
-        A = np.einsum("btan->abtn", H).reshape(m, m * nx * nx)
+        A = np.einsum("btan->abtn", bundle.H).reshape(m, m * nx * nx)
+        R = free_ddw_rhs(bundle, v)
         sol, *_ = np.linalg.lstsq(A, R, rcond=None)
         _check_solution(A, sol, R, "full second-order system")
         Gamma2 = sol.reshape(m, nx, nx)
     else:
-        fixed_spatial = np.asarray(fixed_spatial, dtype=float)
-        if fixed_spatial.shape != (m, nx - 1, nx):
-            raise DimensionMismatchError(
-                f"fixed_spatial shape {fixed_spatial.shape}, expected {(m, nx - 1, nx)}"
-            )
-        A0 = np.einsum("ban->abn", H[:, 0]).reshape(m, m * nx)
-        Rp = R - np.einsum("bian,bin->a", H[:, 1:], fixed_spatial)
-        sol, *_ = np.linalg.lstsq(A0, Rp, rcond=None)
-        _check_solution(A0, sol, Rp, "temporal block")
-        Gamma2 = np.concatenate([sol.reshape(m, 1, nx), fixed_spatial], axis=1)
+        fixed_spatial = _pinned_block(fixed_spatial, m, nx)
+        temporal = solve_temporal_block(bundle, v, fixed_spatial)
+        Gamma2 = np.concatenate([temporal[:, None, :], fixed_spatial], axis=1)
     return ConnectionCoeffs(v.copy(), Gamma2)
 
 
+def _pinned_block(fixed_spatial, m: int, nx: int) -> np.ndarray:
+    fixed_spatial = np.asarray(fixed_spatial, dtype=float)
+    if fixed_spatial.shape != (m, nx - 1, nx):
+        raise DimensionMismatchError(
+            f"fixed_spatial shape {fixed_spatial.shape}, expected {(m, nx - 1, nx)}"
+        )
+    return fixed_spatial
+
+
+def solve_temporal_block(bundle: DerivativeBundle, v: np.ndarray,
+                         spatial: np.ndarray) -> np.ndarray:
+    """Temporal block Gamma^a_{0 nu} of the free equations, batched.
+
+    With the spatial-first-index block Gamma^a_{i nu} pinned to ``spatial``
+    (..., m, n, n+1), the m form equations at each point are solved for the
+    temporal block (..., m, n+1) by the minimum-norm (pseudo-inverse)
+    solution, which must solve them (``_check_solution``).
+    """
+    m, nx = v.shape[-2:]
+    batch = v.shape[:-2]
+    H = bundle.H
+    A0 = np.swapaxes(H[..., :, 0, :, :], -3, -2).reshape(batch + (m, m * nx))
+    Rp = free_ddw_rhs(bundle, v) - np.einsum(
+        "...bian,...bin->...a", H[..., :, 1:, :, :], spatial
+    )
+    sol = np.einsum("...ij,...j->...i", np.linalg.pinv(A0), Rp)
+    _check_solution(A0, sol, Rp, "temporal block")
+    return sol.reshape(batch + (m, nx))
+
+
 def _check_solution(A, sol, rhs, label):
-    resid = np.max(np.abs(A @ sol - rhs), initial=0.0)
-    scale = max(1.0, np.max(np.abs(rhs), initial=0.0))
-    if resid > _SOLVE_TOL * scale:
+    """At every batch point the residual of A sol = rhs must stay below
+    _SOLVE_TOL * max(1, max|rhs|)."""
+    resid = np.max(np.abs(np.einsum("...ij,...j->...i", A, sol) - rhs),
+                   axis=-1, initial=0.0)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=-1, initial=0.0))
+    bad = resid > _SOLVE_TOL * scale
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at grid point {idx}" if bad.ndim else ""
         raise DdwSolveError(
-            f"no solution for the {label}: least-squares residual {resid:.3e}"
+            f"no solution for the {label}{where}: least-squares residual "
+            f"{resid[idx]:.3e}"
         )
 
 
@@ -163,44 +192,32 @@ def _form_residual(bundle, p, coeffs, lam, phi_forms, rng, tuples):
 def project_connection(free: DdwSolution, pp: ProjectorPair, zb: ZetaBasis,
                        p: JetPoint, bundle: DerivativeBundle | None = None,
                        coeffs: np.ndarray | None = None,
-                       spec: ConstraintSpec | None = None,
                        rng=None, tuples: int = 20) -> DdwSolution:
     """Apply the nonholonomic projector to a free solution at p in C.
 
-    Q(H_mu) = lambda^alpha_mu zeta_alpha gives the multipliers; the zeta are
-    jet-vertical, so the first-order coefficients are untouched and
+    All n+1 horizontal lifts go through ``project_lifts``: Q(H_mu) =
+    lambda^alpha_mu zeta_alpha gives the multipliers, and
     Gamma'^a_{mu nu} = Gamma^a_{mu nu} - lambda^alpha_mu (zeta_alpha)^a_nu.
     When the derivative bundle and constraint coefficients are supplied, the
     constrained form identity is evaluated and reported in the residuals.
     """
-    m, nx = p.v.shape
-    Hstack = np.stack(
-        [free.coeffs.horizontal_lift(mu).components for mu in range(nx)]
-    )  # (nx, N)
-    dphiH = pp.dphi @ Hstack.T  # (k, nx): dphi_beta(H_mu)
-    lam = pp.Lam @ dphiH  # (k, nx)
-    Gamma2 = free.coeffs.Gamma2 - np.einsum("ku,kan->aun", lam, zb.zeta)
+    Gamma2, lam = project_lifts(free.coeffs.Gamma, free.coeffs.Gamma2, pp.dphi,
+                                pp.Lam, zb.zeta)
     projected = ConnectionCoeffs(free.coeffs.Gamma.copy(), Gamma2)
-    Hstack_new = np.stack(
-        [projected.horizontal_lift(mu).components for mu in range(nx)]
-    )
-    tangency = float(np.max(np.abs(pp.dphi @ Hstack_new.T), initial=0.0))
-    residuals = {"tangency": tangency, "semiholonomic": 0.0, "ddw_form": np.nan}
+    residuals = {"tangency": _tangency(projected, pp.dphi), "semiholonomic": 0.0,
+                 "ddw_form": np.nan}
     if bundle is not None and coeffs is not None:
-        phis = constraint_forms(
-            spec
-            or ConstraintSpec(Dims(nx - 1, m, zb.k), [_zero] * zb.k, "custom",
-                              lambda _p: coeffs),
-            p,
-            coeffs,
-        )
-        residuals["ddw_form"] = _form_residual(bundle, p, projected, lam, phis,
+        residuals["ddw_form"] = _form_residual(bundle, p, projected, lam,
+                                               constraint_forms(p, coeffs),
                                                rng, tuples)
     return DdwSolution(projected, MultiplierField(lam), residuals)
 
 
-def _zero(x, y, v):
-    return 0.0 * v[0][0]
+def _tangency(coeffs: ConnectionCoeffs, dphi: np.ndarray) -> float:
+    """max |dphi_alpha(H_mu)| over the horizontal lifts of the connection."""
+    nx = coeffs.Gamma.shape[1]
+    Hstack = np.stack([coeffs.horizontal_lift(mu).components for mu in range(nx)])
+    return float(np.max(np.abs(dphi @ Hstack.T), initial=0.0))
 
 
 def solve_constrained_ddw(model: LagrangianModel, spec: ConstraintSpec,
@@ -239,11 +256,7 @@ def solve_constrained_ddw(model: LagrangianModel, spec: ConstraintSpec,
         rhs_extra = np.zeros(m)
         assemble_gamma2 = lambda g: g.reshape(m, nx, nx)
     else:
-        fixed_spatial = np.asarray(fixed_spatial, dtype=float)
-        if fixed_spatial.shape != (m, nx - 1, nx):
-            raise DimensionMismatchError(
-                f"fixed_spatial shape {fixed_spatial.shape}, expected {(m, nx - 1, nx)}"
-            )
+        fixed_spatial = _pinned_block(fixed_spatial, m, nx)
         n_gamma = m * nx
         A_ddw = np.einsum("ban->abn", H[:, 0]).reshape(m, n_gamma)
         rhs_extra = np.einsum("bian,bin->a", H[:, 1:], fixed_spatial)
@@ -280,13 +293,11 @@ def solve_constrained_ddw(model: LagrangianModel, spec: ConstraintSpec,
     lam = sol[n_gamma:].reshape(k, nx)
     coeffs_conn = ConnectionCoeffs(p.v.copy(), Gamma2)
 
-    phis = constraint_forms(spec, p, C)
-    form_res = _form_residual(bundle, p, coeffs_conn, lam, phis, rng, tuples)
-    Hstack = np.stack([coeffs_conn.horizontal_lift(mu).components for mu in range(nx)])
-    dphi = spec.full_differentials(p)
-    tangency = float(np.max(np.abs(dphi @ Hstack.T), initial=0.0))
+    form_res = _form_residual(bundle, p, coeffs_conn, lam, constraint_forms(p, C),
+                              rng, tuples)
     return DdwSolution(coeffs_conn, MultiplierField(lam),
-                       {"ddw_form": form_res, "tangency": tangency,
+                       {"ddw_form": form_res,
+                        "tangency": _tangency(coeffs_conn, spec.full_differentials(p)),
                         "semiholonomic": 0.0})
 
 
@@ -308,7 +319,7 @@ def nh_ddw_residual(model: LagrangianModel, spec: ConstraintSpec,
     omega = omega_form(bundle, p)
     hmat = _connection_matrix(sol.coeffs)
     C = chetaev_coefficients(spec, p)
-    phis = constraint_forms(spec, p, C)
+    phis = constraint_forms(p, C)
     vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, dims.N))
     b = eval_ih_form(omega, hmat, vecs) - (nx - 1) * omega.eval_batch(vecs)
     cols = []
@@ -318,12 +329,9 @@ def nh_ddw_residual(model: LagrangianModel, spec: ConstraintSpec,
     M = np.column_stack(cols) if cols else np.zeros((tuples, 0))
     lam_fit, *_ = np.linalg.lstsq(M, b, rcond=None)
     form_residual = float(np.max(np.abs(b - M @ lam_fit), initial=0.0))
-    Hstack = np.stack([sol.coeffs.horizontal_lift(mu).components for mu in range(nx)])
-    dphi = spec.full_differentials(p)
-    tangency = float(np.max(np.abs(dphi @ Hstack.T), initial=0.0))
     out = {
         "form_residual": form_residual,
-        "tangency_residual": tangency,
+        "tangency_residual": _tangency(sol.coeffs, spec.full_differentials(p)),
         "lam_fit": MultiplierField(lam_fit.reshape(spec.k, nx)),
     }
     # multipliers are determined only modulo the kernel of the wedge map

@@ -209,17 +209,6 @@ class Form:
         front = np.broadcast_to(row, (T, 1, self.dim))
         return Form(self.coeffs.copy(), np.concatenate([front, self.factors], axis=1))
 
-    def __add__(self, other: "Form") -> "Form":
-        if self.degree != other.degree or self.dim != other.dim:
-            raise DimensionMismatchError("can only add forms of equal degree and layout")
-        return Form(
-            np.concatenate([self.coeffs, other.coeffs]),
-            np.concatenate([self.factors, other.factors], axis=0),
-        )
-
-    def scale(self, s: float) -> "Form":
-        return Form(self.coeffs * s, self.factors)
-
 
 def contract_form(form: Form, vector) -> Form:
     """Functional alias for Form.contract."""

@@ -27,7 +27,7 @@ from .exceptions import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .jet import Dims, JetPoint
+from .jet import _STENCILS, Dims, JetPoint
 from .lagrangian import LagrangianModel, derivative_bundle
 from .projector import solve_zeta
 
@@ -128,7 +128,7 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
     spec = spec or incompressibility_constraint()
     bundle = derivative_bundle(model, p)
     coeffs = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, coeffs, p, check=False)
+    zb = solve_zeta(bundle, coeffs)
     zeta = zb.zeta[0]  # (m, n+1)
 
     # closed form: temporal block rho I gives zeta_0 = C^0 / rho = 0; the
@@ -159,21 +159,19 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
 # the constraint is a null Lagrangian: its cofactor rows are divergence
 # free on jet data of sections, and it is itself a total divergence
 
-_PATCH_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-
-
 def _patch_derivative(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     """4th-order interior first derivative on a non-periodic grid patch.
 
     Only values at points with a full stencil neighborhood are meaningful;
     callers must trim two layers per differentiated axis.
     """
+    w = _STENCILS[4]
+    r = len(w) // 2
     out = np.zeros_like(arr)
-    r = 2
     sl_out = [slice(None)] * arr.ndim
     sl_out[axis] = slice(r, arr.shape[axis] - r)
     acc = np.zeros_like(arr[tuple(sl_out)])
-    for s, c in zip(range(-r, r + 1), _PATCH_STENCIL):
+    for s, c in zip(range(-r, r + 1), w):
         if c != 0.0:
             sl = [slice(None)] * arr.ndim
             sl[axis] = slice(r + s, arr.shape[axis] - r + s)

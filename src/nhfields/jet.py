@@ -315,7 +315,7 @@ def prolong_section(samples: SectionSamples, target: tuple[int, int], order: int
     return Jet2Point(JetPoint(x, y, v), w)
 
 
-def holonomy_defect(samples: SectionSamples, order: int = 6) -> float:
+def mixed_partial_defect(samples: SectionSamples, order: int = 6) -> float:
     """Max asymmetry of the mixed second derivatives before averaging.
 
     Compares d_u(ydot) against d_t(d_u y) on interior time slices (the

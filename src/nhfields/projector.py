@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintSpec, chetaev_coefficients, constraint_forms
+from .constraint import ConstraintSpec, constraint_forms
 from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
@@ -83,45 +83,20 @@ def solve_zeta_flat(H_flat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.swapaxes(sol, -1, -2).reshape(coeffs.shape[:-3] + (k, m, nx))
 
 
-def solve_zeta(bundle: DerivativeBundle, coeffs: np.ndarray,
-               p: JetPoint | None = None, check: bool | None = None,
-               tol: float = 1e-9, rng=None, tuples: int = 20) -> ZetaBasis:
-    """Constraint distribution basis at one point.
-
-    By default the defining form identity
-    i_{zeta_alpha} Omega_L + Phi_alpha = 0 is verified on random
-    (n+1)-tuples of tangent vectors whenever the jet point is supplied
-    (the identity needs the contact forms at p); pass ``check=False`` to
-    skip the verification in hot loops.
-    """
-    zeta = solve_zeta_flat(hessian_flat(bundle), coeffs)
-    zb = ZetaBasis(zeta)
-    if check is None:
-        check = p is not None
-    if check:
-        if p is None:
-            raise InternalConsistencyError("zeta verification needs the jet point")
-        resid = zeta_residual(bundle, coeffs, zb, p, rng=rng, tuples=tuples)
-        if resid > tol:
-            raise InternalConsistencyError(
-                f"i_zeta Omega_L + Phi residual {resid:.3e} exceeds {tol:.1e}"
-            )
-    return zb
+def solve_zeta(bundle: DerivativeBundle, coeffs: np.ndarray) -> ZetaBasis:
+    """Constraint distribution basis at one point; ``zeta_residual`` checks
+    its defining form identity."""
+    return ZetaBasis(solve_zeta_flat(hessian_flat(bundle), coeffs))
 
 
 def zeta_residual(bundle: DerivativeBundle, coeffs: np.ndarray, zb: ZetaBasis,
-                  p: JetPoint, rng=None, tuples: int = 20,
-                  spec: ConstraintSpec | None = None) -> float:
+                  p: JetPoint, rng=None, tuples: int = 20) -> float:
     """max |(i_{zeta_alpha} Omega_L + Phi_alpha)(random (n+1)-tuple)|."""
     rng = np.random.default_rng(0) if rng is None else rng
     m, nx = p.v.shape
     dims = Dims(nx - 1, m)
     omega = omega_form(bundle, p)
-    if spec is None:
-        spec = ConstraintSpec(
-            Dims(nx - 1, m, zb.k), [_zero_phi] * zb.k, "custom", lambda _p: coeffs
-        )
-    phis = constraint_forms(spec, p, coeffs)
+    phis = constraint_forms(p, coeffs)
     vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx, dims.N))
     worst = 0.0
     for alpha in range(zb.k):
@@ -131,26 +106,62 @@ def zeta_residual(bundle: DerivativeBundle, coeffs: np.ndarray, zb: ZetaBasis,
     return worst
 
 
-def _zero_phi(x, y, v):
-    return 0.0 * v[0][0]
-
-
-def compatibility_matrix(zb: ZetaBasis, dphidv: np.ndarray,
+def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
                          tol: float = 1e-10) -> dict:
     """mmat[alpha][beta] = zeta_alpha(phi_beta) and the invertibility verdict.
 
-    The tolerance is scale-relative: the smallest singular value is compared
-    against tol times the natural entry scale ||zeta_alpha|| ||dphi_beta||.
+    Batched: zeta and dphidv are (..., k, m, n+1).  The tolerance is
+    scale-relative: the smallest singular value is compared against tol
+    times the natural entry scale max ||zeta_alpha|| max ||dphi_beta||.
     """
-    mmat = np.einsum("kav,lav->kl", zb.zeta, dphidv)
-    scale = float(
-        np.max(np.linalg.norm(zb.zeta.reshape(zb.k, -1), axis=1))
-        * np.max(np.linalg.norm(dphidv.reshape(dphidv.shape[0], -1), axis=1))
+    k = zeta.shape[-3]
+    batch = zeta.shape[:-3]
+    mmat = np.einsum("...kav,...lav->...kl", zeta, dphidv)
+    scale = (
+        np.max(np.linalg.norm(zeta.reshape(batch + (k, -1)), axis=-1), axis=-1)
+        * np.max(np.linalg.norm(dphidv.reshape(batch + (k, -1)), axis=-1), axis=-1)
     )
     svals = np.linalg.svd(mmat, compute_uv=False)
-    smin = float(svals[-1]) if len(svals) else 0.0
-    compatible = bool(smin > tol * max(scale, 1e-300))
-    return {"mmat": mmat, "det": float(np.linalg.det(mmat)), "compatible": compatible}
+    smin = svals[..., -1] if k else np.zeros(batch)
+    compatible = smin > tol * np.maximum(scale, 1e-300)
+    return {"mmat": mmat, "det": np.linalg.det(mmat), "compatible": compatible}
+
+
+def multiplier_matrix(zeta: np.ndarray, dphidv: np.ndarray) -> np.ndarray:
+    """Lam = inv(mmat)^T (batched) at points that pass the compatibility
+    test; raises CompatibilityError naming the first point that fails."""
+    comp = compatibility_matrix(zeta, dphidv)
+    bad = ~comp["compatible"]
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at grid point {idx}" if bad.ndim else ""
+        raise CompatibilityError(
+            f"compatibility matrix is singular{where} (det {comp['det'][idx]:.3e}); "
+            "the constraint distribution meets TC nontrivially"
+        )
+    return np.swapaxes(np.linalg.inv(comp["mmat"]), -1, -2)
+
+
+def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
+                  Lam: np.ndarray, zeta: np.ndarray):
+    """Project a stack of horizontal lifts H_0..H_{L-1} onto TC (batched).
+
+    Gamma (..., m, L) and Gamma2 (..., m, L, n+1) are the coefficients of
+    the lifts, dphi (..., k, N) the full differentials, Lam (..., k, k) and
+    zeta (..., k, m, n+1) from the constraint distribution.  The multipliers
+    lam^alpha_mu = Lam^{alpha beta} dphi_beta(H_mu) fix
+    Q(H_mu) = lam^alpha_mu zeta_alpha; the zeta are jet-vertical, so only
+    Gamma2 changes.  Returns (Gamma2 - lam zeta, lam (..., k, L)).
+    """
+    m, L, nx = Gamma2.shape[-3:]
+    dphidv = dphi[..., nx + m :].reshape(dphi.shape[:-1] + (m, nx))
+    dphiH = (
+        dphi[..., :L]
+        + np.einsum("...kb,...bu->...ku", dphi[..., nx : nx + m], Gamma)
+        + np.einsum("...kbn,...bun->...ku", dphidv, Gamma2)
+    )
+    lam = np.einsum("...kl,...lu->...ku", Lam, dphiH)
+    return Gamma2 - np.einsum("...ku,...kan->...aun", lam, zeta), lam
 
 
 def build_projectors(zb: ZetaBasis, spec: ConstraintSpec, p: JetPoint,
@@ -163,16 +174,9 @@ def build_projectors(zb: ZetaBasis, spec: ConstraintSpec, p: JetPoint,
     invariants are verified before returning.
     """
     spec.require_on_constraint(p)
-    _, _, dphidv = spec.derivatives(p)
-    comp = compatibility_matrix(zb, dphidv)
-    if not comp["compatible"]:
-        raise CompatibilityError(
-            f"compatibility matrix is singular (det {comp['det']:.3e}); the "
-            "constraint distribution meets TC nontrivially"
-        )
+    Lam = multiplier_matrix(zb.zeta, spec.derivatives(p)[2])
     Z = zb.dense()  # (k, N)
     dphi = spec.full_differentials(p)  # (k, N)
-    Lam = np.linalg.inv(comp["mmat"]).T
     Q = Z.T @ Lam @ dphi
     N = Q.shape[0]
     P = np.eye(N) - Q
@@ -191,11 +195,3 @@ def build_projectors(zb: ZetaBasis, spec: ConstraintSpec, p: JetPoint,
             f"projector invariant {bad} violated: residual {checks[bad]:.3e}"
         )
     return ProjectorPair(P, Q, Lam, zb.zeta.copy(), dphi)
-
-
-def projector_from_model(bundle: DerivativeBundle, spec: ConstraintSpec,
-                         p: JetPoint, check_zeta: bool = False) -> tuple:
-    """Convenience pipeline: coefficients, zeta basis, projector pair."""
-    coeffs = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, coeffs, p, check=check_zeta)
-    return coeffs, zb, build_projectors(zb, spec, p)

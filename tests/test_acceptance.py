@@ -132,9 +132,9 @@ def test_criterion_02_constraint_distribution_identity():
         for p in scenario_points(rng, scenario, 20):
             bundle = derivative_bundle(model, p)
             C = chetaev_coefficients(spec, p)
-            zb = solve_zeta(bundle, C, p, check=False)
+            zb = solve_zeta(bundle, C)
             worst = max(
-                worst, zeta_residual(bundle, C, zb, p, rng=rng, tuples=50, spec=spec)
+                worst, zeta_residual(bundle, C, zb, p, rng=rng, tuples=50)
             )
     report(2, worst < 1e-9, f"(max residual {worst:.2e})")
 
@@ -149,8 +149,8 @@ def test_criterion_03_compatibility_classification():
         p = wave_on_constraint_point(rng, speed=k)
         bundle = derivative_bundle(WAVE, p)
         C = chetaev_coefficients(spec, p)
-        zb = solve_zeta(bundle, C, p, check=False)
-        comp = compatibility_matrix(zb, spec.derivatives(p)[2])
+        zb = solve_zeta(bundle, C)
+        comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
         expected = abs(k) != 1.0
         ok = ok and comp["compatible"] == expected
         ok = ok and abs(comp["det"] - (1.0 - k * k)) < 1e-12
@@ -168,7 +168,7 @@ def test_criterion_04_projector_invariants():
         for p in scenario_points(rng, scenario, 100):
             bundle = derivative_bundle(model, p)
             C = chetaev_coefficients(spec, p)
-            zb = solve_zeta(bundle, C, p, check=False)
+            zb = solve_zeta(bundle, C)
             pp = build_projectors(zb, spec, p, tol=1e-9)
             N = pp.P.shape[0]
             worst = max(
@@ -215,7 +215,7 @@ def test_criterion_06_projected_solutions_solve_constrained_problem():
     for idx, p in enumerate(scenario_points(rng, "wave", 100)):
         bundle = derivative_bundle(WAVE, p)
         C = chetaev_coefficients(WAVE_SPEC, p)
-        zb = solve_zeta(bundle, C, p, check=False)
+        zb = solve_zeta(bundle, C)
         pp = build_projectors(zb, WAVE_SPEC, p)
         fixed = rng.uniform(-1, 1, (1, 1, 2))
         free = solve_free_ddw(WAVE, p, fixed_spatial=fixed)
@@ -351,9 +351,9 @@ def test_criterion_10_fluid():
         q = fluid_quantities(FLUID_PARAMS, p, spec=FLUID_SPEC)
         bundle = derivative_bundle(FLUID, p)
         C = chetaev_coefficients(FLUID_SPEC, p)
-        zb = solve_zeta(bundle, C, p, check=False)
+        zb = solve_zeta(bundle, C)
         pp = build_projectors(zb, FLUID_SPEC, p)
-        comp = compatibility_matrix(zb, FLUID_SPEC.derivatives(p)[2])
+        comp = compatibility_matrix(zb.zeta, FLUID_SPEC.derivatives(p)[2])
         worst = max(
             worst,
             np.abs(zb.zeta[0] - q["zeta"]).max(),

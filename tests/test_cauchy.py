@@ -16,10 +16,20 @@ from nhfields.cauchy import (
     tilde_eta_contract,
     tilde_omega_contract,
 )
-from nhfields.constraint import ConstraintSpec, make_constraint
-from nhfields.exceptions import DriftError, IntegrationError, InvalidArgumentError
-from nhfields.jet import Dims
-from nhfields.lagrangian import make_model
+from nhfields.constraint import ConstraintSpec, chetaev_coefficients, make_constraint
+from nhfields.ddw import project_connection, solve_free_ddw
+from nhfields.exceptions import (
+    DdwSolveError,
+    DimensionMismatchError,
+    DriftError,
+    IntegrationError,
+    InvalidArgumentError,
+)
+from nhfields.jet import Dims, JetPoint
+from nhfields.lagrangian import LagrangianModel, derivative_bundle, make_model
+from nhfields.projector import build_projectors, solve_zeta
+
+from helpers import random_det_one_spatial
 
 
 def wave_pde_state(Nu=64, amp=1.0, mode=1):
@@ -42,6 +52,12 @@ def test_grid_derivative_spectral_and_fd4():
     want = 2 * np.pi * np.cos(2 * np.pi * u)
     assert np.abs(grid_derivative(f, (Nu,), 0, "spectral") - want).max() < 1e-11
     assert np.abs(grid_derivative(f, (Nu,), 0, "fd4") - want).max() < 1e-4
+
+
+def test_fd4_needs_a_full_stencil():
+    # on 4 points the 5-point stencil would wrap onto itself
+    with pytest.raises(InvalidArgumentError):
+        grid_derivative(np.arange(4.0), (4,), 0, "fd4")
 
 
 def test_eta_contract_values():
@@ -219,11 +235,10 @@ def test_constraint_ansatz_negative_control():
         [_omega_tilde(geom, wrong, W) - _omega_tilde(geom, gamma, W)
          for W in variations]
     )
-    from nhfields.cauchy import _coefficients_arrays
-    from nhfields.constraint import phi_eval_batch
+    from nhfields.constraint import coefficient_arrays, phi_eval_batch
 
     dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)[2]
-    C = _coefficients_arrays(spec, geom.x, geom.y, geom.v, dphidv)
+    C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
     cols = []
     B = 16
     for W in variations:
@@ -326,3 +341,68 @@ def test_bad_integrator_name_rejected():
     model = make_model("wave")
     with pytest.raises(InvalidArgumentError):
         evolve(model, None, wave_pde_state(16), 1e-3, 1, integrator="leapfrog")
+
+
+def fluid_fulljet_state(N=4, seed=11):
+    """A fluid state on the constraint set whose field is nonzero: smooth
+    velocity, and per-point unit-determinant spatial jets near identity."""
+    rng = np.random.default_rng(seed)
+    G = (N, N, N)
+    vi = np.empty(G + (3, 3))
+    for idx in np.ndindex(G):
+        vi[idx] = random_det_one_spatial(rng, scale=0.1)
+    v0 = 0.05 * rng.uniform(-1, 1, G + (3,))
+    y = 0.01 * rng.uniform(-1, 1, G + (3,))
+    return CauchyState(0.0, y, "fulljet", v0=v0, vi=vi, y_offset="identity")
+
+
+@pytest.mark.parametrize("scenario", ["wave", "fluid"])
+def test_grid_field_is_the_pointwise_chain_at_every_point(scenario):
+    """sode_vector_field and the verify chain (free solve with the pinned
+    spatial block, then the projector) share one kernel per step, so the
+    grid field equals the pointwise projected temporal block."""
+    if scenario == "wave":
+        model = make_model("wave")
+        spec = make_constraint("linear-transport", {"speed": 2.0})
+        state = constrained_wave_state(Nu=16)
+    else:
+        model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
+        spec = make_constraint("incompressibility")
+        state = fluid_fulljet_state()
+    field = sode_vector_field(model, spec, state)
+    assert np.abs(field.dv).max() > 1e-3
+    G, n = state.grid_shape, state.n
+    x, y, v = state.jet_arrays()
+    Gsp = np.stack([grid_derivative(v, G, i) for i in range(n)], axis=-2)
+    for idx in np.ndindex(G):
+        p = JetPoint(x[idx], y[idx], v[idx])
+        zb = solve_zeta(derivative_bundle(model, p), chetaev_coefficients(spec, p))
+        pp = build_projectors(zb, spec, p)
+        free = solve_free_ddw(model, p, fixed_spatial=Gsp[idx])
+        proj = project_connection(free, pp, zb, p)
+        np.testing.assert_array_equal(field.dv[idx], proj.coeffs.Gamma2[:, 0, :])
+
+
+def test_unsolvable_temporal_block_names_the_grid_point():
+    # L = y - v_1^2 / 2: the temporal block of the Hessian vanishes while
+    # dL/dy = 1, so the temporal equations have no solution
+    def fn(x, y, v):
+        return y[0] - 0.5 * v[0][1] * v[0][1]
+
+    model = LagrangianModel("no-time", Dims(1, 1), fn)
+    with pytest.raises(DdwSolveError, match=r"at grid point \(\d+,\)"):
+        sode_vector_field(model, None, wave_pde_state(16))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 1, 2)])
+def test_custom_coefficients_need_trailing_k_nx_m(shape):
+    spec = make_constraint(
+        "linear-transport", {"speed": 2.0}, coeff_mode="custom",
+        custom_coeffs=lambda _p: np.ones(shape),
+    )
+    state = constrained_wave_state(Nu=16)
+    x, y, v = state.jet_arrays()
+    with pytest.raises(DimensionMismatchError):
+        chetaev_coefficients(spec, JetPoint(x[0], y[0], v[0]))
+    with pytest.raises(DimensionMismatchError):
+        sode_vector_field(make_model("wave"), spec, state)

@@ -131,6 +131,31 @@ def test_custom_coefficient_mode_from_csv(tmp_path):
     assert main(["--config", str(path)]) == 0
 
 
+def test_custom_evolve_reproduces_chetaev_run(tmp_path):
+    # the CSV holds the Chetaev coefficients dphi/dv = (1, -2), so both
+    # runs must write the same bytes
+    coeffs = tmp_path / "C.csv"
+    coeffs.write_text("1.0,-2.0\n")
+    runs = {}
+    for mode in ("chetaev", "custom"):
+        constraint = {"name": "linear-transport", "params": {"speed": 2.0},
+                      "mode": mode, "coeffs_csv": str(coeffs)}
+        path = write_config(tmp_path, name=f"{mode}.json", task="evolve",
+                            constraint=constraint, dt=2e-3, steps=5,
+                            grid={"nu": 16}, output_dir=str(tmp_path / mode))
+        assert main(["--config", str(path)]) == 0
+        runs[mode] = tmp_path / mode
+    for name in ("report.json", "traj_fields.csv"):
+        assert (runs["custom"] / name).read_bytes() == (runs["chetaev"] / name).read_bytes()
+
+
+def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, task="evolve", derivative="fd4", grid={"nu": 2},
+                        steps=1)
+    assert main(["--config", str(path)]) == 2
+    assert "grid.nu" in capsys.readouterr().err
+
+
 def test_fluid_evolve_smoke(tmp_path):
     path = write_config(
         tmp_path,

@@ -84,7 +84,7 @@ def test_constraint_form_against_wedge_oracle():
     for _ in range(10):
         p = random_point(rng, 1, 1)
         vecs = [random_vector(rng, 1, 1) for _ in range(2)]
-        form = constraint_forms(spec, p)[0]
+        form = constraint_forms(p, chetaev_coefficients(spec, p))[0]
         want = sum(
             c * wedge_eval_oracle(rows, vecs)
             for c, rows in zip(form.coeffs, form.factors)
@@ -158,7 +158,7 @@ def test_phi_eval_batch_matches_forms():
     vecs = rng.uniform(-1, 1, (3, 4, spec.dims.N))
     got = phi_eval_batch(C, v, vecs)
     for i, p in enumerate(pts):
-        form = constraint_forms(spec, p)[0]
+        form = constraint_forms(p, C[i])[0]
         assert got[i, 0] == pytest.approx(form.eval_batch(vecs[i][None])[0], abs=1e-12)
 
 

@@ -90,14 +90,14 @@ def test_projection_hand_example():
     p = wave_on_constraint_point(np.random.default_rng(4))
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     free = DdwSolution(
         ConnectionCoeffs(p.v.copy(), np.array([[[1.0, 0.0], [0.0, 1.0]]])),
         MultiplierField.zeros(0, 2),
         {},
     )
-    proj = project_connection(free, pp, zb, p, bundle=bundle, coeffs=C, spec=spec)
+    proj = project_connection(free, pp, zb, p, bundle=bundle, coeffs=C)
     # first-order block untouched: the correction is jet-vertical
     assert np.array_equal(proj.coeffs.Gamma, p.v)
     assert proj.multipliers.lam[0, 0] == pytest.approx(-1.0 / 3.0)
@@ -114,7 +114,7 @@ def test_projection_of_already_tangent_solution_is_identity():
     p = wave_on_constraint_point(np.random.default_rng(5))
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     # Gamma2 with dphi(H_mu) = 0: rows satisfy g_mu0 = 2 g_mu1
     G2 = np.array([[[2.0, 1.0], [0.8, 0.4]]])
@@ -132,7 +132,7 @@ def test_projected_solution_passes_membership_and_lambda_match():
         p = wave_on_constraint_point(rng)
         bundle = derivative_bundle(model, p)
         C = chetaev_coefficients(spec, p)
-        zb = solve_zeta(bundle, C, p, check=False)
+        zb = solve_zeta(bundle, C)
         pp = build_projectors(zb, spec, p)
         free = solve_free_ddw(model, p, fixed_spatial=rng.uniform(-1, 1, (1, 1, 2)))
         proj = project_connection(free, pp, zb, p)
@@ -155,7 +155,7 @@ def test_membership_residual_detects_corruption():
     p = wave_on_constraint_point(rng)
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     free = solve_free_ddw(model, p)
     proj = project_connection(free, pp, zb, p)
@@ -247,7 +247,7 @@ def test_constrained_agrees_with_projection_residuals():
     p = wave_on_constraint_point(rng)
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     proj = project_connection(solve_free_ddw(model, p), pp, zb, p)
     direct = solve_constrained_ddw(model, spec, p)

@@ -118,7 +118,7 @@ def test_projected_connection_multiplier_shape():
     p = fluid_constraint_point(rng)
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     free = solve_free_ddw(model, p, fixed_spatial=0.2 * rng.uniform(-1, 1, (3, 3, 4)))
     proj = project_connection(free, pp, zb, p)

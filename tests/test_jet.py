@@ -178,7 +178,7 @@ def test_semiholonomic_residual_random_cross_check():
 
 
 def test_holonomy_defect_flags_inconsistent_time_slices():
-    from nhfields.jet import holonomy_defect
+    from nhfields.jet import mixed_partial_defect
 
     ts = np.arange(5) * 1e-2
     us = np.arange(32) / 32
@@ -186,8 +186,8 @@ def test_holonomy_defect_flags_inconsistent_time_slices():
     y = (np.sin(2 * np.pi * U) * np.cos(T))[..., None]
     good = SectionSamples(ts, us, y, ydot=(-np.sin(2 * np.pi * U) * np.sin(T))[..., None])
     bad = SectionSamples(ts, us, y, ydot=np.ones_like(y))
-    assert holonomy_defect(good) < 1e-3
-    assert holonomy_defect(bad) > 0.1
+    assert mixed_partial_defect(good) < 1e-3
+    assert mixed_partial_defect(bad) > 0.1
 
 
 def test_nonuniform_grid_rejected():

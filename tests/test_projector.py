@@ -32,7 +32,7 @@ def test_zeta_wave_hand_value():
     # H = diag(1, -1), C = (1, -2): zeta = (1, 2)
     rng = np.random.default_rng(0)
     _, spec, p, bundle, C = wave_setup(rng)
-    zb = solve_zeta(bundle, C, p)
+    zb = solve_zeta(bundle, C)
     assert np.allclose(zb.zeta[0], [[1.0, 2.0]])
 
 
@@ -42,15 +42,15 @@ def test_zeta_identity_hessian():
     p = wave_on_constraint_point(np.random.default_rng(1))
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p)
+    zb = solve_zeta(bundle, C)
     assert np.allclose(zb.zeta[0], np.swapaxes(C, 1, 2)[0])
 
 
 def test_zeta_defining_identity_on_random_tuples():
     rng = np.random.default_rng(2)
     _, spec, p, bundle, C = wave_setup(rng)
-    zb = solve_zeta(bundle, C, p, check=False)
-    resid = zeta_residual(bundle, C, zb, p, rng=rng, tuples=20, spec=spec)
+    zb = solve_zeta(bundle, C)
+    resid = zeta_residual(bundle, C, zb, p, rng=rng, tuples=20)
     assert resid < 1e-9
 
 
@@ -64,7 +64,7 @@ def test_zeta_singular_hessian_raises():
     p = wave_on_constraint_point(np.random.default_rng(3))
     bundle = derivative_bundle(model, p)
     with pytest.raises(RegularityError):
-        solve_zeta(bundle, np.array([[[1.0], [-2.0]]]), p, check=False)
+        solve_zeta(bundle, np.array([[[1.0], [-2.0]]]))
 
 
 @pytest.mark.parametrize("speed,expected", [
@@ -75,8 +75,8 @@ def test_compatibility_classification(speed, expected):
     # f = zeta(phi) = 1 - speed^2 for the wave scenario
     rng = np.random.default_rng(4)
     _, spec, p, bundle, C = wave_setup(rng, speed)
-    zb = solve_zeta(bundle, C, p, check=False)
-    comp = compatibility_matrix(zb, spec.derivatives(p)[2])
+    zb = solve_zeta(bundle, C)
+    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
     assert comp["compatible"] == expected
     assert comp["det"] == pytest.approx(1.0 - speed**2, abs=1e-12)
 
@@ -87,8 +87,8 @@ def test_fluid_compatibility_scalar_is_f():
     p = fluid_constraint_point(np.random.default_rng(5))
     q = fluid_quantities(params, p)
     bundle = derivative_bundle(fluid_lagrangian(params), p)
-    zb = solve_zeta(bundle, chetaev_coefficients(spec, p), p, check=False)
-    comp = compatibility_matrix(zb, spec.derivatives(p)[2])
+    zb = solve_zeta(bundle, chetaev_coefficients(spec, p))
+    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
     assert comp["mmat"][0, 0] == pytest.approx(q["f"], rel=1e-12)
     assert comp["compatible"]
 
@@ -96,7 +96,7 @@ def test_fluid_compatibility_scalar_is_f():
 def test_projector_pair_invariants():
     rng = np.random.default_rng(6)
     _, spec, p, bundle, C = wave_setup(rng)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     N = pp.P.shape[0]
     assert np.abs(pp.P + pp.Q - np.eye(N)).max() < 1e-12
@@ -116,7 +116,7 @@ def test_projector_pair_invariants():
 def test_projector_rank_and_image():
     rng = np.random.default_rng(7)
     _, spec, p, bundle, C = wave_setup(rng)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     pp = build_projectors(zb, spec, p)
     svals = np.linalg.svd(pp.P, compute_uv=False)
     assert int(np.sum(svals > 1e-9)) == 4  # N - k = 5 - 1
@@ -133,7 +133,7 @@ def test_projector_rank_and_image():
 def test_incompatible_point_raises():
     rng = np.random.default_rng(8)
     _, spec, p, bundle, C = wave_setup(rng, speed=1.0)
-    zb = solve_zeta(bundle, C, p, check=False)
+    zb = solve_zeta(bundle, C)
     with pytest.raises(CompatibilityError):
         build_projectors(zb, spec, p)
 
@@ -167,8 +167,8 @@ def test_distribution_meets_tc_trivially_when_compatible():
     p = JetPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), v)
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C, p, check=False)
-    comp = compatibility_matrix(zb, spec.derivatives(p)[2])
+    zb = solve_zeta(bundle, C)
+    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
     assert comp["compatible"]
     dphi_v = spec.derivatives(p)[2].reshape(2, -1)
     # least squares: c . zeta in ker dphi implies c = 0
@@ -194,7 +194,7 @@ def test_fluid_closed_form_projector_matches_generic():
         q = fluid_quantities(params, p)
         bundle = derivative_bundle(model, p)
         C = chetaev_coefficients(spec, p)
-        zb = solve_zeta(bundle, C, p, check=False)
+        zb = solve_zeta(bundle, C)
         pp = build_projectors(zb, spec, p)
         assert np.abs(pp.P - q["P"]).max() < 1e-9
         assert np.abs(zb.zeta[0] - q["zeta"]).max() < 1e-9
