@@ -15,6 +15,7 @@ from .cauchy import (
     tilde_omega_contract,
 )
 from .constraint import (
+    ConstraintPoint,
     ConstraintSpec,
     chetaev_coefficients,
     constraint_form_eval,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraint import ConstraintSpec, coefficient_arrays, phi_eval_batch
+from .constraint import ConstraintSpec, coefficient_arrays, jet_block, phi_eval_batch
 from .ddw import solve_temporal_block
 from .exceptions import (
     DimensionMismatchError,
@@ -266,12 +266,10 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
                 f"state is off the constraint set: max|phi| = {drift:.3e} "
                 f"exceeds {drift_tol:.1e}"
             )
-        dphidx, dphidy, dphidv = spec.derivatives_arrays(x, y, v)
+        dphi = spec.full_differentials_arrays(x, y, v)
+        dphidv = jet_block(dphi, m, nx)
         C = coefficient_arrays(spec, x, y, v, dphidv)
         zeta = solve_zeta_flat(hessian_flat(bundle), C)
-        dphi = np.concatenate(
-            [dphidx, dphidy, dphidv.reshape(G + (spec.k, -1))], axis=-1
-        )
         # the time-horizontal lift H_0: Gamma^b_0 = v^b_0 and the solved block
         Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi,
                                   multiplier_matrix(zeta, dphidv), zeta)
@@ -386,12 +384,7 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     """
     geom = _slice_geometry(model, state, method)
     pgamma = sode_vector_field(model, spec, state, method)
-    dphidx, dphidy, dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)
-    G = state.grid_shape
-    k = spec.k
-    dphi = np.concatenate(
-        [dphidx, dphidy, dphidv.reshape(G + (k, -1))], axis=-1
-    )  # (G.., k, N)
+    dphi = spec.full_differentials_arrays(geom.x, geom.y, geom.v)  # (G.., k, N)
     rows = np.concatenate([dphi, ftilde_annihilator_rows(spec, geom)], axis=-2)
     pinv = np.linalg.pinv(rows)  # (G.., N, 2k)
     out = []

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .cauchy import CauchyState, evolve, grid_derivative
 from .constraint import (
-    chetaev_coefficients,
+    ConstraintPoint,
     constraint_rank_check,
     load_custom_coeffs_csv,
     make_constraint,
@@ -35,7 +35,7 @@ from .exceptions import (
     NhfieldsError,
 )
 from .fluid import null_lagrangian_residual, psi_divergence_residual
-from .jet import _STENCILS, JetPoint
+from .jet import _STENCILS, JetPoint, semiholonomic_residual
 from .lagrangian import derivative_bundle, make_model, regularity_check
 from .projector import build_projectors, compatibility_matrix, solve_zeta, zeta_residual
 
@@ -143,13 +143,30 @@ def load_config(path=None, overrides=None) -> dict:
             cfg[key] = val
     if cfg["task"] not in ("verify", "evolve", "fluid-identities"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
+    if not isinstance(cfg["grid"], dict):
+        raise ConfigError(f"grid must be an object, got {cfg['grid']!r}")
+    _check_int("grid.nu", cfg["grid"].get("nu"), 1)
+    for key, low in _INT_KEYS:
+        _check_int(key, cfg[key], low)
+    dt = cfg["dt"]
+    if (isinstance(dt, bool) or not isinstance(dt, (int, float))
+            or not (np.isfinite(dt) and dt > 0)):
+        raise ConfigError(f"dt must be a finite number > 0, got {dt!r}")
     width = len(_STENCILS[4])
-    if cfg["derivative"] == "fd4" and int(cfg["grid"]["nu"]) < width:
+    if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
         raise ConfigError(
             f"grid.nu = {cfg['grid']['nu']} is too small for the fd4 stencil, "
             f"which needs at least {width} points"
         )
     return cfg
+
+
+_INT_KEYS = (("points", 1), ("tuples", 1), ("steps", 0))
+
+
+def _check_int(key: str, val, low: int):
+    if not (isinstance(val, int) and not isinstance(val, bool) and val >= low):
+        raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
 
 
 def build_scenario(cfg: dict):
@@ -221,21 +238,24 @@ def sample_constraint_point(model, spec, rng) -> JetPoint:
 
 
 def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
+    """The identity chain at p: one derivative bundle and one constraint
+    evaluation feed every solve, and ``nh_ddw_residual`` checks each
+    solution at form level (the free one as k = 0)."""
     out = {}
     bundle = derivative_bundle(model, p)
-    reg = regularity_check(model, p)
+    reg = regularity_check(bundle)
     out["hessian_det"] = reg["det"]
     out["regular"] = reg["regular"]
-    out["rank"] = constraint_rank_check(spec, p)
-    C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C)
-    out["zeta_residual"] = zeta_residual(bundle, C, zb, p, rng=rng)
-    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
+    cp = spec.at(p)
+    out["rank"] = constraint_rank_check(cp)
+    zb = solve_zeta(bundle, cp.coeffs)
+    out["zeta_residual"] = zeta_residual(bundle, cp.coeffs, zb, p, rng=rng)
+    comp = compatibility_matrix(zb.zeta, cp.dphidv)
     out["compatibility_det"] = comp["det"]
     out["compatible"] = comp["compatible"]
     if not comp["compatible"]:
         return out
-    pp = build_projectors(zb, spec, p, tol=tols["projector"])
+    pp = build_projectors(zb, cp, tol=tols["projector"])
     N = pp.P.shape[0]
     out["projector_residual"] = float(
         max(
@@ -244,17 +264,15 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
             np.abs(pp.dphi @ pp.P).max(),
         )
     )
-    free = solve_free_ddw(model, p, rng=rng, tuples=tuples)
-    out["free_ddw_residual"] = free.residuals["ddw_form"]
-    out["semiholonomic"] = free.residuals["semiholonomic"]
-    proj = project_connection(free, pp, zb, p, bundle=bundle, coeffs=C,
-                              rng=rng, tuples=tuples)
-    res = nh_ddw_residual(model, spec, proj, p, rng=rng, tuples=tuples)
+    free = solve_free_ddw(bundle, p.v)
+    out["free_ddw_residual"] = nh_ddw_residual(
+        bundle, ConstraintPoint.unconstrained(p), free, rng, tuples)["form_residual"]
+    out["semiholonomic"] = semiholonomic_residual(free.coeffs, p)
+    res = nh_ddw_residual(bundle, cp, project_connection(free, pp, zb), rng, tuples)
     out["nh_form_residual"] = res["form_residual"]
     out["nh_tangency_residual"] = res["tangency_residual"]
     out["lambda_match"] = res["lam_gap"]
-    direct = solve_constrained_ddw(model, spec, p, rng=rng, tuples=tuples)
-    dres = nh_ddw_residual(model, spec, direct, p, rng=rng, tuples=tuples)
+    dres = nh_ddw_residual(bundle, cp, solve_constrained_ddw(bundle, cp), rng, tuples)
     out["direct_form_residual"] = dres["form_residual"]
     out["direct_tangency_residual"] = dres["tangency_residual"]
     return out
@@ -277,7 +295,15 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
     model, spec = build_scenario(cfg)
     if spec is None:
         raise ConfigError("the verify task needs a constraint scenario")
+    n_lam = spec.k * spec.dims.nx
+    if cfg["tuples"] <= n_lam:
+        raise ConfigError(
+            f"tuples = {cfg['tuples']} must exceed k(n+1) = {n_lam}, the number "
+            "of multipliers the form check fits"
+        )
+    # the points come from the seed alone; the check tuples from a child stream
     rng = np.random.default_rng(cfg["seed"])
+    tuple_rng = rng.spawn(1)[0]
     tols = cfg["tolerances"]
     points = []
     first_failure = None
@@ -292,7 +318,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
             },
         }
         try:
-            entry.update(_point_checks(model, spec, p, rng, tols, int(cfg["tuples"])))
+            entry.update(_point_checks(model, spec, p, tuple_rng, tols, int(cfg["tuples"])))
         except NhfieldsError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
             if first_failure is None:

@@ -80,8 +80,9 @@ class ConstraintSpec:
     def values(self, p: JetPoint) -> np.ndarray:
         return self.values_arrays(p.x, p.y, p.v)
 
-    def derivatives_arrays(self, x, y, v):
-        """(dphidx (..,k,n+1), dphidy (..,k,m), dphidv (..,k,m,n+1))."""
+    def full_differentials_arrays(self, x, y, v) -> np.ndarray:
+        """Full differentials d phi_alpha over coordinate arrays, as dense
+        rows (..., k, N) in the tangent layout."""
         dims = self.dims
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -98,25 +99,29 @@ class ConstraintSpec:
             if not isinstance(out, ad.Dual):
                 out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], dims.N)
             grads.append(out.grad)
-        g = np.stack(grads, axis=-2)  # (.., k, N)
-        m, nx = dims.m, dims.nx
-        batch = g.shape[:-2]
-        return (
-            g[..., :nx],
-            g[..., nx : nx + m],
-            g[..., nx + m :].reshape(batch + (dims.k, m, nx)),
-        )
+        return np.stack(grads, axis=-2)
+
+    def full_differentials(self, p: JetPoint) -> np.ndarray:
+        """Dense rows (k, N) of the differentials d phi_alpha at p."""
+        return self.full_differentials_arrays(p.x, p.y, p.v)
+
+    def derivatives_arrays(self, x, y, v):
+        """(dphidx (..,k,n+1), dphidy (..,k,m), dphidv (..,k,m,n+1))."""
+        g = self.full_differentials_arrays(x, y, v)
+        m, nx = self.dims.m, self.dims.nx
+        return g[..., :nx], g[..., nx : nx + m], jet_block(g, m, nx)
 
     def derivatives(self, p: JetPoint):
         return self.derivatives_arrays(p.x, p.y, p.v)
 
-    def full_differentials(self, p: JetPoint) -> np.ndarray:
-        """Dense rows (k, N) of the differentials d phi_alpha at p."""
-        dphidx, dphidy, dphidv = self.derivatives(p)
-        k = self.dims.k
-        return np.concatenate(
-            [dphidx, dphidy, dphidv.reshape(k, -1)], axis=-1
-        )
+    def at(self, p: JetPoint) -> "ConstraintPoint":
+        """The constraint data of the pointwise chain at p, after checking
+        that p lies on the constraint set: one evaluation of the
+        differentials, from which the coefficients follow."""
+        self.require_on_constraint(p)
+        dphi = self.full_differentials(p)
+        dphidv = jet_block(dphi, self.dims.m, self.dims.nx)
+        return ConstraintPoint(p, dphi, coefficient_arrays(self, p.x, p.y, p.v, dphidv))
 
     def require_on_constraint(self, p: JetPoint, tol: float | None = None):
         vals = self.values(p)
@@ -126,6 +131,37 @@ class ConstraintSpec:
                 f"point is off the constraint set: |phi| = {np.abs(vals).max():.3e} "
                 f"(tolerance {tol:.1e}, values {vals.tolist()})"
             )
+
+
+def jet_block(rows: np.ndarray, m: int, nx: int) -> np.ndarray:
+    """The jet block (..., m, n+1) of dense rows (..., N)."""
+    return rows[..., nx + m :].reshape(rows.shape[:-1] + (m, nx))
+
+
+@dataclass(frozen=True)
+class ConstraintPoint:
+    """A point p of the constraint set with its constraint data: the full
+    differentials dphi (k, N) and the coefficients (C_alpha)^mu_a
+    (k, n+1, m).  ``ConstraintSpec.at`` makes it after checking that p is on
+    the constraint set, so the solvers and checks that take it need not; k = 0
+    (``unconstrained``) is the free problem."""
+
+    p: JetPoint
+    dphi: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.dphi.shape[0]
+
+    @property
+    def dphidv(self) -> np.ndarray:
+        return jet_block(self.dphi, self.p.m, self.p.n + 1)
+
+    @staticmethod
+    def unconstrained(p: JetPoint) -> "ConstraintPoint":
+        m, nx = p.v.shape
+        return ConstraintPoint(p, np.zeros((0, nx + m + m * nx)), np.zeros((0, nx, m)))
 
 
 @dataclass(frozen=True)
@@ -219,19 +255,15 @@ def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.nd
     return out
 
 
-def constraint_rank_check(spec: ConstraintSpec, p: JetPoint) -> int:
+def constraint_rank_check(cp: ConstraintPoint) -> int:
     """Rank of dphi/dv at an on-constraint point; raises if below k.
 
-    In custom mode the user coefficient matrix must have full rank on the
-    constraint set as well, since it spans the constraint forms there.
+    The coefficients span the constraint forms, so they must have full rank
+    as well (in Chetaev mode they are dphi/dv transposed).
     """
-    spec.require_on_constraint(p)
-    _, _, dphidv = spec.derivatives(p)
-    rank = _rank_or_raise(dphidv.reshape(spec.k, -1), spec.k,
+    rank = _rank_or_raise(cp.dphidv.reshape(cp.k, -1), cp.k,
                           "constraint jet derivatives")
-    if spec.coeff_mode == "custom":
-        C = chetaev_coefficients(spec, p)
-        _rank_or_raise(C.reshape(spec.k, -1), spec.k, "custom coefficients")
+    _rank_or_raise(cp.coeffs.reshape(cp.k, -1), cp.k, "constraint coefficients")
     return rank
 
 

@@ -19,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintSpec, chetaev_coefficients, constraint_forms
-from .exceptions import DdwSolveError, DimensionMismatchError
+from .constraint import (
+    ConstraintPoint,
+    ConstraintSpec,
+    chetaev_coefficients,
+    constraint_forms,
+)
+from .exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
 from .exterior import Form
-from .jet import ConnectionCoeffs, Dims, Jet2Point, JetPoint
+from .jet import ConnectionCoeffs, Dims, Jet2Point
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
@@ -47,16 +52,11 @@ class MultiplierField:
 
 @dataclass(frozen=True)
 class DdwSolution:
-    """Connection coefficients with multipliers and verification residuals.
-
-    residuals keys: ddw_form (form identity on random tuples), tangency
-    (max |H_mu(phi_alpha)|, 0 for the free problem), semiholonomic (0 by
-    construction since Gamma is set to the jet coordinates).
-    """
+    """Connection coefficients with the multipliers of the constrained
+    problem (none for the free one); ``nh_ddw_residual`` checks them."""
 
     coeffs: ConnectionCoeffs
     multipliers: MultiplierField
-    residuals: dict
 
 
 def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
@@ -89,28 +89,16 @@ def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_free_ddw(model: LagrangianModel, p: JetPoint,
-                   fixed_spatial: np.ndarray | None = None,
-                   rng=None, tuples: int = 20) -> DdwSolution:
-    """Solve the free problem at p.
+def solve_free_ddw(bundle: DerivativeBundle, v: np.ndarray,
+                   fixed_spatial: np.ndarray | None = None) -> DdwSolution:
+    """Solve the free problem at the point with jet coordinates v, given its
+    derivative bundle.
 
     With ``fixed_spatial`` (shape (m, n, n+1)) the spatial-first-index block
     Gamma^a_{i nu} is pinned and only the temporal block Gamma^a_{0 nu} is
     solved; otherwise the minimum-Frobenius-norm solution over all second
     order coefficients is returned.
     """
-    bundle = derivative_bundle(model, p)
-    coeffs = _solve_ddw_coeffs(bundle, p.v, fixed_spatial)
-    resid = _form_residual(bundle, p, coeffs, None, None, rng, tuples)
-    return DdwSolution(
-        coeffs,
-        MultiplierField.zeros(0, p.n + 1),
-        {"ddw_form": resid, "tangency": 0.0, "semiholonomic": 0.0},
-    )
-
-
-def _solve_ddw_coeffs(bundle: DerivativeBundle, v: np.ndarray,
-                      fixed_spatial: np.ndarray | None) -> ConnectionCoeffs:
     m, nx = v.shape
     if fixed_spatial is None:
         A = np.einsum("btan->abtn", bundle.H).reshape(m, m * nx * nx)
@@ -122,7 +110,7 @@ def _solve_ddw_coeffs(bundle: DerivativeBundle, v: np.ndarray,
         fixed_spatial = _pinned_block(fixed_spatial, m, nx)
         temporal = solve_temporal_block(bundle, v, fixed_spatial)
         Gamma2 = np.concatenate([temporal[:, None, :], fixed_spatial], axis=1)
-    return ConnectionCoeffs(v.copy(), Gamma2)
+    return DdwSolution(ConnectionCoeffs(v.copy(), Gamma2), MultiplierField.zeros(0, nx))
 
 
 def _pinned_block(fixed_spatial, m: int, nx: int) -> np.ndarray:
@@ -171,46 +159,18 @@ def _check_solution(A, sol, rhs, label):
         )
 
 
-def _form_residual(bundle, p, coeffs, lam, phi_forms, rng, tuples):
-    """max over random tuples of |(i_h Omega - n Omega - lam dx^Phi)(tuple)|."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    m, nx = p.v.shape
-    dims = Dims(nx - 1, m)
-    omega = omega_form(bundle, p)
-    hmat = _connection_matrix(coeffs)
-    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, dims.N))
-    vals = eval_ih_form(omega, hmat, vecs) - (nx - 1) * omega.eval_batch(vecs)
-    if lam is not None:
-        for alpha, phi in enumerate(phi_forms):
-            for mu in range(nx):
-                if lam[alpha, mu] != 0.0:
-                    wedge = phi.wedge_front(dims.ix(mu))
-                    vals -= lam[alpha, mu] * wedge.eval_batch(vecs)
-    return float(np.max(np.abs(vals), initial=0.0))
-
-
-def project_connection(free: DdwSolution, pp: ProjectorPair, zb: ZetaBasis,
-                       p: JetPoint, bundle: DerivativeBundle | None = None,
-                       coeffs: np.ndarray | None = None,
-                       rng=None, tuples: int = 20) -> DdwSolution:
-    """Apply the nonholonomic projector to a free solution at p in C.
+def project_connection(free: DdwSolution, pp: ProjectorPair,
+                       zb: ZetaBasis) -> DdwSolution:
+    """Apply the nonholonomic projector to a free solution at a point of C.
 
     All n+1 horizontal lifts go through ``project_lifts``: Q(H_mu) =
     lambda^alpha_mu zeta_alpha gives the multipliers, and
     Gamma'^a_{mu nu} = Gamma^a_{mu nu} - lambda^alpha_mu (zeta_alpha)^a_nu.
-    When the derivative bundle and constraint coefficients are supplied, the
-    constrained form identity is evaluated and reported in the residuals.
     """
     Gamma2, lam = project_lifts(free.coeffs.Gamma, free.coeffs.Gamma2, pp.dphi,
                                 pp.Lam, zb.zeta)
-    projected = ConnectionCoeffs(free.coeffs.Gamma.copy(), Gamma2)
-    residuals = {"tangency": _tangency(projected, pp.dphi), "semiholonomic": 0.0,
-                 "ddw_form": np.nan}
-    if bundle is not None and coeffs is not None:
-        residuals["ddw_form"] = _form_residual(bundle, p, projected, lam,
-                                               constraint_forms(p, coeffs),
-                                               rng, tuples)
-    return DdwSolution(projected, MultiplierField(lam), residuals)
+    return DdwSolution(ConnectionCoeffs(free.coeffs.Gamma.copy(), Gamma2),
+                       MultiplierField(lam))
 
 
 def _tangency(coeffs: ConnectionCoeffs, dphi: np.ndarray) -> float:
@@ -220,56 +180,34 @@ def _tangency(coeffs: ConnectionCoeffs, dphi: np.ndarray) -> float:
     return float(np.max(np.abs(dphi @ Hstack.T), initial=0.0))
 
 
-def solve_constrained_ddw(model: LagrangianModel, spec: ConstraintSpec,
-                          p: JetPoint, fixed_spatial: np.ndarray | None = None,
-                          rng=None, tuples: int = 20) -> DdwSolution:
-    """Solve directly for (Gamma2, lambda) at an on-constraint point.
+def solve_constrained_ddw(bundle: DerivativeBundle, cp: ConstraintPoint,
+                          fixed_spatial: np.ndarray | None = None) -> DdwSolution:
+    """Solve directly for (Gamma2, lambda) at a point of the constraint set.
 
     Imposes the m form equations plus the tangency equations
     H_mu(phi_alpha) = 0; with a pinned spatial block only the temporal
     (mu = 0) tangency rows are imposed, since the spatial rows are fixed by
     the pinned data and are generically not satisfiable exactly (they are
-    still reported through the returned tangency residual).  k = 0 reduces
-    to the free problem.
+    still reported through the tangency residual of ``nh_ddw_residual``).
+    k = 0 reduces to the free problem.
     """
-    if spec.k == 0:
-        return solve_free_ddw(model, p, fixed_spatial, rng=rng, tuples=tuples)
-    spec.require_on_constraint(p)
-    bundle = derivative_bundle(model, p)
+    p = cp.p
+    if cp.k == 0:
+        return solve_free_ddw(bundle, p.v, fixed_spatial)
     m, nx = p.v.shape
-    k = spec.k
+    k = cp.k
     H = bundle.H
     R = free_ddw_rhs(bundle, p.v)
-    C = chetaev_coefficients(spec, p)  # (k, nx, m)
-    dphidx, dphidy, dphidv = spec.derivatives(p)
-
+    C = cp.coeffs  # (k, nx, m)
+    dphidx, dphidy, dphidv = cp.dphi[:, :nx], cp.dphi[:, nx : nx + m], cp.dphidv
+    # the unknown block Gamma^a_{mu nu} for mu < L; a pinned block fills the rest
     if fixed_spatial is None:
-        n_gamma = m * nx * nx
-        A_ddw = np.einsum("btan->abtn", H).reshape(m, n_gamma)
-        tang_mus = range(nx)
-
-        def gamma_tang_row(alpha, mu):
-            row = np.zeros((m, nx, nx))
-            row[:, mu, :] = dphidv[alpha]
-            return row.reshape(n_gamma)
-
-        rhs_extra = np.zeros(m)
-        assemble_gamma2 = lambda g: g.reshape(m, nx, nx)
+        L, pinned = nx, np.zeros((m, 0, nx))
     else:
-        fixed_spatial = _pinned_block(fixed_spatial, m, nx)
-        n_gamma = m * nx
-        A_ddw = np.einsum("ban->abn", H[:, 0]).reshape(m, n_gamma)
-        rhs_extra = np.einsum("bian,bin->a", H[:, 1:], fixed_spatial)
-        tang_mus = (0,)
-
-        def gamma_tang_row(alpha, mu):
-            row = np.zeros((m, nx))
-            row[:, :] = dphidv[alpha]
-            return row.reshape(n_gamma)
-
-        assemble_gamma2 = lambda g: np.concatenate(
-            [g.reshape(m, 1, nx), fixed_spatial], axis=1
-        )
+        L, pinned = 1, _pinned_block(fixed_spatial, m, nx)
+    n_gamma = m * L * nx
+    A_ddw = np.einsum("btan->abtn", H[:, :L]).reshape(m, n_gamma)
+    rhs_extra = np.einsum("bian,bin->a", H[:, L:], pinned)
 
     n_lam = k * nx
     rows = []
@@ -282,57 +220,55 @@ def solve_constrained_ddw(model: LagrangianModel, spec: ConstraintSpec,
         rhs.append(R[a] - rhs_extra[a])
     # tangency equations
     for alpha in range(k):
-        for mu in tang_mus:
-            rows.append(np.concatenate([gamma_tang_row(alpha, mu), np.zeros(n_lam)]))
+        for mu in range(L):
+            tang_row = np.zeros((m, L, nx))
+            tang_row[:, mu, :] = dphidv[alpha]
+            rows.append(np.concatenate([tang_row.reshape(n_gamma), np.zeros(n_lam)]))
             rhs.append(-dphidx[alpha, mu] - float(p.v[:, mu] @ dphidy[alpha]))
     A = np.asarray(rows)
     b = np.asarray(rhs)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     _check_solution(A, sol, b, "constrained system")
-    Gamma2 = assemble_gamma2(sol[:n_gamma])
-    lam = sol[n_gamma:].reshape(k, nx)
-    coeffs_conn = ConnectionCoeffs(p.v.copy(), Gamma2)
-
-    form_res = _form_residual(bundle, p, coeffs_conn, lam, constraint_forms(p, C),
-                              rng, tuples)
-    return DdwSolution(coeffs_conn, MultiplierField(lam),
-                       {"ddw_form": form_res,
-                        "tangency": _tangency(coeffs_conn, spec.full_differentials(p)),
-                        "semiholonomic": 0.0})
+    Gamma2 = np.concatenate([sol[:n_gamma].reshape(m, L, nx), pinned], axis=1)
+    return DdwSolution(ConnectionCoeffs(p.v.copy(), Gamma2),
+                       MultiplierField(sol[n_gamma:].reshape(k, nx)))
 
 
-def nh_ddw_residual(model: LagrangianModel, spec: ConstraintSpec,
-                    sol: DdwSolution, p: JetPoint,
-                    rng=None, tuples: int = 50) -> dict:
-    """Membership test for the constrained form equation at p in C.
+def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
+                    sol: DdwSolution, rng=None, tuples: int = 50) -> dict:
+    """The form-level check of a De Donder-Weyl solution at a point of C.
 
     Fits multipliers lambda' by least squares so that i_h Omega_L - n
     Omega_L matches lambda'^alpha_mu dx^mu ^ Phi_alpha on random tuples
     (the shape produced by projecting free solutions); reports the best-fit
-    form residual, the fitted lambda', and the tangency residual.
+    form residual, the fitted lambda', and the tangency residual.  With
+    k = 0 (``ConstraintPoint.unconstrained``) there is nothing to fit and
+    the residual is that of the free equation i_h Omega_L = n Omega_L.
+    The k(n+1) fitted multipliers could absorb any error on that many
+    tuples, so ``tuples`` must exceed k(n+1).
     """
-    spec.require_on_constraint(p)
-    rng = np.random.default_rng(0) if rng is None else rng
-    bundle = derivative_bundle(model, p)
+    p = cp.p
     m, nx = p.v.shape
-    dims = Dims(nx - 1, m, spec.k)
+    if tuples <= cp.k * nx:
+        raise InvalidArgumentError(
+            f"tuples = {tuples} must exceed the k(n+1) = {cp.k * nx} fitted "
+            "multipliers, which could otherwise absorb any error"
+        )
+    rng = np.random.default_rng(0) if rng is None else rng
+    dims = Dims(nx - 1, m, cp.k)
     omega = omega_form(bundle, p)
     hmat = _connection_matrix(sol.coeffs)
-    C = chetaev_coefficients(spec, p)
-    phis = constraint_forms(p, C)
     vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, dims.N))
     b = eval_ih_form(omega, hmat, vecs) - (nx - 1) * omega.eval_batch(vecs)
-    cols = []
-    for alpha in range(spec.k):
-        for mu in range(nx):
-            cols.append(phis[alpha].wedge_front(dims.ix(mu)).eval_batch(vecs))
+    cols = [phi.wedge_front(dims.ix(mu)).eval_batch(vecs)
+            for phi in constraint_forms(p, cp.coeffs) for mu in range(nx)]
     M = np.column_stack(cols) if cols else np.zeros((tuples, 0))
     lam_fit, *_ = np.linalg.lstsq(M, b, rcond=None)
     form_residual = float(np.max(np.abs(b - M @ lam_fit), initial=0.0))
     out = {
         "form_residual": form_residual,
-        "tangency_residual": _tangency(sol.coeffs, spec.full_differentials(p)),
-        "lam_fit": MultiplierField(lam_fit.reshape(spec.k, nx)),
+        "tangency_residual": _tangency(sol.coeffs, cp.dphi),
+        "lam_fit": MultiplierField(lam_fit.reshape(cp.k, nx)),
     }
     # multipliers are determined only modulo the kernel of the wedge map
     # lambda -> lambda dx^Phi (nontrivial already for n = 1), so the match

@@ -134,11 +134,11 @@ def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:
     return bundle.H.reshape(bundle.H.shape[: -4] + (m * nx, m * nx))
 
 
-def regularity_check(model: LagrangianModel, p: JetPoint,
-                     det_tol: float = 1e-10, cond_tol: float = 1e12) -> dict:
+def regularity_check(bundle: DerivativeBundle, det_tol: float = 1e-10,
+                     cond_tol: float = 1e12) -> dict:
     """Determinant and condition number of the Hessian; non-regularity is a
     result, not an error."""
-    Hf = hessian_flat(derivative_bundle(model, p))
+    Hf = hessian_flat(bundle)
     det = float(np.linalg.det(Hf))
     svals = np.linalg.svd(Hf, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf

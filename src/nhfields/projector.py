@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintSpec, constraint_forms
+from .constraint import ConstraintPoint, constraint_forms, jet_block
 from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
@@ -154,7 +154,7 @@ def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
     Gamma2 changes.  Returns (Gamma2 - lam zeta, lam (..., k, L)).
     """
     m, L, nx = Gamma2.shape[-3:]
-    dphidv = dphi[..., nx + m :].reshape(dphi.shape[:-1] + (m, nx))
+    dphidv = jet_block(dphi, m, nx)
     dphiH = (
         dphi[..., :L]
         + np.einsum("...kb,...bu->...ku", dphi[..., nx : nx + m], Gamma)
@@ -164,7 +164,7 @@ def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
     return Gamma2 - np.einsum("...ku,...kan->...aun", lam, zeta), lam
 
 
-def build_projectors(zb: ZetaBasis, spec: ConstraintSpec, p: JetPoint,
+def build_projectors(zb: ZetaBasis, cp: ConstraintPoint,
                      tol: float = 1e-9) -> ProjectorPair:
     """Nonholonomic projector pair at an on-constraint compatible point.
 
@@ -173,10 +173,9 @@ def build_projectors(zb: ZetaBasis, spec: ConstraintSpec, p: JetPoint,
     differentials dphi (x-, y- and v-blocks included).  All projector
     invariants are verified before returning.
     """
-    spec.require_on_constraint(p)
-    Lam = multiplier_matrix(zb.zeta, spec.derivatives(p)[2])
+    Lam = multiplier_matrix(zb.zeta, cp.dphidv)
     Z = zb.dense()  # (k, N)
-    dphi = spec.full_differentials(p)  # (k, N)
+    dphi = cp.dphi  # (k, N)
     Q = Z.T @ Lam @ dphi
     N = Q.shape[0]
     P = np.eye(N) - Q

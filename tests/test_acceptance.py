@@ -24,7 +24,12 @@ from nhfields.cauchy import (
     tilde_eta_contract,
 )
 from nhfields.cli import main as cli_main
-from nhfields.constraint import ConstraintSpec, chetaev_coefficients, make_constraint
+from nhfields.constraint import (
+    ConstraintPoint,
+    ConstraintSpec,
+    chetaev_coefficients,
+    make_constraint,
+)
 from nhfields.ddw import (
     nh_ddw_residual,
     nh_field_residual,
@@ -169,7 +174,7 @@ def test_criterion_04_projector_invariants():
             bundle = derivative_bundle(model, p)
             C = chetaev_coefficients(spec, p)
             zb = solve_zeta(bundle, C)
-            pp = build_projectors(zb, spec, p, tol=1e-9)
+            pp = build_projectors(zb, spec.at(p), tol=1e-9)
             N = pp.P.shape[0]
             worst = max(
                 worst,
@@ -199,8 +204,11 @@ def test_criterion_05_free_ddw():
     semih = 0.0
     for scenario, model in (("wave", WAVE), ("fluid", FLUID)):
         for p in scenario_points(rng, scenario, 20):
-            sol = solve_free_ddw(model, p, rng=rng, tuples=50)
-            worst = max(worst, sol.residuals["ddw_form"])
+            bundle = derivative_bundle(model, p)
+            sol = solve_free_ddw(bundle, p.v)
+            res = nh_ddw_residual(bundle, ConstraintPoint.unconstrained(p), sol,
+                                  rng=rng, tuples=50)
+            worst = max(worst, res["form_residual"])
             semih = max(semih, np.abs(sol.coeffs.Gamma - p.v).max())
     report(5, worst < 1e-9 and semih == 0.0,
            f"(max form residual {worst:.2e}, semi-holonomic gap {semih})")
@@ -214,19 +222,19 @@ def test_criterion_06_projected_solutions_solve_constrained_problem():
     worst_form = worst_tang = worst_lam = 0.0
     for idx, p in enumerate(scenario_points(rng, "wave", 100)):
         bundle = derivative_bundle(WAVE, p)
-        C = chetaev_coefficients(WAVE_SPEC, p)
-        zb = solve_zeta(bundle, C)
-        pp = build_projectors(zb, WAVE_SPEC, p)
+        cp = WAVE_SPEC.at(p)
+        zb = solve_zeta(bundle, cp.coeffs)
+        pp = build_projectors(zb, cp)
         fixed = rng.uniform(-1, 1, (1, 1, 2))
-        free = solve_free_ddw(WAVE, p, fixed_spatial=fixed)
-        proj = project_connection(free, pp, zb, p)
-        res = nh_ddw_residual(WAVE, WAVE_SPEC, proj, p, rng=rng, tuples=50)
+        free = solve_free_ddw(bundle, p.v, fixed_spatial=fixed)
+        proj = project_connection(free, pp, zb)
+        res = nh_ddw_residual(bundle, cp, proj, rng=rng, tuples=50)
         worst_form = max(worst_form, res["form_residual"])
         worst_tang = max(worst_tang, res["tangency_residual"])
         worst_lam = max(worst_lam, res["lam_gap"])
         if idx % 10 == 0:
-            direct = solve_constrained_ddw(WAVE, WAVE_SPEC, p, rng=rng)
-            dres = nh_ddw_residual(WAVE, WAVE_SPEC, direct, p, rng=rng, tuples=50)
+            direct = solve_constrained_ddw(bundle, cp)
+            dres = nh_ddw_residual(bundle, cp, direct, rng=rng, tuples=50)
             worst_form = max(worst_form, dres["form_residual"])
             worst_tang = max(worst_tang, dres["tangency_residual"])
     ok = worst_form < 1e-8 and worst_tang < 1e-10 and worst_lam < 1e-8
@@ -352,7 +360,7 @@ def test_criterion_10_fluid():
         bundle = derivative_bundle(FLUID, p)
         C = chetaev_coefficients(FLUID_SPEC, p)
         zb = solve_zeta(bundle, C)
-        pp = build_projectors(zb, FLUID_SPEC, p)
+        pp = build_projectors(zb, FLUID_SPEC.at(p))
         comp = compatibility_matrix(zb.zeta, FLUID_SPEC.derivatives(p)[2])
         worst = max(
             worst,

@@ -376,10 +376,11 @@ def test_grid_field_is_the_pointwise_chain_at_every_point(scenario):
     Gsp = np.stack([grid_derivative(v, G, i) for i in range(n)], axis=-2)
     for idx in np.ndindex(G):
         p = JetPoint(x[idx], y[idx], v[idx])
-        zb = solve_zeta(derivative_bundle(model, p), chetaev_coefficients(spec, p))
-        pp = build_projectors(zb, spec, p)
-        free = solve_free_ddw(model, p, fixed_spatial=Gsp[idx])
-        proj = project_connection(free, pp, zb, p)
+        bundle = derivative_bundle(model, p)
+        cp = spec.at(p)
+        zb = solve_zeta(bundle, cp.coeffs)
+        free = solve_free_ddw(bundle, p.v, fixed_spatial=Gsp[idx])
+        proj = project_connection(free, build_projectors(zb, cp), zb)
         np.testing.assert_array_equal(field.dv[idx], proj.coeffs.Gamma2[:, 0, :])
 
 

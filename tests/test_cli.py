@@ -156,6 +156,79 @@ def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
     assert "grid.nu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"task": "evolve", "grid": {"nu": "x"}}, "grid.nu"),
+    ({"task": "evolve", "grid": {"nu": 0}}, "grid.nu"),
+    ({"task": "evolve", "dt": "abc"}, "dt"),
+    ({"task": "evolve", "dt": 0}, "dt"),
+    ({"task": "evolve", "dt": -1e-3}, "dt"),
+    ({"task": "evolve", "dt": float("nan")}, "dt"),
+    ({"task": "evolve", "dt": float("inf")}, "dt"),
+    ({"task": "evolve", "steps": -5}, "steps"),
+    ({"task": "evolve", "steps": "3"}, "steps"),
+    ({"points": "x"}, "points"),
+    ({"points": 0}, "points"),
+    ({"points": 2.5}, "points"),
+    ({"tuples": 0}, "tuples"),
+    ({"tuples": True}, "tuples"),
+])
+def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, **overrides)
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_needs_more_tuples_than_fitted_multipliers(tmp_path, capsys):
+    # linear transport on the wave: the form check fits k(n+1) = 2 multipliers
+    path = write_config(tmp_path, points=1, tuples=2)
+    assert main(["--config", str(path)]) == 2
+    assert "tuples = 2 must exceed k(n+1) = 2" in capsys.readouterr().err
+    path = write_config(tmp_path, points=1, tuples=3)
+    assert main(["--config", str(path)]) == 0
+
+
+def test_sampled_points_depend_on_the_seed_alone(tmp_path):
+    points = []
+    for tuples in (5, 50):
+        out = tmp_path / f"tuples{tuples}"
+        path = write_config(tmp_path, points=4, tuples=tuples, output_dir=str(out))
+        assert main(["--config", str(path)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        points.append([entry["point"] for entry in report["points"]])
+    assert points[0] == points[1]
+
+
+def test_verify_point_builds_one_bundle_and_one_constraint_evaluation(monkeypatch):
+    from nhfields import lagrangian
+    from nhfields.cli import DEFAULT_TOLERANCES, _CHECK_BOUNDS, _point_checks, sample_constraint_point
+    from nhfields.constraint import ConstraintSpec, make_constraint
+
+    model = lagrangian.make_model("fluid", {"kappa": 1.0, "beta": 1.0})
+    spec = make_constraint("incompressibility")
+    rng = np.random.default_rng(1)
+    p = sample_constraint_point(model, spec, rng)
+    calls = {"bundle": 0, "dphi": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lagrangian, "derivative_bundle_arrays",
+                        counted("bundle", lagrangian.derivative_bundle_arrays))
+    # every constraint-derivative evaluation (derivatives_arrays included)
+    # goes through the full differentials
+    monkeypatch.setattr(ConstraintSpec, "full_differentials_arrays",
+                        counted("dphi", ConstraintSpec.full_differentials_arrays))
+    out = _point_checks(model, spec, p, rng, DEFAULT_TOLERANCES, 5)
+    assert calls == {"bundle": 1, "dphi": 1}
+    assert all(out[key] < DEFAULT_TOLERANCES[tol] for key, tol in _CHECK_BOUNDS)
+    assert out["semiholonomic"] == 0.0
+
+
 def test_fluid_evolve_smoke(tmp_path):
     path = write_config(
         tmp_path,

@@ -50,7 +50,7 @@ def test_jet_independent_constraint_has_zero_coefficients():
     p = JetPoint([0.0, 0.0], [0.3], [[0.1, 0.2]])
     assert np.allclose(chetaev_coefficients(spec, p), 0.0)
     with pytest.raises(ConstraintRankError):
-        constraint_rank_check(spec, p)
+        constraint_rank_check(spec.at(p))
 
 
 def test_fluid_chetaev_is_cofactor():
@@ -122,10 +122,10 @@ def test_form_vanishes_on_contact_annihilating_horizontalish_family():
 def test_rank_check_on_and_off_constraint():
     spec = make_constraint("linear-transport", {"speed": 2.0})
     p_on = wave_on_constraint_point(np.random.default_rng(5))
-    assert constraint_rank_check(spec, p_on) == 1
+    assert constraint_rank_check(spec.at(p_on)) == 1
     p_off = JetPoint([0.0, 0.0], [0.0], [[1.0, 0.0]])
     with pytest.raises(OffConstraintError):
-        constraint_rank_check(spec, p_off)
+        constraint_rank_check(spec.at(p_off))
 
 
 def test_dependent_constraints_rejected():
@@ -138,7 +138,7 @@ def test_dependent_constraints_rejected():
     spec = ConstraintSpec(Dims(1, 1, 2), [phi1, phi2])
     p = wave_on_constraint_point(np.random.default_rng(6))
     with pytest.raises(ConstraintRankError):
-        constraint_rank_check(spec, p)
+        constraint_rank_check(spec.at(p))
 
 
 def test_fluid_rank_on_constraint_set():
@@ -146,7 +146,7 @@ def test_fluid_rank_on_constraint_set():
     rng = np.random.default_rng(7)
     for _ in range(5):
         p = fluid_constraint_point(rng)
-        assert constraint_rank_check(spec, p) == 1
+        assert constraint_rank_check(spec.at(p)) == 1
 
 
 def test_phi_eval_batch_matches_forms():
@@ -169,9 +169,9 @@ def test_custom_rank_deficient_coefficients_rejected():
         custom_coeffs=lambda _p: np.zeros((1, 2, 1)),
     )
     p = wave_on_constraint_point(np.random.default_rng(9))
-    assert constraint_rank_check(base, p) == 1
+    assert constraint_rank_check(base.at(p)) == 1
     with pytest.raises(ConstraintRankError):
-        constraint_rank_check(zero, p)
+        constraint_rank_check(zero.at(p))
 
 
 def test_custom_coeffs_csv(tmp_path):

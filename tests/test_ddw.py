@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhfields.constraint import chetaev_coefficients, make_constraint
+from nhfields.constraint import ConstraintPoint, chetaev_coefficients, make_constraint
 from nhfields.ddw import (
     ConnectionCoeffs,
     DdwSolution,
@@ -15,6 +15,7 @@ from nhfields.ddw import (
     solve_constrained_ddw,
     solve_free_ddw,
 )
+from nhfields.exceptions import InvalidArgumentError
 from nhfields.jet import Dims, Jet2Point, JetPoint
 from nhfields.lagrangian import derivative_bundle, make_model
 from nhfields.projector import build_projectors, solve_zeta
@@ -31,33 +32,40 @@ def wave_jet2(x0, x1, y_fn):
     )
 
 
+def free_residual(bundle, p, sol, **kw):
+    """Form residual of a free solution: the membership check with k = 0."""
+    return nh_ddw_residual(bundle, ConstraintPoint.unconstrained(p), sol,
+                           **kw)["form_residual"]
+
+
 def test_free_wave_min_norm_is_zero():
     model = make_model("wave")
     p = random_point(np.random.default_rng(0), 1, 1)
-    sol = solve_free_ddw(model, p)
+    bundle = derivative_bundle(model, p)
+    sol = solve_free_ddw(bundle, p.v)
     assert np.allclose(sol.coeffs.Gamma, p.v)
     assert np.allclose(sol.coeffs.Gamma2, 0.0)
-    assert sol.residuals["ddw_form"] < 1e-12
-    assert sol.residuals["semiholonomic"] == 0.0
+    assert free_residual(bundle, p, sol) < 1e-12
 
 
 def test_free_wave_pinned_gives_wave_equation():
     model = make_model("wave")
     p = random_point(np.random.default_rng(1), 1, 1)
     s = 0.73
-    sol = solve_free_ddw(model, p, fixed_spatial=np.array([[[0.0, s]]]))
+    bundle = derivative_bundle(model, p)
+    sol = solve_free_ddw(bundle, p.v, fixed_spatial=np.array([[[0.0, s]]]))
     # Gamma_00 = Gamma_11 = s (y_tt = y_xx), Gamma_01 free -> 0 by min norm
     assert sol.coeffs.Gamma2[0, 0, 0] == pytest.approx(s)
     assert sol.coeffs.Gamma2[0, 0, 1] == pytest.approx(0.0)
-    assert sol.residuals["ddw_form"] < 1e-12
+    assert free_residual(bundle, p, sol) < 1e-12
 
 
 def test_free_solution_with_sources_matches_lstsq_oracle():
     # L = v^2/2 + y v0 brings dLdy and d2Ldydv into the equations
     model = make_model("quadratic", {"n": 1, "m": 1, "coupling": 1.0})
     p = random_point(np.random.default_rng(2), 1, 1)
-    sol = solve_free_ddw(model, p)
     b = derivative_bundle(model, p)
+    sol = solve_free_ddw(b, p.v)
     # independent dense assembly of the same linear system
     A = np.zeros((1, 4))
     for bb in range(1):
@@ -69,7 +77,7 @@ def test_free_solution_with_sources_matches_lstsq_oracle():
     )
     want, *_ = np.linalg.lstsq(A, R, rcond=None)
     assert np.allclose(sol.coeffs.Gamma2.reshape(-1), want, atol=1e-9)
-    assert sol.residuals["ddw_form"] < 1e-9
+    assert free_residual(b, p, sol) < 1e-9
 
 
 def test_free_ddw_form_identity_many_points():
@@ -77,8 +85,9 @@ def test_free_ddw_form_identity_many_points():
     rng = np.random.default_rng(3)
     for _ in range(10):
         p = random_point(rng, 1, 1)
-        sol = solve_free_ddw(model, p, rng=rng, tuples=20)
-        assert sol.residuals["ddw_form"] < 1e-9
+        bundle = derivative_bundle(model, p)
+        sol = solve_free_ddw(bundle, p.v)
+        assert free_residual(bundle, p, sol, rng=rng, tuples=20) < 1e-9
 
 
 def test_projection_hand_example():
@@ -89,23 +98,23 @@ def test_projection_hand_example():
     spec = make_constraint("linear-transport", {"speed": 2.0})
     p = wave_on_constraint_point(np.random.default_rng(4))
     bundle = derivative_bundle(model, p)
-    C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
+    cp = spec.at(p)
+    zb = solve_zeta(bundle, cp.coeffs)
+    pp = build_projectors(zb, cp)
     free = DdwSolution(
         ConnectionCoeffs(p.v.copy(), np.array([[[1.0, 0.0], [0.0, 1.0]]])),
         MultiplierField.zeros(0, 2),
-        {},
     )
-    proj = project_connection(free, pp, zb, p, bundle=bundle, coeffs=C)
+    proj = project_connection(free, pp, zb)
     # first-order block untouched: the correction is jet-vertical
     assert np.array_equal(proj.coeffs.Gamma, p.v)
     assert proj.multipliers.lam[0, 0] == pytest.approx(-1.0 / 3.0)
     assert proj.coeffs.Gamma2[0, 0, 0] == pytest.approx(4.0 / 3.0)
     assert proj.coeffs.Gamma2[0, 0, 1] == pytest.approx(2.0 / 3.0)
     # tangency: Gamma'_00 - 2 Gamma'_01 = 0
-    assert proj.residuals["tangency"] < 1e-12
-    assert proj.residuals["ddw_form"] < 1e-12
+    res = nh_ddw_residual(bundle, cp, proj)
+    assert res["tangency_residual"] < 1e-12
+    assert res["form_residual"] < 1e-12
 
 
 def test_projection_of_already_tangent_solution_is_identity():
@@ -115,11 +124,11 @@ def test_projection_of_already_tangent_solution_is_identity():
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
     zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
+    pp = build_projectors(zb, spec.at(p))
     # Gamma2 with dphi(H_mu) = 0: rows satisfy g_mu0 = 2 g_mu1
     G2 = np.array([[[2.0, 1.0], [0.8, 0.4]]])
-    free = DdwSolution(ConnectionCoeffs(p.v.copy(), G2), MultiplierField.zeros(0, 2), {})
-    proj = project_connection(free, pp, zb, p)
+    free = DdwSolution(ConnectionCoeffs(p.v.copy(), G2), MultiplierField.zeros(0, 2))
+    proj = project_connection(free, pp, zb)
     assert np.allclose(proj.multipliers.lam, 0.0, atol=1e-14)
     assert np.allclose(proj.coeffs.Gamma2, G2)
 
@@ -131,12 +140,12 @@ def test_projected_solution_passes_membership_and_lambda_match():
     for _ in range(5):
         p = wave_on_constraint_point(rng)
         bundle = derivative_bundle(model, p)
-        C = chetaev_coefficients(spec, p)
-        zb = solve_zeta(bundle, C)
-        pp = build_projectors(zb, spec, p)
-        free = solve_free_ddw(model, p, fixed_spatial=rng.uniform(-1, 1, (1, 1, 2)))
-        proj = project_connection(free, pp, zb, p)
-        res = nh_ddw_residual(model, spec, proj, p, rng=rng)
+        cp = spec.at(p)
+        zb = solve_zeta(bundle, cp.coeffs)
+        pp = build_projectors(zb, cp)
+        free = solve_free_ddw(bundle, p.v, fixed_spatial=rng.uniform(-1, 1, (1, 1, 2)))
+        proj = project_connection(free, pp, zb)
+        res = nh_ddw_residual(bundle, cp, proj, rng=rng)
         assert res["form_residual"] < 1e-8
         assert res["tangency_residual"] < 1e-10
         # form-level agreement; raw coefficients differ by the kernel of the
@@ -154,17 +163,17 @@ def test_membership_residual_detects_corruption():
     rng = np.random.default_rng(7)
     p = wave_on_constraint_point(rng)
     bundle = derivative_bundle(model, p)
-    C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
-    free = solve_free_ddw(model, p)
-    proj = project_connection(free, pp, zb, p)
+    cp = spec.at(p)
+    zb = solve_zeta(bundle, cp.coeffs)
+    pp = build_projectors(zb, cp)
+    free = solve_free_ddw(bundle, p.v)
+    proj = project_connection(free, pp, zb)
     # (a) corrupt the first-order block: semi-holonomicity breaks and the
     # extra dv-wedge components cannot be matched by any multiplier
     G = proj.coeffs.Gamma.copy()
     G[0, 0] += 0.1
-    bad = DdwSolution(ConnectionCoeffs(G, proj.coeffs.Gamma2), proj.multipliers, {})
-    res = nh_ddw_residual(model, spec, bad, p, rng=rng)
+    bad = DdwSolution(ConnectionCoeffs(G, proj.coeffs.Gamma2), proj.multipliers)
+    res = nh_ddw_residual(bundle, cp, bad, rng=rng)
     assert res["form_residual"] > 1e-3
 
     # (b) two fields, constraint on the first only: corrupting the second
@@ -180,16 +189,39 @@ def test_membership_residual_detects_corruption():
     v = rng.uniform(-1, 1, (2, 2))
     v[0, 0] = 2.0 * v[0, 1]
     p2 = JetPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), v)
-    sol2 = solve_constrained_ddw(model2, spec2, p2)
-    res_ok = nh_ddw_residual(model2, spec2, sol2, p2, rng=rng)
+    bundle2 = derivative_bundle(model2, p2)
+    cp2 = spec2.at(p2)
+    sol2 = solve_constrained_ddw(bundle2, cp2)
+    res_ok = nh_ddw_residual(bundle2, cp2, sol2, rng=rng)
     assert res_ok["form_residual"] < 1e-9
     G2 = sol2.coeffs.Gamma2.copy()
     G2[1, 0, 0] += 0.1
-    bad2 = DdwSolution(
-        ConnectionCoeffs(sol2.coeffs.Gamma, G2), sol2.multipliers, {}
-    )
-    res_bad = nh_ddw_residual(model2, spec2, bad2, p2, rng=rng)
+    bad2 = DdwSolution(ConnectionCoeffs(sol2.coeffs.Gamma, G2), sol2.multipliers)
+    res_bad = nh_ddw_residual(bundle2, cp2, bad2, rng=rng)
     assert res_bad["form_residual"] > 1e-3
+
+
+def test_membership_check_needs_more_tuples_than_multipliers():
+    """On k(n+1) tuples or fewer the fitted multipliers can absorb any
+    error, so the check refuses to run; one tuple more already sees the
+    corrupted first-order block of test_membership_residual_detects_corruption."""
+    model = make_model("wave")
+    spec = make_constraint("linear-transport", {"speed": 2.0})
+    p = wave_on_constraint_point(np.random.default_rng(7))
+    bundle = derivative_bundle(model, p)
+    cp = spec.at(p)
+    zb = solve_zeta(bundle, cp.coeffs)
+    proj = project_connection(solve_free_ddw(bundle, p.v), build_projectors(zb, cp), zb)
+    G = proj.coeffs.Gamma.copy()
+    G[0, 0] += 0.1
+    bad = DdwSolution(ConnectionCoeffs(G, proj.coeffs.Gamma2), proj.multipliers)
+    for tuples in (0, 1, 2):  # k(n+1) = 2
+        with pytest.raises(InvalidArgumentError, match="must exceed"):
+            nh_ddw_residual(bundle, cp, bad, tuples=tuples)
+    assert nh_ddw_residual(bundle, cp, bad, tuples=3)["form_residual"] > 1e-3
+    # the free check fits nothing, but still needs a tuple
+    with pytest.raises(InvalidArgumentError, match="must exceed"):
+        free_residual(bundle, p, proj, tuples=0)
 
 
 def test_constrained_direct_solve_unpinned():
@@ -197,10 +229,10 @@ def test_constrained_direct_solve_unpinned():
     spec = make_constraint("linear-transport", {"speed": 2.0})
     rng = np.random.default_rng(8)
     p = wave_on_constraint_point(rng)
-    sol = solve_constrained_ddw(model, spec, p, rng=rng)
-    assert sol.residuals["ddw_form"] < 1e-8
-    assert sol.residuals["tangency"] < 1e-10
-    res = nh_ddw_residual(model, spec, sol, p, rng=rng)
+    bundle = derivative_bundle(model, p)
+    cp = spec.at(p)
+    sol = solve_constrained_ddw(bundle, cp)
+    res = nh_ddw_residual(bundle, cp, sol, rng=rng)
     assert res["form_residual"] < 1e-8
     assert res["tangency_residual"] < 1e-10
 
@@ -212,9 +244,9 @@ def test_constrained_pinned_example():
     model = make_model("wave")
     spec = make_constraint("linear-transport", {"speed": 2.0})
     p = wave_on_constraint_point(np.random.default_rng(9))
-    sol = solve_constrained_ddw(
-        model, spec, p, fixed_spatial=np.array([[[0.0, 1.0]]])
-    )
+    bundle = derivative_bundle(model, p)
+    cp = spec.at(p)
+    sol = solve_constrained_ddw(bundle, cp, fixed_spatial=np.array([[[0.0, 1.0]]]))
     g = sol.coeffs.Gamma2[0]
     lam = sol.multipliers.lam[0]
     # form equation: -Gamma_00 + Gamma_11 = lam_0 - 2 lam_1
@@ -223,20 +255,17 @@ def test_constrained_pinned_example():
     assert g[0, 0] - 2 * g[0, 1] == pytest.approx(0.0, abs=1e-12)
     # spatial tangency fixed by the pin
     assert g[1, 0] - 2 * g[1, 1] == pytest.approx(-2.0)
-    assert sol.residuals["ddw_form"] < 1e-8
-    res = nh_ddw_residual(model, spec, sol, p)
+    res = nh_ddw_residual(bundle, cp, sol)
     assert res["form_residual"] < 1e-8
     assert res["tangency_residual"] == pytest.approx(2.0)
 
 
 def test_constrained_k0_reduces_to_free():
-    from nhfields.constraint import ConstraintSpec
-
     model = make_model("wave")
-    empty = ConstraintSpec(Dims(1, 1, 0), [])
     p = random_point(np.random.default_rng(10), 1, 1)
-    sol = solve_constrained_ddw(model, empty, p)
-    free = solve_free_ddw(model, p)
+    bundle = derivative_bundle(model, p)
+    sol = solve_constrained_ddw(bundle, ConstraintPoint.unconstrained(p))
+    free = solve_free_ddw(bundle, p.v)
     assert np.allclose(sol.coeffs.Gamma2, free.coeffs.Gamma2)
 
 
@@ -246,13 +275,13 @@ def test_constrained_agrees_with_projection_residuals():
     rng = np.random.default_rng(11)
     p = wave_on_constraint_point(rng)
     bundle = derivative_bundle(model, p)
-    C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
-    proj = project_connection(solve_free_ddw(model, p), pp, zb, p)
-    direct = solve_constrained_ddw(model, spec, p)
+    cp = spec.at(p)
+    zb = solve_zeta(bundle, cp.coeffs)
+    pp = build_projectors(zb, cp)
+    proj = project_connection(solve_free_ddw(bundle, p.v), pp, zb)
+    direct = solve_constrained_ddw(bundle, cp)
     for sol in (proj, direct):
-        res = nh_ddw_residual(model, spec, sol, p, rng=np.random.default_rng(0))
+        res = nh_ddw_residual(bundle, cp, sol, rng=np.random.default_rng(0))
         assert res["form_residual"] < 1e-8
         assert res["tangency_residual"] < 1e-10
 

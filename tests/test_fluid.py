@@ -108,7 +108,7 @@ def test_projected_connection_multiplier_shape():
     """Section-adapted free solutions have vanishing spatial-temporal
     coefficients for the fluid's block Hessian, so the connection
     multipliers also carry lambda_0 = 0."""
-    from nhfields.ddw import project_connection, solve_free_ddw
+    from nhfields.ddw import nh_ddw_residual, project_connection, solve_free_ddw
     from nhfields.projector import build_projectors, solve_zeta
 
     params = FluidParams()
@@ -117,15 +117,15 @@ def test_projected_connection_multiplier_shape():
     rng = np.random.default_rng(3)
     p = fluid_constraint_point(rng)
     bundle = derivative_bundle(model, p)
-    C = chetaev_coefficients(spec, p)
-    zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
-    free = solve_free_ddw(model, p, fixed_spatial=0.2 * rng.uniform(-1, 1, (3, 3, 4)))
-    proj = project_connection(free, pp, zb, p)
+    cp = spec.at(p)
+    zb = solve_zeta(bundle, cp.coeffs)
+    pp = build_projectors(zb, cp)
+    free = solve_free_ddw(bundle, p.v, fixed_spatial=0.2 * rng.uniform(-1, 1, (3, 3, 4)))
+    proj = project_connection(free, pp, zb)
     lam = proj.multipliers.lam  # (1, 4)
     assert abs(lam[0, 0]) < 1e-12
     assert np.abs(lam[0, 1:]).max() > 0.0
-    assert proj.residuals["tangency"] < 1e-10
+    assert nh_ddw_residual(bundle, cp, proj)["tangency_residual"] < 1e-10
 
 
 def section_linear(A, b=None):

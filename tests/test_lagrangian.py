@@ -86,7 +86,7 @@ def test_mixed_derivative_blocks():
 def test_regularity_quadratic_and_degenerate():
     model = make_model("quadratic", {"n": 1, "m": 1})
     p = random_point(np.random.default_rng(4), 1, 1)
-    out = regularity_check(model, p)
+    out = regularity_check(derivative_bundle(model, p))
     assert out["regular"] and out["det"] == pytest.approx(1.0)
 
     from nhfields.lagrangian import LagrangianModel
@@ -95,7 +95,7 @@ def test_regularity_quadratic_and_degenerate():
         return 0.5 * v[0][0] * v[0][0]  # no v1 dependence
 
     deg = LagrangianModel("degenerate", Dims(1, 1), fn)
-    out = regularity_check(deg, p)
+    out = regularity_check(derivative_bundle(deg, p))
     assert out["det"] == pytest.approx(0.0) and not out["regular"]
 
 
@@ -112,7 +112,7 @@ def test_fluid_degenerate_without_offset():
 
     model = LagrangianModel("fluid-degenerate", Dims(3, 3), fn)
     p = JetPoint(np.zeros(4), np.zeros(3), np.hstack([np.zeros((3, 1)), np.eye(3)]))
-    assert not regularity_check(model, p)["regular"]
+    assert not regularity_check(derivative_bundle(model, p))["regular"]
 
 
 def test_omega_wave_hand_values():

@@ -97,7 +97,7 @@ def test_projector_pair_invariants():
     rng = np.random.default_rng(6)
     _, spec, p, bundle, C = wave_setup(rng)
     zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
+    pp = build_projectors(zb, spec.at(p))
     N = pp.P.shape[0]
     assert np.abs(pp.P + pp.Q - np.eye(N)).max() < 1e-12
     assert np.abs(pp.P @ pp.P - pp.P).max() < 1e-12
@@ -117,7 +117,7 @@ def test_projector_rank_and_image():
     rng = np.random.default_rng(7)
     _, spec, p, bundle, C = wave_setup(rng)
     zb = solve_zeta(bundle, C)
-    pp = build_projectors(zb, spec, p)
+    pp = build_projectors(zb, spec.at(p))
     svals = np.linalg.svd(pp.P, compute_uv=False)
     assert int(np.sum(svals > 1e-9)) == 4  # N - k = 5 - 1
     qs = np.linalg.svd(pp.Q, compute_uv=False)
@@ -135,7 +135,7 @@ def test_incompatible_point_raises():
     _, spec, p, bundle, C = wave_setup(rng, speed=1.0)
     zb = solve_zeta(bundle, C)
     with pytest.raises(CompatibilityError):
-        build_projectors(zb, spec, p)
+        build_projectors(zb, spec.at(p))
 
 
 def test_distribution_meets_tc_trivially_when_compatible():
@@ -177,7 +177,7 @@ def test_distribution_meets_tc_trivially_when_compatible():
     assert np.abs(c).max() < 1e-12
     assert abs(np.linalg.det(A)) > 1e-10
 
-    pp = build_projectors(zb, spec, p)
+    pp = build_projectors(zb, spec.at(p))
     # dim ker Q = N - k and invariants hold for k = 2 as well
     qs = np.linalg.svd(pp.Q, compute_uv=False)
     assert int(np.sum(qs > 1e-9)) == 2
@@ -195,6 +195,6 @@ def test_fluid_closed_form_projector_matches_generic():
         bundle = derivative_bundle(model, p)
         C = chetaev_coefficients(spec, p)
         zb = solve_zeta(bundle, C)
-        pp = build_projectors(zb, spec, p)
+        pp = build_projectors(zb, spec.at(p))
         assert np.abs(pp.P - q["P"]).max() < 1e-9
         assert np.abs(zb.zeta[0] - q["zeta"]).max() < 1e-9
