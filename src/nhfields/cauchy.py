@@ -336,7 +336,7 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
         [_omega_tilde(geom, pgamma, W) - _omega_tilde(geom, gamma, W)
          for W in variations]
     )
-    dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)[2]
+    dphidv = spec.dphidv_arrays(geom.x, geom.y, geom.v)
     C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
     G = state.grid_shape
     B = int(np.prod(G))
@@ -360,7 +360,7 @@ def ftilde_annihilator_rows(spec: ConstraintSpec, geom: _SliceGeometry) -> np.nd
     """
     dims = spec.dims
     G = geom.v.shape[:-2]
-    dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)[2]
+    dphidv = spec.dphidv_arrays(geom.x, geom.y, geom.v)
     C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
     rows = np.empty(G + (spec.k, dims.N))
     basis = np.eye(dims.N)
@@ -461,7 +461,7 @@ def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
         work = replace(state, v0=v0, vi=vi)
         x, y, v = work.jet_arrays(method)
         phi = spec.values_arrays(x, y, v)
-        _, _, dphidv = spec.derivatives_arrays(x, y, v)
+        dphidv = spec.dphidv_arrays(x, y, v)
         J = dphidv.reshape(G + (spec.k, m * (n + 1)))
         delta = np.einsum("...ij,...j->...i", np.linalg.pinv(J), phi)
         dv = -delta.reshape(G + (m, n + 1))

@@ -27,7 +27,13 @@ from .constraint import (
     load_custom_coeffs_csv,
     make_constraint,
 )
-from .ddw import nh_ddw_residual, project_connection, solve_constrained_ddw, solve_free_ddw
+from .ddw import (
+    min_check_tuples,
+    nh_ddw_residual,
+    project_connection,
+    solve_constrained_ddw,
+    solve_free_ddw,
+)
 from .exceptions import (
     ConfigError,
     DriftError,
@@ -231,7 +237,7 @@ def sample_constraint_point(model, spec, rng) -> JetPoint:
         phi = spec.values(p)
         if np.max(np.abs(phi)) < 1e-12:
             return p
-        _, _, dphidv = spec.derivatives(p)
+        dphidv = spec.dphidv_arrays(p.x, p.y, p.v)
         J = dphidv.reshape(spec.k, -1)
         v = v - (np.linalg.pinv(J) @ phi).reshape(dims.m, dims.nx)
     raise NhfieldsError("Newton projection onto the constraint set failed")
@@ -295,15 +301,15 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
     model, spec = build_scenario(cfg)
     if spec is None:
         raise ConfigError("the verify task needs a constraint scenario")
-    n_lam = spec.k * spec.dims.nx
-    if cfg["tuples"] <= n_lam:
+    need = min_check_tuples(spec.k, spec.dims.nx)
+    if cfg["tuples"] < need:
         raise ConfigError(
-            f"tuples = {cfg['tuples']} must exceed k(n+1) = {n_lam}, the number "
-            "of multipliers the form check fits"
+            f"tuples = {cfg['tuples']} is below {need}, the fewest the form "
+            "check accepts for this scenario"
         )
     # the points come from the seed alone; the check tuples from a child stream
     rng = np.random.default_rng(cfg["seed"])
-    tuple_rng = rng.spawn(1)[0]
+    tuple_rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
     tols = cfg["tolerances"]
     points = []
     first_failure = None
@@ -408,7 +414,7 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
             phi = spec.values_arrays(xj, yj, vj)
             if np.max(np.abs(phi)) < 1e-13:
                 break
-            dphidv = spec.derivatives_arrays(xj, yj, vj)[2]
+            dphidv = spec.dphidv_arrays(xj, yj, vj)
             grad0 = dphidv[..., :, :, 0]  # d phi / d v0
             pinv = np.linalg.pinv(grad0)
             v0 = v0 - np.einsum("...ak,...k->...a", pinv, phi)

@@ -105,14 +105,10 @@ class ConstraintSpec:
         """Dense rows (k, N) of the differentials d phi_alpha at p."""
         return self.full_differentials_arrays(p.x, p.y, p.v)
 
-    def derivatives_arrays(self, x, y, v):
-        """(dphidx (..,k,n+1), dphidy (..,k,m), dphidv (..,k,m,n+1))."""
-        g = self.full_differentials_arrays(x, y, v)
-        m, nx = self.dims.m, self.dims.nx
-        return g[..., :nx], g[..., nx : nx + m], jet_block(g, m, nx)
-
-    def derivatives(self, p: JetPoint):
-        return self.derivatives_arrays(p.x, p.y, p.v)
+    def dphidv_arrays(self, x, y, v) -> np.ndarray:
+        """The jet block dphi/dv (..., k, m, n+1) of the full differentials."""
+        return jet_block(self.full_differentials_arrays(x, y, v),
+                         self.dims.m, self.dims.nx)
 
     def at(self, p: JetPoint) -> "ConstraintPoint":
         """The constraint data of the pointwise chain at p, after checking
@@ -193,7 +189,7 @@ def coefficient_arrays(spec: ConstraintSpec, x, y, v, dphidv) -> np.ndarray:
 def chetaev_coefficients(spec: ConstraintSpec, p: JetPoint) -> np.ndarray:
     """(C_alpha)^mu_a at one point, shape (k, n+1, m): a batch of one of
     ``coefficient_arrays``."""
-    return coefficient_arrays(spec, p.x, p.y, p.v, spec.derivatives(p)[2])
+    return coefficient_arrays(spec, p.x, p.y, p.v, spec.dphidv_arrays(p.x, p.y, p.v))
 
 
 def constraint_forms(p: JetPoint, coeffs: np.ndarray):

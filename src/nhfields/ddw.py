@@ -234,6 +234,13 @@ def solve_constrained_ddw(bundle: DerivativeBundle, cp: ConstraintPoint,
                        MultiplierField(sol[n_gamma:].reshape(k, nx)))
 
 
+def min_check_tuples(k: int, nx: int) -> int:
+    """The fewest random tuples ``nh_ddw_residual`` accepts: one more than
+    the k(n+1) multipliers it fits, which could absorb any error on that
+    many tuples."""
+    return k * nx + 1
+
+
 def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
                     sol: DdwSolution, rng=None, tuples: int = 50) -> dict:
     """The form-level check of a De Donder-Weyl solution at a point of C.
@@ -244,15 +251,15 @@ def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
     form residual, the fitted lambda', and the tangency residual.  With
     k = 0 (``ConstraintPoint.unconstrained``) there is nothing to fit and
     the residual is that of the free equation i_h Omega_L = n Omega_L.
-    The k(n+1) fitted multipliers could absorb any error on that many
-    tuples, so ``tuples`` must exceed k(n+1).
+    ``tuples`` must be at least ``min_check_tuples(k, n+1)``.
     """
     p = cp.p
     m, nx = p.v.shape
-    if tuples <= cp.k * nx:
+    need = min_check_tuples(cp.k, nx)
+    if tuples < need:
         raise InvalidArgumentError(
-            f"tuples = {tuples} must exceed the k(n+1) = {cp.k * nx} fitted "
-            "multipliers, which could otherwise absorb any error"
+            f"tuples = {tuples} is below {need}, one more than the k(n+1) "
+            "fitted multipliers, which could otherwise absorb any error"
         )
     rng = np.random.default_rng(0) if rng is None else rng
     dims = Dims(nx - 1, m, cp.k)

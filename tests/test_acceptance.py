@@ -155,7 +155,7 @@ def test_criterion_03_compatibility_classification():
         bundle = derivative_bundle(WAVE, p)
         C = chetaev_coefficients(spec, p)
         zb = solve_zeta(bundle, C)
-        comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
+        comp = compatibility_matrix(zb.zeta, spec.dphidv_arrays(p.x, p.y, p.v))
         expected = abs(k) != 1.0
         ok = ok and comp["compatible"] == expected
         ok = ok and abs(comp["det"] - (1.0 - k * k)) < 1e-12
@@ -361,7 +361,7 @@ def test_criterion_10_fluid():
         C = chetaev_coefficients(FLUID_SPEC, p)
         zb = solve_zeta(bundle, C)
         pp = build_projectors(zb, FLUID_SPEC.at(p))
-        comp = compatibility_matrix(zb.zeta, FLUID_SPEC.derivatives(p)[2])
+        comp = compatibility_matrix(zb.zeta, FLUID_SPEC.dphidv_arrays(p.x, p.y, p.v))
         worst = max(
             worst,
             np.abs(zb.zeta[0] - q["zeta"]).max(),

@@ -237,7 +237,7 @@ def test_constraint_ansatz_negative_control():
     )
     from nhfields.constraint import coefficient_arrays, phi_eval_batch
 
-    dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)[2]
+    dphidv = spec.dphidv_arrays(geom.x, geom.y, geom.v)
     C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
     cols = []
     B = 16
@@ -270,10 +270,7 @@ def test_restriction_to_annihilator_class_is_necessary():
     rng = np.random.default_rng(5)
     geom = _slice_geometry(model, state, "spectral")
     pgamma = sode_vector_field(model, spec, state)
-    dphidx, dphidy, dphidv = spec.derivatives_arrays(geom.x, geom.y, geom.v)
-    dphi = np.concatenate(
-        [dphidx, dphidy, dphidv.reshape((64, 1, -1))], axis=-1
-    )
+    dphi = spec.full_differentials_arrays(geom.x, geom.y, geom.v)
     pinv = np.linalg.pinv(dphi)
     vals = []
     for _ in range(10):

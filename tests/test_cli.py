@@ -184,7 +184,7 @@ def test_verify_needs_more_tuples_than_fitted_multipliers(tmp_path, capsys):
     # linear transport on the wave: the form check fits k(n+1) = 2 multipliers
     path = write_config(tmp_path, points=1, tuples=2)
     assert main(["--config", str(path)]) == 2
-    assert "tuples = 2 must exceed k(n+1) = 2" in capsys.readouterr().err
+    assert "tuples = 2 is below 3" in capsys.readouterr().err
     path = write_config(tmp_path, points=1, tuples=3)
     assert main(["--config", str(path)]) == 0
 
@@ -219,7 +219,7 @@ def test_verify_point_builds_one_bundle_and_one_constraint_evaluation(monkeypatc
 
     monkeypatch.setattr(lagrangian, "derivative_bundle_arrays",
                         counted("bundle", lagrangian.derivative_bundle_arrays))
-    # every constraint-derivative evaluation (derivatives_arrays included)
+    # every constraint-derivative evaluation (dphidv_arrays included)
     # goes through the full differentials
     monkeypatch.setattr(ConstraintSpec, "full_differentials_arrays",
                         counted("dphi", ConstraintSpec.full_differentials_arrays))

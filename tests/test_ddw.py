@@ -115,6 +115,7 @@ def test_projection_hand_example():
     res = nh_ddw_residual(bundle, cp, proj)
     assert res["tangency_residual"] < 1e-12
     assert res["form_residual"] < 1e-12
+    assert res["lam_gap"] < 1e-12
 
 
 def test_projection_of_already_tangent_solution_is_identity():
@@ -216,11 +217,11 @@ def test_membership_check_needs_more_tuples_than_multipliers():
     G[0, 0] += 0.1
     bad = DdwSolution(ConnectionCoeffs(G, proj.coeffs.Gamma2), proj.multipliers)
     for tuples in (0, 1, 2):  # k(n+1) = 2
-        with pytest.raises(InvalidArgumentError, match="must exceed"):
+        with pytest.raises(InvalidArgumentError, match="is below"):
             nh_ddw_residual(bundle, cp, bad, tuples=tuples)
     assert nh_ddw_residual(bundle, cp, bad, tuples=3)["form_residual"] > 1e-3
     # the free check fits nothing, but still needs a tuple
-    with pytest.raises(InvalidArgumentError, match="must exceed"):
+    with pytest.raises(InvalidArgumentError, match="is below"):
         free_residual(bundle, p, proj, tuples=0)
 
 
@@ -234,6 +235,7 @@ def test_constrained_direct_solve_unpinned():
     sol = solve_constrained_ddw(bundle, cp)
     res = nh_ddw_residual(bundle, cp, sol, rng=rng)
     assert res["form_residual"] < 1e-8
+    assert res["lam_gap"] < 1e-8
     assert res["tangency_residual"] < 1e-10
 
 
@@ -257,6 +259,7 @@ def test_constrained_pinned_example():
     assert g[1, 0] - 2 * g[1, 1] == pytest.approx(-2.0)
     res = nh_ddw_residual(bundle, cp, sol)
     assert res["form_residual"] < 1e-8
+    assert res["lam_gap"] < 1e-8
     assert res["tangency_residual"] == pytest.approx(2.0)
 
 

@@ -76,7 +76,7 @@ def test_compatibility_classification(speed, expected):
     rng = np.random.default_rng(4)
     _, spec, p, bundle, C = wave_setup(rng, speed)
     zb = solve_zeta(bundle, C)
-    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
+    comp = compatibility_matrix(zb.zeta, spec.dphidv_arrays(p.x, p.y, p.v))
     assert comp["compatible"] == expected
     assert comp["det"] == pytest.approx(1.0 - speed**2, abs=1e-12)
 
@@ -88,7 +88,7 @@ def test_fluid_compatibility_scalar_is_f():
     q = fluid_quantities(params, p)
     bundle = derivative_bundle(fluid_lagrangian(params), p)
     zb = solve_zeta(bundle, chetaev_coefficients(spec, p))
-    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
+    comp = compatibility_matrix(zb.zeta, spec.dphidv_arrays(p.x, p.y, p.v))
     assert comp["mmat"][0, 0] == pytest.approx(q["f"], rel=1e-12)
     assert comp["compatible"]
 
@@ -168,9 +168,9 @@ def test_distribution_meets_tc_trivially_when_compatible():
     bundle = derivative_bundle(model, p)
     C = chetaev_coefficients(spec, p)
     zb = solve_zeta(bundle, C)
-    comp = compatibility_matrix(zb.zeta, spec.derivatives(p)[2])
+    comp = compatibility_matrix(zb.zeta, spec.dphidv_arrays(p.x, p.y, p.v))
     assert comp["compatible"]
-    dphi_v = spec.derivatives(p)[2].reshape(2, -1)
+    dphi_v = spec.dphidv_arrays(p.x, p.y, p.v).reshape(2, -1)
     # least squares: c . zeta in ker dphi implies c = 0
     A = dphi_v @ zb.zeta.reshape(2, -1).T  # (k, k) action on coefficients
     c, *_ = np.linalg.lstsq(A, np.zeros(2), rcond=None)
