@@ -36,7 +36,8 @@ from .lagrangian import (
 )
 from .projector import multiplier_matrix, project_lifts, solve_zeta_flat
 
-_DERIVATIVES = ("spectral", "fd4")
+DERIVATIVES = ("spectral", "fd4")
+MODES = ("pde", "fulljet")
 
 
 def grid_derivative(arr: np.ndarray, grid_shape: tuple, axis: int,
@@ -51,7 +52,7 @@ def grid_derivative(arr: np.ndarray, grid_shape: tuple, axis: int,
         return np.real(np.fft.ifft(spec, axis=axis))
     if method == "fd4":
         return periodic_derivative(arr, 1.0 / N, axis=axis, order=4)
-    raise InvalidArgumentError(f"derivative method must be one of {_DERIVATIVES}")
+    raise InvalidArgumentError(f"derivative method must be one of {DERIVATIVES}")
 
 
 def grid_coordinates(shape: tuple) -> list[np.ndarray]:
@@ -83,7 +84,7 @@ class CauchyState:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "y", y)
-        if self.mode not in ("pde", "fulljet"):
+        if self.mode not in MODES:
             raise InvalidArgumentError(f"unknown state mode {self.mode!r}")
         if self.mode == "pde":
             if self.ydot is None:
@@ -420,8 +421,8 @@ def _unpack(state: CauchyState, arr: np.ndarray, t: float) -> CauchyState:
     )
 
 
-def _rhs(model, spec, state: CauchyState, method, drift_tol) -> np.ndarray:
-    var = sode_vector_field(model, spec, state, method, drift_tol)
+def _rhs(state: CauchyState, var: StateVariation) -> np.ndarray:
+    """The packed time derivative of the state under the field ``var``."""
     if state.mode == "pde":
         return np.concatenate([state.ydot, var.dv[..., :, 0]], axis=-1)
     G = state.grid_shape
@@ -470,10 +471,33 @@ def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
     return replace(state, v0=v0, vi=vi)
 
 
+# Explicit Runge-Kutta tableaus (A rows, weights b, nodes c).  The stage loop
+# in evolve assumes that every one is subdiagonal, so stage i uses only stage
+# i-1 (ks[-1], with a[i][i-1] = c[i]), and that c[0] = 0, so the first stage
+# is the field at the step's start state, which was already evaluated when
+# that state was recorded (first same as last).  evolve checks both.
 _BUTCHER = {
-    "euler": ([1.0], [0.0]),
-    "rk4": ([1 / 6, 1 / 3, 1 / 3, 1 / 6], [0.0, 0.5, 0.5, 1.0]),
+    "euler": ([[]], [1.0], [0.0]),
+    "rk4": ([[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]],
+            [1 / 6, 1 / 3, 1 / 3, 1 / 6], [0.0, 0.5, 0.5, 1.0]),
 }
+INTEGRATORS = tuple(_BUTCHER)
+
+
+def _tableau(name: str):
+    """Weights and nodes of a subdiagonal tableau with first node 0."""
+    if name not in _BUTCHER:
+        raise InvalidArgumentError(f"integrator must be one of {sorted(_BUTCHER)}")
+    rows, weights, nodes = _BUTCHER[name]
+    subdiagonal = len(rows) == len(weights) == len(nodes) and all(
+        len(row) == i and not any(row[:-1]) and (i == 0 or row[-1] == c)
+        for i, (row, c) in enumerate(zip(rows, nodes))
+    )
+    if not subdiagonal or nodes[0] != 0.0:
+        raise InvalidArgumentError(
+            f"integrator {name!r} is not a subdiagonal tableau with first node 0"
+        )
+    return weights, nodes
 
 
 @dataclass
@@ -489,18 +513,17 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     """Explicit time stepping of the (projected) second-order field.
 
     Diagnostics recorded per stored step: time, max |phi_alpha|, holonomy
-    defect (fulljet), i_Gamma eta-tilde, and the slice energy.
+    defect (fulljet), i_Gamma eta-tilde, and the slice energy.  The field
+    evaluated to record a state is the first stage of the next step, so a
+    run makes steps x stages + 1 field evaluations.
     """
-    name = integrator.lower()
-    if name not in _BUTCHER:
-        raise InvalidArgumentError(f"integrator must be one of {sorted(_BUTCHER)}")
-    weights, nodes = _BUTCHER[name]
+    weights, nodes = _tableau(integrator.lower())
 
     state = state0
     states = [state0]
     diags = {"t": [], "max_phi": [], "holonomy": [], "eta": [], "energy": []}
 
-    def record(s: CauchyState):
+    def record(s: CauchyState) -> StateVariation:
         diags["t"].append(s.t)
         if spec is not None:
             xj, yj, vj = s.jet_arrays(method)
@@ -513,19 +536,18 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
         var = sode_vector_field(model, spec, s, method, drift_tol)
         diags["eta"].append(tilde_eta_contract(s, var))
         diags["energy"].append(energy(model, s, method))
+        return var
 
-    record(state)
+    var = record(state)
     for step in range(steps):
         y0 = _pack(state)
         t0 = state.t
-        ks = []
+        ks = [_rhs(state, var)]
         try:
-            for w, c in zip(weights, nodes):
-                if c == 0.0:
-                    stage_state = state
-                else:
-                    stage_state = _unpack(state, y0 + dt * c * ks[-1], t0 + c * dt)
-                ks.append(_rhs(model, spec, stage_state, method, drift_tol))
+            for c in nodes[1:]:
+                stage_state = _unpack(state, y0 + dt * c * ks[-1], t0 + c * dt)
+                stage = sode_vector_field(model, spec, stage_state, method, drift_tol)
+                ks.append(_rhs(stage_state, stage))
             ynew = y0 + dt * sum(w * k for w, k in zip(weights, ks))
             if not np.isfinite(ynew).all():
                 raise IntegrationError(f"non-finite state after step {step + 1}")
@@ -533,7 +555,7 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
             if stabilize and spec is not None:
                 state = project_onto_constraint(spec, state, method)
             states.append(state)
-            record(state)
+            var = record(state)
         except EvaluationError as exc:
             raise IntegrationError(
                 f"integration blew up at step {step + 1}: {exc}"

@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .cauchy import CauchyState, evolve, grid_derivative
+from .cauchy import (
+    DERIVATIVES,
+    INTEGRATORS,
+    MODES,
+    CauchyState,
+    evolve,
+    grid_derivative,
+)
 from .constraint import (
     ConstraintPoint,
     constraint_rank_check,
@@ -143,6 +150,7 @@ def load_config(path=None, overrides=None) -> dict:
     for key, val in tols.items():
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance key {key!r}")
+        _check_positive(f"tolerances.{key}", val)
         cfg["tolerances"][key] = float(val)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -154,10 +162,15 @@ def load_config(path=None, overrides=None) -> dict:
     _check_int("grid.nu", cfg["grid"].get("nu"), 1)
     for key, low in _INT_KEYS:
         _check_int(key, cfg[key], low)
-    dt = cfg["dt"]
-    if (isinstance(dt, bool) or not isinstance(dt, (int, float))
-            or not (np.isfinite(dt) and dt > 0)):
-        raise ConfigError(f"dt must be a finite number > 0, got {dt!r}")
+    for key in ("dt", "drift_tol"):
+        _check_positive(key, cfg[key])
+    for key, allowed in _CHOICES:
+        val = cfg[key]
+        name = val.lower() if key == "integrator" and isinstance(val, str) else val
+        if name not in allowed:
+            raise ConfigError(f"{key} must be one of {list(allowed)}, got {val!r}")
+    if not isinstance(cfg["stabilize"], bool):
+        raise ConfigError(f"stabilize must be true or false, got {cfg['stabilize']!r}")
     width = len(_STENCILS[4])
     if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
         raise ConfigError(
@@ -167,12 +180,20 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
-_INT_KEYS = (("points", 1), ("tuples", 1), ("steps", 0))
+_INT_KEYS = (("points", 1), ("tuples", 1), ("steps", 0), ("seed", 0))
+_CHOICES = (("integrator", INTEGRATORS), ("derivative", DERIVATIVES),
+            ("mode", MODES))
 
 
 def _check_int(key: str, val, low: int):
     if not (isinstance(val, int) and not isinstance(val, bool) and val >= low):
         raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
+
+
+def _check_positive(key: str, val):
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not (np.isfinite(val) and val > 0)):
+        raise ConfigError(f"{key} must be a finite number > 0, got {val!r}")
 
 
 def build_scenario(cfg: dict):

@@ -13,6 +13,7 @@ from the derivative bundle and theta^a are the contact forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,6 +22,17 @@ from . import autodiff as ad
 from .exceptions import DimensionMismatchError, EvaluationError, InvalidArgumentError
 from .exterior import Form
 from .jet import Dims, JetPoint, contact_covectors
+
+
+# Hessian bytes per temporary in one chunk of the derivative bundle: below
+# glibc's default 128 KiB mmap threshold, so the Dual2 temporaries reuse heap
+# memory instead of mapping fresh, page-faulting memory per operation.  64
+# points at d = 12 active inputs (the fluid).
+_CHUNK_BYTES = 64 * 8 * 12 * 12
+
+# the generic points at which LagrangianModel.active_inputs probes L
+_PROBE_SEED = 2005
+_PROBE_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,29 @@ class LagrangianModel:
         return float(
             np.asarray(self.fn(list(p.x), list(p.y), [list(row) for row in p.v]))
         )
+
+    @cached_property
+    def active_inputs(self) -> np.ndarray:
+        """Flat jet indices (x, y, v order, as in ``Dims``) of the inputs L
+        depends on; the derivative bundles seed only these.
+
+        A first-order probe at fixed-seed generic points keeps every index
+        whose gradient entry is nonzero at one of them.  L is assumed
+        analytic in its inputs, so an input the probe drops has an
+        identically zero derivative.  Computed once per model instance.
+        """
+        dims = self.dims
+        pts = np.random.default_rng(_PROBE_SEED).uniform(0.5, 1.5, (_PROBE_POINTS, dims.N))
+        x, y = pts[:, : dims.nx], pts[:, dims.nx : dims.nx + dims.m]
+        v = pts[:, dims.nx + dims.m :].reshape(_PROBE_POINTS, dims.m, dims.nx)
+        with np.errstate(all="ignore"):  # a NaN entry counts as nonzero
+            out = self.fn(*_seed_inputs(ad.Dual, x, y, v, dims, range(dims.N)))
+        if not isinstance(out, ad.Dual):
+            raise EvaluationError(f"model {self.name!r} did not stay in dual arithmetic")
+        active = np.flatnonzero((out.grad != 0).reshape(-1, dims.N).any(axis=0))
+        if active.size == 0:
+            raise EvaluationError(f"model {self.name!r} depends on none of its inputs")
+        return active
 
 
 @dataclass(frozen=True)
@@ -66,35 +101,62 @@ class DerivativeBundle:
         return Dims(nx - 1, m)
 
 
-def _seed_inputs(cls, x, y, v, dims: Dims):
-    xs = [cls.seed(x[..., t], dims.N, dims.ix(t)) for t in range(dims.nx)]
-    ys = [cls.seed(y[..., a], dims.N, dims.iy(a)) for a in range(dims.m)]
-    vs = [
-        [cls.seed(v[..., a, mu], dims.N, dims.iv(a, mu)) for mu in range(dims.nx)]
-        for a in range(dims.m)
-    ]
+def _seed_inputs(cls, x, y, v, dims: Dims, active):
+    """The model's x, y and v inputs: the jet directions listed in ``active``
+    become the dual directions 0..d-1 in that order, the others plain arrays."""
+    slot = {int(i): k for k, i in enumerate(active)}
+    d = len(slot)
+
+    def lift(arr, i):
+        return arr if i not in slot else cls.seed(arr, d, slot[i])
+
+    xs = [lift(x[..., t], dims.ix(t)) for t in range(dims.nx)]
+    ys = [lift(y[..., a], dims.iy(a)) for a in range(dims.m)]
+    vs = [[lift(v[..., a, mu], dims.iv(a, mu)) for mu in range(dims.nx)]
+          for a in range(dims.m)]
     return xs, ys, vs
 
 
 def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundle:
-    """Derivative bundle over arrays of jet coordinates (batched)."""
+    """Derivative bundle over arrays of jet coordinates (batched).
+
+    Only the model's active inputs are seeded, so every Dual2 Hessian is
+    d x d with d = len(active_inputs).  The flattened batch runs in chunks of
+    at most ``_CHUNK_BYTES`` of Hessian per temporary, each written into the
+    preallocated outputs; entries of inactive inputs are exact zeros.
+    """
     dims = model.dims
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = model.fn(*_seed_inputs(ad.Dual2, x, y, v, dims))
-    if not isinstance(out, ad.Dual2):
-        raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
     m, nx = dims.m, dims.nx
-    sl_y = slice(nx, nx + m)
-    sl_v = slice(nx + m, dims.N)
-    batch = out.val.shape
-    dLdy = out.grad[..., sl_y]
-    dLdv = out.grad[..., sl_v].reshape(batch + (m, nx))
-    H = out.hess[..., sl_v, sl_v].reshape(batch + (m, nx, m, nx))
-    d2Ldydv = out.hess[..., sl_y, sl_v].reshape(batch + (m, m, nx))
-    d2Ldxdv = out.hess[..., :nx, sl_v].reshape(batch + (nx, m, nx))
-    bundle = DerivativeBundle(out.val, dLdy, dLdv, H, d2Ldydv, d2Ldxdv)
+    v = np.asarray(v, dtype=float)
+    batch = v.shape[:-2]
+    B = int(np.prod(batch))
+    x = np.asarray(x, dtype=float).reshape(B, nx)
+    y = np.asarray(y, dtype=float).reshape(B, m)
+    v = v.reshape(B, m, nx)
+    act = model.active_inputs
+    d = act.size
+    vcol = np.flatnonzero(act >= nx + m)  # dual directions that are v inputs
+    vidx = act[vcol] - (nx + m)  # and their flat (a, mu) indices
+    L = np.empty(B)
+    grad = np.zeros((B, dims.N))
+    hv = np.zeros((B, dims.N, m * nx))  # the v-columns of the Hessian
+    step = max(1, _CHUNK_BYTES // (8 * d * d))
+    for lo in range(0, B, step):
+        s = slice(lo, lo + step)
+        out = model.fn(*_seed_inputs(ad.Dual2, x[s], y[s], v[s], dims, act))
+        if not isinstance(out, ad.Dual2):
+            raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
+        L[s] = out.val
+        grad[s, act] = out.grad
+        hv[s, act[:, None], vidx] = out.hess[..., vcol]
+    bundle = DerivativeBundle(
+        L.reshape(batch),
+        grad[:, nx : nx + m].reshape(batch + (m,)),
+        grad[:, nx + m :].reshape(batch + (m, nx)),
+        hv[:, nx + m :].reshape(batch + (m, nx, m, nx)),
+        hv[:, nx : nx + m].reshape(batch + (m, m, nx)),
+        hv[:, :nx].reshape(batch + (nx, m, nx)),
+    )
     for name in ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv"):
         arr = getattr(bundle, name)
         if not np.isfinite(arr).all():
@@ -115,17 +177,17 @@ def derivative_bundle(model: LagrangianModel, p: JetPoint) -> DerivativeBundle:
 
 
 def first_derivatives_arrays(model: LagrangianModel, x, y, v):
-    """Cheap first-order pass: (L, dLdy (.., m), dLdv (.., m, n+1))."""
+    """Cheap first-order pass: (L, dLdy (.., m), dLdv (.., m, n+1)), with the
+    same seeding as :func:`derivative_bundle_arrays`."""
     dims = model.dims
+    act = model.active_inputs
     out = model.fn(*_seed_inputs(ad.Dual, np.asarray(x, float), np.asarray(y, float),
-                                 np.asarray(v, float), dims))
+                                 np.asarray(v, float), dims, act))
     m, nx = dims.m, dims.nx
     batch = out.val.shape
-    return (
-        out.val,
-        out.grad[..., nx : nx + m],
-        out.grad[..., nx + m :].reshape(batch + (m, nx)),
-    )
+    grad = np.zeros(batch + (dims.N,))
+    grad[..., act] = out.grad
+    return out.val, grad[..., nx : nx + m], grad[..., nx + m :].reshape(batch + (m, nx))
 
 
 def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:

@@ -7,8 +7,10 @@ code paths are checked against arithmetic that shares nothing with them.
 
 import numpy as np
 
+from nhfields import autodiff as ad
 from nhfields.exterior import TangentVector
 from nhfields.jet import JetPoint
+from nhfields.lagrangian import DerivativeBundle
 
 
 def cofactor_det(matrix) -> float:
@@ -101,3 +103,39 @@ def fluid_constraint_point(rng) -> JetPoint:
     v[:, 0] = 0.3 * rng.uniform(-1, 1, 3)
     v[:, 1:] = random_det_one_spatial(rng)
     return JetPoint(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), v)
+
+
+def _all_seeded(cls, model, x, y, v):
+    """L with every one of the N jet directions seeded."""
+    dims = model.dims
+    x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
+    xs = [cls.seed(x[..., t], dims.N, dims.ix(t)) for t in range(dims.nx)]
+    ys = [cls.seed(y[..., a], dims.N, dims.iy(a)) for a in range(dims.m)]
+    vs = [[cls.seed(v[..., a, mu], dims.N, dims.iv(a, mu)) for mu in range(dims.nx)]
+          for a in range(dims.m)]
+    return model.fn(xs, ys, vs)
+
+
+def dense_derivative_bundle(model, x, y, v) -> DerivativeBundle:
+    """The derivative bundle from one Dual2 pass over all N directions, with
+    the full N x N Hessian."""
+    out = _all_seeded(ad.Dual2, model, x, y, v)
+    m, nx = model.dims.m, model.dims.nx
+    batch = out.val.shape
+    sy, sv = slice(nx, nx + m), slice(nx + m, None)
+    return DerivativeBundle(
+        out.val,
+        out.grad[..., sy],
+        out.grad[..., sv].reshape(batch + (m, nx)),
+        out.hess[..., sv, sv].reshape(batch + (m, nx, m, nx)),
+        out.hess[..., sy, sv].reshape(batch + (m, m, nx)),
+        out.hess[..., :nx, sv].reshape(batch + (nx, m, nx)),
+    )
+
+
+def dense_first_derivatives(model, x, y, v):
+    """(L, dLdy, dLdv) from one Dual pass over all N directions."""
+    out = _all_seeded(ad.Dual, model, x, y, v)
+    m, nx = model.dims.m, model.dims.nx
+    return (out.val, out.grad[..., nx : nx + m],
+            out.grad[..., nx + m :].reshape(out.val.shape + (m, nx)))

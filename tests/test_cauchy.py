@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nhfields import cauchy
 from nhfields.cauchy import (
     CauchyState,
     StateVariation,
@@ -312,6 +313,86 @@ def test_instability_aborts_with_step_index():
     state = wave_pde_state(64, amp=1.0, mode=12)
     with pytest.raises(IntegrationError):
         evolve(model, None, state, 0.5, 200, "euler")
+
+
+# classical RK4 and forward Euler, written out independently of the
+# integrator's table
+_TABLEAUS = {
+    "rk4": ([1 / 6, 1 / 3, 1 / 3, 1 / 6], [0.0, 0.5, 0.5, 1.0]),
+    "euler": ([1.0], [0.0]),
+}
+
+
+def reference_evolve(model, spec, state, dt, steps, integrator, stabilize=False,
+                     drift_tol=1e-6):
+    """Explicit Runge-Kutta that evaluates the field afresh at every stage."""
+    weights, nodes = _TABLEAUS[integrator]
+    for _ in range(steps):
+        y0, t0 = cauchy._pack(state), state.t
+        ks = []
+        for c in nodes:
+            stage = state if c == 0.0 else cauchy._unpack(state, y0 + dt * c * ks[-1],
+                                                          t0 + c * dt)
+            var = sode_vector_field(model, spec, stage, drift_tol=drift_tol)
+            ks.append(cauchy._rhs(stage, var))
+        state = cauchy._unpack(state, y0 + dt * sum(w * k for w, k in zip(weights, ks)),
+                               t0 + dt)
+        if stabilize:
+            state = project_onto_constraint(spec, state)
+    return state
+
+
+@pytest.mark.parametrize("integrator, stages", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("constrained", [False, True])
+def test_evolve_reuses_the_recorded_field_as_first_stage(monkeypatch, integrator,
+                                                         stages, constrained):
+    model = make_model("wave")
+    if constrained:
+        spec, state = make_constraint("linear-transport", {"speed": 2.0}), \
+            constrained_wave_state(Nu=16)
+    else:
+        spec, state = None, wave_pde_state(16)
+    want = reference_evolve(model, spec, state, 1e-3, 3, integrator)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sode_vector_field(*args, **kwargs)
+
+    monkeypatch.setattr(cauchy, "sode_vector_field", counted)
+    res = evolve(model, spec, state, 1e-3, 3, integrator)
+    assert len(calls) == 3 * stages + 1
+    got = res.states[-1]
+    assert got.t == want.t
+    assert np.array_equal(cauchy._pack(got), cauchy._pack(want))
+
+
+def test_stabilized_evolution_bounds_the_drift():
+    model = make_model("wave")
+    spec = nonlinear_wave_spec()
+    state = nonlinear_constrained_state(Nu=32)
+    # the intermediate stages sit O(dt^2) off the set, stabilized or not
+    free = evolve(model, spec, state, 1e-2, 10, "rk4", drift_tol=1e-3)
+    held = evolve(model, spec, state, 1e-2, 10, "rk4", drift_tol=1e-3, stabilize=True)
+    drift = free.diagnostics["max_phi"].max()
+    assert drift > 1e-7  # RK4 leaves a nonlinear constraint set
+    assert held.diagnostics["max_phi"].max() < min(1e-13, drift)
+    # every step starts from the projected state's own field
+    want = reference_evolve(model, spec, state, 1e-2, 10, "rk4", stabilize=True,
+                            drift_tol=1e-3)
+    assert np.array_equal(cauchy._pack(held.states[-1]), cauchy._pack(want))
+
+
+@pytest.mark.parametrize("entry", [
+    # Kutta's third-order rule: its last stage uses the first two
+    ([[], [0.5], [-1.0, 2.0]], [1 / 6, 2 / 3, 1 / 6], [0.0, 0.5, 1.0]),
+    # a first node other than 0 cannot reuse the recorded field
+    ([[]], [1.0], [0.5]),
+])
+def test_evolve_rejects_a_tableau_its_stage_loop_cannot_run(monkeypatch, entry):
+    monkeypatch.setitem(cauchy._BUTCHER, "bad", entry)
+    with pytest.raises(InvalidArgumentError, match="subdiagonal"):
+        evolve(make_model("wave"), None, wave_pde_state(16), 1e-3, 1, integrator="bad")
 
 
 def test_stabilization_reprojects():

@@ -171,6 +171,15 @@ def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
     ({"points": 2.5}, "points"),
     ({"tuples": 0}, "tuples"),
     ({"tuples": True}, "tuples"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"tolerances": {"zeta": "x"}}, "tolerances.zeta"),
+    ({"tolerances": {"nh_form": 0}}, "tolerances.nh_form"),
+    ({"tolerances": {"projector": -1e-9}}, "tolerances.projector"),
+    ({"tolerances": {"tangency": float("nan")}}, "tolerances.tangency"),
+    ({"tolerances": {"free_ddw": float("inf")}}, "tolerances.free_ddw"),
+    ({"task": "evolve", "drift_tol": "x"}, "drift_tol"),
+    ({"task": "evolve", "drift_tol": -1}, "drift_tol"),
 ])
 def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
@@ -178,6 +187,30 @@ def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{key} must be" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"task": "evolve", "integrator": "rk5"}, "integrator"),
+    ({"task": "evolve", "derivative": "cheb"}, "derivative"),
+    ({"task": "evolve", "mode": "bogus"}, "mode"),
+    ({"task": "evolve", "stabilize": "yes"}, "stabilize"),
+])
+def test_bad_named_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
+    path = write_config(tmp_path, **overrides)
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--seed", "-1"]) == 2
+    assert "seed must be" in capsys.readouterr().err
+
+
+def test_integrator_name_is_case_insensitive(tmp_path):
+    assert load_config(write_config(tmp_path, integrator="RK4"))["integrator"] == "RK4"
 
 
 def test_verify_needs_more_tuples_than_fitted_multipliers(tmp_path, capsys):

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from nhfields import autodiff as ad
+from nhfields import lagrangian
+from nhfields.exceptions import EvaluationError
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
 from nhfields.jet import Dims, JetPoint
 from nhfields.lagrangian import (
+    LagrangianModel,
     derivative_bundle,
     derivative_bundle_arrays,
+    first_derivatives_arrays,
     hessian_flat,
     make_model,
     omega_eval_batch,
@@ -18,6 +23,8 @@ from nhfields.lagrangian import (
 )
 
 from helpers import (
+    dense_derivative_bundle,
+    dense_first_derivatives,
     fd_hessian,
     fluid_constraint_point,
     random_point,
@@ -210,3 +217,90 @@ def test_pullback_euler_lagrange_pairing():
     # hand expansion for the wave: the dv0 and dv1 rows contribute
     # xi (w00 - w11), i.e. +E xi in the d/dx(dL/dv) - dL/dy orientation
     assert val == pytest.approx(E[0] * xi, abs=1e-10)
+
+
+def _x_dependent_model():
+    # explicit dependence on both base coordinates, and y through a product
+    def fn(x, y, v):
+        return (0.5 * (v[0][0] * v[0][0] - v[0][1] * v[0][1])
+                + ad.sin(x[0]) * y[0] * v[0][1] + x[1] * v[0][0] * v[0][0])
+
+    return LagrangianModel("x-dependent", Dims(1, 1), fn)
+
+
+def _origin_product_model():
+    # x^0 and y^0 enter only through x^0 y^0 v^0_0, whose gradient vanishes
+    # at the origin: a probe there would drop both
+    def fn(x, y, v):
+        return 0.5 * (v[0][0] * v[0][0] - v[0][1] * v[0][1]) + x[0] * y[0] * v[0][0]
+
+    return LagrangianModel("origin-product", Dims(1, 1), fn)
+
+
+BUNDLE_MODELS = {
+    "wave": lambda: make_model("wave"),
+    "quadratic-coupled": lambda: make_model("quadratic", {"n": 2, "m": 2, "coupling": 0.7}),
+    "fluid": lambda: make_model("fluid", {"kappa": 1.0, "beta": 1.0}),
+    "fluid-mu": lambda: make_model("fluid", {"kappa": 1.0, "beta": 1.0, "mu": 0.5}),
+    "x-dependent": _x_dependent_model,
+    "origin-product": _origin_product_model,
+}
+
+
+def _chunk_points(model):
+    d = model.active_inputs.size
+    return max(1, lagrangian._CHUNK_BYTES // (8 * d * d))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_MODELS))
+@pytest.mark.parametrize("batch", ["()", "(1,)", "chunk+1", "8^3"])
+def test_active_seeded_bundle_equals_the_dense_bundle(name, batch):
+    model = BUNDLE_MODELS[name]()
+    dims = model.dims
+    shape = {"()": (), "(1,)": (1,), "chunk+1": (_chunk_points(model) + 1,),
+             "8^3": (8, 8, 8)}[batch]
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1, 1, shape + (dims.nx,))
+    y = rng.uniform(-1, 1, shape + (dims.m,))
+    v = rng.uniform(-1, 1, shape + (dims.m, dims.nx))
+    got = derivative_bundle_arrays(model, x, y, v)
+    want = dense_derivative_bundle(model, x, y, v)
+    for field in ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and np.array_equal(a, b), field
+    for a, b in zip(first_derivatives_arrays(model, x, y, v),
+                    dense_first_derivatives(model, x, y, v)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_active_inputs_per_model():
+    dims = Dims(3, 3)
+    fluid_v = [dims.iv(a, mu) for a in range(3) for mu in range(4)]
+    assert BUNDLE_MODELS["fluid"]().active_inputs.tolist() == fluid_v
+    assert BUNDLE_MODELS["fluid-mu"]().active_inputs.tolist() == fluid_v
+    assert BUNDLE_MODELS["wave"]().active_inputs.tolist() == [3, 4]
+    # generic probe points find x^0 and y^0; x^1 is never read
+    assert _origin_product_model().active_inputs.tolist() == [0, 2, 3, 4]
+    # the coupling makes y active, never x
+    quad = BUNDLE_MODELS["quadratic-coupled"]()
+    assert quad.active_inputs.tolist() == list(range(3, Dims(2, 2).N))
+
+
+def test_active_inputs_are_cached_on_the_instance():
+    # a new model whose function reuses a collected closure's id still
+    # gets its own probe
+    for _ in range(3):
+        model = _x_dependent_model()
+        assert model.active_inputs.tolist() == [0, 1, 2, 3, 4]
+        assert model.active_inputs is model.active_inputs
+        del model
+        assert make_model("wave").active_inputs.tolist() == [3, 4]
+
+
+def test_a_model_without_active_inputs_is_rejected():
+    def fn(x, y, v):
+        return 0.0 * v[0][0]
+
+    model = LagrangianModel("flat", Dims(1, 1), fn)
+    with pytest.raises(EvaluationError, match="none of its inputs"):
+        derivative_bundle(model, random_point(np.random.default_rng(1), 1, 1))
