@@ -17,10 +17,6 @@ import numpy as np
 from .exceptions import InvalidArgumentError
 
 
-def _val(x):
-    return x.val if isinstance(x, (Dual, Dual2)) else np.asarray(x, dtype=float)
-
-
 class Dual:
     """First-order forward value: f and gradient df (batch..., d)."""
 

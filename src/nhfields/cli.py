@@ -12,7 +12,6 @@ fixed seed reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -25,7 +24,9 @@ from .cauchy import (
     INTEGRATORS,
     MODES,
     CauchyState,
+    _pack,
     evolve,
+    grid_coordinates,
     grid_derivative,
 )
 from .constraint import (
@@ -157,9 +158,19 @@ def load_config(path=None, overrides=None) -> dict:
             cfg[key] = val
     if cfg["task"] not in ("verify", "evolve", "fluid-identities"):
         raise ConfigError(f"unknown task {cfg['task']!r}")
-    if not isinstance(cfg["grid"], dict):
-        raise ConfigError(f"grid must be an object, got {cfg['grid']!r}")
+    for key in ("grid", "initial"):
+        _check_object(key, cfg[key])
     _check_int("grid.nu", cfg["grid"].get("nu"), 1)
+    for key in ("model", "constraint"):
+        if cfg[key] is not None:
+            _check_object(key, cfg[key])
+        params = (cfg[key] or {}).get("params") or {}
+        _check_object(f"{key}.params", params)
+        for name, val in params.items():
+            _check_number(f"{key}.params.{name}", val)
+    for name in ("amplitude", "velocity"):
+        _check_number(f"initial.{name}", cfg["initial"][name])
+    _check_int("initial.mode", cfg["initial"]["mode"], 0)
     for key, low in _INT_KEYS:
         _check_int(key, cfg[key], low)
     for key in ("dt", "drift_tol"):
@@ -188,6 +199,16 @@ _CHOICES = (("integrator", INTEGRATORS), ("derivative", DERIVATIVES),
 def _check_int(key: str, val, low: int):
     if not (isinstance(val, int) and not isinstance(val, bool) and val >= low):
         raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
+
+
+def _check_object(key: str, val):
+    if not isinstance(val, dict):
+        raise ConfigError(f"{key} must be an object, got {val!r}")
+
+
+def _check_number(key: str, val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number, got {val!r}")
 
 
 def _check_positive(key: str, val):
@@ -219,7 +240,12 @@ def _build_scenario(cfg: dict):
             if not csv_path:
                 raise ConfigError("custom constraint mode needs coeffs_csv")
             dims_probe = make_constraint(ccfg["name"], ccfg.get("params") or {}).dims
-            matrix = load_custom_coeffs_csv(csv_path, dims_probe)
+            try:
+                matrix = load_custom_coeffs_csv(csv_path, dims_probe)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"constraint.coeffs_csv must be a readable CSV file: {exc}"
+                ) from exc
             custom = lambda p: matrix
         spec = make_constraint(
             ccfg["name"], ccfg.get("params") or {}, coeff_mode=mode,
@@ -273,11 +299,11 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
     reg = regularity_check(bundle)
     out["hessian_det"] = reg["det"]
     out["regular"] = reg["regular"]
-    cp = spec.at(p)
+    cp = spec.at(p, tols["on_constraint"])
     out["rank"] = constraint_rank_check(cp)
     zb = solve_zeta(bundle, cp.coeffs)
-    out["zeta_residual"] = zeta_residual(bundle, cp.coeffs, zb, p, rng=rng)
-    comp = compatibility_matrix(zb.zeta, cp.dphidv)
+    out["zeta_residual"] = zeta_residual(bundle, cp.coeffs, zb, p, rng, tuples)
+    comp = compatibility_matrix(zb.zeta, cp.dphidv, tols["compatibility"])
     out["compatibility_det"] = comp["det"]
     out["compatible"] = comp["compatible"]
     if not comp["compatible"]:
@@ -443,46 +469,32 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
     return CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
 
 
-def _write_fields_csv(path: Path, states: list):
-    n = states[0].n
-    m = states[0].m
-    mode = states[0].mode
-    shape = states[0].grid_shape
-    coords = [np.arange(N) / N for N in shape]
-    mesh = np.meshgrid(*coords, indexing="ij")
+def _write_table(path: Path, header: list, table: np.ndarray):
+    """One CSV file: 17 significant digits, comma-separated, CRLF rows."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        ucols = [f"u{i + 1}" for i in range(n)]
-        if mode == "pde":
-            cols = [f"y{a + 1}" for a in range(m)] + [f"ydot{a + 1}" for a in range(m)]
-        else:
-            cols = (
-                [f"y{a + 1}" for a in range(m)]
-                + [f"v0_{a + 1}" for a in range(m)]
-                + [f"v{i + 1}_{a + 1}" for a in range(m) for i in range(n)]
-            )
-        writer.writerow(["t"] + ucols + cols)
-        for state in states:
-            flats = [mm.reshape(-1) for mm in mesh]
-            if mode == "pde":
-                data = np.concatenate(
-                    [state.y.reshape(-1, m), state.ydot.reshape(-1, m)], axis=1
-                )
-            else:
-                data = np.concatenate(
-                    [
-                        state.y.reshape(-1, m),
-                        state.v0.reshape(-1, m),
-                        state.vi.reshape(-1, m * n),
-                    ],
-                    axis=1,
-                )
-            for row in range(data.shape[0]):
-                writer.writerow(
-                    [format_float(state.t)]
-                    + [format_float(f[row]) for f in flats]
-                    + [format_float(val) for val in data[row]]
-                )
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
+def _write_fields_csv(path: Path, states: list):
+    """Rows ``t, u-coordinates, packed state`` for every grid point of every
+    state; the packed layout is ``y, ydot`` or ``y, v0, vi`` (a-major)."""
+    n, m = states[0].n, states[0].m
+    coords = [c.reshape(-1) for c in grid_coordinates(states[0].grid_shape)]
+    B = coords[0].size
+    if states[0].mode == "pde":
+        cols = [f"y{a + 1}" for a in range(m)] + [f"ydot{a + 1}" for a in range(m)]
+    else:
+        cols = (
+            [f"y{a + 1}" for a in range(m)]
+            + [f"v0_{a + 1}" for a in range(m)]
+            + [f"v{i + 1}_{a + 1}" for a in range(m) for i in range(n)]
+        )
+    table = np.concatenate([
+        np.column_stack([np.full(B, s.t), *coords, _pack(s).reshape(B, -1)])
+        for s in states
+    ])
+    _write_table(path, ["t"] + [f"u{i + 1}" for i in range(n)] + cols, table)
 
 
 def run_evolve(cfg: dict, out_dir: Path) -> int:
@@ -500,11 +512,8 @@ def run_evolve(cfg: dict, out_dir: Path) -> int:
     for name, series in result.diagnostics.items():
         if name == "t":
             continue
-        with open(out_dir / f"diag_{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", name])
-            for t, val in zip(result.diagnostics["t"], series):
-                writer.writerow([format_float(t), format_float(float(val))])
+        _write_table(out_dir / f"diag_{name}.csv", ["t", name],
+                     np.column_stack([result.diagnostics["t"], series]))
     _write_fields_csv(out_dir / "traj_fields.csv", result.states)
     summary = {
         "task": "evolve",

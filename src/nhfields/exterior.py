@@ -60,10 +60,6 @@ class TangentVector:
         return TangentVector(dx, dy, dv)
 
     @staticmethod
-    def zero(n: int, m: int) -> "TangentVector":
-        return TangentVector(np.zeros(n + 1), np.zeros(m), np.zeros((m, n + 1)))
-
-    @staticmethod
     def basis(index: int, n: int, m: int) -> "TangentVector":
         e = np.zeros((n + 1) + m + m * (n + 1))
         e[index] = 1.0

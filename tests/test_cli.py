@@ -180,6 +180,14 @@ def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
     ({"tolerances": {"free_ddw": float("inf")}}, "tolerances.free_ddw"),
     ({"task": "evolve", "drift_tol": "x"}, "drift_tol"),
     ({"task": "evolve", "drift_tol": -1}, "drift_tol"),
+    ({"task": "evolve", "constraint": None,
+      "model": {"name": "quadratic", "params": {"n": "x"}}}, "model.params.n"),
+    ({"constraint": {"name": "linear-transport", "params": {"speed": "x"}}},
+     "constraint.params.speed"),
+    ({"task": "evolve", "constraint": {"name": "linear-transport",
+                                       "params": {"speed": "x"}}}, "constraint.params.speed"),
+    ({"task": "evolve", "initial": {"amplitude": "x"}}, "initial.amplitude"),
+    ({"task": "evolve", "initial": {"mode": "x"}}, "initial.mode"),
 ])
 def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
@@ -194,6 +202,8 @@ def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     ({"task": "evolve", "derivative": "cheb"}, "derivative"),
     ({"task": "evolve", "mode": "bogus"}, "mode"),
     ({"task": "evolve", "stabilize": "yes"}, "stabilize"),
+    ({"model": "wave"}, "model"),
+    ({"constraint": "linear-transport"}, "constraint"),
 ])
 def test_bad_named_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
@@ -321,3 +331,99 @@ def test_fluid_verify_small(tmp_path):
     assert main(["--config", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["summary"]["pass"] is True
+
+
+def test_zeta_check_draws_the_configured_tuples(tmp_path, monkeypatch):
+    import inspect
+
+    from nhfields import cli
+
+    seen = []
+    real = cli.zeta_residual
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["tuples"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "zeta_residual", spy)
+    path = write_config(tmp_path, points=2, tuples=7)
+    assert main(["--config", str(path)]) == 0
+    assert seen == [7, 7]
+
+
+@pytest.mark.parametrize("tolerances, failure", [
+    # the sampled points sit within about 1e-17 of the constraint set
+    ({"on_constraint": 1e-300}, "OffConstraintError at point 0"),
+    # no point's multiplier matrix is that well conditioned
+    ({"compatibility": 1e300}, "compatibility at point 0"),
+])
+def test_verify_reads_its_constraint_tolerances(tmp_path, capsys, tolerances, failure):
+    path = write_config(tmp_path, points=2, tolerances=tolerances)
+    assert main(["--config", str(path)]) == 1
+    assert failure in capsys.readouterr().err
+
+
+def test_unreadable_coefficient_csv_exits_2_naming_it(tmp_path, capsys):
+    path = write_config(tmp_path, constraint={
+        "name": "linear-transport", "mode": "custom", "coeffs_csv": "no-such-file.csv"})
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "constraint.coeffs_csv must be" in err
+
+
+def _fluid_evolve(**extra):
+    return dict(task="evolve", model={"name": "fluid", "params": {"kappa": 1.0, "beta": 1.0}},
+                constraint={"name": "incompressibility"}, dt=1e-3, steps=1,
+                grid={"nu": 4}, initial={"amplitude": 0.01, "velocity": 0.005},
+                drift_tol=1e-4, **extra)
+
+
+@pytest.mark.parametrize("overrides, header", [
+    (dict(task="evolve", constraint=None, mode="pde", dt=1e-3, steps=3, grid={"nu": 8}),
+     "t,u1,y1,ydot1"),
+    (_fluid_evolve(),
+     "t,u1,u2,u3,y1,y2,y3,v0_1,v0_2,v0_3,"
+     "v1_1,v2_1,v3_1,v1_2,v2_2,v3_2,v1_3,v2_3,v3_3"),
+])
+def test_csv_files_round_trip_the_packed_states(tmp_path, monkeypatch, overrides, header):
+    from nhfields import cli
+    from nhfields.cauchy import _pack
+
+    results = []
+    cli_evolve = cli.evolve
+
+    def keep(*args, **kwargs):
+        results.append(cli_evolve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "evolve", keep)
+    assert main(["--config", str(write_config(tmp_path, **overrides))]) == 0
+    (result,) = results
+    out = tmp_path / "out"
+
+    def read(name, expected_header):
+        raw = (out / name).read_bytes()
+        assert raw.endswith(b"\r\n")
+        lines = raw[:-2].split(b"\r\n")
+        assert not any(b"\n" in line or b"\r" in line for line in lines)
+        assert lines[0].decode() == expected_header
+        return np.array([[float(v) for v in line.split(b",")] for line in lines[1:]])
+
+    def bit_equal(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    shape = result.states[0].grid_shape
+    coords = np.indices(shape).reshape(len(shape), -1).T / np.array(shape)
+    expected = np.concatenate([
+        np.column_stack([np.full(len(coords), s.t), coords,
+                         _pack(s).reshape(len(coords), -1)])
+        for s in result.states
+    ])
+    assert bit_equal(read("traj_fields.csv", header), expected)
+    diags = result.diagnostics
+    assert set(diags) == {"t", "max_phi", "holonomy", "eta", "energy"}
+    for name in set(diags) - {"t"}:
+        table = read(f"diag_{name}.csv", f"t,{name}")
+        assert bit_equal(table, np.column_stack([diags["t"], diags[name]]))
