@@ -407,6 +407,15 @@ def _pack(state: CauchyState) -> np.ndarray:
     )
 
 
+def packed_names(state: CauchyState) -> list[str]:
+    m, n = state.m, state.n
+    names = [f"y{a + 1}" for a in range(m)]
+    if state.mode == "pde":
+        return names + [f"ydot{a + 1}" for a in range(m)]
+    return (names + [f"v0_{a + 1}" for a in range(m)]
+            + [f"v{i + 1}_{a + 1}" for a in range(m) for i in range(n)])
+
+
 def _unpack(state: CauchyState, arr: np.ndarray, t: float) -> CauchyState:
     m, n = state.m, state.n
     G = state.grid_shape

@@ -12,7 +12,9 @@ fixed seed reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .cauchy import (
     evolve,
     grid_coordinates,
     grid_derivative,
+    packed_names,
 )
 from .constraint import (
     ConstraintPoint,
@@ -206,14 +209,23 @@ def _check_object(key: str, val):
         raise ConfigError(f"{key} must be an object, got {val!r}")
 
 
+def _is_finite_number(val) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_number(key: str, val):
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
+    if not _is_finite_number(val):
         raise ConfigError(f"{key} must be a finite number, got {val!r}")
 
 
 def _check_positive(key: str, val):
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not (np.isfinite(val) and val > 0)):
+    if not (_is_finite_number(val) and val > 0):
         raise ConfigError(f"{key} must be a finite number > 0, got {val!r}")
 
 
@@ -255,6 +267,7 @@ def _build_scenario(cfg: dict):
             raise ConfigError(
                 f"constraint dims {spec.dims} do not match model dims {model.dims}"
             )
+        spec = dataclasses.replace(spec, on_tol=cfg["tolerances"]["on_constraint"])
     return model, spec
 
 
@@ -299,7 +312,7 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
     reg = regularity_check(bundle)
     out["hessian_det"] = reg["det"]
     out["regular"] = reg["regular"]
-    cp = spec.at(p, tols["on_constraint"])
+    cp = spec.at(p)
     out["rank"] = constraint_rank_check(cp)
     zb = solve_zeta(bundle, cp.coeffs)
     out["zeta_residual"] = zeta_residual(bundle, cp.coeffs, zb, p, rng, tuples)
@@ -469,32 +482,23 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
     return CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
 
 
-def _write_table(path: Path, header: list, table: np.ndarray):
-    """One CSV file: 17 significant digits, comma-separated, CRLF rows."""
+def _write_table(path: Path, header: list, blocks):
+    """One CSV file, one 2-D block at a time: %.17g values, commas, CRLF."""
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def _write_fields_csv(path: Path, states: list):
     """Rows ``t, u-coordinates, packed state`` for every grid point of every
-    state; the packed layout is ``y, ydot`` or ``y, v0, vi`` (a-major)."""
-    n, m = states[0].n, states[0].m
-    coords = [c.reshape(-1) for c in grid_coordinates(states[0].grid_shape)]
-    B = coords[0].size
-    if states[0].mode == "pde":
-        cols = [f"y{a + 1}" for a in range(m)] + [f"ydot{a + 1}" for a in range(m)]
-    else:
-        cols = (
-            [f"y{a + 1}" for a in range(m)]
-            + [f"v0_{a + 1}" for a in range(m)]
-            + [f"v{i + 1}_{a + 1}" for a in range(m) for i in range(n)]
-        )
-    table = np.concatenate([
-        np.column_stack([np.full(B, s.t), *coords, _pack(s).reshape(B, -1)])
+    state, in the column order of ``_pack``."""
+    u = np.column_stack([c.reshape(-1) for c in grid_coordinates(states[0].grid_shape)])
+    header = ["t"] + [f"u{i + 1}" for i in range(states[0].n)] + packed_names(states[0])
+    _write_table(path, header, (
+        np.column_stack([np.full(len(u), s.t), u, _pack(s).reshape(len(u), -1)])
         for s in states
-    ])
-    _write_table(path, ["t"] + [f"u{i + 1}" for i in range(n)] + cols, table)
+    ))
 
 
 def run_evolve(cfg: dict, out_dir: Path) -> int:
@@ -513,7 +517,7 @@ def run_evolve(cfg: dict, out_dir: Path) -> int:
         if name == "t":
             continue
         _write_table(out_dir / f"diag_{name}.csv", ["t", name],
-                     np.column_stack([result.diagnostics["t"], series]))
+                     [np.column_stack([result.diagnostics["t"], series])])
     _write_fields_csv(out_dir / "traj_fields.csv", result.states)
     summary = {
         "task": "evolve",

@@ -110,12 +110,11 @@ class ConstraintSpec:
         return jet_block(self.full_differentials_arrays(x, y, v),
                          self.dims.m, self.dims.nx)
 
-    def at(self, p: JetPoint, tol: float | None = None) -> "ConstraintPoint":
+    def at(self, p: JetPoint) -> "ConstraintPoint":
         """The constraint data of the pointwise chain at p, after checking
-        that p lies on the constraint set (within ``tol``, default
-        ``on_tol``): one evaluation of the differentials, from which the
-        coefficients follow."""
-        self.require_on_constraint(p, tol)
+        that p lies on the constraint set: one evaluation of the
+        differentials, from which the coefficients follow."""
+        self.require_on_constraint(p)
         dphi = self.full_differentials(p)
         dphidv = jet_block(dphi, self.dims.m, self.dims.nx)
         return ConstraintPoint(p, dphi, coefficient_arrays(self, p.x, p.y, p.v, dphidv))

@@ -188,6 +188,12 @@ def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
                                        "params": {"speed": "x"}}}, "constraint.params.speed"),
     ({"task": "evolve", "initial": {"amplitude": "x"}}, "initial.amplitude"),
     ({"task": "evolve", "initial": {"mode": "x"}}, "initial.mode"),
+    # integers beyond uint64 and beyond the float range
+    ({"task": "evolve", "drift_tol": -10**20}, "drift_tol"),
+    ({"tolerances": {"free_ddw": 10**400}}, "tolerances.free_ddw"),
+    ({"task": "evolve", "initial": {"amplitude": 10**400}}, "initial.amplitude"),
+    ({"constraint": {"name": "linear-transport", "params": {"speed": -10**400}}},
+     "constraint.params.speed"),
 ])
 def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
