@@ -33,6 +33,8 @@ from .cauchy import (
     packed_names,
 )
 from .constraint import (
+    COEFF_MODES,
+    CONSTRAINTS,
     ConstraintPoint,
     constraint_rank_check,
     load_custom_coeffs_csv,
@@ -48,12 +50,14 @@ from .ddw import (
 from .exceptions import (
     ConfigError,
     DriftError,
+    EvaluationError,
     IntegrationError,
+    InvalidArgumentError,
     NhfieldsError,
 )
 from .fluid import null_lagrangian_residual, psi_divergence_residual
 from .jet import _STENCILS, JetPoint, semiholonomic_residual
-from .lagrangian import derivative_bundle, make_model, regularity_check
+from .lagrangian import MODELS, derivative_bundle, make_model, regularity_check
 from .projector import build_projectors, compatibility_matrix, solve_zeta, zeta_residual
 
 DEFAULT_TOLERANCES = {
@@ -67,25 +71,6 @@ DEFAULT_TOLERANCES = {
     "lambda_match": 1e-8,
     "null_lagrangian": 1e-4,
     "psi_divergence": 1e-6,
-}
-
-DEFAULTS = {
-    "task": "verify",
-    "seed": 1,
-    "points": 50,
-    "tuples": 50,
-    "model": {"name": "wave", "params": {}},
-    "constraint": None,
-    "grid": {"nu": 64},
-    "dt": 1e-3,
-    "steps": 1000,
-    "integrator": "rk4",
-    "mode": "pde",
-    "derivative": "spectral",
-    "stabilize": False,
-    "drift_tol": 1e-6,
-    "initial": {"type": "sine", "amplitude": 1.0, "mode": 1, "velocity": 0.0},
-    "output_dir": ".",
 }
 
 
@@ -128,88 +113,10 @@ def dumps_report(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-def load_config(path=None, overrides=None) -> dict:
-    cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
-    if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        for key, val in user.items():
-            if key == "tolerances":
-                continue
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict) and isinstance(val, dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
-        tols = user.get("tolerances", {})
-    else:
-        tols = {}
-    cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
-    for key, val in tols.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance key {key!r}")
-        _check_positive(f"tolerances.{key}", val)
-        cfg["tolerances"][key] = float(val)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            cfg[key] = val
-    if cfg["task"] not in ("verify", "evolve", "fluid-identities"):
-        raise ConfigError(f"unknown task {cfg['task']!r}")
-    for key in ("grid", "initial"):
-        _check_object(key, cfg[key])
-    _check_int("grid.nu", cfg["grid"].get("nu"), 1)
-    for key in ("model", "constraint"):
-        if cfg[key] is not None:
-            _check_object(key, cfg[key])
-        params = (cfg[key] or {}).get("params") or {}
-        _check_object(f"{key}.params", params)
-        for name, val in params.items():
-            _check_number(f"{key}.params.{name}", val)
-    for name in ("amplitude", "velocity"):
-        _check_number(f"initial.{name}", cfg["initial"][name])
-    _check_int("initial.mode", cfg["initial"]["mode"], 0)
-    for key, low in _INT_KEYS:
-        _check_int(key, cfg[key], low)
-    for key in ("dt", "drift_tol"):
-        _check_positive(key, cfg[key])
-    for key, allowed in _CHOICES:
-        val = cfg[key]
-        name = val.lower() if key == "integrator" and isinstance(val, str) else val
-        if name not in allowed:
-            raise ConfigError(f"{key} must be one of {list(allowed)}, got {val!r}")
-    if not isinstance(cfg["stabilize"], bool):
-        raise ConfigError(f"stabilize must be true or false, got {cfg['stabilize']!r}")
-    width = len(_STENCILS[4])
-    if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
-        raise ConfigError(
-            f"grid.nu = {cfg['grid']['nu']} is too small for the fd4 stencil, "
-            f"which needs at least {width} points"
-        )
-    return cfg
+TASKS = ("verify", "evolve", "fluid-identities")
 
 
-_INT_KEYS = (("points", 1), ("tuples", 1), ("steps", 0), ("seed", 0))
-_CHOICES = (("integrator", INTEGRATORS), ("derivative", DERIVATIVES),
-            ("mode", MODES))
-
-
-def _check_int(key: str, val, low: int):
-    if not (isinstance(val, int) and not isinstance(val, bool) and val >= low):
-        raise ConfigError(f"{key} must be an integer >= {low}, got {val!r}")
-
-
-def _check_object(key: str, val):
-    if not isinstance(val, dict):
-        raise ConfigError(f"{key} must be an object, got {val!r}")
-
-
-def _is_finite_number(val) -> bool:
+def _finite(val) -> bool:
     """A JSON number, not a bool, that converts to a finite float."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         return False
@@ -219,56 +126,141 @@ def _is_finite_number(val) -> bool:
         return False
 
 
-def _check_number(key: str, val):
-    if not _is_finite_number(val):
-        raise ConfigError(f"{key} must be a finite number, got {val!r}")
+def _integer(low: int):
+    return (f"an integer >= {low}",
+            lambda val: isinstance(val, int) and not isinstance(val, bool) and val >= low)
 
 
-def _check_positive(key: str, val):
-    if not (_is_finite_number(val) and val > 0):
-        raise ConfigError(f"{key} must be a finite number > 0, got {val!r}")
+def _one_of(names, fold=str):
+    return (f"one of {list(names)}", lambda val: isinstance(val, str) and fold(val) in names)
+
+
+# A rule is (text, test); a dict in its place is a nested table, whose key
+# "*" stands for any name.  A table entry is (rule, default); a default that
+# breaks its rule makes the key required.
+NUMBER = ("a finite number", _finite)
+POSITIVE = ("a finite number > 0", lambda val: _finite(val) and val > 0)
+STRING = ("a string", lambda val: isinstance(val, str))
+PARAMS = ({"*": (NUMBER, None)}, {})
+
+CONFIG_TABLE = {
+    "task": (_one_of(TASKS), "verify"),
+    "seed": (_integer(0), 1),
+    "points": (_integer(1), 50),
+    "tuples": (_integer(1), 50),
+    "model": ({"name": (_one_of(MODELS), "wave"), "params": PARAMS}, {}),
+    # null, the default, is the free problem
+    "constraint": ({
+        "name": (_one_of(CONSTRAINTS), None),
+        "params": PARAMS,
+        "mode": (_one_of(COEFF_MODES), "chetaev"),
+        "coeffs_csv": (STRING, ""),
+    }, None),
+    "grid": ({"nu": (_integer(1), 64)}, {}),
+    "dt": (POSITIVE, 1e-3),
+    "steps": (_integer(0), 1000),
+    "integrator": (_one_of(INTEGRATORS, str.lower), "rk4"),
+    "mode": (_one_of(MODES), "pde"),
+    "derivative": (_one_of(DERIVATIVES), "spectral"),
+    "stabilize": (("true or false", lambda val: isinstance(val, bool)), False),
+    "drift_tol": (POSITIVE, 1e-6),
+    "initial": ({
+        "type": (_one_of(("sine",)), "sine"),
+        "amplitude": (NUMBER, 1.0),
+        "mode": (_integer(0), 1),
+        "velocity": (NUMBER, 0.0),
+    }, {}),
+    "tolerances": ({key: (POSITIVE, tol) for key, tol in DEFAULT_TOLERANCES.items()}, {}),
+    "output_dir": (STRING, "."),
+}
+
+# defaults that differ by model, by dotted key
+MODEL_DEFAULTS = {
+    "fluid": {"grid.nu": 8, "initial.amplitude": 0.01, "initial.velocity": 0.005},
+}
+
+
+def _read(table: dict, given: dict, path: str, defaults: dict) -> dict:
+    """``given`` checked against ``table``, with the defaults filled in."""
+    out = {}
+    for key in given if "*" in table else {**table, **given}:
+        name = path + key
+        if key not in table and "*" not in table:
+            raise ConfigError(f"{name} must be a known key; {path[:-1] or 'the config'} "
+                              f"takes {list(table)}")
+        rule, default = table.get(key) or table["*"]
+        val = given[key] if key in given else defaults.get(name, default)
+        if isinstance(rule, dict):
+            if val is None and default is None:
+                out[key] = None
+                continue
+            if not isinstance(val, dict):
+                raise ConfigError(f"{name} must be an object, got {val!r}")
+            out[key] = _read(rule, val, name + ".", defaults)
+            continue
+        text, test = rule
+        if not test(val):
+            raise ConfigError(f"{name} must be {text}, got {val!r}")
+        out[key] = val
+    return out
+
+
+def load_config(path=None, overrides=None) -> dict:
+    """The config file with the flags in ``overrides`` on top, every key
+    checked against ``CONFIG_TABLE`` and every default filled in."""
+    given = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                given = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(given, dict):
+            raise ConfigError("config root must be a JSON object")
+    given.update((key, val) for key, val in (overrides or {}).items() if val is not None)
+    model = given.get("model")
+    name = model.get("name") if isinstance(model, dict) else None
+    cfg = _read(CONFIG_TABLE, given, "",
+                MODEL_DEFAULTS.get(name, {}) if isinstance(name, str) else {})
+    width = len(_STENCILS[4])
+    if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
+        raise ConfigError(
+            f"grid.nu = {cfg['grid']['nu']} is too small for the fd4 stencil, "
+            f"which needs at least {width} points"
+        )
+    return cfg
 
 
 def build_scenario(cfg: dict):
+    """The model and the constraint spec of a checked config."""
     try:
-        return _build_scenario(cfg)
-    except (NhfieldsError, TypeError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad scenario: {exc}") from exc
-
-
-def _build_scenario(cfg: dict):
-    model_cfg = cfg.get("model") or {}
-    name = model_cfg.get("name", "wave")
-    model = make_model(name, model_cfg.get("params") or {})
-    spec = None
-    ccfg = cfg.get("constraint")
-    if ccfg:
-        mode = ccfg.get("mode", "chetaev")
-        custom = None
-        if mode == "custom":
-            csv_path = ccfg.get("coeffs_csv")
-            if not csv_path:
-                raise ConfigError("custom constraint mode needs coeffs_csv")
-            dims_probe = make_constraint(ccfg["name"], ccfg.get("params") or {}).dims
-            try:
-                matrix = load_custom_coeffs_csv(csv_path, dims_probe)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"constraint.coeffs_csv must be a readable CSV file: {exc}"
-                ) from exc
-            custom = lambda p: matrix
-        spec = make_constraint(
-            ccfg["name"], ccfg.get("params") or {}, coeff_mode=mode,
-            custom_coeffs=custom,
+        model = make_model(cfg["model"]["name"], cfg["model"]["params"])
+    except (InvalidArgumentError, TypeError) as exc:
+        raise ConfigError(f"model.params: {exc}") from exc
+    ccfg = cfg["constraint"]
+    if ccfg is None:
+        return model, None
+    try:
+        spec = make_constraint(ccfg["name"], ccfg["params"])
+    except (InvalidArgumentError, TypeError) as exc:
+        raise ConfigError(f"constraint.params: {exc}") from exc
+    if (spec.dims.n, spec.dims.m) != (model.dims.n, model.dims.m):
+        raise ConfigError(
+            f"constraint dims {spec.dims} do not match model dims {model.dims}"
         )
-        if (spec.dims.n, spec.dims.m) != (model.dims.n, model.dims.m):
+    custom = None
+    if ccfg["mode"] == "custom":
+        try:
+            matrix = load_custom_coeffs_csv(ccfg["coeffs_csv"], spec.dims)
+        except (OSError, ValueError, InvalidArgumentError) as exc:
             raise ConfigError(
-                f"constraint dims {spec.dims} do not match model dims {model.dims}"
-            )
-        spec = dataclasses.replace(spec, on_tol=cfg["tolerances"]["on_constraint"])
-    return model, spec
+                f"constraint.coeffs_csv must be a readable CSV file: {exc}"
+            ) from exc
+        custom = lambda p: matrix
+    return model, dataclasses.replace(
+        spec, coeff_mode=ccfg["mode"], custom_coeffs=custom,
+        on_tol=cfg["tolerances"]["on_constraint"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +349,14 @@ _CHECK_BOUNDS = [
 ]
 
 
-def run_verify(cfg: dict, out_dir: Path) -> int:
-    model, spec = build_scenario(cfg)
-    if spec is None:
-        raise ConfigError("the verify task needs a constraint scenario")
-    need = min_check_tuples(spec.k, spec.dims.nx)
-    if cfg["tuples"] < need:
-        raise ConfigError(
-            f"tuples = {cfg['tuples']} is below {need}, the fewest the form "
-            "check accepts for this scenario"
-        )
+def run_verify(cfg: dict, model, spec, out_dir: Path) -> int:
     # the points come from the seed alone; the check tuples from a child stream
     rng = np.random.default_rng(cfg["seed"])
     tuple_rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
     tols = cfg["tolerances"]
     points = []
     first_failure = None
-    for idx in range(int(cfg["points"])):
+    for idx in range(cfg["points"]):
         p = sample_constraint_point(model, spec, rng)
         entry = {
             "index": idx,
@@ -384,7 +367,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
             },
         }
         try:
-            entry.update(_point_checks(model, spec, p, tuple_rng, tols, int(cfg["tuples"])))
+            entry.update(_point_checks(model, spec, p, tuple_rng, tols, cfg["tuples"]))
         except NhfieldsError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
             if first_failure is None:
@@ -413,7 +396,7 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
         "task": "verify",
         "model": model.name,
         "constraint": spec.name,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "points": points,
         "tolerances": tols,
         "note": "free solutions use the minimum-norm member of the "
@@ -436,31 +419,27 @@ def run_verify(cfg: dict, out_dir: Path) -> int:
 # evolve task
 
 def build_initial_state(cfg: dict, model, spec) -> CauchyState:
-    init = cfg.get("initial") or {}
-    kind = init.get("type", "sine")
+    init = cfg["initial"]
     dims = model.dims
+    N = cfg["grid"]["nu"]
+    u = np.arange(N) / N
+    amp = init["amplitude"]
     if model.name == "fluid":
-        N = int(cfg["grid"].get("nu", 8))
-        u = np.arange(N) / N
         U = np.meshgrid(u, u, u, indexing="ij")
-        amp = float(init.get("amplitude", 0.01))
         disp = np.zeros((N, N, N, 3))
         disp[..., 0] = amp * np.sin(2 * np.pi * U[1])
         vi = np.broadcast_to(np.eye(3), (N, N, N, 3, 3)).copy()
         vi[..., 0, 1] += amp * 2 * np.pi * np.cos(2 * np.pi * U[1])
         v0 = np.zeros((N, N, N, 3))
-        v0[..., 0] = float(init.get("velocity", 0.005)) * np.sin(2 * np.pi * U[2])
+        v0[..., 0] = init["velocity"] * np.sin(2 * np.pi * U[2])
         return CauchyState(0.0, disp, "fulljet", v0=v0, vi=vi, y_offset="identity")
     if dims.n != 1:
-        raise ConfigError("evolve initial data is built in for n = 1 and the fluid")
-    if kind != "sine":
-        raise ConfigError(f"unknown initial data type {kind!r}")
-    N = int(cfg["grid"].get("nu", 64))
-    u = np.arange(N) / N
-    amp = float(init.get("amplitude", 1.0))
-    mode = int(init.get("mode", 1))
-    y = amp * np.sin(2 * np.pi * mode * u)[:, None] * np.ones(dims.m)
-    ydot = float(init.get("velocity", 0.0)) * np.ones((N, dims.m))
+        raise ConfigError(
+            f"model must be the fluid or have n = 1 for the evolve task, which has "
+            f"initial data for those alone; got {model.name} with n = {dims.n}"
+        )
+    y = amp * np.sin(2 * np.pi * (init["mode"] % N) * u)[:, None] * np.ones(dims.m)
+    ydot = init["velocity"] * np.ones((N, dims.m))
     if (cfg["mode"] if spec is None else "fulljet") == "pde":
         return CauchyState(0.0, y, "pde", ydot=ydot)
     v1 = grid_derivative(y, (N,), 0, cfg["derivative"])
@@ -472,6 +451,8 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
             state = CauchyState(0.0, y, "fulljet", v0=v0, vi=vi)
             xj, yj, vj = state.jet_arrays(cfg["derivative"])
             phi = spec.values_arrays(xj, yj, vj)
+            if not np.isfinite(phi).all():
+                raise EvaluationError("the initial data give non-finite constraint values")
             if np.max(np.abs(phi)) < 1e-13:
                 break
             dphidv = spec.dphidv_arrays(xj, yj, vj)
@@ -501,14 +482,12 @@ def _write_fields_csv(path: Path, states: list):
     ))
 
 
-def run_evolve(cfg: dict, out_dir: Path) -> int:
-    model, spec = build_scenario(cfg)
-    state0 = build_initial_state(cfg, model, spec)
+def run_evolve(cfg: dict, model, spec, state0: CauchyState, out_dir: Path) -> int:
     try:
         result = evolve(
-            model, spec, state0, float(cfg["dt"]), int(cfg["steps"]),
+            model, spec, state0, cfg["dt"], cfg["steps"],
             integrator=cfg["integrator"], method=cfg["derivative"],
-            drift_tol=float(cfg["drift_tol"]), stabilize=bool(cfg["stabilize"]),
+            drift_tol=cfg["drift_tol"], stabilize=cfg["stabilize"],
         )
     except (DriftError, IntegrationError) as exc:
         print(f"evolve FAILED: {exc}", file=sys.stderr)
@@ -523,8 +502,8 @@ def run_evolve(cfg: dict, out_dir: Path) -> int:
         "task": "evolve",
         "model": model.name,
         "constraint": spec.name if spec else None,
-        "steps": int(cfg["steps"]),
-        "dt": float(cfg["dt"]),
+        "steps": cfg["steps"],
+        "dt": cfg["dt"],
         "integrator": cfg["integrator"],
         "final_time": result.states[-1].t,
         "max_phi": float(np.max(result.diagnostics["max_phi"])),
@@ -610,13 +589,29 @@ def run_fluid_identities(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run_scenario(cfg: dict) -> int:
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Build everything the task needs, then make the output directory and
+    run it, so that a config error leaves no directory behind."""
+    model, spec = build_scenario(cfg)
     task = cfg["task"]
+    state0 = build_initial_state(cfg, model, spec) if task == "evolve" else None
     if task == "verify":
-        return run_verify(cfg, out_dir)
+        if spec is None:
+            raise ConfigError("constraint must be an object for the verify task, got None")
+        need = min_check_tuples(spec.k, spec.dims.nx)
+        if cfg["tuples"] < need:
+            raise ConfigError(
+                f"tuples = {cfg['tuples']} is below {need}, the fewest the form "
+                "check accepts for this scenario"
+            )
+    out_dir = Path(cfg["output_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir must be a directory that can be made: {exc}") from exc
+    if task == "verify":
+        return run_verify(cfg, model, spec, out_dir)
     if task == "evolve":
-        return run_evolve(cfg, out_dir)
+        return run_evolve(cfg, model, spec, state0, out_dir)
     return run_fluid_identities(cfg, out_dir)
 
 
@@ -626,7 +621,7 @@ def main(argv=None) -> int:
         description="nonholonomic field theory scenario runner",
     )
     parser.add_argument("--config", required=True, help="path to a JSON scenario file")
-    parser.add_argument("--task", choices=["verify", "evolve", "fluid-identities"])
+    parser.add_argument("--task", choices=TASKS)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory (overrides output_dir)")
     args = parser.parse_args(argv)

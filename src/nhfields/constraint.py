@@ -28,6 +28,8 @@ from .exceptions import (
 from .exterior import Form
 from .jet import Dims, JetPoint, contact_covectors
 
+COEFF_MODES = ("chetaev", "custom")
+
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -54,7 +56,7 @@ class ConstraintSpec:
             raise InvalidArgumentError(
                 f"got {len(self.funcs)} functions for k={self.dims.k}"
             )
-        if self.coeff_mode not in ("chetaev", "custom"):
+        if self.coeff_mode not in COEFF_MODES:
             raise InvalidArgumentError(f"unknown coeff_mode {self.coeff_mode!r}")
         if self.coeff_mode == "custom" and self.custom_coeffs is None:
             raise InvalidArgumentError("custom mode needs a coefficient function")
@@ -324,6 +326,9 @@ def make_constraint(name: str, params=None, coeff_mode: str = "chetaev",
             f"unknown constraint {name!r}; available: {sorted(CONSTRAINTS)}"
         )
     params = dict(params or {})
+    fixed = sorted({"dims", "coeff_mode", "custom_coeffs"}.intersection(params))
+    if fixed:
+        raise InvalidArgumentError(f"{fixed} are not parameters of constraint {name!r}")
     return CONSTRAINTS[name](coeff_mode=coeff_mode, custom_coeffs=custom_coeffs, **params)
 
 

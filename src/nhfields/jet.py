@@ -7,7 +7,6 @@ v[a][mu] = dy^a/dx^mu.  Spatial grids are periodic on [0, 1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,38 +342,3 @@ def _second_time_derivative(arr: np.ndarray, ts: np.ndarray, it: int) -> np.ndar
         raise InvalidArgumentError("second temporal derivative needs >= 3 time slices")
     return np.gradient(np.gradient(arr, ts, axis=0), ts, axis=0)[it]
 
-
-# ---------------------------------------------------------------------------
-# grid sample files: CSV with header t,u,y1..ym
-
-def load_section_csv(path) -> SectionSamples:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 3 or header[0] != "t" or header[1] != "u":
-            raise InvalidArgumentError(f"expected header t,u,y1..ym, got {header}")
-        m = len(header) - 2
-        rows = [[float(c) for c in row] for row in reader if row]
-    data = np.asarray(rows)
-    ts = np.unique(data[:, 0])
-    us = np.unique(data[:, 1])
-    if len(data) != len(ts) * len(us):
-        raise InvalidArgumentError("grid file must contain a complete (t, u) product grid")
-    y = np.full((len(ts), len(us), m), np.nan)
-    ti = np.searchsorted(ts, data[:, 0])
-    ui = np.searchsorted(us, data[:, 1])
-    y[ti, ui] = data[:, 2:]
-    if np.isnan(y).any():
-        raise InvalidArgumentError("grid file has duplicate or missing (t, u) entries")
-    return SectionSamples(ts, us, y)
-
-
-def save_section_csv(path, samples: SectionSamples):
-    m = samples.y.shape[2]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u"] + [f"y{a + 1}" for a in range(m)])
-        for i, t in enumerate(samples.ts):
-            for j, u in enumerate(samples.us):
-                writer.writerow([repr(float(t)), repr(float(u))]
-                                + [repr(float(val)) for val in samples.y[i, j]])

@@ -298,7 +298,7 @@ def omega_L_eval(model: LagrangianModel, p: JetPoint, vecs) -> float:
 # ---------------------------------------------------------------------------
 # built-in model registry
 
-def _wave_model(params=None) -> LagrangianModel:
+def _wave_model() -> LagrangianModel:
     """1+1 wave Lagrangian L = (v_0^2 - v_1^2)/2."""
 
     def fn(x, y, v):
@@ -307,12 +307,12 @@ def _wave_model(params=None) -> LagrangianModel:
     return LagrangianModel("wave", Dims(1, 1), fn)
 
 
-def _quadratic_model(params=None) -> LagrangianModel:
+def _quadratic_model(n=1, m=1, coupling=0.0) -> LagrangianModel:
     """L = sum v^2 / 2 + coupling * y^a v^a_0, any (n, m)."""
-    params = params or {}
-    n = int(params.get("n", 1))
-    m = int(params.get("m", 1))
-    coupling = float(params.get("coupling", 0.0))
+    for key, val in (("n", n), ("m", m)):
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
+            raise InvalidArgumentError(
+                f"quadratic model {key} must be an integer >= 1, got {val!r}")
 
     def fn(x, y, v):
         total = 0.0
@@ -323,15 +323,13 @@ def _quadratic_model(params=None) -> LagrangianModel:
                 total = total + coupling * (y[a] * v[a][0])
         return total
 
-    return LagrangianModel("quadratic", Dims(n, m), fn)
+    return LagrangianModel("quadratic", Dims(int(n), int(m)), fn)
 
 
-def _fluid_model(params=None) -> LagrangianModel:
+def _fluid_model(**params) -> LagrangianModel:
     from .fluid import FluidParams, fluid_lagrangian
 
-    if isinstance(params, dict):
-        params = FluidParams(**params)
-    return fluid_lagrangian(params or FluidParams())
+    return fluid_lagrangian(FluidParams(**params))
 
 
 MODELS: dict[str, Callable] = {
@@ -342,8 +340,10 @@ MODELS: dict[str, Callable] = {
 
 
 def make_model(name: str, params=None) -> LagrangianModel:
+    """A registered model; a parameter name its builder does not take
+    raises TypeError."""
     if name not in MODELS:
         raise InvalidArgumentError(
             f"unknown model {name!r}; available: {sorted(MODELS)}"
         )
-    return MODELS[name](params)
+    return MODELS[name](**(params or {}))

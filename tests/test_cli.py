@@ -1,11 +1,17 @@
 """Scenario runner: exit codes, reports, determinism, output files."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nhfields.cli import dumps_report, load_config, main
+from nhfields.cli import CONFIG_TABLE, dumps_report, load_config, main
 from nhfields.exceptions import ConfigError
 
 
@@ -210,6 +216,15 @@ def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     ({"task": "evolve", "stabilize": "yes"}, "stabilize"),
     ({"model": "wave"}, "model"),
     ({"constraint": "linear-transport"}, "constraint"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"tolerances": []}, "tolerances"),
+    ({"tolerances": 5}, "tolerances"),
+    ({"constraint": {"name": "linear-transport", "mode": "custom", "coeffs_csv": 5}},
+     "constraint.coeffs_csv"),
+    # keys no table names, at any depth
+    ({"task": "evolve", "grid": {"nuu": 9}}, "grid.nuu"),
+    ({"task": "evolve", "initial": {"amplitud": 0.1}}, "initial.amplitud"),
+    ({"model": {"name": "wave", "prams": {}}}, "model.prams"),
 ])
 def test_bad_named_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
@@ -217,6 +232,58 @@ def test_bad_named_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{key} must be" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"model": {"name": "nope"}}, "model.name must be"),
+    ({"constraint": {"name": "linear-transport", "mode": "bogus"}}, "constraint.mode must be"),
+    ({"constraint": {"params": {"speed": 2.0}}}, "constraint.name must be"),
+    ({"task": "evolve", "initial": {"type": "cosine"}}, "initial.type must be"),
+    ({"constraint": None}, "constraint must be"),
+    ({"points": 1, "tuples": 2}, "tuples = 2 is below 3"),
+    ({"task": "evolve", "constraint": None, "steps": 1, "grid": {"nu": 4},
+      "model": {"name": "quadratic", "params": {"n": 2}}}, "model must be"),
+    ({"task": "evolve", "constraint": None, "steps": 1, "grid": {"nu": 4},
+      "model": {"name": "quadratic", "params": {"n": 1.5}}}, "n must be an integer >= 1"),
+    ({"model": {"name": "wave", "params": {"speed": 1.0}}}, "model.params"),
+    ({"constraint": {"name": "linear-transport", "params": {"dims": 1}}},
+     "constraint.params"),
+])
+def test_scenario_error_exits_2_without_an_output_directory(tmp_path, capsys, overrides,
+                                                             named):
+    path = write_config(tmp_path, **overrides)
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "out").write_text("")
+    assert main(["--config", str(write_config(tmp_path, points=1))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "output_dir must be" in err
+    assert (tmp_path / "out").is_file()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_initial_data_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # the spectral derivative of a 1e308 sine overflows before the Newton
+    # projection onto the constraint set starts
+    path = write_config(tmp_path, task="evolve", steps=1, grid={"nu": 8},
+                        initial={"amplitude": 1e308})
+    assert main(["--config", str(path)]) == 1
+    assert "non-finite constraint values" in capsys.readouterr().err
+
+
+def test_fluid_defaults_fill_a_fluid_evolve_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"task": "evolve", "model": {"name": "fluid"},
+                                "constraint": {"name": "incompressibility"}}))
+    cfg = load_config(path)
+    assert cfg["grid"]["nu"] == 8
+    assert cfg["initial"]["amplitude"] == 0.01
+    assert cfg["initial"]["velocity"] == 0.005
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -433,3 +500,81 @@ def test_csv_files_round_trip_the_packed_states(tmp_path, monkeypatch, overrides
     for name in set(diags) - {"t"}:
         table = read(f"diag_{name}.csv", f"t,{name}")
         assert bit_equal(table, np.column_stack([diags["t"], diags[name]]))
+
+
+def _dotted_keys(table, path=""):
+    for key, (rule, _) in table.items():
+        if key != "*":
+            yield path + key
+            if isinstance(rule, dict):
+                yield from _dotted_keys(rule, path + key + ".")
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys")[1].split("\n#")[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("| `")]
+    assert rows == [f"`{key}`" for key in _dotted_keys(CONFIG_TABLE)]
+
+
+# keys whose integer values set the size of a run
+_SIZE_KEYS = {"points", "steps", "tuples", "grid.nu"}
+
+_FUZZ_BASE = {
+    "model": {"name": "wave"},
+    "constraint": {"name": "linear-transport", "params": {"speed": 2.0}},
+    "points": 1, "steps": 1, "tuples": 5, "grid": {"nu": 8},
+}
+
+
+def _json_values(ints):
+    leaf = st.one_of(st.none(), st.booleans(), ints,
+                     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8))
+    return st.one_of(leaf, st.lists(leaf, max_size=3),
+                     st.dictionaries(st.text(max_size=8), leaf, max_size=3))
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    keys = sorted(set(_dotted_keys(CONFIG_TABLE)) | {"constraint.params.speed"})
+    key = draw(st.sampled_from(keys))
+    if key in _SIZE_KEYS:
+        ints = st.integers(-2, 12)
+    else:
+        ints = st.one_of(st.integers(), st.sampled_from([2**64, -(2**64) - 1, 10**400]))
+    cfg = json.loads(json.dumps(_FUZZ_BASE))
+    cfg["task"] = draw(st.sampled_from(["verify", "evolve"]))
+    *parents, last = key.split(".")
+    node = cfg
+    for name in parents:
+        if not isinstance(node.get(name), dict):
+            node[name] = {}
+        node = node[name]
+    values = _json_values(ints)
+    if key == "output_dir":
+        # a string stays a plain relative name, placed in the run's temporary
+        # directory below
+        values = st.one_of(st.text("abc", min_size=1, max_size=4),
+                           values.filter(lambda val: not isinstance(val, str)))
+    node[last] = draw(values)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzzed_configs())
+def test_main_never_raises_on_a_fuzzed_config(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        name = cfg.get("output_dir", "out")
+        out = root / (name if isinstance(name, str) else "out")
+        cfg["output_dir"] = str(out) if isinstance(name, str) else name
+        path = root / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()

@@ -11,9 +11,7 @@ from nhfields.jet import (
     JetPoint,
     SectionSamples,
     contact_eval,
-    load_section_csv,
     prolong_section,
-    save_section_csv,
     semiholonomic_residual,
 )
 
@@ -195,20 +193,3 @@ def test_nonuniform_grid_rejected():
     y = np.zeros((3, 7, 1))
     with pytest.raises(InvalidArgumentError):
         SectionSamples(np.arange(3) * 0.1, us, y)
-
-
-def test_csv_roundtrip(tmp_path):
-    samples = make_samples(lambda t, u: np.sin(2 * np.pi * u), Nt=3, Nu=8)
-    path = tmp_path / "grid.csv"
-    save_section_csv(path, samples)
-    back = load_section_csv(path)
-    assert np.allclose(back.y, samples.y)
-    assert np.allclose(back.ts, samples.ts)
-    assert np.allclose(back.us, samples.us)
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(InvalidArgumentError):
-        load_section_csv(path)

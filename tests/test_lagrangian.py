@@ -5,7 +5,7 @@ import pytest
 
 from nhfields import autodiff as ad
 from nhfields import lagrangian
-from nhfields.exceptions import EvaluationError
+from nhfields.exceptions import EvaluationError, InvalidArgumentError
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
 from nhfields.jet import Dims, JetPoint
@@ -88,6 +88,24 @@ def test_mixed_derivative_blocks():
     assert b.d2Ldydv[0, 0, 1] == pytest.approx(0.0)
     assert b.d2Ldxdv[0, 0, 1] == pytest.approx(1.0)
     assert b.d2Ldxdv[1, 0, 1] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("params", [
+    {"n": 1.5}, {"n": 2.0}, {"m": 0}, {"n": -1}, {"m": True}, {"n": "2"},
+])
+def test_quadratic_model_dims_must_be_integers_at_least_one(params):
+    with pytest.raises(InvalidArgumentError, match=f"{next(iter(params))} must be an integer"):
+        make_model("quadratic", params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("wave", {"speed": 1.0}),
+    ("quadratic", {"k": 1}),
+    ("fluid", {"kappaa": 1.0}),
+])
+def test_models_reject_unknown_parameter_names(name, params):
+    with pytest.raises(TypeError, match=next(iter(params))):
+        make_model(name, params)
 
 
 def test_regularity_quadratic_and_degenerate():
