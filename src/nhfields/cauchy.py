@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constraint import ConstraintSpec, coefficient_arrays, jet_block, phi_eval_batch
+from .constraint import (
+    ConstraintSpec,
+    coefficient_arrays,
+    jet_block,
+    newton_onto_constraint,
+    phi_eval_batch,
+)
 from .ddw import solve_temporal_block
 from .exceptions import (
     DimensionMismatchError,
@@ -464,20 +470,9 @@ def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
     """Newton re-projection of the jet block onto phi = 0 (stabilization)."""
     if state.mode != "fulljet":
         raise InvalidArgumentError("stabilization applies to fulljet states")
-    v0, vi = state.v0, state.vi
-    G = state.grid_shape
-    m, n = state.m, state.n
-    for _ in range(iters):
-        work = replace(state, v0=v0, vi=vi)
-        x, y, v = work.jet_arrays(method)
-        phi = spec.values_arrays(x, y, v)
-        dphidv = spec.dphidv_arrays(x, y, v)
-        J = dphidv.reshape(G + (spec.k, m * (n + 1)))
-        delta = np.einsum("...ij,...j->...i", np.linalg.pinv(J), phi)
-        dv = -delta.reshape(G + (m, n + 1))
-        v0 = v0 + dv[..., 0]
-        vi = vi + dv[..., 1:]
-    return replace(state, v0=v0, vi=vi)
+    x, y, v = state.jet_arrays(method)
+    v, _ = newton_onto_constraint(spec, x, y, v, slice(None), 0.0, iters)
+    return replace(state, v0=v[..., 0], vi=v[..., 1:])
 
 
 # Explicit Runge-Kutta tableaus (A rows, weights b, nodes c).  The stage loop

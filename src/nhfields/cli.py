@@ -39,6 +39,7 @@ from .constraint import (
     constraint_rank_check,
     load_custom_coeffs_csv,
     make_constraint,
+    newton_onto_constraint,
 )
 from .ddw import (
     min_check_tuples,
@@ -50,7 +51,6 @@ from .ddw import (
 from .exceptions import (
     ConfigError,
     DriftError,
-    EvaluationError,
     IntegrationError,
     InvalidArgumentError,
     NhfieldsError,
@@ -284,15 +284,10 @@ def sample_constraint_point(model, spec, rng) -> JetPoint:
         v = rng.uniform(-1.0, 1.0, (dims.m, dims.nx))
     if spec is None:
         return JetPoint(x, y, v)
-    for _ in range(50):
-        p = JetPoint(x, y, v)
-        phi = spec.values(p)
-        if np.max(np.abs(phi)) < 1e-12:
-            return p
-        dphidv = spec.dphidv_arrays(p.x, p.y, p.v)
-        J = dphidv.reshape(spec.k, -1)
-        v = v - (np.linalg.pinv(J) @ phi).reshape(dims.m, dims.nx)
-    raise NhfieldsError("Newton projection onto the constraint set failed")
+    v, converged = newton_onto_constraint(spec, x, y, v, slice(None), 1e-12, 50)
+    if not converged:
+        raise NhfieldsError("Newton projection onto the constraint set failed")
+    return JetPoint(x, y, v)
 
 
 def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
@@ -444,23 +439,13 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
         return CauchyState(0.0, y, "pde", ydot=ydot)
     v1 = grid_derivative(y, (N,), 0, cfg["derivative"])
     vi = v1[..., None]
+    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
     if spec is not None:
         # start on the constraint set: solve phi = 0 for v0 (Newton from ydot)
-        v0 = ydot.copy()
-        for _ in range(50):
-            state = CauchyState(0.0, y, "fulljet", v0=v0, vi=vi)
-            xj, yj, vj = state.jet_arrays(cfg["derivative"])
-            phi = spec.values_arrays(xj, yj, vj)
-            if not np.isfinite(phi).all():
-                raise EvaluationError("the initial data give non-finite constraint values")
-            if np.max(np.abs(phi)) < 1e-13:
-                break
-            dphidv = spec.dphidv_arrays(xj, yj, vj)
-            grad0 = dphidv[..., :, :, 0]  # d phi / d v0
-            pinv = np.linalg.pinv(grad0)
-            v0 = v0 - np.einsum("...ak,...k->...a", pinv, phi)
-        return CauchyState(0.0, y, "fulljet", v0=v0, vi=vi)
-    return CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
+        xj, yj, vj = state.jet_arrays(cfg["derivative"])
+        vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50)
+        state = dataclasses.replace(state, v0=vj[..., 0])
+    return state
 
 
 def _write_table(path: Path, header: list, blocks):

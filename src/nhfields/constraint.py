@@ -22,11 +22,12 @@ from . import autodiff as ad
 from .exceptions import (
     ConstraintRankError,
     DimensionMismatchError,
+    EvaluationError,
     InvalidArgumentError,
     OffConstraintError,
 )
 from .exterior import Form
-from .jet import Dims, JetPoint, contact_covectors
+from .jet import Dims, JetPoint, contact_covectors, seed_inputs
 
 COEFF_MODES = ("chetaev", "custom")
 
@@ -69,14 +70,10 @@ class ConstraintSpec:
 
     def values_arrays(self, x, y, v) -> np.ndarray:
         """phi_alpha over coordinate arrays; returns (..., k)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        xs = [x[..., t] for t in range(self.dims.nx)]
-        ys = [y[..., a] for a in range(self.dims.m)]
-        vs = [[v[..., a, mu] for mu in range(self.dims.nx)] for a in range(self.dims.m)]
+        args = seed_inputs(None, np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                           np.asarray(v, dtype=float), self.dims)
         return np.stack(
-            [np.asarray(f(xs, ys, vs), dtype=float) for f in self.funcs], axis=-1
+            [np.asarray(f(*args), dtype=float) for f in self.funcs], axis=-1
         )
 
     def values(self, p: JetPoint) -> np.ndarray:
@@ -87,17 +84,11 @@ class ConstraintSpec:
         rows (..., k, N) in the tangent layout."""
         dims = self.dims
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        xs = [ad.Dual.seed(x[..., t], dims.N, dims.ix(t)) for t in range(dims.nx)]
-        ys = [ad.Dual.seed(y[..., a], dims.N, dims.iy(a)) for a in range(dims.m)]
-        vs = [
-            [ad.Dual.seed(v[..., a, mu], dims.N, dims.iv(a, mu)) for mu in range(dims.nx)]
-            for a in range(dims.m)
-        ]
+        args = seed_inputs(ad.Dual, x, np.asarray(y, dtype=float),
+                           np.asarray(v, dtype=float), dims, range(dims.N))
         grads = []
         for f in self.funcs:
-            out = f(xs, ys, vs)
+            out = f(*args)
             if not isinstance(out, ad.Dual):
                 out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], dims.N)
             grads.append(out.grad)
@@ -186,6 +177,25 @@ def coefficient_arrays(spec: ConstraintSpec, x, y, v, dphidv) -> np.ndarray:
     raise DimensionMismatchError(
         f"custom coefficients shape {C.shape}, expected trailing axes {expected}"
     )
+
+
+def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iters: int):
+    """Minimum-norm Newton steps onto phi = 0 (Hairer, Lubich & Wanner, §IV.4)
+    in the jet columns ``cols`` of the batched v (..., m, n+1), x and y fixed,
+    until max|phi| < tol, for at most ``iters`` steps; returns the new v and
+    whether the tolerance was met.  Non-finite phi raises EvaluationError."""
+    v = np.array(v, dtype=float)
+    for _ in range(iters):
+        phi = spec.values_arrays(x, y, v)
+        if not np.isfinite(phi).all():
+            raise EvaluationError("non-finite constraint values in the Newton projection")
+        if np.max(np.abs(phi)) < tol:
+            return v, True
+        J = spec.dphidv_arrays(x, y, v)[..., cols]  # (..., k, m, c)
+        pinv = np.linalg.pinv(J.reshape(J.shape[:-2] + (-1,)))
+        delta = np.einsum("...ij,...j->...i", pinv, phi)
+        v[..., cols] -= delta.reshape(J.shape[:-3] + J.shape[-2:])
+    return v, False
 
 
 def chetaev_coefficients(spec: ConstraintSpec, p: JetPoint) -> np.ndarray:

@@ -27,7 +27,7 @@ from .exceptions import (
     InternalConsistencyError,
     InvalidArgumentError,
 )
-from .jet import _STENCILS, Dims, JetPoint
+from .jet import Dims, JetPoint, periodic_derivative
 from .lagrangian import LagrangianModel, derivative_bundle
 from .projector import solve_zeta
 
@@ -159,29 +159,9 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
 # the constraint is a null Lagrangian: its cofactor rows are divergence
 # free on jet data of sections, and it is itself a total divergence
 
-def _patch_derivative(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order interior first derivative on a non-periodic grid patch.
-
-    Only values at points with a full stencil neighborhood are meaningful;
-    callers must trim two layers per differentiated axis.
-    """
-    w = _STENCILS[4]
-    r = len(w) // 2
-    out = np.zeros_like(arr)
-    sl_out = [slice(None)] * arr.ndim
-    sl_out[axis] = slice(r, arr.shape[axis] - r)
-    acc = np.zeros_like(arr[tuple(sl_out)])
-    for s, c in zip(range(-r, r + 1), w):
-        if c != 0.0:
-            sl = [slice(None)] * arr.ndim
-            sl[axis] = slice(r + s, arr.shape[axis] - r + s)
-            acc += c * arr[tuple(sl)]
-    out[tuple(sl_out)] = acc / h
-    return out
-
-
 def _interior(arr: np.ndarray, axes, r: int = 2) -> np.ndarray:
-    """Trim the stencil margin along the differentiated axes only."""
+    """Trim the stencil margin along the differentiated axes only: there
+    the periodic stencil wraps around the patch, which is not periodic."""
     sl = [slice(None)] * arr.ndim
     for ax in axes:
         if arr.shape[ax] <= 2 * r:
@@ -226,7 +206,7 @@ def null_lagrangian_residual(section, shape=(16, 16, 16, 16),
     K = J[..., None, None] * np.swapaxes(np.linalg.inv(vsp), -1, -2)
     div = np.zeros(shape + (3,))
     for i in range(3):
-        div += _patch_derivative(K[..., :, i], axis=1 + i, h=spacings[1 + i])
+        div += periodic_derivative(K[..., :, i], spacings[1 + i], axis=1 + i, order=4)
     return float(np.max(np.abs(_interior(div, (1, 2, 3)))))
 
 
@@ -251,6 +231,6 @@ def psi_divergence_residual(section, shape=(8, 8, 8, 8),
     ) / 3.0
     div = np.zeros(shape)
     for i in range(3):
-        div += _patch_derivative(psi[..., i], axis=1 + i, h=spacings[1 + i])
+        div += periodic_derivative(psi[..., i], spacings[1 + i], axis=1 + i, order=4)
     phi = J - 1.0
     return float(np.max(np.abs(_interior(phi - div, (1, 2, 3)))))

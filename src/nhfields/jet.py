@@ -54,6 +54,24 @@ class Dims:
         return self.nx + self.m + a * self.nx + mu
 
 
+def seed_inputs(cls, x, y, v, dims: Dims, active=()):
+    """The generic-scalar arguments (xs, ys, vs) of a function of the jet,
+    as lists over the coordinate arrays x (..., n+1), y (..., m) and
+    v (..., m, n+1): the jet directions listed in ``active`` become the dual
+    directions 0..d-1 of ``cls`` in that order, the others plain arrays."""
+    slot = {int(i): k for k, i in enumerate(active)}
+    d = len(slot)
+
+    def lift(arr, i):
+        return arr if i not in slot else cls.seed(arr, d, slot[i])
+
+    xs = [lift(x[..., t], dims.ix(t)) for t in range(dims.nx)]
+    ys = [lift(y[..., a], dims.iy(a)) for a in range(dims.m)]
+    vs = [[lift(v[..., a, mu], dims.iv(a, mu)) for mu in range(dims.nx)]
+          for a in range(dims.m)]
+    return xs, ys, vs
+
+
 @dataclass(frozen=True)
 class JetPoint:
     """A point of the first jet bundle: x (n+1,), y (m,), v (m, n+1)."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .exceptions import DimensionMismatchError, EvaluationError, InvalidArgumentError
 from .exterior import Form
-from .jet import Dims, JetPoint, contact_covectors
+from .jet import Dims, JetPoint, contact_covectors, seed_inputs
 
 
 # Hessian bytes per temporary in one chunk of the derivative bundle: below
@@ -69,7 +69,7 @@ class LagrangianModel:
         x, y = pts[:, : dims.nx], pts[:, dims.nx : dims.nx + dims.m]
         v = pts[:, dims.nx + dims.m :].reshape(_PROBE_POINTS, dims.m, dims.nx)
         with np.errstate(all="ignore"):  # a NaN entry counts as nonzero
-            out = self.fn(*_seed_inputs(ad.Dual, x, y, v, dims, range(dims.N)))
+            out = self.fn(*seed_inputs(ad.Dual, x, y, v, dims, range(dims.N)))
         if not isinstance(out, ad.Dual):
             raise EvaluationError(f"model {self.name!r} did not stay in dual arithmetic")
         active = np.flatnonzero((out.grad != 0).reshape(-1, dims.N).any(axis=0))
@@ -101,22 +101,6 @@ class DerivativeBundle:
         return Dims(nx - 1, m)
 
 
-def _seed_inputs(cls, x, y, v, dims: Dims, active):
-    """The model's x, y and v inputs: the jet directions listed in ``active``
-    become the dual directions 0..d-1 in that order, the others plain arrays."""
-    slot = {int(i): k for k, i in enumerate(active)}
-    d = len(slot)
-
-    def lift(arr, i):
-        return arr if i not in slot else cls.seed(arr, d, slot[i])
-
-    xs = [lift(x[..., t], dims.ix(t)) for t in range(dims.nx)]
-    ys = [lift(y[..., a], dims.iy(a)) for a in range(dims.m)]
-    vs = [[lift(v[..., a, mu], dims.iv(a, mu)) for mu in range(dims.nx)]
-          for a in range(dims.m)]
-    return xs, ys, vs
-
-
 def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundle:
     """Derivative bundle over arrays of jet coordinates (batched).
 
@@ -143,7 +127,7 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     step = max(1, _CHUNK_BYTES // (8 * d * d))
     for lo in range(0, B, step):
         s = slice(lo, lo + step)
-        out = model.fn(*_seed_inputs(ad.Dual2, x[s], y[s], v[s], dims, act))
+        out = model.fn(*seed_inputs(ad.Dual2, x[s], y[s], v[s], dims, act))
         if not isinstance(out, ad.Dual2):
             raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
         L[s] = out.val
@@ -181,8 +165,8 @@ def first_derivatives_arrays(model: LagrangianModel, x, y, v):
     same seeding as :func:`derivative_bundle_arrays`."""
     dims = model.dims
     act = model.active_inputs
-    out = model.fn(*_seed_inputs(ad.Dual, np.asarray(x, float), np.asarray(y, float),
-                                 np.asarray(v, float), dims, act))
+    out = model.fn(*seed_inputs(ad.Dual, np.asarray(x, float), np.asarray(y, float),
+                                np.asarray(v, float), dims, act))
     m, nx = dims.m, dims.nx
     batch = out.val.shape
     grad = np.zeros(batch + (dims.N,))
