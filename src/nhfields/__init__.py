@@ -24,7 +24,6 @@ from .constraint import (
 )
 from .ddw import (
     DdwSolution,
-    MultiplierField,
     el_residual,
     nh_ddw_residual,
     nh_field_residual,

@@ -40,7 +40,12 @@ from .lagrangian import (
     hessian_flat,
     omega_eval_batch,
 )
-from .projector import multiplier_matrix, project_lifts, solve_zeta_flat
+from .projector import (
+    compatibility_matrix,
+    multiplier_matrix,
+    project_lifts,
+    solve_zeta_flat,
+)
 
 DERIVATIVES = ("spectral", "fd4")
 MODES = ("pde", "fulljet")
@@ -277,9 +282,9 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
         dphidv = jet_block(dphi, m, nx)
         C = coefficient_arrays(spec, x, y, v, dphidv)
         zeta = solve_zeta_flat(hessian_flat(bundle), C)
+        Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
         # the time-horizontal lift H_0: Gamma^b_0 = v^b_0 and the solved block
-        Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi,
-                                  multiplier_matrix(zeta, dphidv), zeta)
+        Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi, Lam, zeta)
         Gt = Gamma2[..., :, 0, :]
 
     dx = np.zeros(G + (nx,))

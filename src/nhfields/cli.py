@@ -126,9 +126,10 @@ def _finite(val) -> bool:
         return False
 
 
-def _integer(low: int):
-    return (f"an integer >= {low}",
-            lambda val: isinstance(val, int) and not isinstance(val, bool) and val >= low)
+def _integer(low: int, high: int | None = None):
+    return (f"an integer >= {low}" + ("" if high is None else f" and <= {high}"),
+            lambda val: (isinstance(val, int) and not isinstance(val, bool) and val >= low
+                         and (high is None or val <= high)))
 
 
 def _one_of(names, fold=str):
@@ -142,12 +143,18 @@ NUMBER = ("a finite number", _finite)
 POSITIVE = ("a finite number > 0", lambda val: _finite(val) and val > 0)
 STRING = ("a string", lambda val: isinstance(val, str))
 PARAMS = ({"*": (NUMBER, None)}, {})
+# upper bounds of the size keys, so that a size no run could allocate exits 2
+# before anything is made; the grid's bound is on its nu^n points
+MAX_POINTS = MAX_TUPLES = 10_000
+MAX_GRID_POINTS = 2**18
+GRID_NU = (f"an integer >= 1 with nu^n <= {MAX_GRID_POINTS} grid points",
+           _integer(1, MAX_GRID_POINTS)[1])
 
 CONFIG_TABLE = {
     "task": (_one_of(TASKS), "verify"),
     "seed": (_integer(0), 1),
-    "points": (_integer(1), 50),
-    "tuples": (_integer(1), 50),
+    "points": (_integer(1, MAX_POINTS), 50),
+    "tuples": (_integer(1, MAX_TUPLES), 50),
     "model": ({"name": (_one_of(MODELS), "wave"), "params": PARAMS}, {}),
     # null, the default, is the free problem
     "constraint": ({
@@ -156,7 +163,7 @@ CONFIG_TABLE = {
         "mode": (_one_of(COEFF_MODES), "chetaev"),
         "coeffs_csv": (STRING, ""),
     }, None),
-    "grid": ({"nu": (_integer(1), 64)}, {}),
+    "grid": ({"nu": (GRID_NU, 64)}, {}),
     "dt": (POSITIVE, 1e-3),
     "steps": (_integer(0), 1000),
     "integrator": (_one_of(INTEGRATORS, str.lower), "rk4"),
@@ -308,7 +315,7 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
     out["compatible"] = comp["compatible"]
     if not comp["compatible"]:
         return out
-    pp = build_projectors(zb, cp, tol=tols["projector"])
+    pp = build_projectors(zb, cp, tol=tols["projector"], comp=comp)
     N = pp.P.shape[0]
     out["projector_residual"] = float(
         max(
@@ -417,6 +424,14 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
     init = cfg["initial"]
     dims = model.dims
     N = cfg["grid"]["nu"]
+    if model.name != "fluid" and dims.n != 1:
+        raise ConfigError(
+            f"model must be the fluid or have n = 1 for the evolve task, which has "
+            f"initial data for those alone; got {model.name} with n = {dims.n}"
+        )
+    if N ** dims.n > MAX_GRID_POINTS:
+        raise ConfigError(f"grid.nu must be {GRID_NU[0]}, got {N}, which gives "
+                          f"{N ** dims.n} points for n = {dims.n}")
     u = np.arange(N) / N
     amp = init["amplitude"]
     if model.name == "fluid":
@@ -428,11 +443,6 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
         v0 = np.zeros((N, N, N, 3))
         v0[..., 0] = init["velocity"] * np.sin(2 * np.pi * U[2])
         return CauchyState(0.0, disp, "fulljet", v0=v0, vi=vi, y_offset="identity")
-    if dims.n != 1:
-        raise ConfigError(
-            f"model must be the fluid or have n = 1 for the evolve task, which has "
-            f"initial data for those alone; got {model.name} with n = {dims.n}"
-        )
     y = amp * np.sin(2 * np.pi * (init["mode"] % N) * u)[:, None] * np.ones(dims.m)
     ydot = init["velocity"] * np.ones((N, dims.m))
     if (cfg["mode"] if spec is None else "fulljet") == "pde":

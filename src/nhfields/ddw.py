@@ -40,23 +40,13 @@ _SOLVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MultiplierField:
-    """Multipliers lambda^alpha_mu of the constrained problem, shape (k, n+1)."""
-
-    lam: np.ndarray
-
-    @staticmethod
-    def zeros(k: int, nx: int) -> "MultiplierField":
-        return MultiplierField(np.zeros((k, nx)))
-
-
-@dataclass(frozen=True)
 class DdwSolution:
-    """Connection coefficients with the multipliers of the constrained
-    problem (none for the free one); ``nh_ddw_residual`` checks them."""
+    """Connection coefficients with the multipliers lambda^alpha_mu (k, n+1)
+    of the constrained problem (k = 0 for the free one); ``nh_ddw_residual``
+    checks them."""
 
     coeffs: ConnectionCoeffs
-    multipliers: MultiplierField
+    multipliers: np.ndarray
 
 
 def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
@@ -110,7 +100,7 @@ def solve_free_ddw(bundle: DerivativeBundle, v: np.ndarray,
         fixed_spatial = _pinned_block(fixed_spatial, m, nx)
         temporal = solve_temporal_block(bundle, v, fixed_spatial)
         Gamma2 = np.concatenate([temporal[:, None, :], fixed_spatial], axis=1)
-    return DdwSolution(ConnectionCoeffs(v.copy(), Gamma2), MultiplierField.zeros(0, nx))
+    return DdwSolution(ConnectionCoeffs(v.copy(), Gamma2), np.zeros((0, nx)))
 
 
 def _pinned_block(fixed_spatial, m: int, nx: int) -> np.ndarray:
@@ -169,15 +159,7 @@ def project_connection(free: DdwSolution, pp: ProjectorPair,
     """
     Gamma2, lam = project_lifts(free.coeffs.Gamma, free.coeffs.Gamma2, pp.dphi,
                                 pp.Lam, zb.zeta)
-    return DdwSolution(ConnectionCoeffs(free.coeffs.Gamma.copy(), Gamma2),
-                       MultiplierField(lam))
-
-
-def _tangency(coeffs: ConnectionCoeffs, dphi: np.ndarray) -> float:
-    """max |dphi_alpha(H_mu)| over the horizontal lifts of the connection."""
-    nx = coeffs.Gamma.shape[1]
-    Hstack = np.stack([coeffs.horizontal_lift(mu).components for mu in range(nx)])
-    return float(np.max(np.abs(dphi @ Hstack.T), initial=0.0))
+    return DdwSolution(ConnectionCoeffs(free.coeffs.Gamma.copy(), Gamma2), lam)
 
 
 def solve_constrained_ddw(bundle: DerivativeBundle, cp: ConstraintPoint,
@@ -209,29 +191,18 @@ def solve_constrained_ddw(bundle: DerivativeBundle, cp: ConstraintPoint,
     A_ddw = np.einsum("btan->abtn", H[:, :L]).reshape(m, n_gamma)
     rhs_extra = np.einsum("bian,bin->a", H[:, L:], pinned)
 
-    n_lam = k * nx
-    rows = []
-    rhs = []
-    # form equations: Gamma2-part + lambda^alpha_tau C[alpha, tau, a] = R_a
-    for a in range(m):
-        lam_row = np.zeros((k, nx))
-        lam_row[:, :] = C[:, :, a]
-        rows.append(np.concatenate([A_ddw[a], lam_row.reshape(n_lam)]))
-        rhs.append(R[a] - rhs_extra[a])
-    # tangency equations
-    for alpha in range(k):
-        for mu in range(L):
-            tang_row = np.zeros((m, L, nx))
-            tang_row[:, mu, :] = dphidv[alpha]
-            rows.append(np.concatenate([tang_row.reshape(n_gamma), np.zeros(n_lam)]))
-            rhs.append(-dphidx[alpha, mu] - float(p.v[:, mu] @ dphidy[alpha]))
-    A = np.asarray(rows)
-    b = np.asarray(rhs)
+    # tangency rows (alpha, mu) for mu < L: dphi_alpha/dv on the block of mu
+    tang = np.zeros((k, L, m, L, nx))
+    tang[:, range(L), :, range(L)] = dphidv
+    # the form equations, Gamma2-part + lambda^alpha_tau C[alpha, tau, a] = R_a,
+    # over the tangency equations H_mu(phi_alpha) = 0
+    A = np.block([[A_ddw, C.reshape(k * nx, m).T],
+                  [tang.reshape(k * L, n_gamma), np.zeros((k * L, k * nx))]])
+    b = np.concatenate([R - rhs_extra, (-dphidx[:, :L] - dphidy @ p.v[:, :L]).reshape(-1)])
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     _check_solution(A, sol, b, "constrained system")
     Gamma2 = np.concatenate([sol[:n_gamma].reshape(m, L, nx), pinned], axis=1)
-    return DdwSolution(ConnectionCoeffs(p.v.copy(), Gamma2),
-                       MultiplierField(sol[n_gamma:].reshape(k, nx)))
+    return DdwSolution(ConnectionCoeffs(p.v.copy(), Gamma2), sol[n_gamma:].reshape(k, nx))
 
 
 def min_check_tuples(k: int, nx: int) -> int:
@@ -274,15 +245,17 @@ def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
     form_residual = float(np.max(np.abs(b - M @ lam_fit), initial=0.0))
     out = {
         "form_residual": form_residual,
-        "tangency_residual": _tangency(sol.coeffs, cp.dphi),
-        "lam_fit": MultiplierField(lam_fit.reshape(cp.k, nx)),
+        # dphi_alpha(H_mu) over the horizontal lifts, the x-columns of hmat
+        "tangency_residual": float(np.max(np.abs(cp.dphi @ hmat[:, :nx]),
+                                          initial=0.0)),
+        "lam_fit": lam_fit.reshape(cp.k, nx),
     }
     # multipliers are determined only modulo the kernel of the wedge map
     # lambda -> lambda dx^Phi (nontrivial already for n = 1), so the match
     # against the solution's own multipliers is reported at form level
-    if sol.multipliers.lam.size == lam_fit.size:
+    if sol.multipliers.size == lam_fit.size:
         out["lam_gap"] = float(
-            np.max(np.abs(M @ (sol.multipliers.lam.reshape(-1) - lam_fit)),
+            np.max(np.abs(M @ (sol.multipliers.reshape(-1) - lam_fit)),
                    initial=0.0)
         )
     return out
@@ -314,7 +287,7 @@ def nh_field_residual(model: LagrangianModel, spec: ConstraintSpec,
     Cmat = C.reshape(spec.k * spec.dims.nx, spec.dims.m).T  # (m, k(n+1))
     lam_flat, *_ = np.linalg.lstsq(Cmat, E, rcond=None)
     return {
-        "lam_fit": MultiplierField(lam_flat.reshape(spec.k, spec.dims.nx)),
+        "lam_fit": lam_flat.reshape(spec.k, spec.dims.nx),
         "residual": E - Cmat @ lam_flat,
         "constraint_vals": spec.values(q.point),
     }

@@ -80,6 +80,8 @@ def solve_zeta_flat(H_flat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         sol = np.linalg.solve(H_flat, np.swapaxes(rhs, -1, -2))
     except np.linalg.LinAlgError as exc:
         raise RegularityError(f"Hessian is singular in the zeta solve: {exc}") from exc
+    if not np.isfinite(sol).all():
+        raise RegularityError("Hessian is singular in the zeta solve: non-finite solution")
     return np.swapaxes(sol, -1, -2).reshape(coeffs.shape[:-3] + (k, m, nx))
 
 
@@ -127,10 +129,9 @@ def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
     return {"mmat": mmat, "det": np.linalg.det(mmat), "compatible": compatible}
 
 
-def multiplier_matrix(zeta: np.ndarray, dphidv: np.ndarray) -> np.ndarray:
-    """Lam = inv(mmat)^T (batched) at points that pass the compatibility
-    test; raises CompatibilityError naming the first point that fails."""
-    comp = compatibility_matrix(zeta, dphidv)
+def multiplier_matrix(comp: dict) -> np.ndarray:
+    """Lam = inv(mmat)^T (batched) from a ``compatibility_matrix`` result;
+    raises CompatibilityError naming the first point that fails its test."""
     bad = ~comp["compatible"]
     if np.any(bad):
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
@@ -164,16 +165,20 @@ def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
     return Gamma2 - np.einsum("...ku,...kan->...aun", lam, zeta), lam
 
 
-def build_projectors(zb: ZetaBasis, cp: ConstraintPoint,
-                     tol: float = 1e-9) -> ProjectorPair:
+def build_projectors(zb: ZetaBasis, cp: ConstraintPoint, tol: float = 1e-9,
+                     comp: dict | None = None) -> ProjectorPair:
     """Nonholonomic projector pair at an on-constraint compatible point.
 
     Q = zeta_alpha Lam^{alpha beta} dphi_beta with Lam = inv(mmat)^T, fixed
     by Q(zeta_gamma) = zeta_gamma; P = I - Q.  TC is the kernel of the full
-    differentials dphi (x-, y- and v-blocks included).  All projector
-    invariants are verified before returning.
+    differentials dphi (x-, y- and v-blocks included).  ``comp`` is the
+    ``compatibility_matrix`` verdict at the point, computed at its default
+    tolerance when not given.  All projector invariants are verified before
+    returning.
     """
-    Lam = multiplier_matrix(zb.zeta, cp.dphidv)
+    if comp is None:
+        comp = compatibility_matrix(zb.zeta, cp.dphidv)
+    Lam = multiplier_matrix(comp)
     Z = zb.dense()  # (k, N)
     dphi = cp.dphi  # (k, N)
     Q = Z.T @ Lam @ dphi

@@ -251,7 +251,7 @@ def test_criterion_07_nonholonomic_field_equations():
         np.array([[[8.0, 4.0], [4.0, 2.0]]]),
     )
     out = nh_field_residual(WAVE, WAVE_SPEC, q)
-    lam_err = np.abs(out["lam_fit"].lam - [[6.0 / 5.0, -12.0 / 5.0]]).max()
+    lam_err = np.abs(out["lam_fit"] - [[6.0 / 5.0, -12.0 / 5.0]]).max()
     resid = np.abs(out["residual"]).max()
     phi = np.abs(out["constraint_vals"]).max()
     ok = lam_err < 1e-9 and resid < 1e-9 and phi < 1e-12

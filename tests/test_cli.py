@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nhfields.cli import CONFIG_TABLE, dumps_report, load_config, main
+from nhfields.cli import (
+    CONFIG_TABLE,
+    MAX_GRID_POINTS,
+    MAX_POINTS,
+    MAX_TUPLES,
+    dumps_report,
+    load_config,
+    main,
+)
 from nhfields.exceptions import ConfigError
 
 
@@ -162,6 +170,11 @@ def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
     assert "grid.nu" in capsys.readouterr().err
 
 
+# the smallest fluid grid (nu^3 points) beyond the grid bound
+_FLUID_NU_BEYOND = round(MAX_GRID_POINTS ** (1 / 3)) + 1
+assert (_FLUID_NU_BEYOND - 1) ** 3 <= MAX_GRID_POINTS < _FLUID_NU_BEYOND ** 3
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"task": "evolve", "grid": {"nu": "x"}}, "grid.nu"),
     ({"task": "evolve", "grid": {"nu": 0}}, "grid.nu"),
@@ -200,6 +213,15 @@ def test_fd4_on_a_grid_below_the_stencil_exits_2(tmp_path, capsys):
     ({"task": "evolve", "initial": {"amplitude": 10**400}}, "initial.amplitude"),
     ({"constraint": {"name": "linear-transport", "params": {"speed": -10**400}}},
      "constraint.params.speed"),
+    # sizes beyond their bounds, which are checked before anything is allocated
+    ({"task": "evolve", "grid": {"nu": 10**400}}, "grid.nu"),
+    ({"task": "evolve", "grid": {"nu": MAX_GRID_POINTS + 1}}, "grid.nu"),
+    ({"task": "evolve", "model": {"name": "fluid"}, "constraint": {"name": "incompressibility"},
+      "grid": {"nu": _FLUID_NU_BEYOND}}, "grid.nu"),
+    ({"points": 10**400}, "points"),
+    ({"points": MAX_POINTS + 1}, "points"),
+    ({"tuples": 10**400}, "tuples"),
+    ({"tuples": MAX_TUPLES + 1}, "tuples"),
 ])
 def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
@@ -274,6 +296,19 @@ def test_initial_data_beyond_the_float_range_exits_1(tmp_path, capsys):
                         initial={"amplitude": 1e308})
     assert main(["--config", str(path)]) == 1
     assert "non-finite constraint values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, failure", [
+    ({"points": 1}, "verify FAILED: RegularityError at point 0"),
+    ({"task": "evolve", "grid": {"nu": 4}, "steps": 1}, "error: RegularityError"),
+])
+def test_a_non_finite_zeta_exits_1_with_a_regularity_error(tmp_path, capsys, overrides,
+                                                            failure):
+    # a density of 1e-308 leaves a Hessian whose zeta solve is not finite
+    path = write_config(tmp_path, model={"name": "fluid", "params": {"rho": 1e-308}},
+                        constraint={"name": "incompressibility"}, **overrides)
+    assert main(["--config", str(path)]) == 1
+    assert failure in capsys.readouterr().err
 
 
 def test_fluid_defaults_fill_a_fluid_evolve_config(tmp_path):
@@ -426,6 +461,29 @@ def test_zeta_check_draws_the_configured_tuples(tmp_path, monkeypatch):
     assert seen == [7, 7]
 
 
+def test_verify_tests_compatibility_once_per_point_at_the_configured_tolerance(
+        tmp_path, monkeypatch):
+    import inspect
+
+    from nhfields import cli, projector
+
+    seen = []
+    real = projector.compatibility_matrix
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["tol"])
+        return real(*args, **kwargs)
+
+    # the projector module's own calls (build_projectors) are seen too
+    monkeypatch.setattr(cli, "compatibility_matrix", spy)
+    monkeypatch.setattr(projector, "compatibility_matrix", spy)
+    path = write_config(tmp_path, points=3, tolerances={"compatibility": 1e-9})
+    assert main(["--config", str(path)]) == 0
+    assert seen == [1e-9] * 3
+
+
 @pytest.mark.parametrize("tolerances, failure", [
     # the sampled points sit within about 1e-17 of the constraint set
     ({"on_constraint": 1e-300}, "OffConstraintError at point 0"),
@@ -518,8 +576,11 @@ def test_readme_config_table_names_every_key():
     assert rows == [f"`{key}`" for key in _dotted_keys(CONFIG_TABLE)]
 
 
-# keys whose integer values set the size of a run
+# keys whose integer values set the size of a run, and the first value
+# beyond the bound of those that have one
 _SIZE_KEYS = {"points", "steps", "tuples", "grid.nu"}
+_BEYOND = {"points": MAX_POINTS + 1, "tuples": MAX_TUPLES + 1,
+           "grid.nu": MAX_GRID_POINTS + 1}
 
 _FUZZ_BASE = {
     "model": {"name": "wave"},
@@ -541,6 +602,8 @@ def _fuzzed_configs(draw):
     key = draw(st.sampled_from(keys))
     if key in _SIZE_KEYS:
         ints = st.integers(-2, 12)
+        if key in _BEYOND:
+            ints = st.one_of(ints, st.sampled_from([_BEYOND[key], 10**400]))
     else:
         ints = st.one_of(st.integers(), st.sampled_from([2**64, -(2**64) - 1, 10**400]))
     cfg = json.loads(json.dumps(_FUZZ_BASE))

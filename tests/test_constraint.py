@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nhfields.cauchy import CauchyState
 from nhfields.constraint import (
     ConstraintSpec,
     chetaev_coefficients,
@@ -11,11 +12,14 @@ from nhfields.constraint import (
     constraint_rank_check,
     load_custom_coeffs_csv,
     make_constraint,
+    newton_onto_constraint,
     phi_eval_batch,
 )
 from nhfields.exceptions import (
     ConstraintRankError,
+    EvaluationError,
     InvalidArgumentError,
+    NhfieldsError,
     OffConstraintError,
 )
 from nhfields.exterior import TangentVector
@@ -182,3 +186,69 @@ def test_custom_coeffs_csv(tmp_path):
     assert np.allclose(C[:, :, 0], [[1.0, -2.0]])
     with pytest.raises(InvalidArgumentError):
         load_custom_coeffs_csv(path, Dims(1, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the Newton projection onto the constraint set
+
+
+def _bent_transport():
+    """phi = v0 - 2 v1 - 0.5 v1^2, nonlinear in the spatial jet."""
+    return ConstraintSpec(Dims(1, 1, 1),
+                          [lambda x, y, v: v[0][0] - 2.0 * v[0][1] - 0.5 * v[0][1] * v[0][1]])
+
+
+def _wave_grid_jet(rng, N=16):
+    u = np.arange(N) / N
+    x = np.stack([np.zeros(N), u], axis=-1)
+    y = np.sin(2 * np.pi * u)[:, None]
+    v = rng.uniform(-1.0, 1.0, (N, 1, 2))
+    return x, y, v
+
+
+@pytest.mark.parametrize("cols", [slice(0, 1), slice(1, 2), slice(None)])
+def test_newton_puts_a_wave_grid_on_the_constraint_set_moving_only_its_columns(cols):
+    spec = _bent_transport()
+    x, y, v = _wave_grid_jet(np.random.default_rng(3))
+    out, converged = newton_onto_constraint(spec, x, y, v, cols, 1e-12, 50)
+    assert converged
+    assert np.max(np.abs(spec.values_arrays(x, y, out))) < 1e-12
+    fixed = np.ones(2, dtype=bool)
+    fixed[cols] = False
+    assert np.array_equal(out[..., fixed], v[..., fixed])
+    assert not np.array_equal(out, v)
+
+
+def test_newton_puts_a_fluid_grid_on_the_constraint_set_moving_only_its_columns():
+    spec = make_constraint("incompressibility")
+    rng = np.random.default_rng(5)
+    G = (4, 4, 4)
+    state = CauchyState(0.0, rng.uniform(-0.01, 0.01, G + (3,)), "fulljet",
+                        v0=rng.uniform(-0.1, 0.1, G + (3,)),
+                        vi=np.eye(3) + rng.uniform(-0.05, 0.05, G + (3, 3)),
+                        y_offset="identity")
+    x, y, v = state.jet_arrays()
+    assert np.max(np.abs(spec.values_arrays(x, y, v))) > 1e-3
+    out, converged = newton_onto_constraint(spec, x, y, v, slice(1, None), 1e-12, 50)
+    assert converged
+    assert np.max(np.abs(spec.values_arrays(x, y, out))) < 1e-12
+    assert np.array_equal(out[..., 0], v[..., 0])
+
+
+def test_newton_without_a_real_root_does_not_converge():
+    from nhfields.cli import sample_constraint_point
+    from nhfields.lagrangian import make_model
+
+    spec = ConstraintSpec(Dims(1, 1, 1), [lambda x, y, v: v[0][0] * v[0][0] + 1.0])
+    x, y, v = _wave_grid_jet(np.random.default_rng(4))
+    out, converged = newton_onto_constraint(spec, x, y, v, slice(None), 1e-12, 50)
+    assert not converged and np.isfinite(out).all()
+    with pytest.raises(NhfieldsError, match="Newton projection onto the constraint set failed"):
+        sample_constraint_point(make_model("wave"), spec, np.random.default_rng(4))
+
+
+def test_newton_on_non_finite_constraint_values_raises():
+    x, y, v = _wave_grid_jet(np.random.default_rng(6))
+    v[3, 0, 1] = np.inf
+    with pytest.raises(EvaluationError, match="non-finite constraint values"):
+        newton_onto_constraint(_bent_transport(), x, y, v, slice(0, 1), 1e-12, 50)
