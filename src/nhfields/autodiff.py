@@ -1,16 +1,21 @@
 """Forward-mode automatic differentiation carrying gradient and Hessian.
 
 ``Dual`` propagates a value and its gradient with respect to d seed
-directions; ``Dual2`` additionally propagates the full (d, d) Hessian, which
-is the collapsed form of nesting first-order duals.  Values may be scalars
-or numpy arrays of any batch shape S: grads have shape S+(d,) and Hessians
-S+(d, d), so whole grids differentiate in one sweep.
+directions: values may be scalars or numpy arrays of any batch shape S, and
+grads have shape S+(d,), so whole grids differentiate in one sweep.
+``Dual2`` additionally propagates the Hessian, the collapsed form of nesting
+first-order duals, and tracks its support: the sorted tuple ``idx`` of the
+s seed directions the value depends on, with the grad of shape S+(s,) and
+the Hessian S+(s, s).  ``Dual2.dense(d)`` reads them back over all d
+directions.
 
 Lagrangians and constraints are written against the generic helpers here
 (sin, cos, exp, ... , det) so the same code runs on floats and on duals.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -85,49 +90,120 @@ class Dual:
         return f"Dual(val={self.val!r})"
 
 
-class Dual2:
-    """Second-order forward value: f, gradient, and Hessian."""
+@functools.cache
+def _placement(sub: tuple, sup: tuple):
+    """Where the directions of support ``sub`` sit inside support ``sup``:
+    None (the same support), a slice (a contiguous run), or the positions
+    with their flat (s*s) Hessian indices."""
+    if sub == sup:
+        return None
+    pos = np.searchsorted(sup, sub).astype(np.intp)
+    if sub and pos[-1] - pos[0] == len(sub) - 1:
+        return slice(int(pos[0]), int(pos[-1]) + 1)
+    return pos, (pos[:, None] * len(sup) + pos).ravel()
 
-    __slots__ = ("val", "grad", "hess")
+
+@functools.cache
+def _union(a: tuple, b: tuple):
+    """The union of two supports and the placement of each in it."""
+    union = tuple(sorted(set(a) | set(b)))
+    return union, _placement(a, union), _placement(b, union)
+
+
+def _embed(grad, hess, place, s):
+    """grad (..., k) and hess (..., k, k) written into exact zeros of size s
+    at ``place``."""
+    if place is None:
+        return grad, hess
+    g = np.zeros(grad.shape[:-1] + (s,))
+    h = np.zeros(hess.shape[:-2] + (s, s))
+    if isinstance(place, slice):
+        g[..., place] = grad
+        h[..., place, place] = hess
+    else:
+        pos, flat = place
+        g[..., pos] = grad
+        h.reshape(h.shape[:-2] + (s * s,))[..., flat] = hess.reshape(
+            hess.shape[:-2] + (-1,))
+    return g, h
+
+
+def _common(a: Dual2, b: Dual2):
+    """The grads and Hessians of a and b over the union of their supports,
+    and that union."""
+    if a.idx == b.idx:
+        return a.grad, a.hess, b.grad, b.hess, a.idx
+    union, pa, pb = _union(a.idx, b.idx)
+    s = len(union)
+    return (*_embed(a.grad, a.hess, pa, s), *_embed(b.grad, b.hess, pb, s), union)
+
+
+class Dual2:
+    """Second-order forward value: f, gradient, and Hessian over its support.
+
+    ``idx`` is the sorted tuple of seed directions the value depends on;
+    ``grad`` has shape S+(s,) and ``hess`` S+(s, s) with s = len(idx), so a
+    temporary carries only the directions it touches.  A binary operation
+    writes both operands into exact zeros over the union of their supports
+    and applies the dense formulas there.  Every entry therefore has the
+    bits the full (d, d) propagation gives it, except that an exact zero may
+    carry the other sign.  :meth:`dense` reads the result back over all d
+    directions.
+    """
+
+    __slots__ = ("val", "grad", "hess", "idx")
     __array_priority__ = 100
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, val, grad, hess, idx):
         self.val = np.asarray(val, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
+        self.idx = idx
 
     @classmethod
     def seed(cls, values, d, index=None):
+        """Lift values to a Dual2 with support ``(index,)``, or a constant
+        (support ``()``) when no index is given."""
+        if index is None:
+            return cls._constant(values)
         values = np.asarray(values, dtype=float)
-        grad = np.zeros(values.shape + (d,))
-        if index is not None:
-            grad[..., index] = 1.0
-        return cls(values, grad, np.zeros(values.shape + (d, d)))
+        if not 0 <= index < d:
+            raise InvalidArgumentError(f"seed direction {index} is not in 0..{d - 1}")
+        return cls(values, np.ones(values.shape + (1,)),
+                   np.zeros(values.shape + (1, 1)), (int(index),))
 
-    def _lift(self, other):
-        if isinstance(other, Dual2):
-            return other
-        return Dual2(
-            np.asarray(other, dtype=float),
-            np.zeros_like(self.grad),
-            np.zeros_like(self.hess),
-        )
+    @classmethod
+    def _constant(cls, values):
+        values = np.asarray(values, dtype=float)
+        return cls(values, np.zeros(values.shape + (0,)),
+                   np.zeros(values.shape + (0, 0)), ())
+
+    def dense(self, d):
+        """(grad (..., d), hess (..., d, d)) over the seed directions 0..d-1,
+        exact zeros off the support."""
+        return _embed(self.grad, self.hess, _placement(self.idx, tuple(range(d))), d)
 
     def __add__(self, o):
-        o = self._lift(o)
-        return Dual2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(o, Dual2):
+            # + 0.0 turns a -0.0 into 0.0, as adding a lifted zero did
+            return Dual2(self.val + o, self.grad + 0.0, self.hess + 0.0, self.idx)
+        g1, h1, g2, h2, idx = _common(self, o)
+        return Dual2(self.val + o.val, g1 + g2, h1 + h2, idx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual2(-self.val, -self.grad, -self.hess)
+        return Dual2(-self.val, -self.grad, -self.hess, self.idx)
 
     def __sub__(self, o):
-        o = self._lift(o)
-        return Dual2(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
+        if not isinstance(o, Dual2):
+            # g - 0.0 has the bits of g, so the arrays are shared
+            return Dual2(self.val - o, self.grad, self.hess, self.idx)
+        g1, h1, g2, h2, idx = _common(self, o)
+        return Dual2(self.val - o.val, g1 - g2, h1 - h2, idx)
 
     def __rsub__(self, o):
-        return self._lift(o) - self
+        return Dual2(o - self.val, 0.0 - self.grad, 0.0 - self.hess, self.idx)
 
     def __mul__(self, o):
         if not isinstance(o, Dual2):  # cheap scalar/array path
@@ -136,15 +212,19 @@ class Dual2:
                 self.val * o,
                 self.grad * o[..., None],
                 self.hess * o[..., None, None],
+                self.idx,
             )
-        cross = self.grad[..., :, None] * o.grad[..., None, :]
+        g1, h1, g2, h2, idx = _common(self, o)
+        cross = g1[..., :, None] * g2[..., None, :]
+        # in place, but summed in the dense order, so with the dense bits
+        hess = self.val[..., None, None] * h2 + o.val[..., None, None] * h1
+        hess += cross
+        hess += np.swapaxes(cross, -1, -2)
         return Dual2(
             self.val * o.val,
-            self.val[..., None] * o.grad + o.val[..., None] * self.grad,
-            self.val[..., None, None] * o.hess
-            + o.val[..., None, None] * self.hess
-            + cross
-            + np.swapaxes(cross, -1, -2),
+            self.val[..., None] * g2 + o.val[..., None] * g1,
+            hess,
+            idx,
         )
 
     __rmul__ = __mul__
@@ -155,7 +235,7 @@ class Dual2:
         return self * (1.0 / np.asarray(o, dtype=float))
 
     def __rtruediv__(self, o):
-        return self._lift(o) / self
+        return self._constant(o) / self
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
@@ -173,10 +253,11 @@ class Dual2:
             f,
             df[..., None] * self.grad,
             df[..., None, None] * self.hess + d2f[..., None, None] * outer,
+            self.idx,
         )
 
     def __repr__(self):
-        return f"Dual2(val={self.val!r})"
+        return f"Dual2(val={self.val!r}, idx={self.idx!r})"
 
 
 def _chain1(x: Dual, f, df):

@@ -24,11 +24,13 @@ from .exterior import Form
 from .jet import Dims, JetPoint, contact_covectors, seed_inputs
 
 
-# Hessian bytes per temporary in one chunk of the derivative bundle: below
-# glibc's default 128 KiB mmap threshold, so the Dual2 temporaries reuse heap
-# memory instead of mapping fresh, page-faulting memory per operation.  64
-# points at d = 12 active inputs (the fluid).
-_CHUNK_BYTES = 64 * 8 * 12 * 12
+# Bytes of a full d x d Hessian over one chunk of the derivative bundle: 256
+# points at d = 12 active inputs (the fluid).  Most Dual2 temporaries carry
+# the Hessian of a small support (1 to 9 of the 12 directions), so per-call
+# overhead, not memory traffic, sets their cost, and larger chunks pay it
+# fewer times.  On an 8^3 fluid evolve, 256 points ran about 1.6x the steps/s
+# of 64 at the same peak RSS; 512 points (the whole grid) added 1.8 MB.
+_CHUNK_BYTES = 256 * 8 * 12 * 12
 
 # the generic points at which LagrangianModel.active_inputs probes L
 _PROBE_SEED = 2005
@@ -104,10 +106,12 @@ class DerivativeBundle:
 def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundle:
     """Derivative bundle over arrays of jet coordinates (batched).
 
-    Only the model's active inputs are seeded, so every Dual2 Hessian is
-    d x d with d = len(active_inputs).  The flattened batch runs in chunks of
-    at most ``_CHUNK_BYTES`` of Hessian per temporary, each written into the
-    preallocated outputs; entries of inactive inputs are exact zeros.
+    Only the model's active inputs are seeded, as Dual2 directions
+    0..d-1 with d = len(active_inputs), and every temporary carries the
+    Hessian of its own support only.  The flattened batch runs in chunks
+    whose full d x d Hessian is at most ``_CHUNK_BYTES``; each result is read
+    back over all d directions (``Dual2.dense``) into the preallocated
+    outputs, and entries of inactive inputs are exact zeros.
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
@@ -131,8 +135,9 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
         if not isinstance(out, ad.Dual2):
             raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
         L[s] = out.val
-        grad[s, act] = out.grad
-        hv[s, act[:, None], vidx] = out.hess[..., vcol]
+        g, h = out.dense(d)
+        grad[s, act] = g
+        hv[s, act[:, None], vidx] = h[..., vcol]
     bundle = DerivativeBundle(
         L.reshape(batch),
         grad[:, nx : nx + m].reshape(batch + (m,)),

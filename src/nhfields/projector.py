@@ -115,6 +115,8 @@ def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
     Batched: zeta and dphidv are (..., k, m, n+1).  The tolerance is
     scale-relative: the smallest singular value is compared against tol
     times the natural entry scale max ||zeta_alpha|| max ||dphi_beta||.
+    ``cond`` is that scale over the smallest singular value (inf when it
+    vanishes), the condition number of the matrix relative to its entries.
     """
     k = zeta.shape[-3]
     batch = zeta.shape[:-3]
@@ -125,8 +127,10 @@ def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
     )
     svals = np.linalg.svd(mmat, compute_uv=False)
     smin = svals[..., -1] if k else np.zeros(batch)
-    compatible = smin > tol * np.maximum(scale, 1e-300)
-    return {"mmat": mmat, "det": np.linalg.det(mmat), "compatible": compatible}
+    scale = np.maximum(scale, 1e-300)
+    cond = np.divide(scale, smin, out=np.full(batch, np.inf), where=smin > 0)
+    return {"mmat": mmat, "det": np.linalg.det(mmat), "compatible": smin > tol * scale,
+            "cond": cond}
 
 
 def multiplier_matrix(comp: dict) -> np.ndarray:
@@ -174,7 +178,10 @@ def build_projectors(zb: ZetaBasis, cp: ConstraintPoint, tol: float = 1e-9,
     differentials dphi (x-, y- and v-blocks included).  ``comp`` is the
     ``compatibility_matrix`` verdict at the point, computed at its default
     tolerance when not given.  All projector invariants are verified before
-    returning.
+    returning.  A violated invariant raises CompatibilityError when the
+    compatibility matrix is too ill-conditioned for ``tol`` (its ``cond``
+    times machine epsilon above ``tol``), and InternalConsistencyError
+    otherwise.
     """
     if comp is None:
         comp = compatibility_matrix(zb.zeta, cp.dphidv)
@@ -195,7 +202,11 @@ def build_projectors(zb: ZetaBasis, cp: ConstraintPoint, tol: float = 1e-9,
     worst = max(checks.values())
     if worst > tol * scale:
         bad = max(checks, key=checks.get)
-        raise InternalConsistencyError(
-            f"projector invariant {bad} violated: residual {checks[bad]:.3e}"
-        )
+        msg = f"projector invariant {bad} violated: residual {checks[bad]:.3e}"
+        cond = float(comp["cond"])
+        if cond * np.finfo(float).eps > tol:
+            raise CompatibilityError(
+                f"{msg}; the compatibility matrix is ill-conditioned "
+                f"(condition number {cond:.3e} relative to its scale)")
+        raise InternalConsistencyError(msg)
     return ProjectorPair(P, Q, Lam, zb.zeta.copy(), dphi)

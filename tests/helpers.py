@@ -105,6 +105,98 @@ def fluid_constraint_point(rng) -> JetPoint:
     return JetPoint(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), v)
 
 
+class DenseDual2(ad.Dual2):
+    """Reference second-order dual: the dense arithmetic over all d seed
+    directions, with a full (d, d) Hessian in every temporary.
+
+    A subclass only so that the generic helpers (``ad.sin``, ``ad.det``, ...)
+    dispatch to its own ``_chain``; every operation is its own.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, val, grad, hess):
+        self.val = np.asarray(val, dtype=float)
+        self.grad = np.asarray(grad, dtype=float)
+        self.hess = np.asarray(hess, dtype=float)
+
+    @classmethod
+    def seed(cls, values, d, index=None):
+        values = np.asarray(values, dtype=float)
+        grad = np.zeros(values.shape + (d,))
+        if index is not None:
+            grad[..., index] = 1.0
+        return cls(values, grad, np.zeros(values.shape + (d, d)))
+
+    def _lift(self, other):
+        if isinstance(other, DenseDual2):
+            return other
+        return DenseDual2(
+            np.asarray(other, dtype=float),
+            np.zeros_like(self.grad),
+            np.zeros_like(self.hess),
+        )
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return DenseDual2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseDual2(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, o):
+        o = self._lift(o)
+        return DenseDual2(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
+
+    def __rsub__(self, o):
+        return self._lift(o) - self
+
+    def __mul__(self, o):
+        if not isinstance(o, DenseDual2):
+            o = np.asarray(o, dtype=float)
+            return DenseDual2(
+                self.val * o,
+                self.grad * o[..., None],
+                self.hess * o[..., None, None],
+            )
+        cross = self.grad[..., :, None] * o.grad[..., None, :]
+        return DenseDual2(
+            self.val * o.val,
+            self.val[..., None] * o.grad + o.val[..., None] * self.grad,
+            self.val[..., None, None] * o.hess
+            + o.val[..., None, None] * self.hess
+            + cross
+            + np.swapaxes(cross, -1, -2),
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, DenseDual2):
+            return self * o._chain(1.0 / o.val, -1.0 / o.val**2, 2.0 / o.val**3)
+        return self * (1.0 / np.asarray(o, dtype=float))
+
+    def __rtruediv__(self, o):
+        return self._lift(o) / self
+
+    def __pow__(self, p):
+        return self._chain(
+            self.val**p,
+            p * self.val ** (p - 1),
+            p * (p - 1) * self.val ** (p - 2),
+        )
+
+    def _chain(self, f, df, d2f):
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        return DenseDual2(
+            f,
+            df[..., None] * self.grad,
+            df[..., None, None] * self.hess + d2f[..., None, None] * outer,
+        )
+
+
 def _all_seeded(cls, model, x, y, v):
     """L with every one of the N jet directions seeded."""
     dims = model.dims
@@ -116,21 +208,27 @@ def _all_seeded(cls, model, x, y, v):
     return model.fn(xs, ys, vs)
 
 
-def dense_derivative_bundle(model, x, y, v) -> DerivativeBundle:
-    """The derivative bundle from one Dual2 pass over all N directions, with
-    the full N x N Hessian."""
-    out = _all_seeded(ad.Dual2, model, x, y, v)
+def bundle_from_dense(model, val, grad, hess) -> DerivativeBundle:
+    """The bundle fields sliced out of L, its gradient (..., N) and its
+    Hessian (..., N, N) over all jet directions."""
     m, nx = model.dims.m, model.dims.nx
-    batch = out.val.shape
+    batch = np.shape(val)
     sy, sv = slice(nx, nx + m), slice(nx + m, None)
     return DerivativeBundle(
-        out.val,
-        out.grad[..., sy],
-        out.grad[..., sv].reshape(batch + (m, nx)),
-        out.hess[..., sv, sv].reshape(batch + (m, nx, m, nx)),
-        out.hess[..., sy, sv].reshape(batch + (m, m, nx)),
-        out.hess[..., :nx, sv].reshape(batch + (nx, m, nx)),
+        val,
+        grad[..., sy],
+        grad[..., sv].reshape(batch + (m, nx)),
+        hess[..., sv, sv].reshape(batch + (m, nx, m, nx)),
+        hess[..., sy, sv].reshape(batch + (m, m, nx)),
+        hess[..., :nx, sv].reshape(batch + (nx, m, nx)),
     )
+
+
+def dense_derivative_bundle(model, x, y, v) -> DerivativeBundle:
+    """The derivative bundle from one dense reference pass over all N
+    directions, with the full N x N Hessian."""
+    out = _all_seeded(DenseDual2, model, x, y, v)
+    return bundle_from_dense(model, out.val, out.grad, out.hess)
 
 
 def dense_first_derivatives(model, x, y, v):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nhfields import autodiff as ad
 
-from helpers import fd_gradient, fd_hessian
+from helpers import DenseDual2, fd_gradient, fd_hessian
 
 
 def poly(x):
@@ -93,3 +95,168 @@ def test_scalar_mixing():
     # f = 2x + 1 - x/4 + 3x - x^2 -> f' = 2 - 1/4 + 3 - 2x
     assert float(y.grad[0]) == pytest.approx(2 - 0.25 + 3 - 2 * 1.5)
     assert float(y.hess[0, 0]) == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_one_operand_operations_keep_the_dense_bits_of_a_zero(zero):
+    # no union is formed, so even the sign of an exact zero on the support
+    # must be the dense one: x + c turns -0.0 into 0.0, c - x turns 0.0
+    # into 0.0, -x turns 0.0 into -0.0
+    ops = [lambda a: a + 1.5, lambda a: 1.5 + a, lambda a: a - 1.5, lambda a: 1.5 - a,
+           lambda a: -a, lambda a: a * -2.0, lambda a: -2.0 * a, lambda a: a / -2.0,
+           ad.sin, ad.exp, lambda a: a**3]
+    for op in ops:
+        out, ref = (op(cls.seed(np.array([0.5, -0.5]), 1, 0) * zero)
+                    for cls in (ad.Dual2, DenseDual2))
+        for a, b in zip((out.val, *out.dense(1)), (ref.val, ref.grad, ref.hess)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# random compositions: the support-tracked Dual2 against the dense reference
+# arithmetic and against central differences
+
+DIRS = 4
+
+
+def _pos(a):
+    """A strictly positive argument for log, sqrt, powers and divisors."""
+    return a * a + 0.5
+
+
+UNARY = {
+    "neg": lambda a: -a,
+    "sin": ad.sin,
+    "cos": ad.cos,
+    "exp": ad.exp,
+    "log": lambda a: ad.log(_pos(a)),
+    "sqrt": lambda a: ad.sqrt(_pos(a)),
+    "pow2": lambda a: a**2,
+    "pow3": lambda a: a**3,
+    "pow-1": lambda a: _pos(a) ** -1,
+    "pow1.5": lambda a: _pos(a) ** 1.5,
+}
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / _pos(b),
+}
+WITH_CONSTANT = {
+    "add": lambda a, c: a + c,
+    "radd": lambda a, c: c + a,
+    "sub": lambda a, c: a - c,
+    "rsub": lambda a, c: c - a,
+    "mul": lambda a, c: a * c,
+    "rmul": lambda a, c: c * a,
+    "div": lambda a, c: a / c,
+    "rdiv": lambda a, c: c / _pos(a),
+}
+
+
+@st.composite
+def compositions(draw):
+    """(batch shape, leaves, steps): each leaf is a seed direction (None for
+    a constant dual) with its values; each step appends one result computed
+    from earlier registers (indices taken modulo the register count)."""
+    shape = draw(st.sampled_from([(), (1,), (5,)]))
+    size = int(np.prod(shape))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def values(elements):
+        vals = np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+        return vals.reshape(shape)
+
+    leaves = [(draw(st.one_of(st.none(), st.integers(0, DIRS - 1))), values(unit))
+              for _ in range(draw(st.integers(1, 4)))]
+    reg = st.integers(0, 99)
+    nonzero = st.floats(0.25, 2.0).flatmap(lambda c: st.sampled_from([c, -c]))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["unary", "binary", "constant", "det2", "det3"]))
+        if kind == "unary":
+            steps.append((kind, draw(st.sampled_from(sorted(UNARY))), draw(reg)))
+        elif kind == "binary":
+            steps.append((kind, draw(st.sampled_from(sorted(BINARY))), draw(reg), draw(reg)))
+        elif kind == "constant":
+            name = draw(st.sampled_from(sorted(WITH_CONSTANT)))
+            elements = nonzero if name == "div" else st.floats(-2.0, 2.0)
+            c = values(elements) if draw(st.booleans()) else draw(elements)
+            steps.append((kind, name, draw(reg), c))
+        else:
+            size_det = 2 if kind == "det2" else 3
+            steps.append((kind, [draw(reg) for _ in range(size_det * size_det)]))
+    return shape, leaves, steps
+
+
+def run_composition(leaves, steps, lift):
+    regs = [lift(direction, vals) for direction, vals in leaves]
+    for step in steps:
+        kind = step[0]
+        pick = lambda i: regs[i % len(regs)]  # noqa: E731
+        if kind == "unary":
+            regs.append(UNARY[step[1]](pick(step[2])))
+        elif kind == "binary":
+            regs.append(BINARY[step[1]](pick(step[2]), pick(step[3])))
+        elif kind == "constant":
+            regs.append(WITH_CONSTANT[step[1]](pick(step[2]), step[3]))
+        else:
+            idx = step[1]
+            size = 2 if kind == "det2" else 3
+            regs.append(ad.det([[pick(idx[size * r + c]) for c in range(size)]
+                                for r in range(size)]))
+    return regs[-1]
+
+
+def seeded(cls, shift=None):
+    """A leaf builder for ``cls``; ``shift`` = (direction, h) moves every leaf
+    seeded on that direction by h."""
+    def lift(direction, vals):
+        if shift is not None and direction == shift[0]:
+            vals = vals + shift[1]
+        return cls.seed(vals, DIRS, direction)
+    return lift
+
+
+def same_bits_up_to_zero_sign(a, b):
+    """Bitwise equal, except that an exact zero may carry the other sign."""
+    a, b = np.broadcast_arrays(a, b)
+    return bool(np.all((a.view(np.int64) == b.view(np.int64)) | ((a == 0) & (b == 0))))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(compositions())
+def test_support_tracked_dual2_matches_the_dense_reference(case):
+    shape, leaves, steps = case
+    with np.errstate(all="ignore"):
+        out = run_composition(leaves, steps, seeded(ad.Dual2))
+        ref = run_composition(leaves, steps, seeded(DenseDual2))
+    assert out.idx == tuple(sorted(set(out.idx)))
+    assert set(out.idx) <= {d for d, _ in leaves if d is not None}
+    s = len(out.idx)
+    assert out.grad.shape[-1:] == (s,) and out.hess.shape[-2:] == (s, s)
+    grad, hess = out.dense(DIRS)
+    assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
+    assert same_bits_up_to_zero_sign(grad, ref.grad)
+    assert same_bits_up_to_zero_sign(hess, ref.hess)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(compositions())
+def test_support_tracked_dual2_matches_central_differences(case):
+    shape, leaves, steps = case
+    out = run_composition(leaves, steps, seeded(ad.Dual2))
+    grad, hess = out.dense(DIRS)
+    assume(np.all(np.abs(out.val) < 1e6) and np.all(np.abs(hess) < 1e6))
+    h = 1e-6
+    fd_grad = np.zeros_like(grad)
+    fd_hess = np.zeros_like(hess)
+    for i in range(DIRS):
+        up = run_composition(leaves, steps, seeded(ad.Dual, (i, h)))
+        down = run_composition(leaves, steps, seeded(ad.Dual, (i, -h)))
+        fd_grad[..., i] = (up.val - down.val) / (2 * h)
+        # the exact first-order gradient, differenced once
+        fd_hess[..., :, i] = (up.grad - down.grad) / (2 * h)
+    scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(grad), initial=0.0)
+    assert np.allclose(grad, fd_grad, rtol=0, atol=1e-6 * scale)
+    assert np.allclose(hess, fd_hess, rtol=0, atol=1e-5 * (scale + np.max(np.abs(hess))))

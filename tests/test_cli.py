@@ -62,6 +62,19 @@ def test_verify_characteristic_constraint_fails_compatibility(tmp_path, capsys):
     assert "compatibility" in report["summary"]["first_failure"]
 
 
+def test_an_ill_conditioned_compatibility_matrix_fails_as_compatibility(tmp_path, capsys):
+    path = write_config(
+        tmp_path, constraint={"name": "linear-transport", "params": {"speed": 1.000000000001}},
+        tolerances={"compatibility": 1e-16})
+    assert main(["--config", str(path)]) == 1
+    assert "CompatibilityError" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["points"]) == 5
+    for entry in report["points"]:
+        assert entry["error"].startswith("CompatibilityError: ")
+        assert "condition number" in entry["error"]
+
+
 def test_unknown_model_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, model={"name": "nope"})
     assert main(["--config", str(path)]) == 2

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nhfields.constraint import chetaev_coefficients, make_constraint
-from nhfields.exceptions import CompatibilityError, RegularityError
+from nhfields import projector
+from nhfields.exceptions import (
+    CompatibilityError,
+    InternalConsistencyError,
+    RegularityError,
+)
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian, fluid_quantities
 from nhfields.jet import Dims, JetPoint
@@ -136,6 +141,33 @@ def test_incompatible_point_raises():
     zb = solve_zeta(bundle, C)
     with pytest.raises(CompatibilityError):
         build_projectors(zb, spec.at(p))
+
+
+def test_an_ill_conditioned_compatibility_matrix_is_a_compatibility_error():
+    # near-characteristic speed: the verdict at tol 1e-16 accepts a matrix
+    # whose condition number, about 1e12, breaks P^2 = P far past 1e-9
+    rng = np.random.default_rng(8)
+    _, spec, p, bundle, C = wave_setup(rng, speed=1.000000000001)
+    zb = solve_zeta(bundle, C)
+    cp = spec.at(p)
+    comp = compatibility_matrix(zb.zeta, cp.dphidv, tol=1e-16)
+    assert comp["compatible"] and comp["cond"] > 1e11
+    with pytest.raises(CompatibilityError, match="condition number"):
+        build_projectors(zb, cp, comp=comp)
+
+
+def test_a_broken_invariant_at_a_well_conditioned_point_is_an_internal_error(
+        monkeypatch):
+    rng = np.random.default_rng(8)
+    _, spec, p, bundle, C = wave_setup(rng)
+    zb = solve_zeta(bundle, C)
+    cp = spec.at(p)
+    comp = compatibility_matrix(zb.zeta, cp.dphidv)
+    assert comp["cond"] < 10
+    real = projector.multiplier_matrix
+    monkeypatch.setattr(projector, "multiplier_matrix", lambda c: 2.0 * real(c))
+    with pytest.raises(InternalConsistencyError, match="projector invariant"):
+        build_projectors(zb, cp, comp=comp)
 
 
 def test_distribution_meets_tc_trivially_when_compatible():
