@@ -31,7 +31,7 @@ from .ddw import (
     solve_constrained_ddw,
     solve_free_ddw,
 )
-from .exterior import Form, TangentVector, contract_form, eval_wedge_monomial
+from .exterior import TangentVector, eval_wedge_monomial
 from .fluid import (
     FluidParams,
     fluid_lagrangian,

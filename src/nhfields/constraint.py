@@ -26,8 +26,8 @@ from .exceptions import (
     InvalidArgumentError,
     OffConstraintError,
 )
-from .exterior import Form
-from .jet import Dims, JetPoint, contact_covectors, seed_inputs
+from .exterior import Form, vector_rows
+from .jet import Dims, JetPoint, contact_covectors, contact_pairings, seed_inputs
 
 COEFF_MODES = ("chetaev", "custom")
 
@@ -223,41 +223,36 @@ def constraint_forms(p: JetPoint, coeffs: np.ndarray):
 
 
 def constraint_form_eval(spec: ConstraintSpec, p: JetPoint, vecs) -> np.ndarray:
-    """Evaluate all Phi_alpha on exactly n+1 tangent vectors."""
-    if len(vecs) != spec.dims.nx:
-        raise DimensionMismatchError(
-            f"constraint forms take n+1 = {spec.dims.nx} vectors, got {len(vecs)}"
-        )
-    return np.array([f(vecs) for f in constraint_forms(p, chetaev_coefficients(spec, p))])
+    """Evaluate all Phi_alpha on exactly n+1 tangent vectors: a batch of one
+    of :func:`phi_eval_batch`."""
+    return phi_eval_batch(chetaev_coefficients(spec, p), p.v,
+                          vector_rows(vecs, spec.dims.N))
 
 
 def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Evaluate all Phi_alpha on one (n+1)-tuple of vectors per batch point.
 
-    coeffs (B.., k, n+1, m), v (B.., m, n+1), vecs (B.., n+1, N);
-    returns (B.., k).
+    coeffs (..., k, n+1, m), v (..., m, n+1) and vecs (..., n+1, N), whose
+    leading shapes broadcast; returns (..., k).  Same terms as
+    :func:`constraint_forms`, the term-list oracle it is tested against.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     v = np.asarray(v, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     m, nx = v.shape[-2:]
-    k = coeffs.shape[-3]
-    batch = v.shape[:-2]
-    q = nx
-    theta_pair = vecs[..., nx : nx + m].swapaxes(-1, -2) - np.einsum(
-        "...an,...qn->...aq", v, vecs[..., :nx]
-    )
-    x_pair = vecs[..., :nx]
-    out = np.zeros(batch + (k,))
-    A = np.empty(batch + (q, q))
+    if vecs.shape[-2:] != (nx, nx + m + m * nx):
+        raise DimensionMismatchError(
+            f"constraint forms take n+1 = {nx} vectors of length "
+            f"{nx + m + m * nx}, got shape {vecs.shape}"
+        )
+    theta_pair, x_rows = contact_pairings(v, vecs)
+    batch = np.broadcast_shapes(coeffs.shape[:-3], theta_pair.shape[:-2])
+    out = np.zeros(batch + (coeffs.shape[-3],))
+    A = np.empty(batch + (nx, nx))
     for a in range(m):
         for mu in range(nx):
             A[..., 0, :] = theta_pair[..., a, :]
-            row = 1
-            for nu in range(nx):
-                if nu != mu:
-                    A[..., row, :] = x_pair[..., nu]
-                    row += 1
+            A[..., 1:, :] = np.delete(x_rows, mu, axis=-2)
             det = np.linalg.det(A)
             out += ((-1.0) ** mu) * coeffs[..., :, mu, a] * det[..., None]
     return out

@@ -23,16 +23,16 @@ from .constraint import (
     ConstraintPoint,
     ConstraintSpec,
     chetaev_coefficients,
-    constraint_forms,
+    phi_eval_batch,
 )
 from .exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
-from .exterior import Form
-from .jet import ConnectionCoeffs, Dims, Jet2Point
+from .exterior import vector_rows
+from .jet import ConnectionCoeffs, Jet2Point
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
     derivative_bundle,
-    omega_form,
+    omega_eval_batch,
 )
 from .projector import ProjectorPair, ZetaBasis, project_lifts
 
@@ -55,19 +55,8 @@ def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
     m, nx = coeffs.Gamma.shape
     N = nx + m + m * nx
     h = np.zeros((N, N))
-    for mu in range(nx):
-        h[:, mu] = coeffs.horizontal_lift(mu).components
+    h[:, :nx] = vector_rows([coeffs.horizontal_lift(mu) for mu in range(nx)], N).T
     return h
-
-
-def eval_ih_form(form: Form, hmat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """(i_h form)(tuples) = sum_i form(..., h(v_i), ...) over a batch."""
-    total = np.zeros(vecs.shape[0])
-    for i in range(vecs.shape[1]):
-        vmod = vecs.copy()
-        vmod[:, i] = vecs[:, i] @ hmat.T
-        total += form.eval_batch(vmod)
-    return total
 
 
 def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
@@ -225,7 +214,7 @@ def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
     ``tuples`` must be at least ``min_check_tuples(k, n+1)``.
     """
     p = cp.p
-    m, nx = p.v.shape
+    nx = p.v.shape[1]
     need = min_check_tuples(cp.k, nx)
     if tuples < need:
         raise InvalidArgumentError(
@@ -233,14 +222,21 @@ def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
             "fitted multipliers, which could otherwise absorb any error"
         )
     rng = np.random.default_rng(0) if rng is None else rng
-    dims = Dims(nx - 1, m, cp.k)
-    omega = omega_form(bundle, p)
     hmat = _connection_matrix(sol.coeffs)
-    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, dims.N))
-    b = eval_ih_form(omega, hmat, vecs) - (nx - 1) * omega.eval_batch(vecs)
-    cols = [phi.wedge_front(dims.ix(mu)).eval_batch(vecs)
-            for phi in constraint_forms(p, cp.coeffs) for mu in range(nx)]
-    M = np.column_stack(cols) if cols else np.zeros((tuples, 0))
+    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, hmat.shape[0]))
+    # i_h Omega_L - n Omega_L in one kernel call: copy i of the tuples has
+    # h(w_i) in slot i, the last copy is the tuples unchanged
+    slots = np.arange(nx + 1)
+    copies = np.repeat(vecs[None], nx + 2, axis=0)
+    copies[slots, :, slots] = np.swapaxes(vecs @ hmat.T, 0, 1)
+    vals = omega_eval_batch(bundle, p.v, copies)
+    b = vals[:-1].sum(axis=0) - (nx - 1) * vals[-1]
+    # fit columns (dx^mu ^ Phi_alpha)(w), Laplace-expanded along dx^mu:
+    # sum_j (-1)^j w_j^mu Phi_alpha(w without w_j)
+    keep = np.array([np.delete(slots, j) for j in slots])
+    phi = phi_eval_batch(cp.coeffs, p.v, vecs[:, keep])  # (tuples, n+2, k)
+    M = np.einsum("j,tju,tja->tau", (-1.0) ** slots, vecs[..., :nx],
+                  phi).reshape(tuples, cp.k * nx)
     lam_fit, *_ = np.linalg.lstsq(M, b, rcond=None)
     form_residual = float(np.max(np.abs(b - M @ lam_fit), initial=0.0))
     out = {

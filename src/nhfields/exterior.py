@@ -95,16 +95,18 @@ def _as_covector_rows(factors, dim=None):
     return rows
 
 
-def _as_vector_cols(vectors, dim):
+def vector_rows(vectors, dim) -> np.ndarray:
+    """Components of a tuple of vectors (TangentVectors or arrays) as rows
+    (k, dim)."""
     arrs = []
     for v in vectors:
-        comp = v.components if hasattr(v, "components") else np.asarray(v, dtype=float)
+        comp = _components(v)
         if comp.shape != (dim,):
             raise DimensionMismatchError(
                 f"vector has shape {comp.shape}, expected ({dim},)"
             )
         arrs.append(comp)
-    return np.column_stack(arrs)
+    return np.array(arrs)
 
 
 def eval_wedge_monomial(factors, vectors) -> float:
@@ -117,8 +119,7 @@ def eval_wedge_monomial(factors, vectors) -> float:
         raise InvalidArgumentError("a wedge monomial needs at least one factor")
     dim = len(_components(vectors[0]))
     rows = _as_covector_rows(factors, dim)
-    cols = _as_vector_cols(vectors, dim)
-    return float(np.linalg.det(rows @ cols))
+    return float(np.linalg.det(rows @ vector_rows(vectors, dim).T))
 
 
 @dataclass(frozen=True)
@@ -197,13 +198,6 @@ class Form:
             coeffs.append(self.coeffs * pair[:, j] * ((-1.0) ** j))
             rows.append(keep)
         return Form(np.concatenate(coeffs), np.concatenate(rows, axis=0))
-
-    def wedge_front(self, covector) -> "Form":
-        """Prepend a 1-form factor to every term: covector ^ self."""
-        row = _as_covector_rows([covector], self.dim)[0]
-        T = self.factors.shape[0]
-        front = np.broadcast_to(row, (T, 1, self.dim))
-        return Form(self.coeffs.copy(), np.concatenate([front, self.factors], axis=1))
 
 
 def contract_form(form: Form, vector) -> Form:

@@ -171,6 +171,16 @@ def contact_covectors(p: JetPoint) -> np.ndarray:
     return rows
 
 
+def contact_pairings(v: np.ndarray, vecs: np.ndarray):
+    """theta^a(w_j) (..., m, q) and dx^nu(w_j) (..., n+1, q) over tuples
+    vecs (..., q, N) of vectors at jet coordinates v (..., m, n+1), whose
+    leading shapes broadcast: the pairing rows of the form kernels."""
+    m, nx = v.shape[-2:]
+    theta = vecs[..., nx : nx + m].swapaxes(-1, -2) - np.einsum(
+        "...an,...qn->...aq", v, vecs[..., :nx])
+    return theta, vecs[..., :nx].swapaxes(-1, -2)
+
+
 def semiholonomic_residual(c: ConnectionCoeffs, p: JetPoint) -> float:
     """max |Gamma^a_mu - v^a_mu|; zero iff the connection is semi-holonomic.
 

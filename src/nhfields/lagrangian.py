@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .exceptions import DimensionMismatchError, EvaluationError, InvalidArgumentError
-from .exterior import Form
-from .jet import Dims, JetPoint, contact_covectors, seed_inputs
+from .exterior import Form, vector_rows
+from .jet import Dims, JetPoint, contact_covectors, contact_pairings, seed_inputs
 
 
 # Bytes of a full d x d Hessian over one chunk of the derivative bundle: 256
@@ -185,15 +185,15 @@ def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:
     return bundle.H.reshape(bundle.H.shape[: -4] + (m * nx, m * nx))
 
 
-def regularity_check(bundle: DerivativeBundle, det_tol: float = 1e-10,
-                     cond_tol: float = 1e12) -> dict:
+def regularity_check(bundle: DerivativeBundle, cond_tol: float = 1e12) -> dict:
     """Determinant and condition number of the Hessian; non-regularity is a
-    result, not an error."""
+    result, not an error.  The point is regular when the condition number is
+    finite and below ``cond_tol``.  The determinant is reported only: it
+    carries the units of L (it scales as rho^12 for the fluid)."""
     Hf = hessian_flat(bundle)
-    det = float(np.linalg.det(Hf))
     svals = np.linalg.svd(Hf, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    return {"det": det, "cond": cond, "regular": abs(det) > det_tol and cond < cond_tol}
+    return {"det": float(np.linalg.det(Hf)), "cond": cond, "regular": cond < cond_tol}
 
 
 def omega_form(bundle: DerivativeBundle, p: JetPoint) -> Form:
@@ -230,58 +230,49 @@ def omega_eval_batch(bundle: DerivativeBundle, v: np.ndarray,
                      vecs: np.ndarray) -> np.ndarray:
     """Evaluate Omega_L on one (n+2)-tuple of vectors per batch point.
 
-    bundle entries carry a leading batch shape B..., v has shape
-    (B..., m, n+1) and vecs (B..., n+2, N); returns (B...,).  Same terms as
-    :func:`omega_form`, vectorized over the batch.
+    v is (..., m, n+1) and vecs (..., n+2, N); their leading shapes and the
+    bundle's batch shape broadcast together, so a pointwise bundle serves a
+    whole batch of tuples.  Returns the broadcast shape.  Same terms as
+    :func:`omega_form`, the term-list oracle it is tested against.
     """
     v = np.asarray(v, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     m, nx = v.shape[-2:]
-    n = nx - 1
-    dims = Dims(n, m)
-    batch = v.shape[:-2]
-    q = n + 2
-    if vecs.shape != batch + (q, dims.N):
+    dims = Dims(nx - 1, m)
+    q = nx + 1
+    if vecs.shape[-2:] != (q, dims.N):
         raise DimensionMismatchError(
-            f"expected vectors of shape {batch + (q, dims.N)}, got {vecs.shape}"
+            f"Omega_L takes n+2 = {q} vectors of length {dims.N}, got shape {vecs.shape}"
         )
+    theta_pair, x_rows = contact_pairings(v, vecs)
+    own = np.shape(bundle.L)
+    batch = np.broadcast_shapes(own, theta_pair.shape[:-2])
     total = np.zeros(batch)
-    # contact covectors theta^a paired with every vector: (B.., m, q)
-    theta_pair = vecs[..., dims.iy(0) : dims.iy(0) + m] .swapaxes(-1, -2) \
-        - np.einsum("...an,...qn->...aq", v, vecs[..., :nx])
-    x_pair = vecs[..., :nx]  # (B.., q, nx): dx^nu paired with vectors
     A = np.empty(batch + (q, q))
     # term 1: -dL/dy^a dy^a ^ dx^0 ^ ... ^ dx^n
     for a in range(m):
         A[..., 0, :] = vecs[..., dims.iy(a)]
-        for nu in range(nx):
-            A[..., 1 + nu, :] = x_pair[..., nu]
+        A[..., 1:, :] = x_rows
         total -= bundle.dLdy[..., a] * np.linalg.det(A)
     # term 2: -d(dL/dv^a_mu) ^ theta^a ^ d^n x_mu
     for a in range(m):
         for mu in range(nx):
-            diff = np.zeros(batch + (dims.N,))
+            diff = np.zeros(own + (dims.N,))
             diff[..., :nx] = bundle.d2Ldxdv[..., :, a, mu]
             diff[..., nx : nx + m] = bundle.d2Ldydv[..., :, a, mu]
-            diff[..., nx + m :] = bundle.H[..., :, :, a, mu].reshape(batch + (m * nx,))
+            diff[..., nx + m :] = bundle.H[..., :, :, a, mu].reshape(own + (m * nx,))
             A[..., 0, :] = np.einsum("...n,...qn->...q", diff, vecs)
             A[..., 1, :] = theta_pair[..., a, :]
-            row = 2
-            for nu in range(nx):
-                if nu != mu:
-                    A[..., row, :] = x_pair[..., nu]
-                    row += 1
+            A[..., 2:, :] = np.delete(x_rows, mu, axis=-2)
             total -= ((-1.0) ** mu) * np.linalg.det(A)
     return total
 
 
 def omega_L_eval(model: LagrangianModel, p: JetPoint, vecs) -> float:
-    """Evaluate Omega_L(p) on exactly n+2 tangent vectors."""
-    if len(vecs) != p.n + 2:
-        raise DimensionMismatchError(
-            f"Omega_L takes n+2 = {p.n + 2} vectors, got {len(vecs)}"
-        )
-    return omega_form(derivative_bundle(model, p), p)(vecs)
+    """Evaluate Omega_L(p) on exactly n+2 tangent vectors: a batch of one of
+    :func:`omega_eval_batch`."""
+    return float(omega_eval_batch(derivative_bundle(model, p), p.v,
+                                  vector_rows(vecs, model.dims.N)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintPoint, constraint_forms, jet_block
+from .constraint import ConstraintPoint, jet_block, phi_eval_batch
 from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
     RegularityError,
 )
-from .exterior import TangentVector
-from .jet import Dims, JetPoint
-from .lagrangian import DerivativeBundle, hessian_flat, omega_form
+from .jet import JetPoint
+from .lagrangian import DerivativeBundle, hessian_flat, omega_eval_batch
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,6 @@ class ZetaBasis:
     @property
     def k(self) -> int:
         return self.zeta.shape[0]
-
-    def vector(self, alpha: int) -> TangentVector:
-        m, nx = self.zeta.shape[1:]
-        return TangentVector(np.zeros(nx), np.zeros(m), self.zeta[alpha])
 
     def dense(self) -> np.ndarray:
         """Rows (k, N) of the zeta vectors in the full layout."""
@@ -93,19 +88,17 @@ def solve_zeta(bundle: DerivativeBundle, coeffs: np.ndarray) -> ZetaBasis:
 
 def zeta_residual(bundle: DerivativeBundle, coeffs: np.ndarray, zb: ZetaBasis,
                   p: JetPoint, rng=None, tuples: int = 20) -> float:
-    """max |(i_{zeta_alpha} Omega_L + Phi_alpha)(random (n+1)-tuple)|."""
+    """max |(i_{zeta_alpha} Omega_L + Phi_alpha)(random (n+1)-tuple)|, with
+    i_{zeta_alpha} Omega_L(w) = Omega_L(zeta_alpha, w_1, ..., w_{n+1})."""
     rng = np.random.default_rng(0) if rng is None else rng
-    m, nx = p.v.shape
-    dims = Dims(nx - 1, m)
-    omega = omega_form(bundle, p)
-    phis = constraint_forms(p, coeffs)
-    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx, dims.N))
-    worst = 0.0
-    for alpha in range(zb.k):
-        contracted = omega.contract(zb.vector(alpha))
-        vals = contracted.eval_batch(vecs) + phis[alpha].eval_batch(vecs)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    Z = zb.dense()
+    k, N = Z.shape
+    vecs = rng.uniform(-1.0, 1.0, size=(tuples, p.v.shape[1], N))
+    slots = np.empty((k, tuples, vecs.shape[1] + 1, N))
+    slots[:, :, 0] = Z[:, None]
+    slots[:, :, 1:] = vecs
+    vals = omega_eval_batch(bundle, p.v, slots) + phi_eval_batch(coeffs, p.v, vecs).T
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,

@@ -5,12 +5,16 @@ insert-and-evaluate contractions, central finite differences) so the tested
 code paths are checked against arithmetic that shares nothing with them.
 """
 
+import dataclasses
+
 import numpy as np
+from hypothesis import strategies as st
 
 from nhfields import autodiff as ad
-from nhfields.exterior import TangentVector
-from nhfields.jet import JetPoint
-from nhfields.lagrangian import DerivativeBundle
+from nhfields.constraint import ConstraintSpec, constraint_forms, make_constraint
+from nhfields.exterior import Form, TangentVector
+from nhfields.jet import Dims, JetPoint
+from nhfields.lagrangian import DerivativeBundle, make_model, omega_form
 
 
 def cofactor_det(matrix) -> float:
@@ -87,6 +91,50 @@ def wave_on_constraint_point(rng, speed=2.0) -> JetPoint:
         rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1),
         np.array([[speed * v1, v1]]),
     )
+
+
+# (name, params) of the models the form kernels are compared with their
+# term-list oracles on: random quadratic models with a nonzero coupling, so
+# that the dy-blocks of Omega_L count, the wave and the fluid
+KERNEL_MODELS = st.one_of(
+    st.tuples(st.just("quadratic"), st.fixed_dictionaries({
+        "n": st.integers(1, 3), "m": st.integers(1, 3),
+        "coupling": st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)})),
+    st.sampled_from([("wave", {}), ("fluid", {})]),
+)
+
+
+def kernel_point(model, rng) -> JetPoint:
+    """A random point of the model's jet space; a well-conditioned one on
+    the incompressibility set for the fluid."""
+    if model.name == "fluid":
+        return fluid_constraint_point(rng)
+    return random_point(rng, model.dims.n, model.dims.m)
+
+
+def bundle_at(bundle, i) -> DerivativeBundle:
+    """Batch point i of a batched derivative bundle."""
+    return DerivativeBundle(*(getattr(bundle, f.name)[i]
+                              for f in dataclasses.fields(bundle)))
+
+
+def oracle_scenario(name, rng):
+    """(model, constraint spec, point on its constraint set) of the scenarios
+    the pointwise checks are compared with their term-list oracles on:
+    the wave, the fluid, and two coupled fields with one constraint each
+    (k = 2)."""
+    if name == "wave":
+        return (make_model("wave"), make_constraint("linear-transport", {"speed": 2.0}),
+                wave_on_constraint_point(rng))
+    if name == "fluid":
+        return (make_model("fluid", {"kappa": 1.0, "beta": 1.0}),
+                make_constraint("incompressibility"), fluid_constraint_point(rng))
+    spec = ConstraintSpec(Dims(1, 2, 2), [lambda x, y, v: v[0][0] - 2.0 * v[0][1],
+                                          lambda x, y, v: v[1][0] + 0.5 * v[1][1]])
+    v = rng.uniform(-1, 1, (2, 2))
+    v[:, 0] = [2.0 * v[0, 1], -0.5 * v[1, 1]]
+    return (make_model("quadratic", {"n": 1, "m": 2, "coupling": 0.7}), spec,
+            JetPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), v))
 
 
 def random_det_one_spatial(rng, scale=0.3):
@@ -237,3 +285,54 @@ def dense_first_derivatives(model, x, y, v):
     m, nx = model.dims.m, model.dims.nx
     return (out.val, out.grad[..., nx : nx + m],
             out.grad[..., nx + m :].reshape(out.val.shape + (m, nx)))
+
+
+# ---------------------------------------------------------------------------
+# the pointwise checks computed on the exterior.Form term lists
+
+def form_check_oracle(bundle, cp, sol, rng, tuples) -> dict:
+    """``nh_ddw_residual``'s b, M and fit on the term lists, on the tuples it
+    draws from ``rng``: i_h Omega_L inserts h(w_i) slot by slot into
+    ``omega_form``, and each column dx^mu ^ Phi_alpha prepends dx^mu to every
+    term of ``constraint_forms``."""
+    p = cp.p
+    m, nx = p.v.shape
+    N = nx + m + m * nx
+    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, N))
+    lifts = np.array([sol.coeffs.horizontal_lift(mu).components for mu in range(nx)])
+    omega = omega_form(bundle, p)
+    b = -(nx - 1) * omega.eval_batch(vecs)
+    for i in range(nx + 1):
+        moved = vecs.copy()
+        moved[:, i] = vecs[:, i, :nx] @ lifts
+        b += omega.eval_batch(moved)
+    cols = []
+    for phi in constraint_forms(p, cp.coeffs):
+        for mu in range(nx):
+            front = np.zeros((len(phi.coeffs), 1, N))
+            front[..., mu] = 1.0
+            cols.append(Form(phi.coeffs, np.concatenate([front, phi.factors], axis=1))
+                        .eval_batch(vecs))
+    M = np.column_stack(cols) if cols else np.zeros((tuples, 0))
+    lam_fit, *_ = np.linalg.lstsq(M, b, rcond=None)
+    return {
+        "form_residual": float(np.max(np.abs(b - M @ lam_fit), initial=0.0)),
+        "lam_fit": lam_fit.reshape(cp.k, nx),
+        "lam_gap": float(np.max(np.abs(M @ (sol.multipliers.reshape(-1) - lam_fit)),
+                                initial=0.0)),
+    }
+
+
+def zeta_identity_oracle(bundle, coeffs, zb, p, rng, tuples) -> float:
+    """``zeta_residual`` on the term lists, on the tuples it draws from
+    ``rng``: Form.contract of ``omega_form`` with each zeta_alpha, plus the
+    matching ``constraint_forms`` entry."""
+    m, nx = p.v.shape
+    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx, nx + m + m * nx))
+    omega = omega_form(bundle, p)
+    worst = 0.0
+    for zeta, phi in zip(zb.zeta, constraint_forms(p, coeffs)):
+        contracted = omega.contract(TangentVector(np.zeros(nx), np.zeros(m), zeta))
+        vals = contracted.eval_batch(vecs) + phi.eval_batch(vecs)
+        worst = max(worst, float(np.max(np.abs(vals))))
+    return worst

@@ -393,6 +393,24 @@ def test_verify_point_builds_one_bundle_and_one_constraint_evaluation(monkeypatc
     assert out["semiholonomic"] == 0.0
 
 
+@pytest.mark.parametrize("model, constraint", [
+    ({"name": "wave"}, {"name": "linear-transport", "params": {"speed": 2.0}}),
+    ({"name": "fluid", "params": {"kappa": 1.0, "beta": 1.0}}, {"name": "incompressibility"}),
+])
+def test_verify_never_builds_a_term_list_form(tmp_path, monkeypatch, model, constraint):
+    # the exterior.Form term lists are the oracle of the form kernels, not a
+    # path of the pointwise checks
+    from nhfields.exterior import Form
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built an exterior.Form")
+
+    monkeypatch.setattr(Form, "eval_batch", refuse)
+    monkeypatch.setattr(Form, "from_terms", staticmethod(refuse))
+    path = write_config(tmp_path, points=2, model=model, constraint=constraint)
+    assert main(["--config", str(path)]) == 0
+
+
 def test_fluid_evolve_smoke(tmp_path):
     path = write_config(
         tmp_path,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhfields.cauchy import CauchyState
 from nhfields.constraint import (
@@ -24,9 +26,12 @@ from nhfields.exceptions import (
 )
 from nhfields.exterior import TangentVector
 from nhfields.jet import Dims, JetPoint
+from nhfields.lagrangian import make_model
 
 from helpers import (
+    KERNEL_MODELS,
     fluid_constraint_point,
+    kernel_point,
     random_point,
     random_vector,
     wave_on_constraint_point,
@@ -153,17 +158,36 @@ def test_fluid_rank_on_constraint_set():
         assert constraint_rank_check(spec.at(p)) == 1
 
 
-def test_phi_eval_batch_matches_forms():
-    spec = make_constraint("incompressibility")
-    rng = np.random.default_rng(8)
-    pts = [fluid_constraint_point(rng) for _ in range(3)]
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(model=KERNEL_MODELS, seed=st.integers(0, 2**32 - 1), points=st.integers(1, 4),
+       k=st.integers(1, 3), pointwise=st.booleans(), chetaev=st.booleans())
+@example(model=("fluid", {}), seed=8, points=3, k=1, pointwise=False, chetaev=True)
+def test_phi_eval_batch_matches_oracle(model, seed, points, k, pointwise, chetaev):
+    """The batched kernel against the constraint_forms term lists, point by
+    point, on coefficients batched with their tuples and on pointwise
+    coefficients broadcast over a batch of tuples.  The coefficients are
+    random arrays, or the Chetaev coefficients of the registered constraint
+    of the wave and the fluid."""
+    model = make_model(*model)
+    dims = model.dims
+    rng = np.random.default_rng(seed)
+    pts = [kernel_point(model, rng) for _ in range(points)]
     v = np.stack([p.v for p in pts])
-    C = np.stack([chetaev_coefficients(spec, p) for p in pts])
-    vecs = rng.uniform(-1, 1, (3, 4, spec.dims.N))
-    got = phi_eval_batch(C, v, vecs)
-    for i, p in enumerate(pts):
-        form = constraint_forms(p, C[i])[0]
-        assert got[i, 0] == pytest.approx(form.eval_batch(vecs[i][None])[0], abs=1e-12)
+    registered = {"wave": "linear-transport", "fluid": "incompressibility"}
+    if chetaev and model.name in registered:
+        spec = make_constraint(registered[model.name])
+        C = np.stack([chetaev_coefficients(spec, p) for p in pts])
+    else:
+        C = rng.uniform(-1, 1, (points, k, dims.nx, dims.m))
+    vecs = rng.uniform(-1, 1, (points, dims.nx, dims.N))
+    if pointwise:
+        got = phi_eval_batch(C[0], pts[0].v, vecs)
+        want = np.stack([f.eval_batch(vecs) for f in constraint_forms(pts[0], C[0])], -1)
+    else:
+        got = phi_eval_batch(C, v, vecs)
+        want = [[f.eval_batch(vecs[i][None])[0] for f in constraint_forms(p, C[i])]
+                for i, p in enumerate(pts)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_custom_rank_deficient_coefficients_rejected():

@@ -19,7 +19,12 @@ from nhfields.jet import Dims, Jet2Point, JetPoint
 from nhfields.lagrangian import derivative_bundle, make_model
 from nhfields.projector import build_projectors, solve_zeta
 
-from helpers import random_point, wave_on_constraint_point
+from helpers import (
+    form_check_oracle,
+    oracle_scenario,
+    random_point,
+    wave_on_constraint_point,
+)
 
 
 def wave_jet2(x0, x1, y_fn):
@@ -199,6 +204,39 @@ def test_membership_residual_detects_corruption():
     bad2 = DdwSolution(ConnectionCoeffs(sol2.coeffs.Gamma, G2), sol2.multipliers)
     res_bad = nh_ddw_residual(bundle2, cp2, bad2, rng=rng)
     assert res_bad["form_residual"] > 1e-3
+
+
+@pytest.mark.parametrize("name", ["wave", "fluid", "two-fields"])
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_membership_check_matches_the_term_list_oracle_on_corrupted_solutions(
+        name, constrained, pinned):
+    """The kernel check against the term lists where the residuals are
+    O(0.1): the first- and second-order blocks of the solution are both
+    perturbed (for m = 1 the multiplier fit absorbs a second-order error
+    alone), so a wrong sign or slot cannot hide under round-off."""
+    rng = np.random.default_rng(12)
+    model, spec, p = oracle_scenario(name, rng)
+    m, nx = p.v.shape
+    bundle = derivative_bundle(model, p)
+    cp = spec.at(p) if constrained else ConstraintPoint.unconstrained(p)
+    fixed = rng.uniform(-1, 1, (m, nx - 1, nx)) if pinned else None
+    sol = solve_constrained_ddw(bundle, cp, fixed)
+    bad = DdwSolution(
+        ConnectionCoeffs(sol.coeffs.Gamma + 0.1 * rng.uniform(-1, 1, (m, nx)),
+                         sol.coeffs.Gamma2 + 0.1 * rng.uniform(-1, 1, (m, nx, nx))),
+        sol.multipliers)
+    got = nh_ddw_residual(bundle, cp, bad, np.random.default_rng(3), tuples=20)
+    want = form_check_oracle(bundle, cp, bad, np.random.default_rng(3), tuples=20)
+    assert got["form_residual"] > 1e-2
+    if constrained:
+        assert want["lam_gap"] > 1e-2
+    for key in ("form_residual", "lam_fit", "lam_gap"):
+        # relative to the largest entry: a multiplier the constraint leaves
+        # at zero is round-off on both sides
+        scale = np.max(np.abs(want[key]), initial=0.0)
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-9 * scale,
+                                   err_msg=key)
 
 
 def test_membership_check_needs_more_tuples_than_multipliers():

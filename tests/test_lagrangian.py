@@ -1,9 +1,12 @@
 """Derivative bundles, regularity, and the Poincare-Cartan form Omega_L."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhfields import autodiff as ad
 from nhfields import lagrangian
@@ -12,6 +15,7 @@ from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
 from nhfields.jet import Dims, JetPoint
 from nhfields.lagrangian import (
+    DerivativeBundle,
     LagrangianModel,
     derivative_bundle,
     derivative_bundle_arrays,
@@ -25,11 +29,14 @@ from nhfields.lagrangian import (
 )
 
 from helpers import (
+    KERNEL_MODELS,
+    bundle_at,
     bundle_from_dense,
     dense_derivative_bundle,
     dense_first_derivatives,
     fd_hessian,
     fluid_constraint_point,
+    kernel_point,
     random_point,
     random_vector,
     wedge_eval_oracle,
@@ -127,6 +134,17 @@ def test_regularity_quadratic_and_degenerate():
     assert out["det"] == pytest.approx(0.0) and not out["regular"]
 
 
+def test_regularity_does_not_move_with_the_units_of_l():
+    # rho scales L, so the fluid Hessian determinant scales as rho^12 while
+    # its condition number stays put: the verdict follows the condition number
+    p = fluid_constraint_point(np.random.default_rng(10))
+    ref = regularity_check(derivative_bundle(fluid_lagrangian(FluidParams()), p))
+    out = regularity_check(derivative_bundle(fluid_lagrangian(FluidParams(rho=0.01)), p))
+    assert out["det"] == pytest.approx(ref["det"] * 0.01**12)
+    assert out["cond"] == pytest.approx(ref["cond"]) and out["cond"] < 10
+    assert ref["regular"] and out["regular"]
+
+
 def test_fluid_degenerate_without_offset():
     # pure W(J) with W'(1) = 0 leaves only the rank-one cofactor square at
     # the identity: not regular
@@ -195,19 +213,34 @@ def test_omega_multilinearity():
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_omega_batch_matches_pointwise():
-    model = fluid_lagrangian(FluidParams())
-    rng = np.random.default_rng(8)
-    pts = [fluid_constraint_point(rng) for _ in range(4)]
-    x = np.stack([p.x for p in pts])
-    y = np.stack([p.y for p in pts])
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(model=KERNEL_MODELS, seed=st.integers(0, 2**32 - 1), points=st.integers(1, 4),
+       pointwise=st.booleans(), random_bundle=st.booleans())
+@example(model=("fluid", {}), seed=8, points=4, pointwise=False, random_bundle=False)
+def test_omega_eval_batch_matches_oracle(model, seed, points, pointwise, random_bundle):
+    """The batched kernel against the omega_form term list, point by point,
+    on a bundle batched with its tuples and on a pointwise bundle broadcast
+    over a batch of tuples; a random bundle fills every block, the dx-block
+    d2L/dx dv included."""
+    model = make_model(*model)
+    dims = model.dims
+    rng = np.random.default_rng(seed)
+    pts = [kernel_point(model, rng) for _ in range(points)]
     v = np.stack([p.v for p in pts])
-    bundle = derivative_bundle_arrays(model, x, y, v)
-    vecs = rng.uniform(-1, 1, (4, 5, Dims(3, 3).N))
-    got = omega_eval_batch(bundle, v, vecs)
-    for i, p in enumerate(pts):
-        form = omega_form(derivative_bundle(model, p), p)
-        assert got[i] == pytest.approx(form.eval_batch(vecs[i][None])[0], abs=1e-10)
+    bundle = derivative_bundle_arrays(model, np.stack([p.x for p in pts]),
+                                      np.stack([p.y for p in pts]), v)
+    if random_bundle:
+        bundle = DerivativeBundle(*(rng.uniform(-1, 1, np.shape(getattr(bundle, f.name)))
+                                    for f in dataclasses.fields(bundle)))
+    vecs = rng.uniform(-1, 1, (points, dims.nx + 1, dims.N))
+    if pointwise:
+        got = omega_eval_batch(bundle_at(bundle, 0), pts[0].v, vecs)
+        want = omega_form(bundle_at(bundle, 0), pts[0]).eval_batch(vecs)
+    else:
+        got = omega_eval_batch(bundle, v, vecs)
+        want = [omega_form(bundle_at(bundle, i), p).eval_batch(vecs[i][None])[0]
+                for i, p in enumerate(pts)]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def test_pullback_euler_lagrange_pairing():

@@ -21,7 +21,12 @@ from nhfields.projector import (
     zeta_residual,
 )
 
-from helpers import fluid_constraint_point, wave_on_constraint_point
+from helpers import (
+    fluid_constraint_point,
+    oracle_scenario,
+    wave_on_constraint_point,
+    zeta_identity_oracle,
+)
 
 
 def wave_setup(rng, speed=2.0):
@@ -57,6 +62,22 @@ def test_zeta_defining_identity_on_random_tuples():
     zb = solve_zeta(bundle, C)
     resid = zeta_residual(bundle, C, zb, p, rng=rng, tuples=20)
     assert resid < 1e-9
+
+
+@pytest.mark.parametrize("name", ["wave", "fluid", "two-fields"])
+def test_zeta_check_matches_the_term_list_oracle_on_a_perturbed_zeta(name):
+    """The kernel check against Form.contract where the identity is broken
+    at O(0.1), so a wrong slot or sign cannot hide under round-off."""
+    rng = np.random.default_rng(13)
+    model, spec, p = oracle_scenario(name, rng)
+    bundle = derivative_bundle(model, p)
+    C = chetaev_coefficients(spec, p)
+    zeta = solve_zeta(bundle, C).zeta
+    bad = projector.ZetaBasis(zeta + 0.1 * rng.uniform(-1, 1, zeta.shape))
+    got = zeta_residual(bundle, C, bad, p, np.random.default_rng(3), tuples=20)
+    want = zeta_identity_oracle(bundle, C, bad, p, np.random.default_rng(3), tuples=20)
+    assert want > 1e-2
+    assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_zeta_singular_hessian_raises():
