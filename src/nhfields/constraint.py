@@ -248,6 +248,8 @@ def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.nd
     theta_pair, x_rows = contact_pairings(v, vecs)
     batch = np.broadcast_shapes(coeffs.shape[:-3], theta_pair.shape[:-2])
     out = np.zeros(batch + (coeffs.shape[-3],))
+    if coeffs.shape[-3] == 0:  # free case: no forms, no determinants
+        return out
     A = np.empty(batch + (nx, nx))
     for a in range(m):
         for mu in range(nx):

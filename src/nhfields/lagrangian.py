@@ -36,6 +36,9 @@ _CHUNK_BYTES = 256 * 8 * 12 * 12
 _PROBE_SEED = 2005
 _PROBE_POINTS = 3
 
+# a point is regular when its Hessian's condition number is below this
+REGULAR_COND = 1e12
+
 
 @dataclass(frozen=True)
 class LagrangianModel:
@@ -185,15 +188,15 @@ def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:
     return bundle.H.reshape(bundle.H.shape[: -4] + (m * nx, m * nx))
 
 
-def regularity_check(bundle: DerivativeBundle, cond_tol: float = 1e12) -> dict:
+def regularity_check(bundle: DerivativeBundle) -> dict:
     """Determinant and condition number of the Hessian; non-regularity is a
     result, not an error.  The point is regular when the condition number is
-    finite and below ``cond_tol``.  The determinant is reported only: it
+    finite and below ``REGULAR_COND``.  The determinant is reported only: it
     carries the units of L (it scales as rho^12 for the fluid)."""
     Hf = hessian_flat(bundle)
     svals = np.linalg.svd(Hf, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    return {"det": float(np.linalg.det(Hf)), "cond": cond, "regular": cond < cond_tol}
+    return {"det": float(np.linalg.det(Hf)), "cond": cond, "regular": cond < REGULAR_COND}
 
 
 def omega_form(bundle: DerivativeBundle, p: JetPoint) -> Form:

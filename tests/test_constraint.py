@@ -187,7 +187,7 @@ def test_phi_eval_batch_matches_oracle(model, seed, points, k, pointwise, chetae
         got = phi_eval_batch(C, v, vecs)
         want = [[f.eval_batch(vecs[i][None])[0] for f in constraint_forms(p, C[i])]
                 for i, p in enumerate(pts)]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_custom_rank_deficient_coefficients_rejected():

@@ -240,7 +240,7 @@ def test_omega_eval_batch_matches_oracle(model, seed, points, pointwise, random_
         got = omega_eval_batch(bundle, v, vecs)
         want = [omega_form(bundle_at(bundle, i), p).eval_batch(vecs[i][None])[0]
                 for i, p in enumerate(pts)]
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_pullback_euler_lagrange_pairing():
