@@ -34,6 +34,7 @@ from .exceptions import (
 )
 from .jet import Dims, periodic_derivative
 from .lagrangian import (
+    DerivativeBundle,
     LagrangianModel,
     derivative_bundle_arrays,
     first_derivatives_arrays,
@@ -134,25 +135,9 @@ class CauchyState:
         return self.ydot if self.mode == "pde" else self.v0
 
     def spatial_jet(self, method: str = "spectral") -> np.ndarray:
-        """vi as (grid..., m, n): stored in fulljet mode, reconstructed from
-        y by grid differentiation in pde mode."""
-        if self.mode == "fulljet":
-            return self.vi
-        cols = [
-            grid_derivative(self.y, self.grid_shape, i, method)
-            for i in range(self.n)
-        ]
-        vi = np.stack(cols, axis=-1)
-        if self.y_offset == "identity":
-            vi = vi + np.eye(self.n)
-        return vi
-
-    def dy_actual(self, axis: int, method: str = "spectral") -> np.ndarray:
-        """Grid derivative of the actual section values along one axis."""
-        d = grid_derivative(self.y, self.grid_shape, axis, method)
-        if self.y_offset == "identity":
-            d = d + np.eye(self.n)[:, axis]
-        return d
+        """vi as (grid..., m, n): stored in fulljet mode, the section
+        derivatives D_i y in pde mode."""
+        return self.vi if self.mode == "fulljet" else _section_derivatives(self, method)
 
     def jet_arrays(self, method: str = "spectral"):
         """Batched jet coordinates (x, y, v) with the grid as batch shape."""
@@ -170,26 +155,13 @@ class CauchyState:
         )
         return x, y, v
 
-    def tangent_vectors(self, method: str = "spectral") -> np.ndarray:
-        """The n embedding tangents T_i as dense rows (grid..., n, N).
 
-        Uses the same grid derivative operator as the jet assembly so that
-        the tangents agree exactly with the section-adapted connection.
-        """
-        G = self.grid_shape
-        n, m = self.n, self.m
-        dims = Dims(n, m)
-        v0 = self.velocity()
-        vi = self.spatial_jet(method)
-        T = np.zeros(G + (n, dims.N))
-        for i in range(n):
-            T[..., i, 1 + i] = 1.0
-            T[..., i, dims.nx : dims.nx + m] = self.dy_actual(i, method)
-            dvi0 = grid_derivative(v0, G, i, method)
-            dvii = grid_derivative(vi, G, i, method)
-            dv = np.concatenate([dvi0[..., None], dvii], axis=-1)
-            T[..., i, dims.nx + m :] = dv.reshape(G + (m * dims.nx,))
-        return T
+def _section_derivatives(state: CauchyState, method: str) -> np.ndarray:
+    """D_i y of the actual section as (grid..., m, n): the grid derivatives
+    of the stored y, plus the identity under an identity offset."""
+    d = np.stack([grid_derivative(state.y, state.grid_shape, i, method)
+                  for i in range(state.n)], axis=-1)
+    return d + np.eye(state.n) if state.y_offset == "identity" else d
 
 
 @dataclass(frozen=True)
@@ -205,16 +177,6 @@ class StateVariation:
         G = self.dy.shape[:-1]
         return np.concatenate(
             [self.dx, self.dy, self.dv.reshape(G + (-1,))], axis=-1
-        )
-
-    @staticmethod
-    def from_dense(arr: np.ndarray, n: int, m: int) -> "StateVariation":
-        G = arr.shape[:-1]
-        nx = n + 1
-        return StateVariation(
-            arr[..., :nx],
-            arr[..., nx : nx + m],
-            arr[..., nx + m :].reshape(G + (m, nx)),
         )
 
     @staticmethod
@@ -243,7 +205,64 @@ def tilde_omega_contract(model: LagrangianModel, state: CauchyState,
                          method: str = "spectral") -> float:
     """Omega-tilde_L(W, W') = integral of Omega_L(W', W, T_1..T_n) over the
     grid, with T_i the embedding tangents."""
-    return _omega_tilde(_slice_geometry(model, state, method), W, Wp)
+    geom = _slice_geometry(model, state, method)
+    return float(_omega_tilde(geom, _tangent_rows(geom), W.dense(), Wp.dense()))
+
+
+@dataclass(frozen=True)
+class _SliceGeometry:
+    """The one evaluation of a state that the field and the induced-form
+    checks share: the jet (x, y, v), the grid derivatives D_i v of the jet
+    as dv (grid.., m, n, n+1), and the derivative bundle."""
+
+    state: CauchyState
+    method: str
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    dv: np.ndarray
+    bundle: DerivativeBundle
+
+
+def _slice_geometry(model: LagrangianModel, state: CauchyState,
+                    method: str) -> _SliceGeometry:
+    x, y, v = state.jet_arrays(method)
+    bundle = derivative_bundle_arrays(model, x, y, v)
+    dv = np.stack([grid_derivative(v, state.grid_shape, i, method)
+                   for i in range(state.n)], axis=-2)
+    return _SliceGeometry(state, method, x, y, v, dv, bundle)
+
+
+def _projection(spec: ConstraintSpec, geom: _SliceGeometry, Gt: np.ndarray,
+                drift_tol: float = 1e-6):
+    """The temporal block Gt of the time-horizontal lift H_0 (Gamma^b_0 =
+    v^b_0) projected through the nonholonomic projector, after checking that
+    the slice is on the constraint set.  Returns it with the constraint data
+    it used, from one differential pass: the full differentials dphi
+    (grid.., k, N) and the coefficients C (grid.., k, n+1, m)."""
+    x, y, v = geom.x, geom.y, geom.v
+    drift = float(np.max(np.abs(spec.values_arrays(x, y, v)), initial=0.0))
+    if drift > drift_tol:
+        raise DriftError(
+            f"state is off the constraint set: max|phi| = {drift:.3e} "
+            f"exceeds {drift_tol:.1e}"
+        )
+    dphi = spec.full_differentials_arrays(x, y, v)
+    dphidv = jet_block(dphi, *v.shape[-2:])
+    C = coefficient_arrays(spec, x, y, v, dphidv)
+    zeta = solve_zeta_flat(hessian_flat(geom.bundle), C)
+    Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
+    Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi, Lam, zeta)
+    return Gamma2[..., :, 0, :], dphi, C
+
+
+def _field(geom: _SliceGeometry, Gt: np.ndarray) -> StateVariation:
+    """The second-order field with temporal block Gt: dx = (1, 0, ...) and dy
+    the slice's v0 block."""
+    v = geom.v
+    dx = np.zeros(v.shape[:-2] + v.shape[-1:])
+    dx[..., 0] = 1.0
+    return StateVariation(dx, v[..., :, 0].copy(), Gt)
 
 
 def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
@@ -252,71 +271,62 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
     """The (projected) second-order vector field evaluated on the state.
 
     On the whole grid at once: solve the free De Donder-Weyl temporal block
-    with the spatial block pinned from grid derivatives, then (with a
-    constraint) project the time-horizontal lift through the nonholonomic
-    projector.  The returned variation has dx = (1, 0, ...) and dy equal to
-    the state's v0 block, which is the second-order condition.
+    with the spatial block pinned to the grid derivatives D_i v of the jet,
+    then (with a constraint) project the time-horizontal lift through the
+    nonholonomic projector.  The returned variation has dx = (1, 0, ...) and
+    dy equal to the state's v0 block, which is the second-order condition.
     """
-    G = state.grid_shape
-    n, m = state.n, state.m
-    nx = n + 1
-    x, y, v = state.jet_arrays(method)
-    bundle = derivative_bundle_arrays(model, x, y, v)
-
-    # spatial-first-index block pinned to the grid derivatives of the jet
-    Gsp = np.empty(G + (m, n, nx))
-    for i in range(n):
-        dv = grid_derivative(v, G, i, method)  # (G.., m, nx)
-        Gsp[..., :, i, :] = dv
-    Gt = solve_temporal_block(bundle, v, Gsp)
-
+    geom = _slice_geometry(model, state, method)
+    Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
     if spec is not None:
-        phi = spec.values_arrays(x, y, v)
-        drift = float(np.max(np.abs(phi), initial=0.0))
-        if drift > drift_tol:
-            raise DriftError(
-                f"state is off the constraint set: max|phi| = {drift:.3e} "
-                f"exceeds {drift_tol:.1e}"
-            )
-        dphi = spec.full_differentials_arrays(x, y, v)
-        dphidv = jet_block(dphi, m, nx)
-        C = coefficient_arrays(spec, x, y, v, dphidv)
-        zeta = solve_zeta_flat(hessian_flat(bundle), C)
-        Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
-        # the time-horizontal lift H_0: Gamma^b_0 = v^b_0 and the solved block
-        Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi, Lam, zeta)
-        Gt = Gamma2[..., :, 0, :]
-
-    dx = np.zeros(G + (nx,))
-    dx[..., 0] = 1.0
-    return StateVariation(dx, v[..., :, 0].copy(), Gt)
+        Gt = _projection(spec, geom, Gt, drift_tol)[0]
+    return _field(geom, Gt)
 
 
-@dataclass(frozen=True)
-class _SliceGeometry:
-    """Cached per-slice data for repeated induced-form evaluations."""
+def _tangent_rows(geom: _SliceGeometry) -> np.ndarray:
+    """The n embedding tangents T_i = d/du^i + D_i y d/dy + D_i v d/dv as
+    dense rows (grid.., n, N).
 
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-    bundle: object
-    T: np.ndarray  # (grid.., n, N)
+    The v-block is the slice's D_i v, the operator that pins the field's
+    spatial block, so the tangents agree exactly with the section-adapted
+    connection.  In pde mode the jet's spatial block already is D_i y.
+    """
+    state = geom.state
+    G, n, m = state.grid_shape, state.n, state.m
+    dims = Dims(n, m)
+    nx = dims.nx
+    if state.mode == "pde":
+        dy = geom.v[..., 1:]
+    else:
+        dy = _section_derivatives(state, geom.method)
+    T = np.zeros(G + (n, dims.N))
+    T[..., :, 1:nx] = np.eye(n)
+    T[..., :, nx : nx + m] = np.swapaxes(dy, -1, -2)
+    T[..., :, nx + m :] = np.moveaxis(geom.dv, -2, -3).reshape(G + (n, m * nx))
+    return T
 
 
-def _slice_geometry(model, state: CauchyState, method: str) -> _SliceGeometry:
-    x, y, v = state.jet_arrays(method)
-    return _SliceGeometry(
-        x, y, v, derivative_bundle_arrays(model, x, y, v),
-        state.tangent_vectors(method),
-    )
+def _with_tangents(T: np.ndarray, *vecs) -> np.ndarray:
+    """The tuples (vecs..., T_1..T_n) as rows (lead.., grid.., len(vecs)+n, N),
+    for dense vecs (.., grid.., N) whose leading axes broadcast."""
+    lead = np.broadcast_shapes(T.shape[:-2], *(w.shape[:-1] for w in vecs))
+    rows = [np.broadcast_to(w[..., None, :], lead + (1, T.shape[-1])) for w in vecs]
+    return np.concatenate(rows + [np.broadcast_to(T, lead + T.shape[-2:])], axis=-2)
 
 
-def _omega_tilde(geom: _SliceGeometry, W: StateVariation,
-                 Wp: StateVariation) -> float:
-    vecs = np.concatenate(
-        [Wp.dense()[..., None, :], W.dense()[..., None, :], geom.T], axis=-2
-    )
-    return float(np.mean(omega_eval_batch(geom.bundle, geom.v, vecs)))
+def _omega_tilde(geom: _SliceGeometry, T: np.ndarray, W: np.ndarray,
+                 Wp: np.ndarray) -> np.ndarray:
+    """Omega-tilde_L(W, W'), the grid mean of Omega_L(W', W, T_1..T_n), for
+    dense W and W' (lead.., grid.., N) whose leading axes broadcast: one
+    ``omega_eval_batch`` call, returning the leading shape."""
+    vals = omega_eval_batch(geom.bundle, geom.v, _with_tangents(T, Wp, W))
+    lead = vals.shape[: vals.ndim - len(geom.state.grid_shape)]
+    return np.mean(vals.reshape(lead + (-1,)), axis=-1)
+
+
+def _stacked(variations) -> np.ndarray:
+    """The variations as one dense array (R, grid.., N)."""
+    return np.stack([W.dense() for W in variations])
 
 
 def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
@@ -327,8 +337,8 @@ def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
     connection solving the free De Donder-Weyl equation along the slice.
     """
     geom = _slice_geometry(model, state, method)
-    gamma = sode_vector_field(model, None, state, method)
-    return np.array([_omega_tilde(geom, gamma, W) for W in variations])
+    gamma = _field(geom, solve_temporal_block(geom.bundle, geom.v, geom.dv))
+    return _omega_tilde(geom, _tangent_rows(geom), gamma.dense(), _stacked(variations))
 
 
 def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
@@ -342,45 +352,35 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
     returns the least-squares coefficients and the worst-case fit residual.
     """
     geom = _slice_geometry(model, state, method)
-    gamma = sode_vector_field(model, None, state, method)
-    pgamma = sode_vector_field(model, spec, state, method)
-    lhs = np.array(
-        [_omega_tilde(geom, pgamma, W) - _omega_tilde(geom, gamma, W)
-         for W in variations]
-    )
-    dphidv = spec.dphidv_arrays(geom.x, geom.y, geom.v)
-    C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
+    Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
+    Gp, _, C = _projection(spec, geom, Gt)
+    T = _tangent_rows(geom)
+    Ws = _stacked(variations)
+    # Omega-tilde is linear in the field, and P Gamma - Gamma is jet-vertical
+    delta = _field(geom, Gp).dense() - _field(geom, Gt).dense()
+    lhs = _omega_tilde(geom, T, delta, Ws)
     G = state.grid_shape
     B = int(np.prod(G))
-    cols = []
-    for W in variations:
-        vecs = np.concatenate([W.dense()[..., None, :], geom.T], axis=-2)
-        vals = phi_eval_batch(C, geom.v, vecs)  # (G.., k)
-        cols.append(vals.reshape(B * spec.k) / B)
-    M = np.asarray(cols)  # (R, B k)
+    M = phi_eval_batch(C, geom.v, _with_tangents(T, Ws)).reshape(len(Ws), B * spec.k) / B
     coeff, *_ = np.linalg.lstsq(M, lhs, rcond=None)
     resid = float(np.max(np.abs(lhs - M @ coeff), initial=0.0))
     return {"residual": resid, "coefficients": coeff.reshape(G + (spec.k,)),
             "values": lhs}
 
 
-def ftilde_annihilator_rows(spec: ConstraintSpec, geom: _SliceGeometry) -> np.ndarray:
-    """Per-point covectors w -> Phi_alpha(w, T_1..T_n), shape (grid.., k, N).
+def ftilde_annihilator_rows(coeffs: np.ndarray, v: np.ndarray,
+                            T: np.ndarray) -> np.ndarray:
+    """Per-point covectors w -> Phi_alpha(w, T_1..T_n), shape (grid.., k, N),
+    from the constraint coefficients (grid.., k, n+1, m), the jet v and the
+    tangent rows T (grid.., n, N): one ``phi_eval_batch`` call over the N
+    basis vectors.
 
     A variation annihilating these rows at every grid point annihilates
     every section of the induced codistribution F-tilde.
     """
-    dims = spec.dims
-    G = geom.v.shape[:-2]
-    dphidv = spec.dphidv_arrays(geom.x, geom.y, geom.v)
-    C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
-    rows = np.empty(G + (spec.k, dims.N))
-    basis = np.eye(dims.N)
-    for j in range(dims.N):
-        w = np.broadcast_to(basis[j], G + (dims.N,))
-        vecs = np.concatenate([w[..., None, :], geom.T], axis=-2)
-        rows[..., j] = phi_eval_batch(C, geom.v, vecs)
-    return rows
+    G, N = T.shape[:-2], T.shape[-1]
+    basis = np.eye(N).reshape((N,) + (1,) * len(G) + (N,))
+    return np.moveaxis(phi_eval_batch(coeffs, v, _with_tangents(T, basis)), 0, -1)
 
 
 def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
@@ -395,18 +395,14 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     the contraction to vanish.
     """
     geom = _slice_geometry(model, state, method)
-    pgamma = sode_vector_field(model, spec, state, method)
-    dphi = spec.full_differentials_arrays(geom.x, geom.y, geom.v)  # (G.., k, N)
-    rows = np.concatenate([dphi, ftilde_annihilator_rows(spec, geom)], axis=-2)
-    pinv = np.linalg.pinv(rows)  # (G.., N, 2k)
-    out = []
-    for W in variations:
-        dense = W.dense()
-        corr = np.einsum("...nr,...r->...n", pinv,
-                         np.einsum("...rn,...n->...r", rows, dense))
-        Wt = StateVariation.from_dense(dense - corr, state.n, state.m)
-        out.append(_omega_tilde(geom, pgamma, Wt))
-    return np.asarray(out)
+    Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
+    Gp, dphi, C = _projection(spec, geom, Gt)
+    T = _tangent_rows(geom)
+    rows = np.concatenate([dphi, ftilde_annihilator_rows(C, geom.v, T)], axis=-2)
+    Ws = _stacked(variations)
+    corr = np.einsum("...nr,...r->...n", np.linalg.pinv(rows),
+                     np.einsum("...rn,...n->...r", rows, Ws))
+    return _omega_tilde(geom, T, _field(geom, Gp).dense(), Ws - corr)
 
 
 def _pack(state: CauchyState) -> np.ndarray:
@@ -461,13 +457,11 @@ def energy(model: LagrangianModel, state: CauchyState,
 
 
 def holonomy_defect(state: CauchyState, method: str = "spectral") -> float:
-    """max |vi - D_u y| in fulljet mode (0 by construction in pde mode)."""
+    """max |vi - D_i y| in fulljet mode (0 by construction in pde mode)."""
     if state.mode == "pde":
         return 0.0
-    recon = np.stack(
-        [state.dy_actual(i, method) for i in range(state.n)], axis=-1
-    )
-    return float(np.max(np.abs(state.vi - recon), initial=0.0))
+    return float(np.max(np.abs(state.vi - _section_derivatives(state, method)),
+                        initial=0.0))
 
 
 def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,

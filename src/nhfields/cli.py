@@ -24,7 +24,6 @@ from . import autodiff as ad
 from .cauchy import (
     DERIVATIVES,
     INTEGRATORS,
-    MODES,
     CauchyState,
     _pack,
     evolve,
@@ -167,7 +166,6 @@ CONFIG_TABLE = {
     "dt": (POSITIVE, 1e-3),
     "steps": (_integer(0), 1000),
     "integrator": (_one_of(INTEGRATORS, str.lower), "rk4"),
-    "mode": (_one_of(MODES), "pde"),
     "derivative": (_one_of(DERIVATIVES), "spectral"),
     "stabilize": (("true or false", lambda val: isinstance(val, bool)), False),
     "drift_tol": (POSITIVE, 1e-6),
@@ -445,17 +443,14 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
         return CauchyState(0.0, disp, "fulljet", v0=v0, vi=vi, y_offset="identity")
     y = amp * np.sin(2 * np.pi * (init["mode"] % N) * u)[:, None] * np.ones(dims.m)
     ydot = init["velocity"] * np.ones((N, dims.m))
-    if (cfg["mode"] if spec is None else "fulljet") == "pde":
+    if spec is None:
         return CauchyState(0.0, y, "pde", ydot=ydot)
     v1 = grid_derivative(y, (N,), 0, cfg["derivative"])
-    vi = v1[..., None]
-    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
-    if spec is not None:
-        # start on the constraint set: solve phi = 0 for v0 (Newton from ydot)
-        xj, yj, vj = state.jet_arrays(cfg["derivative"])
-        vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50)
-        state = dataclasses.replace(state, v0=vj[..., 0])
-    return state
+    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=v1[..., None])
+    # start on the constraint set: solve phi = 0 for v0 (Newton from ydot)
+    xj, yj, vj = state.jet_arrays(cfg["derivative"])
+    vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50)
+    return dataclasses.replace(state, v0=vj[..., 0])
 
 
 def _write_table(path: Path, header: list, blocks):

@@ -221,7 +221,7 @@ def test_projected_difference_fits_constraint_ansatz():
 def test_constraint_ansatz_negative_control():
     # an unprojected constrained difference built from a *wrong* vector
     # field does not fit the constraint-form ansatz
-    from nhfields.cauchy import _omega_tilde, _slice_geometry
+    from nhfields.cauchy import _omega_tilde, _slice_geometry, _tangent_rows
 
     model = make_model("wave")
     spec = make_constraint("linear-transport", {"speed": 2.0})
@@ -229,11 +229,13 @@ def test_constraint_ansatz_negative_control():
     rng = np.random.default_rng(3)
     variations = [StateVariation.random(state, rng) for _ in range(40)]
     geom = _slice_geometry(model, state, "spectral")
+    T = _tangent_rows(geom)
     gamma = sode_vector_field(model, None, state)
     # corrupt the dy block: breaks the second-order structure
     wrong = StateVariation(gamma.dx, gamma.dy + 0.35, gamma.dv)
     lhs = np.array(
-        [_omega_tilde(geom, wrong, W) - _omega_tilde(geom, gamma, W)
+        [_omega_tilde(geom, T, wrong.dense(), W.dense())
+         - _omega_tilde(geom, T, gamma.dense(), W.dense())
          for W in variations]
     )
     from nhfields.constraint import coefficient_arrays, phi_eval_batch
@@ -243,7 +245,7 @@ def test_constraint_ansatz_negative_control():
     cols = []
     B = 16
     for W in variations:
-        vecs = np.concatenate([W.dense()[..., None, :], geom.T], axis=-2)
+        vecs = np.concatenate([W.dense()[..., None, :], T], axis=-2)
         cols.append(phi_eval_batch(C, geom.v, vecs).reshape(B) / B)
     M = np.asarray(cols)
     coeff, *_ = np.linalg.lstsq(M, lhs, rcond=None)
@@ -263,13 +265,14 @@ def test_projected_contraction_vanishes_on_restricted_class():
 def test_restriction_to_annihilator_class_is_necessary():
     """Sanity: the contraction does NOT vanish on variations that only
     annihilate dphi, which is why the restricted class is required."""
-    from nhfields.cauchy import _omega_tilde, _slice_geometry
+    from nhfields.cauchy import _omega_tilde, _slice_geometry, _tangent_rows
 
     model = make_model("wave")
     spec = make_constraint("linear-transport", {"speed": 2.0})
     state = constrained_wave_state(Nu=64)
     rng = np.random.default_rng(5)
     geom = _slice_geometry(model, state, "spectral")
+    T = _tangent_rows(geom)
     pgamma = sode_vector_field(model, spec, state)
     dphi = spec.full_differentials_arrays(geom.x, geom.y, geom.v)
     pinv = np.linalg.pinv(dphi)
@@ -279,8 +282,7 @@ def test_restriction_to_annihilator_class_is_necessary():
         dense = W.dense()
         corr = np.einsum("...nr,...r->...n", pinv,
                          np.einsum("...rn,...n->...r", dphi, dense))
-        Wt = StateVariation.from_dense(dense - corr, 1, 1)
-        vals.append(_omega_tilde(geom, pgamma, Wt))
+        vals.append(_omega_tilde(geom, T, pgamma.dense(), dense - corr))
     assert np.abs(vals).max() > 1e-4
 
 
@@ -485,3 +487,122 @@ def test_custom_coefficients_need_trailing_k_nx_m(shape):
         chetaev_coefficients(spec, JetPoint(x[0], y[0], v[0]))
     with pytest.raises(DimensionMismatchError):
         sode_vector_field(make_model("wave"), spec, state)
+
+
+def test_tangent_rows_are_the_section_and_jet_derivatives():
+    """T_i = d/du^i + D_i y d/dy + D_i v d/dv: the y-block is the grid
+    derivative of the actual section (identity offset included, or the
+    reconstructed spatial jet in pde mode), the v-block the grid derivative
+    of the stacked jet, the one the field pins its spatial block to."""
+    from nhfields.cauchy import _slice_geometry, _tangent_rows
+
+    cases = [(make_model("fluid", {"kappa": 1.0, "beta": 1.0}), fluid_fulljet_state()),
+             (make_model("wave"), wave_pde_state(32))]
+    for model, state in cases:
+        G, n, m = state.grid_shape, state.n, state.m
+        nx = n + 1
+        T = _tangent_rows(_slice_geometry(model, state, "spectral"))
+        x, y, v = state.jet_arrays()
+        assert T.shape == G + (n, Dims(n, m).N)
+        for i in range(n):
+            np.testing.assert_array_equal(T[..., i, :nx],
+                                          np.broadcast_to(np.eye(nx)[i + 1], G + (nx,)))
+            if state.mode == "pde":
+                np.testing.assert_array_equal(T[..., i, nx : nx + m], v[..., :, 1 + i])
+            else:
+                np.testing.assert_array_equal(T[..., i, nx : nx + m],
+                                              grid_derivative(state.y, G, i) + np.eye(n)[i])
+            np.testing.assert_array_equal(T[..., i, nx + m :],
+                                          grid_derivative(v, G, i).reshape(G + (m * nx,)))
+
+
+def _fluid_8():
+    return (make_model("fluid", {"kappa": 1.0, "beta": 1.0}),
+            make_constraint("incompressibility"), fluid_fulljet_state(N=8))
+
+
+def _constrained_wave_64():
+    return (make_model("wave"), make_constraint("linear-transport", {"speed": 2.0}),
+            constrained_wave_state(Nu=64))
+
+
+_CHECKS = {
+    "free": lambda model, spec, state, ws: free_sode_omega_values(model, state, ws),
+    "ansatz": lambda model, spec, state, ws: constraint_ansatz_fit(model, spec, state, ws),
+    "membership": lambda model, spec, state, ws: constrained_membership_check(
+        model, spec, state, ws),
+    "omega-tilde": lambda model, spec, state, ws: tilde_omega_contract(
+        model, state, ws[0], ws[1]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_CHECKS))
+@pytest.mark.parametrize("scenario", [_constrained_wave_64, _fluid_8],
+                         ids=["wave", "fluid"])
+def test_each_check_evaluates_its_slice_once(monkeypatch, scenario, check):
+    from nhfields import constraint
+
+    model, spec, state = scenario()
+    rng = np.random.default_rng(6)
+    variations = [StateVariation.random(state, rng) for _ in range(20)]
+    counts = dict.fromkeys(["bundle", "differentials", "grid", "omega", "phi"], 0)
+
+    def spy(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(cauchy, "derivative_bundle_arrays", "bundle")
+    spy(constraint.ConstraintSpec, "full_differentials_arrays", "differentials")
+    spy(constraint.ConstraintSpec, "dphidv_arrays", "differentials")
+    spy(cauchy, "grid_derivative", "grid")
+    spy(cauchy, "omega_eval_batch", "omega")
+    spy(cauchy, "phi_eval_batch", "phi")
+    _CHECKS[check](model, spec, state, variations)
+    assert counts["bundle"] == 1
+    assert counts["differentials"] <= 1
+    assert counts["grid"] <= 2 * state.n
+    assert counts["omega"] == 1
+    assert counts["phi"] <= 1
+
+
+@pytest.mark.parametrize("scenario", ["wave", "fluid"])
+def test_stacked_checks_match_a_loop_over_variations(scenario):
+    """The checks evaluate their forms over a stacked axis; a loop over the
+    variations, or over the basis vectors, through the one-pair functions
+    gives the same values."""
+    from nhfields.cauchy import _slice_geometry, _tangent_rows, ftilde_annihilator_rows
+    from nhfields.constraint import coefficient_arrays, phi_eval_batch
+
+    if scenario == "wave":
+        model, spec, state = _constrained_wave_64()
+    else:
+        model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
+        spec, state = make_constraint("incompressibility"), fluid_fulljet_state()
+    rng = np.random.default_rng(7)
+    variations = [StateVariation.random(state, rng) for _ in range(5)]
+    gamma = sode_vector_field(model, None, state)
+    pgamma = sode_vector_field(model, spec, state)
+    want = np.array([tilde_omega_contract(model, state, pgamma, W)
+                     - tilde_omega_contract(model, state, gamma, W) for W in variations])
+    got = constraint_ansatz_fit(model, spec, state, variations)["values"]
+    # on the fluid the projection leaves the field unchanged (the free
+    # temporal block has Gamma^a_{0i} = 0, so dphi(H_0) = 0): both sides are 0
+    if scenario == "wave":
+        assert np.abs(want).max() > 1e-3
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    geom = _slice_geometry(model, state, "spectral")
+    T = _tangent_rows(geom)
+    C = coefficient_arrays(spec, geom.x, geom.y, geom.v,
+                           spec.dphidv_arrays(geom.x, geom.y, geom.v))
+    N = T.shape[-1]
+    loop = np.stack([
+        phi_eval_batch(C, geom.v, np.concatenate(
+            [np.broadcast_to(np.eye(N)[j], T.shape[:-2] + (1, N)), T], axis=-2))
+        for j in range(N)], axis=-1)
+    np.testing.assert_array_equal(ftilde_annihilator_rows(C, geom.v, T), loop)

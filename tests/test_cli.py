@@ -260,6 +260,8 @@ def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     ({"task": "evolve", "grid": {"nuu": 9}}, "grid.nuu"),
     ({"task": "evolve", "initial": {"amplitud": 0.1}}, "initial.amplitud"),
     ({"model": {"name": "wave", "prams": {}}}, "model.prams"),
+    # the state mode follows the constraint; a free fulljet run is not offered
+    ({"task": "evolve", "mode": "fulljet"}, "mode"),
 ])
 def test_bad_named_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     path = write_config(tmp_path, **overrides)
@@ -543,7 +545,7 @@ def _fluid_evolve(**extra):
 
 
 @pytest.mark.parametrize("overrides, header", [
-    (dict(task="evolve", constraint=None, mode="pde", dt=1e-3, steps=3, grid={"nu": 8}),
+    (dict(task="evolve", constraint=None, dt=1e-3, steps=3, grid={"nu": 8}),
      "t,u1,y1,ydot1"),
     (_fluid_evolve(),
      "t,u1,u2,u3,y1,y2,y3,v0_1,v0_2,v0_3,"
