@@ -502,7 +502,7 @@ def test_tangent_rows_are_the_section_and_jet_derivatives():
         G, n, m = state.grid_shape, state.n, state.m
         nx = n + 1
         T = _tangent_rows(_slice_geometry(model, state, "spectral"))
-        x, y, v = state.jet_arrays()
+        v = state.jet_arrays()[2]
         assert T.shape == G + (n, Dims(n, m).N)
         for i in range(n):
             np.testing.assert_array_equal(T[..., i, :nx],
