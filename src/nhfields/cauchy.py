@@ -37,7 +37,6 @@ from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
     derivative_bundle_arrays,
-    first_derivatives_arrays,
     hessian_flat,
     omega_eval_batch,
 )
@@ -52,19 +51,24 @@ DERIVATIVES = ("spectral", "fd4")
 MODES = ("pde", "fulljet")
 
 
-def grid_derivative(arr: np.ndarray, grid_shape: tuple, axis: int,
-                    method: str = "spectral") -> np.ndarray:
-    """d/du_i of a periodic grid field; trailing axes are field components."""
-    N = grid_shape[axis]
-    if method == "spectral":
-        k = 2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)
-        shape = [1] * arr.ndim
-        shape[axis] = N
-        spec = np.fft.fft(arr, axis=axis) * k.reshape(shape)
-        return np.real(np.fft.ifft(spec, axis=axis))
-    if method == "fd4":
-        return periodic_derivative(arr, 1.0 / N, axis=axis, order=4)
-    raise InvalidArgumentError(f"derivative method must be one of {DERIVATIVES}")
+def grid_derivative(arr: np.ndarray, n: int, method: str = "spectral") -> np.ndarray:
+    """D_i of a periodic grid field along its n leading (grid) axes, stacked
+    last: (grid.., c..) -> (grid.., c.., n); the trailing axes c are field
+    components."""
+    if method not in DERIVATIVES:
+        raise InvalidArgumentError(f"derivative method must be one of {DERIVATIVES}")
+    out = []
+    for axis in range(n):
+        N = arr.shape[axis]
+        if method == "fd4":
+            out.append(periodic_derivative(arr, 1.0 / N, axis=axis, order=4))
+        else:
+            k = 2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)
+            shape = [1] * arr.ndim
+            shape[axis] = N
+            spec = np.fft.fft(arr, axis=axis) * k.reshape(shape)
+            out.append(np.real(np.fft.ifft(spec, axis=axis)))
+    return np.stack(out, axis=-1)
 
 
 def grid_coordinates(shape: tuple) -> list[np.ndarray]:
@@ -159,8 +163,7 @@ class CauchyState:
 def _section_derivatives(state: CauchyState, method: str) -> np.ndarray:
     """D_i y of the actual section as (grid..., m, n): the grid derivatives
     of the stored y, plus the identity under an identity offset."""
-    d = np.stack([grid_derivative(state.y, state.grid_shape, i, method)
-                  for i in range(state.n)], axis=-1)
+    d = grid_derivative(state.y, state.n, method)
     return d + np.eye(state.n) if state.y_offset == "identity" else d
 
 
@@ -228,8 +231,7 @@ def _slice_geometry(model: LagrangianModel, state: CauchyState,
                     method: str) -> _SliceGeometry:
     x, y, v = state.jet_arrays(method)
     bundle = derivative_bundle_arrays(model, x, y, v)
-    dv = np.stack([grid_derivative(v, state.grid_shape, i, method)
-                   for i in range(state.n)], axis=-2)
+    dv = np.swapaxes(grid_derivative(v, state.n, method), -1, -2)
     return _SliceGeometry(state, method, x, y, v, dv, bundle)
 
 
@@ -238,8 +240,9 @@ def _projection(spec: ConstraintSpec, geom: _SliceGeometry, Gt: np.ndarray,
     """The temporal block Gt of the time-horizontal lift H_0 (Gamma^b_0 =
     v^b_0) projected through the nonholonomic projector, after checking that
     the slice is on the constraint set.  Returns it with the constraint data
-    it used, from one differential pass: the full differentials dphi
-    (grid.., k, N) and the coefficients C (grid.., k, n+1, m)."""
+    it used, from one values pass and one differential pass: the full
+    differentials dphi (grid.., k, N), the coefficients C (grid.., k, n+1, m)
+    and the checked max|phi| over the slice."""
     x, y, v = geom.x, geom.y, geom.v
     drift = float(np.max(np.abs(spec.values_arrays(x, y, v)), initial=0.0))
     if drift > drift_tol:
@@ -253,7 +256,7 @@ def _projection(spec: ConstraintSpec, geom: _SliceGeometry, Gt: np.ndarray,
     zeta = solve_zeta_flat(hessian_flat(geom.bundle), C)
     Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
     Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi, Lam, zeta)
-    return Gamma2[..., :, 0, :], dphi, C
+    return Gamma2[..., :, 0, :], dphi, C, drift
 
 
 def _field(geom: _SliceGeometry, Gt: np.ndarray) -> StateVariation:
@@ -276,11 +279,20 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
     nonholonomic projector.  The returned variation has dx = (1, 0, ...) and
     dy equal to the state's v0 block, which is the second-order condition.
     """
+    return _evaluate(model, spec, state, method, drift_tol)[1]
+
+
+def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
+              state: CauchyState, method: str, drift_tol: float):
+    """The one evaluation of a state for the field: its slice geometry, the
+    (projected) second-order field on it, and max|phi| over the slice from
+    the projection's drift check (0 without a constraint)."""
     geom = _slice_geometry(model, state, method)
     Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
+    max_phi = 0.0
     if spec is not None:
-        Gt = _projection(spec, geom, Gt, drift_tol)[0]
-    return _field(geom, Gt)
+        Gt, _, _, max_phi = _projection(spec, geom, Gt, drift_tol)
+    return geom, _field(geom, Gt), max_phi
 
 
 def _tangent_rows(geom: _SliceGeometry) -> np.ndarray:
@@ -353,7 +365,7 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
     """
     geom = _slice_geometry(model, state, method)
     Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
-    Gp, _, C = _projection(spec, geom, Gt)
+    Gp, _, C, _ = _projection(spec, geom, Gt)
     T = _tangent_rows(geom)
     Ws = _stacked(variations)
     # Omega-tilde is linear in the field, and P Gamma - Gamma is jet-vertical
@@ -396,7 +408,7 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     """
     geom = _slice_geometry(model, state, method)
     Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
-    Gp, dphi, C = _projection(spec, geom, Gt)
+    Gp, dphi, C, _ = _projection(spec, geom, Gt)
     T = _tangent_rows(geom)
     rows = np.concatenate([dphi, ftilde_annihilator_rows(C, geom.v, T)], axis=-2)
     Ws = _stacked(variations)
@@ -446,14 +458,6 @@ def _rhs(state: CauchyState, var: StateVariation) -> np.ndarray:
         [state.v0, var.dv[..., :, 0], var.dv[..., :, 1:].reshape(G + (-1,))],
         axis=-1,
     )
-
-
-def energy(model: LagrangianModel, state: CauchyState,
-           method: str = "spectral") -> float:
-    """Mean of ydot . dL/dv_0 - L over the slice."""
-    x, y, v = state.jet_arrays(method)
-    L, _, dLdv = first_derivatives_arrays(model, x, y, v)
-    return float(np.mean(np.einsum("...a,...a->...", v[..., :, 0], dLdv[..., :, 0]) - L))
 
 
 def holonomy_defect(state: CauchyState, method: str = "spectral") -> float:
@@ -516,9 +520,12 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     """Explicit time stepping of the (projected) second-order field.
 
     Diagnostics recorded per stored step: time, max |phi_alpha|, holonomy
-    defect (fulljet), i_Gamma eta-tilde, and the slice energy.  The field
-    evaluated to record a state is the first stage of the next step, so a
-    run makes steps x stages + 1 field evaluations.
+    defect (fulljet), i_Gamma eta-tilde, and the slice energy, the mean of
+    v0 . dL/dv0 - L.  All but the holonomy defect are read from the field's
+    own evaluation of the state: max |phi_alpha| from its drift check, the
+    energy from its derivative bundle.  That field is the first stage of
+    the next step, so a run makes steps x stages + 1 field evaluations and
+    no other evaluation of a state.
     """
     weights, nodes = _tableau(integrator.lower())
 
@@ -527,18 +534,14 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     diags = {"t": [], "max_phi": [], "holonomy": [], "eta": [], "energy": []}
 
     def record(s: CauchyState) -> StateVariation:
+        geom, var, max_phi = _evaluate(model, spec, s, method, drift_tol)
+        v0, b = geom.v[..., :, 0], geom.bundle
         diags["t"].append(s.t)
-        if spec is not None:
-            xj, yj, vj = s.jet_arrays(method)
-            diags["max_phi"].append(
-                float(np.max(np.abs(spec.values_arrays(xj, yj, vj)), initial=0.0))
-            )
-        else:
-            diags["max_phi"].append(0.0)
+        diags["max_phi"].append(max_phi)
         diags["holonomy"].append(holonomy_defect(s, method))
-        var = sode_vector_field(model, spec, s, method, drift_tol)
         diags["eta"].append(tilde_eta_contract(s, var))
-        diags["energy"].append(energy(model, s, method))
+        diags["energy"].append(float(np.mean(
+            np.einsum("...a,...a->...", v0, b.dLdv[..., :, 0]) - b.L)))
         return var
 
     var = record(state)

@@ -227,6 +227,12 @@ def load_config(path=None, overrides=None) -> dict:
     name = model.get("name") if isinstance(model, dict) else None
     cfg = _read(CONFIG_TABLE, given, "",
                 MODEL_DEFAULTS.get(name, {}) if isinstance(name, str) else {})
+    ccfg = cfg["constraint"]
+    if ccfg is not None and ccfg["coeffs_csv"] and ccfg["mode"] != "custom":
+        raise ConfigError(
+            f"constraint.coeffs_csv must be empty unless constraint.mode is custom, "
+            f"got {ccfg['coeffs_csv']!r} with mode {ccfg['mode']!r}"
+        )
     width = len(_STENCILS[4])
     if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
         raise ConfigError(
@@ -326,7 +332,7 @@ def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
     out["free_ddw_residual"] = nh_ddw_residual(
         bundle, ConstraintPoint.unconstrained(p), free, rng, tuples)["form_residual"]
     out["semiholonomic"] = semiholonomic_residual(free.coeffs, p)
-    res = nh_ddw_residual(bundle, cp, project_connection(free, pp, zb), rng, tuples)
+    res = nh_ddw_residual(bundle, cp, project_connection(free, pp), rng, tuples)
     out["nh_form_residual"] = res["form_residual"]
     out["nh_tangency_residual"] = res["tangency_residual"]
     out["lambda_match"] = res["lam_gap"]
@@ -445,8 +451,8 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
     ydot = init["velocity"] * np.ones((N, dims.m))
     if spec is None:
         return CauchyState(0.0, y, "pde", ydot=ydot)
-    v1 = grid_derivative(y, (N,), 0, cfg["derivative"])
-    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=v1[..., None])
+    vi = grid_derivative(y, 1, cfg["derivative"])
+    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
     # start on the constraint set: solve phi = 0 for v0 (Newton from ydot)
     xj, yj, vj = state.jet_arrays(cfg["derivative"])
     vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50)

@@ -34,7 +34,7 @@ from .lagrangian import (
     derivative_bundle,
     omega_eval_batch,
 )
-from .projector import ProjectorPair, ZetaBasis, project_lifts
+from .projector import ProjectorPair, project_lifts
 
 _SOLVE_TOL = 1e-9
 
@@ -138,8 +138,7 @@ def _check_solution(A, sol, rhs, label):
         )
 
 
-def project_connection(free: DdwSolution, pp: ProjectorPair,
-                       zb: ZetaBasis) -> DdwSolution:
+def project_connection(free: DdwSolution, pp: ProjectorPair) -> DdwSolution:
     """Apply the nonholonomic projector to a free solution at a point of C.
 
     All n+1 horizontal lifts go through ``project_lifts``: Q(H_mu) =
@@ -147,7 +146,7 @@ def project_connection(free: DdwSolution, pp: ProjectorPair,
     Gamma'^a_{mu nu} = Gamma^a_{mu nu} - lambda^alpha_mu (zeta_alpha)^a_nu.
     """
     Gamma2, lam = project_lifts(free.coeffs.Gamma, free.coeffs.Gamma2, pp.dphi,
-                                pp.Lam, zb.zeta)
+                                pp.Lam, pp.zeta)
     return DdwSolution(ConnectionCoeffs(free.coeffs.Gamma.copy(), Gamma2), lam)
 
 

@@ -200,11 +200,6 @@ class Form:
         return Form(np.concatenate(coeffs), np.concatenate(rows, axis=0))
 
 
-def contract_form(form: Form, vector) -> Form:
-    """Functional alias for Form.contract."""
-    return form.contract(vector)
-
-
 def _components(v):
     return v.components if hasattr(v, "components") else np.asarray(v, dtype=float)
 

@@ -168,20 +168,6 @@ def derivative_bundle(model: LagrangianModel, p: JetPoint) -> DerivativeBundle:
     return derivative_bundle_arrays(model, p.x, p.y, p.v)
 
 
-def first_derivatives_arrays(model: LagrangianModel, x, y, v):
-    """Cheap first-order pass: (L, dLdy (.., m), dLdv (.., m, n+1)), with the
-    same seeding as :func:`derivative_bundle_arrays`."""
-    dims = model.dims
-    act = model.active_inputs
-    out = model.fn(*seed_inputs(ad.Dual, np.asarray(x, float), np.asarray(y, float),
-                                np.asarray(v, float), dims, act))
-    m, nx = dims.m, dims.nx
-    batch = out.val.shape
-    grad = np.zeros(batch + (dims.N,))
-    grad[..., act] = out.grad
-    return out.val, grad[..., nx : nx + m], grad[..., nx + m :].reshape(batch + (m, nx))
-
-
 def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:
     """H as a (m(n+1), m(n+1)) matrix in the (a-major, mu-minor) flattening."""
     m, nx = bundle.dLdv.shape[-2:]

@@ -279,14 +279,6 @@ def dense_derivative_bundle(model, x, y, v) -> DerivativeBundle:
     return bundle_from_dense(model, out.val, out.grad, out.hess)
 
 
-def dense_first_derivatives(model, x, y, v):
-    """(L, dLdy, dLdv) from one Dual pass over all N directions."""
-    out = _all_seeded(ad.Dual, model, x, y, v)
-    m, nx = model.dims.m, model.dims.nx
-    return (out.val, out.grad[..., nx : nx + m],
-            out.grad[..., nx + m :].reshape(out.val.shape + (m, nx)))
-
-
 # ---------------------------------------------------------------------------
 # the pointwise checks computed on the exterior.Form term lists
 

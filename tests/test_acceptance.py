@@ -227,7 +227,7 @@ def test_criterion_06_projected_solutions_solve_constrained_problem():
         pp = build_projectors(zb, cp)
         fixed = rng.uniform(-1, 1, (1, 1, 2))
         free = solve_free_ddw(bundle, p.v, fixed_spatial=fixed)
-        proj = project_connection(free, pp, zb)
+        proj = project_connection(free, pp)
         res = nh_ddw_residual(bundle, cp, proj, rng=rng, tuples=50)
         worst_form = max(worst_form, res["form_residual"])
         worst_tang = max(worst_tang, res["tangency_residual"])
@@ -294,7 +294,7 @@ def test_criterion_08_cauchy_free_layer():
 def _constrained_wave_state(Nu=64, amp=0.1):
     u = np.arange(Nu) / Nu
     y = amp * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, (Nu,), 0, "spectral")
+    v1 = grid_derivative(y, 1, "spectral")[..., 0]
     return CauchyState(0.0, y, "fulljet", v0=2.0 * v1, vi=v1[..., None])
 
 
@@ -321,7 +321,7 @@ def test_criterion_09_constrained_cauchy():
     Nu = 64
     u = np.arange(Nu) / Nu
     y = 0.1 * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, (Nu,), 0, "spectral")
+    v1 = grid_derivative(y, 1, "spectral")[..., 0]
     nl_state = CauchyState(0.0, y, "fulljet", v0=2.0 * v1 + c * v1 * v1,
                            vi=v1[..., None])
     drifts = {}

@@ -11,6 +11,7 @@ from nhfields.cauchy import (
     constraint_ansatz_fit,
     evolve,
     free_sode_omega_values,
+    grid_coordinates,
     grid_derivative,
     project_onto_constraint,
     sode_vector_field,
@@ -42,23 +43,25 @@ def wave_pde_state(Nu=64, amp=1.0, mode=1):
 def constrained_wave_state(Nu=64, amp=0.1, speed=2.0, method="spectral"):
     u = np.arange(Nu) / Nu
     y = amp * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, (Nu,), 0, method)
+    v1 = grid_derivative(y, 1, method)[..., 0]
     return CauchyState(0.0, y, "fulljet", v0=speed * v1, vi=v1[..., None])
 
 
 def test_grid_derivative_spectral_and_fd4():
-    Nu = 64
-    u = np.arange(Nu) / Nu
-    f = np.sin(2 * np.pi * u)
-    want = 2 * np.pi * np.cos(2 * np.pi * u)
-    assert np.abs(grid_derivative(f, (Nu,), 0, "spectral") - want).max() < 1e-11
-    assert np.abs(grid_derivative(f, (Nu,), 0, "fd4") - want).max() < 1e-4
+    # D_i along the two leading (grid) axes, stacked after the component axis
+    u1, u2 = grid_coordinates((64, 64))
+    s1, c1, s2, c2 = (f(2 * np.pi * u) for u in (u1, u2) for f in (np.sin, np.cos))
+    arr = np.stack([s1 * c2, c2], axis=-1)
+    want = 2 * np.pi * np.stack([np.stack([c1 * c2, -s1 * s2], axis=-1),
+                                 np.stack([0 * c2, -s2], axis=-1)], axis=-2)
+    assert np.abs(grid_derivative(arr, 2, "spectral") - want).max() < 1e-11
+    assert np.abs(grid_derivative(arr, 2, "fd4") - want).max() < 1e-4
 
 
 def test_fd4_needs_a_full_stencil():
     # on 4 points the 5-point stencil would wrap onto itself
     with pytest.raises(InvalidArgumentError):
-        grid_derivative(np.arange(4.0), (4,), 0, "fd4")
+        grid_derivative(np.arange(4.0), 1, "fd4")
 
 
 def test_eta_contract_values():
@@ -187,7 +190,7 @@ def nonlinear_wave_spec(c=0.5):
 def nonlinear_constrained_state(Nu=64, amp=0.1, c=0.5):
     u = np.arange(Nu) / Nu
     y = amp * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, (Nu,), 0, "spectral")
+    v1 = grid_derivative(y, 1, "spectral")[..., 0]
     v0 = 2.0 * v1 + c * v1 * v1
     return CauchyState(0.0, y, "fulljet", v0=v0, vi=v1[..., None])
 
@@ -301,7 +304,7 @@ def test_incompatible_point_raises():
     Nu = 16
     u = np.arange(Nu) / Nu
     y = 0.1 * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, (Nu,), 0, "spectral")
+    v1 = grid_derivative(y, 1, "spectral")[..., 0]
     state = CauchyState(0.0, y, "fulljet", v0=v1, vi=v1[..., None])
     from nhfields.exceptions import CompatibilityError
 
@@ -344,6 +347,17 @@ def reference_evolve(model, spec, state, dt, steps, integrator, stabilize=False,
     return state
 
 
+def _spy(monkeypatch, counts, owner, name, key):
+    """Count the calls of ``owner.name`` under ``counts[key]``."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.mark.parametrize("integrator, stages", [("rk4", 4), ("euler", 1)])
 @pytest.mark.parametrize("constrained", [False, True])
 def test_evolve_reuses_the_recorded_field_as_first_stage(monkeypatch, integrator,
@@ -355,18 +369,45 @@ def test_evolve_reuses_the_recorded_field_as_first_stage(monkeypatch, integrator
     else:
         spec, state = None, wave_pde_state(16)
     want = reference_evolve(model, spec, state, 1e-3, 3, integrator)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sode_vector_field(*args, **kwargs)
-
-    monkeypatch.setattr(cauchy, "sode_vector_field", counted)
+    # the recorder and the stages (through sode_vector_field) share _evaluate
+    counts = {"field": 0}
+    _spy(monkeypatch, counts, cauchy, "_evaluate", "field")
     res = evolve(model, spec, state, 1e-3, 3, integrator)
-    assert len(calls) == 3 * stages + 1
+    assert counts["field"] == 3 * stages + 1
     got = res.states[-1]
     assert got.t == want.t
     assert np.array_equal(cauchy._pack(got), cauchy._pack(want))
+
+
+@pytest.mark.parametrize("scenario", ["wave", "fluid"])
+def test_evolve_evaluates_each_state_once(monkeypatch, scenario):
+    """The diagnostics of a recorded state come from the field's evaluation
+    of it, so a 2-step RK4 run builds the jet, the derivative bundle and the
+    constraint values once per field evaluation: steps x stages + 1 = 9."""
+    if scenario == "wave":
+        model = make_model("wave")
+        spec = make_constraint("linear-transport", {"speed": 2.0})
+        state = constrained_wave_state(Nu=16)
+    else:
+        model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
+        spec, state = make_constraint("incompressibility"), fluid_fulljet_state(N=4)
+    counts = dict.fromkeys(["jet", "bundle", "values"], 0)
+    _spy(monkeypatch, counts, CauchyState, "jet_arrays", "jet")
+    _spy(monkeypatch, counts, cauchy, "derivative_bundle_arrays", "bundle")
+    _spy(monkeypatch, counts, ConstraintSpec, "values_arrays", "values")
+    evolve(model, spec, state, 1e-3, 2, "rk4")
+    assert counts == {"jet": 9, "bundle": 9, "values": 9}
+
+
+def test_energy_of_a_free_wave_slice():
+    # L = (v0^2 - v1^2) / 2: the energy density v0 dL/dv0 - L is
+    # (v0^2 + v1^2) / 2, with v0 = c and v1 = 2 pi A cos(2 pi u)
+    A, c, Nu = 0.3, 0.7, 64
+    u = np.arange(Nu) / Nu
+    state = CauchyState(0.0, A * np.sin(2 * np.pi * u)[:, None], "pde",
+                        ydot=np.full((Nu, 1), c))
+    energy = evolve(make_model("wave"), None, state, 1e-3, 0).diagnostics["energy"]
+    assert energy[0] == pytest.approx((c * c + 2 * np.pi ** 2 * A * A) / 2, rel=1e-12)
 
 
 def test_stabilized_evolution_bounds_the_drift():
@@ -453,14 +494,14 @@ def test_grid_field_is_the_pointwise_chain_at_every_point(scenario):
     assert np.abs(field.dv).max() > 1e-3
     G, n = state.grid_shape, state.n
     x, y, v = state.jet_arrays()
-    Gsp = np.stack([grid_derivative(v, G, i) for i in range(n)], axis=-2)
+    Gsp = np.swapaxes(grid_derivative(v, n), -1, -2)
     for idx in np.ndindex(G):
         p = JetPoint(x[idx], y[idx], v[idx])
         bundle = derivative_bundle(model, p)
         cp = spec.at(p)
         zb = solve_zeta(bundle, cp.coeffs)
         free = solve_free_ddw(bundle, p.v, fixed_spatial=Gsp[idx])
-        proj = project_connection(free, build_projectors(zb, cp), zb)
+        proj = project_connection(free, build_projectors(zb, cp))
         np.testing.assert_array_equal(field.dv[idx], proj.coeffs.Gamma2[:, 0, :])
 
 
@@ -511,9 +552,9 @@ def test_tangent_rows_are_the_section_and_jet_derivatives():
                 np.testing.assert_array_equal(T[..., i, nx : nx + m], v[..., :, 1 + i])
             else:
                 np.testing.assert_array_equal(T[..., i, nx : nx + m],
-                                              grid_derivative(state.y, G, i) + np.eye(n)[i])
+                                              grid_derivative(state.y, n)[..., i] + np.eye(n)[i])
             np.testing.assert_array_equal(T[..., i, nx + m :],
-                                          grid_derivative(v, G, i).reshape(G + (m * nx,)))
+                                          grid_derivative(v, n)[..., i].reshape(G + (m * nx,)))
 
 
 def _fluid_8():
@@ -540,32 +581,20 @@ _CHECKS = {
 @pytest.mark.parametrize("scenario", [_constrained_wave_64, _fluid_8],
                          ids=["wave", "fluid"])
 def test_each_check_evaluates_its_slice_once(monkeypatch, scenario, check):
-    from nhfields import constraint
-
     model, spec, state = scenario()
     rng = np.random.default_rng(6)
     variations = [StateVariation.random(state, rng) for _ in range(20)]
     counts = dict.fromkeys(["bundle", "differentials", "grid", "omega", "phi"], 0)
-
-    def spy(owner, name, key):
-        fn = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    spy(cauchy, "derivative_bundle_arrays", "bundle")
-    spy(constraint.ConstraintSpec, "full_differentials_arrays", "differentials")
-    spy(constraint.ConstraintSpec, "dphidv_arrays", "differentials")
-    spy(cauchy, "grid_derivative", "grid")
-    spy(cauchy, "omega_eval_batch", "omega")
-    spy(cauchy, "phi_eval_batch", "phi")
+    _spy(monkeypatch, counts, cauchy, "derivative_bundle_arrays", "bundle")
+    _spy(monkeypatch, counts, ConstraintSpec, "full_differentials_arrays", "differentials")
+    _spy(monkeypatch, counts, ConstraintSpec, "dphidv_arrays", "differentials")
+    _spy(monkeypatch, counts, cauchy, "grid_derivative", "grid")
+    _spy(monkeypatch, counts, cauchy, "omega_eval_batch", "omega")
+    _spy(monkeypatch, counts, cauchy, "phi_eval_batch", "phi")
     _CHECKS[check](model, spec, state, variations)
     assert counts["bundle"] == 1
     assert counts["differentials"] <= 1
-    assert counts["grid"] <= 2 * state.n
+    assert counts["grid"] <= 2
     assert counts["omega"] == 1
     assert counts["phi"] <= 1
 

@@ -164,9 +164,9 @@ def test_custom_evolve_reproduces_chetaev_run(tmp_path):
     coeffs = tmp_path / "C.csv"
     coeffs.write_text("1.0,-2.0\n")
     runs = {}
-    for mode in ("chetaev", "custom"):
+    for mode, csv in (("chetaev", ""), ("custom", str(coeffs))):
         constraint = {"name": "linear-transport", "params": {"speed": 2.0},
-                      "mode": mode, "coeffs_csv": str(coeffs)}
+                      "mode": mode, "coeffs_csv": csv}
         path = write_config(tmp_path, name=f"{mode}.json", task="evolve",
                             constraint=constraint, dt=2e-3, steps=5,
                             grid={"nu": 16}, output_dir=str(tmp_path / mode))
@@ -255,6 +255,9 @@ def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     ({"tolerances": []}, "tolerances"),
     ({"tolerances": 5}, "tolerances"),
     ({"constraint": {"name": "linear-transport", "mode": "custom", "coeffs_csv": 5}},
+     "constraint.coeffs_csv"),
+    # the CSV belongs to custom mode; under chetaev it would be ignored
+    ({"constraint": {"name": "linear-transport", "coeffs_csv": "missing.csv"}},
      "constraint.coeffs_csv"),
     # keys no table names, at any depth
     ({"task": "evolve", "grid": {"nuu": 9}}, "grid.nuu"),

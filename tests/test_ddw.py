@@ -109,7 +109,7 @@ def test_projection_hand_example():
         ConnectionCoeffs(p.v.copy(), np.array([[[1.0, 0.0], [0.0, 1.0]]])),
         np.zeros((0, 2)),
     )
-    proj = project_connection(free, pp, zb)
+    proj = project_connection(free, pp)
     # first-order block untouched: the correction is jet-vertical
     assert np.array_equal(proj.coeffs.Gamma, p.v)
     assert proj.multipliers[0, 0] == pytest.approx(-1.0 / 3.0)
@@ -133,7 +133,7 @@ def test_projection_of_already_tangent_solution_is_identity():
     # Gamma2 with dphi(H_mu) = 0: rows satisfy g_mu0 = 2 g_mu1
     G2 = np.array([[[2.0, 1.0], [0.8, 0.4]]])
     free = DdwSolution(ConnectionCoeffs(p.v.copy(), G2), np.zeros((0, 2)))
-    proj = project_connection(free, pp, zb)
+    proj = project_connection(free, pp)
     assert np.allclose(proj.multipliers, 0.0, atol=1e-14)
     assert np.allclose(proj.coeffs.Gamma2, G2)
 
@@ -149,7 +149,7 @@ def test_projected_solution_passes_membership_and_lambda_match():
         zb = solve_zeta(bundle, cp.coeffs)
         pp = build_projectors(zb, cp)
         free = solve_free_ddw(bundle, p.v, fixed_spatial=rng.uniform(-1, 1, (1, 1, 2)))
-        proj = project_connection(free, pp, zb)
+        proj = project_connection(free, pp)
         res = nh_ddw_residual(bundle, cp, proj, rng=rng)
         assert res["form_residual"] < 1e-8
         assert res["tangency_residual"] < 1e-10
@@ -172,7 +172,7 @@ def test_membership_residual_detects_corruption():
     zb = solve_zeta(bundle, cp.coeffs)
     pp = build_projectors(zb, cp)
     free = solve_free_ddw(bundle, p.v)
-    proj = project_connection(free, pp, zb)
+    proj = project_connection(free, pp)
     # (a) corrupt the first-order block: semi-holonomicity breaks and the
     # extra dv-wedge components cannot be matched by any multiplier
     G = proj.coeffs.Gamma.copy()
@@ -249,7 +249,7 @@ def test_membership_check_needs_more_tuples_than_multipliers():
     bundle = derivative_bundle(model, p)
     cp = spec.at(p)
     zb = solve_zeta(bundle, cp.coeffs)
-    proj = project_connection(solve_free_ddw(bundle, p.v), build_projectors(zb, cp), zb)
+    proj = project_connection(solve_free_ddw(bundle, p.v), build_projectors(zb, cp))
     G = proj.coeffs.Gamma.copy()
     G[0, 0] += 0.1
     bad = DdwSolution(ConnectionCoeffs(G, proj.coeffs.Gamma2), proj.multipliers)
@@ -318,7 +318,7 @@ def test_constrained_agrees_with_projection_residuals():
     cp = spec.at(p)
     zb = solve_zeta(bundle, cp.coeffs)
     pp = build_projectors(zb, cp)
-    proj = project_connection(solve_free_ddw(bundle, p.v), pp, zb)
+    proj = project_connection(solve_free_ddw(bundle, p.v), pp)
     direct = solve_constrained_ddw(bundle, cp)
     for sol in (proj, direct):
         res = nh_ddw_residual(bundle, cp, sol, rng=np.random.default_rng(0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhfields.exceptions import DimensionMismatchError, InvalidArgumentError
-from nhfields.exterior import Form, TangentVector, contract_form, eval_wedge_monomial
+from nhfields.exterior import Form, TangentVector, eval_wedge_monomial
 
 from helpers import random_vector, wedge_eval_oracle
 
@@ -110,7 +110,7 @@ def test_multilinearity_in_each_slot():
 
 def test_contract_one_form_gives_scalar():
     f = Form.from_terms([(2.0, [3])], dim=5)
-    assert contract_form(f, basis(3)) == pytest.approx(2.0)
+    assert f.contract(basis(3)) == pytest.approx(2.0)
 
 
 def test_empty_factor_list_rejected():

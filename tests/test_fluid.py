@@ -121,7 +121,7 @@ def test_projected_connection_multiplier_shape():
     zb = solve_zeta(bundle, cp.coeffs)
     pp = build_projectors(zb, cp)
     free = solve_free_ddw(bundle, p.v, fixed_spatial=0.2 * rng.uniform(-1, 1, (3, 3, 4)))
-    proj = project_connection(free, pp, zb)
+    proj = project_connection(free, pp)
     lam = proj.multipliers  # (1, 4)
     assert abs(lam[0, 0]) < 1e-12
     assert np.abs(lam[0, 1:]).max() > 0.0
@@ -224,6 +224,16 @@ def test_torus_smoke_evolution_keeps_constraint():
     assert res.diagnostics["max_phi"].max() < 1e-5
     assert np.abs(res.diagnostics["eta"] - 1.0).max() < 1e-12
     assert np.isfinite(res.diagnostics["energy"]).all()
+
+
+def test_energy_of_the_default_fluid_slice():
+    # J = 1 and W(1) = 0, and mu = 0: the energy density is rho |v0|^2 / 2,
+    # with v0 = (vel sin(2 pi u3), 0, 0), whose grid mean is rho vel^2 / 4
+    params, vel = FluidParams(), 0.005
+    res = evolve(fluid_lagrangian(params), make_constraint("incompressibility"),
+                 make_smoke_state(8, vel=vel), 1e-3, 0)
+    assert res.diagnostics["energy"][0] == pytest.approx(params.rho * vel ** 2 / 4,
+                                                         rel=1e-12)
 
 
 def test_torus_smoke_short():

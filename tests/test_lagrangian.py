@@ -19,7 +19,6 @@ from nhfields.lagrangian import (
     LagrangianModel,
     derivative_bundle,
     derivative_bundle_arrays,
-    first_derivatives_arrays,
     hessian_flat,
     make_model,
     omega_eval_batch,
@@ -33,7 +32,6 @@ from helpers import (
     bundle_at,
     bundle_from_dense,
     dense_derivative_bundle,
-    dense_first_derivatives,
     fd_hessian,
     fluid_constraint_point,
     kernel_point,
@@ -328,12 +326,8 @@ def test_active_seeded_bundle_equals_the_dense_bundle(name, batch):
 
     got = derivative_bundle_arrays(model, x, y, v)
     want = dense_derivative_bundle(model, x, y, v)
-    fields = ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv")
-    for field in fields:
+    for field in ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv"):
         assert same_bits(getattr(got, field), getattr(want, field), getattr(offb, field)), field
-    for a, b, field in zip(first_derivatives_arrays(model, x, y, v),
-                           dense_first_derivatives(model, x, y, v), fields):
-        assert same_bits(np.asarray(a), np.asarray(b), getattr(offb, field)), field
 
 
 def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
