@@ -24,7 +24,7 @@ from .constraint import (
     newton_onto_constraint,
     phi_eval_batch,
 )
-from .ddw import solve_temporal_block
+from .ddw import solve_ddw
 from .exceptions import (
     DimensionMismatchError,
     DriftError,
@@ -288,7 +288,7 @@ def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
     (projected) second-order field on it, and max|phi| over the slice from
     the projection's drift check (0 without a constraint)."""
     geom = _slice_geometry(model, state, method)
-    Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
+    Gt = solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :]
     max_phi = 0.0
     if spec is not None:
         Gt, _, _, max_phi = _projection(spec, geom, Gt, drift_tol)
@@ -349,7 +349,7 @@ def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
     connection solving the free De Donder-Weyl equation along the slice.
     """
     geom = _slice_geometry(model, state, method)
-    gamma = _field(geom, solve_temporal_block(geom.bundle, geom.v, geom.dv))
+    gamma = _field(geom, solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :])
     return _omega_tilde(geom, _tangent_rows(geom), gamma.dense(), _stacked(variations))
 
 
@@ -364,7 +364,7 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
     returns the least-squares coefficients and the worst-case fit residual.
     """
     geom = _slice_geometry(model, state, method)
-    Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
+    Gt = solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :]
     Gp, _, C, _ = _projection(spec, geom, Gt)
     T = _tangent_rows(geom)
     Ws = _stacked(variations)
@@ -407,7 +407,7 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     the contraction to vanish.
     """
     geom = _slice_geometry(model, state, method)
-    Gt = solve_temporal_block(geom.bundle, geom.v, geom.dv)
+    Gt = solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :]
     Gp, dphi, C, _ = _projection(spec, geom, Gt)
     T = _tangent_rows(geom)
     rows = np.concatenate([dphi, ftilde_annihilator_rows(C, geom.v, T)], axis=-2)
@@ -478,33 +478,16 @@ def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
     return replace(state, v0=v[..., 0], vi=v[..., 1:])
 
 
-# Explicit Runge-Kutta tableaus (A rows, weights b, nodes c).  The stage loop
-# in evolve assumes that every one is subdiagonal, so stage i uses only stage
-# i-1 (ks[-1], with a[i][i-1] = c[i]), and that c[0] = 0, so the first stage
-# is the field at the step's start state, which was already evaluated when
-# that state was recorded (first same as last).  evolve checks both.
+# Explicit Runge-Kutta tableaus (weights b, nodes c) for the stage loop in
+# evolve, which takes every one as subdiagonal with a[i][i-1] = c[i], so
+# stage i uses only stage i-1 (ks[-1]), and with c[0] = 0, so the first
+# stage is the field at the step's start state, which was already evaluated
+# when that state was recorded (first same as last).
 _BUTCHER = {
-    "euler": ([[]], [1.0], [0.0]),
-    "rk4": ([[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]],
-            [1 / 6, 1 / 3, 1 / 3, 1 / 6], [0.0, 0.5, 0.5, 1.0]),
+    "euler": ([1.0], [0.0]),
+    "rk4": ([1 / 6, 1 / 3, 1 / 3, 1 / 6], [0.0, 0.5, 0.5, 1.0]),
 }
 INTEGRATORS = tuple(_BUTCHER)
-
-
-def _tableau(name: str):
-    """Weights and nodes of a subdiagonal tableau with first node 0."""
-    if name not in _BUTCHER:
-        raise InvalidArgumentError(f"integrator must be one of {sorted(_BUTCHER)}")
-    rows, weights, nodes = _BUTCHER[name]
-    subdiagonal = len(rows) == len(weights) == len(nodes) and all(
-        len(row) == i and not any(row[:-1]) and (i == 0 or row[-1] == c)
-        for i, (row, c) in enumerate(zip(rows, nodes))
-    )
-    if not subdiagonal or nodes[0] != 0.0:
-        raise InvalidArgumentError(
-            f"integrator {name!r} is not a subdiagonal tableau with first node 0"
-        )
-    return weights, nodes
 
 
 @dataclass
@@ -527,7 +510,9 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     the next step, so a run makes steps x stages + 1 field evaluations and
     no other evaluation of a state.
     """
-    weights, nodes = _tableau(integrator.lower())
+    if integrator.lower() not in _BUTCHER:
+        raise InvalidArgumentError(f"integrator must be one of {sorted(_BUTCHER)}")
+    weights, nodes = _BUTCHER[integrator.lower()]
 
     state = state0
     states = [state0]

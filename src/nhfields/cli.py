@@ -32,7 +32,6 @@ from .cauchy import (
     packed_names,
 )
 from .constraint import (
-    COEFF_MODES,
     CONSTRAINTS,
     ConstraintPoint,
     constraint_rank_check,
@@ -113,6 +112,8 @@ def dumps_report(obj, indent: int = 0) -> str:
 # configuration
 
 TASKS = ("verify", "evolve", "fluid-identities")
+# constraint.mode: the Chetaev coefficients, or the custom ones of coeffs_csv
+COEFF_MODES = ("chetaev", "custom")
 
 
 def _finite(val) -> bool:
@@ -269,7 +270,7 @@ def build_scenario(cfg: dict):
             ) from exc
         custom = lambda p: matrix
     return model, dataclasses.replace(
-        spec, coeff_mode=ccfg["mode"], custom_coeffs=custom,
+        spec, custom_coeffs=custom,
         on_tol=cfg["tolerances"]["on_constraint"],
     )
 

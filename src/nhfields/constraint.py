@@ -29,25 +29,21 @@ from .exceptions import (
 from .exterior import Form, vector_rows
 from .jet import Dims, JetPoint, contact_covectors, contact_pairings, seed_inputs
 
-COEFF_MODES = ("chetaev", "custom")
-
-
 @dataclass(frozen=True)
 class ConstraintSpec:
     """k constraint functions with their coefficient rule.
 
-    coeff_mode is "chetaev" or "custom"; in custom mode ``custom_coeffs(p)``
-    receives a ``JetPointArrays`` with batched x (..., n+1), y (..., m) and
-    v (..., m, n+1) and must return the coefficients (C_alpha)^mu_a with
-    trailing axes (k, n+1, m); leading axes broadcast against the batch, so
-    a constant (k, n+1, m) array is valid.
+    The coefficients are the Chetaev ones dphi/dv unless ``custom_coeffs``
+    is given; ``custom_coeffs(p)`` receives a ``JetPointArrays`` with
+    batched x (..., n+1), y (..., m) and v (..., m, n+1) and must return the
+    coefficients (C_alpha)^mu_a with trailing axes (k, n+1, m); leading axes
+    broadcast against the batch, so a constant (k, n+1, m) array is valid.
     Constraints are evaluated on a neighborhood of the constraint set, not
     only on it, since projector construction needs off-manifold derivatives.
     """
 
     dims: Dims
     funcs: Sequence[Callable]
-    coeff_mode: str = "chetaev"
     custom_coeffs: Callable | None = None
     on_tol: float = 1e-8
     name: str = "custom"
@@ -57,10 +53,6 @@ class ConstraintSpec:
             raise InvalidArgumentError(
                 f"got {len(self.funcs)} functions for k={self.dims.k}"
             )
-        if self.coeff_mode not in COEFF_MODES:
-            raise InvalidArgumentError(f"unknown coeff_mode {self.coeff_mode!r}")
-        if self.coeff_mode == "custom" and self.custom_coeffs is None:
-            raise InvalidArgumentError("custom mode needs a coefficient function")
 
     @property
     def k(self) -> int:
@@ -163,9 +155,10 @@ class JetPointArrays:
 
 
 def coefficient_arrays(spec: ConstraintSpec, x, y, v, dphidv) -> np.ndarray:
-    """(C_alpha)^mu_a over a batch, shape (..., k, n+1, m): dphi/dv in
-    Chetaev mode, the user field in custom mode (see ``ConstraintSpec``)."""
-    if spec.coeff_mode == "chetaev":
+    """(C_alpha)^mu_a over a batch, shape (..., k, n+1, m): the Chetaev
+    dphi/dv, or the user field ``custom_coeffs`` when the spec has one (see
+    ``ConstraintSpec``)."""
+    if spec.custom_coeffs is None:
         return np.swapaxes(dphidv, -1, -2)  # (.., k, m, n+1) -> (.., k, n+1, m)
     C = np.asarray(spec.custom_coeffs(JetPointArrays(x, y, v)), dtype=float)
     expected = (spec.k, spec.dims.nx, spec.dims.m)
@@ -289,9 +282,8 @@ def _rank_or_raise(mat: np.ndarray, k: int, label: str) -> int:
 # ---------------------------------------------------------------------------
 # built-in constraint registry
 
-def linear_transport_constraint(dims: Dims | None = None, speed: float = 2.0,
-                                coeff_mode: str = "chetaev",
-                                custom_coeffs: Callable | None = None) -> ConstraintSpec:
+def linear_transport_constraint(dims: Dims | None = None,
+                                speed: float = 2.0) -> ConstraintSpec:
     """phi = v_0 - speed * v_1 for a single field on a 1+1 base."""
     dims = dims or Dims(1, 1, 1)
     if dims.k != 1 or dims.m != 1 or dims.n != 1:
@@ -300,13 +292,10 @@ def linear_transport_constraint(dims: Dims | None = None, speed: float = 2.0,
     def phi(x, y, v):
         return v[0][0] - speed * v[0][1]
 
-    return ConstraintSpec(dims, [phi], coeff_mode, custom_coeffs,
-                          name="linear-transport")
+    return ConstraintSpec(dims, [phi], name="linear-transport")
 
 
-def incompressibility_constraint(dims: Dims | None = None,
-                                 coeff_mode: str = "chetaev",
-                                 custom_coeffs: Callable | None = None) -> ConstraintSpec:
+def incompressibility_constraint(dims: Dims | None = None) -> ConstraintSpec:
     """phi = det(spatial jet block) - 1 for the 3+1 continuum scenario."""
     dims = dims or Dims(3, 3, 1)
     if dims.k != 1 or dims.m != dims.n:
@@ -316,8 +305,7 @@ def incompressibility_constraint(dims: Dims | None = None,
         spatial = [[v[a][i + 1] for i in range(dims.n)] for a in range(dims.m)]
         return ad.det(spatial) - 1.0
 
-    return ConstraintSpec(dims, [phi], coeff_mode, custom_coeffs,
-                          name="incompressibility")
+    return ConstraintSpec(dims, [phi], name="incompressibility")
 
 
 CONSTRAINTS: dict[str, Callable] = {
@@ -326,17 +314,15 @@ CONSTRAINTS: dict[str, Callable] = {
 }
 
 
-def make_constraint(name: str, params=None, coeff_mode: str = "chetaev",
-                    custom_coeffs: Callable | None = None) -> ConstraintSpec:
+def make_constraint(name: str, params=None) -> ConstraintSpec:
     if name not in CONSTRAINTS:
         raise InvalidArgumentError(
             f"unknown constraint {name!r}; available: {sorted(CONSTRAINTS)}"
         )
     params = dict(params or {})
-    fixed = sorted({"dims", "coeff_mode", "custom_coeffs"}.intersection(params))
-    if fixed:
-        raise InvalidArgumentError(f"{fixed} are not parameters of constraint {name!r}")
-    return CONSTRAINTS[name](coeff_mode=coeff_mode, custom_coeffs=custom_coeffs, **params)
+    if "dims" in params:
+        raise InvalidArgumentError(f"dims is not a parameter of constraint {name!r}")
+    return CONSTRAINTS[name](**params)
 
 
 def load_custom_coeffs_csv(path, dims: Dims) -> np.ndarray:

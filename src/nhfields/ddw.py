@@ -10,7 +10,8 @@ Gamma^a_mu = v^a_mu, the second-order coefficients satisfy
 an underdetermined linear system (m equations for the m(n+1)^2 unknowns)
 resolved by minimum norm or by pinning the spatial-first-index block.  The
 constrained problem adds multiplier columns lambda^alpha_tau (C_alpha)^tau_a
-and the tangency equations H_mu(phi_alpha) = 0.
+and the tangency equations H_mu(phi_alpha) = 0.  ``solve_ddw`` is the one
+solve of every case, batched; the pointwise solvers are batches of one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .constraint import (
     ConstraintPoint,
     ConstraintSpec,
     chetaev_coefficients,
+    jet_block,
     phi_eval_batch,
 )
 from .exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
@@ -68,61 +70,76 @@ def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_free_ddw(bundle: DerivativeBundle, v: np.ndarray,
-                   fixed_spatial: np.ndarray | None = None) -> DdwSolution:
-    """Solve the free problem at the point with jet coordinates v, given its
-    derivative bundle.
+def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | None = None,
+              dphi: np.ndarray | None = None, coeffs: np.ndarray | None = None):
+    """The De Donder-Weyl system, batched over the leading axes of v (..., m, n+1).
 
-    With ``fixed_spatial`` (shape (m, n, n+1)) the spatial-first-index block
-    Gamma^a_{i nu} is pinned and only the temporal block Gamma^a_{0 nu} is
-    solved; otherwise the minimum-Frobenius-norm solution over all second
-    order coefficients is returned.
-    """
-    m, nx = v.shape
-    if fixed_spatial is None:
-        A = np.einsum("btan->abtn", bundle.H).reshape(m, m * nx * nx)
-        R = free_ddw_rhs(bundle, v)
-        sol, *_ = np.linalg.lstsq(A, R, rcond=None)
-        _check_solution(A, sol, R, "full second-order system")
-        Gamma2 = sol.reshape(m, nx, nx)
-    else:
-        fixed_spatial = _pinned_block(fixed_spatial, m, nx)
-        temporal = solve_temporal_block(bundle, v, fixed_spatial)
-        Gamma2 = np.concatenate([temporal[:, None, :], fixed_spatial], axis=1)
-    return DdwSolution(ConnectionCoeffs(v.copy(), Gamma2), np.zeros((0, nx)))
-
-
-def _pinned_block(fixed_spatial, m: int, nx: int) -> np.ndarray:
-    fixed_spatial = np.asarray(fixed_spatial, dtype=float)
-    if fixed_spatial.shape != (m, nx - 1, nx):
-        raise DimensionMismatchError(
-            f"fixed_spatial shape {fixed_spatial.shape}, expected {(m, nx - 1, nx)}"
-        )
-    return fixed_spatial
-
-
-def solve_temporal_block(bundle: DerivativeBundle, v: np.ndarray,
-                         spatial: np.ndarray) -> np.ndarray:
-    """Temporal block Gamma^a_{0 nu} of the free equations, batched.
-
-    With the spatial-first-index block Gamma^a_{i nu} pinned to ``spatial``
-    (..., m, n, n+1), the m form equations at each point are solved for the
-    temporal block (..., m, n+1) by the minimum-norm (pseudo-inverse)
-    solution, which must solve them (``_check_solution``).
+    The unknowns are the block Gamma^a_{mu nu} for mu < L: L = n+1, or L = 1
+    with the spatial-first-index block Gamma^a_{i nu} pinned to ``spatial``
+    (..., m, n, n+1).  Given the constraint data dphi (..., k, N) and
+    coeffs (..., k, n+1, m), the m form equations gain the multiplier
+    columns lambda^alpha_tau (C_alpha)^tau_a and are bordered by the
+    tangency equations H_mu(phi_alpha) = 0 for mu < L; the spatial rows of
+    a pinned block are fixed by the pinned data and generically not
+    satisfiable exactly (``nh_ddw_residual`` still reports them).  The
+    minimum-norm (pseudo-inverse) solution must solve the system at every
+    point (``_check_solution``).  Returns the solved block (..., m, L, n+1)
+    and the multipliers lambda^alpha_mu (..., k, n+1).
     """
     m, nx = v.shape[-2:]
     batch = v.shape[:-2]
     H = bundle.H
-    A0 = np.swapaxes(H[..., :, 0, :, :], -3, -2).reshape(batch + (m, m * nx))
-    Rp = free_ddw_rhs(bundle, v) - np.einsum(
-        "...bian,...bin->...a", H[..., :, 1:, :, :], spatial
-    )
-    sol = np.einsum("...ij,...j->...i", np.linalg.pinv(A0), Rp)
-    _check_solution(A0, sol, Rp, "temporal block")
-    return sol.reshape(batch + (m, nx))
+    b = free_ddw_rhs(bundle, v)
+    L = nx
+    if spatial is not None:
+        spatial = np.asarray(spatial, dtype=float)
+        if spatial.shape != batch + (m, nx - 1, nx):
+            raise DimensionMismatchError(
+                f"spatial block shape {spatial.shape}, expected {batch + (m, nx - 1, nx)}"
+            )
+        L = 1
+        b = b - np.einsum("...bian,...bin->...a", H[..., :, 1:, :, :], spatial)
+    k = 0 if dphi is None else dphi.shape[-2]
+    n_gamma = m * L * nx
+    # the form equations, Gamma2-part + lambda^alpha_tau C[alpha, tau, a] = R_a,
+    # over the tangency equations H_mu(phi_alpha) = 0 for mu < L
+    A = np.zeros(batch + (m + k * L, n_gamma + k * nx))
+    A[..., :m, :n_gamma] = np.einsum("...btan->...abtn", H[..., :, :L, :, :]).reshape(
+        batch + (m, n_gamma))
+    if k:
+        A[..., :m, n_gamma:] = np.swapaxes(coeffs.reshape(batch + (k * nx, m)), -1, -2)
+        # row (alpha, mu): dphi_alpha/dv on the block of mu
+        tang, dphidv = np.zeros(batch + (k, L, m, L, nx)), jet_block(dphi, m, nx)
+        for mu in range(L):
+            tang[..., mu, :, mu, :] = dphidv
+        A[..., m:, :n_gamma] = tang.reshape(batch + (k * L, n_gamma))
+        rows = -dphi[..., :L] - dphi[..., nx : nx + m] @ v[..., :L]
+        b = np.concatenate([b, rows.reshape(batch + (k * L,))], axis=-1)
+    sol = np.einsum("...ij,...j->...i", np.linalg.pinv(A), b)
+    _check_solution(A, sol, b)
+    return (sol[..., :n_gamma].reshape(batch + (m, L, nx)),
+            sol[..., n_gamma:].reshape(batch + (k, nx)))
 
 
-def _check_solution(A, sol, rhs, label):
+def _solution(bundle, v, spatial, dphi=None, coeffs=None) -> DdwSolution:
+    """A batch of one of ``solve_ddw`` as connection coefficients, with the
+    pinned block (if any) filled in."""
+    block, lam = solve_ddw(bundle, v, spatial, dphi, coeffs)
+    if spatial is not None:
+        block = np.concatenate([block, spatial], axis=1)
+    return DdwSolution(ConnectionCoeffs(v.copy(), block), lam)
+
+
+def solve_free_ddw(bundle: DerivativeBundle, v: np.ndarray,
+                   fixed_spatial: np.ndarray | None = None) -> DdwSolution:
+    """Solve the free problem at the point with jet coordinates v, given its
+    derivative bundle: the minimum-Frobenius-norm solution over all second
+    order coefficients, or over the temporal block Gamma^a_{0 nu} with the
+    spatial block pinned to ``fixed_spatial`` (m, n, n+1)."""
+    return _solution(bundle, v, fixed_spatial)
+
+
+def _check_solution(A, sol, rhs):
     """At every batch point the residual of A sol = rhs must stay below
     _SOLVE_TOL * max(1, max|rhs|)."""
     resid = np.max(np.abs(np.einsum("...ij,...j->...i", A, sol) - rhs),
@@ -133,7 +150,7 @@ def _check_solution(A, sol, rhs, label):
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         where = f" at grid point {idx}" if bad.ndim else ""
         raise DdwSolveError(
-            f"no solution for the {label}{where}: least-squares residual "
+            f"no solution for the De Donder-Weyl system{where}: least-squares residual "
             f"{resid[idx]:.3e}"
         )
 
@@ -152,45 +169,11 @@ def project_connection(free: DdwSolution, pp: ProjectorPair) -> DdwSolution:
 
 def solve_constrained_ddw(bundle: DerivativeBundle, cp: ConstraintPoint,
                           fixed_spatial: np.ndarray | None = None) -> DdwSolution:
-    """Solve directly for (Gamma2, lambda) at a point of the constraint set.
-
-    Imposes the m form equations plus the tangency equations
-    H_mu(phi_alpha) = 0; with a pinned spatial block only the temporal
-    (mu = 0) tangency rows are imposed, since the spatial rows are fixed by
-    the pinned data and are generically not satisfiable exactly (they are
-    still reported through the tangency residual of ``nh_ddw_residual``).
-    k = 0 reduces to the free problem.
-    """
-    p = cp.p
-    if cp.k == 0:
-        return solve_free_ddw(bundle, p.v, fixed_spatial)
-    m, nx = p.v.shape
-    k = cp.k
-    H = bundle.H
-    R = free_ddw_rhs(bundle, p.v)
-    C = cp.coeffs  # (k, nx, m)
-    dphidx, dphidy, dphidv = cp.dphi[:, :nx], cp.dphi[:, nx : nx + m], cp.dphidv
-    # the unknown block Gamma^a_{mu nu} for mu < L; a pinned block fills the rest
-    if fixed_spatial is None:
-        L, pinned = nx, np.zeros((m, 0, nx))
-    else:
-        L, pinned = 1, _pinned_block(fixed_spatial, m, nx)
-    n_gamma = m * L * nx
-    A_ddw = np.einsum("btan->abtn", H[:, :L]).reshape(m, n_gamma)
-    rhs_extra = np.einsum("bian,bin->a", H[:, L:], pinned)
-
-    # tangency rows (alpha, mu) for mu < L: dphi_alpha/dv on the block of mu
-    tang = np.zeros((k, L, m, L, nx))
-    tang[:, range(L), :, range(L)] = dphidv
-    # the form equations, Gamma2-part + lambda^alpha_tau C[alpha, tau, a] = R_a,
-    # over the tangency equations H_mu(phi_alpha) = 0
-    A = np.block([[A_ddw, C.reshape(k * nx, m).T],
-                  [tang.reshape(k * L, n_gamma), np.zeros((k * L, k * nx))]])
-    b = np.concatenate([R - rhs_extra, (-dphidx[:, :L] - dphidy @ p.v[:, :L]).reshape(-1)])
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    _check_solution(A, sol, b, "constrained system")
-    Gamma2 = np.concatenate([sol[:n_gamma].reshape(m, L, nx), pinned], axis=1)
-    return DdwSolution(ConnectionCoeffs(p.v.copy(), Gamma2), sol[n_gamma:].reshape(k, nx))
+    """Solve directly for (Gamma2, lambda) at a point of the constraint set:
+    the m form equations with multiplier columns, bordered by the tangency
+    equations H_mu(phi_alpha) = 0 (only mu = 0 with a pinned spatial block,
+    see ``solve_ddw``).  k = 0 is the free problem."""
+    return _solution(bundle, cp.p.v, fixed_spatial, cp.dphi, cp.coeffs)
 
 
 def min_check_tuples(k: int, nx: int) -> int:
@@ -260,17 +243,11 @@ def el_residual(model: LagrangianModel, q: Jet2Point) -> np.ndarray:
     """Euler-Lagrange residual E_a = d/dx^mu (dL/dv^a_mu) - dL/dy^a.
 
     Oriented so that the wave Lagrangian (v_0^2 - v_1^2)/2 gives
-    E = y_tt - y_xx; total derivatives expand through (x, y(x), v(x)) using
-    the derivative bundle and the second derivatives w.
+    E = y_tt - y_xx; total derivatives expand through (x, y(x), v(x)), so
+    E is w . H minus the free right side ``free_ddw_rhs``.
     """
-    p = q.point
-    bundle = derivative_bundle(model, p)
-    total = (
-        np.einsum("tat->a", bundle.d2Ldxdv)
-        + np.einsum("bt,bat->a", p.v, bundle.d2Ldydv)
-        + np.einsum("bnt,bnat->a", q.w, bundle.H)
-    )
-    return total - bundle.dLdy
+    bundle = derivative_bundle(model, q.point)
+    return np.einsum("bnt,bnat->a", q.w, bundle.H) - free_ddw_rhs(bundle, q.point.v)
 
 
 def nh_field_residual(model: LagrangianModel, spec: ConstraintSpec,

@@ -154,7 +154,8 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
         if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0]
             raise EvaluationError(
-                f"model {model.name!r}: non-finite {name} at index {tuple(bad)}"
+                f"model {model.name!r}: non-finite {name} at index "
+                f"{tuple(int(i) for i in bad)}"
             )
     return bundle
 

@@ -12,14 +12,16 @@ from nhfields.ddw import (
     nh_field_residual,
     project_connection,
     solve_constrained_ddw,
+    solve_ddw,
     solve_free_ddw,
 )
-from nhfields.exceptions import InvalidArgumentError
+from nhfields.exceptions import DimensionMismatchError, InvalidArgumentError
 from nhfields.jet import Dims, Jet2Point, JetPoint
-from nhfields.lagrangian import derivative_bundle, make_model
+from nhfields.lagrangian import derivative_bundle, derivative_bundle_arrays, make_model
 from nhfields.projector import build_projectors, solve_zeta
 
 from helpers import (
+    bundle_at,
     form_check_oracle,
     oracle_scenario,
     random_point,
@@ -307,6 +309,40 @@ def test_constrained_k0_reduces_to_free():
     sol = solve_constrained_ddw(bundle, ConstraintPoint.unconstrained(p))
     free = solve_free_ddw(bundle, p.v)
     assert np.allclose(sol.coeffs.Gamma2, free.coeffs.Gamma2)
+
+
+@pytest.mark.parametrize("name", ["wave", "fluid", "coupled"])
+def test_batched_kernel_equals_the_pointwise_solves_bitwise(name):
+    """solve_ddw on 8 stacked points gives the bits of the batch-of-one
+    entry points at each point: free, pinned, and constrained (k = 2 for
+    the coupled fields), each with and without a pinned spatial block."""
+    rng = np.random.default_rng(21)
+    scenarios = [oracle_scenario(name, rng) for _ in range(8)]
+    model, spec = scenarios[0][:2]
+    points = [s[2] for s in scenarios]
+    v = np.stack([p.v for p in points])
+    bundle = derivative_bundle_arrays(model, np.stack([p.x for p in points]),
+                                      np.stack([p.y for p in points]), v)
+    cps = [spec.at(p) for p in points]
+    constraint = (np.stack([cp.dphi for cp in cps]), np.stack([cp.coeffs for cp in cps]))
+    m, nx = v.shape[-2:]
+    for spatial in (None, rng.uniform(-1, 1, (8, m, nx - 1, nx))):
+        for constrained in (False, True):
+            block, lam = solve_ddw(bundle, v, spatial, *(constraint if constrained else ()))
+            assert block.shape == (8, m, nx if spatial is None else 1, nx)
+            for i, (p, cp) in enumerate(zip(points, cps)):
+                fixed = None if spatial is None else spatial[i]
+                sol = (solve_constrained_ddw(bundle_at(bundle, i), cp, fixed) if constrained
+                       else solve_free_ddw(bundle_at(bundle, i), p.v, fixed))
+                assert np.array_equal(sol.coeffs.Gamma2[:, : block.shape[2]], block[i])
+                assert np.array_equal(sol.multipliers, lam[i])
+                if fixed is not None:
+                    assert np.array_equal(sol.coeffs.Gamma2[:, 1:], fixed)
+            assert lam.shape == (8, spec.k if constrained else 0, nx)
+    with pytest.raises(DimensionMismatchError, match="spatial block shape"):
+        solve_ddw(bundle, v, np.zeros((8, m, nx, nx)))
+    with pytest.raises(DimensionMismatchError, match="spatial block shape"):
+        solve_free_ddw(bundle_at(bundle, 0), v[0], np.zeros((m, nx - 1, nx - 1)))
 
 
 def test_constrained_agrees_with_projection_residuals():
