@@ -27,7 +27,14 @@ from .exceptions import (
     OffConstraintError,
 )
 from .exterior import Form, vector_rows
-from .jet import Dims, JetPoint, contact_covectors, contact_pairings, seed_inputs
+from .jet import (
+    Dims,
+    JetPoint,
+    _minors,
+    contact_covectors,
+    contact_pairings,
+    seed_inputs,
+)
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -239,18 +246,15 @@ def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.nd
             f"{nx + m + m * nx}, got shape {vecs.shape}"
         )
     theta_pair, x_rows = contact_pairings(v, vecs)
-    batch = np.broadcast_shapes(coeffs.shape[:-3], theta_pair.shape[:-2])
-    out = np.zeros(batch + (coeffs.shape[-3],))
-    if coeffs.shape[-3] == 0:  # free case: no forms, no determinants
-        return out
-    A = np.empty(batch + (nx, nx))
-    for a in range(m):
-        for mu in range(nx):
-            A[..., 0, :] = theta_pair[..., a, :]
-            A[..., 1:, :] = np.delete(x_rows, mu, axis=-2)
-            det = np.linalg.det(A)
-            out += ((-1.0) ** mu) * coeffs[..., :, mu, a] * det[..., None]
-    return out
+    if coeffs.shape[-3] == 0:  # free case: no forms, no minors
+        return np.zeros(np.broadcast_shapes(coeffs.shape[:-3], theta_pair.shape[:-2]) + (0,))
+    # det[theta^a; X without row mu] = sum_j (-1)^j theta^a_j M_n(rows != mu,
+    # cols != j): the signed cofactors of the square dx block X
+    minors_n = _minors(np.moveaxis(x_rows, (-2, -1), (0, 1)), nx - 1)[-1]
+    sign = (-1.0) ** np.add.outer(np.arange(nx), np.arange(nx))
+    cof = np.moveaxis(minors_n[::-1, ::-1], (0, 1), (-2, -1)) * sign
+    return np.einsum("...kua,...au->...k", coeffs,
+                     np.einsum("...aj,...uj->...au", theta_pair, cof))
 
 
 def constraint_rank_check(cp: ConstraintPoint) -> int:

@@ -7,6 +7,9 @@ v[a][mu] = dy^a/dx^mu.  Spatial grids are periodic on [0, 1).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +182,55 @@ def contact_pairings(v: np.ndarray, vecs: np.ndarray):
     theta = vecs[..., nx : nx + m].swapaxes(-1, -2) - np.einsum(
         "...an,...qn->...aq", v, vecs[..., :nx])
     return theta, vecs[..., :nx].swapaxes(-1, -2)
+
+
+@functools.cache
+def _minor_table(R: int, Q: int, r: int):
+    """Gather tables (r, P) of one Laplace level, P = C(R, r) C(Q, r): the
+    r x r minor of an R x Q matrix X on rows I and columns J, expanded along
+    its first row, is sum_t (-1)^t X[I_0, J_t] det X[I without I_0, J
+    without J_t].  Row t of the first table picks X[I_0, J_t] from the
+    flattened X, row t of the second the (r-1)-minor from the flattened level
+    below; subsets are in lexicographic order."""
+    lower_rows = {s: i for i, s in enumerate(itertools.combinations(range(R), r - 1))}
+    lower_cols = {s: i for i, s in enumerate(itertools.combinations(range(Q), r - 1))}
+    entry, lower = [], []
+    for rows in itertools.combinations(range(R), r):
+        for cols in itertools.combinations(range(Q), r):
+            entry.append([rows[0] * Q + c for c in cols])
+            lower.append([lower_rows[rows[1:]] * len(lower_cols)
+                          + lower_cols[cols[:t] + cols[t + 1:]] for t in range(r)])
+    tables = np.array(entry).T, np.array(lower).T
+    for table in tables:  # cached, so shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _minors(X: np.ndarray, r: int) -> list[np.ndarray]:
+    """Every minor of X (R, Q, ...), batch axes last, of every size
+    s = 0..r with r <= min(R, Q): entry s has shape (C(R, s), C(Q, s), ...)
+    over the row and column subsets in lexicographic order.  Each size comes
+    from the one below by Laplace expansion along the first selected row, so
+    every minor is computed once and shared by all larger ones; size 0 is
+    ones."""
+    R, Q = X.shape[:2]
+    batch = X.shape[2:]
+    flat = np.ascontiguousarray(X).reshape(R * Q, math.prod(batch))
+    lower = np.ones((1, flat.shape[1]))
+    levels = [lower.reshape((1, 1) + batch)]
+    for s in range(1, r + 1):
+        entry, below = _minor_table(R, Q, s)
+        level = flat[entry[0]] * lower[below[0]]
+        for t in range(1, s):  # one term at a time bounds the temporaries
+            term = flat[entry[t]]
+            term *= lower[below[t]]
+            if t % 2:
+                level -= term
+            else:
+                level += term
+        lower = level
+        levels.append(lower.reshape((math.comb(R, s), math.comb(Q, s)) + batch))
+    return levels
 
 
 def semiholonomic_residual(c: ConnectionCoeffs, p: JetPoint) -> float:

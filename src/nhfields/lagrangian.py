@@ -12,8 +12,9 @@ from the derivative bundle and theta^a are the contact forms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from .exceptions import DimensionMismatchError, EvaluationError, InvalidArgumentError
 from .exterior import Form, vector_rows
-from .jet import Dims, JetPoint, contact_covectors, contact_pairings, seed_inputs
+from .jet import (
+    Dims,
+    JetPoint,
+    _minors,
+    contact_covectors,
+    contact_pairings,
+    seed_inputs,
+)
 
 
 # Bytes of a full d x d Hessian over one chunk of the derivative bundle: 256
@@ -216,6 +224,27 @@ def omega_form(bundle: DerivativeBundle, p: JetPoint) -> Form:
     return Form.from_terms(terms, dim=dims.N)
 
 
+@cache
+def _pair_minor_table(nx: int):
+    """Gather tables of the antisymmetric (n+1, n+2, n+2) array
+    S[mu, j, k] = (-1)^(mu+j+k+1) M_n(rows != mu, cols != {j, k}) for j < k,
+    S[mu, k, j] = -S[mu, j, k], over the n x n minors M_n of the (n+1) x (n+2)
+    dx block: (row index, column index, sign) into ``jet._minors``' order."""
+    q = nx + 1
+    cols = {s: i for i, s in enumerate(itertools.combinations(range(q), q - 2))}
+    col = np.zeros((q, q), dtype=int)
+    sign = np.zeros((nx, q, q))
+    for j, k in itertools.permutations(range(q), 2):
+        col[j, k] = cols[tuple(c for c in range(q) if c not in (j, k))]
+        sign[:, j, k] = (-1.0) ** (j + k + 1) * (1.0 if j < k else -1.0)
+    sign *= ((-1.0) ** np.arange(nx))[:, None, None]
+    row = nx - 1 - np.arange(nx)  # the subset of rows != mu, lexicographically
+    tables = row[:, None, None], col, sign
+    for table in tables:  # cached, so shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
 def omega_eval_batch(bundle: DerivativeBundle, v: np.ndarray,
                      vecs: np.ndarray) -> np.ndarray:
     """Evaluate Omega_L on one (n+2)-tuple of vectors per batch point.
@@ -224,6 +253,11 @@ def omega_eval_batch(bundle: DerivativeBundle, v: np.ndarray,
     bundle's batch shape broadcast together, so a pointwise bundle serves a
     whole batch of tuples.  Returns the broadcast shape.  Same terms as
     :func:`omega_form`, the term-list oracle it is tested against.
+
+    Every term is a determinant whose last rows are dx rows, so both terms
+    are expanded over the shared minors of the dx block X (n+1, n+2): term 1
+    along its dy row, over the (n+1)-minors of X, and term 2 along its two
+    rows d(dL/dv^a_mu) and theta^a, over the n-minors of X without row mu.
     """
     v = np.asarray(v, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
@@ -235,27 +269,24 @@ def omega_eval_batch(bundle: DerivativeBundle, v: np.ndarray,
             f"Omega_L takes n+2 = {q} vectors of length {dims.N}, got shape {vecs.shape}"
         )
     theta_pair, x_rows = contact_pairings(v, vecs)
+    minors_n, minors_nx = _minors(np.moveaxis(x_rows, (-2, -1), (0, 1)), nx)[-2:]
+    # term 1: -dL/dy^a dy^a ^ dx^0 ^ ... ^ dx^n, whose cofactors along the
+    # dy row are (-1)^j M_{n+1}(cols != j)
+    cof = np.moveaxis(minors_nx[0, ::-1], 0, -1) * (-1.0) ** np.arange(q)
+    total = -np.einsum("...ja,...a,...j->...", vecs[..., nx : nx + m], bundle.dLdy, cof)
+    # term 2: -d(dL/dv^a_mu) ^ theta^a ^ d^n x_mu, which is
+    # -sum_{mu,j,k} r^a_{mu j} S[mu, j, k] theta^a_k over the rows
+    # r^a_{mu j} = d(dL/dv^a_mu)(w_j) of one matmul with the tuples
+    row, col, sign = _pair_minor_table(nx)
+    S = np.moveaxis(minors_n, (0, 1), (-2, -1))[..., row, col]
+    S *= sign
     own = np.shape(bundle.L)
-    batch = np.broadcast_shapes(own, theta_pair.shape[:-2])
-    total = np.zeros(batch)
-    A = np.empty(batch + (q, q))
-    # term 1: -dL/dy^a dy^a ^ dx^0 ^ ... ^ dx^n
-    for a in range(m):
-        A[..., 0, :] = vecs[..., dims.iy(a)]
-        A[..., 1:, :] = x_rows
-        total -= bundle.dLdy[..., a] * np.linalg.det(A)
-    # term 2: -d(dL/dv^a_mu) ^ theta^a ^ d^n x_mu
-    for a in range(m):
-        for mu in range(nx):
-            diff = np.zeros(own + (dims.N,))
-            diff[..., :nx] = bundle.d2Ldxdv[..., :, a, mu]
-            diff[..., nx : nx + m] = bundle.d2Ldydv[..., :, a, mu]
-            diff[..., nx + m :] = bundle.H[..., :, :, a, mu].reshape(own + (m * nx,))
-            A[..., 0, :] = np.einsum("...n,...qn->...q", diff, vecs)
-            A[..., 1, :] = theta_pair[..., a, :]
-            A[..., 2:, :] = np.delete(x_rows, mu, axis=-2)
-            total -= ((-1.0) ** mu) * np.linalg.det(A)
-    return total
+    D = np.concatenate([bundle.d2Ldxdv.reshape(own + (nx, m * nx)),
+                        bundle.d2Ldydv.reshape(own + (m, m * nx)),
+                        bundle.H.reshape(own + (m * nx, m * nx))], axis=-2)
+    r = np.swapaxes(D, -1, -2) @ np.swapaxes(vecs, -1, -2)  # (..., m(n+1), q)
+    rS = r.reshape(r.shape[:-2] + (m, nx * q)) @ S.reshape(S.shape[:-3] + (nx * q, q))
+    return total - np.einsum("...ak,...ak->...", rS, theta_pair)
 
 
 def omega_L_eval(model: LagrangianModel, p: JetPoint, vecs) -> float:

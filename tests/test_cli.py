@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -271,6 +274,19 @@ def test_bad_named_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    """``python -m nhfields`` with only the source tree on the path is the
+    ``nhfields`` script: a bad key exits 2 and names it."""
+    path = write_config(tmp_path, "bad.json", task="evolve", grid={"nuu": 9})
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "nhfields", "--config", str(path)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error") and "grid.nuu must be" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

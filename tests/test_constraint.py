@@ -159,14 +159,19 @@ def test_fluid_rank_on_constraint_set():
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(model=KERNEL_MODELS, seed=st.integers(0, 2**32 - 1), points=st.integers(1, 4),
-       k=st.integers(1, 3), pointwise=st.booleans(), chetaev=st.booleans())
-@example(model=("fluid", {}), seed=8, points=3, k=1, pointwise=False, chetaev=True)
-def test_phi_eval_batch_matches_oracle(model, seed, points, k, pointwise, chetaev):
+       k=st.integers(1, 3), pointwise=st.booleans(), chetaev=st.booleans(),
+       stacked=st.sampled_from([0, 2, 3]))
+@example(model=("fluid", {}), seed=8, points=3, k=1, pointwise=False, chetaev=True,
+         stacked=0)
+@example(model=("quadratic", {"n": 3, "m": 3, "coupling": 1.5}), seed=3, points=4, k=3,
+         pointwise=False, chetaev=False, stacked=3)
+def test_phi_eval_batch_matches_oracle(model, seed, points, k, pointwise, chetaev, stacked):
     """The batched kernel against the constraint_forms term lists, point by
     point, on coefficients batched with their tuples and on pointwise
     coefficients broadcast over a batch of tuples.  The coefficients are
     random arrays, or the Chetaev coefficients of the registered constraint
-    of the wave and the fluid."""
+    of the wave and the fluid.  ``stacked`` > 0 puts that many tuple batches
+    in front of the batch, as ``ftilde_annihilator_rows`` stacks its basis."""
     model = make_model(*model)
     dims = model.dims
     rng = np.random.default_rng(seed)
@@ -178,15 +183,19 @@ def test_phi_eval_batch_matches_oracle(model, seed, points, k, pointwise, chetae
         C = np.stack([chetaev_coefficients(spec, p) for p in pts])
     else:
         C = rng.uniform(-1, 1, (points, k, dims.nx, dims.m))
-    vecs = rng.uniform(-1, 1, (points, dims.nx, dims.N))
+    lead = (stacked,) if stacked else ()
+    vecs = rng.uniform(-1, 1, lead + (points, dims.nx, dims.N))
+    flat = vecs.reshape(-1, points, dims.nx, dims.N)
     if pointwise:
         got = phi_eval_batch(C[0], pts[0].v, vecs)
-        want = np.stack([f.eval_batch(vecs) for f in constraint_forms(pts[0], C[0])], -1)
+        want = [np.stack([f.eval_batch(tup) for f in constraint_forms(pts[0], C[0])], -1)
+                for tup in flat]
     else:
         got = phi_eval_batch(C, v, vecs)
-        want = [[f.eval_batch(vecs[i][None])[0] for f in constraint_forms(p, C[i])]
-                for i, p in enumerate(pts)]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        want = [[[f.eval_batch(tup[i][None])[0] for f in constraint_forms(p, C[i])]
+                 for i, p in enumerate(pts)] for tup in flat]
+    np.testing.assert_allclose(got, np.reshape(want, lead + (points, C.shape[-3])),
+                               rtol=0, atol=1e-12)
 
 
 def test_custom_rank_deficient_coefficients_rejected():

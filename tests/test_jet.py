@@ -1,7 +1,11 @@
-"""Prolongation, contact forms, and semi-holonomicity checks."""
+"""Prolongation, contact forms, minors, and semi-holonomicity checks."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhfields.exceptions import InvalidArgumentError
 from nhfields.exterior import TangentVector
@@ -10,6 +14,7 @@ from nhfields.jet import (
     Dims,
     JetPoint,
     SectionSamples,
+    _minors,
     contact_eval,
     prolong_section,
     semiholonomic_residual,
@@ -153,6 +158,27 @@ def test_contact_vanishes_on_prolonged_tangents():
         residuals.append(np.abs(contact_eval(base.point, tangent)).max())
     assert residuals[1] < 0.3 * residuals[0]  # ~4x reduction when halving
     assert residuals[1] < 5e-3
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(R=st.integers(1, 6), extra=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_minors_match_lapack_determinants(R, extra, seed, scale):
+    """Every r x r minor of X (R, Q) with 1 <= R <= Q <= 6, for every r in
+    0..R, is the LAPACK determinant of its submatrix, relative to max|X|^r;
+    the subsets are in lexicographic order, two batch axes go last, and the
+    0 x 0 minor is one (n = 0)."""
+    Q = min(R + extra, 6)
+    X = scale * np.random.default_rng(seed).uniform(-1, 1, (R, Q, 2, 3))
+    for r in range(R + 1):
+        levels = _minors(X, r)
+        assert len(levels) == r + 1
+        want = np.array([[np.linalg.det(np.moveaxis(X[np.ix_(rows, cols)], (0, 1), (-2, -1)))
+                          if r else np.ones((2, 3))
+                          for cols in itertools.combinations(range(Q), r)]
+                         for rows in itertools.combinations(range(R), r)])
+        np.testing.assert_allclose(levels[r], want, rtol=0,
+                                   atol=1e-12 * np.abs(X).max() ** r)
 
 
 def test_semiholonomic_residual_examples():

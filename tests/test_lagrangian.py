@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nhfields import autodiff as ad
 from nhfields import lagrangian
+from nhfields.constraint import chetaev_coefficients, make_constraint, phi_eval_batch
 from nhfields.exceptions import EvaluationError, InvalidArgumentError
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
@@ -213,13 +214,19 @@ def test_omega_multilinearity():
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(model=KERNEL_MODELS, seed=st.integers(0, 2**32 - 1), points=st.integers(1, 4),
-       pointwise=st.booleans(), random_bundle=st.booleans())
-@example(model=("fluid", {}), seed=8, points=4, pointwise=False, random_bundle=False)
-def test_omega_eval_batch_matches_oracle(model, seed, points, pointwise, random_bundle):
+       pointwise=st.booleans(), random_bundle=st.booleans(),
+       stacked=st.sampled_from([0, 2, 3]))
+@example(model=("fluid", {}), seed=8, points=4, pointwise=False, random_bundle=False,
+         stacked=0)
+@example(model=("quadratic", {"n": 3, "m": 3, "coupling": 1.5}), seed=3, points=4,
+         pointwise=False, random_bundle=True, stacked=3)
+def test_omega_eval_batch_matches_oracle(model, seed, points, pointwise, random_bundle,
+                                         stacked):
     """The batched kernel against the omega_form term list, point by point,
     on a bundle batched with its tuples and on a pointwise bundle broadcast
     over a batch of tuples; a random bundle fills every block, the dx-block
-    d2L/dx dv included."""
+    d2L/dx dv included.  ``stacked`` > 0 puts that many tuple batches in
+    front of the batch, as the Cauchy checks stack their variations."""
     model = make_model(*model)
     dims = model.dims
     rng = np.random.default_rng(seed)
@@ -230,15 +237,55 @@ def test_omega_eval_batch_matches_oracle(model, seed, points, pointwise, random_
     if random_bundle:
         bundle = DerivativeBundle(*(rng.uniform(-1, 1, np.shape(getattr(bundle, f.name)))
                                     for f in dataclasses.fields(bundle)))
-    vecs = rng.uniform(-1, 1, (points, dims.nx + 1, dims.N))
+    lead = (stacked,) if stacked else ()
+    vecs = rng.uniform(-1, 1, lead + (points, dims.nx + 1, dims.N))
+    flat = vecs.reshape(-1, points, dims.nx + 1, dims.N)
     if pointwise:
         got = omega_eval_batch(bundle_at(bundle, 0), pts[0].v, vecs)
-        want = omega_form(bundle_at(bundle, 0), pts[0]).eval_batch(vecs)
+        want = [omega_form(bundle_at(bundle, 0), pts[0]).eval_batch(tup) for tup in flat]
     else:
         got = omega_eval_batch(bundle, v, vecs)
-        want = [omega_form(bundle_at(bundle, i), p).eval_batch(vecs[i][None])[0]
-                for i, p in enumerate(pts)]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        want = [[omega_form(bundle_at(bundle, i), p).eval_batch(tup[i][None])[0]
+                 for i, p in enumerate(pts)] for tup in flat]
+    np.testing.assert_allclose(got, np.reshape(want, lead + (points,)), rtol=0, atol=1e-10)
+
+
+def test_omega_eval_batch_broadcasts_one_tuple_over_a_batched_bundle():
+    """The batch shape is the bundle's when the tuple is a single one."""
+    model = make_model("quadratic", {"n": 2, "m": 2, "coupling": 0.5})
+    rng = np.random.default_rng(5)
+    pts = [random_point(rng, 2, 2) for _ in range(3)]
+    v = np.stack([p.v for p in pts])
+    bundle = derivative_bundle_arrays(model, np.stack([p.x for p in pts]),
+                                      np.stack([p.y for p in pts]), v)
+    vecs = rng.uniform(-1, 1, (4, model.dims.N))
+    want = [omega_form(bundle_at(bundle, i), p).eval_batch(vecs[None])[0]
+            for i, p in enumerate(pts)]
+    np.testing.assert_allclose(omega_eval_batch(bundle, v, vecs), want, rtol=0, atol=1e-10)
+
+
+def test_form_kernels_take_no_lapack_determinant(monkeypatch):
+    """Omega_L and Phi_alpha are evaluated from shared minors of the dx
+    rows: neither kernel calls np.linalg.det, on a fluid point or on a
+    batch of wave points (their values are the oracle properties' job)."""
+
+    def no_det(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    rng = np.random.default_rng(11)
+    p = fluid_constraint_point(rng)
+    bundle = derivative_bundle(make_model("fluid"), p)
+    C = chetaev_coefficients(make_constraint("incompressibility"), p)
+    wave = [random_point(rng, 1, 1) for _ in range(6)]
+    v = np.stack([q.v for q in wave])
+    wave_bundle = derivative_bundle_arrays(make_model("wave"), np.stack([q.x for q in wave]),
+                                           np.stack([q.y for q in wave]), v)
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    assert omega_eval_batch(bundle, p.v, rng.uniform(-1, 1, (20, 5, 19))).shape == (20,)
+    assert phi_eval_batch(C, p.v, rng.uniform(-1, 1, (20, 4, 19))).shape == (20, 1)
+    assert omega_eval_batch(wave_bundle, v, rng.uniform(-1, 1, (6, 3, 5))).shape == (6,)
+    assert phi_eval_batch(rng.uniform(-1, 1, (6, 2, 2, 1)), v,
+                          rng.uniform(-1, 1, (6, 2, 5))).shape == (6, 2)
 
 
 def test_pullback_euler_lagrange_pairing():
