@@ -74,7 +74,7 @@ class Dual:
     def __truediv__(self, o):
         o = self._lift(o)
         inv = 1.0 / o.val
-        val = self.val * inv
+        val = self.val / o.val  # the bits of the plain quotient, not self.val * inv
         return Dual(val, inv[..., None] * (self.grad - val[..., None] * o.grad))
 
     def __rtruediv__(self, o):

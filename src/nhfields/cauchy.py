@@ -214,9 +214,13 @@ def tilde_omega_contract(model: LagrangianModel, state: CauchyState,
 
 @dataclass(frozen=True)
 class _SliceGeometry:
-    """The one evaluation of a state that the field and the induced-form
-    checks share: the jet (x, y, v), the grid derivatives D_i v of the jet
-    as dv (grid.., m, n, n+1), and the derivative bundle."""
+    """The one evaluation of a state that the field, the recorder and the
+    checks share: the jet (x, y, v), the grid derivatives D_i v of the jet as
+    dv (grid.., m, n, n+1) and the derivative bundle (``_slice_geometry``);
+    then (``_evaluate``) the free temporal block Gfree (grid.., m, n+1), the
+    block Gt the field uses, and with a constraint the full differentials
+    dphi (grid.., k, N), the coefficients C (grid.., k, n+1, m) and the
+    checked max|phi| over the slice (0 without a constraint)."""
 
     state: CauchyState
     method: str
@@ -225,6 +229,19 @@ class _SliceGeometry:
     v: np.ndarray
     dv: np.ndarray
     bundle: DerivativeBundle
+    Gfree: np.ndarray | None = None
+    Gt: np.ndarray | None = None
+    dphi: np.ndarray | None = None
+    C: np.ndarray | None = None
+    max_phi: float = 0.0
+
+    def field(self, Gt: np.ndarray | None = None) -> StateVariation:
+        """The second-order field with temporal block Gt (by default the
+        field's own): dx = (1, 0, ...) and dy the slice's v0 block."""
+        v = self.v
+        dx = np.zeros(v.shape[:-2] + v.shape[-1:])
+        dx[..., 0] = 1.0
+        return StateVariation(dx, v[..., :, 0].copy(), self.Gt if Gt is None else Gt)
 
 
 def _slice_geometry(model: LagrangianModel, state: CauchyState,
@@ -233,39 +250,6 @@ def _slice_geometry(model: LagrangianModel, state: CauchyState,
     bundle = derivative_bundle_arrays(model, x, y, v)
     dv = np.swapaxes(grid_derivative(v, state.n, method), -1, -2)
     return _SliceGeometry(state, method, x, y, v, dv, bundle)
-
-
-def _projection(spec: ConstraintSpec, geom: _SliceGeometry, Gt: np.ndarray,
-                drift_tol: float = 1e-6):
-    """The temporal block Gt of the time-horizontal lift H_0 (Gamma^b_0 =
-    v^b_0) projected through the nonholonomic projector, after checking that
-    the slice is on the constraint set.  Returns it with the constraint data
-    it used, from one values pass and one differential pass: the full
-    differentials dphi (grid.., k, N), the coefficients C (grid.., k, n+1, m)
-    and the checked max|phi| over the slice."""
-    x, y, v = geom.x, geom.y, geom.v
-    drift = float(np.max(np.abs(spec.values_arrays(x, y, v)), initial=0.0))
-    if drift > drift_tol:
-        raise DriftError(
-            f"state is off the constraint set: max|phi| = {drift:.3e} "
-            f"exceeds {drift_tol:.1e}"
-        )
-    dphi = spec.full_differentials_arrays(x, y, v)
-    dphidv = jet_block(dphi, *v.shape[-2:])
-    C = coefficient_arrays(spec, x, y, v, dphidv)
-    zeta = solve_zeta_flat(hessian_flat(geom.bundle), C)
-    Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
-    Gamma2, _ = project_lifts(v[..., :, :1], Gt[..., :, None, :], dphi, Lam, zeta)
-    return Gamma2[..., :, 0, :], dphi, C, drift
-
-
-def _field(geom: _SliceGeometry, Gt: np.ndarray) -> StateVariation:
-    """The second-order field with temporal block Gt: dx = (1, 0, ...) and dy
-    the slice's v0 block."""
-    v = geom.v
-    dx = np.zeros(v.shape[:-2] + v.shape[-1:])
-    dx[..., 0] = 1.0
-    return StateVariation(dx, v[..., :, 0].copy(), Gt)
 
 
 def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
@@ -279,20 +263,36 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
     nonholonomic projector.  The returned variation has dx = (1, 0, ...) and
     dy equal to the state's v0 block, which is the second-order condition.
     """
-    return _evaluate(model, spec, state, method, drift_tol)[1]
+    return _evaluate(model, spec, state, method, drift_tol).field()
 
 
 def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
-              state: CauchyState, method: str, drift_tol: float):
-    """The one evaluation of a state for the field: its slice geometry, the
-    (projected) second-order field on it, and max|phi| over the slice from
-    the projection's drift check (0 without a constraint)."""
+              state: CauchyState, method: str,
+              drift_tol: float = 1e-6) -> _SliceGeometry:
+    """The one place the field is assembled: the slice geometry, the free
+    temporal block of the De Donder-Weyl solve and, with a constraint, after
+    checking that the slice is on the constraint set, that block projected
+    through the nonholonomic projector (the time-horizontal lift H_0 has
+    Gamma^b_0 = v^b_0), from one constraint pass."""
     geom = _slice_geometry(model, state, method)
-    Gt = solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :]
-    max_phi = 0.0
-    if spec is not None:
-        Gt, _, _, max_phi = _projection(spec, geom, Gt, drift_tol)
-    return geom, _field(geom, Gt), max_phi
+    x, y, v = geom.x, geom.y, geom.v
+    Gfree = solve_ddw(geom.bundle, v, geom.dv)[0][..., 0, :]
+    if spec is None:
+        return replace(geom, Gfree=Gfree, Gt=Gfree)
+    phi, dphi = spec.evaluate(x, y, v)
+    max_phi = float(np.max(np.abs(phi), initial=0.0))
+    if max_phi > drift_tol:
+        raise DriftError(
+            f"state is off the constraint set: max|phi| = {max_phi:.3e} "
+            f"exceeds {drift_tol:.1e}"
+        )
+    dphidv = jet_block(dphi, *v.shape[-2:])
+    C = coefficient_arrays(spec, x, y, v, dphidv)
+    zeta = solve_zeta_flat(hessian_flat(geom.bundle), C)
+    Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
+    Gamma2, _ = project_lifts(v[..., :, :1], Gfree[..., :, None, :], dphi, Lam, zeta)
+    return replace(geom, Gfree=Gfree, Gt=Gamma2[..., :, 0, :], dphi=dphi, C=C,
+                   max_phi=max_phi)
 
 
 def _tangent_rows(geom: _SliceGeometry) -> np.ndarray:
@@ -348,9 +348,8 @@ def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
     Vanishes (to quadrature/solver accuracy) when Gamma comes from a
     connection solving the free De Donder-Weyl equation along the slice.
     """
-    geom = _slice_geometry(model, state, method)
-    gamma = _field(geom, solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :])
-    return _omega_tilde(geom, _tangent_rows(geom), gamma.dense(), _stacked(variations))
+    geom = _evaluate(model, None, state, method)
+    return _omega_tilde(geom, _tangent_rows(geom), geom.field().dense(), _stacked(variations))
 
 
 def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
@@ -363,17 +362,15 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
     alpha-tilde(W) = mean_j c_alpha(u_j) Phi_alpha(W(u_j), T_1..T_n(u_j));
     returns the least-squares coefficients and the worst-case fit residual.
     """
-    geom = _slice_geometry(model, state, method)
-    Gt = solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :]
-    Gp, _, C, _ = _projection(spec, geom, Gt)
+    geom = _evaluate(model, spec, state, method)
     T = _tangent_rows(geom)
     Ws = _stacked(variations)
     # Omega-tilde is linear in the field, and P Gamma - Gamma is jet-vertical
-    delta = _field(geom, Gp).dense() - _field(geom, Gt).dense()
+    delta = geom.field().dense() - geom.field(geom.Gfree).dense()
     lhs = _omega_tilde(geom, T, delta, Ws)
     G = state.grid_shape
     B = int(np.prod(G))
-    M = phi_eval_batch(C, geom.v, _with_tangents(T, Ws)).reshape(len(Ws), B * spec.k) / B
+    M = phi_eval_batch(geom.C, geom.v, _with_tangents(T, Ws)).reshape(len(Ws), B * spec.k) / B
     coeff, *_ = np.linalg.lstsq(M, lhs, rcond=None)
     resid = float(np.max(np.abs(lhs - M @ coeff), initial=0.0))
     return {"residual": resid, "coefficients": coeff.reshape(G + (spec.k,)),
@@ -406,15 +403,13 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     Phi_alpha(. , T_1..T_n); on that class the constrained equation forces
     the contraction to vanish.
     """
-    geom = _slice_geometry(model, state, method)
-    Gt = solve_ddw(geom.bundle, geom.v, geom.dv)[0][..., 0, :]
-    Gp, dphi, C, _ = _projection(spec, geom, Gt)
+    geom = _evaluate(model, spec, state, method)
     T = _tangent_rows(geom)
-    rows = np.concatenate([dphi, ftilde_annihilator_rows(C, geom.v, T)], axis=-2)
+    rows = np.concatenate([geom.dphi, ftilde_annihilator_rows(geom.C, geom.v, T)], axis=-2)
     Ws = _stacked(variations)
     corr = np.einsum("...nr,...r->...n", np.linalg.pinv(rows),
                      np.einsum("...rn,...n->...r", rows, Ws))
-    return _omega_tilde(geom, T, _field(geom, Gp).dense(), Ws - corr)
+    return _omega_tilde(geom, T, geom.field().dense(), Ws - corr)
 
 
 def _pack(state: CauchyState) -> np.ndarray:
@@ -469,12 +464,12 @@ def holonomy_defect(state: CauchyState, method: str = "spectral") -> float:
 
 
 def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
-                            method: str = "spectral", iters: int = 2) -> CauchyState:
-    """Newton re-projection of the jet block onto phi = 0 (stabilization)."""
+                            method: str = "spectral") -> CauchyState:
+    """Two Newton steps re-projecting the jet block onto phi = 0 (stabilization)."""
     if state.mode != "fulljet":
         raise InvalidArgumentError("stabilization applies to fulljet states")
     x, y, v = state.jet_arrays(method)
-    v, _ = newton_onto_constraint(spec, x, y, v, slice(None), 0.0, iters)
+    v, _ = newton_onto_constraint(spec, x, y, v, slice(None), 0.0, 2)
     return replace(state, v0=v[..., 0], vi=v[..., 1:])
 
 
@@ -519,10 +514,10 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     diags = {"t": [], "max_phi": [], "holonomy": [], "eta": [], "energy": []}
 
     def record(s: CauchyState) -> StateVariation:
-        geom, var, max_phi = _evaluate(model, spec, s, method, drift_tol)
-        v0, b = geom.v[..., :, 0], geom.bundle
+        geom = _evaluate(model, spec, s, method, drift_tol)
+        var, v0, b = geom.field(), geom.v[..., :, 0], geom.bundle
         diags["t"].append(s.t)
-        diags["max_phi"].append(max_phi)
+        diags["max_phi"].append(geom.max_phi)
         diags["holonomy"].append(holonomy_defect(s, method))
         diags["eta"].append(tilde_eta_contract(s, var))
         diags["energy"].append(float(np.mean(

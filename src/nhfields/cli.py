@@ -266,7 +266,8 @@ def build_scenario(cfg: dict):
             matrix = load_custom_coeffs_csv(ccfg["coeffs_csv"], spec.dims)
         except (OSError, ValueError, InvalidArgumentError) as exc:
             raise ConfigError(
-                f"constraint.coeffs_csv must be a readable CSV file: {exc}"
+                f"constraint.coeffs_csv must be a readable CSV file of finite "
+                f"coefficients: {exc}"
             ) from exc
         custom = lambda p: matrix
     return model, dataclasses.replace(

@@ -68,57 +68,49 @@ class ConstraintSpec:
     # -- evaluation ---------------------------------------------------------
 
     def values_arrays(self, x, y, v) -> np.ndarray:
-        """phi_alpha over coordinate arrays; returns (..., k)."""
+        """phi_alpha (..., k) over coordinate arrays in plain arithmetic: the
+        reference whose bits the values of :meth:`evaluate` have."""
         args = seed_inputs(None, np.asarray(x, dtype=float), np.asarray(y, dtype=float),
                            np.asarray(v, dtype=float), self.dims)
         return np.stack(
             [np.asarray(f(*args), dtype=float) for f in self.funcs], axis=-1
         )
 
-    def values(self, p: JetPoint) -> np.ndarray:
-        return self.values_arrays(p.x, p.y, p.v)
-
-    def full_differentials_arrays(self, x, y, v) -> np.ndarray:
-        """Full differentials d phi_alpha over coordinate arrays, as dense
-        rows (..., k, N) in the tangent layout."""
+    def evaluate(self, x, y, v) -> tuple[np.ndarray, np.ndarray]:
+        """phi_alpha (..., k) and the full differentials d phi_alpha as dense
+        rows (..., k, N) over coordinate arrays, from one first-order ``Dual``
+        pass whose values are phi with the bits of :meth:`values_arrays`.
+        Callers test phi for finiteness, so inf * 0 in a gradient is no error."""
         dims = self.dims
         x = np.asarray(x, dtype=float)
         args = seed_inputs(ad.Dual, x, np.asarray(y, dtype=float),
                            np.asarray(v, dtype=float), dims, range(dims.N))
-        grads = []
-        for f in self.funcs:
-            out = f(*args)
-            if not isinstance(out, ad.Dual):
-                out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], dims.N)
-            grads.append(out.grad)
-        return np.stack(grads, axis=-2)
-
-    def full_differentials(self, p: JetPoint) -> np.ndarray:
-        """Dense rows (k, N) of the differentials d phi_alpha at p."""
-        return self.full_differentials_arrays(p.x, p.y, p.v)
+        outs = []
+        with np.errstate(invalid="ignore"):
+            for f in self.funcs:
+                out = f(*args)
+                if not isinstance(out, ad.Dual):
+                    out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], dims.N)
+                outs.append(out)
+        return (np.stack([out.val for out in outs], axis=-1),
+                np.stack([out.grad for out in outs], axis=-2))
 
     def dphidv_arrays(self, x, y, v) -> np.ndarray:
         """The jet block dphi/dv (..., k, m, n+1) of the full differentials."""
-        return jet_block(self.full_differentials_arrays(x, y, v),
-                         self.dims.m, self.dims.nx)
+        return jet_block(self.evaluate(x, y, v)[1], self.dims.m, self.dims.nx)
 
     def at(self, p: JetPoint) -> "ConstraintPoint":
         """The constraint data of the pointwise chain at p, after checking
-        that p lies on the constraint set: one evaluation of the
-        differentials, from which the coefficients follow."""
-        self.require_on_constraint(p)
-        dphi = self.full_differentials(p)
+        that p lies on the constraint set (|phi| within ``on_tol``): one
+        ``evaluate`` call, from which the coefficients follow."""
+        phi, dphi = self.evaluate(p.x, p.y, p.v)
+        if np.max(np.abs(phi), initial=0.0) > self.on_tol:
+            raise OffConstraintError(
+                f"point is off the constraint set: |phi| = {np.abs(phi).max():.3e} "
+                f"(tolerance {self.on_tol:.1e}, values {phi.tolist()})"
+            )
         dphidv = jet_block(dphi, self.dims.m, self.dims.nx)
         return ConstraintPoint(p, dphi, coefficient_arrays(self, p.x, p.y, p.v, dphidv))
-
-    def require_on_constraint(self, p: JetPoint, tol: float | None = None):
-        vals = self.values(p)
-        tol = self.on_tol if tol is None else tol
-        if np.max(np.abs(vals), initial=0.0) > tol:
-            raise OffConstraintError(
-                f"point is off the constraint set: |phi| = {np.abs(vals).max():.3e} "
-                f"(tolerance {tol:.1e}, values {vals.tolist()})"
-            )
 
 
 def jet_block(rows: np.ndarray, m: int, nx: int) -> np.ndarray:
@@ -186,12 +178,12 @@ def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iter
     whether the tolerance was met.  Non-finite phi raises EvaluationError."""
     v = np.array(v, dtype=float)
     for _ in range(iters):
-        phi = spec.values_arrays(x, y, v)
+        phi, dphi = spec.evaluate(x, y, v)
         if not np.isfinite(phi).all():
             raise EvaluationError("non-finite constraint values in the Newton projection")
         if np.max(np.abs(phi)) < tol:
             return v, True
-        J = spec.dphidv_arrays(x, y, v)[..., cols]  # (..., k, m, c)
+        J = jet_block(dphi, spec.dims.m, spec.dims.nx)[..., cols]  # (..., k, m, c)
         pinv = np.linalg.pinv(J.reshape(J.shape[:-2] + (-1,)))
         delta = np.einsum("...ij,...j->...i", pinv, phi)
         v[..., cols] -= delta.reshape(J.shape[:-3] + J.shape[-2:])
@@ -340,4 +332,6 @@ def load_custom_coeffs_csv(path, dims: Dims) -> np.ndarray:
         raise InvalidArgumentError(
             f"coefficient CSV shape {arr.shape}, expected ({dims.k}, {expected_cols})"
         )
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"coefficient CSV has non-finite entries: {rows}")
     return arr.reshape(dims.k, dims.nx, dims.m)

@@ -23,7 +23,7 @@ import numpy as np
 from .constraint import (
     ConstraintPoint,
     ConstraintSpec,
-    chetaev_coefficients,
+    coefficient_arrays,
     jet_block,
     phi_eval_batch,
 )
@@ -255,11 +255,13 @@ def nh_field_residual(model: LagrangianModel, spec: ConstraintSpec,
     """Fit multipliers for the nonholonomic field equations at second-order
     jet data and report the unexplained residual and constraint values."""
     E = el_residual(model, q)
-    C = chetaev_coefficients(spec, q.point)  # (k, nx, m)
-    Cmat = C.reshape(spec.k * spec.dims.nx, spec.dims.m).T  # (m, k(n+1))
+    p, dims = q.point, spec.dims
+    phi, dphi = spec.evaluate(p.x, p.y, p.v)
+    C = coefficient_arrays(spec, p.x, p.y, p.v, jet_block(dphi, dims.m, dims.nx))
+    Cmat = C.reshape(spec.k * dims.nx, dims.m).T  # (m, k(n+1))
     lam_flat, *_ = np.linalg.lstsq(Cmat, E, rcond=None)
     return {
-        "lam_fit": lam_flat.reshape(spec.k, spec.dims.nx),
+        "lam_fit": lam_flat.reshape(spec.k, dims.nx),
         "residual": E - Cmat @ lam_flat,
-        "constraint_vals": spec.values(q.point),
+        "constraint_vals": phi,
     }

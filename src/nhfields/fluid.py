@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .constraint import ConstraintSpec, chetaev_coefficients, incompressibility_constraint
+from .constraint import (
+    ConstraintSpec,
+    coefficient_arrays,
+    incompressibility_constraint,
+    jet_block,
+)
 from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
@@ -127,7 +132,9 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
     model = fluid_lagrangian(params)
     spec = spec or incompressibility_constraint()
     bundle = derivative_bundle(model, p)
-    coeffs = chetaev_coefficients(spec, p)
+    dims = spec.dims
+    _, dphi = spec.evaluate(p.x, p.y, p.v)
+    coeffs = coefficient_arrays(spec, p.x, p.y, p.v, jet_block(dphi, dims.m, dims.nx))
     zb = solve_zeta(bundle, coeffs)
     zeta = zb.zeta[0]  # (m, n+1)
 
@@ -147,10 +154,7 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
     if abs(f) < f_tol:
         raise CompatibilityError(f"compatibility scalar f = {f:.3e} vanishes")
 
-    dims = spec.dims
-    dphi = spec.full_differentials(p)[0]  # (N,)
-    zeta_dense = zb.dense()[0]
-    P = np.eye(dims.N) - np.outer(zeta_dense, dphi) / f
+    P = np.eye(dims.N) - np.outer(zb.dense()[0], dphi[0]) / f
     return {"J": J, "vinv": vinv, "C": C_matrix, "zeta": zeta, "f": f,
             "P": P, "zeta_basis": zb}
 

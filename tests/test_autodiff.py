@@ -155,11 +155,11 @@ WITH_CONSTANT = {
 
 
 @st.composite
-def compositions(draw):
+def compositions(draw, shapes=((), (1,), (5,))):
     """(batch shape, leaves, steps): each leaf is a seed direction (None for
     a constant dual) with its values; each step appends one result computed
     from earlier registers (indices taken modulo the register count)."""
-    shape = draw(st.sampled_from([(), (1,), (5,)]))
+    shape = draw(st.sampled_from(shapes))
     size = int(np.prod(shape))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -209,12 +209,12 @@ def run_composition(leaves, steps, lift):
 
 
 def seeded(cls, shift=None):
-    """A leaf builder for ``cls``; ``shift`` = (direction, h) moves every leaf
-    seeded on that direction by h."""
+    """A leaf builder for ``cls``, or for plain floats when it is None;
+    ``shift`` = (direction, h) moves every leaf seeded on that direction by h."""
     def lift(direction, vals):
         if shift is not None and direction == shift[0]:
             vals = vals + shift[1]
-        return cls.seed(vals, DIRS, direction)
+        return vals if cls is None else cls.seed(vals, DIRS, direction)
     return lift
 
 
@@ -260,3 +260,26 @@ def test_support_tracked_dual2_matches_central_differences(case):
     scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(grad), initial=0.0)
     assert np.allclose(grad, fd_grad, rtol=0, atol=1e-6 * scale)
     assert np.allclose(hess, fd_hess, rtol=0, atol=1e-5 * (scale + np.max(np.abs(hess))))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(compositions(shapes=((1,), (5,))))
+def test_first_order_dual_has_the_plain_bits_and_central_difference_gradients(case):
+    """A Dual's value takes the float operations of the same composition in
+    plain arithmetic, so it has their bits; its gradient matches central
+    differences of the plain composition."""
+    shape, leaves, steps = case
+    with np.errstate(all="ignore"):
+        out = run_composition(leaves, steps, seeded(ad.Dual))
+        ref = np.asarray(run_composition(leaves, steps, seeded(None)))
+        assert out.grad.shape == shape + (DIRS,)
+        assert np.array_equal(out.val.view(np.int64), ref.view(np.int64))
+        assume(np.all(np.abs(out.val) < 1e6) and np.all(np.abs(out.grad) < 1e6))
+        h = 1e-6
+        fd = np.zeros_like(out.grad)
+        for i in range(DIRS):
+            up = run_composition(leaves, steps, seeded(None, (i, h)))
+            down = run_composition(leaves, steps, seeded(None, (i, -h)))
+            fd[..., i] = (up - down) / (2 * h)
+    scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(out.grad))
+    assert np.allclose(out.grad, fd, rtol=0, atol=1e-6 * scale)

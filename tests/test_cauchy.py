@@ -279,7 +279,7 @@ def test_restriction_to_annihilator_class_is_necessary():
     geom = _slice_geometry(model, state, "spectral")
     T = _tangent_rows(geom)
     pgamma = sode_vector_field(model, spec, state)
-    dphi = spec.full_differentials_arrays(geom.x, geom.y, geom.v)
+    dphi = spec.evaluate(geom.x, geom.y, geom.v)[1]
     pinv = np.linalg.pinv(dphi)
     vals = []
     for _ in range(10):
@@ -397,7 +397,7 @@ def test_evolve_evaluates_each_state_once(monkeypatch, scenario):
     counts = dict.fromkeys(["jet", "bundle", "values"], 0)
     _spy(monkeypatch, counts, CauchyState, "jet_arrays", "jet")
     _spy(monkeypatch, counts, cauchy, "derivative_bundle_arrays", "bundle")
-    _spy(monkeypatch, counts, ConstraintSpec, "values_arrays", "values")
+    _spy(monkeypatch, counts, ConstraintSpec, "evaluate", "values")
     evolve(model, spec, state, 1e-3, 2, "rk4")
     assert counts == {"jet": 9, "bundle": 9, "values": 9}
 
@@ -575,8 +575,7 @@ def test_each_check_evaluates_its_slice_once(monkeypatch, scenario, check):
     variations = [StateVariation.random(state, rng) for _ in range(20)]
     counts = dict.fromkeys(["bundle", "differentials", "grid", "omega", "phi"], 0)
     _spy(monkeypatch, counts, cauchy, "derivative_bundle_arrays", "bundle")
-    _spy(monkeypatch, counts, ConstraintSpec, "full_differentials_arrays", "differentials")
-    _spy(monkeypatch, counts, ConstraintSpec, "dphidv_arrays", "differentials")
+    _spy(monkeypatch, counts, ConstraintSpec, "evaluate", "differentials")
     _spy(monkeypatch, counts, cauchy, "grid_derivative", "grid")
     _spy(monkeypatch, counts, cauchy, "omega_eval_batch", "omega")
     _spy(monkeypatch, counts, cauchy, "phi_eval_batch", "phi")

@@ -1,9 +1,11 @@
 """Scenario runner: exit codes, reports, determinism, output files."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nhfields
 from nhfields.cli import (
     CONFIG_TABLE,
     MAX_GRID_POINTS,
@@ -404,10 +407,10 @@ def test_verify_point_builds_one_bundle_and_one_constraint_evaluation(monkeypatc
 
     monkeypatch.setattr(lagrangian, "derivative_bundle_arrays",
                         counted("bundle", lagrangian.derivative_bundle_arrays))
-    # every constraint-derivative evaluation (dphidv_arrays included)
-    # goes through the full differentials
-    monkeypatch.setattr(ConstraintSpec, "full_differentials_arrays",
-                        counted("dphi", ConstraintSpec.full_differentials_arrays))
+    # every constraint evaluation (dphidv_arrays included) is one
+    # evaluate pass
+    monkeypatch.setattr(ConstraintSpec, "evaluate",
+                        counted("dphi", ConstraintSpec.evaluate))
     out = _point_checks(model, spec, p, rng, DEFAULT_TOLERANCES, 5)
     assert calls == {"bundle": 1, "dphi": 1}
     assert all(out[key] < DEFAULT_TOLERANCES[tol] for key, tol in _CHECK_BOUNDS)
@@ -556,6 +559,21 @@ def test_unreadable_coefficient_csv_exits_2_naming_it(tmp_path, capsys):
     assert err.startswith("config error") and "constraint.coeffs_csv must be" in err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+@pytest.mark.parametrize("task", ["verify", "evolve"])
+def test_non_finite_coefficient_csv_exits_2_naming_it(tmp_path, capsys, task, entry):
+    coeffs = tmp_path / "C.csv"
+    coeffs.write_text(f"{entry},1\n")
+    path = write_config(tmp_path, task=task, dt=2e-3, steps=1, grid={"nu": 16}, constraint={
+        "name": "linear-transport", "params": {"speed": 2.0}, "mode": "custom",
+        "coeffs_csv": str(coeffs)})
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "constraint.coeffs_csv" in err
+    assert "non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _fluid_evolve(**extra):
     return dict(task="evolve", model={"name": "fluid", "params": {"kappa": 1.0, "beta": 1.0}},
                 constraint={"name": "incompressibility"}, dt=1e-3, steps=1,
@@ -626,6 +644,41 @@ def test_readme_config_table_names_every_key():
     rows = [line.split("|")[1].strip() for line in section.splitlines()
             if line.startswith("| `")]
     assert rows == [f"`{key}`" for key in _dotted_keys(CONFIG_TABLE)]
+
+
+def _has(obj, dotted: str) -> bool:
+    try:
+        for part in dotted.split("."):
+            obj = getattr(obj, part)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_readme_module_table_names_only_existing_objects():
+    """Every code name in the "What is in the box" table, a call `name(...)`,
+    a dotted path `a.b[.c]` or a snake_case identifier, is an attribute of its
+    row's module or a dotted path under the nhfields package."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## What is in the box")[1].split("\n## ")[0]
+    name = r"[A-Za-z_]\w*"
+    checked = []
+    for line in section.splitlines():
+        if not line.startswith("| `nhfields."):
+            continue
+        cells = line.split("|")
+        module = importlib.import_module(cells[1].strip().strip("`"))
+        for token in re.findall(r"`([^`]+)`", "|".join(cells[2:])):
+            match = (re.fullmatch(rf"({name}(?:\.{name})*)\(.*", token)
+                     or re.fullmatch(rf"({name}(?:\.{name})+)", token)
+                     or re.fullmatch(rf"({name}_{name})", token))
+            if match is None:
+                continue
+            dotted = match.group(1)
+            assert _has(module, dotted) or ("." in dotted and _has(nhfields, dotted)), \
+                f"{module.__name__}: `{token}`"
+            checked.append(dotted)
+    assert "phi_eval_batch" in checked and "ConstraintSpec.at" in checked
 
 
 # keys whose integer values set the size of a run, and the first value

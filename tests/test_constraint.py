@@ -281,3 +281,63 @@ def test_newton_on_non_finite_constraint_values_raises():
     v[3, 0, 1] = np.inf
     with pytest.raises(EvaluationError, match="non-finite constraint values"):
         newton_onto_constraint(_bent_transport(), x, y, v, slice(0, 1), 1e-12, 50)
+
+
+# ---------------------------------------------------------------------------
+# one pass for phi and dphi
+
+
+def _split_jet(z, dims):
+    """Flat jet coordinates (..., N) as the arrays (x, y, v)."""
+    nx, m = dims.nx, dims.m
+    return z[..., :nx], z[..., nx : nx + m], z[..., nx + m :].reshape(z.shape[:-1] + (m, nx))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["linear-transport", "incompressibility", "bent"])
+def test_evaluate_has_the_plain_values_and_central_difference_differentials(name, seed):
+    rng = np.random.default_rng(seed)
+    if name == "linear-transport":
+        spec = make_constraint(name, {"speed": float(rng.uniform(-3.0, 3.0))})
+    elif name == "incompressibility":
+        spec = make_constraint(name)
+    else:
+        spec = _bent_transport()
+    dims = spec.dims
+    z = rng.uniform(-1.0, 1.0, (7, dims.N))
+    phi, dphi = spec.evaluate(*_split_jet(z, dims))
+    assert phi.shape == (7, dims.k) and dphi.shape == (7, dims.k, dims.N)
+    plain = spec.values_arrays(*_split_jet(z, dims))
+    assert np.array_equal(phi.view(np.int64), plain.view(np.int64))
+    h = 1e-6
+    for i in range(dims.N):
+        step = h * np.eye(dims.N)[i]
+        fd = (spec.values_arrays(*_split_jet(z + step, dims))
+              - spec.values_arrays(*_split_jet(z - step, dims))) / (2 * h)
+        np.testing.assert_allclose(dphi[..., i], fd, rtol=0, atol=1e-8)
+
+
+def test_evaluate_of_a_constant_constraint_has_the_batch_shape_and_no_differential():
+    spec = ConstraintSpec(Dims(1, 1, 1), [lambda x, y, v: 0.25])
+    x, y, v = _wave_grid_jet(np.random.default_rng(5))
+    phi, dphi = spec.evaluate(x, y, v)
+    assert phi.shape == (16, 1) and np.all(phi == 0.25)
+    assert dphi.shape == (16, 1, spec.dims.N) and not dphi.any()
+
+
+def test_newton_makes_one_evaluate_call_per_iteration(monkeypatch):
+    counts = {"evaluate": 0, "values": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ConstraintSpec, "evaluate", spy("evaluate", ConstraintSpec.evaluate))
+    monkeypatch.setattr(ConstraintSpec, "values_arrays",
+                        spy("values", ConstraintSpec.values_arrays))
+    x, y, v = _wave_grid_jet(np.random.default_rng(3))
+    _, converged = newton_onto_constraint(_bent_transport(), x, y, v, slice(None), 0.0, 3)
+    assert not converged
+    assert counts == {"evaluate": 3, "values": 0}
