@@ -84,7 +84,7 @@ class ConstraintSpec:
         dims = self.dims
         x = np.asarray(x, dtype=float)
         args = seed_inputs(ad.Dual, x, np.asarray(y, dtype=float),
-                           np.asarray(v, dtype=float), dims, range(dims.N))
+                           np.asarray(v, dtype=float), dims)
         outs = []
         with np.errstate(invalid="ignore"):
             for f in self.funcs:

@@ -34,7 +34,7 @@ from .exceptions import (
 )
 from .jet import Dims, JetPoint, periodic_derivative
 from .lagrangian import LagrangianModel, derivative_bundle
-from .projector import solve_zeta
+from .projector import compatibility_matrix, solve_zeta
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,17 @@ def spatial_hessian_closed(params: FluidParams, vsp: np.ndarray) -> np.ndarray:
 
 
 def fluid_quantities(params: FluidParams, p: JetPoint,
-                     spec: ConstraintSpec | None = None,
-                     f_tol: float = 1e-12) -> dict:
-    """J, inverse and cofactor of the spatial block, zeta, f, and P at p.
+                     spec: ConstraintSpec | None = None) -> dict:
+    """J, inverse and cofactor K = J v^-T of the spatial block, and the
+    closed forms of zeta, f and P at p.
 
-    zeta comes from the generic constraint-distribution solve on the full
-    automatic-differentiation Hessian; the same vector is recomputed from
-    the closed-form spatial Hessian (temporal block rho I solved trivially)
-    and both must agree, which pins the sign and density conventions.
+    The temporal block rho I of the Hessian gives zeta_0 = 0 and the
+    closed-form spatial Hessian solves H_sp zeta_sp = K; f = zeta_sp : K, and
+    P = I - f^-1 dphi (x) zeta, where the dphi row holds K in the spatial
+    v-block.  The generic constraint-distribution solve on the full
+    automatic-differentiation Hessian must agree with zeta, which pins the
+    sign and density conventions.  f vanishes when ``compatibility_matrix``
+    says so, relative to the scale ||zeta|| ||K||.
     """
     if (p.n, p.m) != (3, 3):
         raise InvalidArgumentError("the fluid scenario lives on n = 3, m = 3")
@@ -128,35 +131,29 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
         raise InvalidArgumentError("spatial jet block is singular")
     vinv = np.linalg.inv(vsp)
     C_matrix = J * vinv.T  # C^i_a as [a, i]: dJ/dv^a_i
+    Hsp = spatial_hessian_closed(params, vsp).reshape(9, 9)
+    # zeta and dphi/dv as (k, m, n+1) with k = 1
+    zeta, dphidv = np.zeros((2, 1, 3, 4))
+    zeta[0, :, 1:] = np.linalg.solve(Hsp, C_matrix.reshape(9)).reshape(3, 3)
+    dphidv[0, :, 1:] = C_matrix
 
-    model = fluid_lagrangian(params)
     spec = spec or incompressibility_constraint()
-    bundle = derivative_bundle(model, p)
     dims = spec.dims
     _, dphi = spec.evaluate(p.x, p.y, p.v)
     coeffs = coefficient_arrays(spec, p.x, p.y, p.v, jet_block(dphi, dims.m, dims.nx))
-    zb = solve_zeta(bundle, coeffs)
-    zeta = zb.zeta[0]  # (m, n+1)
-
-    # closed form: temporal block rho I gives zeta_0 = C^0 / rho = 0; the
-    # spatial block solves H_sp zeta_sp = K
-    Hsp = spatial_hessian_closed(params, vsp).reshape(9, 9)
-    zeta_sp = np.linalg.solve(Hsp, C_matrix.reshape(9)).reshape(3, 3)
-    zeta_closed = np.zeros((3, 4))
-    zeta_closed[:, 1:] = zeta_sp
-    if np.max(np.abs(zeta - zeta_closed)) > 1e-9 * (1.0 + np.max(np.abs(zeta))):
+    generic = solve_zeta(derivative_bundle(fluid_lagrangian(params), p), coeffs).zeta
+    gap = np.max(np.abs(generic - zeta))
+    if gap > 1e-9 * np.max(np.abs(zeta)):
         raise InternalConsistencyError(
-            "closed-form zeta disagrees with the generic solve: "
-            f"max diff {np.max(np.abs(zeta - zeta_closed)):.3e}"
-        )
+            f"closed-form zeta disagrees with the generic solve: max diff {gap:.3e}")
 
-    f = float(np.einsum("ai,ai->", zeta[:, 1:], C_matrix))
-    if abs(f) < f_tol:
+    f = float(np.einsum("ai,ai->", zeta[0, :, 1:], C_matrix))
+    if not compatibility_matrix(zeta, dphidv)["compatible"]:
         raise CompatibilityError(f"compatibility scalar f = {f:.3e} vanishes")
-
-    P = np.eye(dims.N) - np.outer(zb.dense()[0], dphi[0]) / f
-    return {"J": J, "vinv": vinv, "C": C_matrix, "zeta": zeta, "f": f,
-            "P": P, "zeta_basis": zb}
+    rows = np.zeros((2, dims.N))  # zeta and dphi in the full layout
+    rows[:, dims.nx + dims.m :] = np.concatenate([zeta, dphidv]).reshape(2, -1)
+    P = np.eye(dims.N) - np.outer(rows[0], rows[1]) / f
+    return {"J": J, "vinv": vinv, "C": C_matrix, "zeta": zeta[0], "f": f, "P": P}
 
 
 # ---------------------------------------------------------------------------

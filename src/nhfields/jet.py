@@ -57,16 +57,14 @@ class Dims:
         return self.nx + self.m + a * self.nx + mu
 
 
-def seed_inputs(cls, x, y, v, dims: Dims, active=()):
+def seed_inputs(cls, x, y, v, dims: Dims):
     """The generic-scalar arguments (xs, ys, vs) of a function of the jet,
     as lists over the coordinate arrays x (..., n+1), y (..., m) and
-    v (..., m, n+1): the jet directions listed in ``active`` become the dual
-    directions 0..d-1 of ``cls`` in that order, the others plain arrays."""
-    slot = {int(i): k for k, i in enumerate(active)}
-    d = len(slot)
+    v (..., m, n+1): plain arrays when ``cls`` is None, else every input
+    seeded as the ``cls`` direction of its flat jet index, out of N."""
 
     def lift(arr, i):
-        return arr if i not in slot else cls.seed(arr, d, slot[i])
+        return arr if cls is None else cls.seed(arr, dims.N, i)
 
     xs = [lift(x[..., t], dims.ix(t)) for t in range(dims.nx)]
     ys = [lift(y[..., a], dims.iy(a)) for a in range(dims.m)]

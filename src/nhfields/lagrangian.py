@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -32,17 +32,16 @@ from .jet import (
 )
 
 
-# Bytes of a full d x d Hessian over one chunk of the derivative bundle: 256
-# points at d = 12 active inputs (the fluid).  Most Dual2 temporaries carry
-# the Hessian of a small support (1 to 9 of the 12 directions), so per-call
-# overhead, not memory traffic, sets their cost, and larger chunks pay it
-# fewer times.  On an 8^3 fluid evolve, 256 points ran about 1.6x the steps/s
-# of 64 at the same peak RSS; 512 points (the whole grid) added 1.8 MB.
+# Bytes of the m(n+1) x m(n+1) v-block of the Hessian over one chunk of the
+# derivative bundle: 256 points for the fluid (m(n+1) = 12), 9,216 for the
+# wave.  A regular L has a nonsingular v-Hessian, so it depends on every v
+# input and each chunk's result carries at least this block.  Most Dual2
+# temporaries carry the Hessian of a small support (1 to 9 of the fluid's 12
+# directions), so per-call overhead, not memory traffic, sets their cost, and
+# larger chunks pay it fewer times.  On an 8^3 fluid evolve, 256 points ran
+# about 1.6x the steps/s of 64 at the same peak RSS; 512 points (the whole
+# grid) added 1.8 MB.
 _CHUNK_BYTES = 256 * 8 * 12 * 12
-
-# the generic points at which LagrangianModel.active_inputs probes L
-_PROBE_SEED = 2005
-_PROBE_POINTS = 3
 
 # a point is regular when its Hessian's condition number is below this
 REGULAR_COND = 1e12
@@ -66,29 +65,6 @@ class LagrangianModel:
         return float(
             np.asarray(self.fn(list(p.x), list(p.y), [list(row) for row in p.v]))
         )
-
-    @cached_property
-    def active_inputs(self) -> np.ndarray:
-        """Flat jet indices (x, y, v order, as in ``Dims``) of the inputs L
-        depends on; the derivative bundles seed only these.
-
-        A first-order probe at fixed-seed generic points keeps every index
-        whose gradient entry is nonzero at one of them.  L is assumed
-        analytic in its inputs, so an input the probe drops has an
-        identically zero derivative.  Computed once per model instance.
-        """
-        dims = self.dims
-        pts = np.random.default_rng(_PROBE_SEED).uniform(0.5, 1.5, (_PROBE_POINTS, dims.N))
-        x, y = pts[:, : dims.nx], pts[:, dims.nx : dims.nx + dims.m]
-        v = pts[:, dims.nx + dims.m :].reshape(_PROBE_POINTS, dims.m, dims.nx)
-        with np.errstate(all="ignore"):  # a NaN entry counts as nonzero
-            out = self.fn(*seed_inputs(ad.Dual, x, y, v, dims, range(dims.N)))
-        if not isinstance(out, ad.Dual):
-            raise EvaluationError(f"model {self.name!r} did not stay in dual arithmetic")
-        active = np.flatnonzero((out.grad != 0).reshape(-1, dims.N).any(axis=0))
-        if active.size == 0:
-            raise EvaluationError(f"model {self.name!r} depends on none of its inputs")
-        return active
 
 
 @dataclass(frozen=True)
@@ -117,12 +93,12 @@ class DerivativeBundle:
 def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundle:
     """Derivative bundle over arrays of jet coordinates (batched).
 
-    Only the model's active inputs are seeded, as Dual2 directions
-    0..d-1 with d = len(active_inputs), and every temporary carries the
-    Hessian of its own support only.  The flattened batch runs in chunks
-    whose full d x d Hessian is at most ``_CHUNK_BYTES``; each result is read
-    back over all d directions (``Dual2.dense``) into the preallocated
-    outputs, and entries of inactive inputs are exact zeros.
+    Every input is seeded, as the Dual2 direction of its flat jet index, and
+    every temporary carries the Hessian of its own support only, so an input
+    L never reads costs one seed and nothing else.  The flattened batch runs
+    in chunks whose m(n+1) x m(n+1) v-block of the Hessian is at most
+    ``_CHUNK_BYTES``; each result is scattered from its support into the
+    preallocated outputs, and entries of inputs L never touches are +0.0.
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
@@ -132,23 +108,20 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     x = np.asarray(x, dtype=float).reshape(B, nx)
     y = np.asarray(y, dtype=float).reshape(B, m)
     v = v.reshape(B, m, nx)
-    act = model.active_inputs
-    d = act.size
-    vcol = np.flatnonzero(act >= nx + m)  # dual directions that are v inputs
-    vidx = act[vcol] - (nx + m)  # and their flat (a, mu) indices
     L = np.empty(B)
     grad = np.zeros((B, dims.N))
     hv = np.zeros((B, dims.N, m * nx))  # the v-columns of the Hessian
-    step = max(1, _CHUNK_BYTES // (8 * d * d))
+    step = max(1, _CHUNK_BYTES // (8 * (m * nx) ** 2))
     for lo in range(0, B, step):
         s = slice(lo, lo + step)
-        out = model.fn(*seed_inputs(ad.Dual2, x[s], y[s], v[s], dims, act))
+        out = model.fn(*seed_inputs(ad.Dual2, x[s], y[s], v[s], dims))
         if not isinstance(out, ad.Dual2):
             raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
         L[s] = out.val
-        g, h = out.dense(d)
-        grad[s, act] = g
-        hv[s, act[:, None], vidx] = h[..., vcol]
+        idx = np.array(out.idx, dtype=np.intp)
+        vsel = idx >= nx + m  # support entries that are v inputs
+        grad[s, idx] = out.grad
+        hv[s, idx[:, None], idx[vsel] - (nx + m)] = out.hess[..., vsel]
     bundle = DerivativeBundle(
         L.reshape(batch),
         grad[:, nx : nx + m].reshape(batch + (m,)),

@@ -6,7 +6,7 @@ import pytest
 from nhfields import autodiff as ad
 from nhfields.cauchy import CauchyState, evolve
 from nhfields.constraint import chetaev_coefficients, make_constraint
-from nhfields.exceptions import CompatibilityError, InvalidArgumentError
+from nhfields.exceptions import InvalidArgumentError
 from nhfields.fluid import (
     FluidParams,
     fluid_lagrangian,
@@ -17,6 +17,7 @@ from nhfields.fluid import (
 )
 from nhfields.jet import JetPoint
 from nhfields.lagrangian import derivative_bundle, hessian_flat, make_model
+from nhfields.projector import compatibility_matrix, solve_zeta
 
 from helpers import fluid_constraint_point, random_det_one_spatial
 
@@ -77,6 +78,21 @@ def test_generic_vs_closed_form_agreement_many_points():
         assert np.abs(P @ P - P).max() < 1e-9
 
 
+@pytest.mark.parametrize("rho", [1.0, 1e6, 1e13])
+def test_compatibility_scalar_scales_as_one_over_rho(rho):
+    # f vanishes only relative to its scale ||zeta|| ||K||, so a dense fluid
+    # keeps its f = f(rho = 1) / rho
+    spec = make_constraint("incompressibility")
+    p = fluid_constraint_point(np.random.default_rng(12))
+    params = FluidParams(rho=rho)
+    f = fluid_quantities(params, p)["f"]
+    assert f * rho == pytest.approx(fluid_quantities(FluidParams(), p)["f"], rel=1e-12)
+    zb = solve_zeta(derivative_bundle(fluid_lagrangian(params), p),
+                    chetaev_coefficients(spec, p))
+    comp = compatibility_matrix(zb.zeta, spec.dphidv_arrays(p.x, p.y, p.v))
+    assert f == pytest.approx(comp["mmat"][0, 0], rel=1e-12)
+
+
 def test_singular_spatial_block_rejected():
     vsp = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(InvalidArgumentError):
@@ -109,7 +125,7 @@ def test_projected_connection_multiplier_shape():
     coefficients for the fluid's block Hessian, so the connection
     multipliers also carry lambda_0 = 0."""
     from nhfields.ddw import nh_ddw_residual, project_connection, solve_free_ddw
-    from nhfields.projector import build_projectors, solve_zeta
+    from nhfields.projector import build_projectors
 
     params = FluidParams()
     model = fluid_lagrangian(params)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from nhfields import autodiff as ad
 from nhfields import lagrangian
 from nhfields.constraint import chetaev_coefficients, make_constraint, phi_eval_batch
-from nhfields.exceptions import EvaluationError, InvalidArgumentError
+from nhfields.exceptions import InvalidArgumentError, RegularityError
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
-from nhfields.jet import Dims, JetPoint
+from nhfields.jet import Dims, JetPoint, seed_inputs
 from nhfields.lagrangian import (
     DerivativeBundle,
     LagrangianModel,
@@ -27,6 +27,7 @@ from nhfields.lagrangian import (
     omega_L_eval,
     regularity_check,
 )
+from nhfields.projector import solve_zeta
 
 from helpers import (
     KERNEL_MODELS,
@@ -329,7 +330,7 @@ def _x_dependent_model():
 
 def _origin_product_model():
     # x^0 and y^0 enter only through x^0 y^0 v^0_0, whose gradient vanishes
-    # at the origin: a probe there would drop both
+    # at the origin; the Dual2 support keeps both wherever L is evaluated
     def fn(x, y, v):
         return 0.5 * (v[0][0] * v[0][0] - v[0][1] * v[0][1]) + x[0] * y[0] * v[0][0]
 
@@ -346,35 +347,57 @@ BUNDLE_MODELS = {
 }
 
 
+# the inputs each model reads: the support of its Dual2 result
+SUPPORTS = {
+    "fluid": [Dims(3, 3).iv(a, mu) for a in range(3) for mu in range(4)],
+    "fluid-mu": [Dims(3, 3).iv(a, mu) for a in range(3) for mu in range(4)],
+    "wave": [3, 4],
+    "x-dependent": [0, 1, 2, 3, 4],
+    # x^0 and y^0 enter only through x^0 y^0 v^0_0; x^1 is never read
+    "origin-product": [0, 2, 3, 4],
+    # the coupling makes y a support input, never x
+    "quadratic-coupled": list(range(3, Dims(2, 2).N)),
+}
+
+BUNDLE_FIELDS = ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv")
+
+
 def _chunk_points(model):
-    d = model.active_inputs.size
-    return max(1, lagrangian._CHUNK_BYTES // (8 * d * d))
+    dims = model.dims
+    return max(1, lagrangian._CHUNK_BYTES // (8 * (dims.m * dims.nx) ** 2))
+
+
+def _random_jet(rng, dims, shape):
+    return (rng.uniform(-1, 1, shape + (dims.nx,)), rng.uniform(-1, 1, shape + (dims.m,)),
+            rng.uniform(-1, 1, shape + (dims.m, dims.nx)))
+
+
+def _off_support(model, support):
+    """The bundle entries of inputs outside ``support``, as boolean masks."""
+    off = ~np.isin(np.arange(model.dims.N), support)
+    return bundle_from_dense(model, np.False_, off, off[:, None] | off[None, :])
+
+
+def _assert_dense_bits(got, want, off):
+    """got has the bits of the dense bundle want on the support and +0.0
+    off it, where the dense pass may leave -0.0."""
+    for field in BUNDLE_FIELDS:
+        a, b, mask = getattr(got, field), getattr(want, field), getattr(off, field)
+        assert a.shape == b.shape, field
+        assert np.all(np.where(mask, b, 0.0) == 0.0), field
+        assert np.array_equal(a.view(np.int64), np.where(mask, 0.0, b).view(np.int64)), field
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLE_MODELS))
 @pytest.mark.parametrize("batch", ["()", "(1,)", "chunk+1", "8^3"])
 def test_active_seeded_bundle_equals_the_dense_bundle(name, batch):
     model = BUNDLE_MODELS[name]()
-    dims = model.dims
     shape = {"()": (), "(1,)": (1,), "chunk+1": (_chunk_points(model) + 1,),
              "8^3": (8, 8, 8)}[batch]
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-1, 1, shape + (dims.nx,))
-    y = rng.uniform(-1, 1, shape + (dims.m,))
-    v = rng.uniform(-1, 1, shape + (dims.m, dims.nx))
-    # an entry of an inactive input is 0.0; the dense pass may leave -0.0
-    off = ~np.isin(np.arange(dims.N), model.active_inputs)
-    offb = bundle_from_dense(model, np.False_, off, off[:, None] | off[None, :])
-
-    def same_bits(a, b, off):
-        assert a.shape == b.shape
-        assert np.all(np.where(off, b, 0.0) == 0.0)
-        return np.array_equal(a.view(np.int64), np.where(off, 0.0, b).view(np.int64))
-
-    got = derivative_bundle_arrays(model, x, y, v)
-    want = dense_derivative_bundle(model, x, y, v)
-    for field in ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv"):
-        assert same_bits(getattr(got, field), getattr(want, field), getattr(offb, field)), field
+    x, y, v = _random_jet(np.random.default_rng(11), model.dims, shape)
+    _assert_dense_bits(derivative_bundle_arrays(model, x, y, v),
+                       dense_derivative_bundle(model, x, y, v),
+                       _off_support(model, SUPPORTS[name]))
 
 
 def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
@@ -383,13 +406,9 @@ def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
     model = BUNDLE_MODELS["fluid"]()
     dims = model.dims
     shape = (16, 16, 16)
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-1, 1, shape + (dims.nx,))
-    y = rng.uniform(-1, 1, shape + (dims.m,))
-    v = rng.uniform(-1, 1, shape + (dims.m, dims.nx))
+    x, y, v = _random_jet(np.random.default_rng(5), dims, shape)
     B = int(np.prod(shape))
     outputs = 8 * B * (1 + dims.N + dims.N * dims.m * dims.nx)
-    model.active_inputs  # the cached probe runs before tracing starts
     tracemalloc.start()
     try:
         derivative_bundle_arrays(model, x, y, v)
@@ -399,34 +418,80 @@ def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
     assert peak < outputs + 3 * 2**20
 
 
-def test_active_inputs_per_model():
-    dims = Dims(3, 3)
-    fluid_v = [dims.iv(a, mu) for a in range(3) for mu in range(4)]
-    assert BUNDLE_MODELS["fluid"]().active_inputs.tolist() == fluid_v
-    assert BUNDLE_MODELS["fluid-mu"]().active_inputs.tolist() == fluid_v
-    assert BUNDLE_MODELS["wave"]().active_inputs.tolist() == [3, 4]
-    # generic probe points find x^0 and y^0; x^1 is never read
-    assert _origin_product_model().active_inputs.tolist() == [0, 2, 3, 4]
-    # the coupling makes y active, never x
-    quad = BUNDLE_MODELS["quadratic-coupled"]()
-    assert quad.active_inputs.tolist() == list(range(3, Dims(2, 2).N))
+def test_bundle_support_per_model():
+    rng = np.random.default_rng(3)
+    for name, support in SUPPORTS.items():
+        model = BUNDLE_MODELS[name]()
+        x, y, v = _random_jet(rng, model.dims, (4,))
+        assert model.fn(*seed_inputs(ad.Dual2, x, y, v, model.dims)).idx == tuple(support)
+        bundle = derivative_bundle_arrays(model, x, y, v)
+        off = _off_support(model, support)
+        for field in BUNDLE_FIELDS:
+            arr = getattr(bundle, field)
+            assert np.array_equal(np.where(getattr(off, field), arr, 0.0).view(np.int64),
+                                  np.zeros(arr.shape, dtype=np.int64)), (name, field)
 
 
-def test_active_inputs_are_cached_on_the_instance():
-    # a new model whose function reuses a collected closure's id still
-    # gets its own probe
-    for _ in range(3):
-        model = _x_dependent_model()
-        assert model.active_inputs.tolist() == [0, 1, 2, 3, 4]
-        assert model.active_inputs is model.active_inputs
-        del model
-        assert make_model("wave").active_inputs.tolist() == [3, 4]
-
-
-def test_a_model_without_active_inputs_is_rejected():
+def test_a_flat_model_gives_a_zero_bundle_that_is_not_regular():
+    # 0.0 * v^0_0 puts v^0_0 in the support but no derivative in the bundle;
+    # the zero Hessian is reported where the Hessian is used
     def fn(x, y, v):
         return 0.0 * v[0][0]
 
     model = LagrangianModel("flat", Dims(1, 1), fn)
-    with pytest.raises(EvaluationError, match="none of its inputs"):
-        derivative_bundle(model, random_point(np.random.default_rng(1), 1, 1))
+    bundle = derivative_bundle(model, random_point(np.random.default_rng(1), 1, 1))
+    for field in BUNDLE_FIELDS:
+        assert not np.any(getattr(bundle, field)), field
+    assert not regularity_check(bundle)["regular"]
+    with pytest.raises(RegularityError):
+        solve_zeta(bundle, np.ones((1, 2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# random Lagrangians on random subsets of the inputs against the dense oracle
+
+RANDOM_OPS = {
+    "add": lambda a, b, c, d: a + b,
+    "sub": lambda a, b, c, d: a - b,
+    "mul": lambda a, b, c, d: a * b,
+    "div": lambda a, b, c, d: a / (1.0 + b * b),
+    "sin": lambda a, b, c, d: ad.sin(a),
+    "exp": lambda a, b, c, d: ad.exp(ad.sin(a)),
+    "det": lambda a, b, c, d: ad.det([[a, b], [c, d]]),
+}
+
+
+@st.composite
+def random_lagrangians(draw):
+    """A random L and the sorted inputs it reads: a random program over
+    some of the N inputs, plus one input that enters only as 0.0 * input
+    and one that enters only through a product vanishing at the origin."""
+    dims = Dims(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    read = draw(st.lists(st.integers(0, dims.N - 1), min_size=3, max_size=6, unique=True))
+    zeroed, vanishing, main = read[0], read[1], read[2:]
+    j, k = draw(st.sampled_from(main)), draw(st.sampled_from(main))
+    program = [(draw(st.sampled_from(sorted(RANDOM_OPS))),
+                draw(st.lists(st.integers(0, 99), min_size=4, max_size=4)))
+               for _ in range(draw(st.integers(0, 6)))]
+
+    def fn(x, y, v):
+        flat = [*x, *y, *(e for row in v for e in row)]
+        regs = [flat[i] for i in main]
+        for op, args in program:
+            regs.append(RANDOM_OPS[op](*(regs[i % len(regs)] for i in args)))
+        total = regs[0]
+        for reg in regs[1:]:  # every register, so every input in main counts
+            total = total + reg
+        return total + 0.0 * flat[zeroed] + flat[vanishing] * flat[j] * flat[k]
+
+    return LagrangianModel("random", dims, fn), sorted(read)
+
+
+@settings(deadline=None, database=None, derandomize=True)
+@given(case=random_lagrangians(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_random_lagrangian_bundle_equals_the_dense_bundle(case, data, seed):
+    model, read = case
+    shape = data.draw(st.sampled_from([(), (1,), (3,), (2, 2), (_chunk_points(model) + 1,)]))
+    x, y, v = _random_jet(np.random.default_rng(seed), model.dims, shape)
+    _assert_dense_bits(derivative_bundle_arrays(model, x, y, v),
+                       dense_derivative_bundle(model, x, y, v), _off_support(model, read))
