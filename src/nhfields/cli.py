@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +34,15 @@ from .cauchy import (
 )
 from .constraint import (
     CONSTRAINTS,
-    ConstraintPoint,
-    constraint_rank_check,
+    coefficient_arrays,
+    constraint_ranks,
+    jet_block,
     load_custom_coeffs_csv,
     make_constraint,
     newton_onto_constraint,
+    off_constraint_errors,
 )
-from .ddw import (
-    min_check_tuples,
-    nh_ddw_residual,
-    project_connection,
-    solve_constrained_ddw,
-    solve_free_ddw,
-)
+from .ddw import DdwSolution, min_check_tuples, nh_ddw_residual_batch, solve_ddw
 from .exceptions import (
     ConfigError,
     DriftError,
@@ -54,9 +51,25 @@ from .exceptions import (
     NhfieldsError,
 )
 from .fluid import null_lagrangian_residual, psi_divergence_residual
-from .jet import _STENCILS, JetPoint, semiholonomic_residual
-from .lagrangian import MODELS, derivative_bundle, make_model, regularity_check
-from .projector import build_projectors, compatibility_matrix, solve_zeta, zeta_residual
+from .jet import _STENCILS, ConnectionCoeffs, JetPoint, connection_errors, semiholonomic_residuals
+# derivative_bundle is no longer called here; it stays bound because the
+# benchmark harness test (bench/tests/test_harness.py) traces it as cli's alias
+from .lagrangian import (  # noqa: F401
+    MODELS,
+    bundle_errors,
+    derivative_bundle,
+    derivative_bundle_arrays,
+    hessian_flat,
+    make_model,
+    regularity_check,
+)
+from .projector import (
+    compatibility_matrix,
+    project_lifts,
+    projector_pairs,
+    solve_zeta_flat,
+    zeta_residual_batch,
+)
 
 DEFAULT_TOLERANCES = {
     "on_constraint": 1e-8,
@@ -303,45 +316,183 @@ def sample_constraint_point(model, spec, rng) -> JetPoint:
     return JetPoint(x, y, v)
 
 
-def _point_checks(model, spec, p: JetPoint, rng, tols, tuples: int) -> dict:
-    """The identity chain at p: one derivative bundle and one constraint
-    evaluation feed every solve, and ``nh_ddw_residual`` checks each
-    solution at form level (the free one as k = 0)."""
-    out = {}
-    bundle = derivative_bundle(model, p)
-    reg = regularity_check(bundle)
-    out["hessian_det"] = reg["det"]
-    out["regular"] = reg["regular"]
-    cp = spec.at(p)
-    out["rank"] = constraint_rank_check(cp)
-    zb = solve_zeta(bundle, cp.coeffs)
-    out["zeta_residual"] = zeta_residual(bundle, cp.coeffs, zb, p, rng, tuples)
-    comp = compatibility_matrix(zb.zeta, cp.dphidv, tols["compatibility"])
-    out["compatibility_det"] = comp["det"]
-    out["compatible"] = comp["compatible"]
-    if not comp["compatible"]:
-        return out
-    pp = build_projectors(zb, cp, tol=tols["projector"], comp=comp)
-    N = pp.P.shape[0]
-    out["projector_residual"] = float(
-        max(
-            np.abs(pp.P @ pp.P - pp.P).max(),
-            np.abs(pp.P + pp.Q - np.eye(N)).max(),
-            np.abs(pp.dphi @ pp.P).max(),
-        )
-    )
-    free = solve_free_ddw(bundle, p.v)
-    out["free_ddw_residual"] = nh_ddw_residual(
-        bundle, ConstraintPoint.unconstrained(p), free, rng, tuples)["form_residual"]
-    out["semiholonomic"] = semiholonomic_residual(free.coeffs, p)
-    res = nh_ddw_residual(bundle, cp, project_connection(free, pp), rng, tuples)
-    out["nh_form_residual"] = res["form_residual"]
-    out["nh_tangency_residual"] = res["tangency_residual"]
-    out["lambda_match"] = res["lam_gap"]
-    dres = nh_ddw_residual(bundle, cp, solve_constrained_ddw(bundle, cp), rng, tuples)
-    out["direct_form_residual"] = dres["form_residual"]
-    out["direct_tangency_residual"] = dres["tangency_residual"]
-    return out
+# Bytes the identity chain of one chunk of verify points may hold at once.
+# A point's chain peaks at about ten times the bytes of the tuples of one
+# form check, tuples x (n+2) x N doubles (tracemalloc: 15.4 MB for the
+# fluid and 2.4 MB for the wave at 2,000 tuples), so 16 MiB is a chunk of 44
+# fluid points at 50 tuples, and one point at 2,000.  Past about 32 points
+# a larger chunk runs no faster per point.
+_CHUNK_BYTES = 16 * 2**20
+
+# the check fields of a report entry, in report order
+_CHECK_FIELDS = ("hessian_det", "regular", "rank", "zeta_residual", "compatibility_det",
+                 "compatible", "projector_residual", "free_ddw_residual", "semiholonomic",
+                 "nh_form_residual", "nh_tangency_residual", "lambda_match",
+                 "direct_form_residual", "direct_tangency_residual")
+
+
+def _chunk_points(dims, tuples: int) -> int:
+    return max(1, _CHUNK_BYTES // (10 * 8 * tuples * (dims.nx + 1) * dims.N))
+
+
+class _Chunk:
+    """The points of a verify chunk still in the chain, with the arrays over
+    them, and per point its checks so far or the error that stopped it."""
+
+    def __init__(self, pts: list):
+        self.out = [{} for _ in pts]
+        self.live = {"at": np.arange(len(pts))}
+        for key in "xyv":
+            self.live[key] = np.array([getattr(p, key) for p in pts])
+
+    def __getitem__(self, key):
+        return self.live[key]
+
+    def __setitem__(self, key, val):
+        self.live[key] = val
+
+    def leave(self, gone) -> bool:
+        """Take the points of the mask ``gone`` out; whether any are left."""
+        if np.any(gone):
+            self.live = {key: val[~gone] for key, val in self.live.items()}
+        return len(self.live["at"]) > 0
+
+    def stop(self, errors: dict) -> bool:
+        """Take the points with an error out, recording it; whether any are
+        left."""
+        gone = np.zeros(len(self.live["at"]), dtype=bool)
+        for (j,), error in errors.items():
+            self.out[self.live["at"][j]] = error
+            gone[j] = True
+        return self.leave(gone)
+
+    def record(self, **checks):
+        for j, i in enumerate(self.live["at"]):
+            self.out[i].update((key, val[j]) for key, val in checks.items())
+
+
+def _solves(model, spec, c: _Chunk, tols) -> dict:
+    """The stages of the chain that draw no tuples, over the live points of
+    c: one derivative bundle and one constraint evaluation feed the batched
+    solves.  Returns, for each stage that draws tuples (zeta, free,
+    projected, direct), the live data of the points that reach it."""
+    m, nx, N = model.dims.m, model.dims.nx, model.dims.N
+    reach = {}
+    c["bundle"] = derivative_bundle_arrays(model, c["x"], c["y"], c["v"], check=False)
+    if not c.stop(bundle_errors(model, c["bundle"])):
+        return reach
+    reg = regularity_check(c["bundle"])
+    c.record(hessian_det=reg["det"], regular=reg["regular"])
+    phi, c["dphi"] = spec.evaluate(c["x"], c["y"], c["v"])
+    if not c.stop(off_constraint_errors(phi, spec.on_tol)):
+        return reach
+    c["dphidv"] = jet_block(c["dphi"], m, nx)
+    c["coeffs"] = coefficient_arrays(spec, c["x"], c["y"], c["v"], c["dphidv"])
+    rank, errors = constraint_ranks(c["dphidv"], c["coeffs"])
+    c.record(rank=rank)
+    if not c.stop(errors):
+        return reach
+    errors = {}
+    c["zeta"] = solve_zeta_flat(hessian_flat(c["bundle"]), c["coeffs"], errors)
+    if not c.stop(errors):
+        return reach
+    reach["zeta"] = c.live
+    comp = compatibility_matrix(c["zeta"], c["dphidv"], tols["compatibility"])
+    compatible = comp["compatible"]
+    c.record(compatibility_det=comp["det"], compatible=compatible)
+    comp = {key: val[compatible] for key, val in comp.items()}
+    if not c.leave(~compatible):
+        return reach
+    pp, errors = projector_pairs(c["zeta"], c["dphi"], comp, tols["projector"])
+    c["Lam"] = pp.Lam
+    c.record(projector_residual=np.max([
+        np.abs(pp.P @ pp.P - pp.P).max(axis=(-2, -1)),
+        np.abs(pp.P + pp.Q - np.eye(N)).max(axis=(-2, -1)),
+        np.abs(pp.dphi @ pp.P).max(axis=(-2, -1)),
+    ], axis=0))
+    if not c.stop(errors):
+        return reach
+
+    def solve(*constraint):
+        """solve_ddw's Gamma2 and multipliers, with the error of each point
+        it has no solution at, or a non-finite one."""
+        errors = {}
+        block, lam = solve_ddw(c["bundle"], c["v"], None, *constraint, errors=errors)
+        return block, lam, {**connection_errors(c["v"], block), **errors}
+
+    c["free"], _, errors = solve()
+    if not c.stop(errors):
+        return reach
+    reach["free"] = c.live
+    semiholonomic, errors = semiholonomic_residuals(c["v"], c["v"])  # free Gamma = v
+    c.record(semiholonomic=semiholonomic)
+    if not c.stop(errors):
+        return reach
+    c["proj"], c["proj_lam"] = project_lifts(c["v"], c["free"], c["dphi"], c["Lam"], c["zeta"])
+    if not c.stop(connection_errors(c["v"], c["proj"])):
+        return reach
+    reach["proj"] = c.live
+    c["direct"], c["direct_lam"], errors = solve(c["dphi"], c["coeffs"])
+    if c.stop(errors):
+        reach["direct"] = c.live
+    return reach
+
+
+def _chain(model, spec, pts: list, rng, tols, tuples: int) -> list:
+    """The identity chain over a chunk of points, as one batch, with
+    ``nh_ddw_residual_batch`` checking each De Donder-Weyl solution at form
+    level (the free one as k = 0).  Returns each point's checks, or the
+    error that stopped it.
+
+    A point leaves the batch where its pointwise chain would stop: at an
+    error, or after the compatibility test when that fails.  The check
+    tuples are drawn afterwards, point by point and in the pointwise order
+    (zeta, free, projected, direct), for the checks each point reaches.
+    """
+    m, nx, N = model.dims.m, model.dims.nx, model.dims.N
+    c = _Chunk(pts)
+    reach = _solves(model, spec, c, tols)
+    # the stages a point reaches decide its draws; a stage keeps the data
+    # and the tuples of the points that finish without an error
+    draws = {}
+    for name, data in reach.items():
+        done = np.array([isinstance(c.out[i], dict) for i in data["at"]], dtype=bool)
+        reach[name] = {key: val[done] for key, val in data.items()}
+        rows = {int(i): j for j, i in enumerate(reach[name]["at"])}
+        shape = (len(rows), tuples, nx if name == "zeta" else nx + 1, N)
+        draws[name] = set(data["at"].tolist()), rows, np.empty(shape)
+    for i in range(len(pts)):
+        for reached, rows, vecs in takewhile(lambda draw: i in draw[0], draws.values()):
+            draw = rng.uniform(-1.0, 1.0, size=vecs.shape[1:])
+            if i in rows:
+                vecs[rows[i]] = draw
+
+    if "zeta" in reach and len(reach["zeta"]["at"]):
+        data = reach["zeta"]
+        res = zeta_residual_batch(data["bundle"], data["coeffs"], data["zeta"], data["v"],
+                                  draws.pop("zeta")[2])
+        for j, i in enumerate(data["at"]):
+            c.out[i]["zeta_residual"] = res[j]
+    if "direct" in reach and len(c["at"]):
+        P = len(c["at"])
+        free = np.zeros((P, 0, N)), np.zeros((P, 0, nx, m)), np.zeros((P, 0, nx))
+        constrained = c["dphi"], c["coeffs"]
+        for name, data, fields in (
+                ("free", free, {"free_ddw_residual": "form_residual"}),
+                ("proj", (*constrained, c["proj_lam"]),
+                 {"nh_form_residual": "form_residual",
+                  "nh_tangency_residual": "tangency_residual", "lambda_match": "lam_gap"}),
+                ("direct", (*constrained, c["direct_lam"]),
+                 {"direct_form_residual": "form_residual",
+                  "direct_tangency_residual": "tangency_residual"})):
+            # every solution has Gamma = v
+            sol = DdwSolution(ConnectionCoeffs(c["v"], c[name]), data[2])
+            res = nh_ddw_residual_batch(c["bundle"], c["v"], *data[:2], sol,
+                                        draws.pop(name)[2])
+            c.record(**{field: res[key] for field, key in fields.items()})
+    return [checks if isinstance(checks, NhfieldsError)
+            else {key: checks[key] for key in _CHECK_FIELDS if key in checks}
+            for checks in c.out]
 
 
 _CHECK_BOUNDS = [
@@ -357,6 +508,16 @@ _CHECK_BOUNDS = [
 ]
 
 
+def _first_failure(entry: dict, idx: int, tols) -> str | None:
+    """The first failed verdict of a checked point's entry, or None."""
+    if not entry["compatible"]:
+        return f"compatibility at point {idx} (det = {entry['compatibility_det']:.3e})"
+    for key, tol_key in _CHECK_BOUNDS:
+        if entry[key] > tols[tol_key]:
+            return f"{key} at point {idx}: {entry[key]:.3e} > {tols[tol_key]:.1e}"
+    return None
+
+
 def run_verify(cfg: dict, model, spec, out_dir: Path) -> int:
     # the points come from the seed alone; the check tuples from a child stream
     rng = np.random.default_rng(cfg["seed"])
@@ -364,37 +525,28 @@ def run_verify(cfg: dict, model, spec, out_dir: Path) -> int:
     tols = cfg["tolerances"]
     points = []
     first_failure = None
-    for idx in range(cfg["points"]):
-        p = sample_constraint_point(model, spec, rng)
-        entry = {
-            "index": idx,
-            "point": {
-                "x": [float(v) for v in p.x],
-                "y": [float(v) for v in p.y],
-                "v": [[float(v) for v in row] for row in p.v],
-            },
-        }
-        try:
-            entry.update(_point_checks(model, spec, p, tuple_rng, tols, cfg["tuples"]))
-        except NhfieldsError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            if first_failure is None:
-                first_failure = f"{type(exc).__name__} at point {idx}"
+    size = _chunk_points(model.dims, cfg["tuples"])
+    for lo in range(0, cfg["points"], size):
+        chunk = [sample_constraint_point(model, spec, rng)
+                 for _ in range(lo, min(lo + size, cfg["points"]))]
+        for idx, (p, checks) in enumerate(
+                zip(chunk, _chain(model, spec, chunk, tuple_rng, tols, cfg["tuples"])), lo):
+            entry = {
+                "index": idx,
+                "point": {
+                    "x": [float(v) for v in p.x],
+                    "y": [float(v) for v in p.y],
+                    "v": [[float(v) for v in row] for row in p.v],
+                },
+            }
+            if isinstance(checks, NhfieldsError):
+                entry["error"] = f"{type(checks).__name__}: {checks}"
+                if first_failure is None:
+                    first_failure = f"{type(checks).__name__} at point {idx}"
+            else:
+                entry.update(checks)
+                first_failure = first_failure or _first_failure(entry, idx, tols)
             points.append(entry)
-            continue
-        if not entry.get("compatible", False):
-            if first_failure is None:
-                first_failure = (
-                    f"compatibility at point {idx} "
-                    f"(det = {entry['compatibility_det']:.3e})"
-                )
-        else:
-            for key, tol_key in _CHECK_BOUNDS:
-                if entry[key] > tols[tol_key] and first_failure is None:
-                    first_failure = (
-                        f"{key} at point {idx}: {entry[key]:.3e} > {tols[tol_key]:.1e}"
-                    )
-        points.append(entry)
 
     maxima = {}
     for key, _ in _CHECK_BOUNDS:

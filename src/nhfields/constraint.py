@@ -25,14 +25,16 @@ from .exceptions import (
     EvaluationError,
     InvalidArgumentError,
     OffConstraintError,
+    errors_at,
+    raise_first,
 )
 from .exterior import Form, vector_rows
 from .jet import (
     Dims,
     JetPoint,
-    _minors,
     contact_covectors,
     contact_pairings,
+    dx_minors,
     seed_inputs,
 )
 
@@ -104,13 +106,18 @@ class ConstraintSpec:
         that p lies on the constraint set (|phi| within ``on_tol``): one
         ``evaluate`` call, from which the coefficients follow."""
         phi, dphi = self.evaluate(p.x, p.y, p.v)
-        if np.max(np.abs(phi), initial=0.0) > self.on_tol:
-            raise OffConstraintError(
-                f"point is off the constraint set: |phi| = {np.abs(phi).max():.3e} "
-                f"(tolerance {self.on_tol:.1e}, values {phi.tolist()})"
-            )
+        raise_first(off_constraint_errors(phi, self.on_tol))
         dphidv = jet_block(dphi, self.dims.m, self.dims.nx)
         return ConstraintPoint(p, dphi, coefficient_arrays(self, p.x, p.y, p.v, dphidv))
+
+
+def off_constraint_errors(phi: np.ndarray, tol: float) -> dict:
+    """The OffConstraintError of each batch point whose constraint values
+    phi (..., k) exceed ``tol``, keyed by point index."""
+    worst = np.max(np.abs(phi), axis=-1, initial=0.0)
+    return errors_at(worst > tol, lambda idx: OffConstraintError(
+        f"point is off the constraint set: |phi| = {worst[idx]:.3e} "
+        f"(tolerance {tol:.1e}, values {phi[idx].tolist()})"))
 
 
 def jet_block(rows: np.ndarray, m: int, nx: int) -> np.ndarray:
@@ -237,42 +244,67 @@ def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.nd
             f"constraint forms take n+1 = {nx} vectors of length "
             f"{nx + m + m * nx}, got shape {vecs.shape}"
         )
-    theta_pair, x_rows = contact_pairings(v, vecs)
+    theta_pair = contact_pairings(v, vecs)[0]
     if coeffs.shape[-3] == 0:  # free case: no forms, no minors
-        return np.zeros(np.broadcast_shapes(coeffs.shape[:-3], theta_pair.shape[:-2]) + (0,))
+        return phi_from_pairings(coeffs, theta_pair, None)
+    return phi_from_pairings(coeffs, theta_pair, dx_minors(vecs, nx, nx - 1)[-1])
+
+
+def phi_from_pairings(coeffs: np.ndarray, theta: np.ndarray, minors) -> np.ndarray:
+    """All Phi_alpha on (n+1)-tuples from their contact pairings
+    theta^a(w_j) (..., m, n+1) and the n-minors of their square dx blocks X
+    (the last level of ``dx_minors``, batch axes last); with k = 0 there
+    are no forms, and ``minors`` is not read."""
+    nx = theta.shape[-1]
+    if coeffs.shape[-3] == 0:
+        return np.zeros(np.broadcast_shapes(coeffs.shape[:-3], theta.shape[:-2]) + (0,))
     # det[theta^a; X without row mu] = sum_j (-1)^j theta^a_j M_n(rows != mu,
     # cols != j): the signed cofactors of the square dx block X
-    minors_n = _minors(np.moveaxis(x_rows, (-2, -1), (0, 1)), nx - 1)[-1]
     sign = (-1.0) ** np.add.outer(np.arange(nx), np.arange(nx))
-    cof = np.moveaxis(minors_n[::-1, ::-1], (0, 1), (-2, -1)) * sign
+    cof = np.moveaxis(minors[::-1, ::-1], (0, 1), (-2, -1)) * sign
     return np.einsum("...kua,...au->...k", coeffs,
-                     np.einsum("...aj,...uj->...au", theta_pair, cof))
+                     np.einsum("...aj,...uj->...au", theta, cof))
 
 
-def constraint_rank_check(cp: ConstraintPoint) -> int:
-    """Rank of dphi/dv at an on-constraint point; raises if below k.
+def constraint_ranks(dphidv: np.ndarray, coeffs: np.ndarray):
+    """Rank of dphi/dv (..., k, m, n+1) per batch point of the constraint
+    set, with the ConstraintRankError of each point where it or the
+    coefficients (..., k, n+1, m) have rank below k, keyed by point index.
 
     The coefficients span the constraint forms, so they must have full rank
     as well (in Chetaev mode they are dphi/dv transposed).
     """
-    rank = _rank_or_raise(cp.dphidv.reshape(cp.k, -1), cp.k,
-                          "constraint jet derivatives")
-    _rank_or_raise(cp.coeffs.reshape(cp.k, -1), cp.k, "constraint coefficients")
-    return rank
+    k = dphidv.shape[-3]
+    batch = dphidv.shape[:-3]
+    rank, errors = _ranks(dphidv.reshape(batch + (k, -1)), "constraint jet derivatives")
+    for idx, error in _ranks(coeffs.reshape(batch + (k, -1)), "constraint coefficients")[1].items():
+        errors.setdefault(idx, error)
+    return rank, errors
 
 
-def _rank_or_raise(mat: np.ndarray, k: int, label: str) -> int:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > 1e-8 * max(smax, 1e-300)))
-    if rank < k:
-        _, _, vt = np.linalg.svd(mat.T)
-        combo = vt[-1]
-        raise ConstraintRankError(
-            f"{label} have rank {rank} < k={k}; deficient combination "
+def constraint_rank_check(cp: ConstraintPoint) -> int:
+    """``constraint_ranks`` at one point, raising its error."""
+    rank, errors = constraint_ranks(cp.dphidv, cp.coeffs)
+    raise_first(errors)
+    return int(rank)
+
+
+def _ranks(mats: np.ndarray, label: str):
+    """Numerical ranks of the (..., k, c) matrices, with a ConstraintRankError
+    naming a deficient row combination where the rank is below k."""
+    k = mats.shape[-2]
+    svals = np.linalg.svd(mats, compute_uv=False)
+    smax = np.max(svals, axis=-1, initial=0.0)
+    rank = np.sum(svals > 1e-8 * np.maximum(smax, 1e-300)[..., None], axis=-1)
+
+    def error(idx):
+        combo = np.linalg.svd(mats[idx].T)[2][-1]
+        return ConstraintRankError(
+            f"{label} have rank {rank[idx]} < k={k}; deficient combination "
             f"~ {np.round(combo, 6).tolist()}"
         )
-    return rank
+
+    return rank, errors_at(rank < k, error)
 
 
 # ---------------------------------------------------------------------------

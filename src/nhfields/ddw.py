@@ -16,6 +16,7 @@ solve of every case, batched; the pointwise solvers are batches of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +26,18 @@ from .constraint import (
     ConstraintSpec,
     coefficient_arrays,
     jet_block,
-    phi_eval_batch,
+    phi_from_pairings,
 )
-from .exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
+from .exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError, errors_at
 from .exterior import vector_rows
-from .jet import ConnectionCoeffs, Jet2Point
+from .jet import ConnectionCoeffs, Jet2Point, deletion_minors, dx_minors
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
     derivative_bundle,
-    omega_eval_batch,
+    omega_expansion,
+    omega_from_pairings,
+    omega_pairings,
 )
 from .projector import ProjectorPair, project_lifts
 
@@ -52,12 +55,18 @@ class DdwSolution:
 
 
 def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
-    """The horizontal projector as an (N, N) matrix: columns over x map to
-    the horizontal lifts, all other columns vanish."""
-    m, nx = coeffs.Gamma.shape
+    """The horizontal projector as (..., N, N) matrices: columns over x map
+    to the horizontal lifts H_mu = d/dx^mu + Gamma^a_mu d/dy^a
+    + Gamma^a_{mu nu} d/dv^a_nu, all other columns vanish."""
+    G, G2 = coeffs.Gamma, coeffs.Gamma2
+    m, nx = G.shape[-2:]
+    batch = G.shape[:-2]
     N = nx + m + m * nx
-    h = np.zeros((N, N))
-    h[:, :nx] = vector_rows([coeffs.horizontal_lift(mu) for mu in range(nx)], N).T
+    dx = np.broadcast_to(np.eye(nx), batch + (nx, nx))
+    lifts = [np.concatenate([dx[..., mu, :], G[..., mu], G2[..., mu, :].reshape(batch + (m * nx,))],
+                            axis=-1) for mu in range(nx)]
+    h = np.zeros(batch + (N, N))
+    h[..., :nx] = np.swapaxes(vector_rows(lifts, N), -1, -2)
     return h
 
 
@@ -71,7 +80,8 @@ def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
 
 
 def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | None = None,
-              dphi: np.ndarray | None = None, coeffs: np.ndarray | None = None):
+              dphi: np.ndarray | None = None, coeffs: np.ndarray | None = None,
+              errors: dict | None = None):
     """The De Donder-Weyl system, batched over the leading axes of v (..., m, n+1).
 
     The unknowns are the block Gamma^a_{mu nu} for mu < L: L = n+1, or L = 1
@@ -83,8 +93,11 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
     a pinned block are fixed by the pinned data and generically not
     satisfiable exactly (``nh_ddw_residual`` still reports them).  The
     minimum-norm (pseudo-inverse) solution must solve the system at every
-    point (``_check_solution``).  Returns the solved block (..., m, L, n+1)
-    and the multipliers lambda^alpha_mu (..., k, n+1).
+    point, to _SOLVE_TOL * max(1, max|rhs|): the first point where it does
+    not raises DdwSolveError, naming the grid point when the batch has axes,
+    or, when ``errors`` is given, each such point's error goes there, keyed
+    by point index.  Returns the solved block (..., m, L, n+1) and the
+    multipliers lambda^alpha_mu (..., k, n+1).
     """
     m, nx = v.shape[-2:]
     batch = v.shape[:-2]
@@ -116,7 +129,21 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
         rows = -dphi[..., :L] - dphi[..., nx : nx + m] @ v[..., :L]
         b = np.concatenate([b, rows.reshape(batch + (k * L,))], axis=-1)
     sol = np.einsum("...ij,...j->...i", np.linalg.pinv(A), b)
-    _check_solution(A, sol, b)
+    resid = np.max(np.abs(np.einsum("...ij,...j->...i", A, sol) - b), axis=-1, initial=0.0)
+    scale = np.maximum(1.0, np.max(np.abs(b), axis=-1, initial=0.0))
+
+    def error(idx, where=""):
+        return DdwSolveError(
+            f"no solution for the De Donder-Weyl system{where}: least-squares residual "
+            f"{resid[idx]:.3e}"
+        )
+
+    found = errors_at(resid > _SOLVE_TOL * scale, error)
+    if errors is not None:
+        errors.update(found)
+    elif found:
+        idx = min(found)
+        raise error(idx, f" at grid point {idx}" if idx else "")
     return (sol[..., :n_gamma].reshape(batch + (m, L, nx)),
             sol[..., n_gamma:].reshape(batch + (k, nx)))
 
@@ -137,22 +164,6 @@ def solve_free_ddw(bundle: DerivativeBundle, v: np.ndarray,
     order coefficients, or over the temporal block Gamma^a_{0 nu} with the
     spatial block pinned to ``fixed_spatial`` (m, n, n+1)."""
     return _solution(bundle, v, fixed_spatial)
-
-
-def _check_solution(A, sol, rhs):
-    """At every batch point the residual of A sol = rhs must stay below
-    _SOLVE_TOL * max(1, max|rhs|)."""
-    resid = np.max(np.abs(np.einsum("...ij,...j->...i", A, sol) - rhs),
-                   axis=-1, initial=0.0)
-    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=-1, initial=0.0))
-    bad = resid > _SOLVE_TOL * scale
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        where = f" at grid point {idx}" if bad.ndim else ""
-        raise DdwSolveError(
-            f"no solution for the De Donder-Weyl system{where}: least-squares residual "
-            f"{resid[idx]:.3e}"
-        )
 
 
 def project_connection(free: DdwSolution, pp: ProjectorPair) -> DdwSolution:
@@ -183,60 +194,105 @@ def min_check_tuples(k: int, nx: int) -> int:
     return k * nx + 1
 
 
-def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
-                    sol: DdwSolution, rng=None, tuples: int = 50) -> dict:
-    """The form-level check of a De Donder-Weyl solution at a point of C.
-
-    Fits multipliers lambda' by least squares so that i_h Omega_L - n
-    Omega_L matches lambda'^alpha_mu dx^mu ^ Phi_alpha on random tuples
-    (the shape produced by projecting free solutions); reports the best-fit
-    form residual, the fitted lambda', and the tangency residual.  With
-    k = 0 (``ConstraintPoint.unconstrained``) there is nothing to fit and
-    the residual is that of the free equation i_h Omega_L = n Omega_L.
-    ``tuples`` must be at least ``min_check_tuples(k, n+1)``.
-    """
-    p = cp.p
-    nx = p.v.shape[1]
-    need = min_check_tuples(cp.k, nx)
+def _check_tuples(tuples: int, k: int, nx: int) -> None:
+    need = min_check_tuples(k, nx)
     if tuples < need:
         raise InvalidArgumentError(
             f"tuples = {tuples} is below {need}, one more than the k(n+1) "
             "fitted multipliers, which could otherwise absorb any error"
         )
-    rng = np.random.default_rng(0) if rng is None else rng
+
+
+def nh_ddw_residual_batch(bundle: DerivativeBundle, v: np.ndarray, dphi: np.ndarray,
+                          coeffs: np.ndarray, sol: DdwSolution, vecs: np.ndarray) -> dict:
+    """The form-level check of De Donder-Weyl solutions over a batch of
+    points of C, on the tuples vecs (..., tuples, n+2, N) of each point.
+
+    Fits multipliers lambda' by least squares so that i_h Omega_L - n
+    Omega_L matches lambda'^alpha_mu dx^mu ^ Phi_alpha on the tuples (the
+    shape produced by projecting free solutions); reports the best-fit form
+    residual, the fitted lambda' (..., k, n+1), and the tangency residual.
+    With k = 0 (``ConstraintPoint.unconstrained``) there is nothing to fit
+    and the residual is that of the free equation i_h Omega_L = n Omega_L.
+    bundle, v (..., m, n+1), dphi (..., k, N), coeffs (..., k, n+1, m) and
+    the solutions ``sol`` share the batch axes; ``tuples`` must be at least
+    ``min_check_tuples(k, n+1)``.
+    """
+    m, nx = v.shape[-2:]
+    k = dphi.shape[-2]
+    batch = v.shape[:-2]
+    tuples = vecs.shape[-3]
+    _check_tuples(tuples, k, nx)
     hmat = _connection_matrix(sol.coeffs)
-    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, hmat.shape[0]))
-    # i_h Omega_L - n Omega_L in one kernel call: copy i of the tuples has
-    # h(w_i) in slot i, the last copy is the tuples unchanged
+    # i_h Omega_L - n Omega_L from n+3 copies of each tuple: copy i has
+    # h(w_i) in slot i, the last copy is the tuple unchanged.  h keeps the
+    # dx rows, so the copies share the dx minors of the tuple, and each
+    # other column of a copy pairs a vector of the tuple or its image
+    minors_n, minors_nx = dx_minors(vecs, nx, nx)[-2:]
+    expansion = omega_expansion((minors_n, minors_nx))
+    inner = bundle.broadcast(1), v[..., None, :, :]
+    base = omega_pairings(*inner, vecs)
+    lifted = omega_pairings(*inner, vecs @ np.swapaxes(hmat, -1, -2)[..., None, :, :])
+    # copy i, for i = 0..n+1, then the tuple itself
+    vals = []
+    for i in range(nx + 1):
+        copy = [col.copy() for col in base]
+        copy[0][..., i, :] = lifted[0][..., i, :]
+        for col, lift in zip(copy[1:], lifted[1:]):
+            col[..., i] = lift[..., i]
+        vals.append(omega_from_pairings(inner[0], copy, expansion))
+    vals.append(omega_from_pairings(inner[0], base, expansion))
+    b = vals[0]
+    for val in vals[1:-1]:  # summed in the order of a reduction over the copies
+        b = b + val
+    b = b - (nx - 1) * vals[-1]
+    theta = base[1]
+    del base, lifted, expansion
     slots = np.arange(nx + 1)
-    copies = np.repeat(vecs[None], nx + 2, axis=0)
-    copies[slots, :, slots] = np.swapaxes(vecs @ hmat.T, 0, 1)
-    vals = omega_eval_batch(bundle, p.v, copies)
-    b = vals[:-1].sum(axis=0) - (nx - 1) * vals[-1]
     # fit columns (dx^mu ^ Phi_alpha)(w), Laplace-expanded along dx^mu:
-    # sum_j (-1)^j w_j^mu Phi_alpha(w without w_j)
+    # sum_j (-1)^j w_j^mu Phi_alpha(w without w_j), whose pairings and dx
+    # minors are those of the tuple without column j
     keep = np.array([np.delete(slots, j) for j in slots])
-    phi = phi_eval_batch(cp.coeffs, p.v, vecs[:, keep])  # (tuples, n+2, k)
-    M = np.einsum("j,tju,tja->tau", (-1.0) ** slots, vecs[..., :nx],
-                  phi).reshape(tuples, cp.k * nx)
-    lam_fit, *_ = np.linalg.lstsq(M, b, rcond=None)
-    form_residual = float(np.max(np.abs(b - M @ lam_fit), initial=0.0))
-    out = {
-        "form_residual": form_residual,
-        # dphi_alpha(H_mu) over the horizontal lifts, the x-columns of hmat
-        "tangency_residual": float(np.max(np.abs(cp.dphi @ hmat[:, :nx]),
-                                          initial=0.0)),
-        "lam_fit": lam_fit.reshape(cp.k, nx),
-    }
+    phi = phi_from_pairings(coeffs[..., None, None, :, :, :],
+                            np.moveaxis(theta[..., keep], -2, -3),
+                            deletion_minors(minors_n, nx + 1, nx - 1))
+    M = np.einsum("j,...ju,...ja->...au", (-1.0) ** slots, vecs[..., :nx],
+                  phi).reshape(batch + (tuples, k * nx))
     # multipliers are determined only modulo the kernel of the wedge map
     # lambda -> lambda dx^Phi (nontrivial already for n = 1), so the match
     # against the solution's own multipliers is reported at form level
-    if sol.multipliers.size == lam_fit.size:
-        out["lam_gap"] = float(
-            np.max(np.abs(M @ (sol.multipliers.reshape(-1) - lam_fit)),
-                   initial=0.0)
-        )
+    lam = sol.multipliers.reshape(batch + (math.prod(sol.multipliers.shape[-2:]),))
+    gap = lam.shape[-1] == k * nx
+    lam_fit = np.zeros(batch + (k * nx,))
+    form_residual, lam_gap = np.zeros(batch), np.zeros(batch)
+    for idx in np.ndindex(batch):  # lstsq has no batched form
+        lam_fit[idx] = np.linalg.lstsq(M[idx], b[idx], rcond=None)[0]
+        form_residual[idx] = np.max(np.abs(b[idx] - M[idx] @ lam_fit[idx]), initial=0.0)
+        if gap:
+            lam_gap[idx] = np.max(np.abs(M[idx] @ (lam[idx] - lam_fit[idx])), initial=0.0)
+    out = {
+        "form_residual": form_residual,
+        # dphi_alpha(H_mu) over the horizontal lifts, the x-columns of hmat
+        "tangency_residual": np.max(np.abs(dphi @ hmat[..., :nx]), axis=(-2, -1),
+                                    initial=0.0),
+        "lam_fit": lam_fit.reshape(batch + (k, nx)),
+    }
+    if gap:
+        out["lam_gap"] = lam_gap
     return out
+
+
+def nh_ddw_residual(bundle: DerivativeBundle, cp: ConstraintPoint,
+                    sol: DdwSolution, rng=None, tuples: int = 50) -> dict:
+    """``nh_ddw_residual_batch`` at one point of C, on ``tuples`` random
+    tuples drawn from ``rng``."""
+    N = cp.dphi.shape[-1]
+    nx = cp.p.v.shape[1]
+    _check_tuples(tuples, cp.k, nx)
+    rng = np.random.default_rng(0) if rng is None else rng
+    vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, N))
+    out = nh_ddw_residual_batch(bundle, cp.p.v, cp.dphi, cp.coeffs, sol, vecs)
+    return {key: val if key == "lam_fit" else float(val) for key, val in out.items()}
 
 
 def el_residual(model: LagrangianModel, q: Jet2Point) -> np.ndarray:

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+A batched check that must not stop at its first failing point reports the
+error of each failing point instead, in a dict keyed by the point's index
+into the batch (``()`` for a pointwise call); ``raise_first`` turns such a
+dict back into the pointwise behaviour.
+"""
+
+import numpy as np
 
 
 class NhfieldsError(Exception):
@@ -51,3 +59,17 @@ class IntegrationError(NhfieldsError):
 
 class ConfigError(NhfieldsError, ValueError):
     """Scenario configuration failed to parse or validate."""
+
+
+def errors_at(bad, make) -> dict:
+    """``{index: make(index)}`` over the failing points of the batch mask
+    ``bad``, in C order."""
+    if not np.any(bad):
+        return {}
+    return {idx: make(idx) for idx in (tuple(int(i) for i in row) for row in np.argwhere(bad))}
+
+
+def raise_first(errors: dict) -> None:
+    """Raise the error of the first failing point in C order, if any."""
+    if errors:
+        raise errors[min(errors)]

@@ -96,17 +96,17 @@ def _as_covector_rows(factors, dim=None):
 
 
 def vector_rows(vectors, dim) -> np.ndarray:
-    """Components of a tuple of vectors (TangentVectors or arrays) as rows
-    (k, dim)."""
+    """Components of a tuple of vectors as rows (..., k, dim): TangentVectors,
+    or component arrays (..., dim) over common leading batch axes."""
     arrs = []
     for v in vectors:
         comp = _components(v)
-        if comp.shape != (dim,):
+        if comp.shape[-1:] != (dim,):
             raise DimensionMismatchError(
-                f"vector has shape {comp.shape}, expected ({dim},)"
+                f"vector has shape {comp.shape}, expected (..., {dim})"
             )
         arrs.append(comp)
-    return np.array(arrs)
+    return np.stack(arrs, axis=-2) if arrs else np.zeros((0, dim))
 
 
 def eval_wedge_monomial(factors, vectors) -> float:

@@ -18,6 +18,8 @@ from .exceptions import (
     DimensionMismatchError,
     InternalConsistencyError,
     InvalidArgumentError,
+    errors_at,
+    raise_first,
 )
 from .exterior import TangentVector
 
@@ -125,7 +127,9 @@ class Jet2Point:
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Connection coefficients Gamma^a_mu and Gamma^a_{mu nu} on the jet bundle.
+    """Connection coefficients Gamma^a_mu (..., m, n+1) and Gamma^a_{mu nu}
+    (..., m, n+1, n+1) on the jet bundle, at one point or over leading batch
+    axes.
 
     No symmetry of Gamma2 is assumed; holonomicity is a property to check.
     """
@@ -136,20 +140,35 @@ class ConnectionCoeffs:
     def __post_init__(self):
         G = np.asarray(self.Gamma, dtype=float)
         G2 = np.asarray(self.Gamma2, dtype=float)
-        m, nx = G.shape
-        if G2.shape != (m, nx, nx):
-            raise DimensionMismatchError(f"Gamma2 shape {G2.shape}, expected {(m, nx, nx)}")
-        if not (np.isfinite(G).all() and np.isfinite(G2).all()):
-            raise InvalidArgumentError("connection coefficients must be finite")
+        if G.ndim < 2 or G2.shape != G.shape + G.shape[-1:]:
+            raise DimensionMismatchError(
+                f"Gamma2 shape {G2.shape}, expected {G.shape + G.shape[-1:]}")
+        raise_first(connection_errors(G, G2))
         object.__setattr__(self, "Gamma", G)
         object.__setattr__(self, "Gamma2", G2)
 
     def horizontal_lift(self, mu: int) -> TangentVector:
-        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu."""
+        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu at
+        a single point."""
         m, nx = self.Gamma.shape
         dx = np.zeros(nx)
         dx[mu] = 1.0
         return TangentVector(dx, self.Gamma[:, mu], self.Gamma2[:, mu, :])
+
+
+def connection_errors(Gamma: np.ndarray, Gamma2: np.ndarray) -> dict:
+    """The InvalidArgumentError of each batch point whose connection
+    coefficients are not all finite, keyed by point index."""
+    batch = Gamma.ndim - 2
+    finite = finite_points(Gamma, batch) & finite_points(Gamma2, batch)
+    return errors_at(~finite, lambda idx: InvalidArgumentError(
+        "connection coefficients must be finite"))
+
+
+def finite_points(arr: np.ndarray, batch: int) -> np.ndarray:
+    """Whether all entries of arr are finite, per point of its ``batch``
+    leading axes."""
+    return np.isfinite(arr).all(axis=tuple(range(batch, arr.ndim)))
 
 
 def contact_eval(p: JetPoint, u: TangentVector) -> np.ndarray:
@@ -231,23 +250,59 @@ def _minors(X: np.ndarray, r: int) -> list[np.ndarray]:
     return levels
 
 
-def semiholonomic_residual(c: ConnectionCoeffs, p: JetPoint) -> float:
-    """max |Gamma^a_mu - v^a_mu|; zero iff the connection is semi-holonomic.
+def dx_minors(vecs: np.ndarray, nx: int, r: int) -> list[np.ndarray]:
+    """``_minors`` up to size r of the dx blocks X[nu, j] = dx^nu(w_j)
+    (n+1, q) of the tuples vecs (..., q, N), batch axes last."""
+    return _minors(np.moveaxis(vecs[..., :nx], (-1, -2), (0, 1)), r)
+
+
+@functools.cache
+def _deletion_table(Q: int, r: int) -> np.ndarray:
+    """Gather table (Q, C(Q-1, r)): row j takes the r-column subsets of X
+    without column j, in lexicographic order, to their index among the
+    r-column subsets of X."""
+    cols = {s: i for i, s in enumerate(itertools.combinations(range(Q), r))}
+    table = np.array([[cols[s] for s in itertools.combinations(
+        [c for c in range(Q) if c != j], r)] for j in range(Q)])
+    table.flags.writeable = False  # cached, so shared by every caller
+    return table
+
+
+def deletion_minors(level: np.ndarray, Q: int, r: int) -> np.ndarray:
+    """The level r of ``_minors`` of X without column j, for every column j
+    of X (R, Q, ...), gathered from the level r (C(R, r), C(Q, r), ...) of
+    ``_minors(X, r)``: shape (C(R, r), C(Q-1, r), ..., Q), the deleted column
+    last.  Such a minor is the minor of X on the same rows and columns,
+    expanded along the same Laplace path, so it has the same bits."""
+    return np.moveaxis(level[:, _deletion_table(Q, r)], 1, -1)
+
+
+def semiholonomic_residuals(Gamma: np.ndarray, v: np.ndarray):
+    """max |Gamma^a_mu - v^a_mu| per batch point of Gamma and v (..., m, n+1);
+    zero iff the connection is semi-holonomic.
 
     Cross-checked against the contact characterization: the residual equals
-    the max of |theta^a(H_mu)| over the horizontal lifts.
+    the max of |theta^a(H_mu)| over the horizontal lifts.  Returns the
+    residuals and the InternalConsistencyError of each point where the two
+    disagree, keyed by point index.
     """
-    direct = float(np.max(np.abs(c.Gamma - p.v), initial=0.0))
-    m, nx = c.Gamma.shape
-    via_contact = 0.0
-    for mu in range(nx):
-        vals = contact_eval(p, c.horizontal_lift(mu))
-        via_contact = max(via_contact, float(np.max(np.abs(vals), initial=0.0)))
-    if abs(direct - via_contact) > 1e-12 * (1.0 + direct):
-        raise InternalConsistencyError(
-            f"contact cross-check {via_contact!r} disagrees with direct {direct!r}"
-        )
-    return direct
+    nx = v.shape[-1]
+    direct = np.max(np.abs(Gamma - v), axis=(-2, -1), initial=0.0)
+    # the dx and dy blocks of the lifts H_mu: the identity and Gamma^a_mu
+    lifts = np.concatenate([np.broadcast_to(np.eye(nx), Gamma.shape[:-2] + (nx, nx)),
+                            np.swapaxes(Gamma, -1, -2)], axis=-1)
+    via_contact = np.max(np.abs(contact_pairings(v, lifts)[0]), axis=(-2, -1), initial=0.0)
+    bad = np.abs(direct - via_contact) > 1e-12 * (1.0 + direct)
+    return direct, errors_at(bad, lambda idx: InternalConsistencyError(
+        f"contact cross-check {float(via_contact[idx])!r} disagrees with direct "
+        f"{float(direct[idx])!r}"))
+
+
+def semiholonomic_residual(c: ConnectionCoeffs, p: JetPoint) -> float:
+    """``semiholonomic_residuals`` at one point, raising its error."""
+    direct, errors = semiholonomic_residuals(c.Gamma, p.v)
+    raise_first(errors)
+    return float(direct)
 
 
 # ---------------------------------------------------------------------------

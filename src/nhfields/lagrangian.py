@@ -13,21 +13,27 @@ from the derivative bundle and theta^a are the contact forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .exceptions import DimensionMismatchError, EvaluationError, InvalidArgumentError
+from .exceptions import (
+    DimensionMismatchError,
+    EvaluationError,
+    InvalidArgumentError,
+    errors_at,
+)
 from .exterior import Form, vector_rows
 from .jet import (
     Dims,
     JetPoint,
-    _minors,
     contact_covectors,
     contact_pairings,
+    dx_minors,
+    finite_points,
     seed_inputs,
 )
 
@@ -89,8 +95,42 @@ class DerivativeBundle:
         m, nx = self.dLdv.shape[-2:]
         return Dims(nx - 1, m)
 
+    def __getitem__(self, idx) -> "DerivativeBundle":
+        """The bundle indexed by ``idx`` on its leading batch axes: a point,
+        a mask, or slices with None, which insert unit axes."""
+        return DerivativeBundle(*(getattr(self, f.name)[idx] for f in fields(self)))
 
-def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundle:
+    def broadcast(self, count: int) -> "DerivativeBundle":
+        """The bundle with ``count`` unit axes after its batch axes, so that
+        it broadcasts over that many more axes of the arguments it meets."""
+        return self[(slice(None),) * np.ndim(self.L) + (None,) * count]
+
+
+def _nonfinite(model: "LagrangianModel", bundle: DerivativeBundle):
+    """The EvaluationError naming the first non-finite entry of the bundle,
+    field by field, or None."""
+    for f in fields(bundle):
+        arr = np.atleast_1d(getattr(bundle, f.name))
+        if not np.isfinite(arr).all():
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            return EvaluationError(
+                f"model {model.name!r}: non-finite {f.name} at index "
+                f"{tuple(int(i) for i in bad)}"
+            )
+    return None
+
+
+def bundle_errors(model: "LagrangianModel", bundle: DerivativeBundle) -> dict:
+    """The EvaluationError of each batch point whose bundle has a non-finite
+    entry, keyed by point index, naming the entry by its index at the point."""
+    finite = np.ones(np.shape(bundle.L), dtype=bool)
+    for f in fields(bundle):
+        finite &= finite_points(getattr(bundle, f.name), finite.ndim)
+    return errors_at(~finite, lambda idx: _nonfinite(model, bundle[idx]))
+
+
+def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
+                             check: bool = True) -> DerivativeBundle:
     """Derivative bundle over arrays of jet coordinates (batched).
 
     Every input is seeded, as the Dual2 direction of its flat jet index, and
@@ -99,6 +139,8 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     in chunks whose m(n+1) x m(n+1) v-block of the Hessian is at most
     ``_CHUNK_BYTES``; each result is scattered from its support into the
     preallocated outputs, and entries of inputs L never touches are +0.0.
+    A non-finite entry raises EvaluationError unless ``check`` is off (see
+    ``bundle_errors``).
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
@@ -130,14 +172,8 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
         hv[:, nx : nx + m].reshape(batch + (m, m, nx)),
         hv[:, :nx].reshape(batch + (nx, m, nx)),
     )
-    for name in ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv"):
-        arr = getattr(bundle, name)
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0]
-            raise EvaluationError(
-                f"model {model.name!r}: non-finite {name} at index "
-                f"{tuple(int(i) for i in bad)}"
-            )
+    if check and (error := _nonfinite(model, bundle)) is not None:
+        raise error
     return bundle
 
 
@@ -157,14 +193,17 @@ def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:
 
 
 def regularity_check(bundle: DerivativeBundle) -> dict:
-    """Determinant and condition number of the Hessian; non-regularity is a
-    result, not an error.  The point is regular when the condition number is
-    finite and below ``REGULAR_COND``.  The determinant is reported only: it
-    carries the units of L (it scales as rho^12 for the fluid)."""
+    """Determinant and condition number of the Hessian, per batch point of
+    the bundle; non-regularity is a result, not an error.  A point is
+    regular when the condition number is finite and below ``REGULAR_COND``.
+    The determinant is reported only: it carries the units of L (it scales
+    as rho^12 for the fluid)."""
     Hf = hessian_flat(bundle)
     svals = np.linalg.svd(Hf, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    return {"det": float(np.linalg.det(Hf)), "cond": cond, "regular": cond < REGULAR_COND}
+    smin = svals[..., -1]
+    cond = np.divide(svals[..., 0], smin, out=np.full(smin.shape, np.inf), where=smin > 0)
+    return {"det": np.linalg.det(Hf)[()], "cond": cond[()],
+            "regular": (cond < REGULAR_COND)[()]}
 
 
 def omega_form(bundle: DerivativeBundle, p: JetPoint) -> Form:
@@ -218,48 +257,77 @@ def _pair_minor_table(nx: int):
     return tables
 
 
-def omega_eval_batch(bundle: DerivativeBundle, v: np.ndarray,
-                     vecs: np.ndarray) -> np.ndarray:
+def omega_eval_batch(bundle: DerivativeBundle, v: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Evaluate Omega_L on one (n+2)-tuple of vectors per batch point.
 
     v is (..., m, n+1) and vecs (..., n+2, N); their leading shapes and the
     bundle's batch shape broadcast together, so a pointwise bundle serves a
     whole batch of tuples.  Returns the broadcast shape.  Same terms as
-    :func:`omega_form`, the term-list oracle it is tested against.
-
-    Every term is a determinant whose last rows are dx rows, so both terms
-    are expanded over the shared minors of the dx block X (n+1, n+2): term 1
-    along its dy row, over the (n+1)-minors of X, and term 2 along its two
-    rows d(dL/dv^a_mu) and theta^a, over the n-minors of X without row mu.
+    :func:`omega_form`, the term-list oracle it is tested against; see
+    ``omega_from_pairings`` for the expansion.
     """
     v = np.asarray(v, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     m, nx = v.shape[-2:]
     dims = Dims(nx - 1, m)
-    q = nx + 1
-    if vecs.shape[-2:] != (q, dims.N):
+    if vecs.shape[-2:] != (nx + 1, dims.N):
         raise DimensionMismatchError(
-            f"Omega_L takes n+2 = {q} vectors of length {dims.N}, got shape {vecs.shape}"
+            f"Omega_L takes n+2 = {nx + 1} vectors of length {dims.N}, got shape {vecs.shape}"
         )
-    theta_pair, x_rows = contact_pairings(v, vecs)
-    minors_n, minors_nx = _minors(np.moveaxis(x_rows, (-2, -1), (0, 1)), nx)[-2:]
-    # term 1: -dL/dy^a dy^a ^ dx^0 ^ ... ^ dx^n, whose cofactors along the
-    # dy row are (-1)^j M_{n+1}(cols != j)
-    cof = np.moveaxis(minors_nx[0, ::-1], 0, -1) * (-1.0) ** np.arange(q)
-    total = -np.einsum("...ja,...a,...j->...", vecs[..., nx : nx + m], bundle.dLdy, cof)
-    # term 2: -d(dL/dv^a_mu) ^ theta^a ^ d^n x_mu, which is
-    # -sum_{mu,j,k} r^a_{mu j} S[mu, j, k] theta^a_k over the rows
-    # r^a_{mu j} = d(dL/dv^a_mu)(w_j) of one matmul with the tuples
-    row, col, sign = _pair_minor_table(nx)
-    S = np.moveaxis(minors_n, (0, 1), (-2, -1))[..., row, col]
-    S *= sign
+    return omega_from_pairings(bundle, omega_pairings(bundle, v, vecs),
+                               omega_expansion(dx_minors(vecs, nx, nx)))
+
+
+def omega_pairings(bundle: DerivativeBundle, v: np.ndarray, vecs: np.ndarray):
+    """The rows of Omega_L's determinants other than the dx rows, paired
+    with each vector w_j of the tuples vecs (..., n+2, N), column j:
+    dy^a(w_j) (..., n+2, m), theta^a(w_j) (..., m, n+2) and
+    r^a_mu(w_j) = d(dL/dv^a_mu)(w_j) (..., m(n+1), n+2), over the leading
+    shape of bundle, v and vecs broadcast."""
+    m, nx = v.shape[-2:]
     own = np.shape(bundle.L)
     D = np.concatenate([bundle.d2Ldxdv.reshape(own + (nx, m * nx)),
                         bundle.d2Ldydv.reshape(own + (m, m * nx)),
                         bundle.H.reshape(own + (m * nx, m * nx))], axis=-2)
-    r = np.swapaxes(D, -1, -2) @ np.swapaxes(vecs, -1, -2)  # (..., m(n+1), q)
+    return (vecs[..., nx : nx + m], contact_pairings(v, vecs)[0],
+            np.swapaxes(D, -1, -2) @ np.swapaxes(vecs, -1, -2))
+
+
+def omega_from_pairings(bundle: DerivativeBundle, pairings, expansion) -> np.ndarray:
+    """Omega_L on tuples from their ``omega_pairings`` and the
+    ``omega_expansion`` of their dx blocks, whose batch axes broadcast
+    against the leading shape.
+
+    Every term is a determinant whose last rows are dx rows, so both terms
+    are expanded over the minors of the dx block X (n+1, n+2): term 1 along
+    its dy row, over the (n+1)-minors of X, and term 2 along its two rows
+    d(dL/dv^a_mu) and theta^a, over the n-minors of X without row mu.
+    """
+    ys, theta, r = pairings
+    cof, S = expansion
+    q, m = ys.shape[-2:]
+    nx = q - 1
+    # term 1: -dL/dy^a dy^a ^ dx^0 ^ ... ^ dx^n
+    total = -np.einsum("...ja,...a,...j->...", ys, bundle.dLdy, cof)
+    # term 2: -d(dL/dv^a_mu) ^ theta^a ^ d^n x_mu, which is
+    # -sum_{mu,j,k} r^a_{mu j} S[mu, j, k] theta^a_k
     rS = r.reshape(r.shape[:-2] + (m, nx * q)) @ S.reshape(S.shape[:-3] + (nx * q, q))
-    return total - np.einsum("...ak,...ak->...", rS, theta_pair)
+    return total - np.einsum("...ak,...ak->...", rS, theta)
+
+
+def omega_expansion(minors):
+    """The factors Omega_L's terms are expanded over, from the levels n and
+    n+1 of ``dx_minors`` of the dx blocks X (n+1, n+2) of tuples: the
+    cofactors (-1)^j M_{n+1}(cols != j) of a row on top of X (..., n+2),
+    and S (..., n+1, n+2, n+2), S[mu, j, k] = (-1)^(mu+j+k+1)
+    M_n(rows != mu, cols != {j, k}) for j < k, antisymmetric in j, k."""
+    minors_n, minors_nx = minors[-2:]
+    q = minors_nx.shape[1]
+    cof = np.moveaxis(minors_nx[0, ::-1], 0, -1) * (-1.0) ** np.arange(q)
+    row, col, sign = _pair_minor_table(q - 1)
+    S = np.moveaxis(minors_n, (0, 1), (-2, -1))[..., row, col]
+    S *= sign
+    return cof, S
 
 
 def omega_L_eval(model: LagrangianModel, p: JetPoint, vecs) -> float:

@@ -21,8 +21,10 @@ from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
     RegularityError,
+    errors_at,
+    raise_first,
 )
-from .jet import JetPoint
+from .jet import JetPoint, finite_points
 from .lagrangian import DerivativeBundle, hessian_flat, omega_eval_batch
 
 
@@ -42,11 +44,16 @@ class ZetaBasis:
 
     def dense(self) -> np.ndarray:
         """Rows (k, N) of the zeta vectors in the full layout."""
-        k, m, nx = self.zeta.shape
-        N = nx + m + m * nx
-        rows = np.zeros((k, N))
-        rows[:, nx + m :] = self.zeta.reshape(k, -1)
-        return rows
+        return dense_rows(self.zeta)
+
+
+def dense_rows(zeta: np.ndarray) -> np.ndarray:
+    """Rows (..., k, N) of jet-vertical vectors (..., k, m, n+1) in the full
+    layout."""
+    m, nx = zeta.shape[-2:]
+    rows = np.zeros(zeta.shape[:-2] + (nx + m + m * nx,))
+    rows[..., nx + m :] = zeta.reshape(zeta.shape[:-2] + (m * nx,))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -62,22 +69,41 @@ class ProjectorPair:
     dphi: np.ndarray
 
 
-def solve_zeta_flat(H_flat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def solve_zeta_flat(H_flat: np.ndarray, coeffs: np.ndarray,
+                    errors: dict | None = None) -> np.ndarray:
     """Solve the zeta systems given the flattened Hessian.
 
     H_flat: (..., mn, mn) in a-major/mu-minor flattening; coeffs (C_alpha)
-    as (..., k, n+1, m).  Returns (..., k, m, n+1).  Batched.
+    as (..., k, n+1, m).  Returns (..., k, m, n+1).  Batched: a point
+    without a finite solution raises RegularityError, or, when ``errors`` is
+    given, puts it there, keyed by point index.  ``np.linalg.solve`` stops a
+    whole batch at its first singular Hessian, so a batch that has one is
+    solved point by point.
     """
     k, nx, m = coeffs.shape[-3:]
-    rhs = np.swapaxes(coeffs, -1, -2).reshape(coeffs.shape[:-3] + (k, m * nx))
+    batch = coeffs.shape[:-3]
+    # H symmetric: the row-form equation zeta H = C transposes to H zeta = C
+    rhs = np.swapaxes(np.swapaxes(coeffs, -1, -2).reshape(batch + (k, m * nx)), -1, -2)
+    singular = {}
     try:
-        # H symmetric: the row-form equation zeta H = C transposes to H zeta = C
-        sol = np.linalg.solve(H_flat, np.swapaxes(rhs, -1, -2))
-    except np.linalg.LinAlgError as exc:
-        raise RegularityError(f"Hessian is singular in the zeta solve: {exc}") from exc
-    if not np.isfinite(sol).all():
-        raise RegularityError("Hessian is singular in the zeta solve: non-finite solution")
-    return np.swapaxes(sol, -1, -2).reshape(coeffs.shape[:-3] + (k, m, nx))
+        sol = np.linalg.solve(H_flat, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.zeros(rhs.shape)
+        for idx in np.ndindex(batch):
+            try:
+                sol[idx] = np.linalg.solve(H_flat[idx], rhs[idx])
+            except np.linalg.LinAlgError as exc:
+                singular[idx] = RegularityError(
+                    f"Hessian is singular in the zeta solve: {exc}")
+    finite = finite_points(sol, len(batch))
+    found = errors_at(~finite, lambda idx: RegularityError(
+        "Hessian is singular in the zeta solve: non-finite solution"))
+    found.update(singular)
+    if errors is None:
+        raise_first(found)
+    else:
+        errors.update(found)
+    return np.swapaxes(sol, -1, -2).reshape(batch + (k, m, nx))
 
 
 def solve_zeta(bundle: DerivativeBundle, coeffs: np.ndarray) -> ZetaBasis:
@@ -86,19 +112,31 @@ def solve_zeta(bundle: DerivativeBundle, coeffs: np.ndarray) -> ZetaBasis:
     return ZetaBasis(solve_zeta_flat(hessian_flat(bundle), coeffs))
 
 
+def zeta_residual_batch(bundle: DerivativeBundle, coeffs: np.ndarray, zeta: np.ndarray,
+                        v: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """max |(i_{zeta_alpha} Omega_L + Phi_alpha)(w)| per batch point over its
+    tuples vecs (..., tuples, n+1, N), with
+    i_{zeta_alpha} Omega_L(w) = Omega_L(zeta_alpha, w_1, ..., w_{n+1});
+    bundle, coeffs (..., k, n+1, m), zeta (..., k, m, n+1) and
+    v (..., m, n+1) share the batch axes."""
+    Z = dense_rows(zeta)  # (..., k, N)
+    k, N = Z.shape[-2:]
+    tuples, nx = vecs.shape[-3:-1]
+    slots = np.empty(Z.shape[:-2] + (k, tuples, nx + 1, N))
+    slots[..., 0, :] = Z[..., None, :]
+    slots[..., 1:, :] = vecs[..., None, :, :, :]
+    vals = (omega_eval_batch(bundle.broadcast(2), v[..., None, None, :, :], slots)
+            + np.swapaxes(phi_eval_batch(coeffs[..., None, :, :, :], v[..., None, :, :], vecs),
+                          -1, -2))
+    return np.max(np.abs(vals), axis=(-2, -1), initial=0.0)
+
+
 def zeta_residual(bundle: DerivativeBundle, coeffs: np.ndarray, zb: ZetaBasis,
                   p: JetPoint, rng=None, tuples: int = 20) -> float:
-    """max |(i_{zeta_alpha} Omega_L + Phi_alpha)(random (n+1)-tuple)|, with
-    i_{zeta_alpha} Omega_L(w) = Omega_L(zeta_alpha, w_1, ..., w_{n+1})."""
+    """``zeta_residual_batch`` at one point, on ``tuples`` random tuples."""
     rng = np.random.default_rng(0) if rng is None else rng
-    Z = zb.dense()
-    k, N = Z.shape
-    vecs = rng.uniform(-1.0, 1.0, size=(tuples, p.v.shape[1], N))
-    slots = np.empty((k, tuples, vecs.shape[1] + 1, N))
-    slots[:, :, 0] = Z[:, None]
-    slots[:, :, 1:] = vecs
-    vals = omega_eval_batch(bundle, p.v, slots) + phi_eval_batch(coeffs, p.v, vecs).T
-    return float(np.max(np.abs(vals), initial=0.0))
+    vecs = rng.uniform(-1.0, 1.0, size=(tuples, p.v.shape[1], p.x.size + p.y.size + p.v.size))
+    return float(zeta_residual_batch(bundle, coeffs, zb.zeta, p.v, vecs))
 
 
 def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
@@ -162,44 +200,57 @@ def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
     return Gamma2 - np.einsum("...ku,...kan->...aun", lam, zeta), lam
 
 
-def build_projectors(zb: ZetaBasis, cp: ConstraintPoint, tol: float = 1e-9,
-                     comp: dict | None = None) -> ProjectorPair:
-    """Nonholonomic projector pair at an on-constraint compatible point.
+def projector_pairs(zeta: np.ndarray, dphi: np.ndarray, comp: dict, tol: float = 1e-9):
+    """Nonholonomic projector pairs over a batch of on-constraint compatible
+    points, from zeta (..., k, m, n+1), the full differentials dphi
+    (..., k, N) and their ``compatibility_matrix`` verdict ``comp``.
 
     Q = zeta_alpha Lam^{alpha beta} dphi_beta with Lam = inv(mmat)^T, fixed
     by Q(zeta_gamma) = zeta_gamma; P = I - Q.  TC is the kernel of the full
-    differentials dphi (x-, y- and v-blocks included).  ``comp`` is the
-    ``compatibility_matrix`` verdict at the point, computed at its default
-    tolerance when not given.  All projector invariants are verified before
-    returning.  A violated invariant raises CompatibilityError when the
-    compatibility matrix is too ill-conditioned for ``tol`` (its ``cond``
-    times machine epsilon above ``tol``), and InternalConsistencyError
-    otherwise.
+    differentials dphi (x-, y- and v-blocks included).  Every projector
+    invariant is verified at every point; a violated invariant is a
+    CompatibilityError when the compatibility matrix is too ill-conditioned
+    for ``tol`` (its ``cond`` times machine epsilon above ``tol``), and an
+    InternalConsistencyError otherwise.  Returns the pairs and those errors,
+    keyed by point index.
     """
-    if comp is None:
-        comp = compatibility_matrix(zb.zeta, cp.dphidv)
     Lam = multiplier_matrix(comp)
-    Z = zb.dense()  # (k, N)
-    dphi = cp.dphi  # (k, N)
-    Q = Z.T @ Lam @ dphi
-    N = Q.shape[0]
-    P = np.eye(N) - Q
-    scale = max(1.0, float(np.linalg.norm(Q, 2)))
+    ZT = np.swapaxes(dense_rows(zeta), -1, -2)  # (..., N, k)
+    Q = ZT @ Lam @ dphi
+    P = np.eye(Q.shape[-1]) - Q
+    # spectral norms, of the N x N matrices in one call
+    square = np.linalg.norm(np.stack([Q, P @ P - P, Q @ Q - Q, P @ Q]), 2, axis=(-2, -1))
+    scale = np.maximum(1.0, square[0])
     checks = {
-        "P^2-P": np.linalg.norm(P @ P - P, 2),
-        "Q^2-Q": np.linalg.norm(Q @ Q - Q, 2),
-        "PQ": np.linalg.norm(P @ Q, 2),
-        "dphi.P": np.linalg.norm(dphi @ P, 2),
-        "Q.zeta-zeta": np.linalg.norm(Q @ Z.T - Z.T, 2),
+        "P^2-P": square[1],
+        "Q^2-Q": square[2],
+        "PQ": square[3],
+        "dphi.P": np.linalg.norm(dphi @ P, 2, axis=(-2, -1)),
+        "Q.zeta-zeta": np.linalg.norm(Q @ ZT - ZT, 2, axis=(-2, -1)),
     }
-    worst = max(checks.values())
-    if worst > tol * scale:
-        bad = max(checks, key=checks.get)
-        msg = f"projector invariant {bad} violated: residual {checks[bad]:.3e}"
-        cond = float(comp["cond"])
+    worst = np.max(list(checks.values()), axis=0)
+
+    def error(idx):
+        bad = max(checks, key=lambda name: checks[name][idx])
+        msg = f"projector invariant {bad} violated: residual {checks[bad][idx]:.3e}"
+        cond = float(comp["cond"][idx])
         if cond * np.finfo(float).eps > tol:
-            raise CompatibilityError(
+            return CompatibilityError(
                 f"{msg}; the compatibility matrix is ill-conditioned "
                 f"(condition number {cond:.3e} relative to its scale)")
-        raise InternalConsistencyError(msg)
-    return ProjectorPair(P, Q, Lam, zb.zeta.copy(), dphi)
+        return InternalConsistencyError(msg)
+
+    return (ProjectorPair(P, Q, Lam, zeta.copy(), dphi),
+            errors_at(worst > tol * scale, error))
+
+
+def build_projectors(zb: ZetaBasis, cp: ConstraintPoint, tol: float = 1e-9,
+                     comp: dict | None = None) -> ProjectorPair:
+    """``projector_pairs`` at one point, raising its error; ``comp`` is the
+    ``compatibility_matrix`` verdict at the point, computed at its default
+    tolerance when not given."""
+    if comp is None:
+        comp = compatibility_matrix(zb.zeta, cp.dphidv)
+    pp, errors = projector_pairs(zb.zeta, cp.dphi, comp, tol)
+    raise_first(errors)
+    return pp

@@ -26,7 +26,7 @@ from nhfields.cli import (
     load_config,
     main,
 )
-from nhfields.exceptions import ConfigError
+from nhfields.exceptions import ConfigError, NhfieldsError
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -388,33 +388,177 @@ def test_sampled_points_depend_on_the_seed_alone(tmp_path):
     assert points[0] == points[1]
 
 
-def test_verify_point_builds_one_bundle_and_one_constraint_evaluation(monkeypatch):
-    from nhfields import lagrangian
-    from nhfields.cli import DEFAULT_TOLERANCES, _CHECK_BOUNDS, _point_checks, sample_constraint_point
-    from nhfields.constraint import ConstraintSpec, make_constraint
+FLUID = {"name": "fluid", "params": {"kappa": 1.0, "beta": 1.0}}
+INCOMPRESSIBILITY = {"name": "incompressibility"}
 
-    model = lagrangian.make_model("fluid", {"kappa": 1.0, "beta": 1.0})
-    spec = make_constraint("incompressibility")
-    rng = np.random.default_rng(1)
-    p = sample_constraint_point(model, spec, rng)
+
+@pytest.mark.parametrize("chunk_bytes, chunks", [(None, 1), (1, 3)])
+def test_verify_builds_one_bundle_and_one_constraint_pass_per_chunk(
+        tmp_path, monkeypatch, chunk_bytes, chunks):
+    # the Newton sampling of the points makes constraint passes of its own
+    from nhfields import cli
+    from nhfields.constraint import ConstraintSpec
+
     calls = {"bundle": 0, "dphi": 0}
+    sampling = [False]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += not sampling[0]
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(lagrangian, "derivative_bundle_arrays",
-                        counted("bundle", lagrangian.derivative_bundle_arrays))
-    # every constraint evaluation (dphidv_arrays included) is one
-    # evaluate pass
-    monkeypatch.setattr(ConstraintSpec, "evaluate",
-                        counted("dphi", ConstraintSpec.evaluate))
-    out = _point_checks(model, spec, p, rng, DEFAULT_TOLERANCES, 5)
-    assert calls == {"bundle": 1, "dphi": 1}
-    assert all(out[key] < DEFAULT_TOLERANCES[tol] for key, tol in _CHECK_BOUNDS)
-    assert out["semiholonomic"] == 0.0
+    def sample(*args):
+        sampling[0] = True
+        try:
+            return real_sample(*args)
+        finally:
+            sampling[0] = False
+
+    real_sample = cli.sample_constraint_point
+    monkeypatch.setattr(cli, "sample_constraint_point", sample)
+    monkeypatch.setattr(cli, "derivative_bundle_arrays",
+                        counted("bundle", cli.derivative_bundle_arrays))
+    # every constraint evaluation (dphidv_arrays included) is one evaluate pass
+    monkeypatch.setattr(ConstraintSpec, "evaluate", counted("dphi", ConstraintSpec.evaluate))
+    if chunk_bytes is not None:  # a chunk of one point
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+    path = write_config(tmp_path, points=3, tuples=5, model=FLUID, constraint=INCOMPRESSIBILITY)
+    assert main(["--config", str(path)]) == 0
+    assert calls == {"bundle": chunks, "dphi": chunks}
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all(entry["semiholonomic"] == 0.0 for entry in report["points"])
+
+
+# A custom coefficient field whose compatibility matrix is near singular at
+# point 6 of seed 1 (its projector invariants fail there, after the zeta
+# tuples are drawn), incompatible at point 2 under a loose compatibility
+# tolerance, and sampled points off the constraint set by about 1e-16 from
+# point 3 on.
+MIXED_COEFFS = "0,0,0,0,0,0,0,-0.967,0,0,0.627,0\n"
+MIXED = {"model": {"name": "quadratic", "params": {"n": 3, "m": 3}},
+         "constraint": {"name": "incompressibility", "mode": "custom"}}
+
+
+def pointwise_chain(model, spec, p, rng, tols, tuples):
+    """The identity chain at one point through the pointwise API, in the
+    order of its checks: the oracle of the batched chain."""
+    from nhfields.ddw import (
+        ConstraintPoint,
+        nh_ddw_residual,
+        project_connection,
+        solve_constrained_ddw,
+        solve_free_ddw,
+    )
+    from nhfields.jet import semiholonomic_residual
+    from nhfields.lagrangian import derivative_bundle, regularity_check
+    from nhfields.projector import (
+        build_projectors,
+        compatibility_matrix,
+        solve_zeta,
+        zeta_residual,
+    )
+    from nhfields.constraint import constraint_rank_check
+
+    out = {}
+    bundle = derivative_bundle(model, p)
+    reg = regularity_check(bundle)
+    out["hessian_det"], out["regular"] = reg["det"], reg["regular"]
+    cp = spec.at(p)
+    out["rank"] = constraint_rank_check(cp)
+    zb = solve_zeta(bundle, cp.coeffs)
+    out["zeta_residual"] = zeta_residual(bundle, cp.coeffs, zb, p, rng, tuples)
+    comp = compatibility_matrix(zb.zeta, cp.dphidv, tols["compatibility"])
+    out["compatibility_det"], out["compatible"] = comp["det"], comp["compatible"]
+    if not comp["compatible"]:
+        return out
+    pp = build_projectors(zb, cp, tol=tols["projector"], comp=comp)
+    out["projector_residual"] = max(np.abs(pp.P @ pp.P - pp.P).max(),
+                                    np.abs(pp.P + pp.Q - np.eye(len(pp.P))).max(),
+                                    np.abs(pp.dphi @ pp.P).max())
+    free = solve_free_ddw(bundle, p.v)
+    out["free_ddw_residual"] = nh_ddw_residual(
+        bundle, ConstraintPoint.unconstrained(p), free, rng, tuples)["form_residual"]
+    out["semiholonomic"] = semiholonomic_residual(free.coeffs, p)
+    res = nh_ddw_residual(bundle, cp, project_connection(free, pp), rng, tuples)
+    out["nh_form_residual"] = res["form_residual"]
+    out["nh_tangency_residual"] = res["tangency_residual"]
+    out["lambda_match"] = res["lam_gap"]
+    res = nh_ddw_residual(bundle, cp, solve_constrained_ddw(bundle, cp), rng, tuples)
+    out["direct_form_residual"] = res["form_residual"]
+    out["direct_tangency_residual"] = res["tangency_residual"]
+    return out
+
+
+@pytest.mark.parametrize("overrides, outcomes", [
+    ({"points": 5, "tuples": 3}, {"pass"}),
+    ({"points": 4, "model": {"name": "quadratic", "params": {"n": 3, "m": 3, "coupling": 0.5}},
+      "constraint": INCOMPRESSIBILITY}, {"pass"}),
+    ({"points": 4, "model": FLUID, "constraint": INCOMPRESSIBILITY}, {"pass"}),
+    ({"points": 8, **MIXED, "tolerances": {"compatibility": 1e-16, "projector": 1e-14}},
+     {"pass", "CompatibilityError"}),
+    ({"points": 5, **MIXED,
+      "tolerances": {"compatibility": 0.02, "projector": 1e-14, "on_constraint": 1e-16}},
+     {"pass", "incompatible", "OffConstraintError"}),
+], ids=["wave", "coupled", "fluid", "mixed-error", "mixed-off"])
+def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, overrides,
+                                                         outcomes):
+    from nhfields import cli
+
+    overrides = {"tuples": 5, **overrides}
+    if "mode" in overrides.get("constraint", {}):
+        (tmp_path / "C.csv").write_text(MIXED_COEFFS)
+        overrides["constraint"] = {**overrides["constraint"], "coeffs_csv": str(tmp_path / "C.csv")}
+    cfg = load_config(write_config(tmp_path, **overrides))
+    model, spec = cli.build_scenario(cfg)
+    rng = np.random.default_rng(cfg["seed"])
+    pts = [cli.sample_constraint_point(model, spec, rng) for _ in range(cfg["points"])]
+
+    def chunked(size):
+        tuple_rng = np.random.default_rng(7)
+        out = []
+        for lo in range(0, len(pts), size):
+            out += cli._chain(model, spec, pts[lo:lo + size], tuple_rng, cfg["tolerances"],
+                              cfg["tuples"])
+        return ([list(o.items()) if isinstance(o, dict) else f"{type(o).__name__}: {o}"
+                 for o in out], tuple_rng.bit_generator.state)
+
+    batch, state = chunked(len(pts))
+    assert (batch, state) == chunked(1)
+    tuple_rng, oracle = np.random.default_rng(7), []
+    for p in pts:
+        try:
+            oracle.append(list(pointwise_chain(model, spec, p, tuple_rng, cfg["tolerances"],
+                                               cfg["tuples"]).items()))
+        except NhfieldsError as exc:
+            oracle.append(f"{type(exc).__name__}: {exc}")
+    assert (batch, state) == (oracle, tuple_rng.bit_generator.state)
+    assert {("pass" if o[5][1] else "incompatible") if isinstance(o, list)
+            else o.split(":")[0] for o in batch} == outcomes
+    reports = []
+    for chunk_bytes in (cli._CHUNK_BYTES, 1):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+        main(["--config", str(tmp_path / "cfg.json")])
+        reports.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.slow
+def test_verify_memory_is_bounded_by_the_chunk(tmp_path):
+    import tracemalloc
+
+    def peak(points):
+        path = write_config(tmp_path, points=points, tuples=2000, model=FLUID,
+                            constraint=INCOMPRESSIBILITY)
+        tracemalloc.start()
+        try:
+            assert main(["--config", str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # at 2,000 tuples a chunk is one fluid point, so 64 points peak as one
+    assert peak(64) < 1.5 * peak(1)
 
 
 @pytest.mark.parametrize("model, constraint", [
@@ -502,21 +646,20 @@ def test_zeta_check_draws_the_configured_tuples(tmp_path, monkeypatch):
     from nhfields import cli
 
     seen = []
-    real = cli.zeta_residual
+    real = cli.zeta_residual_batch
 
     def spy(*args, **kwargs):
         bound = inspect.signature(real).bind(*args, **kwargs)
-        bound.apply_defaults()
-        seen.append(bound.arguments["tuples"])
+        seen.append(bound.arguments["vecs"].shape[:2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "zeta_residual", spy)
+    monkeypatch.setattr(cli, "zeta_residual_batch", spy)
     path = write_config(tmp_path, points=2, tuples=7)
     assert main(["--config", str(path)]) == 0
-    assert seen == [7, 7]
+    assert seen == [(2, 7)]  # both points, 7 tuples each
 
 
-def test_verify_tests_compatibility_once_per_point_at_the_configured_tolerance(
+def test_verify_tests_compatibility_once_per_chunk_at_the_configured_tolerance(
         tmp_path, monkeypatch):
     import inspect
 
@@ -528,7 +671,7 @@ def test_verify_tests_compatibility_once_per_point_at_the_configured_tolerance(
     def spy(*args, **kwargs):
         bound = inspect.signature(real).bind(*args, **kwargs)
         bound.apply_defaults()
-        seen.append(bound.arguments["tol"])
+        seen.append((bound.arguments["tol"], len(bound.arguments["zeta"])))
         return real(*args, **kwargs)
 
     # the projector module's own calls (build_projectors) are seen too
@@ -536,7 +679,7 @@ def test_verify_tests_compatibility_once_per_point_at_the_configured_tolerance(
     monkeypatch.setattr(projector, "compatibility_matrix", spy)
     path = write_config(tmp_path, points=3, tolerances={"compatibility": 1e-9})
     assert main(["--config", str(path)]) == 0
-    assert seen == [1e-9] * 3
+    assert seen == [(1e-9, 3)]  # one call for the chunk of 3 points
 
 
 @pytest.mark.parametrize("tolerances, failure", [

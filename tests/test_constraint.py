@@ -14,9 +14,11 @@ from nhfields.constraint import (
     constraint_form_eval,
     constraint_forms,
     constraint_rank_check,
+    constraint_ranks,
     load_custom_coeffs_csv,
     make_constraint,
     newton_onto_constraint,
+    off_constraint_errors,
     phi_eval_batch,
 )
 from nhfields.exceptions import (
@@ -134,6 +136,37 @@ def test_rank_check_on_and_off_constraint():
     p_off = JetPoint([0.0, 0.0], [0.0], [[1.0, 0.0]])
     with pytest.raises(OffConstraintError):
         constraint_rank_check(spec.at(p_off))
+
+
+def test_batched_constraint_checks_name_each_failing_point():
+    """off_constraint_errors and constraint_ranks over stacked points give
+    each failing point the error its pointwise check raises, and nothing to
+    the others."""
+    def phi1(x, y, v):
+        return v[0][0] - 2.0 * v[0][1]
+
+    def phi2(x, y, v):  # dphi2 = (1 + v^0_0) dphi1 where phi1 = 0
+        return phi1(x, y, v) * (1.0 + v[0][0])
+
+    spec = ConstraintSpec(Dims(1, 1, 2), [phi1, phi2])
+    rng = np.random.default_rng(9)
+    points = [wave_on_constraint_point(rng) for _ in range(2)]
+    points.append(JetPoint([0.0, 0.0], [0.0], [[1.0, 0.0]]))  # off the set
+    points.append(JetPoint([0.0, 0.0], [0.0], [[0.0, 0.0]]))
+    x, y, v = (np.stack([getattr(p, key) for p in points]) for key in "xyv")
+    phi, dphi = spec.evaluate(x, y, v)
+    off = off_constraint_errors(phi, spec.on_tol)
+    assert list(off) == [(2,)]
+    with pytest.raises(OffConstraintError) as exc:
+        spec.at(points[2])
+    assert str(off[(2,)]) == str(exc.value)
+    dphidv = spec.dphidv_arrays(x, y, v)
+    rank, errors = constraint_ranks(dphidv, np.swapaxes(dphidv, -1, -2))
+    # rank 1 < k = 2 on the constraint set, 2 off it
+    assert rank.tolist() == [1, 1, 2, 1] and list(errors) == [(0,), (1,), (3,)]
+    with pytest.raises(ConstraintRankError) as exc:
+        constraint_rank_check(spec.at(points[3]))
+    assert str(errors[(3,)]) == str(exc.value)
 
 
 def test_dependent_constraints_rejected():

@@ -9,13 +9,14 @@ from nhfields.ddw import (
     DdwSolution,
     el_residual,
     nh_ddw_residual,
+    nh_ddw_residual_batch,
     nh_field_residual,
     project_connection,
     solve_constrained_ddw,
     solve_ddw,
     solve_free_ddw,
 )
-from nhfields.exceptions import DimensionMismatchError, InvalidArgumentError
+from nhfields.exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
 from nhfields.jet import Dims, Jet2Point, JetPoint
 from nhfields.lagrangian import derivative_bundle, derivative_bundle_arrays, make_model
 from nhfields.projector import build_projectors, solve_zeta
@@ -343,6 +344,71 @@ def test_batched_kernel_equals_the_pointwise_solves_bitwise(name):
         solve_ddw(bundle, v, np.zeros((8, m, nx, nx)))
     with pytest.raises(DimensionMismatchError, match="spatial block shape"):
         solve_free_ddw(bundle_at(bundle, 0), v[0], np.zeros((m, nx - 1, nx - 1)))
+
+
+def test_a_point_batch_solve_collects_the_error_of_each_unsolved_point():
+    """With ``errors`` solve_ddw names no grid point and stops no batch: a
+    point whose Hessian vanishes under a nonzero right side has no
+    solution, and the others keep their bits."""
+    rng = np.random.default_rng(8)
+    points = [wave_on_constraint_point(rng) for _ in range(3)]
+    v = np.stack([p.v for p in points])
+    bundle = derivative_bundle_arrays(make_model("wave"), np.stack([p.x for p in points]),
+                                      np.stack([p.y for p in points]), v)
+    bundle.H[1] = 0.0
+    bundle.dLdy[1] = 1.0
+    errors = {}
+    block, lam = solve_ddw(bundle, v, errors=errors)
+    assert list(errors) == [(1,)]
+    assert str(errors[(1,)]) == ("no solution for the De Donder-Weyl system: "
+                                 "least-squares residual 1.000e+00")
+    for i in (0, 2):
+        assert np.array_equal(solve_free_ddw(bundle_at(bundle, i), v[i]).coeffs.Gamma2, block[i])
+    with pytest.raises(DdwSolveError, match=r"system at grid point \(1,\): least"):
+        solve_ddw(bundle, v)
+    with pytest.raises(DdwSolveError, match="system: least"):
+        solve_free_ddw(bundle_at(bundle, 1), v[1])
+
+
+@pytest.mark.parametrize("name", ["wave", "fluid", "coupled"])
+def test_batched_form_check_equals_the_pointwise_check_bitwise(name):
+    """nh_ddw_residual_batch over stacked points gives the bits of
+    nh_ddw_residual at each point on the same tuples, for the free,
+    projected and directly solved connections."""
+    rng = np.random.default_rng(17)
+    scenarios = [oracle_scenario(name, rng) for _ in range(3)]
+    model, spec = scenarios[0][:2]
+    points = [s[2] for s in scenarios]
+    cps = [spec.at(p) for p in points]
+    bundles = [derivative_bundle(model, p) for p in points]
+    v = np.stack([p.v for p in points])
+    bundle = derivative_bundle_arrays(model, np.stack([p.x for p in points]),
+                                      np.stack([p.y for p in points]), v)
+    for kind in ("free", "projected", "direct"):
+        cp_at = [ConstraintPoint.unconstrained(p) if kind == "free" else cp
+                 for p, cp in zip(points, cps)]
+        sols = []
+        for b, p, cp in zip(bundles, points, cps):
+            free = solve_free_ddw(b, p.v)
+            sols.append(free if kind == "free" else solve_constrained_ddw(b, cp)
+                        if kind == "direct"
+                        else project_connection(free, build_projectors(solve_zeta(b, cp.coeffs), cp)))
+        sol = DdwSolution(ConnectionCoeffs(np.stack([s.coeffs.Gamma for s in sols]),
+                                           np.stack([s.coeffs.Gamma2 for s in sols])),
+                          np.stack([s.multipliers for s in sols]))
+        vecs = rng.uniform(-1, 1, (3, 9, v.shape[-1] + 1, cps[0].dphi.shape[-1]))
+        got = nh_ddw_residual_batch(bundle, v, np.stack([cp.dphi for cp in cp_at]),
+                                    np.stack([cp.coeffs for cp in cp_at]), sol, vecs)
+        for i, (b, cp, s) in enumerate(zip(bundles, cp_at, sols)):
+
+            class Replay:  # hands the pointwise check the batch's tuples
+                def uniform(self, low, high, size):
+                    return vecs[i]
+
+            want = nh_ddw_residual(b, cp, s, Replay(), 9)
+            assert set(want) == set(got)
+            for key, val in want.items():
+                assert np.array_equal(val, got[key][i]), (kind, key)
 
 
 def test_constrained_agrees_with_projection_residuals():

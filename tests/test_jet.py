@@ -16,6 +16,7 @@ from nhfields.jet import (
     SectionSamples,
     _minors,
     contact_eval,
+    deletion_minors,
     prolong_section,
     semiholonomic_residual,
 )
@@ -179,6 +180,16 @@ def test_minors_match_lapack_determinants(R, extra, seed, scale):
                          for rows in itertools.combinations(range(R), r)])
         np.testing.assert_allclose(levels[r], want, rtol=0,
                                    atol=1e-12 * np.abs(X).max() ** r)
+
+
+def test_deletion_minors_are_the_minors_of_each_deletion_bitwise():
+    """Level r of the minors of X without column j, gathered from level r of
+    the minors of X, has the bits of ``_minors`` on the deletion itself."""
+    X = np.random.default_rng(5).uniform(-1, 1, (4, 5, 3, 2))
+    for r in range(4):
+        got = deletion_minors(_minors(X, r)[r], 5, r)
+        for j in range(5):
+            assert np.array_equal(got[..., j], _minors(np.delete(X, j, axis=1), r)[r])
 
 
 def test_semiholonomic_residual_examples():

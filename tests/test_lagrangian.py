@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nhfields import autodiff as ad
 from nhfields import lagrangian
 from nhfields.constraint import chetaev_coefficients, make_constraint, phi_eval_batch
-from nhfields.exceptions import InvalidArgumentError, RegularityError
+from nhfields.exceptions import EvaluationError, InvalidArgumentError, RegularityError
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
 from nhfields.jet import Dims, JetPoint, seed_inputs
@@ -132,6 +132,31 @@ def test_regularity_quadratic_and_degenerate():
     deg = LagrangianModel("degenerate", Dims(1, 1), fn)
     out = regularity_check(derivative_bundle(deg, p))
     assert out["det"] == pytest.approx(0.0) and not out["regular"]
+
+
+def test_batched_regularity_and_bundle_errors_per_point():
+    """regularity_check over stacked points gives each point's pointwise
+    verdict, and bundle_errors names each point whose bundle is not finite
+    with the error its pointwise bundle raises."""
+    def fn(x, y, v):
+        return 0.5 * v[0][1] * v[0][1] + 1.0 / v[0][0]
+
+    model = LagrangianModel("pole", Dims(1, 1), fn)
+    rng = np.random.default_rng(12)
+    points = [random_point(rng, 1, 1) for _ in range(3)]
+    points[1] = JetPoint(points[1].x, points[1].y, [[0.0, 0.5]])
+    x, y, v = (np.stack([getattr(p, key) for p in points]) for key in "xyv")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bundle = derivative_bundle_arrays(model, x, y, v, check=False)
+        errors = lagrangian.bundle_errors(model, bundle)
+        assert list(errors) == [(1,)]
+        with pytest.raises(EvaluationError) as exc:
+            derivative_bundle(model, points[1])
+    assert str(errors[(1,)]) == str(exc.value) == "model 'pole': non-finite L at index (0,)"
+    batch = regularity_check(bundle[np.array([True, False, True])])
+    for j, i in enumerate((0, 2)):
+        one = regularity_check(derivative_bundle(model, points[i]))
+        assert all(np.array_equal(one[key], batch[key][j]) for key in one)
 
 
 def test_regularity_does_not_move_with_the_units_of_l():

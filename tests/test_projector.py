@@ -80,6 +80,60 @@ def test_zeta_check_matches_the_term_list_oracle_on_a_perturbed_zeta(name):
     assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
+def test_a_singular_hessian_stops_only_its_point_of_a_zeta_batch():
+    """np.linalg.solve stops a whole batch at one singular matrix; with
+    ``errors`` the batch keeps the pointwise bits of every other point."""
+    rng = np.random.default_rng(3)
+    H = rng.uniform(-1, 1, (3, 2, 2))
+    H[1] = [[1.0, 0.0], [0.0, 0.0]]
+    C = rng.uniform(-1, 1, (3, 1, 2, 1))
+    errors = {}
+    zeta = projector.solve_zeta_flat(H, C, errors)
+    assert list(errors) == [(1,)]
+    assert str(errors[(1,)]) == "Hessian is singular in the zeta solve: Singular matrix"
+    for i in (0, 2):
+        assert np.array_equal(zeta[i], projector.solve_zeta_flat(H[i], C[i]))
+    with pytest.raises(RegularityError, match="Singular matrix"):
+        projector.solve_zeta_flat(H, C)
+
+
+@pytest.mark.parametrize("name", ["wave", "fluid", "coupled"])
+def test_batched_checks_equal_the_pointwise_ones_bitwise(name):
+    """zeta_residual_batch and projector_pairs over stacked points give the
+    bits of their pointwise forms, zeta_residual and build_projectors."""
+    from helpers import bundle_at
+    from nhfields.lagrangian import derivative_bundle_arrays
+
+    rng = np.random.default_rng(13)
+    scenarios = [oracle_scenario(name, rng) for _ in range(4)]
+    model, spec = scenarios[0][:2]
+    points = [s[2] for s in scenarios]
+    cps = [spec.at(p) for p in points]
+    v = np.stack([p.v for p in points])
+    bundle = derivative_bundle_arrays(model, np.stack([p.x for p in points]),
+                                      np.stack([p.y for p in points]), v)
+    coeffs, dphi = np.stack([cp.coeffs for cp in cps]), np.stack([cp.dphi for cp in cps])
+    zeta = projector.solve_zeta_flat(projector.hessian_flat(bundle), coeffs)
+    vecs = rng.uniform(-1, 1, (4, 7, v.shape[-1], dphi.shape[-1]))
+    resid = projector.zeta_residual_batch(bundle, coeffs, zeta, v, vecs)
+    comp = compatibility_matrix(zeta, np.stack([cp.dphidv for cp in cps]))
+    pairs, errors = projector.projector_pairs(zeta, dphi, comp)
+    assert errors == {}
+    for i, (p, cp) in enumerate(zip(points, cps)):
+        zb = solve_zeta(bundle_at(bundle, i), cp.coeffs)
+        assert np.array_equal(zb.zeta, zeta[i])
+
+        class Replay:  # hands the pointwise check the batch's tuples
+            def uniform(self, low, high, size):
+                assert size == vecs[i].shape
+                return vecs[i]
+
+        assert zeta_residual(bundle_at(bundle, i), cp.coeffs, zb, p, Replay(), 7) == resid[i]
+        pp = build_projectors(zb, cp)
+        for field in ("P", "Q", "Lam", "zeta", "dphi"):
+            assert np.array_equal(getattr(pp, field), getattr(pairs, field)[i])
+
+
 def test_zeta_singular_hessian_raises():
     from nhfields.lagrangian import LagrangianModel
 
