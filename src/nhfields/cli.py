@@ -475,19 +475,19 @@ def _chain(model, spec, pts: list, rng, tols, tuples: int) -> list:
             c.out[i]["zeta_residual"] = res[j]
     if "direct" in reach and len(c["at"]):
         P = len(c["at"])
-        free = np.zeros((P, 0, N)), np.zeros((P, 0, nx, m)), np.zeros((P, 0, nx))
+        unconstrained = np.zeros((P, 0, N)), np.zeros((P, 0, nx, m))
         constrained = c["dphi"], c["coeffs"]
-        for name, data, fields in (
-                ("free", free, {"free_ddw_residual": "form_residual"}),
-                ("proj", (*constrained, c["proj_lam"]),
+        for name, constraint, lam, fields in (
+                ("free", unconstrained, np.zeros((P, 0, nx)),
+                 {"free_ddw_residual": "form_residual"}),
+                ("proj", constrained, c["proj_lam"],
                  {"nh_form_residual": "form_residual",
                   "nh_tangency_residual": "tangency_residual", "lambda_match": "lam_gap"}),
-                ("direct", (*constrained, c["direct_lam"]),
+                ("direct", constrained, c["direct_lam"],
                  {"direct_form_residual": "form_residual",
                   "direct_tangency_residual": "tangency_residual"})):
-            # every solution has Gamma = v
-            sol = DdwSolution(ConnectionCoeffs(c["v"], c[name]), data[2])
-            res = nh_ddw_residual_batch(c["bundle"], c["v"], *data[:2], sol,
+            sol = DdwSolution(ConnectionCoeffs(c["v"], c[name]), lam)  # every Gamma is v
+            res = nh_ddw_residual_batch(c["bundle"], c["v"], *constraint, sol,
                                         draws.pop(name)[2])
             c.record(**{field: res[key] for field, key in fields.items()})
     return [checks if isinstance(checks, NhfieldsError)

@@ -56,17 +56,12 @@ class DdwSolution:
 
 def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
     """The horizontal projector as (..., N, N) matrices: columns over x map
-    to the horizontal lifts H_mu = d/dx^mu + Gamma^a_mu d/dy^a
-    + Gamma^a_{mu nu} d/dv^a_nu, all other columns vanish."""
-    G, G2 = coeffs.Gamma, coeffs.Gamma2
-    m, nx = G.shape[-2:]
-    batch = G.shape[:-2]
+    to the horizontal lifts, all other columns vanish."""
+    m, nx = coeffs.Gamma.shape[-2:]
     N = nx + m + m * nx
-    dx = np.broadcast_to(np.eye(nx), batch + (nx, nx))
-    lifts = [np.concatenate([dx[..., mu, :], G[..., mu], G2[..., mu, :].reshape(batch + (m * nx,))],
-                            axis=-1) for mu in range(nx)]
-    h = np.zeros(batch + (N, N))
-    h[..., :nx] = np.swapaxes(vector_rows(lifts, N), -1, -2)
+    h = np.zeros(coeffs.Gamma.shape[:-2] + (N, N))
+    h[..., :nx] = np.swapaxes(
+        vector_rows([coeffs.lift_components(mu) for mu in range(nx)], N), -1, -2)
     return h
 
 

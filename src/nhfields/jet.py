@@ -147,13 +147,20 @@ class ConnectionCoeffs:
         object.__setattr__(self, "Gamma", G)
         object.__setattr__(self, "Gamma2", G2)
 
+    def lift_components(self, mu: int) -> np.ndarray:
+        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu as
+        components (..., N) in the flat layout."""
+        m, nx = self.Gamma.shape[-2:]
+        batch = self.Gamma.shape[:-2]
+        dx = np.zeros(batch + (nx,))
+        dx[..., mu] = 1.0
+        return np.concatenate([dx, self.Gamma[..., mu],
+                               self.Gamma2[..., mu, :].reshape(batch + (m * nx,))], axis=-1)
+
     def horizontal_lift(self, mu: int) -> TangentVector:
-        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu at
-        a single point."""
+        """H_mu at a single point."""
         m, nx = self.Gamma.shape
-        dx = np.zeros(nx)
-        dx[mu] = 1.0
-        return TangentVector(dx, self.Gamma[:, mu], self.Gamma2[:, mu, :])
+        return TangentVector.from_components(self.lift_components(mu), nx - 1, m)
 
 
 def connection_errors(Gamma: np.ndarray, Gamma2: np.ndarray) -> dict:
