@@ -292,28 +292,39 @@ def build_scenario(cfg: dict):
 # ---------------------------------------------------------------------------
 # verify task
 
-def sample_constraint_point(model, spec, rng) -> JetPoint:
-    """A random point, projected onto the constraint set by Newton steps in
-    the jet variables (minimum-norm corrections)."""
+def sample_constraint_point(model, spec, rng, count: int = 1,
+                            first: int = 0) -> list[JetPoint]:
+    """``count`` random points, projected onto the constraint set by one
+    batched Newton call in the jet variables (minimum-norm corrections, each
+    point converging on its own).  The raw points are drawn one after
+    another, so the points, and the state ``rng`` is left in, do not depend
+    on how a run splits its points into calls.  A failed projection names
+    its point by index, counting from ``first``."""
     dims = model.dims
-    x = rng.uniform(-1.0, 1.0, dims.nx)
-    y = rng.uniform(-1.0, 1.0, dims.m)
-    if model.name == "fluid":
-        v = np.zeros((dims.m, dims.nx))
-        v[:, 0] = 0.3 * rng.uniform(-1.0, 1.0, dims.m)
-        while True:
-            vsp = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (3, 3))
-            if abs(np.linalg.det(vsp)) > 0.3 and np.linalg.cond(vsp) < 20:
-                break
-        v[:, 1:] = vsp
-    else:
-        v = rng.uniform(-1.0, 1.0, (dims.m, dims.nx))
-    if spec is None:
-        return JetPoint(x, y, v)
-    v, converged = newton_onto_constraint(spec, x, y, v, slice(None), 1e-12, 50)
-    if not converged:
-        raise NhfieldsError("Newton projection onto the constraint set failed")
-    return JetPoint(x, y, v)
+    x = np.empty((count, dims.nx))
+    y = np.empty((count, dims.m))
+    v = np.zeros((count, dims.m, dims.nx))
+    for i in range(count):
+        x[i] = rng.uniform(-1.0, 1.0, dims.nx)
+        y[i] = rng.uniform(-1.0, 1.0, dims.m)
+        if model.name == "fluid":
+            v[i, :, 0] = 0.3 * rng.uniform(-1.0, 1.0, dims.m)
+            while True:
+                vsp = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (3, 3))
+                if abs(np.linalg.det(vsp)) > 0.3 and np.linalg.cond(vsp) < 20:
+                    break
+            v[i, :, 1:] = vsp
+        else:
+            v[i] = rng.uniform(-1.0, 1.0, (dims.m, dims.nx))
+    if spec is not None:
+        v, converged = newton_onto_constraint(spec, x, y, v, slice(None), 1e-12, 50)
+        if not converged.all():
+            idx = int(np.argmin(converged))
+            worst = np.max(np.abs(spec.values_arrays(x[idx], y[idx], v[idx])))
+            raise NhfieldsError(
+                f"Newton projection onto the constraint set failed at point "
+                f"{first + idx}: max|phi| = {worst:.3e} after 50 steps")
+    return [JetPoint(*p) for p in zip(x, y, v)]
 
 
 # Bytes the identity chain of one chunk of verify points may hold at once.
@@ -527,8 +538,7 @@ def run_verify(cfg: dict, model, spec, out_dir: Path) -> int:
     first_failure = None
     size = _chunk_points(model.dims, cfg["tuples"])
     for lo in range(0, cfg["points"], size):
-        chunk = [sample_constraint_point(model, spec, rng)
-                 for _ in range(lo, min(lo + size, cfg["points"]))]
+        chunk = sample_constraint_point(model, spec, rng, min(size, cfg["points"] - lo), lo)
         for idx, (p, checks) in enumerate(
                 zip(chunk, _chain(model, spec, chunk, tuple_rng, tols, cfg["tuples"])), lo):
             entry = {
@@ -607,9 +617,10 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
         return CauchyState(0.0, y, "pde", ydot=ydot)
     vi = grid_derivative(y, 1, cfg["derivative"])
     state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
-    # start on the constraint set: solve phi = 0 for v0 (Newton from ydot)
+    # start on the constraint set: solve phi = 0 for v0 (Newton from ydot),
+    # every grid point stepping until the whole field is within tolerance
     xj, yj, vj = state.jet_arrays(cfg["derivative"])
-    vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50)
+    vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50, jointly=True)
     return dataclasses.replace(state, v0=vj[..., 0])
 
 

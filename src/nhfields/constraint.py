@@ -178,23 +178,45 @@ def coefficient_arrays(spec: ConstraintSpec, x, y, v, dphidv) -> np.ndarray:
     )
 
 
-def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iters: int):
+def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iters: int,
+                           jointly: bool = False):
     """Minimum-norm Newton steps onto phi = 0 (Hairer, Lubich & Wanner, §IV.4)
-    in the jet columns ``cols`` of the batched v (..., m, n+1), x and y fixed,
-    until max|phi| < tol, for at most ``iters`` steps; returns the new v and
-    whether the tolerance was met.  Non-finite phi raises EvaluationError."""
-    v = np.array(v, dtype=float)
+    in the jet columns ``cols`` of the batched v (..., m, n+1), x and y fixed.
+
+    Each batch point converges on its own: it takes steps until its own
+    max|phi| < tol, for at most ``iters`` steps, and then leaves the batch, so
+    its v is not written again.  With ``jointly`` the batch is one field,
+    and every point takes steps until the max|phi| of the whole batch is
+    below tol.  A pass makes one ``evaluate`` and one batched ``pinv`` over
+    the points still live; both work point by point, so every point gets
+    the bits it has as a batch of one.  Returns the new v and per batch
+    point whether it met the tolerance (with tol = 0 none does, and every
+    point takes all ``iters`` steps).  Non-finite phi at a live point
+    raises EvaluationError."""
+    shape = np.shape(v)
+    m, nx = shape[-2:]
+    flat = np.array(v, dtype=float).reshape(-1, m, nx)
+    xs = np.broadcast_to(x, shape[:-2] + (nx,)).reshape(-1, nx)
+    ys = np.broadcast_to(y, shape[:-2] + (m,)).reshape(-1, m)
+    live = np.arange(len(flat))
+    converged = np.zeros(len(flat), dtype=bool)
     for _ in range(iters):
-        phi, dphi = spec.evaluate(x, y, v)
+        phi, dphi = spec.evaluate(xs, ys, flat[live])
         if not np.isfinite(phi).all():
             raise EvaluationError("non-finite constraint values in the Newton projection")
-        if np.max(np.abs(phi)) < tol:
-            return v, True
-        J = jet_block(dphi, spec.dims.m, spec.dims.nx)[..., cols]  # (..., k, m, c)
+        done = np.max(np.abs(phi), axis=-1, initial=0.0) < tol
+        if jointly:
+            done[:] = done.all()
+        if done.any():
+            converged[live[done]] = True
+            live, xs, ys, phi, dphi = (a[~done] for a in (live, xs, ys, phi, dphi))
+            if not live.size:
+                break
+        J = jet_block(dphi, m, nx)[..., cols]  # (live, k, m, c)
         pinv = np.linalg.pinv(J.reshape(J.shape[:-2] + (-1,)))
         delta = np.einsum("...ij,...j->...i", pinv, phi)
-        v[..., cols] -= delta.reshape(J.shape[:-3] + J.shape[-2:])
-    return v, False
+        flat[live, :, cols] -= delta.reshape(J.shape[:1] + J.shape[-2:])
+    return flat.reshape(shape), converged.reshape(shape[:-2])
 
 
 def chetaev_coefficients(spec: ConstraintSpec, p: JetPoint) -> np.ndarray:

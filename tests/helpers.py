@@ -328,3 +328,43 @@ def zeta_identity_oracle(bundle, coeffs, zb, p, rng, tuples) -> float:
         vals = contracted.eval_batch(vecs) + phi.eval_batch(vecs)
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
+
+
+def whole_batch_newton(spec, x, y, v, cols, tol, iters):
+    """The Newton projection as one batch: every point steps until the
+    batch's max|phi| < tol, or for ``iters`` steps; returns the new v and
+    whether the batch met tol.  At tol = 0, or on a batch of one, it is the
+    per-point projection of ``newton_onto_constraint``."""
+    m, nx = np.shape(v)[-2:]
+    v = np.array(v, dtype=float)
+    for _ in range(iters):
+        phi, dphi = spec.evaluate(x, y, v)
+        if np.max(np.abs(phi)) < tol:
+            return v, True
+        J = dphi[..., nx + m :].reshape(dphi.shape[:-1] + (m, nx))[..., cols]
+        pinv = np.linalg.pinv(J.reshape(J.shape[:-2] + (-1,)))
+        delta = np.einsum("...ij,...j->...i", pinv, phi)
+        v[..., cols] -= delta.reshape(J.shape[:-3] + J.shape[-2:])
+    return v, False
+
+
+def sample_point_oracle(model, spec, rng) -> JetPoint:
+    """One verify point: x, y and v drawn from ``rng`` in that order (the
+    fluid's spatial block by rejection), then projected onto the constraint
+    set on its own, to 1e-12 in at most 50 steps."""
+    dims = model.dims
+    x = rng.uniform(-1.0, 1.0, dims.nx)
+    y = rng.uniform(-1.0, 1.0, dims.m)
+    if model.name == "fluid":
+        v = np.zeros((dims.m, dims.nx))
+        v[:, 0] = 0.3 * rng.uniform(-1.0, 1.0, dims.m)
+        while True:
+            vsp = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (3, 3))
+            if abs(np.linalg.det(vsp)) > 0.3 and np.linalg.cond(vsp) < 20:
+                break
+        v[:, 1:] = vsp
+    else:
+        v = rng.uniform(-1.0, 1.0, (dims.m, dims.nx))
+    v, converged = whole_batch_newton(spec, x, y, v, slice(None), 1e-12, 50)
+    assert converged
+    return JetPoint(x, y, v)

@@ -430,6 +430,60 @@ def test_verify_builds_one_bundle_and_one_constraint_pass_per_chunk(
     assert all(entry["semiholonomic"] == 0.0 for entry in report["points"])
 
 
+SAMPLED = {
+    "fluid": (FLUID, INCOMPRESSIBILITY),
+    "wave": ({"name": "wave"}, {"name": "linear-transport", "params": {"speed": 2.0}}),
+    "coupled": ({"name": "quadratic", "params": {"n": 3, "m": 3, "coupling": 0.5}},
+                INCOMPRESSIBILITY),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+@pytest.mark.parametrize("scenario", sorted(SAMPLED))
+def test_sampled_points_do_not_depend_on_the_chunk_size(tmp_path, scenario, seed):
+    from nhfields import cli
+
+    from helpers import sample_point_oracle
+
+    model_cfg, constraint_cfg = SAMPLED[scenario]
+    cfg = load_config(write_config(tmp_path, model=model_cfg, constraint=constraint_cfg))
+    model, spec = cli.build_scenario(cfg)
+    rng = np.random.default_rng(seed)
+    oracle = [sample_point_oracle(model, spec, rng) for _ in range(7)]
+
+    def bits(pts):
+        return [p.x.tobytes() + p.y.tobytes() + p.v.tobytes() for p in pts]
+
+    for size in (1, 3, 7):
+        chunked = np.random.default_rng(seed)
+        pts = []
+        for lo in range(0, 7, size):
+            pts += cli.sample_constraint_point(model, spec, chunked, min(size, 7 - lo), lo)
+        assert bits(pts) == bits(oracle)
+        assert chunked.bit_generator.state == rng.bit_generator.state
+
+
+def test_a_failed_newton_projection_names_its_point():
+    from nhfields import cli
+    from nhfields.constraint import ConstraintSpec
+    from nhfields.jet import Dims
+
+    # phi = v0^2 + x0 has no real root where x0 > 0, and |phi| >= x0 there
+    spec = ConstraintSpec(Dims(1, 1, 1), [lambda x, y, v: v[0][0] * v[0][0] + x[0]])
+    draws = np.random.default_rng(3)
+    x0 = []
+    for _ in range(6):  # the draws of each wave point: x, y, v
+        x0.append(draws.uniform(-1.0, 1.0, 2)[0])
+        draws.uniform(-1.0, 1.0, 1)
+        draws.uniform(-1.0, 1.0, (1, 2))
+    bad = next(i for i, x in enumerate(x0) if x > 0)
+    assert bad > 0
+    with pytest.raises(NhfieldsError, match="Newton projection onto the constraint set "
+                       rf"failed at point {10 + bad}: max\|phi\| = (\S+) after 50 steps") as exc:
+        cli.sample_constraint_point(cli.make_model("wave"), spec, np.random.default_rng(3), 6, 10)
+    assert float(re.search(r"= (\S+) after", str(exc.value))[1]) >= x0[bad]
+
+
 # A custom coefficient field whose compatibility matrix is near singular at
 # point 6 of seed 1 (its projector invariants fail there, after the zeta
 # tuples are drawn), incompatible at point 2 under a loose compatibility
@@ -511,7 +565,7 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
     cfg = load_config(write_config(tmp_path, **overrides))
     model, spec = cli.build_scenario(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    pts = [cli.sample_constraint_point(model, spec, rng) for _ in range(cfg["points"])]
+    pts = cli.sample_constraint_point(model, spec, rng, cfg["points"])
 
     def chunked(size):
         tuple_rng = np.random.default_rng(7)

@@ -273,7 +273,7 @@ def test_newton_puts_a_wave_grid_on_the_constraint_set_moving_only_its_columns(c
     spec = _bent_transport()
     x, y, v = _wave_grid_jet(np.random.default_rng(3))
     out, converged = newton_onto_constraint(spec, x, y, v, cols, 1e-12, 50)
-    assert converged
+    assert converged.shape == (16,) and converged.all()
     assert np.max(np.abs(spec.values_arrays(x, y, out))) < 1e-12
     fixed = np.ones(2, dtype=bool)
     fixed[cols] = False
@@ -292,7 +292,7 @@ def test_newton_puts_a_fluid_grid_on_the_constraint_set_moving_only_its_columns(
     x, y, v = state.jet_arrays()
     assert np.max(np.abs(spec.values_arrays(x, y, v))) > 1e-3
     out, converged = newton_onto_constraint(spec, x, y, v, slice(1, None), 1e-12, 50)
-    assert converged
+    assert converged.shape == G and converged.all()
     assert np.max(np.abs(spec.values_arrays(x, y, out))) < 1e-12
     assert np.array_equal(out[..., 0], v[..., 0])
 
@@ -304,7 +304,7 @@ def test_newton_without_a_real_root_does_not_converge():
     spec = ConstraintSpec(Dims(1, 1, 1), [lambda x, y, v: v[0][0] * v[0][0] + 1.0])
     x, y, v = _wave_grid_jet(np.random.default_rng(4))
     out, converged = newton_onto_constraint(spec, x, y, v, slice(None), 1e-12, 50)
-    assert not converged and np.isfinite(out).all()
+    assert not converged.any() and np.isfinite(out).all()
     with pytest.raises(NhfieldsError, match="Newton projection onto the constraint set failed"):
         sample_constraint_point(make_model("wave"), spec, np.random.default_rng(4))
 
@@ -314,6 +314,80 @@ def test_newton_on_non_finite_constraint_values_raises():
     v[3, 0, 1] = np.inf
     with pytest.raises(EvaluationError, match="non-finite constraint values"):
         newton_onto_constraint(_bent_transport(), x, y, v, slice(0, 1), 1e-12, 50)
+
+
+def _evaluate_spy(monkeypatch):
+    """The batch size of every ``ConstraintSpec.evaluate`` call, in order."""
+    sizes = []
+    real = ConstraintSpec.evaluate
+
+    def counted(self, x, y, v):
+        sizes.append(int(np.prod(np.shape(v)[:-2])))
+        return real(self, x, y, v)
+
+    monkeypatch.setattr(ConstraintSpec, "evaluate", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("cols", [slice(1, 2), slice(None)])
+def test_newton_converges_point_by_point_with_the_bits_of_a_batch_of_one(monkeypatch, cols):
+    spec = _bent_transport()
+    x, y, v = _wave_grid_jet(np.random.default_rng(3))
+    sizes = _evaluate_spy(monkeypatch)
+    passes, alone = [], []
+    for i in range(len(v)):
+        sizes.clear()
+        out_i, converged_i = newton_onto_constraint(spec, x[i], y[i], v[i], cols, 1e-12, 50)
+        assert converged_i.shape == () and converged_i
+        passes.append(len(sizes))
+        alone.append(out_i)
+    assert len(set(passes)) > 1  # the points need different numbers of steps
+    sizes.clear()
+    out, converged = newton_onto_constraint(spec, x, y, v, cols, 1e-12, 50)
+    assert converged.all()
+    assert out.tobytes() == np.stack(alone).tobytes()
+    # (max steps + 1) passes, each over the points that have not converged
+    assert sizes == [sum(n > j for n in passes) for j in range(max(passes))]
+
+
+def test_newton_leaves_a_point_without_a_real_root_and_projects_the_rest():
+    spec = _bent_transport()
+    x, y, v = _wave_grid_jet(np.random.default_rng(3))
+    v[5, 0, 0] = -3.0  # 0.5 v1^2 + 2 v1 + 3 = 0 has no real root
+    out, converged = newton_onto_constraint(spec, x, y, v, slice(1, 2), 1e-12, 50)
+    assert converged.tolist() == [i != 5 for i in range(16)]
+    assert np.isfinite(out).all()
+    rest = np.arange(16) != 5
+    assert np.max(np.abs(spec.values_arrays(x, y, out)[rest])) < 1e-12
+    alone, _ = newton_onto_constraint(spec, x[rest], y[rest], v[rest], slice(1, 2), 1e-12, 50)
+    assert out[rest].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("tol, iters, jointly", [
+    (0.0, 2, False),  # stabilization: every point stays live
+    (1e-12, 50, True),  # one field: every point steps until all are done
+])
+def test_newton_steps_every_point_like_the_whole_batch(monkeypatch, tol, iters, jointly):
+    from helpers import whole_batch_newton
+
+    spec = make_constraint("incompressibility")
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1.0, 1.0, (4, 4, 4)), rng.uniform(-1.0, 1.0, (4, 4, 3))
+    v = np.concatenate([rng.uniform(-0.1, 0.1, (4, 4, 3, 1)),
+                        np.eye(3) + rng.uniform(-0.3, 0.3, (4, 4, 3, 3))], axis=-1)
+    sizes = _evaluate_spy(monkeypatch)
+    out, converged = newton_onto_constraint(spec, x, y, v, slice(None), tol, iters, jointly)
+    assert set(sizes) == {16}
+    passes = len(sizes)
+    sizes.clear()
+    want, want_converged = whole_batch_newton(spec, x, y, v, slice(None), tol, iters)
+    assert len(sizes) == passes
+    assert out.tobytes() == want.tobytes()
+    assert converged.tolist() == [[want_converged] * 4] * 4
+    if jointly:  # on their own, the points would stop at different steps
+        sizes.clear()
+        each, _ = newton_onto_constraint(spec, x, y, v, slice(None), tol, iters)
+        assert len(set(sizes)) > 1 and each.tobytes() != out.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +446,5 @@ def test_newton_makes_one_evaluate_call_per_iteration(monkeypatch):
                         spy("values", ConstraintSpec.values_arrays))
     x, y, v = _wave_grid_jet(np.random.default_rng(3))
     _, converged = newton_onto_constraint(_bent_transport(), x, y, v, slice(None), 0.0, 3)
-    assert not converged
+    assert not converged.any()
     assert counts == {"evaluate": 3, "values": 0}
