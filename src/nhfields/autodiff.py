@@ -5,9 +5,9 @@ directions: values may be scalars or numpy arrays of any batch shape S, and
 grads have shape S+(d,), so whole grids differentiate in one sweep.
 ``Dual2`` additionally propagates the Hessian, the collapsed form of nesting
 first-order duals, and tracks its support: the sorted tuple ``idx`` of the
-s seed directions the value depends on, with the grad of shape S+(s,) and
-the Hessian S+(s, s).  ``Dual2.dense(d)`` reads them back over all d
-directions.
+s seed directions the value depends on, with the grad stored batch last as
+(s,)+S and the Hessian as (s, s)+S.  ``Dual2.dense(d)`` reads them back as
+S+(d,) and S+(d, d) over all d directions.
 
 Lagrangians and constraints are written against the generic helpers here
 (sin, cos, exp, ... , det) so the same code runs on floats and on duals.
@@ -111,44 +111,55 @@ def _union(a: tuple, b: tuple):
 
 
 def _embed(grad, hess, place, s):
-    """grad (..., k) and hess (..., k, k) written into exact zeros of size s
+    """grad (k, ...) and hess (k, k, ...) written into exact zeros of size s
     at ``place``."""
     if place is None:
         return grad, hess
-    g = np.zeros(grad.shape[:-1] + (s,))
-    h = np.zeros(hess.shape[:-2] + (s, s))
+    g = np.zeros((s,) + grad.shape[1:])
+    h = np.zeros((s, s) + hess.shape[2:])
     if isinstance(place, slice):
-        g[..., place] = grad
-        h[..., place, place] = hess
+        g[place] = grad
+        h[place, place] = hess
     else:
         pos, flat = place
-        g[..., pos] = grad
-        h.reshape(h.shape[:-2] + (s * s,))[..., flat] = hess.reshape(
-            hess.shape[:-2] + (-1,))
+        g[pos] = grad
+        h.reshape((s * s,) + h.shape[2:])[flat] = hess.reshape((-1,) + hess.shape[2:])
     return g, h
+
+
+def _widen(x: Dual2, ndim: int):
+    """grad and hess of x with unit axes after the derivative axes, so that
+    they broadcast against a value of ``ndim`` axes."""
+    pad = (1,) * (ndim - x.val.ndim)
+    if not pad:
+        return x.grad, x.hess
+    return (x.grad.reshape(x.grad.shape[:1] + pad + x.grad.shape[1:]),
+            x.hess.reshape(x.hess.shape[:2] + pad + x.hess.shape[2:]))
 
 
 def _common(a: Dual2, b: Dual2):
     """The grads and Hessians of a and b over the union of their supports,
-    and that union."""
+    with as many batch axes as the wider value, and that union."""
+    (ga, ha), (gb, hb) = _widen(a, b.val.ndim), _widen(b, a.val.ndim)
     if a.idx == b.idx:
-        return a.grad, a.hess, b.grad, b.hess, a.idx
+        return ga, ha, gb, hb, a.idx
     union, pa, pb = _union(a.idx, b.idx)
     s = len(union)
-    return (*_embed(a.grad, a.hess, pa, s), *_embed(b.grad, b.hess, pb, s), union)
+    return (*_embed(ga, ha, pa, s), *_embed(gb, hb, pb, s), union)
 
 
 class Dual2:
     """Second-order forward value: f, gradient, and Hessian over its support.
 
     ``idx`` is the sorted tuple of seed directions the value depends on;
-    ``grad`` has shape S+(s,) and ``hess`` S+(s, s) with s = len(idx), so a
-    temporary carries only the directions it touches.  A binary operation
-    writes both operands into exact zeros over the union of their supports
-    and applies the dense formulas there.  Every entry therefore has the
-    bits the full (d, d) propagation gives it, except that an exact zero may
-    carry the other sign.  :meth:`dense` reads the result back over all d
-    directions.
+    ``grad`` (s,)+S and ``hess`` (s, s)+S, s = len(idx), have the batch axes
+    of ``val`` last (unit where they broadcast), so a temporary carries only
+    the directions it touches and every product runs over contiguous batch
+    rows.  A binary operation writes both operands into exact zeros over the
+    union of their supports and applies the dense formulas there.  Every
+    entry therefore has the bits the full (d, d) propagation gives it,
+    except that an exact zero may carry the other sign.  :meth:`dense` reads
+    the result back over all d directions.
     """
 
     __slots__ = ("val", "grad", "hess", "idx")
@@ -169,24 +180,26 @@ class Dual2:
         values = np.asarray(values, dtype=float)
         if not 0 <= index < d:
             raise InvalidArgumentError(f"seed direction {index} is not in 0..{d - 1}")
-        return cls(values, np.ones(values.shape + (1,)),
-                   np.zeros(values.shape + (1, 1)), (int(index),))
+        return cls(values, np.ones((1,) + values.shape),
+                   np.zeros((1, 1) + values.shape), (int(index),))
 
     @classmethod
     def _constant(cls, values):
         values = np.asarray(values, dtype=float)
-        return cls(values, np.zeros(values.shape + (0,)),
-                   np.zeros(values.shape + (0, 0)), ())
+        return cls(values, np.zeros((0,) + values.shape),
+                   np.zeros((0, 0) + values.shape), ())
 
     def dense(self, d):
         """(grad (..., d), hess (..., d, d)) over the seed directions 0..d-1,
         exact zeros off the support."""
-        return _embed(self.grad, self.hess, _placement(self.idx, tuple(range(d))), d)
+        g, h = _embed(self.grad, self.hess, _placement(self.idx, tuple(range(d))), d)
+        return np.moveaxis(g, 0, -1), np.moveaxis(h, (0, 1), (-2, -1))
 
     def __add__(self, o):
         if not isinstance(o, Dual2):
             # + 0.0 turns a -0.0 into 0.0, as adding a lifted zero did
-            return Dual2(self.val + o, self.grad + 0.0, self.hess + 0.0, self.idx)
+            g, h = _widen(self, np.ndim(o))
+            return Dual2(self.val + o, g + 0.0, h + 0.0, self.idx)
         g1, h1, g2, h2, idx = _common(self, o)
         return Dual2(self.val + o.val, g1 + g2, h1 + h2, idx)
 
@@ -198,34 +211,26 @@ class Dual2:
     def __sub__(self, o):
         if not isinstance(o, Dual2):
             # g - 0.0 has the bits of g, so the arrays are shared
-            return Dual2(self.val - o, self.grad, self.hess, self.idx)
+            return Dual2(self.val - o, *_widen(self, np.ndim(o)), self.idx)
         g1, h1, g2, h2, idx = _common(self, o)
         return Dual2(self.val - o.val, g1 - g2, h1 - h2, idx)
 
     def __rsub__(self, o):
-        return Dual2(o - self.val, 0.0 - self.grad, 0.0 - self.hess, self.idx)
+        g, h = _widen(self, np.ndim(o))
+        return Dual2(o - self.val, 0.0 - g, 0.0 - h, self.idx)
 
     def __mul__(self, o):
         if not isinstance(o, Dual2):  # cheap scalar/array path
             o = np.asarray(o, dtype=float)
-            return Dual2(
-                self.val * o,
-                self.grad * o[..., None],
-                self.hess * o[..., None, None],
-                self.idx,
-            )
+            g, h = _widen(self, o.ndim)
+            return Dual2(self.val * o, g * o, h * o, self.idx)
         g1, h1, g2, h2, idx = _common(self, o)
-        cross = g1[..., :, None] * g2[..., None, :]
+        cross = g1[:, None] * g2[None, :]
         # in place, but summed in the dense order, so with the dense bits
-        hess = self.val[..., None, None] * h2 + o.val[..., None, None] * h1
+        hess = self.val * h2 + o.val * h1
         hess += cross
-        hess += np.swapaxes(cross, -1, -2)
-        return Dual2(
-            self.val * o.val,
-            self.val[..., None] * g2 + o.val[..., None] * g1,
-            hess,
-            idx,
-        )
+        hess += np.swapaxes(cross, 0, 1)
+        return Dual2(self.val * o.val, self.val * g2 + o.val * g1, hess, idx)
 
     __rmul__ = __mul__
 
@@ -248,13 +253,8 @@ class Dual2:
 
     def _chain(self, f, df, d2f):
         """Compose with a scalar map given f, f', f'' at self.val."""
-        outer = self.grad[..., :, None] * self.grad[..., None, :]
-        return Dual2(
-            f,
-            df[..., None] * self.grad,
-            df[..., None, None] * self.hess + d2f[..., None, None] * outer,
-            self.idx,
-        )
+        outer = self.grad[:, None] * self.grad[None, :]
+        return Dual2(f, df * self.grad, df * self.hess + d2f * outer, self.idx)
 
     def __repr__(self):
         return f"Dual2(val={self.val!r}, idx={self.idx!r})"

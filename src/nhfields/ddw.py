@@ -16,6 +16,7 @@ solve of every case, batched; the pointwise solvers are batches of one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -87,11 +88,12 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
     tangency equations H_mu(phi_alpha) = 0 for mu < L; the spatial rows of
     a pinned block are fixed by the pinned data and generically not
     satisfiable exactly (``nh_ddw_residual`` still reports them).  The
-    minimum-norm (pseudo-inverse) solution must solve the system at every
-    point, to _SOLVE_TOL * max(1, max|rhs|): the first point where it does
-    not raises DdwSolveError, naming the grid point when the batch has axes,
-    or, when ``errors`` is given, each such point's error goes there, keyed
-    by point index.  Returns the solved block (..., m, L, n+1) and the
+    minimum-norm solution x = A^T y, (A A^T) y = b, must solve the system
+    at every point, to _SOLVE_TOL * max(1, max|rhs|), else the point is
+    solved again by pseudo-inverse; where that fails too, the first point
+    raises DdwSolveError, naming the grid point when the batch has axes,
+    or, when ``errors`` is given, each point's error goes there, keyed by
+    point index.  Returns the solved block (..., m, L, n+1) and the
     multipliers lambda^alpha_mu (..., k, n+1).
     """
     m, nx = v.shape[-2:]
@@ -123,9 +125,27 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
         A[..., m:, :n_gamma] = tang.reshape(batch + (k * L, n_gamma))
         rows = -dphi[..., :L] - dphi[..., nx : nx + m] @ v[..., :L]
         b = np.concatenate([b, rows.reshape(batch + (k * L,))], axis=-1)
-    sol = np.einsum("...ij,...j->...i", np.linalg.pinv(A), b)
-    resid = np.max(np.abs(np.einsum("...ij,...j->...i", A, sol) - b), axis=-1, initial=0.0)
-    scale = np.maximum(1.0, np.max(np.abs(b), axis=-1, initial=0.0))
+    bound = _SOLVE_TOL * np.maximum(1.0, np.max(np.abs(b), axis=-1, initial=0.0))
+
+    def residual(x):
+        return np.max(np.abs(np.einsum("...ij,...j->...i", A, x) - b), axis=-1, initial=0.0)
+
+    # x = A^T y is in the row space of A: when it solves the system it has
+    # minimum norm.  A singular Gram matrix A A^T leaves its point NaN
+    with np.errstate(all="ignore"):
+        gram = A @ np.swapaxes(A, -1, -2)
+        y = np.full(b.shape, np.nan)
+        try:
+            y = np.linalg.solve(gram, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for idx in np.ndindex(batch):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    y[idx] = np.linalg.solve(gram[idx], b[idx])
+        sol = np.einsum("...ji,...j->...i", A, y)
+        redo = ~(residual(sol) <= bound)  # NaN included
+    if redo.any():
+        sol[redo] = np.einsum("...ij,...j->...i", np.linalg.pinv(A[redo]), b[redo])
+    resid = residual(sol)
 
     def error(idx, where=""):
         return DdwSolveError(
@@ -133,7 +153,7 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
             f"{resid[idx]:.3e}"
         )
 
-    found = errors_at(resid > _SOLVE_TOL * scale, error)
+    found = errors_at(resid > bound, error)
     if errors is not None:
         errors.update(found)
     elif found:

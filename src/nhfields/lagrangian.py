@@ -43,10 +43,10 @@ from .jet import (
 # wave.  A regular L has a nonsingular v-Hessian, so it depends on every v
 # input and each chunk's result carries at least this block.  Most Dual2
 # temporaries carry the Hessian of a small support (1 to 9 of the fluid's 12
-# directions), so per-call overhead, not memory traffic, sets their cost, and
-# larger chunks pay it fewer times.  On an 8^3 fluid evolve, 256 points ran
-# about 1.6x the steps/s of 64 at the same peak RSS; 512 points (the whole
-# grid) added 1.8 MB.
+# directions), so per-call overhead sets much of their cost, and larger
+# chunks pay it fewer times: an 8^3 fluid bundle took 1.6x to 2x as long in
+# 64-point chunks as in 256-point ones, and one 512-point chunk was not
+# consistently faster than two of 256.
 _CHUNK_BYTES = 256 * 8 * 12 * 12
 
 # a point is regular when its Hessian's condition number is below this
@@ -162,8 +162,8 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
         L[s] = out.val
         idx = np.array(out.idx, dtype=np.intp)
         vsel = idx >= nx + m  # support entries that are v inputs
-        grad[s, idx] = out.grad
-        hv[s, idx[:, None], idx[vsel] - (nx + m)] = out.hess[..., vsel]
+        grad[s, idx] = out.grad.T
+        hv[s, idx[:, None], idx[vsel] - (nx + m)] = np.moveaxis(out.hess[:, vsel], -1, 0)
     bundle = DerivativeBundle(
         L.reshape(batch),
         grad[:, nx : nx + m].reshape(batch + (m,)),

@@ -57,11 +57,12 @@ def test_batched_values_match_scalar():
     xs = np.linspace(0.1, 1.0, 7)
     ys = np.linspace(-1.0, -0.1, 7)
     out = poly([ad.Dual2.seed(xs, 2, 0), ad.Dual2.seed(ys, 2, 1)])
+    grad, hess = out.dense(2)
     for i in range(7):
         single = poly(seed2([xs[i], ys[i]]))
         assert out.val[i] == pytest.approx(float(single.val))
-        assert np.allclose(out.grad[i], single.grad)
-        assert np.allclose(out.hess[i], single.hess)
+        assert np.allclose(grad[i], single.dense(2)[0])
+        assert np.allclose(hess[i], single.dense(2)[1])
 
 
 def test_unary_functions():
@@ -155,17 +156,20 @@ WITH_CONSTANT = {
 
 
 @st.composite
-def compositions(draw, shapes=((), (1,), (5,))):
+def compositions(draw, shapes=((), (1,), (5,)), mixed=False):
     """(batch shape, leaves, steps): each leaf is a seed direction (None for
     a constant dual) with its values; each step appends one result computed
-    from earlier registers (indices taken modulo the register count)."""
+    from earlier registers (indices taken modulo the register count).  With
+    ``mixed`` every leaf and array constant draws its own shape from
+    ``shapes``, and the batch shape returned is their broadcast."""
     shape = draw(st.sampled_from(shapes))
-    size = int(np.prod(shape))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
 
     def values(elements):
+        vshape = draw(st.sampled_from(shapes)) if mixed else shape
+        size = int(np.prod(vshape))
         vals = np.array(draw(st.lists(elements, min_size=size, max_size=size)))
-        return vals.reshape(shape)
+        return vals.reshape(vshape)
 
     leaves = [(draw(st.one_of(st.none(), st.integers(0, DIRS - 1))), values(unit))
               for _ in range(draw(st.integers(1, 4)))]
@@ -186,6 +190,9 @@ def compositions(draw, shapes=((), (1,), (5,))):
         else:
             size_det = 2 if kind == "det2" else 3
             steps.append((kind, [draw(reg) for _ in range(size_det * size_det)]))
+    if mixed:
+        shape = np.broadcast_shapes(*(np.shape(vals) for _, vals in leaves),
+                                    *(np.shape(step[3]) for step in steps if step[0] == "constant"))
     return shape, leaves, steps
 
 
@@ -224,21 +231,56 @@ def same_bits_up_to_zero_sign(a, b):
     return bool(np.all((a.view(np.int64) == b.view(np.int64)) | ((a == 0) & (b == 0))))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(compositions())
-def test_support_tracked_dual2_matches_the_dense_reference(case):
-    shape, leaves, steps = case
+def check_against_the_dense_reference(leaves, steps):
     with np.errstate(all="ignore"):
         out = run_composition(leaves, steps, seeded(ad.Dual2))
         ref = run_composition(leaves, steps, seeded(DenseDual2))
     assert out.idx == tuple(sorted(set(out.idx)))
     assert set(out.idx) <= {d for d, _ in leaves if d is not None}
     s = len(out.idx)
-    assert out.grad.shape[-1:] == (s,) and out.hess.shape[-2:] == (s, s)
+    assert out.grad.shape[:1] == (s,) and out.hess.shape[:2] == (s, s)
     grad, hess = out.dense(DIRS)
     assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
     assert same_bits_up_to_zero_sign(grad, ref.grad)
     assert same_bits_up_to_zero_sign(hess, ref.hess)
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(compositions())
+def test_support_tracked_dual2_matches_the_dense_reference(case):
+    shape, leaves, steps = case
+    check_against_the_dense_reference(leaves, steps)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(compositions(shapes=((), (1,), (5,)), mixed=True))
+def test_leaves_and_constants_of_different_batch_shapes_broadcast_as_the_dense_reference(case):
+    shape, leaves, steps = case
+    out = check_against_the_dense_reference(leaves, steps)
+    # the derivative arrays carry the batch axes of the value, unit where
+    # they broadcast
+    assert np.broadcast_shapes(out.val.shape, out.grad.shape[1:], out.hess.shape[2:]) == (
+        out.val.shape)
+    assert out.grad.ndim - 1 == out.hess.ndim - 2 == out.val.ndim
+    assert np.broadcast_shapes(out.val.shape, shape) == shape
+
+
+def test_one_composition_mixes_scalar_and_batched_leaves_and_constants():
+    """Scalar and (5,) leaves, a (5,) constant dual and (5,) array constants
+    meet in every kind of operation of one composition."""
+    rng = np.random.default_rng(4)
+    c = rng.uniform(0.5, 1.5, 5)
+    leaves = [(0, np.array(0.3)), (1, rng.uniform(-1, 1, 5)), (None, rng.uniform(-1, 1, 5)),
+              (2, np.array(-0.7))]
+    steps = [("binary", "mul", 0, 1), ("binary", "add", 3, 2), ("constant", "add", 0, c),
+             ("constant", "rsub", 3, c), ("constant", "mul", 0, -c), ("constant", "rdiv", 3, c),
+             ("constant", "div", 0, c), ("constant", "sub", 3, c), ("binary", "div", 0, 3),
+             ("unary", "sin", 4), ("det2", [0, 1, 6, 3]), ("binary", "sub", 0, 2),
+             ("binary", "mul", 13, 15), ("det3", [0, 3, 6, 7, 8, 9, 10, 11, 12]),
+             ("binary", "mul", 16, 17)]
+    out = check_against_the_dense_reference(leaves, steps)
+    assert out.val.shape == (5,) and out.idx == (0, 1, 2)
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

@@ -361,6 +361,23 @@ def _spy(monkeypatch, counts, owner, name, key):
     monkeypatch.setattr(owner, name, counted)
 
 
+def test_a_fluid_field_evaluation_takes_no_pseudo_inverse(monkeypatch):
+    """The temporal De Donder-Weyl solve of the fluid goes by its Gram
+    matrices at every point of the 4^3 smoke state (the CLI's fluid evolve
+    defaults on a 4^3 grid), so one field evaluation makes no ``pinv``."""
+    from nhfields.cli import build_initial_state, build_scenario, load_config
+
+    cfg = load_config(overrides={
+        "task": "evolve", "model": {"name": "fluid", "params": {"kappa": 1.0, "beta": 1.0}},
+        "constraint": {"name": "incompressibility"}, "grid": {"nu": 4}, "steps": 1})
+    model, spec = build_scenario(cfg)
+    state = build_initial_state(cfg, model, spec)
+    counts = {"pinv": 0}
+    _spy(monkeypatch, counts, np.linalg, "pinv", "pinv")
+    cauchy._evaluate(model, spec, state, "spectral")
+    assert counts["pinv"] == 0
+
+
 @pytest.mark.parametrize("integrator, stages", [("rk4", 4), ("euler", 1)])
 @pytest.mark.parametrize("constrained", [False, True])
 def test_evolve_reuses_the_recorded_field_as_first_stage(monkeypatch, integrator,

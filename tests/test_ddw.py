@@ -18,7 +18,12 @@ from nhfields.ddw import (
 )
 from nhfields.exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
 from nhfields.jet import Dims, Jet2Point, JetPoint
-from nhfields.lagrangian import derivative_bundle, derivative_bundle_arrays, make_model
+from nhfields.lagrangian import (
+    LagrangianModel,
+    derivative_bundle,
+    derivative_bundle_arrays,
+    make_model,
+)
 from nhfields.projector import build_projectors, solve_zeta
 
 from helpers import (
@@ -368,6 +373,85 @@ def test_a_point_batch_solve_collects_the_error_of_each_unsolved_point():
         solve_ddw(bundle, v)
     with pytest.raises(DdwSolveError, match="system: least"):
         solve_free_ddw(bundle_at(bundle, 1), v[1])
+
+
+def mixed_model(b=0.5):
+    """L = v0^2/2 + b v0 v1 - v1^2/2 on n = m = 1, whose Hessian couples the
+    temporal and the spatial slot."""
+    def fn(x, y, v):
+        return 0.5 * (v[0][0] * v[0][0]) + b * (v[0][0] * v[0][1]) - 0.5 * (v[0][1] * v[0][1])
+    return LagrangianModel("mixed", Dims(1, 1), fn)
+
+
+def stacked_scenario(name, rng, count):
+    """(bundle, v, dphi, coeffs) of ``count`` stacked points on the
+    constraint set: the mixed Lagrangian under linear transport (k = 1), or
+    the coupled quadratic fields (k = 2)."""
+    if name == "mixed":
+        model, spec = mixed_model(), make_constraint("linear-transport", {"speed": 2.0})
+        points = [wave_on_constraint_point(rng) for _ in range(count)]
+    else:
+        scenarios = [oracle_scenario("coupled", rng) for _ in range(count)]
+        (model, spec), points = scenarios[0][:2], [sc[2] for sc in scenarios]
+    v = np.stack([p.v for p in points])
+    bundle = derivative_bundle_arrays(model, np.stack([p.x for p in points]),
+                                      np.stack([p.y for p in points]), v)
+    cps = [spec.at(p) for p in points]
+    return bundle, v, np.stack([cp.dphi for cp in cps]), np.stack([cp.coeffs for cp in cps])
+
+
+@pytest.mark.parametrize("name", ["mixed", "coupled"])
+def test_the_row_space_solution_is_the_pseudo_inverse_one(monkeypatch, name):
+    """solve_ddw takes x = A^T y, (A A^T) y = b, at every point, free and
+    constrained, pinned and not; it is pinv(A) b, which solve_ddw computes
+    when every Gram solve fails, to 1e-12 relative.  A random dL/dy keeps
+    the right side of the free equations from vanishing."""
+    rng = np.random.default_rng(31)
+    bundle, v, dphi, coeffs = stacked_scenario(name, rng, 6)
+    bundle.dLdy[...] += rng.uniform(-1, 1, bundle.dLdy.shape)
+    m, nx = v.shape[-2:]
+    counts = {"pinv": 0}
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        counts["pinv"] += 1
+        return pinv(*args, **kwargs)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    for spatial in (None, rng.uniform(-1, 1, (6, m, nx - 1, nx))):
+        for constraint in ((), (dphi, coeffs)):
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "pinv", counted)
+                got = solve_ddw(bundle, v, spatial, *constraint)
+            assert counts["pinv"] == 0
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "solve", singular)
+                want = solve_ddw(bundle, v, spatial, *constraint)
+            for x, ref in zip(got, want):
+                scale = np.max(np.abs(ref), initial=0.0)
+                assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * scale
+
+
+def test_a_zero_system_solves_to_zeros_and_the_others_keep_their_bits():
+    """A point whose Hessian and right side vanish has a singular Gram
+    matrix: it is solved to zeros without error, and the batch, solved
+    point by point, gives the other points their batch-of-one bits."""
+    rng = np.random.default_rng(9)
+    bundle, v, dphi, coeffs = stacked_scenario("mixed", rng, 3)
+    for field in ("H", "dLdy", "d2Ldydv", "d2Ldxdv"):
+        getattr(bundle, field)[1] = 0.0
+    for spatial in (None, rng.uniform(-1, 1, (3, 1, 1, 2))):
+        errors = {}
+        block, lam = solve_ddw(bundle, v, spatial, errors=errors)
+        assert errors == {}
+        assert np.array_equal(block[1], np.zeros_like(block[1]))
+        assert np.array_equal(solve_ddw(bundle, v, spatial)[0], block)
+        for i in (0, 2):
+            fixed = None if spatial is None else spatial[i]
+            sol = solve_free_ddw(bundle_at(bundle, i), v[i], fixed)
+            assert np.array_equal(sol.coeffs.Gamma2[:, : block.shape[2]], block[i])
 
 
 @pytest.mark.parametrize("name", ["wave", "fluid", "coupled"])
