@@ -130,11 +130,10 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
     def residual(x):
         return np.max(np.abs(np.einsum("...ij,...j->...i", A, x) - b), axis=-1, initial=0.0)
 
-    # x = A^T y is in the row space of A: when it solves the system it has
-    # minimum norm.  A singular Gram matrix A A^T leaves its point NaN
-    with np.errstate(all="ignore"):
+    # x = A^T y, in the row space of A, has minimum norm if it solves A x = b
+    with np.errstate(all="ignore"):  # an overflow sends its point to pinv
         gram = A @ np.swapaxes(A, -1, -2)
-        y = np.full(b.shape, np.nan)
+        y = np.full(b.shape, np.nan)  # where the Gram matrix is singular
         try:
             y = np.linalg.solve(gram, b[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -142,10 +141,11 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
                 with contextlib.suppress(np.linalg.LinAlgError):
                     y[idx] = np.linalg.solve(gram[idx], b[idx])
         sol = np.einsum("...ji,...j->...i", A, y)
-        redo = ~(residual(sol) <= bound)  # NaN included
+        resid = residual(sol)
+    redo = ~(resid <= bound)  # NaN included
     if redo.any():
         sol[redo] = np.einsum("...ij,...j->...i", np.linalg.pinv(A[redo]), b[redo])
-    resid = residual(sol)
+        resid = residual(sol)
 
     def error(idx, where=""):
         return DdwSolveError(

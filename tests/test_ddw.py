@@ -444,7 +444,7 @@ def test_a_zero_system_solves_to_zeros_and_the_others_keep_their_bits():
         getattr(bundle, field)[1] = 0.0
     for spatial in (None, rng.uniform(-1, 1, (3, 1, 1, 2))):
         errors = {}
-        block, lam = solve_ddw(bundle, v, spatial, errors=errors)
+        block, _ = solve_ddw(bundle, v, spatial, errors=errors)
         assert errors == {}
         assert np.array_equal(block[1], np.zeros_like(block[1]))
         assert np.array_equal(solve_ddw(bundle, v, spatial)[0], block)
