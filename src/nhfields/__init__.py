@@ -44,9 +44,7 @@ from .jet import (
     Dims,
     Jet2Point,
     JetPoint,
-    SectionSamples,
     contact_eval,
-    prolong_section,
     semiholonomic_residual,
 )
 from .lagrangian import (

@@ -61,7 +61,7 @@ def grid_derivative(arr: np.ndarray, n: int, method: str = "spectral") -> np.nda
     for axis in range(n):
         N = arr.shape[axis]
         if method == "fd4":
-            out.append(periodic_derivative(arr, 1.0 / N, axis=axis, order=4))
+            out.append(periodic_derivative(arr, 1.0 / N, axis=axis))
         else:
             k = 2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)
             shape = [1] * arr.ndim

@@ -51,7 +51,7 @@ from .exceptions import (
     NhfieldsError,
 )
 from .fluid import null_lagrangian_residual, psi_divergence_residual
-from .jet import _STENCILS, ConnectionCoeffs, JetPoint, connection_errors, semiholonomic_residuals
+from .jet import STENCIL, ConnectionCoeffs, JetPoint, connection_errors, semiholonomic_residuals
 # derivative_bundle is no longer called here; it stays bound because the
 # benchmark harness test (bench/tests/test_harness.py) traces it as cli's alias
 from .lagrangian import (  # noqa: F401
@@ -247,7 +247,7 @@ def load_config(path=None, overrides=None) -> dict:
             f"constraint.coeffs_csv must be empty unless constraint.mode is custom, "
             f"got {ccfg['coeffs_csv']!r} with mode {ccfg['mode']!r}"
         )
-    width = len(_STENCILS[4])
+    width = len(STENCIL)
     if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
         raise ConfigError(
             f"grid.nu = {cfg['grid']['nu']} is too small for the fd4 stencil, "

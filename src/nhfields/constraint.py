@@ -332,30 +332,23 @@ def _ranks(mats: np.ndarray, label: str):
 # ---------------------------------------------------------------------------
 # built-in constraint registry
 
-def linear_transport_constraint(dims: Dims | None = None,
-                                speed: float = 2.0) -> ConstraintSpec:
+def linear_transport_constraint(speed: float = 2.0) -> ConstraintSpec:
     """phi = v_0 - speed * v_1 for a single field on a 1+1 base."""
-    dims = dims or Dims(1, 1, 1)
-    if dims.k != 1 or dims.m != 1 or dims.n != 1:
-        raise InvalidArgumentError("linear-transport needs n=1, m=1, k=1")
 
     def phi(x, y, v):
         return v[0][0] - speed * v[0][1]
 
-    return ConstraintSpec(dims, [phi], name="linear-transport")
+    return ConstraintSpec(Dims(1, 1, 1), [phi], name="linear-transport")
 
 
-def incompressibility_constraint(dims: Dims | None = None) -> ConstraintSpec:
+def incompressibility_constraint() -> ConstraintSpec:
     """phi = det(spatial jet block) - 1 for the 3+1 continuum scenario."""
-    dims = dims or Dims(3, 3, 1)
-    if dims.k != 1 or dims.m != dims.n:
-        raise InvalidArgumentError("incompressibility needs m = n and k = 1")
 
     def phi(x, y, v):
-        spatial = [[v[a][i + 1] for i in range(dims.n)] for a in range(dims.m)]
+        spatial = [[v[a][i + 1] for i in range(3)] for a in range(3)]
         return ad.det(spatial) - 1.0
 
-    return ConstraintSpec(dims, [phi], name="incompressibility")
+    return ConstraintSpec(Dims(3, 3, 1), [phi], name="incompressibility")
 
 
 CONSTRAINTS: dict[str, Callable] = {
@@ -369,10 +362,7 @@ def make_constraint(name: str, params=None) -> ConstraintSpec:
         raise InvalidArgumentError(
             f"unknown constraint {name!r}; available: {sorted(CONSTRAINTS)}"
         )
-    params = dict(params or {})
-    if "dims" in params:
-        raise InvalidArgumentError(f"dims is not a parameter of constraint {name!r}")
-    return CONSTRAINTS[name](**params)
+    return CONSTRAINTS[name](**dict(params or {}))
 
 
 def load_custom_coeffs_csv(path, dims: Dims) -> np.ndarray:

@@ -207,7 +207,7 @@ def null_lagrangian_residual(section, shape=(16, 16, 16, 16),
     K = J[..., None, None] * np.swapaxes(np.linalg.inv(vsp), -1, -2)
     div = np.zeros(shape + (3,))
     for i in range(3):
-        div += periodic_derivative(K[..., :, i], spacings[1 + i], axis=1 + i, order=4)
+        div += periodic_derivative(K[..., :, i], spacings[1 + i], axis=1 + i)
     return float(np.max(np.abs(_interior(div, (1, 2, 3)))))
 
 
@@ -232,6 +232,6 @@ def psi_divergence_residual(section, shape=(8, 8, 8, 8),
     ) / 3.0
     div = np.zeros(shape)
     for i in range(3):
-        div += periodic_derivative(psi[..., i], spacings[1 + i], axis=1 + i, order=4)
+        div += periodic_derivative(psi[..., i], spacings[1 + i], axis=1 + i)
     phi = J - 1.0
     return float(np.max(np.abs(_interior(phi - div, (1, 2, 3)))))

@@ -1,4 +1,5 @@
-"""Jet coordinates, numerical prolongation, contact forms, connections.
+"""Jet coordinates, contact forms, minors, connections, and the one
+periodic central-difference stencil.
 
 Coordinates follow the fixed layout: base x^mu with mu = 0..n (x^0 plays the
 role of time in Cauchy mode), fields y^a with a = 0..m-1, jet entries
@@ -313,172 +314,25 @@ def semiholonomic_residual(c: ConnectionCoeffs, p: JetPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numerical prolongation of sampled sections (n = 1, periodic in u)
+# the one central-difference stencil
 
-_STENCILS = {
-    4: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
-    6: np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0,
-}
+# fourth-order central first-derivative weights at offsets -2..2
+STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+STENCIL.flags.writeable = False  # module-wide, so shared by every caller
 
 
-def periodic_derivative(values: np.ndarray, h: float, axis: int = 0, order: int = 6):
-    """Central-difference first derivative on a periodic grid."""
-    if order not in _STENCILS:
-        raise InvalidArgumentError(f"stencil order must be one of {sorted(_STENCILS)}")
-    w = _STENCILS[order]
-    r = len(w) // 2
-    if values.shape[axis] < len(w):
+def periodic_derivative(values: np.ndarray, h: float, axis: int = 0):
+    """Fourth-order central-difference first derivative along ``axis`` of a
+    grid with spacing h, periodic in that axis: ``STENCIL`` applied by
+    rolling, so the values within two points of either end wrap around."""
+    r = len(STENCIL) // 2
+    if values.shape[axis] < len(STENCIL):
         raise InvalidArgumentError(
-            f"need at least {len(w)} points per periodic direction for order {order}"
+            f"need at least {len(STENCIL)} points per periodic direction for the "
+            "fourth-order stencil"
         )
     out = np.zeros_like(np.asarray(values, dtype=float))
-    for s, c in zip(range(-r, r + 1), w):
+    for s, c in zip(range(-r, r + 1), STENCIL):
         if c != 0.0:
             out += c * np.roll(values, -s, axis=axis)
     return out / h
-
-
-@dataclass(frozen=True)
-class SectionSamples:
-    """Field samples y(t_i, u_j) on a uniform periodic spatial grid.
-
-    ts: (Nt,) times; us: (Nu,) spatial points in [0, 1); y: (Nt, Nu, m).
-    Optional analytic time slices ydot, yddot (same shape as y) are used for
-    temporal derivatives when present; otherwise finite differences in t.
-    """
-
-    ts: np.ndarray
-    us: np.ndarray
-    y: np.ndarray
-    ydot: np.ndarray | None = None
-    yddot: np.ndarray | None = None
-
-    def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        us = np.asarray(self.us, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if y.shape[:2] != (len(ts), len(us)) or y.ndim != 3:
-            raise InvalidArgumentError(
-                f"y shape {y.shape} inconsistent with {len(ts)} times, {len(us)} points"
-            )
-        for name in ("ydot", "yddot"):
-            arr = getattr(self, name)
-            if arr is not None and np.asarray(arr).shape != y.shape:
-                raise InvalidArgumentError(f"{name} must match y shape {y.shape}")
-        du = np.diff(us)
-        if len(us) > 1 and np.max(np.abs(du - du[0])) > 1e-12:
-            raise InvalidArgumentError("spatial grid must be uniform")
-        if len(ts) > 1:
-            dt = np.diff(ts)
-            if np.max(np.abs(dt - dt[0])) > 1e-12:
-                raise InvalidArgumentError("time samples must be uniform")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "us", us)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def h(self) -> float:
-        return float(self.us[1] - self.us[0]) if len(self.us) > 1 else 1.0
-
-
-def _check_periodic(samples: SectionSamples, order: int):
-    """Reject samples whose wrap-around jump is inconsistent with smoothness.
-
-    On a periodic grid the jump |y[0] - y[-1]| should be comparable to the
-    interior one-step differences; a non-periodic section like y = u makes
-    the wrap jump ~N times larger.
-    """
-    y = samples.y
-    if y.shape[1] < len(_STENCILS[order]):
-        raise InvalidArgumentError(
-            f"need at least {len(_STENCILS[order])} points per periodic direction"
-        )
-    interior = np.abs(np.diff(y, axis=1))
-    wrap = np.abs(y[:, 0, :] - y[:, -1, :])
-    scale = max(np.max(interior, initial=0.0), 1e-12 * (1.0 + np.max(np.abs(y))))
-    if np.max(wrap, initial=0.0) > 10.0 * scale:
-        raise InvalidArgumentError(
-            "section samples are not periodic in u (wrap jump "
-            f"{np.max(wrap):.3g} vs interior scale {scale:.3g})"
-        )
-
-
-def prolong_section(samples: SectionSamples, target: tuple[int, int], order: int = 6) -> Jet2Point:
-    """Second-order jet of a sampled section at grid index (it, iu).
-
-    Spatial derivatives use central stencils of the given order on the
-    periodic grid; temporal derivatives use the analytic ydot/yddot slices
-    when available and finite differences in t otherwise.  The mixed block
-    of w is symmetrized by averaging.
-    """
-    _check_periodic(samples, order)
-    it, iu = target
-    Nt, Nu, m = samples.y.shape
-    if not (0 <= it < Nt and 0 <= iu < Nu):
-        raise InvalidArgumentError(f"target {target} outside grid {(Nt, Nu)}")
-    h = samples.h
-
-    y_row = samples.y[it]  # (Nu, m)
-    du_y = periodic_derivative(y_row, h, axis=0, order=order)
-    du2_y = periodic_derivative(du_y, h, axis=0, order=order)
-
-    if samples.ydot is not None:
-        ydot_row = np.asarray(samples.ydot, dtype=float)[it]
-    else:
-        ydot_row = _time_derivative(samples.y, samples.ts, it)
-    if samples.yddot is not None:
-        yddot_row = np.asarray(samples.yddot, dtype=float)[it]
-    elif samples.ydot is not None:
-        yddot_row = _time_derivative(np.asarray(samples.ydot, dtype=float), samples.ts, it)
-    else:
-        yddot_row = _second_time_derivative(samples.y, samples.ts, it)
-    du_ydot = periodic_derivative(ydot_row, h, axis=0, order=order)
-
-    x = np.array([samples.ts[it], samples.us[iu]])
-    y = samples.y[it, iu]
-    v = np.stack([ydot_row[iu], du_y[iu]], axis=-1)  # (m, 2)
-
-    w = np.zeros((m, 2, 2))
-    w[:, 0, 0] = yddot_row[iu]
-    w[:, 1, 1] = du2_y[iu]
-    # mixed derivative: d_u(ydot); the pure-FD path in t of du_y gives the
-    # transposed estimate and the two are averaged
-    if samples.ydot is not None:
-        mixed = du_ydot[iu]
-        w[:, 0, 1] = w[:, 1, 0] = mixed
-    else:
-        dudt = _time_derivative(
-            periodic_derivative(samples.y, h, axis=1, order=order), samples.ts, it
-        )[iu]
-        w[:, 0, 1] = w[:, 1, 0] = 0.5 * (du_ydot[iu] + dudt)
-    return Jet2Point(JetPoint(x, y, v), w)
-
-
-def mixed_partial_defect(samples: SectionSamples, order: int = 6) -> float:
-    """Max asymmetry of the mixed second derivatives before averaging.
-
-    Compares d_u(ydot) against d_t(d_u y) on interior time slices (the
-    boundary slices only admit one-sided differences, which would swamp a
-    genuine inconsistency of the supplied time derivatives).
-    """
-    if samples.ydot is None or len(samples.ts) < 3:
-        return 0.0
-    h = samples.h
-    a = periodic_derivative(np.asarray(samples.ydot, dtype=float), h, axis=1, order=order)
-    b = np.gradient(
-        periodic_derivative(samples.y, h, axis=1, order=order), samples.ts, axis=0
-    )
-    return float(np.max(np.abs(a - b)[1:-1]))
-
-
-def _time_derivative(arr: np.ndarray, ts: np.ndarray, it: int) -> np.ndarray:
-    if len(ts) < 2:
-        raise InvalidArgumentError("temporal derivative needs at least 2 time slices")
-    return np.gradient(arr, ts, axis=0)[it]
-
-
-def _second_time_derivative(arr: np.ndarray, ts: np.ndarray, it: int) -> np.ndarray:
-    if len(ts) < 3:
-        raise InvalidArgumentError("second temporal derivative needs >= 3 time slices")
-    return np.gradient(np.gradient(arr, ts, axis=0), ts, axis=0)[it]
-

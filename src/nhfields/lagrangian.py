@@ -90,11 +90,6 @@ class DerivativeBundle:
     d2Ldydv: np.ndarray
     d2Ldxdv: np.ndarray
 
-    @property
-    def dims(self) -> Dims:
-        m, nx = self.dLdv.shape[-2:]
-        return Dims(nx - 1, m)
-
     def __getitem__(self, idx) -> "DerivativeBundle":
         """The bundle indexed by ``idx`` on its leading batch axes: a point,
         a mask, or slices with None, which insert unit axes."""

@@ -38,10 +38,6 @@ class ZetaBasis:
 
     zeta: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.zeta.shape[0]
-
     def dense(self) -> np.ndarray:
         """Rows (k, N) of the zeta vectors in the full layout."""
         return dense_rows(self.zeta)
