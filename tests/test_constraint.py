@@ -47,6 +47,14 @@ def basis(i, n=1, m=1):
     return TangentVector.basis(i, n, m)
 
 
+def test_builtin_constraints_have_fixed_dims():
+    assert make_constraint("linear-transport").dims == Dims(1, 1, 1)
+    assert make_constraint("incompressibility").dims == Dims(3, 3, 1)
+    for name in ("linear-transport", "incompressibility"):
+        with pytest.raises(TypeError):
+            make_constraint(name, {"dims": Dims(1, 1, 1)})
+
+
 def test_chetaev_linear_transport():
     spec = make_constraint("linear-transport", {"speed": 2.0})
     p = wave_on_constraint_point(np.random.default_rng(0))

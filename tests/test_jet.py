@@ -1,4 +1,5 @@
-"""Dimensions, contact forms, minors, and semi-holonomicity checks."""
+"""Dimensions, the periodic derivative, contact forms, minors, and
+semi-holonomicity checks."""
 
 import itertools
 
@@ -13,10 +14,12 @@ from nhfields.exterior import TangentVector
 from nhfields.jet import (
     ConnectionCoeffs,
     Dims,
+    STENCIL,
     JetPoint,
     _minors,
     contact_eval,
     deletion_minors,
+    periodic_derivative,
     semiholonomic_residual,
 )
 
@@ -30,6 +33,57 @@ def test_dims_validation():
         Dims(1, 1, 5)
     assert Dims(1, 1, 1).N == 5
     assert Dims(3, 3).N == 19
+
+
+def test_constant_section_has_zero_jet():
+    values = np.full((5, 64), 0.7)
+    for axis in (0, 1):
+        assert np.allclose(periodic_derivative(values, 0.1, axis=axis), 0.0)
+
+
+def test_sine_spatial_derivative_accuracy():
+    # fourth order: halving h cuts the error about 16 times
+    errs = []
+    for n in (128, 256):
+        us = np.arange(n) / n
+        d = periodic_derivative(np.sin(2 * np.pi * us), 1.0 / n)
+        errs.append(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * us)).max())
+    assert errs[1] < 1e-6
+    assert 14.0 < errs[0] / errs[1] < 18.0
+
+
+def test_cubic_polynomial_exact():
+    # the five-point stencil is exact on polynomials of degree <= 4, such as
+    # u^2 (1-u)^2, at every point whose stencil does not wrap around
+    us = np.arange(64) / 64
+    d = periodic_derivative(us * us * (1 - us) ** 2, 1.0 / 64)
+    exact = 2 * us * (1 - us) ** 2 - 2 * us * us * (1 - us)
+    assert np.allclose(d[2:-2], exact[2:-2], rtol=0.0, atol=1e-10)
+
+
+def test_periodic_derivative_along_each_axis():
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((6, 9, 2))
+    rows = np.stack([periodic_derivative(values[i], 0.5) for i in range(6)])
+    assert np.array_equal(periodic_derivative(values, 0.5, axis=1), rows)
+    moved = periodic_derivative(np.moveaxis(values, 0, 2), 0.5, axis=2)
+    assert np.array_equal(periodic_derivative(values, 0.5), np.moveaxis(moved, 2, 0))
+
+
+def test_periodic_derivative_needs_a_full_stencil():
+    with pytest.raises(InvalidArgumentError):
+        periodic_derivative(np.zeros((4, 8)), 0.1)
+    assert periodic_derivative(np.zeros((5, 4)), 0.1).shape == (5, 4)
+
+
+def test_stencil_moments_and_read_only():
+    # sum_s c_s s^k is 0, 1, 0, 0, 0 for k = 0..4: a first derivative exact
+    # on quartics
+    offsets = np.arange(len(STENCIL)) - len(STENCIL) // 2
+    moments = [STENCIL @ offsets.astype(float) ** k for k in range(5)]
+    assert np.allclose(moments, [0.0, 1.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError):
+        STENCIL[0] = 0.0
 
 
 def test_contact_on_vertical_and_horizontal_vectors():
