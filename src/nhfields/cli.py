@@ -12,6 +12,7 @@ fixed seed reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -624,12 +625,22 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
     return dataclasses.replace(state, v0=vj[..., 0])
 
 
+# rows of a table formatted by one % operation: a bound on the text held at
+# once (a 2^18-point fluid state is 5 million values)
+_TABLE_ROWS = 4096
+
+
 def _write_table(path: Path, header: list, blocks):
-    """One CSV file, one 2-D block at a time: %.17g values, commas, CRLF."""
+    """One CSV file, one 2-D block at a time: %.17g values, commas, CRLF.
+    Up to ``_TABLE_ROWS`` rows are formatted by one % operation, with the
+    text of ``np.savetxt``, which formats one row at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block in blocks:
-            np.savetxt(fh, block, fmt="%.17g", delimiter=",", newline="\r\n")
+            row = ",".join(["%.17g"] * block.shape[1]) + "\r\n"
+            for start in range(0, len(block), _TABLE_ROWS):
+                part = block[start : start + _TABLE_ROWS]
+                fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
 def _write_fields_csv(path: Path, states: list):
@@ -776,7 +787,30 @@ def run_scenario(cfg: dict) -> int:
     return run_fluid_identities(cfg, out_dir)
 
 
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed blocks in the process for reuse.  By default a
+    block above 128 KiB gets a mapping of its own, and a free that leaves
+    more than 128 KiB at the top of the heap returns it to the kernel: the
+    9x9 and 12x12 Hessian temporaries of an 8^3 fluid bundle (166 KB and
+    295 KB per chunk) then fault in about 2 MB of fresh zeroed pages per
+    bundle.  Both thresholds are set, since setting either one alone turns
+    off glibc's dynamic thresholds and faults more.  Does nothing where the
+    C library cannot be loaded or has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)  # the glibc ceiling on 64-bit
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="nhfields",
         description="nonholonomic field theory scenario runner",

@@ -78,21 +78,24 @@ class ConstraintSpec:
             [np.asarray(f(*args), dtype=float) for f in self.funcs], axis=-1
         )
 
-    def evaluate(self, x, y, v) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, x, y, v, directions=None) -> tuple[np.ndarray, np.ndarray]:
         """phi_alpha (..., k) and the full differentials d phi_alpha as dense
         rows (..., k, N) over coordinate arrays, from one first-order ``Dual``
         pass whose values are phi with the bits of :meth:`values_arrays`.
+        With ``directions`` (flat jet indices) the rows hold only those
+        columns, in that order, each with the bits of its full-row column.
         Callers test phi for finiteness, so inf * 0 in a gradient is no error."""
         dims = self.dims
         x = np.asarray(x, dtype=float)
         args = seed_inputs(ad.Dual, x, np.asarray(y, dtype=float),
-                           np.asarray(v, dtype=float), dims)
+                           np.asarray(v, dtype=float), dims, directions)
+        d = dims.N if directions is None else len(directions)
         outs = []
         with np.errstate(invalid="ignore"):
             for f in self.funcs:
                 out = f(*args)
                 if not isinstance(out, ad.Dual):
-                    out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], dims.N)
+                    out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], d)
                 outs.append(out)
         return (np.stack([out.val for out in outs], axis=-1),
                 np.stack([out.grad for out in outs], axis=-2))
@@ -187,21 +190,24 @@ def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iter
     max|phi| < tol, for at most ``iters`` steps, and then leaves the batch, so
     its v is not written again.  With ``jointly`` the batch is one field,
     and every point takes steps until the max|phi| of the whole batch is
-    below tol.  A pass makes one ``evaluate`` and one batched ``pinv`` over
-    the points still live; both work point by point, so every point gets
-    the bits it has as a batch of one.  Returns the new v and per batch
+    below tol.  A pass makes one ``evaluate``, which differentiates only in
+    the moved entries of v, and one batched ``pinv`` over the points still
+    live; both work point by point, so every point gets the bits it has as
+    a batch of one.  Returns the new v and per batch
     point whether it met the tolerance (with tol = 0 none does, and every
     point takes all ``iters`` steps).  Non-finite phi at a live point
     raises EvaluationError."""
     shape = np.shape(v)
     m, nx = shape[-2:]
+    moved = np.arange(nx)[cols].tolist()
+    directions = [spec.dims.iv(a, mu) for a in range(m) for mu in moved]
     flat = np.array(v, dtype=float).reshape(-1, m, nx)
     xs = np.broadcast_to(x, shape[:-2] + (nx,)).reshape(-1, nx)
     ys = np.broadcast_to(y, shape[:-2] + (m,)).reshape(-1, m)
     live = np.arange(len(flat))
     converged = np.zeros(len(flat), dtype=bool)
     for _ in range(iters):
-        phi, dphi = spec.evaluate(xs, ys, flat[live])
+        phi, J = spec.evaluate(xs, ys, flat[live], directions)  # J (live, k, m * c)
         if not np.isfinite(phi).all():
             raise EvaluationError("non-finite constraint values in the Newton projection")
         done = np.max(np.abs(phi), axis=-1, initial=0.0) < tol
@@ -209,13 +215,11 @@ def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iter
             done[:] = done.all()
         if done.any():
             converged[live[done]] = True
-            live, xs, ys, phi, dphi = (a[~done] for a in (live, xs, ys, phi, dphi))
+            live, xs, ys, phi, J = (a[~done] for a in (live, xs, ys, phi, J))
             if not live.size:
                 break
-        J = jet_block(dphi, m, nx)[..., cols]  # (live, k, m, c)
-        pinv = np.linalg.pinv(J.reshape(J.shape[:-2] + (-1,)))
-        delta = np.einsum("...ij,...j->...i", pinv, phi)
-        flat[live, :, cols] -= delta.reshape(J.shape[:1] + J.shape[-2:])
+        delta = np.einsum("...ij,...j->...i", np.linalg.pinv(J), phi)
+        flat[live, :, cols] -= delta.reshape(len(live), m, len(moved))
     return flat.reshape(shape), converged.reshape(shape[:-2])
 
 

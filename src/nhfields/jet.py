@@ -60,14 +60,20 @@ class Dims:
         return self.nx + self.m + a * self.nx + mu
 
 
-def seed_inputs(cls, x, y, v, dims: Dims):
+def seed_inputs(cls, x, y, v, dims: Dims, directions=None):
     """The generic-scalar arguments (xs, ys, vs) of a function of the jet,
     as lists over the coordinate arrays x (..., n+1), y (..., m) and
     v (..., m, n+1): plain arrays when ``cls`` is None, else every input
-    seeded as the ``cls`` direction of its flat jet index, out of N."""
+    seeded as the ``cls`` direction of its flat jet index, out of N.  With
+    ``directions`` (flat jet indices) only those inputs are seeded, as
+    directions 0, 1, ... in that order, and every other input is a ``cls``
+    constant."""
+    if directions is None:
+        directions = range(dims.N)
+    slot = {i: s for s, i in enumerate(directions)}
 
     def lift(arr, i):
-        return arr if cls is None else cls.seed(arr, dims.N, i)
+        return arr if cls is None else cls.seed(arr, len(slot), slot.get(i))
 
     xs = [lift(x[..., t], dims.ix(t)) for t in range(dims.nx)]
     ys = [lift(y[..., a], dims.iy(a)) for a in range(dims.m)]

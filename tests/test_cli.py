@@ -670,6 +670,93 @@ def test_float_formatting_17_digits():
     assert dumps_report(float("nan")) == '"nan"'
 
 
+@pytest.mark.parametrize("rows", [4096, 2])
+def test_table_writer_gives_the_bytes_of_savetxt(tmp_path, monkeypatch, rows):
+    """Each block has the text ``np.savetxt`` gives it, non-finite, signed
+    zero and subnormal values included, whether or not it is split into
+    several % operations."""
+    from nhfields import cli
+
+    monkeypatch.setattr(cli, "_TABLE_ROWS", rows)
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(11)
+    blocks = [
+        np.array([[np.nan, np.inf, -np.inf], [-0.0, 0.0, tiny], [-tiny, 1e-310, 1.0 / 3.0],
+                  [1e300, -1e-300, 123456789.0], [-np.nan, 5e-324, 2.0**-1074 * 3]]),
+        np.array([[0.1, -2.5, 7.0]]),  # one row
+        np.array([[np.inf], [-0.0], [tiny], [0.5]]),  # one column
+        rng.normal(size=(9, 3)) * 10.0 ** rng.uniform(-300, 300, (9, 3)),
+    ]
+    for i, block in enumerate(blocks):
+        for table in ([block], blocks[i:]):
+            cli._write_table(tmp_path / "got.csv", ["a", "b"], table)
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                fh.write("a,b\r\n")
+                for b in table:
+                    np.savetxt(fh, b, fmt="%.17g", delimiter=",", newline="\r\n")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+FAULTS_OF_A_SECOND_CALL = """
+import resource, sys
+from nhfields.cli import main
+argv = ["--config", sys.argv[1]]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_repeated_fluid_evolve_takes_few_page_faults(tmp_path):
+    """With freed buffers kept in the process, a second evolve-fluid call
+    (8^3, 2 RK4 steps) reuses the first one's memory; with glibc's default
+    thresholds it takes about 5,000 minor faults.  A fresh interpreter,
+    since an earlier large allocation in this one raises glibc's dynamic
+    thresholds and would hide the faults."""
+    path = write_config(tmp_path, task="evolve", model=FLUID, constraint=INCOMPRESSIBILITY,
+                        grid={"nu": 8}, dt=1e-3, steps=2,
+                        initial={"amplitude": 0.01, "velocity": 0.005})
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", FAULTS_OF_A_SECOND_CALL, str(path)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 200
+
+
+class _NoMallopt:
+    def __init__(self, *args, **kwargs):
+        pass
+
+
+def _no_library(*args, **kwargs):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, _NoMallopt])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+    """Where the C library cannot be loaded or has no ``mallopt``, ``main``
+    runs as before and writes the same report."""
+    import ctypes
+
+    path = write_config(tmp_path, **_fluid_evolve())
+    assert main(["--config", str(path)]) == 0
+    want = (tmp_path / "out" / "report.json").read_bytes()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["--config", str(path), "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "report.json").read_bytes() == want
+
+
 def test_verify_default_scale_all_residuals_within_1e8(tmp_path):
     # the documented reference run: 50 seeded points on the wave scenario
     path = write_config(tmp_path, points=50)

@@ -329,9 +329,9 @@ def _evaluate_spy(monkeypatch):
     sizes = []
     real = ConstraintSpec.evaluate
 
-    def counted(self, x, y, v):
+    def counted(self, x, y, v, directions=None):
         sizes.append(int(np.prod(np.shape(v)[:-2])))
-        return real(self, x, y, v)
+        return real(self, x, y, v, directions)
 
     monkeypatch.setattr(ConstraintSpec, "evaluate", counted)
     return sizes
@@ -432,12 +432,46 @@ def test_evaluate_has_the_plain_values_and_central_difference_differentials(name
         np.testing.assert_allclose(dphi[..., i], fd, rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("name", ["linear-transport", "incompressibility", "bent"])
+def test_evaluate_in_some_directions_has_the_bits_of_their_columns(name):
+    """Seeding only some jet inputs gives phi and, for each seeded input in
+    the order given, its column of the full differential, bit for bit."""
+    spec = _bent_transport() if name == "bent" else make_constraint(name)
+    dims = spec.dims
+    jet = _split_jet(np.random.default_rng(3).uniform(-1.0, 1.0, (7, dims.N)), dims)
+    phi, dphi = spec.evaluate(*jet)
+    v_block = [dims.iv(a, mu) for a in range(dims.m) for mu in range(dims.nx)]
+    for directions in (v_block, [dims.iv(0, 0)], [dims.N - 1, 0, dims.iy(0)], []):
+        sub_phi, sub = spec.evaluate(*jet, directions)
+        assert sub_phi.tobytes() == phi.tobytes()
+        assert sub.shape == (7, dims.k, len(directions))
+        assert sub.tobytes() == dphi[..., directions].tobytes()
+
+
+@pytest.mark.parametrize("cols, moved", [(slice(0, 1), [(0, 0)]),
+                                         (slice(None), [(0, 0), (0, 1)])])
+def test_newton_differentiates_only_in_the_moved_columns(monkeypatch, cols, moved):
+    spec = _bent_transport()
+    seen = []
+    real = ConstraintSpec.evaluate
+
+    def spy(self, x, y, v, directions=None):
+        seen.append(directions)
+        return real(self, x, y, v, directions)
+
+    monkeypatch.setattr(ConstraintSpec, "evaluate", spy)
+    x, y, v = _wave_grid_jet(np.random.default_rng(2))
+    newton_onto_constraint(spec, x, y, v, cols, 1e-12, 50)
+    assert seen and all(d == [spec.dims.iv(a, mu) for a, mu in moved] for d in seen)
+
+
 def test_evaluate_of_a_constant_constraint_has_the_batch_shape_and_no_differential():
     spec = ConstraintSpec(Dims(1, 1, 1), [lambda x, y, v: 0.25])
     x, y, v = _wave_grid_jet(np.random.default_rng(5))
     phi, dphi = spec.evaluate(x, y, v)
     assert phi.shape == (16, 1) and np.all(phi == 0.25)
     assert dphi.shape == (16, 1, spec.dims.N) and not dphi.any()
+    assert spec.evaluate(x, y, v, [2])[1].shape == (16, 1, 1)
 
 
 def test_newton_makes_one_evaluate_call_per_iteration(monkeypatch):

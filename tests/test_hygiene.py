@@ -1,6 +1,10 @@
 """Source hygiene of the package, checked with the standard library only."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "nhfields"
@@ -36,3 +40,44 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__"))
     assert len(modules) > 5
     assert [u for p in modules for u in _unused_imports(p)] == []
+
+
+# Replaces ctypes.CDLL with a recorder of mallopt calls, imports the package
+# and then runs main on a missing config file.
+RECORD_MALLOPT = """
+import ctypes, json, sys
+calls = {"import": [], "main": []}
+phase = "import"
+real = ctypes.CDLL
+
+
+class Recorder:
+    def __init__(self, *args, **kwargs):
+        self._lib = real(*args, **kwargs)
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+        if name != "mallopt":
+            return fn
+        return lambda *args: calls[phase].append(args) or fn(*args)
+
+
+ctypes.CDLL = Recorder
+import nhfields
+import nhfields.cli
+phase = "main"
+code = nhfields.cli.main(["--config", "missing.json"])
+print(json.dumps({"code": code, "has_mallopt": hasattr(real(None), "mallopt"), **calls}))
+"""
+
+
+def test_only_main_sets_the_allocator(tmp_path):
+    """Importing the package changes no allocator setting; ``main`` sets
+    glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB."""
+    proc = subprocess.run([sys.executable, "-c", RECORD_MALLOPT], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 2 and out["import"] == []
+    assert out["main"] == ([[-3, 32 * 2**20], [-1, 64 * 2**20]] if out["has_mallopt"] else [])
