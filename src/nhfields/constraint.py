@@ -193,10 +193,10 @@ def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iter
     below tol.  A pass makes one ``evaluate``, which differentiates only in
     the moved entries of v, and one batched ``pinv`` over the points still
     live; both work point by point, so every point gets the bits it has as
-    a batch of one.  Returns the new v and per batch
-    point whether it met the tolerance (with tol = 0 none does, and every
-    point takes all ``iters`` steps).  Non-finite phi at a live point
-    raises EvaluationError."""
+    a batch of one.  Returns the new v and per batch point whether it met
+    the tolerance (with tol = 0 none does, and every point takes all
+    ``iters`` steps).  Non-finite phi at a live point raises
+    EvaluationError."""
     shape = np.shape(v)
     m, nx = shape[-2:]
     moved = np.arange(nx)[cols].tolist()

@@ -670,7 +670,7 @@ def test_float_formatting_17_digits():
     assert dumps_report(float("nan")) == '"nan"'
 
 
-@pytest.mark.parametrize("rows", [4096, 2])
+@pytest.mark.parametrize("rows", [128, 2])
 def test_table_writer_gives_the_bytes_of_savetxt(tmp_path, monkeypatch, rows):
     """Each block has the text ``np.savetxt`` gives it, non-finite, signed
     zero and subnormal values included, whether or not it is split into
