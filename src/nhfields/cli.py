@@ -807,6 +807,7 @@ def _keep_freed_memory() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)  # the glibc ceiling on 64-bit
     mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
 

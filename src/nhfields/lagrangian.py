@@ -45,8 +45,11 @@ from .jet import (
 # temporaries carry the Hessian of a small support (1 to 9 of the fluid's 12
 # directions), so per-call overhead sets much of their cost, and larger
 # chunks pay it fewer times: an 8^3 fluid bundle took 1.6x to 2x as long in
-# 64-point chunks as in 256-point ones, and one 512-point chunk was not
-# consistently faster than two of 256.
+# 64-point chunks as in 256-point ones.  With freed memory kept in the
+# process (``cli.main``), one 512-point chunk is faster still than two of
+# 256 (8^3: 1.9-2.5 ms against 2.2-3.1 ms), but its temporaries take
+# 3.4 MiB, past the 3 MiB the bundle memory test allows, and it adds
+# 2 MB to the peak RSS of an 8^3 fluid evolve.
 _CHUNK_BYTES = 256 * 8 * 12 * 12
 
 # a point is regular when its Hessian's condition number is below this
