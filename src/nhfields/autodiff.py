@@ -6,8 +6,10 @@ grads have shape S+(d,), so whole grids differentiate in one sweep.
 ``Dual2`` additionally propagates the Hessian, the collapsed form of nesting
 first-order duals, and tracks its support: the sorted tuple ``idx`` of the
 s seed directions the value depends on, with the grad stored batch last as
-(s,)+S and the Hessian as (s, s)+S.  ``Dual2.dense(d)`` reads them back as
-S+(d,) and S+(d, d) over all d directions.
+(s,)+S and the Hessian as (s, s)+S.  A binary operation on two supports
+allocates only its result over their union and adds each operand's blocks
+into it.  ``Dual2.dense(d)`` reads grad and Hessian back as S+(d,) and
+S+(d, d) over all d directions.
 
 Lagrangians and constraints are written against the generic helpers here
 (sin, cos, exp, ... , det) so the same code runs on floats and on duals.
@@ -93,38 +95,48 @@ class Dual:
 @functools.cache
 def _placement(sub: tuple, sup: tuple):
     """Where the directions of support ``sub`` sit inside support ``sup``:
-    None (the same support), a slice (a contiguous run), or the positions
-    with their flat (s*s) Hessian indices."""
-    if sub == sup:
-        return None
+    a slice when they are one run of it, else their positions."""
     pos = np.searchsorted(sup, sub).astype(np.intp)
     if sub and pos[-1] - pos[0] == len(sub) - 1:
         return slice(int(pos[0]), int(pos[-1]) + 1)
-    return pos, (pos[:, None] * len(sup) + pos).ravel()
+    return pos
+
+
+def _block(p, q, s: int):
+    """Where the Hessian block of directions p x q sits over a support of
+    size s: a pair of slices, or flat positions into its (s*s) axes."""
+    if isinstance(p, slice) and isinstance(q, slice):
+        return p, q
+    r = np.arange(s)
+    return (r[p][:, None] * s + r[q]).ravel()
 
 
 @functools.cache
 def _union(a: tuple, b: tuple):
-    """The union of two supports and the placement of each in it."""
+    """The union of two supports, where the grads of a and b sit in it, and
+    where the Hessian blocks a x a, b x b, a x b and b x a sit."""
     union = tuple(sorted(set(a) | set(b)))
-    return union, _placement(a, union), _placement(b, union)
+    s = len(union)
+    pa, pb = _placement(a, union), _placement(b, union)
+    return (union, pa, pb,
+            _block(pa, pa, s), _block(pb, pb, s), _block(pa, pb, s), _block(pb, pa, s))
 
 
-def _embed(grad, hess, place, s):
-    """grad (k, ...) and hess (k, k, ...) written into exact zeros of size s
-    at ``place``."""
-    if place is None:
-        return grad, hess
-    g = np.zeros((s,) + grad.shape[1:])
-    h = np.zeros((s, s) + hess.shape[2:])
-    if isinstance(place, slice):
-        g[place] = grad
-        h[place, place] = hess
+def _put(out, index, block, axes: int, op=None):
+    """out[index] = block, or op(out[index], block), in place, where
+    ``index`` (from ``_placement`` or ``_block``) addresses the first
+    ``axes`` axes of out."""
+    if isinstance(index, np.ndarray):
+        out = out.reshape((-1,) + out.shape[axes:])
+        block = block.reshape((-1,) + block.shape[axes:])
+    if op is None:
+        out[index] = block
+    elif isinstance(index, np.ndarray):  # a gathered copy, written back
+        part = out[index]
+        out[index] = op(part, block, out=part)
     else:
-        pos, flat = place
-        g[pos] = grad
-        h.reshape((s * s,) + h.shape[2:])[flat] = hess.reshape((-1,) + hess.shape[2:])
-    return g, h
+        view = out[index]
+        op(view, block, out=view)
 
 
 def _widen(x: Dual2, ndim: int):
@@ -137,15 +149,23 @@ def _widen(x: Dual2, ndim: int):
             x.hess.reshape(x.hess.shape[:2] + pad + x.hess.shape[2:]))
 
 
-def _common(a: Dual2, b: Dual2):
-    """The grads and Hessians of a and b over the union of their supports,
-    with as many batch axes as the wider value, and that union."""
+def _sum(a: Dual2, b: Dual2, op) -> Dual2:
+    """a + b or a - b (``op`` np.add or np.subtract): each operand's blocks
+    are added into exact zeros over the union of the supports."""
     (ga, ha), (gb, hb) = _widen(a, b.val.ndim), _widen(b, a.val.ndim)
+    val = op(a.val, b.val)
     if a.idx == b.idx:
-        return ga, ha, gb, hb, a.idx
-    union, pa, pb = _union(a.idx, b.idx)
-    s = len(union)
-    return (*_embed(ga, ha, pa, s), *_embed(gb, hb, pb, s), union)
+        return Dual2(val, op(ga, gb), op(ha, hb), a.idx)
+    union, pa, pb, aa, bb, _, _ = _union(a.idx, b.idx)
+    s, batch = len(union), ga.shape[1:]
+    if batch != gb.shape[1:]:
+        batch = np.broadcast_shapes(batch, gb.shape[1:])
+    grad, hess = np.zeros((s,) + batch), np.zeros((s, s) + batch)
+    _put(grad, pa, ga, 1)
+    _put(grad, pb, gb, 1, op)
+    _put(hess, aa, ha, 2)
+    _put(hess, bb, hb, 2, op)
+    return Dual2(val, grad, hess, union)
 
 
 class Dual2:
@@ -155,11 +175,13 @@ class Dual2:
     ``grad`` (s,)+S and ``hess`` (s, s)+S, s = len(idx), have the batch axes
     of ``val`` last (unit where they broadcast), so a temporary carries only
     the directions it touches and every product runs over contiguous batch
-    rows.  A binary operation writes both operands into exact zeros over the
-    union of their supports and applies the dense formulas there.  Every
-    entry therefore has the bits the full (d, d) propagation gives it,
-    except that an exact zero may carry the other sign.  :meth:`dense` reads
-    the result back over all d directions.
+    rows.  A binary operation on two different supports allocates its
+    result in exact zeros over their union and adds each operand's blocks
+    into it, in the order of the dense formulas: for a product a b, first
+    a h_b, then b h_a, then g_a g_b^T at (a-support x b-support), then its
+    transpose.  Every entry therefore has the bits the full (d, d)
+    propagation gives it, except that an exact zero may carry the other
+    sign.  :meth:`dense` reads the result back over all d directions.
     """
 
     __slots__ = ("val", "grad", "hess", "idx")
@@ -192,7 +214,10 @@ class Dual2:
     def dense(self, d):
         """(grad (..., d), hess (..., d, d)) over the seed directions 0..d-1,
         exact zeros off the support."""
-        g, h = _embed(self.grad, self.hess, _placement(self.idx, tuple(range(d))), d)
+        place = _placement(self.idx, tuple(range(d)))
+        g, h = np.zeros((d,) + self.grad.shape[1:]), np.zeros((d, d) + self.hess.shape[2:])
+        _put(g, place, self.grad, 1)
+        _put(h, _block(place, place, d), self.hess, 2)
         return np.moveaxis(g, 0, -1), np.moveaxis(h, (0, 1), (-2, -1))
 
     def __add__(self, o):
@@ -200,8 +225,7 @@ class Dual2:
             # + 0.0 turns a -0.0 into 0.0, as adding a lifted zero did
             g, h = _widen(self, np.ndim(o))
             return Dual2(self.val + o, g + 0.0, h + 0.0, self.idx)
-        g1, h1, g2, h2, idx = _common(self, o)
-        return Dual2(self.val + o.val, g1 + g2, h1 + h2, idx)
+        return _sum(self, o, np.add)
 
     __radd__ = __add__
 
@@ -212,8 +236,7 @@ class Dual2:
         if not isinstance(o, Dual2):
             # g - 0.0 has the bits of g, so the arrays are shared
             return Dual2(self.val - o, *_widen(self, np.ndim(o)), self.idx)
-        g1, h1, g2, h2, idx = _common(self, o)
-        return Dual2(self.val - o.val, g1 - g2, h1 - h2, idx)
+        return _sum(self, o, np.subtract)
 
     def __rsub__(self, o):
         g, h = _widen(self, np.ndim(o))
@@ -224,13 +247,27 @@ class Dual2:
             o = np.asarray(o, dtype=float)
             g, h = _widen(self, o.ndim)
             return Dual2(self.val * o, g * o, h * o, self.idx)
-        g1, h1, g2, h2, idx = _common(self, o)
+        (g1, h1), (g2, h2) = _widen(self, o.val.ndim), _widen(o, self.val.ndim)
+        val = self.val * o.val
         cross = g1[:, None] * g2[None, :]
-        # in place, but summed in the dense order, so with the dense bits
-        hess = self.val * h2 + o.val * h1
-        hess += cross
-        hess += np.swapaxes(cross, 0, 1)
-        return Dual2(self.val * o.val, self.val * g2 + o.val * g1, hess, idx)
+        if self.idx == o.idx:
+            # in place, but summed in the dense order, so with the dense bits
+            hess = self.val * h2 + o.val * h1
+            hess += cross
+            hess += np.swapaxes(cross, 0, 1)
+            return Dual2(val, self.val * g2 + o.val * g1, hess, self.idx)
+        # the dense order, a h2 + b h1 + g1 g2^T + g2 g1^T, block by block;
+        # the result covers the batch of the value, as a h2 does
+        union, pa, pb, aa, bb, ab, ba = _union(self.idx, o.idx)
+        s = len(union)
+        grad, hess = np.zeros((s,) + val.shape), np.zeros((s, s) + val.shape)
+        _put(grad, pb, self.val * g2, 1)
+        _put(grad, pa, o.val * g1, 1, np.add)
+        _put(hess, bb, self.val * h2, 2)
+        _put(hess, aa, o.val * h1, 2, np.add)
+        _put(hess, ab, cross, 2, np.add)
+        _put(hess, ba, np.swapaxes(cross, 0, 1), 2, np.add)
+        return Dual2(val, grad, hess, union)
 
     __rmul__ = __mul__
 

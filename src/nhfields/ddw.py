@@ -4,7 +4,7 @@ A connection h = dx^mu (x) H_mu solves the free problem when
 i_h Omega_L = n Omega_L; in coordinates, with the semi-holonomic choice
 Gamma^a_mu = v^a_mu, the second-order coefficients satisfy
 
-    Gamma^b_{tau nu} d2L/dv^b_tau dv^a_nu
+    Gamma^b_{tau nu} d2L/dv^b_nu dv^a_tau
         = dL/dy^a - d2L/dx^tau dv^a_tau - v^b_tau d2L/dy^b dv^a_tau,
 
 an underdetermined linear system (m equations for the m(n+1)^2 unknowns)
@@ -108,13 +108,13 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
                 f"spatial block shape {spatial.shape}, expected {batch + (m, nx - 1, nx)}"
             )
         L = 1
-        b = b - np.einsum("...bian,...bin->...a", H[..., :, 1:, :, :], spatial)
+        b = b - np.einsum("...bnai,...bin->...a", H[..., 1:], spatial, optimize=True)
     k = 0 if dphi is None else dphi.shape[-2]
     n_gamma = m * L * nx
     # the form equations, Gamma2-part + lambda^alpha_tau C[alpha, tau, a] = R_a,
     # over the tangency equations H_mu(phi_alpha) = 0 for mu < L
     A = np.zeros(batch + (m + k * L, n_gamma + k * nx))
-    A[..., :m, :n_gamma] = np.einsum("...btan->...abtn", H[..., :, :L, :, :]).reshape(
+    A[..., :m, :n_gamma] = np.einsum("...bnat->...abtn", H[..., :L]).reshape(
         batch + (m, n_gamma))
     if k:
         A[..., :m, n_gamma:] = np.swapaxes(coeffs.reshape(batch + (k * nx, m)), -1, -2)

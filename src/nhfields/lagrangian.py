@@ -39,18 +39,18 @@ from .jet import (
 
 
 # Bytes of the m(n+1) x m(n+1) v-block of the Hessian over one chunk of the
-# derivative bundle: 256 points for the fluid (m(n+1) = 12), 9,216 for the
-# wave.  A regular L has a nonsingular v-Hessian, so it depends on every v
-# input and each chunk's result carries at least this block.  Most Dual2
-# temporaries carry the Hessian of a small support (1 to 9 of the fluid's 12
-# directions), so per-call overhead sets much of their cost, and larger
-# chunks pay it fewer times: an 8^3 fluid bundle took 1.6x to 2x as long in
-# 64-point chunks as in 256-point ones.  With freed memory kept in the
-# process (``cli.main``), one 512-point chunk is faster still than two of
-# 256 (8^3: 1.9-2.5 ms against 2.2-3.1 ms), but its temporaries take
-# 3.4 MiB, past the 3 MiB the bundle memory test allows, and it adds
-# 2 MB to the peak RSS of an 8^3 fluid evolve.
-_CHUNK_BYTES = 256 * 8 * 12 * 12
+# derivative bundle: 512 points for the fluid (m(n+1) = 12), so that an 8^3
+# grid is one chunk, and 18,432 for the wave.  A regular L has a nonsingular
+# v-Hessian, so it depends on every v input and each chunk's result carries
+# at least this block.  Most Dual2 temporaries carry the Hessian of a small
+# support (1 to 9 of the fluid's 12 directions), so per-call overhead sets
+# much of their cost, and larger chunks pay it fewer times: an 8^3 fluid
+# bundle takes 1.5-2.2 ms in one 512-point chunk against 2.0-3.1 ms in two
+# of 256 (medians of 60 calls).  A binary Dual2 operation allocates only its
+# result over the union support (``autodiff``), so one chunk's temporaries
+# take 2.6 MiB on a 16^3 fluid jet, under the 3 MiB the bundle memory test
+# allows.
+_CHUNK_BYTES = 512 * 8 * 12 * 12
 
 # a point is regular when its Hessian's condition number is below this
 REGULAR_COND = 1e12
@@ -159,9 +159,14 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
             raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
         L[s] = out.val
         idx = np.array(out.idx, dtype=np.intp)
-        vsel = idx >= nx + m  # support entries that are v inputs
+        v0 = int(np.searchsorted(idx, nx + m))  # idx[v0:] are the v inputs
+        if len(idx) and idx[-1] - idx[0] == len(idx) - 1:  # one run: slices, no copies
+            rows = slice(idx[0], idx[-1] + 1)
+            cols = slice(idx[0] + v0 - (nx + m), idx[-1] + 1 - (nx + m))
+        else:
+            rows, cols = idx[:, None], idx[v0:] - (nx + m)
         grad[s, idx] = out.grad.T
-        hv[s, idx[:, None], idx[vsel] - (nx + m)] = np.moveaxis(out.hess[:, vsel], -1, 0)
+        hv[s, rows, cols] = np.moveaxis(out.hess[:, v0:], -1, 0)
     bundle = DerivativeBundle(
         L.reshape(batch),
         grad[:, nx : nx + m].reshape(batch + (m,)),

@@ -325,3 +325,47 @@ def test_first_order_dual_has_the_plain_bits_and_central_difference_gradients(ca
             fd[..., i] = (up - down) / (2 * h)
     scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(out.grad))
     assert np.allclose(out.grad, fd, rtol=0, atol=1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
+# binary operations on named support placements, against the dense reference
+
+def _over(cls, support, vals):
+    """A value over exactly ``support``, with every grad and Hessian entry
+    there nonzero."""
+    out = 0.0
+    for d in support:
+        leaf = cls.seed(vals[d], DIRS, d)
+        out = ad.sin(leaf + out) * leaf
+    return out
+
+
+PLACEMENTS = {
+    "identical": ((0, 1), (0, 1), (5,)),
+    "disjoint-runs": ((0, 1), (2, 3), (5,)),
+    "nested": ((1,), (0, 1, 2), (5,)),
+    # neither support is a run of the union: the flat-index path
+    "interleaved": ((0, 2), (1, 3), (5,)),
+    # the first operand's values are a scalar batch, the second's (5,)
+    "scalar-batch": ((0, 1), (1, 2), ()),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BINARY))
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+def test_binary_operations_place_each_support_as_the_dense_reference(op, placement):
+    support_a, support_b, shape_a = PLACEMENTS[placement]
+    rng = np.random.default_rng(8)
+    vals_a, vals_b = rng.uniform(-1, 1, (DIRS,) + shape_a), rng.uniform(-1, 1, (DIRS, 5))
+    for first, second in ((0, 1), (1, 0)):  # both operand orders
+        out, ref = (
+            BINARY[op](*[(_over(cls, support_a, vals_a), _over(cls, support_b, vals_b))[i]
+                         for i in (first, second)])
+            for cls in (ad.Dual2, DenseDual2))
+        assert out.idx == tuple(sorted(set(support_a) | set(support_b)))
+        assert out.val.shape == (5,) and out.grad.ndim - 1 == out.hess.ndim - 2 == 1
+        grad, hess = out.dense(DIRS)
+        assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
+        assert same_bits_up_to_zero_sign(grad, ref.grad)
+        assert same_bits_up_to_zero_sign(hess, ref.hess)
+        assert np.count_nonzero(hess[0]) >= len(out.idx)

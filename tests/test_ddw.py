@@ -317,6 +317,49 @@ def test_constrained_k0_reduces_to_free():
     assert np.allclose(sol.coeffs.Gamma2, free.coeffs.Gamma2)
 
 
+def test_a_fluid_in_gravity_passes_every_check_of_the_chain():
+    """L_fluid - g y^3 with g = 1 reads y, so its De Donder-Weyl solves are
+    not zero, and the fluid's H[b, nu, a, mu] differs from H[b, mu, a, nu]:
+    the solve must pair Gamma2[b, mu, nu] with the first, as the lift
+    H_mu = d_mu + ... + Gamma2[a, mu, nu] d/dv^a_nu does."""
+    from nhfields import cli
+
+    fluid = make_model("fluid")
+    model = LagrangianModel("fluid-gravity", fluid.dims,
+                            lambda x, y, v: fluid.fn(x, y, v) - 1.0 * y[2])
+    spec = make_constraint("incompressibility")
+    tols = cli.DEFAULT_TOLERANCES
+    pts = cli.sample_constraint_point(model, spec, np.random.default_rng(1), 20)
+    checks = cli._chain(model, spec, pts, np.random.default_rng(2), tols, 20)
+    assert [cli._first_failure(entry, i, tols) for i, entry in enumerate(checks)] == [None] * 20
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_an_asymmetric_quadratic_free_solve_passes_the_term_list_check(pinned):
+    """n = 1, m = 2: L = 2 |v|^2 + v^0_0 v^1_1 + c v^0_1 y^1 has
+    H[1, 1, 0, 0] = 1 but H[1, 0, 0, 1] = 0, and a nonzero right side, so
+    a solve that pairs the Hessian with the wrong index of Gamma2 fails the
+    form check of ``exterior.Form``, with or without a pinned spatial
+    block."""
+    def fn(x, y, v):
+        total = v[0][0] * v[1][1] + 0.7 * (v[0][1] * y[1])
+        for a in range(2):
+            for mu in range(2):
+                total = total + 2.0 * (v[a][mu] * v[a][mu])
+        return total
+
+    model = LagrangianModel("asymmetric", Dims(1, 2), fn)
+    rng = np.random.default_rng(21)
+    p = random_point(rng, 1, 2)
+    bundle = derivative_bundle(model, p)
+    cp = ConstraintPoint.unconstrained(p)
+    sol = solve_free_ddw(bundle, p.v, rng.uniform(-1, 1, (2, 1, 2)) if pinned else None)
+    want = form_check_oracle(bundle, cp, sol, np.random.default_rng(3), tuples=20)
+    got = nh_ddw_residual(bundle, cp, sol, np.random.default_rng(3), tuples=20)
+    assert want["form_residual"] < 1e-12
+    assert got["form_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("name", ["wave", "fluid", "coupled"])
 def test_batched_kernel_equals_the_pointwise_solves_bitwise(name):
     """solve_ddw on 8 stacked points gives the bits of the batch-of-one

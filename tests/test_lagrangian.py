@@ -425,9 +425,42 @@ def test_active_seeded_bundle_equals_the_dense_bundle(name, batch):
                        _off_support(model, SUPPORTS[name]))
 
 
+def test_an_8_cubed_fluid_bundle_is_one_chunk_and_a_16_cubed_one_eight():
+    fluid = BUNDLE_MODELS["fluid"]()
+    calls = []
+
+    def fn(x, y, v):
+        calls.append(1)
+        return fluid.fn(x, y, v)
+
+    model = LagrangianModel("counted", fluid.dims, fn)
+    for n, chunks in ((8, 1), (16, 8)):
+        calls.clear()
+        derivative_bundle_arrays(model, *_random_jet(np.random.default_rng(2), model.dims,
+                                                     (n, n, n)))
+        assert len(calls) == chunks
+
+
+@pytest.mark.parametrize("name, shape", [("fluid", (700,)), ("wave", (1500,))])
+def test_the_bundle_has_the_same_bits_at_every_chunk_size(monkeypatch, name, shape):
+    model = BUNDLE_MODELS[name]()
+    jet = _random_jet(np.random.default_rng(6), model.dims, shape)
+    width = model.dims.m * model.dims.nx
+    bundles = []
+    for points in (1, 7, 256, 512, shape[0]):
+        monkeypatch.setattr(lagrangian, "_CHUNK_BYTES", points * 8 * width**2)
+        assert _chunk_points(model) == points
+        bundles.append(derivative_bundle_arrays(model, *jet))
+    for bundle in bundles[1:]:
+        for field in BUNDLE_FIELDS:
+            a, b = getattr(bundle, field), getattr(bundles[0], field)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
+
+
 def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
-    # a 16^3 fluid grid: the outputs take 8.1 MB; one chunk's temporaries
-    # take about 1.7 MB, while the whole grid in one chunk would take 22 MB
+    # a 16^3 fluid grid: the outputs take 8.1 MB; one 512-point chunk's
+    # temporaries take about 2.6 MiB, while the whole grid in one chunk
+    # would take 15 MiB
     model = BUNDLE_MODELS["fluid"]()
     dims = model.dims
     shape = (16, 16, 16)
