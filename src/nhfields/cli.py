@@ -17,7 +17,6 @@ import dataclasses
 import json
 import math
 import sys
-from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -336,13 +335,6 @@ def sample_constraint_point(model, spec, rng, count: int = 1,
 # a larger chunk runs no faster per point.
 _CHUNK_BYTES = 16 * 2**20
 
-# the check fields of a report entry, in report order
-_CHECK_FIELDS = ("hessian_det", "regular", "rank", "zeta_residual", "compatibility_det",
-                 "compatible", "projector_residual", "free_ddw_residual", "semiholonomic",
-                 "nh_form_residual", "nh_tangency_residual", "lambda_match",
-                 "direct_form_residual", "direct_tangency_residual")
-
-
 def _chunk_points(dims, tuples: int) -> int:
     return max(1, _CHUNK_BYTES // (10 * 8 * tuples * (dims.nx + 1) * dims.N))
 
@@ -383,47 +375,32 @@ class _Chunk:
             self.out[i].update((key, val[j]) for key, val in checks.items())
 
 
-def _solves(model, spec, c: _Chunk, tols) -> dict:
-    """The stages of the chain that draw no tuples, over the live points of
-    c: one derivative bundle and one constraint evaluation feed the batched
-    solves.  Returns, for each stage that draws tuples (zeta, free,
-    projected, direct), the live data of the points that reach it."""
+def _chain(model, spec, pts: list, rng, tols, tuples: int) -> list:
+    """The identity chain over a chunk of points, as one batch, with
+    ``nh_ddw_residual_batch`` checking each De Donder-Weyl solution at form
+    level (the free one as k = 0).  Returns each point's checks, in report
+    order, or the error that stopped it.
+
+    The stages run in the pointwise order, and each check runs right after
+    the solve it checks.  A point leaves the batch where its pointwise chain
+    would stop: at an error, or after the compatibility test when that
+    fails.  Before the first stage each point draws its check tuples as one
+    block, in point order: the zeta tuples, then the free, projected and
+    direct ones, whether or not it reaches those checks.
+    """
     m, nx, N = model.dims.m, model.dims.nx, model.dims.N
-    reach = {}
-    c["bundle"] = derivative_bundle_arrays(model, c["x"], c["y"], c["v"], check=False)
-    if not c.stop(bundle_errors(model, c["bundle"])):
-        return reach
-    reg = regularity_check(c["bundle"])
-    c.record(hessian_det=reg["det"], regular=reg["regular"])
-    phi, c["dphi"] = spec.evaluate(c["x"], c["y"], c["v"])
-    if not c.stop(off_constraint_errors(phi, spec.on_tol)):
-        return reach
-    c["dphidv"] = jet_block(c["dphi"], m, nx)
-    c["coeffs"] = coefficient_arrays(spec, c["x"], c["y"], c["v"], c["dphidv"])
-    rank, errors = constraint_ranks(c["dphidv"], c["coeffs"])
-    c.record(rank=rank)
-    if not c.stop(errors):
-        return reach
-    errors = {}
-    c["zeta"] = solve_zeta_flat(hessian_flat(c["bundle"]), c["coeffs"], errors)
-    if not c.stop(errors):
-        return reach
-    reach["zeta"] = c.live
-    comp = compatibility_matrix(c["zeta"], c["dphidv"], tols["compatibility"])
-    compatible = comp["compatible"]
-    c.record(compatibility_det=comp["det"], compatible=compatible)
-    comp = {key: val[compatible] for key, val in comp.items()}
-    if not c.leave(~compatible):
-        return reach
-    pp, errors = projector_pairs(c["zeta"], c["dphi"], comp, tols["projector"])
-    c["Lam"] = pp.Lam
-    c.record(projector_residual=np.max([
-        np.abs(pp.P @ pp.P - pp.P).max(axis=(-2, -1)),
-        np.abs(pp.P + pp.Q - np.eye(N)).max(axis=(-2, -1)),
-        np.abs(pp.dphi @ pp.P).max(axis=(-2, -1)),
-    ], axis=0))
-    if not c.stop(errors):
-        return reach
+    c = _Chunk(pts)
+    sizes = [tuples * nx * N] + 3 * [tuples * (nx + 1) * N]
+    blocks = rng.uniform(-1.0, 1.0, size=(len(pts), sum(sizes)))
+    for name, vecs in zip(("zeta", "free", "proj", "direct"),
+                          np.split(blocks, np.cumsum(sizes)[:-1], axis=1)):
+        c[name + "_vecs"] = vecs.reshape(len(pts), tuples, -1, N)
+
+    def check(name, dphi, coeffs, lam, **fields):
+        """The form check of the live points' solution ``name``."""
+        sol = DdwSolution(ConnectionCoeffs(c["v"], c[name]), lam)  # every Gamma is v
+        res = nh_ddw_residual_batch(c["bundle"], c["v"], dphi, coeffs, sol, c[name + "_vecs"])
+        c.record(**{field: res[key] for field, key in fields.items()})
 
     def solve(*constraint):
         """solve_ddw's Gamma2 and multipliers, with the error of each point
@@ -432,79 +409,62 @@ def _solves(model, spec, c: _Chunk, tols) -> dict:
         block, lam = solve_ddw(c["bundle"], c["v"], None, *constraint, errors=errors)
         return block, lam, {**connection_errors(c["v"], block), **errors}
 
+    c["bundle"] = derivative_bundle_arrays(model, c["x"], c["y"], c["v"], check=False)
+    if not c.stop(bundle_errors(model, c["bundle"])):
+        return c.out
+    reg = regularity_check(c["bundle"])
+    c.record(hessian_det=reg["det"], regular=reg["regular"])
+    phi, c["dphi"] = spec.evaluate(c["x"], c["y"], c["v"])
+    if not c.stop(off_constraint_errors(phi, spec.on_tol)):
+        return c.out
+    c["dphidv"] = jet_block(c["dphi"], m, nx)
+    c["coeffs"] = coefficient_arrays(spec, c["x"], c["y"], c["v"], c["dphidv"])
+    rank, errors = constraint_ranks(c["dphidv"], c["coeffs"])
+    c.record(rank=rank)
+    if not c.stop(errors):
+        return c.out
+    errors = {}
+    c["zeta"] = solve_zeta_flat(hessian_flat(c["bundle"]), c["coeffs"], errors)
+    if not c.stop(errors):
+        return c.out
+    c.record(zeta_residual=zeta_residual_batch(c["bundle"], c["coeffs"], c["zeta"], c["v"],
+                                               c["zeta_vecs"]))
+    comp = compatibility_matrix(c["zeta"], c["dphidv"], tols["compatibility"])
+    compatible = comp["compatible"]
+    c.record(compatibility_det=comp["det"], compatible=compatible)
+    comp = {key: val[compatible] for key, val in comp.items()}
+    if not c.leave(~compatible):
+        return c.out
+    pp, errors = projector_pairs(c["zeta"], c["dphi"], comp, tols["projector"])
+    c["Lam"] = pp.Lam
+    c.record(projector_residual=np.max([
+        np.abs(pp.P @ pp.P - pp.P).max(axis=(-2, -1)),
+        np.abs(pp.P + pp.Q - np.eye(N)).max(axis=(-2, -1)),
+        np.abs(pp.dphi @ pp.P).max(axis=(-2, -1)),
+    ], axis=0))
+    if not c.stop(errors):
+        return c.out
     c["free"], _, errors = solve()
     if not c.stop(errors):
-        return reach
-    reach["free"] = c.live
+        return c.out
+    P = len(c["at"])
+    check("free", np.zeros((P, 0, N)), np.zeros((P, 0, nx, m)), np.zeros((P, 0, nx)),
+          free_ddw_residual="form_residual")
     semiholonomic, errors = semiholonomic_residuals(c["v"], c["v"])  # free Gamma = v
     c.record(semiholonomic=semiholonomic)
     if not c.stop(errors):
-        return reach
+        return c.out
     c["proj"], c["proj_lam"] = project_lifts(c["v"], c["free"], c["dphi"], c["Lam"], c["zeta"])
     if not c.stop(connection_errors(c["v"], c["proj"])):
-        return reach
-    reach["proj"] = c.live
+        return c.out
+    check("proj", c["dphi"], c["coeffs"], c["proj_lam"], nh_form_residual="form_residual",
+          nh_tangency_residual="tangency_residual", lambda_match="lam_gap")
     c["direct"], c["direct_lam"], errors = solve(c["dphi"], c["coeffs"])
     if c.stop(errors):
-        reach["direct"] = c.live
-    return reach
-
-
-def _chain(model, spec, pts: list, rng, tols, tuples: int) -> list:
-    """The identity chain over a chunk of points, as one batch, with
-    ``nh_ddw_residual_batch`` checking each De Donder-Weyl solution at form
-    level (the free one as k = 0).  Returns each point's checks, or the
-    error that stopped it.
-
-    A point leaves the batch where its pointwise chain would stop: at an
-    error, or after the compatibility test when that fails.  The check
-    tuples are drawn afterwards, point by point and in the pointwise order
-    (zeta, free, projected, direct), for the checks each point reaches.
-    """
-    m, nx, N = model.dims.m, model.dims.nx, model.dims.N
-    c = _Chunk(pts)
-    reach = _solves(model, spec, c, tols)
-    # the stages a point reaches decide its draws; a stage keeps the data
-    # and the tuples of the points that finish without an error
-    draws = {}
-    for name, data in reach.items():
-        done = np.array([isinstance(c.out[i], dict) for i in data["at"]], dtype=bool)
-        reach[name] = {key: val[done] for key, val in data.items()}
-        rows = {int(i): j for j, i in enumerate(reach[name]["at"])}
-        shape = (len(rows), tuples, nx if name == "zeta" else nx + 1, N)
-        draws[name] = set(data["at"].tolist()), rows, np.empty(shape)
-    for i in range(len(pts)):
-        for reached, rows, vecs in takewhile(lambda draw: i in draw[0], draws.values()):
-            draw = rng.uniform(-1.0, 1.0, size=vecs.shape[1:])
-            if i in rows:
-                vecs[rows[i]] = draw
-
-    if "zeta" in reach and len(reach["zeta"]["at"]):
-        data = reach["zeta"]
-        res = zeta_residual_batch(data["bundle"], data["coeffs"], data["zeta"], data["v"],
-                                  draws.pop("zeta")[2])
-        for j, i in enumerate(data["at"]):
-            c.out[i]["zeta_residual"] = res[j]
-    if "direct" in reach and len(c["at"]):
-        P = len(c["at"])
-        unconstrained = np.zeros((P, 0, N)), np.zeros((P, 0, nx, m))
-        constrained = c["dphi"], c["coeffs"]
-        for name, constraint, lam, fields in (
-                ("free", unconstrained, np.zeros((P, 0, nx)),
-                 {"free_ddw_residual": "form_residual"}),
-                ("proj", constrained, c["proj_lam"],
-                 {"nh_form_residual": "form_residual",
-                  "nh_tangency_residual": "tangency_residual", "lambda_match": "lam_gap"}),
-                ("direct", constrained, c["direct_lam"],
-                 {"direct_form_residual": "form_residual",
-                  "direct_tangency_residual": "tangency_residual"})):
-            sol = DdwSolution(ConnectionCoeffs(c["v"], c[name]), lam)  # every Gamma is v
-            res = nh_ddw_residual_batch(c["bundle"], c["v"], *constraint, sol,
-                                        draws.pop(name)[2])
-            c.record(**{field: res[key] for field, key in fields.items()})
-    return [checks if isinstance(checks, NhfieldsError)
-            else {key: checks[key] for key in _CHECK_FIELDS if key in checks}
-            for checks in c.out]
+        check("direct", c["dphi"], c["coeffs"], c["direct_lam"],
+              direct_form_residual="form_residual",
+              direct_tangency_residual="tangency_residual")
+    return c.out
 
 
 _CHECK_BOUNDS = [

@@ -579,12 +579,17 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
     batch, state = chunked(len(pts))
     assert (batch, state) == chunked(1)
     tuple_rng, oracle = np.random.default_rng(7), []
+    # each point takes one block of tuples, however far its checks get
+    block = cfg["tuples"] * model.dims.N * (4 * model.dims.nx + 3)
     for p in pts:
+        before = tuple_rng.bit_generator.state
         try:
             oracle.append(list(pointwise_chain(model, spec, p, tuple_rng, cfg["tolerances"],
                                                cfg["tuples"]).items()))
         except NhfieldsError as exc:
             oracle.append(f"{type(exc).__name__}: {exc}")
+        tuple_rng.bit_generator.state = before
+        tuple_rng.uniform(-1.0, 1.0, block)
     assert (batch, state) == (oracle, tuple_rng.bit_generator.state)
     assert {("pass" if dict(o)["compatible"] else "incompatible") if isinstance(o, list)
             else o.split(":")[0] for o in batch} == outcomes
@@ -594,6 +599,36 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
         main(["--config", str(tmp_path / "cfg.json")])
         reports.append((tmp_path / "out" / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"compatibility": 1e-16, "projector": 1e-14},
+    {"compatibility": 0.02, "projector": 1e-14, "on_constraint": 1e-16},
+], ids=["mixed-error", "mixed-off"])
+def test_a_failing_point_moves_no_other_points_checks(tmp_path, tolerances):
+    from nhfields import cli
+
+    (tmp_path / "C.csv").write_text(MIXED_COEFFS)
+    cfg = load_config(write_config(
+        tmp_path, points=20, tuples=5, tolerances=tolerances,
+        **{**MIXED, "constraint": {**MIXED["constraint"], "coeffs_csv": str(tmp_path / "C.csv")}}))
+    model, spec = cli.build_scenario(cfg)
+    pts = cli.sample_constraint_point(model, spec, np.random.default_rng(cfg["seed"]),
+                                      cfg["points"])
+
+    def chain(pts):
+        return [dumps_report(o) if isinstance(o, dict) else f"{type(o).__name__}: {o}"
+                for o in cli._chain(model, spec, pts, np.random.default_rng(7),
+                                    cfg["tolerances"], cfg["tuples"])]
+
+    checks = chain(pts)
+    failing = {i for i, o in enumerate(checks) if '"compatible": true' not in o}
+    # some point passes after the first that fails
+    assert failing and max(set(range(len(pts))) - failing) > min(failing)
+    passing = pts[min(set(range(len(pts))) - failing)]
+    mended = chain([passing if i in failing else p for i, p in enumerate(pts)])
+    assert ([o for i, o in enumerate(mended) if i not in failing]
+            == [o for i, o in enumerate(checks) if i not in failing])
 
 
 @pytest.mark.slow

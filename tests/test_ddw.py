@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nhfields.constraint import ConstraintPoint, chetaev_coefficients, make_constraint
+from nhfields import autodiff as ad
+from nhfields.constraint import (
+    ConstraintPoint,
+    ConstraintSpec,
+    chetaev_coefficients,
+    make_constraint,
+)
 from nhfields.ddw import (
     ConnectionCoeffs,
     DdwSolution,
     el_residual,
+    min_check_tuples,
     nh_ddw_residual,
     nh_ddw_residual_batch,
     nh_field_residual,
@@ -16,7 +25,12 @@ from nhfields.ddw import (
     solve_ddw,
     solve_free_ddw,
 )
-from nhfields.exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError
+from nhfields.exceptions import (
+    DdwSolveError,
+    DimensionMismatchError,
+    InvalidArgumentError,
+    NhfieldsError,
+)
 from nhfields.jet import Dims, Jet2Point, JetPoint
 from nhfields.lagrangian import (
     LagrangianModel,
@@ -332,6 +346,67 @@ def test_a_fluid_in_gravity_passes_every_check_of_the_chain():
     pts = cli.sample_constraint_point(model, spec, np.random.default_rng(1), 20)
     checks = cli._chain(model, spec, pts, np.random.default_rng(2), tols, 20)
     assert [cli._first_failure(entry, i, tols) for i, entry in enumerate(checks)] == [None] * 20
+
+
+def _linear(coeffs, terms):
+    """sum_j coeffs[j] terms[j], over generic scalars."""
+    return sum(c * t for c, t in zip(coeffs, terms))
+
+
+def random_model_and_constraint(rng, n: int, m: int, k: int):
+    """L = 1/2 v^T A v + sum B v y + sum E v x with A symmetric and regular,
+    and k constraints linear in v with y-dependent coefficients plus a
+    quadratic term; v is read flat, index a(n+1) + mu."""
+    size = m * (n + 1)
+    q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    eig = rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 2.0, size)  # A = q diag(eig) q^T
+    B, E = rng.uniform(-1.0, 1.0, (size, m)), rng.uniform(-1.0, 1.0, (size, n + 1))
+    C, D = rng.uniform(-1.0, 1.0, (2, k, size))
+    quad = rng.uniform(-0.3, 0.3, (k, 2))
+    pairs = rng.integers(0, size, (k, 2))
+
+    def fn(x, y, v):
+        flat = [va for row in v for va in row]
+        modes = [_linear(q[:, r], flat) for r in range(size)]
+        return (0.5 * _linear(eig, [w * w for w in modes])
+                + _linear(flat, [_linear(B[j], y) + _linear(E[j], x) for j in range(size)]))
+
+    def constraint(alpha):
+        def phi(x, y, v):
+            flat = [va for row in v for va in row]
+            coeffs = [C[alpha, j] + D[alpha, j] * ad.sin(y[j % m]) for j in range(size)]
+            first, second = pairs[alpha]
+            return (_linear(coeffs, flat) + quad[alpha, 0] * flat[first] * flat[second]
+                    + quad[alpha, 1] * x[0])
+        return phi
+
+    return (LagrangianModel("random", Dims(n, m), fn),
+            ConstraintSpec(Dims(n, m, k), [constraint(alpha) for alpha in range(k)]))
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(0, 2), m=st.integers(1, 3), data=st.data())
+def test_the_chain_passes_at_every_regular_compatible_point_of_a_random_model(n, m, data):
+    """Every check of the chain passes on random models whose De Donder-Weyl
+    data is not zero, wherever a point is regular, compatible and stopped
+    by no error."""
+    from nhfields import cli
+
+    k = data.draw(st.integers(1, m), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    model, spec = random_model_and_constraint(rng, n, m, k)
+    tols = cli.DEFAULT_TOLERANCES
+    pts = []
+    for i in range(4):
+        try:
+            pts += cli.sample_constraint_point(model, spec, rng, 1, i)
+        except NhfieldsError:
+            pass
+    checks = cli._chain(model, spec, pts, rng, tols, min_check_tuples(k, n + 1) + 4)
+    kept = [(i, entry) for i, entry in enumerate(checks)
+            if isinstance(entry, dict) and entry["regular"] and entry["compatible"]]
+    assume(kept)
+    assert [cli._first_failure(entry, i, tols) for i, entry in kept] == [None] * len(kept)
 
 
 @pytest.mark.parametrize("pinned", [False, True])

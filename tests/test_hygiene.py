@@ -42,6 +42,50 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [u for p in modules for u in _unused_imports(p)] == []
 
 
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each module-level function, class or assigned
+    name of ``tree`` with one leading underscore."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _references(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, the attributes it reads and the names it
+    imports."""
+    refs = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    """Each module-level private function, class or assignment of the
+    package is read somewhere in the package outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    defined = [(module, name, own) for module, tree in trees.items()
+               for name, own in _private_definitions(tree)]
+    assert len(defined) > 20
+    unused = [f"{module} {name}" for module, name, own in defined
+              if not any(name in read for stmt, read in reads if stmt is not own)]
+    assert unused == []
+
+
 # Replaces ctypes.CDLL with a recorder of mallopt calls, imports the package
 # and then runs main on a missing config file.
 RECORD_MALLOPT = """
