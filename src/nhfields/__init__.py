@@ -62,5 +62,6 @@ from .projector import (
     compatibility_matrix,
     solve_zeta,
 )
+from .verify import verify_points
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import nhfields
 from nhfields.cli import (
     CONFIG_TABLE,
+    DEFAULT_TOLERANCES,
     MAX_GRID_POINTS,
     MAX_POINTS,
     MAX_TUPLES,
@@ -27,6 +28,7 @@ from nhfields.cli import (
     main,
 )
 from nhfields.exceptions import ConfigError, NhfieldsError
+from nhfields.verify import CHECK_BOUNDS, first_failure
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -396,7 +398,7 @@ INCOMPRESSIBILITY = {"name": "incompressibility"}
 def test_verify_builds_one_bundle_and_one_constraint_pass_per_chunk(
         tmp_path, monkeypatch, chunk_bytes, chunks):
     # the Newton sampling of the points makes constraint passes of its own
-    from nhfields import cli
+    from nhfields import cli, verify
     from nhfields.constraint import ConstraintSpec
 
     calls = {"bundle": 0, "dphi": 0}
@@ -417,12 +419,12 @@ def test_verify_builds_one_bundle_and_one_constraint_pass_per_chunk(
 
     real_sample = cli.sample_constraint_point
     monkeypatch.setattr(cli, "sample_constraint_point", sample)
-    monkeypatch.setattr(cli, "derivative_bundle_arrays",
-                        counted("bundle", cli.derivative_bundle_arrays))
+    monkeypatch.setattr(verify, "derivative_bundle_arrays",
+                        counted("bundle", verify.derivative_bundle_arrays))
     # every constraint evaluation (dphidv_arrays included) is one evaluate pass
     monkeypatch.setattr(ConstraintSpec, "evaluate", counted("dphi", ConstraintSpec.evaluate))
     if chunk_bytes is not None:  # a chunk of one point
-        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
     path = write_config(tmp_path, points=3, tuples=5, model=FLUID, constraint=INCOMPRESSIBILITY)
     assert main(["--config", str(path)]) == 0
     assert calls == {"bundle": chunks, "dphi": chunks}
@@ -556,7 +558,7 @@ def pointwise_chain(model, spec, p, rng, tols, tuples):
 ], ids=["wave", "coupled", "fluid", "mixed-error", "mixed-off"])
 def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, overrides,
                                                          outcomes):
-    from nhfields import cli
+    from nhfields import cli, verify
 
     overrides = {"tuples": 5, **overrides}
     if "mode" in overrides.get("constraint", {}):
@@ -571,8 +573,8 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
         tuple_rng = np.random.default_rng(7)
         out = []
         for lo in range(0, len(pts), size):
-            out += cli._chain(model, spec, pts[lo:lo + size], tuple_rng, cfg["tolerances"],
-                              cfg["tuples"])
+            out += verify.verify_points(model, spec, pts[lo:lo + size], tuple_rng,
+                                        cfg["tolerances"], cfg["tuples"])
         return ([list(o.items()) if isinstance(o, dict) else f"{type(o).__name__}: {o}"
                  for o in out], tuple_rng.bit_generator.state)
 
@@ -594,8 +596,8 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
     assert {("pass" if dict(o)["compatible"] else "incompatible") if isinstance(o, list)
             else o.split(":")[0] for o in batch} == outcomes
     reports = []
-    for chunk_bytes in (cli._CHUNK_BYTES, 1):
-        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (verify._CHUNK_BYTES, 1):
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", chunk_bytes)
         main(["--config", str(tmp_path / "cfg.json")])
         reports.append((tmp_path / "out" / "report.json").read_bytes())
     assert reports[0] == reports[1]
@@ -606,7 +608,7 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
     {"compatibility": 0.02, "projector": 1e-14, "on_constraint": 1e-16},
 ], ids=["mixed-error", "mixed-off"])
 def test_a_failing_point_moves_no_other_points_checks(tmp_path, tolerances):
-    from nhfields import cli
+    from nhfields import cli, verify
 
     (tmp_path / "C.csv").write_text(MIXED_COEFFS)
     cfg = load_config(write_config(
@@ -618,8 +620,8 @@ def test_a_failing_point_moves_no_other_points_checks(tmp_path, tolerances):
 
     def chain(pts):
         return [dumps_report(o) if isinstance(o, dict) else f"{type(o).__name__}: {o}"
-                for o in cli._chain(model, spec, pts, np.random.default_rng(7),
-                                    cfg["tolerances"], cfg["tuples"])]
+                for o in verify.verify_points(model, spec, pts, np.random.default_rng(7),
+                                              cfg["tolerances"], cfg["tuples"])]
 
     checks = chain(pts)
     failing = {i for i, o in enumerate(checks) if '"compatible": true' not in o}
@@ -629,6 +631,34 @@ def test_a_failing_point_moves_no_other_points_checks(tmp_path, tolerances):
     mended = chain([passing if i in failing else p for i, p in enumerate(pts)])
     assert ([o for i, o in enumerate(mended) if i not in failing]
             == [o for i, o in enumerate(checks) if i not in failing])
+
+
+def _checked_entry(**residuals):
+    """A compatible point's checks, every residual 0 but those given."""
+    return {"compatible": True, "compatibility_det": 1.0,
+            **{key: 0.0 for key, _ in CHECK_BOUNDS}, **residuals}
+
+
+def test_a_nan_residual_fails_its_check():
+    entry = _checked_entry(nh_form_residual=float("nan"))
+    assert (first_failure(entry, 3, DEFAULT_TOLERANCES)
+            == "nh_form_residual at point 3: nan > 1.0e-08")
+
+
+@pytest.mark.parametrize("residuals", [(1e-12, np.nan), (np.nan, 1e-12)])
+def test_a_nan_residual_makes_its_maximum_nan_in_either_order(tmp_path, monkeypatch, capsys,
+                                                               residuals):
+    from nhfields import cli
+
+    values = iter(residuals)
+    monkeypatch.setattr(cli, "verify_points", lambda model, spec, pts, *args: [
+        _checked_entry(nh_form_residual=next(values)) for _ in pts])
+    assert main(["--config", str(write_config(tmp_path, points=2))]) == 1
+    summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
+    assert summary["max_residuals"]["nh_form_residual"] == "nan"
+    assert summary["first_failure"].startswith(
+        f"nh_form_residual at point {residuals.index(np.nan)}: nan")
+    assert "verify FAILED: nh_form_residual" in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -818,17 +848,17 @@ def test_fluid_verify_small(tmp_path):
 def test_zeta_check_draws_the_configured_tuples(tmp_path, monkeypatch):
     import inspect
 
-    from nhfields import cli
+    from nhfields import verify
 
     seen = []
-    real = cli.zeta_residual_batch
+    real = verify.zeta_residual_batch
 
     def spy(*args, **kwargs):
         bound = inspect.signature(real).bind(*args, **kwargs)
         seen.append(bound.arguments["vecs"].shape[:2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "zeta_residual_batch", spy)
+    monkeypatch.setattr(verify, "zeta_residual_batch", spy)
     path = write_config(tmp_path, points=2, tuples=7)
     assert main(["--config", str(path)]) == 0
     assert seen == [(2, 7)]  # both points, 7 tuples each
@@ -838,7 +868,7 @@ def test_verify_tests_compatibility_once_per_chunk_at_the_configured_tolerance(
         tmp_path, monkeypatch):
     import inspect
 
-    from nhfields import cli, projector
+    from nhfields import projector, verify
 
     seen = []
     real = projector.compatibility_matrix
@@ -850,7 +880,7 @@ def test_verify_tests_compatibility_once_per_chunk_at_the_configured_tolerance(
         return real(*args, **kwargs)
 
     # the projector module's own calls (build_projectors) are seen too
-    monkeypatch.setattr(cli, "compatibility_matrix", spy)
+    monkeypatch.setattr(verify, "compatibility_matrix", spy)
     monkeypatch.setattr(projector, "compatibility_matrix", spy)
     path = write_config(tmp_path, points=3, tolerances={"compatibility": 1e-9})
     assert main(["--config", str(path)]) == 0

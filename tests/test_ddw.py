@@ -28,6 +28,7 @@ from nhfields.ddw import (
 from nhfields.exceptions import (
     DdwSolveError,
     DimensionMismatchError,
+    InternalConsistencyError,
     InvalidArgumentError,
     NhfieldsError,
 )
@@ -37,8 +38,15 @@ from nhfields.lagrangian import (
     derivative_bundle,
     derivative_bundle_arrays,
     make_model,
+    regularity_check,
 )
-from nhfields.projector import build_projectors, solve_zeta
+from nhfields.projector import (
+    build_projectors,
+    compatibility_matrix,
+    dense_rows,
+    projector_pairs,
+    solve_zeta,
+)
 
 from helpers import (
     bundle_at,
@@ -336,7 +344,7 @@ def test_a_fluid_in_gravity_passes_every_check_of_the_chain():
     not zero, and the fluid's H[b, nu, a, mu] differs from H[b, mu, a, nu]:
     the solve must pair Gamma2[b, mu, nu] with the first, as the lift
     H_mu = d_mu + ... + Gamma2[a, mu, nu] d/dv^a_nu does."""
-    from nhfields import cli
+    from nhfields import cli, verify
 
     fluid = make_model("fluid")
     model = LagrangianModel("fluid-gravity", fluid.dims,
@@ -344,8 +352,8 @@ def test_a_fluid_in_gravity_passes_every_check_of_the_chain():
     spec = make_constraint("incompressibility")
     tols = cli.DEFAULT_TOLERANCES
     pts = cli.sample_constraint_point(model, spec, np.random.default_rng(1), 20)
-    checks = cli._chain(model, spec, pts, np.random.default_rng(2), tols, 20)
-    assert [cli._first_failure(entry, i, tols) for i, entry in enumerate(checks)] == [None] * 20
+    checks = verify.verify_points(model, spec, pts, np.random.default_rng(2), tols, 20)
+    assert [verify.first_failure(entry, i, tols) for i, entry in enumerate(checks)] == [None] * 20
 
 
 def _linear(coeffs, terms):
@@ -384,29 +392,75 @@ def random_model_and_constraint(rng, n: int, m: int, k: int):
             ConstraintSpec(Dims(n, m, k), [constraint(alpha) for alpha in range(k)]))
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
-@given(n=st.integers(0, 2), m=st.integers(1, 3), data=st.data())
-def test_the_chain_passes_at_every_regular_compatible_point_of_a_random_model(n, m, data):
-    """Every check of the chain passes on random models whose De Donder-Weyl
-    data is not zero, wherever a point is regular, compatible and stopped
-    by no error."""
+def random_scenario(n: int, m: int, data):
+    """A random model and k <= m constraints, with the points of four draws
+    whose Newton projection onto the constraint set converged."""
     from nhfields import cli
 
     k = data.draw(st.integers(1, m), label="k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     model, spec = random_model_and_constraint(rng, n, m, k)
-    tols = cli.DEFAULT_TOLERANCES
     pts = []
     for i in range(4):
         try:
             pts += cli.sample_constraint_point(model, spec, rng, 1, i)
         except NhfieldsError:
             pass
-    checks = cli._chain(model, spec, pts, rng, tols, min_check_tuples(k, n + 1) + 4)
+    return model, spec, pts, rng
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(0, 2), m=st.integers(1, 3), data=st.data())
+def test_the_chain_passes_at_every_regular_compatible_point_of_a_random_model(n, m, data):
+    """Every check of the chain passes on random models whose De Donder-Weyl
+    data is not zero, wherever a point is regular, compatible and stopped
+    by no error."""
+    from nhfields import cli, verify
+
+    model, spec, pts, rng = random_scenario(n, m, data)
+    tols = cli.DEFAULT_TOLERANCES
+    checks = verify.verify_points(model, spec, pts, rng, tols,
+                                  min_check_tuples(spec.k, n + 1) + 4)
     kept = [(i, entry) for i, entry in enumerate(checks)
             if isinstance(entry, dict) and entry["regular"] and entry["compatible"]]
     assume(kept)
-    assert [cli._first_failure(entry, i, tols) for i, entry in kept] == [None] * len(kept)
+    assert [verify.first_failure(entry, i, tols) for i, entry in kept] == [None] * len(kept)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(0, 2), m=st.integers(1, 3), data=st.data())
+def test_the_projectors_of_a_random_model_split_the_tangent_space(n, m, data):
+    """At every regular, compatible point of a random model, P^2 = P,
+    P + Q = I, dphi P = 0, Q zeta = zeta and rank Q = k, so range Q is span
+    zeta, each to 1e-11 of its scale (the worst of 790 points over 200
+    models is 2.5e-15), and no point stops at an InternalConsistencyError."""
+    from nhfields import cli
+
+    model, spec, pts, _ = random_scenario(n, m, data)
+    tols = cli.DEFAULT_TOLERANCES
+    checked = 0
+    for p in pts:
+        bundle = derivative_bundle(model, p)
+        if not regularity_check(bundle)["regular"]:
+            continue
+        cp = spec.at(p)
+        zeta = solve_zeta(bundle, cp.coeffs).zeta
+        comp = compatibility_matrix(zeta, cp.dphidv, tols["compatibility"])
+        if not comp["compatible"]:
+            continue
+        pp, errors = projector_pairs(zeta, cp.dphi, comp, tols["projector"])
+        assert not any(isinstance(e, InternalConsistencyError) for e in errors.values())
+        if errors:  # an ill-conditioned compatibility matrix
+            continue
+        Z, tol = dense_rows(zeta).T, 1e-11
+        scale = max(1.0, np.linalg.norm(pp.Q, 2))
+        assert np.abs(pp.P @ pp.P - pp.P).max() <= tol * scale**2
+        assert np.abs(pp.P + pp.Q - np.eye(len(pp.P))).max() <= tol * scale
+        assert np.abs(cp.dphi @ pp.P).max() <= tol * scale * np.abs(cp.dphi).max()
+        assert np.abs(pp.Q @ Z - Z).max() <= tol * scale * np.abs(Z).max()
+        assert np.linalg.matrix_rank(pp.Q) == spec.k
+        checked += 1
+    assume(checked)
 
 
 @pytest.mark.parametrize("pinned", [False, True])

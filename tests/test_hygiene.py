@@ -42,6 +42,18 @@ def test_no_module_imports_a_name_it_never_uses():
     assert [u for p in modules for u in _unused_imports(p)] == []
 
 
+def test_the_cli_leaves_the_identity_chain_to_verify():
+    """``cli`` imports nothing from ``projector`` and, from ``ddw``, only
+    ``min_check_tuples``, which checks the ``tuples`` key; the chain's
+    kernels are ``verify``'s."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("verify", "verify_points") in imported
+    assert {(module, name) for module, name in imported
+            if module in ("projector", "ddw")} == {("ddw", "min_check_tuples")}
+
+
 def _private_definitions(tree: ast.Module):
     """(name, statement) for each module-level function, class or assigned
     name of ``tree`` with one leading underscore."""
