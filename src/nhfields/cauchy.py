@@ -31,11 +31,13 @@ from .exceptions import (
     EvaluationError,
     IntegrationError,
     InvalidArgumentError,
+    raise_first,
 )
 from .jet import Dims, periodic_derivative
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
+    bundle_errors,
     derivative_bundle_arrays,
     hessian_flat,
     omega_eval_batch,
@@ -248,6 +250,7 @@ def _slice_geometry(model: LagrangianModel, state: CauchyState,
                     method: str) -> _SliceGeometry:
     x, y, v = state.jet_arrays(method)
     bundle = derivative_bundle_arrays(model, x, y, v)
+    raise_first(bundle_errors(model, bundle))
     dv = np.swapaxes(grid_derivative(v, state.n, method), -1, -2)
     return _SliceGeometry(state, method, x, y, v, dv, bundle)
 
@@ -276,7 +279,9 @@ def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
     Gamma^b_0 = v^b_0), from one constraint pass."""
     geom = _slice_geometry(model, state, method)
     x, y, v = geom.x, geom.y, geom.v
-    Gfree = solve_ddw(geom.bundle, v, geom.dv)[0][..., 0, :]
+    block, _, errors = solve_ddw(geom.bundle, v, geom.dv)
+    raise_first(errors)
+    Gfree = block[..., 0, :]
     if spec is None:
         return replace(geom, Gfree=Gfree, Gt=Gfree)
     phi, dphi = spec.evaluate(x, y, v)
@@ -287,8 +292,9 @@ def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
             f"exceeds {drift_tol:.1e}"
         )
     dphidv = jet_block(dphi, *v.shape[-2:])
-    C = coefficient_arrays(spec, x, y, v, dphidv)
-    zeta = solve_zeta_flat(hessian_flat(geom.bundle), C)
+    C = coefficient_arrays(spec, dphidv)
+    zeta, errors = solve_zeta_flat(hessian_flat(geom.bundle), C)
+    raise_first(errors)
     Lam = multiplier_matrix(compatibility_matrix(zeta, dphidv))
     Gamma2, _ = project_lifts(v[..., :, :1], Gfree[..., :, None, :], dphi, Lam, zeta)
     return replace(geom, Gfree=Gfree, Gt=Gamma2[..., :, 0, :], dphi=dphi, C=C,

@@ -248,7 +248,7 @@ def build_scenario(cfg: dict):
         raise ConfigError(
             f"constraint dims {spec.dims} do not match model dims {model.dims}"
         )
-    custom = None
+    matrix = None
     if ccfg["mode"] == "custom":
         try:
             matrix = load_custom_coeffs_csv(ccfg["coeffs_csv"], spec.dims)
@@ -257,11 +257,8 @@ def build_scenario(cfg: dict):
                 f"constraint.coeffs_csv must be a readable CSV file of finite "
                 f"coefficients: {exc}"
             ) from exc
-        custom = lambda p: matrix
     return model, dataclasses.replace(
-        spec, custom_coeffs=custom,
-        on_tol=cfg["tolerances"]["on_constraint"],
-    )
+        spec, coeffs=matrix, on_tol=cfg["tolerances"]["on_constraint"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ differentiation.  Constraint forms are
     Phi_alpha = (C_alpha)^mu_a theta^a ^ d^n x_mu,
 
 with the Chetaev choice (C_alpha)^mu_a = d phi_alpha / d v^a_mu by default,
-or a user-supplied coefficient field.
+or user-supplied constant coefficients.
 """
 
 from __future__ import annotations
@@ -42,18 +42,15 @@ from .jet import (
 class ConstraintSpec:
     """k constraint functions with their coefficient rule.
 
-    The coefficients are the Chetaev ones dphi/dv unless ``custom_coeffs``
-    is given; ``custom_coeffs(p)`` receives a ``JetPointArrays`` with
-    batched x (..., n+1), y (..., m) and v (..., m, n+1) and must return the
-    coefficients (C_alpha)^mu_a with trailing axes (k, n+1, m); leading axes
-    broadcast against the batch, so a constant (k, n+1, m) array is valid.
+    The coefficients are the Chetaev ones dphi/dv unless ``coeffs`` is
+    given: constant coefficients (C_alpha)^mu_a of shape (k, n+1, m).
     Constraints are evaluated on a neighborhood of the constraint set, not
     only on it, since projector construction needs off-manifold derivatives.
     """
 
     dims: Dims
     funcs: Sequence[Callable]
-    custom_coeffs: Callable | None = None
+    coeffs: np.ndarray | None = None
     on_tol: float = 1e-8
     name: str = "custom"
 
@@ -62,6 +59,13 @@ class ConstraintSpec:
             raise InvalidArgumentError(
                 f"got {len(self.funcs)} functions for k={self.dims.k}"
             )
+        if self.coeffs is not None:
+            C = np.asarray(self.coeffs, dtype=float)
+            expected = (self.k, self.dims.nx, self.dims.m)
+            if C.shape != expected:
+                raise DimensionMismatchError(
+                    f"custom coefficients shape {C.shape}, expected {expected}")
+            object.__setattr__(self, "coeffs", C)
 
     @property
     def k(self) -> int:
@@ -111,7 +115,7 @@ class ConstraintSpec:
         phi, dphi = self.evaluate(p.x, p.y, p.v)
         raise_first(off_constraint_errors(phi, self.on_tol))
         dphidv = jet_block(dphi, self.dims.m, self.dims.nx)
-        return ConstraintPoint(p, dphi, coefficient_arrays(self, p.x, p.y, p.v, dphidv))
+        return ConstraintPoint(p, dphi, coefficient_arrays(self, dphidv))
 
 
 def off_constraint_errors(phi: np.ndarray, tol: float) -> dict:
@@ -154,31 +158,13 @@ class ConstraintPoint:
         return ConstraintPoint(p, np.zeros((0, nx + m + m * nx)), np.zeros((0, nx, m)))
 
 
-@dataclass(frozen=True)
-class JetPointArrays:
-    """Batched stand-in for JetPoint handed to custom coefficient fields."""
-
-    x: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-
-
-def coefficient_arrays(spec: ConstraintSpec, x, y, v, dphidv) -> np.ndarray:
-    """(C_alpha)^mu_a over a batch, shape (..., k, n+1, m): the Chetaev
-    dphi/dv, or the user field ``custom_coeffs`` when the spec has one (see
-    ``ConstraintSpec``)."""
-    if spec.custom_coeffs is None:
+def coefficient_arrays(spec: ConstraintSpec, dphidv: np.ndarray) -> np.ndarray:
+    """(C_alpha)^mu_a over the batch of dphi/dv (..., k, m, n+1), shape
+    (..., k, n+1, m): the Chetaev dphi/dv, or the spec's constant
+    ``coeffs``."""
+    if spec.coeffs is None:
         return np.swapaxes(dphidv, -1, -2)  # (.., k, m, n+1) -> (.., k, n+1, m)
-    C = np.asarray(spec.custom_coeffs(JetPointArrays(x, y, v)), dtype=float)
-    expected = (spec.k, spec.dims.nx, spec.dims.m)
-    if C.shape[-3:] == expected:
-        try:
-            return np.broadcast_to(C, np.shape(v)[:-2] + expected)
-        except ValueError:
-            pass
-    raise DimensionMismatchError(
-        f"custom coefficients shape {C.shape}, expected trailing axes {expected}"
-    )
+    return np.broadcast_to(spec.coeffs, dphidv.shape[:-3] + spec.coeffs.shape)
 
 
 def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iters: int,
@@ -226,7 +212,7 @@ def newton_onto_constraint(spec: ConstraintSpec, x, y, v, cols, tol: float, iter
 def chetaev_coefficients(spec: ConstraintSpec, p: JetPoint) -> np.ndarray:
     """(C_alpha)^mu_a at one point, shape (k, n+1, m): a batch of one of
     ``coefficient_arrays``."""
-    return coefficient_arrays(spec, p.x, p.y, p.v, spec.dphidv_arrays(p.x, p.y, p.v))
+    return coefficient_arrays(spec, spec.dphidv_arrays(p.x, p.y, p.v))
 
 
 def constraint_forms(p: JetPoint, coeffs: np.ndarray):

@@ -16,7 +16,6 @@ solve of every case, batched; the pointwise solvers are batches of one.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -29,9 +28,10 @@ from .constraint import (
     jet_block,
     phi_from_pairings,
 )
-from .exceptions import DdwSolveError, DimensionMismatchError, InvalidArgumentError, errors_at
+from .exceptions import (DdwSolveError, DimensionMismatchError, InvalidArgumentError, errors_at,
+                         raise_first)
 from .exterior import vector_rows
-from .jet import ConnectionCoeffs, Jet2Point, deletion_minors, dx_minors
+from .jet import ConnectionCoeffs, Jet2Point, deletion_minors, dx_minors, solve_points
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
@@ -76,8 +76,7 @@ def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
 
 
 def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | None = None,
-              dphi: np.ndarray | None = None, coeffs: np.ndarray | None = None,
-              errors: dict | None = None):
+              dphi: np.ndarray | None = None, coeffs: np.ndarray | None = None):
     """The De Donder-Weyl system, batched over the leading axes of v (..., m, n+1).
 
     The unknowns are the block Gamma^a_{mu nu} for mu < L: L = n+1, or L = 1
@@ -90,11 +89,10 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
     satisfiable exactly (``nh_ddw_residual`` still reports them).  The
     minimum-norm solution x = A^T y, (A A^T) y = b, must solve the system
     at every point, to _SOLVE_TOL * max(1, max|rhs|), else the point is
-    solved again by pseudo-inverse; where that fails too, the first point
-    raises DdwSolveError, naming the grid point when the batch has axes,
-    or, when ``errors`` is given, each point's error goes there, keyed by
-    point index.  Returns the solved block (..., m, L, n+1) and the
-    multipliers lambda^alpha_mu (..., k, n+1).
+    solved again by pseudo-inverse.  Returns the solved block
+    (..., m, L, n+1), the multipliers lambda^alpha_mu (..., k, n+1) and the
+    DdwSolveError of each point where the pseudo-inverse fails too, keyed by
+    point index.
     """
     m, nx = v.shape[-2:]
     batch = v.shape[:-2]
@@ -133,40 +131,25 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
     # x = A^T y, in the row space of A, has minimum norm if it solves A x = b
     with np.errstate(all="ignore"):  # an overflow sends its point to pinv
         gram = A @ np.swapaxes(A, -1, -2)
-        y = np.full(b.shape, np.nan)  # where the Gram matrix is singular
-        try:
-            y = np.linalg.solve(gram, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for idx in np.ndindex(batch):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    y[idx] = np.linalg.solve(gram[idx], b[idx])
+        y = solve_points(gram, b[..., None])[0][..., 0]  # NaN where gram is singular
         sol = np.einsum("...ji,...j->...i", A, y)
         resid = residual(sol)
     redo = ~(resid <= bound)  # NaN included
     if redo.any():
         sol[redo] = np.einsum("...ij,...j->...i", np.linalg.pinv(A[redo]), b[redo])
         resid = residual(sol)
-
-    def error(idx, where=""):
-        return DdwSolveError(
-            f"no solution for the De Donder-Weyl system{where}: least-squares residual "
-            f"{resid[idx]:.3e}"
-        )
-
-    found = errors_at(resid > bound, error)
-    if errors is not None:
-        errors.update(found)
-    elif found:
-        idx = min(found)
-        raise error(idx, f" at grid point {idx}" if idx else "")
     return (sol[..., :n_gamma].reshape(batch + (m, L, nx)),
-            sol[..., n_gamma:].reshape(batch + (k, nx)))
+            sol[..., n_gamma:].reshape(batch + (k, nx)),
+            errors_at(resid > bound, lambda idx: DdwSolveError(
+                "no solution for the De Donder-Weyl system: least-squares residual "
+                f"{resid[idx]:.3e}")))
 
 
 def _solution(bundle, v, spatial, dphi=None, coeffs=None) -> DdwSolution:
     """A batch of one of ``solve_ddw`` as connection coefficients, with the
     pinned block (if any) filled in."""
-    block, lam = solve_ddw(bundle, v, spatial, dphi, coeffs)
+    block, lam, errors = solve_ddw(bundle, v, spatial, dphi, coeffs)
+    raise_first(errors)
     if spatial is not None:
         block = np.concatenate([block, spatial], axis=1)
     return DdwSolution(ConnectionCoeffs(v.copy(), block), lam)
@@ -328,7 +311,7 @@ def nh_field_residual(model: LagrangianModel, spec: ConstraintSpec,
     E = el_residual(model, q)
     p, dims = q.point, spec.dims
     phi, dphi = spec.evaluate(p.x, p.y, p.v)
-    C = coefficient_arrays(spec, p.x, p.y, p.v, jet_block(dphi, dims.m, dims.nx))
+    C = coefficient_arrays(spec, jet_block(dphi, dims.m, dims.nx))
     Cmat = C.reshape(spec.k * dims.nx, dims.m).T  # (m, k(n+1))
     lam_flat, *_ = np.linalg.lstsq(Cmat, E, rcond=None)
     return {

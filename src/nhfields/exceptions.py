@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the library.
 
-A batched check that must not stop at its first failing point reports the
-error of each failing point instead, in a dict keyed by the point's index
-into the batch (``()`` for a pointwise call); ``raise_first`` turns such a
-dict back into the pointwise behaviour.
+A batched kernel never raises for a single point: it returns the error of
+each failing point, in a dict keyed by the point's index into the batch
+(``()`` for a pointwise call, see ``errors_at``).  ``raise_first`` is the
+one place such an error is raised, by the callers that stop at the first.
 """
 
 import numpy as np
@@ -69,7 +69,12 @@ def errors_at(bad, make) -> dict:
     return {idx: make(idx) for idx in (tuple(int(i) for i in row) for row in np.argwhere(bad))}
 
 
-def raise_first(errors: dict) -> None:
-    """Raise the error of the first failing point in C order, if any."""
-    if errors:
-        raise errors[min(errors)]
+def raise_first(found: dict) -> None:
+    """Raise the error of the first failing point of ``found`` in C order,
+    if any, naming its index as ``at grid point (i, j, ...): <message>``
+    unless the index is the pointwise ``()``."""
+    if found:
+        idx = min(found)
+        if idx == ():
+            raise found[idx]
+        raise type(found[idx])(f"at grid point {idx}: {found[idx]}")

@@ -140,7 +140,7 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
     spec = spec or incompressibility_constraint()
     dims = spec.dims
     _, dphi = spec.evaluate(p.x, p.y, p.v)
-    coeffs = coefficient_arrays(spec, p.x, p.y, p.v, jet_block(dphi, dims.m, dims.nx))
+    coeffs = coefficient_arrays(spec, jet_block(dphi, dims.m, dims.nx))
     generic = solve_zeta(derivative_bundle(fluid_lagrangian(params), p), coeffs).zeta
     gap = np.max(np.abs(generic - zeta))
     if gap > 1e-9 * np.max(np.abs(zeta)):

@@ -1,5 +1,5 @@
-"""Jet coordinates, contact forms, minors, connections, and the one
-periodic central-difference stencil.
+"""Jet coordinates, contact forms, minors, connections, the per-point
+helpers of batched kernels, and the one periodic central-difference stencil.
 
 Coordinates follow the fixed layout: base x^mu with mu = 0..n (x^0 plays the
 role of time in Cauchy mode), fields y^a with a = 0..m-1, jet entries
@@ -183,6 +183,23 @@ def finite_points(arr: np.ndarray, batch: int) -> np.ndarray:
     """Whether all entries of arr are finite, per point of its ``batch``
     leading axes."""
     return np.isfinite(arr).all(axis=tuple(range(batch, arr.ndim)))
+
+
+def solve_points(A: np.ndarray, B: np.ndarray):
+    """``np.linalg.solve(A, B)`` over the batch of square A (..., r, r) and
+    B (..., r, c), and whether each point's A is singular.  The batched
+    solve stops at its first singular matrix, so such a batch is solved
+    point by point, with NaN at its singular points."""
+    try:
+        return np.linalg.solve(A, B), np.zeros(A.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        sol, singular = np.full(B.shape, np.nan), np.zeros(A.shape[:-2], dtype=bool)
+        for idx in np.ndindex(A.shape[:-2]):
+            try:
+                sol[idx] = np.linalg.solve(A[idx], B[idx])
+            except np.linalg.LinAlgError:
+                singular[idx] = True
+        return sol, singular
 
 
 def contact_eval(p: JetPoint, u: TangentVector) -> np.ndarray:

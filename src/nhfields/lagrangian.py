@@ -25,6 +25,7 @@ from .exceptions import (
     EvaluationError,
     InvalidArgumentError,
     errors_at,
+    raise_first,
 )
 from .exterior import Form, vector_rows
 from .jet import (
@@ -104,31 +105,25 @@ class DerivativeBundle:
         return self[(slice(None),) * np.ndim(self.L) + (None,) * count]
 
 
-def _nonfinite(model: "LagrangianModel", bundle: DerivativeBundle):
-    """The EvaluationError naming the first non-finite entry of the bundle,
-    field by field, or None."""
-    for f in fields(bundle):
-        arr = np.atleast_1d(getattr(bundle, f.name))
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            return EvaluationError(
-                f"model {model.name!r}: non-finite {f.name} at index "
-                f"{tuple(int(i) for i in bad)}"
-            )
-    return None
-
-
 def bundle_errors(model: "LagrangianModel", bundle: DerivativeBundle) -> dict:
     """The EvaluationError of each batch point whose bundle has a non-finite
-    entry, keyed by point index, naming the entry by its index at the point."""
+    entry, keyed by point index, naming the first such entry, field by
+    field, by its index at the point."""
     finite = np.ones(np.shape(bundle.L), dtype=bool)
     for f in fields(bundle):
         finite &= finite_points(getattr(bundle, f.name), finite.ndim)
-    return errors_at(~finite, lambda idx: _nonfinite(model, bundle[idx]))
+
+    def error(idx):
+        for f in fields(bundle):
+            bad = np.argwhere(~np.isfinite(np.atleast_1d(getattr(bundle, f.name)[idx])))
+            if len(bad):
+                return EvaluationError(f"model {model.name!r}: non-finite {f.name} at index "
+                                       f"{tuple(int(i) for i in bad[0])}")
+
+    return errors_at(~finite, error)
 
 
-def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
-                             check: bool = True) -> DerivativeBundle:
+def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundle:
     """Derivative bundle over arrays of jet coordinates (batched).
 
     Every input is seeded, as the Dual2 direction of its flat jet index, and
@@ -137,8 +132,7 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
     in chunks whose m(n+1) x m(n+1) v-block of the Hessian is at most
     ``_CHUNK_BYTES``; each result is scattered from its support into the
     preallocated outputs, and entries of inputs L never touches are +0.0.
-    A non-finite entry raises EvaluationError unless ``check`` is off (see
-    ``bundle_errors``).
+    Non-finite entries are left to ``bundle_errors``.
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
@@ -167,7 +161,7 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
             rows, cols = idx[:, None], idx[v0:] - (nx + m)
         grad[s, idx] = out.grad.T
         hv[s, rows, cols] = np.moveaxis(out.hess[:, v0:], -1, 0)
-    bundle = DerivativeBundle(
+    return DerivativeBundle(
         L.reshape(batch),
         grad[:, nx : nx + m].reshape(batch + (m,)),
         grad[:, nx + m :].reshape(batch + (m, nx)),
@@ -175,9 +169,6 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v,
         hv[:, nx : nx + m].reshape(batch + (m, m, nx)),
         hv[:, :nx].reshape(batch + (nx, m, nx)),
     )
-    if check and (error := _nonfinite(model, bundle)) is not None:
-        raise error
-    return bundle
 
 
 def derivative_bundle(model: LagrangianModel, p: JetPoint) -> DerivativeBundle:
@@ -186,7 +177,9 @@ def derivative_bundle(model: LagrangianModel, p: JetPoint) -> DerivativeBundle:
         raise DimensionMismatchError(
             f"point dims (n={p.n}, m={p.m}) do not match model {model.dims}"
         )
-    return derivative_bundle_arrays(model, p.x, p.y, p.v)
+    bundle = derivative_bundle_arrays(model, p.x, p.y, p.v)
+    raise_first(bundle_errors(model, bundle))
+    return bundle
 
 
 def hessian_flat(bundle: DerivativeBundle) -> np.ndarray:

@@ -24,7 +24,7 @@ from .exceptions import (
     errors_at,
     raise_first,
 )
-from .jet import JetPoint, finite_points
+from .jet import JetPoint, finite_points, solve_points
 from .lagrangian import DerivativeBundle, hessian_flat, omega_eval_batch
 
 
@@ -65,47 +65,31 @@ class ProjectorPair:
     dphi: np.ndarray
 
 
-def solve_zeta_flat(H_flat: np.ndarray, coeffs: np.ndarray,
-                    errors: dict | None = None) -> np.ndarray:
+def solve_zeta_flat(H_flat: np.ndarray, coeffs: np.ndarray):
     """Solve the zeta systems given the flattened Hessian.
 
     H_flat: (..., mn, mn) in a-major/mu-minor flattening; coeffs (C_alpha)
-    as (..., k, n+1, m).  Returns (..., k, m, n+1).  Batched: a point
-    without a finite solution raises RegularityError, or, when ``errors`` is
-    given, puts it there, keyed by point index.  ``np.linalg.solve`` stops a
-    whole batch at its first singular Hessian, so a batch that has one is
-    solved point by point.
+    as (..., k, n+1, m).  Returns zeta (..., k, m, n+1) and the
+    RegularityError of each point without a finite solution, keyed by
+    point index.
     """
     k, nx, m = coeffs.shape[-3:]
     batch = coeffs.shape[:-3]
     # H symmetric: the row-form equation zeta H = C transposes to H zeta = C
     rhs = np.swapaxes(np.swapaxes(coeffs, -1, -2).reshape(batch + (k, m * nx)), -1, -2)
-    singular = {}
-    try:
-        sol = np.linalg.solve(H_flat, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.zeros(rhs.shape)
-        for idx in np.ndindex(batch):
-            try:
-                sol[idx] = np.linalg.solve(H_flat[idx], rhs[idx])
-            except np.linalg.LinAlgError as exc:
-                singular[idx] = RegularityError(
-                    f"Hessian is singular in the zeta solve: {exc}")
-    finite = finite_points(sol, len(batch))
-    found = errors_at(~finite, lambda idx: RegularityError(
-        "Hessian is singular in the zeta solve: non-finite solution"))
-    found.update(singular)
-    if errors is None:
-        raise_first(found)
-    else:
-        errors.update(found)
-    return np.swapaxes(sol, -1, -2).reshape(batch + (k, m, nx))
+    sol, singular = solve_points(H_flat, rhs)
+    errors = errors_at(~finite_points(sol, len(batch)), lambda idx: RegularityError(
+        "Hessian is singular in the zeta solve: "
+        + ("Singular matrix" if singular[idx] else "non-finite solution")))
+    return np.swapaxes(sol, -1, -2).reshape(batch + (k, m, nx)), errors
 
 
 def solve_zeta(bundle: DerivativeBundle, coeffs: np.ndarray) -> ZetaBasis:
     """Constraint distribution basis at one point; ``zeta_residual`` checks
     its defining form identity."""
-    return ZetaBasis(solve_zeta_flat(hessian_flat(bundle), coeffs))
+    zeta, errors = solve_zeta_flat(hessian_flat(bundle), coeffs)
+    raise_first(errors)
+    return ZetaBasis(zeta)
 
 
 def zeta_residual_batch(bundle: DerivativeBundle, coeffs: np.ndarray, zeta: np.ndarray,
@@ -141,36 +125,40 @@ def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
 
     Batched: zeta and dphidv are (..., k, m, n+1).  The tolerance is
     scale-relative: the smallest singular value is compared against tol
-    times the natural entry scale max ||zeta_alpha|| max ||dphi_beta||.
-    ``cond`` is that scale over the smallest singular value (inf when it
-    vanishes), the condition number of the matrix relative to its entries.
+    times the natural entry scale max ||zeta_alpha|| max ||dphi_beta||, as
+    the singular value over the first norm against tol times the second, so
+    that no product of scales overflows.  ``cond`` is that scale over the
+    smallest singular value (inf when it vanishes), the condition number of
+    the matrix relative to its entries.
     """
     k = zeta.shape[-3]
     batch = zeta.shape[:-3]
     mmat = np.einsum("...kav,...lav->...kl", zeta, dphidv)
-    scale = (
-        np.max(np.linalg.norm(zeta.reshape(batch + (k, -1)), axis=-1), axis=-1)
-        * np.max(np.linalg.norm(dphidv.reshape(batch + (k, -1)), axis=-1), axis=-1)
-    )
+    zn, dn = (np.max(_norms(a.reshape(batch + (k, -1))), axis=-1) for a in (zeta, dphidv))
     svals = np.linalg.svd(mmat, compute_uv=False)
     smin = svals[..., -1] if k else np.zeros(batch)
-    scale = np.maximum(scale, 1e-300)
-    cond = np.divide(scale, smin, out=np.full(batch, np.inf), where=smin > 0)
-    return {"mmat": mmat, "det": np.linalg.det(mmat), "compatible": smin > tol * scale,
+    # a nonzero smin has nonzero zeta and dphi rows
+    rel = np.divide(smin, zn, out=np.zeros(batch), where=smin > 0)
+    with np.errstate(over="ignore"):  # a condition number past the float range is inf
+        cond = np.divide(zn, smin, out=np.full(batch, np.inf), where=smin > 0) * dn
+    return {"mmat": mmat, "det": np.linalg.det(mmat), "compatible": rel > tol * dn,
             "cond": cond}
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of rows (..., c), taken of the rows scaled by a power
+    of two near their largest entry: no square overflows, and a norm whose
+    squares would not have overflowed has the bits of ``np.linalg.norm``."""
+    exp = np.frexp(np.max(np.abs(rows), axis=-1, keepdims=True))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(rows, -exp), axis=-1), exp[..., 0])
 
 
 def multiplier_matrix(comp: dict) -> np.ndarray:
     """Lam = inv(mmat)^T (batched) from a ``compatibility_matrix`` result;
-    raises CompatibilityError naming the first point that fails its test."""
-    bad = ~comp["compatible"]
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        where = f" at grid point {idx}" if bad.ndim else ""
-        raise CompatibilityError(
-            f"compatibility matrix is singular{where} (det {comp['det'][idx]:.3e}); "
-            "the constraint distribution meets TC nontrivially"
-        )
+    raises the CompatibilityError of the first point that fails its test."""
+    raise_first(errors_at(~comp["compatible"], lambda idx: CompatibilityError(
+        f"compatibility matrix is singular (det {comp['det'][idx]:.3e}); "
+        "the constraint distribution meets TC nontrivially")))
     return np.swapaxes(np.linalg.inv(comp["mmat"]), -1, -2)
 
 

@@ -51,10 +51,10 @@ class _Chunk:
             self.live = {key: val[~gone] for key, val in self.live.items()}
         return len(self.live["at"]) > 0
 
-    def stop(self, errors: dict) -> bool:
+    def stop(self, found: dict) -> bool:
         """Take the points with an error out, recording it; whether any are left."""
         gone = np.zeros(len(self.live["at"]), dtype=bool)
-        for (j,), error in errors.items():
+        for (j,), error in found.items():
             self.out[self.live["at"][j]] = error
             gone[j] = True
         return self.leave(gone)
@@ -94,11 +94,10 @@ def verify_points(model, spec, points: list, rng, tols, tuples: int) -> list:
     def solve(*constraint):
         """solve_ddw's Gamma2 and multipliers, with the error of each point
         it has no solution at, or a non-finite one."""
-        errors = {}
-        block, lam = solve_ddw(c["bundle"], c["v"], None, *constraint, errors=errors)
+        block, lam, errors = solve_ddw(c["bundle"], c["v"], None, *constraint)
         return block, lam, {**connection_errors(c["v"], block), **errors}
 
-    c["bundle"] = derivative_bundle_arrays(model, c["x"], c["y"], c["v"], check=False)
+    c["bundle"] = derivative_bundle_arrays(model, c["x"], c["y"], c["v"])
     if not c.stop(bundle_errors(model, c["bundle"])):
         return c.out
     reg = regularity_check(c["bundle"])
@@ -107,13 +106,12 @@ def verify_points(model, spec, points: list, rng, tols, tuples: int) -> list:
     if not c.stop(off_constraint_errors(phi, spec.on_tol)):
         return c.out
     c["dphidv"] = jet_block(c["dphi"], m, nx)
-    c["coeffs"] = coefficient_arrays(spec, c["x"], c["y"], c["v"], c["dphidv"])
+    c["coeffs"] = coefficient_arrays(spec, c["dphidv"])
     rank, errors = constraint_ranks(c["dphidv"], c["coeffs"])
     c.record(rank=rank)
     if not c.stop(errors):
         return c.out
-    errors = {}
-    c["zeta"] = solve_zeta_flat(hessian_flat(c["bundle"]), c["coeffs"], errors)
+    c["zeta"], errors = solve_zeta_flat(hessian_flat(c["bundle"]), c["coeffs"])
     if not c.stop(errors):
         return c.out
     c.record(zeta_residual=zeta_residual_batch(c["bundle"], c["coeffs"], c["zeta"], c["v"],

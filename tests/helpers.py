@@ -14,7 +14,7 @@ from nhfields import autodiff as ad
 from nhfields.constraint import ConstraintSpec, constraint_forms, make_constraint
 from nhfields.exterior import Form, TangentVector
 from nhfields.jet import Dims, JetPoint
-from nhfields.lagrangian import DerivativeBundle, make_model, omega_form
+from nhfields.lagrangian import DerivativeBundle, LagrangianModel, make_model, omega_form
 
 
 def cofactor_det(matrix) -> float:
@@ -368,3 +368,26 @@ def sample_point_oracle(model, spec, rng) -> JetPoint:
     v, converged = whole_batch_newton(spec, x, y, v, slice(None), 1e-12, 50)
     assert converged
     return JetPoint(x, y, v)
+
+
+# the knife-edge string's moments of inertia and of bending
+KNIFE_I, KNIFE_J = 0.5, 0.25
+
+
+def knife_edge():
+    """(model, spec) of the knife-edge elastic string: the fibre (x, y, theta)
+    over (t, u), L = (x_t^2 + y_t^2 + I theta_t^2) / 2
+    - (x_u^2 + y_u^2 + J theta_u^2) / 2, and every point of the string a knife
+    edge, phi = sin(theta) x_t - cos(theta) y_t = 0.  The constraint reads y
+    (theta), is linear in v0 and not integrable; its force has no theta part,
+    so theta obeys the free wave I theta_tt = J theta_uu."""
+    def fn(x, y, v):
+        return (0.5 * (v[0][0] * v[0][0] + v[1][0] * v[1][0] + KNIFE_I * (v[2][0] * v[2][0]))
+                - 0.5 * (v[0][1] * v[0][1] + v[1][1] * v[1][1]
+                         + KNIFE_J * (v[2][1] * v[2][1])))
+
+    def phi(x, y, v):
+        return ad.sin(y[2]) * v[0][0] - ad.cos(y[2]) * v[1][0]
+
+    return (LagrangianModel("knife-edge", Dims(1, 3), fn),
+            ConstraintSpec(Dims(1, 3, 1), [phi], name="knife-edge"))

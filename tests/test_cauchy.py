@@ -23,11 +23,16 @@ from nhfields.cauchy import (
 from nhfields.constraint import ConstraintSpec, chetaev_coefficients, make_constraint
 from nhfields.ddw import project_connection, solve_free_ddw
 from nhfields.exceptions import (
+    CompatibilityError,
     DdwSolveError,
     DimensionMismatchError,
     DriftError,
+    EvaluationError,
     IntegrationError,
     InvalidArgumentError,
+    OffConstraintError,
+    RegularityError,
+    raise_first,
 )
 from nhfields.jet import Dims, JetPoint
 from nhfields.lagrangian import LagrangianModel, derivative_bundle, make_model
@@ -246,7 +251,7 @@ def test_constraint_ansatz_negative_control():
     from nhfields.constraint import coefficient_arrays, phi_eval_batch
 
     dphidv = spec.dphidv_arrays(geom.x, geom.y, geom.v)
-    C = coefficient_arrays(spec, geom.x, geom.y, geom.v, dphidv)
+    C = coefficient_arrays(spec, dphidv)
     cols = []
     B = 16
     for W in variations:
@@ -524,16 +529,54 @@ def test_unsolvable_temporal_block_names_the_grid_point():
         sode_vector_field(model, None, wave_pde_state(16))
 
 
-@pytest.mark.parametrize("shape", [(2, 1), (1, 1, 2)])
-def test_custom_coefficients_need_trailing_k_nx_m(shape):
-    spec = replace(make_constraint("linear-transport", {"speed": 2.0}),
-                   custom_coeffs=lambda _p: np.ones(shape))
+def test_raise_first_names_a_batched_index_and_nothing_else():
+    found = {(1, 0): RegularityError("later"), (0, 2): CompatibilityError("first")}
+    with pytest.raises(CompatibilityError, match=r"^at grid point \(0, 2\): first$"):
+        raise_first(found)
+    error = OffConstraintError("at a point")
+    with pytest.raises(OffConstraintError) as exc:
+        raise_first({(): error})
+    assert exc.value is error and str(exc.value) == "at a point"
+    raise_first({})
+
+
+def test_a_singular_hessian_names_its_grid_point():
+    # L = (v0^2 - (u - 1/4) v1^2) / 2 has the Hessian diag(1, 1/4 - u), which
+    # is singular only at u = 1/4, grid point 4 of 16; the temporal block
+    # solves everywhere, so the zeta solve is the first to fail
+    def fn(x, y, v):
+        return 0.5 * (v[0][0] * v[0][0]) - 0.5 * ((x[1] - 0.25) * (v[0][1] * v[0][1]))
+
+    model = LagrangianModel("degenerate", Dims(1, 1), fn)
+    spec = make_constraint("linear-transport", {"speed": 2.0})
+    with pytest.raises(RegularityError, match=r"^at grid point \(4,\): Hessian is singular in "
+                                              r"the zeta solve: Singular matrix$"):
+        sode_vector_field(model, spec, constrained_wave_state(16))
+
+
+def test_a_non_finite_bundle_names_its_grid_point():
+    def fn(x, y, v):
+        return 0.5 * (v[0][0] * v[0][0] - v[0][1] * v[0][1]) + 1.0 / (x[1] - 0.25)
+
+    model = LagrangianModel("pole", Dims(1, 1), fn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match=r"^at grid point \(4,\): model 'pole': "
+                                                  r"non-finite L at index \(0,\)$"):
+            sode_vector_field(model, None, wave_pde_state(16))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 1, 2), (16, 1, 2, 1)])
+def test_custom_coefficients_have_shape_k_nx_m(shape):
+    """A spec's constant coefficients are checked once, when it is built;
+    leading axes are not a batch."""
+    spec = make_constraint("linear-transport", {"speed": 2.0})
+    with pytest.raises(DimensionMismatchError, match=r"expected \(1, 2, 1\)"):
+        replace(spec, coeffs=np.ones(shape))
+    custom = replace(spec, coeffs=[[[3.0], [-1.0]]])
     state = constrained_wave_state(Nu=16)
     x, y, v = state.jet_arrays()
-    with pytest.raises(DimensionMismatchError):
-        chetaev_coefficients(spec, JetPoint(x[0], y[0], v[0]))
-    with pytest.raises(DimensionMismatchError):
-        sode_vector_field(make_model("wave"), spec, state)
+    assert np.array_equal(chetaev_coefficients(custom, JetPoint(x[0], y[0], v[0])),
+                          [[[3.0], [-1.0]]])
 
 
 def test_tangent_rows_are_the_section_and_jet_derivatives():
@@ -632,8 +675,7 @@ def test_stacked_checks_match_a_loop_over_variations(scenario):
 
     geom = _slice_geometry(model, state, "spectral")
     T = _tangent_rows(geom)
-    C = coefficient_arrays(spec, geom.x, geom.y, geom.v,
-                           spec.dphidv_arrays(geom.x, geom.y, geom.v))
+    C = coefficient_arrays(spec, spec.dphidv_arrays(geom.x, geom.y, geom.v))
     N = T.shape[-1]
     loop = np.stack([
         phi_eval_batch(C, geom.v, np.concatenate(

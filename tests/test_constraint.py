@@ -118,7 +118,7 @@ def test_custom_matches_chetaev_when_fed_derivatives():
     rng = np.random.default_rng(3)
     p = random_point(rng, 1, 1)
     C = chetaev_coefficients(base, p)
-    custom = replace(base, custom_coeffs=lambda _p: C)
+    custom = replace(base, coeffs=C)
     vecs = [random_vector(rng, 1, 1) for _ in range(2)]
     assert constraint_form_eval(base, p, vecs) == pytest.approx(
         constraint_form_eval(custom, p, vecs)
@@ -241,7 +241,7 @@ def test_phi_eval_batch_matches_oracle(model, seed, points, k, pointwise, chetae
 
 def test_custom_rank_deficient_coefficients_rejected():
     base = make_constraint("linear-transport", {"speed": 2.0})
-    zero = replace(base, custom_coeffs=lambda _p: np.zeros((1, 2, 1)))
+    zero = replace(base, coeffs=np.zeros((1, 2, 1)))
     p = wave_on_constraint_point(np.random.default_rng(9))
     assert constraint_rank_check(base.at(p)) == 1
     with pytest.raises(ConstraintRankError):

@@ -31,6 +31,7 @@ from nhfields.exceptions import (
     InternalConsistencyError,
     InvalidArgumentError,
     NhfieldsError,
+    raise_first,
 )
 from nhfields.jet import Dims, Jet2Point, JetPoint
 from nhfields.lagrangian import (
@@ -506,7 +507,9 @@ def test_batched_kernel_equals_the_pointwise_solves_bitwise(name):
     m, nx = v.shape[-2:]
     for spatial in (None, rng.uniform(-1, 1, (8, m, nx - 1, nx))):
         for constrained in (False, True):
-            block, lam = solve_ddw(bundle, v, spatial, *(constraint if constrained else ()))
+            block, lam, errors = solve_ddw(bundle, v, spatial,
+                                           *(constraint if constrained else ()))
+            assert errors == {}
             assert block.shape == (8, m, nx if spatial is None else 1, nx)
             for i, (p, cp) in enumerate(zip(points, cps)):
                 fixed = None if spatial is None else spatial[i]
@@ -524,9 +527,9 @@ def test_batched_kernel_equals_the_pointwise_solves_bitwise(name):
 
 
 def test_a_point_batch_solve_collects_the_error_of_each_unsolved_point():
-    """With ``errors`` solve_ddw names no grid point and stops no batch: a
-    point whose Hessian vanishes under a nonzero right side has no
-    solution, and the others keep their bits."""
+    """solve_ddw stops no batch: a point whose Hessian vanishes under a
+    nonzero right side has no solution, its error is returned, and the
+    others keep their bits; raise_first names its grid point."""
     rng = np.random.default_rng(8)
     points = [wave_on_constraint_point(rng) for _ in range(3)]
     v = np.stack([p.v for p in points])
@@ -534,16 +537,16 @@ def test_a_point_batch_solve_collects_the_error_of_each_unsolved_point():
                                       np.stack([p.y for p in points]), v)
     bundle.H[1] = 0.0
     bundle.dLdy[1] = 1.0
-    errors = {}
-    block, lam = solve_ddw(bundle, v, errors=errors)
+    block, lam, errors = solve_ddw(bundle, v)
     assert list(errors) == [(1,)]
     assert str(errors[(1,)]) == ("no solution for the De Donder-Weyl system: "
                                  "least-squares residual 1.000e+00")
     for i in (0, 2):
         assert np.array_equal(solve_free_ddw(bundle_at(bundle, i), v[i]).coeffs.Gamma2, block[i])
-    with pytest.raises(DdwSolveError, match=r"system at grid point \(1,\): least"):
-        solve_ddw(bundle, v)
-    with pytest.raises(DdwSolveError, match="system: least"):
+    with pytest.raises(DdwSolveError, match=r"^at grid point \(1,\): no solution for the "
+                                            r"De Donder-Weyl system: least-squares"):
+        raise_first(errors)
+    with pytest.raises(DdwSolveError, match="^no solution for the De Donder-Weyl system: least"):
         solve_free_ddw(bundle_at(bundle, 1), v[1])
 
 
@@ -596,11 +599,11 @@ def test_the_row_space_solution_is_the_pseudo_inverse_one(monkeypatch, name):
         for constraint in ((), (dphi, coeffs)):
             with monkeypatch.context() as mp:
                 mp.setattr(np.linalg, "pinv", counted)
-                got = solve_ddw(bundle, v, spatial, *constraint)
+                got = solve_ddw(bundle, v, spatial, *constraint)[:2]
             assert counts["pinv"] == 0
             with monkeypatch.context() as mp:
                 mp.setattr(np.linalg, "solve", singular)
-                want = solve_ddw(bundle, v, spatial, *constraint)
+                want = solve_ddw(bundle, v, spatial, *constraint)[:2]
             for x, ref in zip(got, want):
                 scale = np.max(np.abs(ref), initial=0.0)
                 assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * scale
@@ -615,11 +618,9 @@ def test_a_zero_system_solves_to_zeros_and_the_others_keep_their_bits():
     for field in ("H", "dLdy", "d2Ldydv", "d2Ldxdv"):
         getattr(bundle, field)[1] = 0.0
     for spatial in (None, rng.uniform(-1, 1, (3, 1, 1, 2))):
-        errors = {}
-        block, _ = solve_ddw(bundle, v, spatial, errors=errors)
+        block, _, errors = solve_ddw(bundle, v, spatial)
         assert errors == {}
         assert np.array_equal(block[1], np.zeros_like(block[1]))
-        assert np.array_equal(solve_ddw(bundle, v, spatial)[0], block)
         for i in (0, 2):
             fixed = None if spatial is None else spatial[i]
             sol = solve_free_ddw(bundle_at(bundle, i), v[i], fixed)

@@ -98,6 +98,22 @@ def test_every_private_module_name_is_used_in_the_package():
     assert unused == []
 
 
+def test_no_function_takes_an_errors_or_check_switch():
+    """A batched kernel returns the errors of its failing points and never
+    raises for one, so no function of the package takes a parameter that
+    chooses between the two, named ``errors`` or ``check``."""
+    switches = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                         + [a.vararg, a.kwarg] if arg is not None]
+                switches += [f"{path.name}:{node.lineno} {name}" for name in names
+                             if name in ("errors", "check")]
+    assert switches == []
+
+
 # Replaces ctypes.CDLL with a recorder of mallopt calls, imports the package
 # and then runs main on a missing config file.
 RECORD_MALLOPT = """

@@ -147,7 +147,7 @@ def test_batched_regularity_and_bundle_errors_per_point():
     points[1] = JetPoint(points[1].x, points[1].y, [[0.0, 0.5]])
     x, y, v = (np.stack([getattr(p, key) for p in points]) for key in "xyv")
     with np.errstate(divide="ignore", invalid="ignore"):
-        bundle = derivative_bundle_arrays(model, x, y, v, check=False)
+        bundle = derivative_bundle_arrays(model, x, y, v)
         errors = lagrangian.bundle_errors(model, bundle)
         assert list(errors) == [(1,)]
         with pytest.raises(EvaluationError) as exc:

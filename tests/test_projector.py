@@ -9,6 +9,7 @@ from nhfields.exceptions import (
     CompatibilityError,
     InternalConsistencyError,
     RegularityError,
+    raise_first,
 )
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian, fluid_quantities
@@ -81,20 +82,24 @@ def test_zeta_check_matches_the_term_list_oracle_on_a_perturbed_zeta(name):
 
 
 def test_a_singular_hessian_stops_only_its_point_of_a_zeta_batch():
-    """np.linalg.solve stops a whole batch at one singular matrix; with
-    ``errors`` the batch keeps the pointwise bits of every other point."""
+    """np.linalg.solve stops a whole batch at one singular matrix; the batch
+    keeps the pointwise bits of every other point and returns the error of
+    the singular one, which raise_first names by its grid point."""
     rng = np.random.default_rng(3)
     H = rng.uniform(-1, 1, (3, 2, 2))
     H[1] = [[1.0, 0.0], [0.0, 0.0]]
     C = rng.uniform(-1, 1, (3, 1, 2, 1))
-    errors = {}
-    zeta = projector.solve_zeta_flat(H, C, errors)
+    zeta, errors = projector.solve_zeta_flat(H, C)
     assert list(errors) == [(1,)]
     assert str(errors[(1,)]) == "Hessian is singular in the zeta solve: Singular matrix"
     for i in (0, 2):
-        assert np.array_equal(zeta[i], projector.solve_zeta_flat(H[i], C[i]))
-    with pytest.raises(RegularityError, match="Singular matrix"):
-        projector.solve_zeta_flat(H, C)
+        one, none = projector.solve_zeta_flat(H[i], C[i])
+        assert np.array_equal(zeta[i], one) and none == {}
+    with pytest.raises(RegularityError, match=r"^at grid point \(1,\): Hessian is singular "
+                                              r"in the zeta solve: Singular matrix$"):
+        raise_first(errors)
+    with pytest.raises(RegularityError, match="^Hessian is singular in the zeta solve: Singular"):
+        raise_first(projector.solve_zeta_flat(H[1], C[1])[1])
 
 
 @pytest.mark.parametrize("name", ["wave", "fluid", "coupled"])
@@ -113,7 +118,8 @@ def test_batched_checks_equal_the_pointwise_ones_bitwise(name):
     bundle = derivative_bundle_arrays(model, np.stack([p.x for p in points]),
                                       np.stack([p.y for p in points]), v)
     coeffs, dphi = np.stack([cp.coeffs for cp in cps]), np.stack([cp.dphi for cp in cps])
-    zeta = projector.solve_zeta_flat(projector.hessian_flat(bundle), coeffs)
+    zeta, errors = projector.solve_zeta_flat(projector.hessian_flat(bundle), coeffs)
+    assert errors == {}
     vecs = rng.uniform(-1, 1, (4, 7, v.shape[-1], dphi.shape[-1]))
     resid = projector.zeta_residual_batch(bundle, coeffs, zeta, v, vecs)
     comp = compatibility_matrix(zeta, np.stack([cp.dphidv for cp in cps]))
@@ -171,6 +177,18 @@ def test_fluid_compatibility_scalar_is_f():
     comp = compatibility_matrix(zb.zeta, spec.dphidv_arrays(p.x, p.y, p.v))
     assert comp["mmat"][0, 0] == pytest.approx(q["f"], rel=1e-12)
     assert comp["compatible"]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_the_compatibility_verdict_does_not_depend_on_the_scale(scale):
+    """The quadratic model under linear transport with the constant
+    coefficients (c, c) has zeta = (c, c) against dphi/dv = (1, -2), so
+    mmat = -c: compatible, with condition number sqrt(10) relative to the
+    entries at any c, and neither norm over- or underflows (pytest turns a
+    RuntimeWarning into an error)."""
+    comp = compatibility_matrix(np.full((1, 1, 2), scale), np.array([[[1.0, -2.0]]]))
+    assert comp["compatible"]
+    assert comp["cond"] == pytest.approx(np.sqrt(10.0), rel=1e-15)
 
 
 def test_projector_pair_invariants():
