@@ -1,15 +1,17 @@
 """Forward-mode automatic differentiation carrying gradient and Hessian.
 
 ``Dual`` propagates a value and its gradient with respect to d seed
-directions: values may be scalars or numpy arrays of any batch shape S, and
-grads have shape S+(d,), so whole grids differentiate in one sweep.
-``Dual2`` additionally propagates the Hessian, the collapsed form of nesting
-first-order duals, and tracks its support: the sorted tuple ``idx`` of the
-s seed directions the value depends on, with the grad stored batch last as
-(s,)+S and the Hessian as (s, s)+S.  A binary operation on two supports
-allocates only its result over their union and adds each operand's blocks
-into it.  ``Dual2.dense(d)`` reads grad and Hessian back as S+(d,) and
-S+(d, d) over all d directions.
+directions, and ``Dual2`` additionally the Hessian, the collapsed form of
+nesting first-order duals.  Values may be scalars or numpy arrays of any
+batch shape S, so whole grids differentiate in one sweep.  Both track their
+support: the sorted tuple ``idx`` of the s seed directions the value
+depends on, with the grad stored batch last as (s,)+S and the Hessian as
+(s, s)+S.  A binary operation on two supports allocates only its result
+over their union and adds each operand's blocks into it, so a temporary
+costs its own support, not all d directions.  A seed's gradient is one
+read-only array shared by every seed of its batch shape.  ``dense(d)``
+reads grad (and Hessian) back as S+(d,) (and S+(d, d)) over all d
+directions.
 
 Lagrangians and constraints are written against the generic helpers here
 (sin, cos, exp, ... , det) so the same code runs on floats and on duals.
@@ -25,71 +27,173 @@ from .exceptions import InvalidArgumentError
 
 
 class Dual:
-    """First-order forward value: f and gradient df (batch..., d)."""
+    """First-order forward value: f and its gradient over its support.
 
-    __slots__ = ("val", "grad")
+    As for ``Dual2``, ``idx`` is the sorted tuple of the s seed directions
+    the value depends on, and ``grad`` (s,)+S has the batch axes of ``val``
+    last (unit where they broadcast).  A binary operation on two different
+    supports adds each operand's block into exact zeros over their union,
+    in the order of the dense formulas, so on finite values every entry
+    has the bits the full d-direction propagation gives it, except that an
+    exact zero may carry the other sign.  A constant (support ``()``) meets
+    a value on the path of a plain number.  :meth:`dense` reads the gradient back as
+    S+(d,).
+    """
+
+    __slots__ = ("val", "grad", "idx")
     __array_priority__ = 100  # so ndarray * Dual defers to Dual.__rmul__
 
-    def __init__(self, val, grad):
-        self.val = np.asarray(val, dtype=float)
-        self.grad = np.asarray(grad, dtype=float)
+    def __init__(self, val, grad, idx):
+        # float arrays or numpy scalars, as ``seed`` and the operations make them
+        self.val = val
+        self.grad = grad
+        self.idx = idx
 
     @classmethod
     def seed(cls, values, d, index=None):
-        """Lift values to a Dual; seeds direction ``index`` when given."""
+        """Lift values to a Dual with support ``(index,)``, or a constant
+        (support ``()``) when no index is given."""
         values = np.asarray(values, dtype=float)
-        grad = np.zeros(values.shape + (d,))
-        if index is not None:
-            grad[..., index] = 1.0
-        return cls(values, grad)
+        if index is None:
+            return cls(values, _seed_grad(0, values.shape), ())
+        if not 0 <= index < d:
+            raise InvalidArgumentError(f"seed direction {index} is not in 0..{d - 1}")
+        return cls(values, _seed_grad(1, values.shape), (int(index),))
 
-    def _lift(self, other):
-        if isinstance(other, Dual):
-            return other
-        return Dual(np.asarray(other, dtype=float), np.zeros_like(self.grad))
+    def dense(self, d, out=None):
+        """The gradient (..., d) over the seed directions 0..d-1, exact zeros
+        off the support; with ``out`` (zeros whose shape broadcasts the
+        batch) the support is scattered into it in place."""
+        g = self.grad
+        if out is None:
+            out = np.zeros(g.shape[1:] + (d,))
+        out[..., _placement(self.idx, tuple(range(d)))] = g.transpose((*range(1, g.ndim), 0))
+        return out
 
     def __add__(self, o):
-        o = self._lift(o)
-        return Dual(self.val + o.val, self.grad + o.grad)
+        if _tracked(o):
+            return _sum1(self, o, np.add) if self.idx else o + self.val
+        o = _value(o)
+        # + 0.0 turns a -0.0 into 0.0, as adding a lifted zero did
+        return Dual(self.val + o, _grad_for(self, o) + 0.0, self.idx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.grad)
+        return Dual(-self.val, -self.grad, self.idx)
 
     def __sub__(self, o):
-        o = self._lift(o)
-        return Dual(self.val - o.val, self.grad - o.grad)
+        if _tracked(o):
+            return _sum1(self, o, np.subtract) if self.idx else o.__rsub__(self.val)
+        o = _value(o)
+        # g - 0.0 has the bits of g, so the array is shared
+        return Dual(self.val - o, _grad_for(self, o), self.idx)
 
     def __rsub__(self, o):
-        return self._lift(o) - self
+        return Dual(o - self.val, 0.0 - _grad_for(self, o), self.idx)
 
     def __mul__(self, o):
-        o = self._lift(o)
-        return Dual(
-            self.val * o.val,
-            self.val[..., None] * o.grad + o.val[..., None] * self.grad,
-        )
+        if not _tracked(o):
+            o = _value(o)
+            return Dual(self.val * o, _grad_for(self, o) * o, self.idx)
+        if not self.idx:
+            return o * self.val
+        g1, g2 = _grads(self, o)
+        val = self.val * o.val
+        if self.idx == o.idx:
+            return Dual(val, self.val * g2 + o.val * g1, self.idx)
+        # the dense order a g2 + b g1; the result covers the batch of the value
+        union, pa, pb = _union(self.idx, o.idx)[:3]
+        grad = np.zeros((len(union),) + val.shape)
+        _put(grad, pb, self.val * g2, 1)
+        _put(grad, pa, o.val * g1, 1, np.add)
+        return Dual(val, grad, union)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = self._lift(o)
+        if not _tracked(o):
+            o = _value(o)
+            inv = 1.0 / np.asarray(o, dtype=float)  # a Python 0.0 divides as an array does
+            return Dual(self.val / o, inv * _grad_for(self, o), self.idx)
+        if not self.idx:
+            return o.__rtruediv__(self.val)
         inv = 1.0 / o.val
         val = self.val / o.val  # the bits of the plain quotient, not self.val * inv
-        return Dual(val, inv[..., None] * (self.grad - val[..., None] * o.grad))
+        g1, g2 = _grads(self, o)
+        if self.idx == o.idx:
+            return Dual(val, inv * (g1 - val * g2), self.idx)
+        union, pa, pb = _union(self.idx, o.idx)[:3]
+        diff = np.zeros((len(union),) + val.shape)
+        _put(diff, pa, g1, 1)
+        _put(diff, pb, val * g2, 1, np.subtract)
+        return Dual(val, np.multiply(inv, diff, out=diff), union)
 
     def __rtruediv__(self, o):
-        return self._lift(o) / self
+        val = o / self.val
+        return Dual(val, (1.0 / self.val) * (0.0 - val * _grad_for(self, o)), self.idx)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise InvalidArgumentError("dual powers support numeric exponents only")
-        val = self.val**p
-        return Dual(val, (p * self.val ** (p - 1))[..., None] * self.grad)
+        return self._chain(self.val**p, p * self.val ** (p - 1))
+
+    def _chain(self, f, df):
+        """Compose with a scalar map given f and f' at self.val."""
+        return Dual(f, df * self.grad, self.idx)
 
     def __repr__(self):
-        return f"Dual(val={self.val!r})"
+        return f"Dual(val={self.val!r}, idx={self.idx!r})"
+
+
+@functools.lru_cache(maxsize=256)
+def _seed_grad(s: int, shape: tuple) -> np.ndarray:
+    """The (s,)+shape gradient of a ``Dual`` seed (s = 1, ones) or constant
+    (s = 0, empty): one read-only broadcast view per batch shape, shared by
+    every seed of that shape, which holds no batch of its own."""
+    return np.broadcast_to(1.0, (s,) + shape)
+
+
+def _tracked(o) -> bool:
+    """Whether o is a Dual of nonempty support; anything else, a constant
+    Dual included, meets a Dual on the path of a plain number."""
+    return isinstance(o, Dual) and o.idx != ()
+
+
+def _value(o):
+    return o.val if isinstance(o, Dual) else o
+
+
+def _grad_for(x: Dual, o):
+    """x.grad, widened only when the plain operand o has more axes than
+    x's value."""
+    ndim = getattr(o, "ndim", 0)
+    return x.grad if ndim <= x.val.ndim else _widen(x, ndim)[0]
+
+
+def _grads(a: Dual, b: Dual):
+    """The grads of a and b, each widened only when its value has fewer
+    axes than the other's."""
+    if a.val.ndim == b.val.ndim:
+        return a.grad, b.grad
+    return _widen(a, b.val.ndim)[0], _widen(b, a.val.ndim)[0]
+
+
+def _sum1(a: Dual, b: Dual, op) -> Dual:
+    """a + b or a - b (``op`` np.add or np.subtract) of two Duals of
+    nonempty support, each grad added into exact zeros over their union."""
+    ga, gb = _grads(a, b)
+    val = op(a.val, b.val)
+    if a.idx == b.idx:
+        return Dual(val, op(ga, gb), a.idx)
+    union, pa, pb = _union(a.idx, b.idx)[:3]
+    batch = ga.shape[1:]
+    if batch != gb.shape[1:]:
+        batch = np.broadcast_shapes(batch, gb.shape[1:])
+    grad = np.zeros((len(union),) + batch)
+    _put(grad, pa, ga, 1)
+    _put(grad, pb, gb, 1, op)
+    return Dual(val, grad, union)
 
 
 @functools.cache
@@ -126,7 +230,7 @@ def _put(out, index, block, axes: int, op=None):
     """out[index] = block, or op(out[index], block), in place, where
     ``index`` (from ``_placement`` or ``_block``) addresses the first
     ``axes`` axes of out."""
-    if isinstance(index, np.ndarray):
+    if axes > 1 and isinstance(index, np.ndarray):
         out = out.reshape((-1,) + out.shape[axes:])
         block = block.reshape((-1,) + block.shape[axes:])
     if op is None:
@@ -139,14 +243,15 @@ def _put(out, index, block, axes: int, op=None):
         op(view, block, out=view)
 
 
-def _widen(x: Dual2, ndim: int):
-    """grad and hess of x with unit axes after the derivative axes, so that
-    they broadcast against a value of ``ndim`` axes."""
+def _widen(x, ndim: int):
+    """The derivative arrays of x (its grad, then its hess for a Dual2) with
+    unit axes after the derivative axes, so that they broadcast against a
+    value of ``ndim`` axes."""
+    arrays = (x.grad, x.hess) if isinstance(x, Dual2) else (x.grad,)
     pad = (1,) * (ndim - x.val.ndim)
     if not pad:
-        return x.grad, x.hess
-    return (x.grad.reshape(x.grad.shape[:1] + pad + x.grad.shape[1:]),
-            x.hess.reshape(x.hess.shape[:2] + pad + x.hess.shape[2:]))
+        return arrays
+    return tuple(a.reshape(a.shape[:r] + pad + a.shape[r:]) for r, a in enumerate(arrays, 1))
 
 
 def _sum(a: Dual2, b: Dual2, op) -> Dual2:
@@ -297,15 +402,11 @@ class Dual2:
         return f"Dual2(val={self.val!r}, idx={self.idx!r})"
 
 
-def _chain1(x: Dual, f, df):
-    return Dual(f, df[..., None] * x.grad)
-
-
 def _unary(x, f, df, d2f):
     if isinstance(x, Dual2):
         return x._chain(f(x.val), df(x.val), d2f(x.val))
     if isinstance(x, Dual):
-        return _chain1(x, f(x.val), df(x.val))
+        return x._chain(f(x.val), df(x.val))
     return f(np.asarray(x, dtype=float))
 
 

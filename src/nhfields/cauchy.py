@@ -537,10 +537,14 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
         ks = [_rhs(state, var)]
         try:
             for c in nodes[1:]:
-                stage_state = _unpack(state, y0 + dt * c * ks[-1], t0 + c * dt)
+                # a stage state that overflows is reported by its evaluation
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ystage = y0 + dt * c * ks[-1]
+                stage_state = _unpack(state, ystage, t0 + c * dt)
                 stage = sode_vector_field(model, spec, stage_state, method, drift_tol)
                 ks.append(_rhs(stage_state, stage))
-            ynew = y0 + dt * sum(w * k for w, k in zip(weights, ks))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ynew = y0 + dt * sum(w * k for w, k in zip(weights, ks))
             if not np.isfinite(ynew).all():
                 raise IntegrationError(f"non-finite state after step {step + 1}")
             state = _unpack(state, ynew, t0 + dt)

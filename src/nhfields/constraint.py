@@ -84,25 +84,32 @@ class ConstraintSpec:
 
     def evaluate(self, x, y, v, directions=None) -> tuple[np.ndarray, np.ndarray]:
         """phi_alpha (..., k) and the full differentials d phi_alpha as dense
-        rows (..., k, N) over coordinate arrays, from one first-order ``Dual``
-        pass whose values are phi with the bits of :meth:`values_arrays`.
-        With ``directions`` (flat jet indices) the rows hold only those
-        columns, in that order, each with the bits of its full-row column.
-        Callers test phi for finiteness, so inf * 0 in a gradient is no error."""
+        C-contiguous rows (..., k, N) over coordinate arrays, from one
+        first-order ``Dual`` pass whose values are phi with the bits of
+        :meth:`values_arrays`; each phi's gradient is scattered from its
+        support into its row, and entries off the support are +0.0.  With
+        ``directions`` (flat jet indices) the rows hold only those columns,
+        in that order, each with the bits of its full-row column.  Callers
+        test phi for finiteness, so an overflow or inf * 0 in the pass is no
+        error."""
         dims = self.dims
-        x = np.asarray(x, dtype=float)
-        args = seed_inputs(ad.Dual, x, np.asarray(y, dtype=float),
-                           np.asarray(v, dtype=float), dims, directions)
+        x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
+        args = seed_inputs(ad.Dual, x, y, v, dims, directions)
         d = dims.N if directions is None else len(directions)
-        outs = []
-        with np.errstate(invalid="ignore"):
-            for f in self.funcs:
+        batch = v.shape[:-2]
+        if x.shape[:-1] != batch or y.shape[:-1] != batch:
+            batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1], batch)
+        phi = np.empty(batch + (self.k,))
+        dphi = np.zeros(batch + (self.k, d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for alpha, f in enumerate(self.funcs):
                 out = f(*args)
                 if not isinstance(out, ad.Dual):
-                    out = ad.Dual.seed(np.asarray(out, dtype=float) + 0.0 * x[..., 0], d)
-                outs.append(out)
-        return (np.stack([out.val for out in outs], axis=-1),
-                np.stack([out.grad for out in outs], axis=-2))
+                    phi[..., alpha] = np.asarray(out, dtype=float) + 0.0 * x[..., 0]
+                    continue
+                phi[..., alpha] = out.val
+                out.dense(d, dphi[..., alpha, :])
+        return phi, dphi
 
     def dphidv_arrays(self, x, y, v) -> np.ndarray:
         """The jet block dphi/dv (..., k, m, n+1) of the full differentials."""

@@ -185,7 +185,7 @@ def _section_jet(section, shape, spacings):
     xs = [ad.Dual.seed(coords[..., mu], 4, mu) for mu in range(4)]
     out = section(xs)
     y = np.stack([np.asarray(o.val, dtype=float) for o in out], axis=-1)
-    jac = np.stack([o.grad for o in out], axis=-2)  # (.., 3, 4)
+    jac = np.stack([o.dense(4) for o in out], axis=-2)  # (.., 3, 4)
     return coords, y, jac
 
 

@@ -131,8 +131,11 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     L never reads costs one seed and nothing else.  The flattened batch runs
     in chunks whose m(n+1) x m(n+1) v-block of the Hessian is at most
     ``_CHUNK_BYTES``; each result is scattered from its support into the
-    preallocated outputs, and entries of inputs L never touches are +0.0.
-    Non-finite entries are left to ``bundle_errors``.
+    outputs, and entries of inputs L never touches are +0.0.  The outputs
+    are allocated once the first chunk's model pass has returned, so a
+    one-chunk batch never holds them beside that pass's temporaries.
+    Non-finite entries are left to ``bundle_errors``, so an overflow in the
+    pass is no error.
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
@@ -142,15 +145,20 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     x = np.asarray(x, dtype=float).reshape(B, nx)
     y = np.asarray(y, dtype=float).reshape(B, m)
     v = v.reshape(B, m, nx)
-    L = np.empty(B)
-    grad = np.zeros((B, dims.N))
-    hv = np.zeros((B, dims.N, m * nx))  # the v-columns of the Hessian
+
+    def outputs():  # L, the gradient and the v-columns of the Hessian
+        return np.empty(B), np.zeros((B, dims.N)), np.zeros((B, dims.N, m * nx))
+
+    L, grad, hv = outputs() if B == 0 else (None, None, None)
     step = max(1, _CHUNK_BYTES // (8 * (m * nx) ** 2))
     for lo in range(0, B, step):
         s = slice(lo, lo + step)
-        out = model.fn(*seed_inputs(ad.Dual2, x[s], y[s], v[s], dims))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = model.fn(*seed_inputs(ad.Dual2, x[s], y[s], v[s], dims))
         if not isinstance(out, ad.Dual2):
             raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
+        if L is None:  # once the first pass has freed its temporaries
+            L, grad, hv = outputs()
         L[s] = out.val
         idx = np.array(out.idx, dtype=np.intp)
         v0 = int(np.searchsorted(idx, nx + m))  # idx[v0:] are the v inputs

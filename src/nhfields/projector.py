@@ -135,8 +135,10 @@ def compatibility_matrix(zeta: np.ndarray, dphidv: np.ndarray,
     batch = zeta.shape[:-3]
     mmat = np.einsum("...kav,...lav->...kl", zeta, dphidv)
     zn, dn = (np.max(_norms(a.reshape(batch + (k, -1))), axis=-1) for a in (zeta, dphidv))
-    svals = np.linalg.svd(mmat, compute_uv=False)
-    smin = svals[..., -1] if k else np.zeros(batch)
+    if k == 1:  # the singular value of a 1 x 1 matrix is its magnitude
+        smin = np.abs(mmat[..., 0, 0])
+    else:
+        smin = np.linalg.svd(mmat, compute_uv=False)[..., -1] if k else np.zeros(batch)
     # a nonzero smin has nonzero zeta and dphi rows
     rel = np.divide(smin, zn, out=np.zeros(batch), where=smin > 0)
     with np.errstate(over="ignore"):  # a condition number past the float range is inf

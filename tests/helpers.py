@@ -6,6 +6,7 @@ code paths are checked against arithmetic that shares nothing with them.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -151,6 +152,92 @@ def fluid_constraint_point(rng) -> JetPoint:
     v[:, 0] = 0.3 * rng.uniform(-1, 1, 3)
     v[:, 1:] = random_det_one_spatial(rng)
     return JetPoint(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), v)
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn`` after a first,
+    untraced call has filled the caches it uses."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def same_bits_up_to_zero_sign(a, b):
+    """Bitwise equal, except that an exact zero may carry the other sign."""
+    a, b = np.broadcast_arrays(a, b)
+    return bool(np.all((a.view(np.int64) == b.view(np.int64)) | ((a == 0) & (b == 0))))
+
+
+class DenseDual(ad.Dual):
+    """Reference first-order dual: the dense arithmetic over all d seed
+    directions, with a full (..., d) gradient in every temporary.
+
+    A subclass only so that the generic helpers (``ad.sin``, ``ad.det``, ...)
+    dispatch to its own ``_chain``; every operation is its own.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, val, grad):
+        self.val = np.asarray(val, dtype=float)
+        self.grad = np.asarray(grad, dtype=float)
+
+    @classmethod
+    def seed(cls, values, d, index=None):
+        values = np.asarray(values, dtype=float)
+        grad = np.zeros(values.shape + (d,))
+        if index is not None:
+            grad[..., index] = 1.0
+        return cls(values, grad)
+
+    def _lift(self, other):
+        if isinstance(other, DenseDual):
+            return other
+        return DenseDual(np.asarray(other, dtype=float), np.zeros_like(self.grad))
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return DenseDual(self.val + o.val, self.grad + o.grad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseDual(-self.val, -self.grad)
+
+    def __sub__(self, o):
+        o = self._lift(o)
+        return DenseDual(self.val - o.val, self.grad - o.grad)
+
+    def __rsub__(self, o):
+        return self._lift(o) - self
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return DenseDual(
+            self.val * o.val,
+            self.val[..., None] * o.grad + o.val[..., None] * self.grad,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = self._lift(o)
+        inv = 1.0 / o.val
+        val = self.val / o.val
+        return DenseDual(val, inv[..., None] * (self.grad - val[..., None] * o.grad))
+
+    def __rtruediv__(self, o):
+        return self._lift(o) / self
+
+    def __pow__(self, p):
+        return self._chain(self.val**p, p * self.val ** (p - 1))
+
+    def _chain(self, f, df):
+        return DenseDual(f, df[..., None] * self.grad)
 
 
 class DenseDual2(ad.Dual2):

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nhfields import autodiff as ad
+from nhfields.exceptions import InvalidArgumentError
 
-from helpers import DenseDual2, fd_gradient, fd_hessian
+from helpers import DenseDual, DenseDual2, fd_gradient, fd_hessian, same_bits_up_to_zero_sign
 
 
 def poly(x):
@@ -28,7 +29,7 @@ def test_first_order_gradient():
     x0 = [0.7, -0.4]
     out = poly(seed1(x0))
     want = fd_gradient(lambda x: float(np.asarray(poly(list(x)))), x0)
-    assert np.allclose(out.grad, want, atol=1e-8)
+    assert np.allclose(out.dense(2), want, atol=1e-8)
 
 
 def test_second_order_hessian_and_symmetry():
@@ -70,7 +71,7 @@ def test_unary_functions():
                     (ad.log, lambda v: 1 / v), (ad.sqrt, lambda v: 0.5 / np.sqrt(v))):
         x = ad.Dual.seed(0.8, 1, 0)
         out = fn(x)
-        assert float(out.grad[0]) == pytest.approx(dfn(0.8), rel=1e-12)
+        assert float(out.dense(1)[0]) == pytest.approx(dfn(0.8), rel=1e-12)
 
 
 def test_det_matches_numpy():
@@ -87,7 +88,7 @@ def test_det_gradient_is_cofactor():
     seeds = [[ad.Dual.seed(M[i, j], 9, 3 * i + j) for j in range(3)] for i in range(3)]
     out = ad.det(seeds)
     cof = np.linalg.det(M) * np.linalg.inv(M).T
-    assert np.allclose(out.grad.reshape(3, 3), cof, atol=1e-12)
+    assert np.allclose(out.dense(9).reshape(3, 3), cof, atol=1e-12)
 
 
 def test_scalar_mixing():
@@ -225,12 +226,6 @@ def seeded(cls, shift=None):
     return lift
 
 
-def same_bits_up_to_zero_sign(a, b):
-    """Bitwise equal, except that an exact zero may carry the other sign."""
-    a, b = np.broadcast_arrays(a, b)
-    return bool(np.all((a.view(np.int64) == b.view(np.int64)) | ((a == 0) & (b == 0))))
-
-
 def check_against_the_dense_reference(leaves, steps):
     with np.errstate(all="ignore"):
         out = run_composition(leaves, steps, seeded(ad.Dual2))
@@ -298,7 +293,7 @@ def test_support_tracked_dual2_matches_central_differences(case):
         down = run_composition(leaves, steps, seeded(ad.Dual, (i, -h)))
         fd_grad[..., i] = (up.val - down.val) / (2 * h)
         # the exact first-order gradient, differenced once
-        fd_hess[..., :, i] = (up.grad - down.grad) / (2 * h)
+        fd_hess[..., :, i] = (up.dense(DIRS) - down.dense(DIRS)) / (2 * h)
     scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(grad), initial=0.0)
     assert np.allclose(grad, fd_grad, rtol=0, atol=1e-6 * scale)
     assert np.allclose(hess, fd_hess, rtol=0, atol=1e-5 * (scale + np.max(np.abs(hess))))
@@ -314,17 +309,53 @@ def test_first_order_dual_has_the_plain_bits_and_central_difference_gradients(ca
     with np.errstate(all="ignore"):
         out = run_composition(leaves, steps, seeded(ad.Dual))
         ref = np.asarray(run_composition(leaves, steps, seeded(None)))
-        assert out.grad.shape == shape + (DIRS,)
+        grad = out.dense(DIRS)
+        assert grad.shape == shape + (DIRS,)
         assert np.array_equal(out.val.view(np.int64), ref.view(np.int64))
-        assume(np.all(np.abs(out.val) < 1e6) and np.all(np.abs(out.grad) < 1e6))
+        assume(np.all(np.abs(out.val) < 1e6) and np.all(np.abs(grad) < 1e6))
         h = 1e-6
-        fd = np.zeros_like(out.grad)
+        fd = np.zeros_like(grad)
         for i in range(DIRS):
             up = run_composition(leaves, steps, seeded(None, (i, h)))
             down = run_composition(leaves, steps, seeded(None, (i, -h)))
             fd[..., i] = (up - down) / (2 * h)
-    scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(out.grad))
-    assert np.allclose(out.grad, fd, rtol=0, atol=1e-6 * scale)
+    scale = 1.0 + np.max(np.abs(out.val)) + np.max(np.abs(grad))
+    assert np.allclose(grad, fd, rtol=0, atol=1e-6 * scale)
+
+
+def check_dual_against_the_dense_reference(leaves, steps):
+    with np.errstate(all="ignore"):
+        out = run_composition(leaves, steps, seeded(ad.Dual))
+        ref = run_composition(leaves, steps, seeded(DenseDual))
+    assert out.idx == tuple(sorted(set(out.idx)))
+    assert set(out.idx) <= {d for d, _ in leaves if d is not None}
+    assert out.grad.shape[:1] == (len(out.idx),) and out.grad.ndim - 1 == out.val.ndim
+    assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
+    assert same_bits_up_to_zero_sign(out.dense(DIRS), ref.grad)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(compositions())
+def test_support_tracked_dual_matches_the_dense_reference(case):
+    shape, leaves, steps = case
+    check_dual_against_the_dense_reference(leaves, steps)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(compositions(mixed=True))
+def test_dual_leaves_and_constants_of_different_batch_shapes_match_the_dense_reference(case):
+    shape, leaves, steps = case
+    check_dual_against_the_dense_reference(leaves, steps)
+
+
+def test_dual_seeds_share_one_read_only_gradient_per_batch_shape():
+    a, b = ad.Dual.seed(np.zeros(4), 3, 0), ad.Dual.seed(np.ones(4), 3, 2)
+    c, e = ad.Dual.seed(np.zeros(4), 3), ad.Dual.seed(np.ones(4), 3)
+    assert a.grad is b.grad and c.grad is e.grad
+    assert a.grad.shape == (1, 4) and c.grad.shape == (0, 4) and c.idx == ()
+    assert not a.grad.flags.writeable and not c.grad.flags.writeable
+    with pytest.raises(InvalidArgumentError):
+        ad.Dual.seed(0.0, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +400,22 @@ def test_binary_operations_place_each_support_as_the_dense_reference(op, placeme
         assert same_bits_up_to_zero_sign(grad, ref.grad)
         assert same_bits_up_to_zero_sign(hess, ref.hess)
         assert np.count_nonzero(hess[0]) >= len(out.idx)
+
+
+@pytest.mark.parametrize("op", sorted(BINARY))
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+def test_dual_binary_operations_place_each_support_as_the_dense_reference(op, placement):
+    support_a, support_b, shape_a = PLACEMENTS[placement]
+    rng = np.random.default_rng(9)
+    vals_a, vals_b = rng.uniform(-1, 1, (DIRS,) + shape_a), rng.uniform(-1, 1, (DIRS, 5))
+    for first, second in ((0, 1), (1, 0)):  # both operand orders
+        out, ref = (
+            BINARY[op](*[(_over(cls, support_a, vals_a), _over(cls, support_b, vals_b))[i]
+                         for i in (first, second)])
+            for cls in (ad.Dual, DenseDual))
+        assert out.idx == tuple(sorted(set(support_a) | set(support_b)))
+        assert out.val.shape == (5,) and out.grad.ndim == 2
+        grad = out.dense(DIRS)
+        assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
+        assert same_bits_up_to_zero_sign(grad, ref.grad)
+        assert np.count_nonzero(grad[0]) == len(out.idx)

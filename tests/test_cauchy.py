@@ -1,5 +1,6 @@
 """Induced forms on Cauchy data, SODE construction, and evolution."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -563,6 +564,20 @@ def test_a_non_finite_bundle_names_its_grid_point():
         with pytest.raises(EvaluationError, match=r"^at grid point \(4,\): model 'pole': "
                                                   r"non-finite L at index \(0,\)$"):
             sode_vector_field(model, None, wave_pde_state(16))
+
+
+@pytest.mark.parametrize("dt", [1e300, 1.7e308])
+@pytest.mark.parametrize("constrained", [False, True])
+def test_a_step_that_overflows_names_a_grid_point_and_warns_nothing(constrained, dt):
+    # dt = 1e300 overflows v^2 in the bundle of the first stage state, and
+    # dt = 1.7e308 the stage update itself; the finiteness checks report both
+    spec = make_constraint("linear-transport", {"speed": 2.0}) if constrained else None
+    state = constrained_wave_state(16) if constrained else wave_pde_state(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"^integration blew up at step 1: at grid "
+                                                   r"point \(0,\): model 'wave': non-finite L"):
+            evolve(make_model("wave"), spec, state, dt, 3)
 
 
 @pytest.mark.parametrize("shape", [(2, 1), (1, 1, 2), (16, 1, 2, 1)])

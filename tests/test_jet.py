@@ -127,7 +127,7 @@ def test_contact_vanishes_on_prolonged_tangents():
                       [-6 * np.pi * cu * st, -4 * np.pi**2 * su * ct]])
         p = JetPoint(np.array([t, u]), np.array([s.val]), v)
         for mu in range(2):
-            tangent = TangentVector(np.eye(2)[mu], s.grad[mu : mu + 1], w[None, mu])
+            tangent = TangentVector(np.eye(2)[mu], s.dense(2)[mu : mu + 1], w[None, mu])
             assert np.abs(contact_eval(p, tangent)).max() < 1e-14
 
 

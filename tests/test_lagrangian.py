@@ -39,6 +39,7 @@ from helpers import (
     kernel_point,
     random_point,
     random_vector,
+    traced_peak,
     wedge_eval_oracle,
 )
 
@@ -474,6 +475,27 @@ def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
     finally:
         tracemalloc.stop()
     assert peak < outputs + 3 * 2**20
+
+
+def test_a_one_chunk_bundle_allocates_its_outputs_after_the_model_pass():
+    # an 8^3 fluid grid is one chunk; its outputs take 0.97 MiB and are not
+    # held beside the temporaries of the model pass
+    model = BUNDLE_MODELS["fluid"]()
+    dims = model.dims
+    shape = (8, 8, 8)
+    assert _chunk_points(model) == int(np.prod(shape))
+    x, y, v = _random_jet(np.random.default_rng(6), dims, shape)
+    outputs = 8 * int(np.prod(shape)) * (1 + dims.N + dims.N * dims.m * dims.nx)
+    peak = traced_peak(lambda: derivative_bundle_arrays(model, x, y, v))
+    assert peak < max(outputs + 0.6 * 2**20, 2.2 * 2**20)
+
+
+def test_an_empty_batch_gives_an_empty_bundle():
+    model = BUNDLE_MODELS["fluid"]()
+    x, y, v = _random_jet(np.random.default_rng(0), model.dims, (0,))
+    bundle = derivative_bundle_arrays(model, x, y, v)
+    assert bundle.L.shape == (0,) and bundle.H.shape == (0, 3, 4, 3, 4)
+    assert bundle.d2Ldxdv.shape == (0, 4, 3, 4)
 
 
 def test_bundle_support_per_model():

@@ -191,6 +191,41 @@ def test_the_compatibility_verdict_does_not_depend_on_the_scale(scale):
     assert comp["cond"] == pytest.approx(np.sqrt(10.0), rel=1e-15)
 
 
+def test_a_one_by_one_compatibility_matrix_has_the_verdict_of_its_svd():
+    """For k = 1 the smallest singular value is |mmat|, taken without an SVD:
+    on 10^5 random points with entries from 1e-150 to 1e150 (so mmat spans
+    1e+-300), some near the tolerance, some exactly orthogonal or zero, the
+    verdict is the one the SVD gives, and |mmat| differs from the SVD by at
+    most one ulp, only where the decimal exponent is past +-138.  A NaN
+    entry, on which the SVD raises, is not compatible."""
+    rng = np.random.default_rng(12)
+    B = 10**5
+    scale = 10.0 ** rng.uniform(-150, 150, (2, B, 1, 1, 1))
+    zeta, dphidv = rng.uniform(-1, 1, (2, B, 1, 2, 2)) * scale
+    # near the tolerance: dphi orthogonal to zeta plus eps zeta, eps in 1e-14..1e-6
+    near = slice(0, B // 4)
+    ortho = zeta[near][..., ::-1, :] * np.array([[[1.0], [-1.0]]])
+    eps = 10.0 ** rng.uniform(-14, -6, (B // 4, 1, 1, 1)) * scale[1, near] / scale[0, near]
+    dphidv[near] = ortho * scale[1, near] / scale[0, near] + eps * zeta[near]
+    dphidv[-10:] = zeta[-10:][..., ::-1, :] * np.array([[[1.0], [-1.0]]])  # mmat = 0
+    zeta[-20:-10] = 0.0
+    comp = compatibility_matrix(zeta, dphidv)
+    mmat = comp["mmat"][..., 0, 0]
+    svd = np.linalg.svd(comp["mmat"], compute_uv=False)[..., 0]
+    ulps = np.abs(svd.view(np.int64) - np.abs(mmat).view(np.int64))
+    assert ulps.max() <= 1
+    assert np.all(np.abs(np.log10(svd[ulps > 0])) > 138)
+    zn, dn = (np.max(projector._norms(a.reshape(B, 1, -1)), axis=-1) for a in (zeta, dphidv))
+    rel = np.divide(svd, zn, out=np.zeros(B), where=svd > 0)
+    assert np.array_equal(comp["compatible"], rel > 1e-10 * dn)
+    assert 0 < comp["compatible"][near].sum() < B // 4
+    assert not comp["compatible"][-20:].any()
+    zeta[:3, 0, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"):  # np.linalg.det of a NaN
+        comp = compatibility_matrix(zeta[:5], dphidv[:5])
+    assert not comp["compatible"][:3].any() and np.all(comp["cond"][:3] == np.inf)
+
+
 def test_projector_pair_invariants():
     rng = np.random.default_rng(6)
     _, spec, p, bundle, C = wave_setup(rng)
