@@ -8,10 +8,16 @@ support: the sorted tuple ``idx`` of the s seed directions the value
 depends on, with the grad stored batch last as (s,)+S and the Hessian as
 (s, s)+S.  A binary operation on two supports allocates only its result
 over their union and adds each operand's blocks into it, so a temporary
-costs its own support, not all d directions.  A seed's gradient is one
-read-only array shared by every seed of its batch shape.  ``dense(d)``
-reads grad (and Hessian) back as S+(d,) (and S+(d, d)) over all d
-directions.
+costs its own support, not all d directions.  A ``Dual2`` product of
+one support and a scalar map allocate their results and one scratch
+block, through which they sum their Hessian terms into the result in
+place, in the order of the dense formulas, so every entry keeps its
+bits.  A seed's gradient
+(and Hessian) is one read-only array shared by every seed of its batch
+shape, and a product with the plain scalar 1.0 shares its operand's
+arrays, as does a difference with 0.0.  No operation writes into an
+operand's arrays.  ``dense(d)`` reads grad (and Hessian) back as S+(d,)
+(and S+(d, d)) over all d directions.
 
 Lagrangians and constraints are written against the generic helpers here
 (sin, cos, exp, ... , det) so the same code runs on floats and on duals.
@@ -95,6 +101,8 @@ class Dual:
     def __mul__(self, o):
         if not _tracked(o):
             o = _value(o)
+            if _is_one(o):  # x * 1.0 has the bits of x, so the arrays are shared
+                return Dual(self.val, self.grad, self.idx)
             return Dual(self.val * o, _grad_for(self, o) * o, self.idx)
         if not self.idx:
             return o * self.val
@@ -148,10 +156,27 @@ class Dual:
 
 @functools.lru_cache(maxsize=256)
 def _seed_grad(s: int, shape: tuple) -> np.ndarray:
-    """The (s,)+shape gradient of a ``Dual`` seed (s = 1, ones) or constant
-    (s = 0, empty): one read-only broadcast view per batch shape, shared by
-    every seed of that shape, which holds no batch of its own."""
+    """The (s,)+shape gradient of a seed (s = 1, ones) or constant (s = 0,
+    empty): one read-only broadcast view per batch shape, shared by every
+    seed of that shape, which holds no batch of its own."""
     return np.broadcast_to(1.0, (s,) + shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _seed_hess(s: int, shape: tuple) -> np.ndarray:
+    """The (s, s)+shape zero Hessian of a ``Dual2`` seed (s = 1) or constant
+    (s = 0), shared as ``_seed_grad`` is."""
+    return np.broadcast_to(0.0, (s, s) + shape)
+
+
+def _is_one(o) -> bool:
+    """Whether the plain operand o is the scalar 1.0."""
+    return np.ndim(o) == 0 and o == 1.0
+
+
+def _product(shape: tuple, x, y) -> np.ndarray:
+    """x * y in a new array of ``shape``, into which both broadcast."""
+    return np.multiply(x, y, out=np.empty(shape))
 
 
 def _tracked(o) -> bool:
@@ -307,14 +332,13 @@ class Dual2:
         values = np.asarray(values, dtype=float)
         if not 0 <= index < d:
             raise InvalidArgumentError(f"seed direction {index} is not in 0..{d - 1}")
-        return cls(values, np.ones((1,) + values.shape),
-                   np.zeros((1, 1) + values.shape), (int(index),))
+        return cls(values, _seed_grad(1, values.shape), _seed_hess(1, values.shape),
+                   (int(index),))
 
     @classmethod
     def _constant(cls, values):
         values = np.asarray(values, dtype=float)
-        return cls(values, np.zeros((0,) + values.shape),
-                   np.zeros((0, 0) + values.shape), ())
+        return cls(values, _seed_grad(0, values.shape), _seed_hess(0, values.shape), ())
 
     def dense(self, d):
         """(grad (..., d), hess (..., d, d)) over the seed directions 0..d-1,
@@ -349,27 +373,36 @@ class Dual2:
 
     def __mul__(self, o):
         if not isinstance(o, Dual2):  # cheap scalar/array path
+            if _is_one(o):  # x * 1.0 has the bits of x, so the arrays are shared
+                return Dual2(self.val, self.grad, self.hess, self.idx)
             o = np.asarray(o, dtype=float)
             g, h = _widen(self, o.ndim)
             return Dual2(self.val * o, g * o, h * o, self.idx)
         (g1, h1), (g2, h2) = _widen(self, o.val.ndim), _widen(o, self.val.ndim)
-        val = self.val * o.val
-        cross = g1[:, None] * g2[None, :]
+        a, b = self.val, o.val
+        val = a * b
         if self.idx == o.idx:
-            # in place, but summed in the dense order, so with the dense bits
-            hess = self.val * h2 + o.val * h1
-            hess += cross
-            hess += np.swapaxes(cross, 0, 1)
-            return Dual2(val, self.val * g2 + o.val * g1, hess, self.idx)
+            # a h2 + b h1 + g1 g2^T + g2 g1^T, summed in the dense order into
+            # the result through one scratch block
+            shape = (len(self.idx),) * 2 + val.shape
+            hess, scratch = _product(shape, a, h2), _product(shape, b, h1)
+            hess += scratch
+            np.multiply(g1[:, None], g2[None, :], out=scratch)
+            hess += scratch
+            hess += np.swapaxes(scratch, 0, 1)
+            grad = _product(shape[1:], a, g2)
+            grad += b * g1
+            return Dual2(val, grad, hess, self.idx)
         # the dense order, a h2 + b h1 + g1 g2^T + g2 g1^T, block by block;
         # the result covers the batch of the value, as a h2 does
         union, pa, pb, aa, bb, ab, ba = _union(self.idx, o.idx)
         s = len(union)
         grad, hess = np.zeros((s,) + val.shape), np.zeros((s, s) + val.shape)
-        _put(grad, pb, self.val * g2, 1)
-        _put(grad, pa, o.val * g1, 1, np.add)
-        _put(hess, bb, self.val * h2, 2)
-        _put(hess, aa, o.val * h1, 2, np.add)
+        _put(grad, pb, a * g2, 1)
+        _put(grad, pa, b * g1, 1, np.add)
+        _put(hess, bb, a * h2, 2)
+        _put(hess, aa, b * h1, 2, np.add)
+        cross = g1[:, None] * g2[None, :]
         _put(hess, ab, cross, 2, np.add)
         _put(hess, ba, np.swapaxes(cross, 0, 1), 2, np.add)
         return Dual2(val, grad, hess, union)
@@ -394,9 +427,16 @@ class Dual2:
         )
 
     def _chain(self, f, df, d2f):
-        """Compose with a scalar map given f, f', f'' at self.val."""
-        outer = self.grad[:, None] * self.grad[None, :]
-        return Dual2(f, df * self.grad, df * self.hess + d2f * outer, self.idx)
+        """Compose with a scalar map given f, f', f'' at self.val: the
+        Hessian df h + d2f g g^T, summed into the result through one
+        scratch block."""
+        g = self.grad
+        shape = self.hess.shape[:2] + np.broadcast_shapes(
+            np.shape(df), np.shape(d2f), self.hess.shape[2:], g.shape[1:])
+        hess, outer = _product(shape, df, self.hess), _product(shape, g[:, None], g[None, :])
+        np.multiply(d2f, outer, out=outer)
+        hess += outer
+        return Dual2(f, df * g, hess, self.idx)
 
     def __repr__(self):
         return f"Dual2(val={self.val!r}, idx={self.idx!r})"

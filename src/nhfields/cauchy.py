@@ -14,6 +14,7 @@ constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,23 +60,38 @@ def grid_derivative(arr: np.ndarray, n: int, method: str = "spectral") -> np.nda
     components."""
     if method not in DERIVATIVES:
         raise InvalidArgumentError(f"derivative method must be one of {DERIVATIVES}")
-    out = []
-    for axis in range(n):
+    out = np.empty(arr.shape + (n,))
+    for axis in range(n):  # each written into the result as soon as it is taken
         N = arr.shape[axis]
         if method == "fd4":
-            out.append(periodic_derivative(arr, 1.0 / N, axis=axis))
+            out[..., axis] = periodic_derivative(arr, 1.0 / N, axis=axis)
         else:
-            k = 2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)
-            shape = [1] * arr.ndim
-            shape[axis] = N
-            spec = np.fft.fft(arr, axis=axis) * k.reshape(shape)
-            out.append(np.real(np.fft.ifft(spec, axis=axis)))
-    return np.stack(out, axis=-1)
+            spec = np.fft.fft(arr, axis=axis)
+            spec *= _wavenumbers(N, axis, arr.ndim)
+            out[..., axis] = np.fft.ifft(spec, axis=axis).real
+    return out
 
 
-def grid_coordinates(shape: tuple) -> list[np.ndarray]:
+@lru_cache(maxsize=32)
+def _wavenumbers(N: int, axis: int, ndim: int) -> np.ndarray:
+    """2 pi i k over the N points of a periodic axis, shaped to multiply the
+    transform along ``axis`` of an ``ndim``-axis array; cached, read-only."""
+    shape = [1] * ndim
+    shape[axis] = N
+    k = (2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)).reshape(shape)
+    k.flags.writeable = False
+    return k
+
+
+@lru_cache(maxsize=8)
+def grid_coordinates(shape: tuple) -> tuple[np.ndarray, ...]:
+    """The coordinate arrays u^i = j_i / N_i of the grid, one per axis:
+    cached for the last few shapes, and read-only."""
     axes = [np.arange(N) / N for N in shape]
-    return list(np.meshgrid(*axes, indexing="ij"))
+    coords = tuple(np.meshgrid(*axes, indexing="ij"))
+    for c in coords:
+        c.flags.writeable = False
+    return coords
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,15 @@ class DerivativeBundle:
 def bundle_errors(model: "LagrangianModel", bundle: DerivativeBundle) -> dict:
     """The EvaluationError of each batch point whose bundle has a non-finite
     entry, keyed by point index, naming the first such entry, field by
-    field, by its index at the point."""
+    field, by its index at the point.  Each field is tested once as a
+    whole; the points are searched only when one is not finite."""
+    if all(np.isfinite(getattr(bundle, f.name)).all() for f in fields(bundle)):
+        return {}
+    return _point_errors(model, bundle)
+
+
+def _point_errors(model: "LagrangianModel", bundle: DerivativeBundle) -> dict:
+    """``bundle_errors`` searched point by point."""
     finite = np.ones(np.shape(bundle.L), dtype=bool)
     for f in fields(bundle):
         finite &= finite_points(getattr(bundle, f.name), finite.ndim)

@@ -1,5 +1,7 @@
 """Forward-mode dual arithmetic against analytic and finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -197,8 +199,12 @@ def compositions(draw, shapes=((), (1,), (5,)), mixed=False):
     return shape, leaves, steps
 
 
-def run_composition(leaves, steps, lift):
-    regs = [lift(direction, vals) for direction, vals in leaves]
+def composition_registers(leaves, steps, lift):
+    """Each register of the composition, yielded as soon as it is made."""
+    regs = []
+    for direction, vals in leaves:
+        regs.append(lift(direction, vals))
+        yield regs[-1]
     for step in steps:
         kind = step[0]
         pick = lambda i: regs[i % len(regs)]  # noqa: E731
@@ -213,7 +219,12 @@ def run_composition(leaves, steps, lift):
             size = 2 if kind == "det2" else 3
             regs.append(ad.det([[pick(idx[size * r + c]) for c in range(size)]
                                 for r in range(size)]))
-    return regs[-1]
+        yield regs[-1]
+
+
+def run_composition(leaves, steps, lift):
+    *_, last = composition_registers(leaves, steps, lift)
+    return last
 
 
 def seeded(cls, shift=None):
@@ -348,6 +359,30 @@ def test_dual_leaves_and_constants_of_different_batch_shapes_match_the_dense_ref
     check_dual_against_the_dense_reference(leaves, steps)
 
 
+def _arrays(x):
+    """The arrays a dual holds, or the plain operand itself."""
+    if isinstance(x, ad.Dual2):
+        return [x.val, x.grad, x.hess]
+    if isinstance(x, ad.Dual):
+        return [x.val, x.grad]
+    return [np.asarray(x)]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(compositions(mixed=True), st.sampled_from(["Dual", "Dual2"]))
+def test_no_operation_writes_into_an_operand(case, name):
+    """Every register and every plain constant keeps, to the bit, the arrays
+    it had when it was made, whatever the later operations do."""
+    shape, leaves, steps = case
+    constants = [step[3] for step in steps if step[0] == "constant"]
+    made = [(a, a.copy()) for c in constants for a in _arrays(c)]
+    with np.errstate(all="ignore"):
+        for reg in composition_registers(leaves, steps, seeded(getattr(ad, name))):
+            made += [(a, np.array(a, copy=True)) for a in _arrays(reg)]
+    for now, then in made:
+        assert np.array_equal(np.asarray(now).view(np.int64), then.view(np.int64))
+
+
 def test_dual_seeds_share_one_read_only_gradient_per_batch_shape():
     a, b = ad.Dual.seed(np.zeros(4), 3, 0), ad.Dual.seed(np.ones(4), 3, 2)
     c, e = ad.Dual.seed(np.zeros(4), 3), ad.Dual.seed(np.ones(4), 3)
@@ -419,3 +454,68 @@ def test_dual_binary_operations_place_each_support_as_the_dense_reference(op, pl
         assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
         assert same_bits_up_to_zero_sign(grad, ref.grad)
         assert np.count_nonzero(grad[0]) == len(out.idx)
+
+
+def test_dual2_seeds_share_one_read_only_gradient_and_hessian_per_batch_shape():
+    a, b = ad.Dual2.seed(np.zeros(4), 3, 0), ad.Dual2.seed(np.ones(4), 3, 2)
+    c, e = ad.Dual2.seed(np.zeros(4), 3), ad.Dual2.seed(np.ones(4), 3)
+    assert a.grad is b.grad and a.hess is b.hess and c.grad is e.grad and c.hess is e.hess
+    assert a.grad.shape == (1, 4) and a.hess.shape == (1, 1, 4)
+    assert c.grad.shape == (0, 4) and c.hess.shape == (0, 0, 4) and c.idx == ()
+    assert np.all(a.grad == 1.0) and np.all(a.hess == 0.0)
+
+
+@pytest.mark.parametrize("cls", [ad.Dual, ad.Dual2])
+def test_writing_into_a_seed_raises(cls):
+    seeds = [cls.seed(np.zeros(3), 2, 0), cls.seed(np.zeros(3), 2)]
+    for x in seeds:
+        for arr in _arrays(x)[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 2.0
+
+
+@pytest.mark.parametrize("one", [1.0, 1, np.float64(1.0), np.array(1.0)])
+def test_a_product_with_one_shares_the_operands_arrays(one):
+    vals = np.array([0.5, -0.0, 0.0, -2.0, np.inf, -np.inf])
+    for cls, dense_cls in ((ad.Dual2, DenseDual2), (ad.Dual, DenseDual)):
+        with np.errstate(invalid="ignore"):
+            x, ref = (ad.sin(c.seed(vals, 2, 0) * c.seed(vals[::-1].copy(), 2, 1))
+                      for c in (cls, dense_cls))
+            refs = (ref * one, one * ref)
+        for out, dense in zip((x * one, one * x), refs):
+            assert out.idx == x.idx
+            assert all(a is b for a, b in zip(_arrays(out), _arrays(x)))
+            read = out.dense(2)
+            read = read if isinstance(read, tuple) else (read,)
+            for a, b in zip((out.val, *read), _arrays(dense)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_products_and_scalar_maps_of_mixed_batch_ranks_keep_the_dense_bits():
+    """The in-place product and scalar map write into a result with the
+    batch of the value, into which operands of other batch ranks broadcast:
+    a scalar-batch operand, a (5,) one, and a value whose derivative
+    arrays keep unit batch axes (a scalar leaf plus a (5,) constant)."""
+    rng = np.random.default_rng(3)
+    c = rng.uniform(0.5, 1.5, 5)
+    rng_vals = rng.uniform(-1, 1, (3, 5))
+
+    def operands(cls):
+        s0, s1 = cls.seed(np.array(0.3), DIRS, 0), cls.seed(np.array(-0.7), DIRS, 1)
+        b0 = cls.seed(rng_vals[0], DIRS, 0)
+        b1 = cls.seed(rng_vals[1], DIRS, 1)
+        unit = s0 * s1 + c  # value (5,), derivative arrays with a unit batch axis
+        return {"scalar": s0 * s1 + s0, "batched": b0 * b1 - b1, "unit": unit,
+                "disjoint": ad.sin(cls.seed(rng_vals[2], DIRS, 2)),
+                "unit-disjoint": cls.seed(np.array(0.4), DIRS, 3) - c}
+
+    ops, refs = operands(ad.Dual2), operands(DenseDual2)
+    assert ops["unit"].val.shape == (5,) and ops["unit"].hess.shape == (2, 2, 1)
+    for p, q in itertools.product(ops, repeat=2):
+        for fn in (lambda a, b: a * b, lambda a, b: ad.sin(a) * ad.exp(b),
+                   lambda a, b: (a * b) ** 3, lambda a, b: a / (b * b + 0.5)):
+            out, ref = fn(ops[p], ops[q]), fn(refs[p], refs[q])
+            grad, hess = out.dense(DIRS)
+            assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
+            assert same_bits_up_to_zero_sign(grad, ref.grad), (p, q)
+            assert same_bits_up_to_zero_sign(hess, ref.hess), (p, q)

@@ -35,7 +35,7 @@ from nhfields.exceptions import (
     RegularityError,
     raise_first,
 )
-from nhfields.jet import Dims, JetPoint
+from nhfields.jet import Dims, JetPoint, periodic_derivative
 from nhfields.lagrangian import LagrangianModel, derivative_bundle, make_model
 from nhfields.projector import build_projectors, solve_zeta
 
@@ -64,6 +64,30 @@ def test_grid_derivative_spectral_and_fd4():
                                  np.stack([0 * c2, -s2], axis=-1)], axis=-2)
     assert np.abs(grid_derivative(arr, 2, "spectral") - want).max() < 1e-11
     assert np.abs(grid_derivative(arr, 2, "fd4") - want).max() < 1e-4
+
+
+def test_grid_constants_are_cached_read_only_and_keep_the_derivative_bits():
+    """The coordinates and the wavenumbers of a grid are built once per
+    shape and cannot be written; the spectral derivative keeps the bits of
+    the complex transform with the wavenumbers built afresh."""
+    coords = grid_coordinates((6, 8))
+    assert grid_coordinates((6, 8)) is coords
+    for c in coords:
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0] = 1.0
+    assert np.array_equal(coords[1][0], np.arange(8) / 8)
+    arr = np.random.default_rng(2).uniform(-1, 1, (6, 8, 5, 3))
+    out = grid_derivative(arr, 2, "spectral")
+    for axis, N in enumerate((6, 8)):
+        shape = [1] * arr.ndim
+        shape[axis] = N
+        k = (2j * np.pi * np.fft.fftfreq(N, d=1.0 / N)).reshape(shape)
+        ref = np.real(np.fft.ifft(np.fft.fft(arr, axis=axis) * k, axis=axis))
+        assert np.array_equal(out[..., axis].view(np.int64), ref.view(np.int64))
+    assert not cauchy._wavenumbers(8, 1, 4).flags.writeable
+    fd4 = np.stack([periodic_derivative(arr, 1.0 / N, axis=axis)
+                    for axis, N in enumerate((6, 8))], axis=-1)
+    assert np.array_equal(grid_derivative(arr, 2, "fd4").view(np.int64), fd4.view(np.int64))
 
 
 def test_fd4_needs_a_full_stencil():

@@ -490,6 +490,36 @@ def test_a_one_chunk_bundle_allocates_its_outputs_after_the_model_pass():
     assert peak < max(outputs + 0.6 * 2**20, 2.2 * 2**20)
 
 
+def test_an_8_cubed_fluid_model_pass_peaks_below_its_traced_bound():
+    # the outputs (0.97 MiB) and the model pass's temporaries peak at
+    # 1.75 MiB: a product of one support or a scalar map adds its Hessian
+    # terms into its result through one scratch block, seeds share their
+    # arrays and rho * L at rho = 1 copies nothing (1.99 MiB when each
+    # held its own)
+    model = BUNDLE_MODELS["fluid"]()
+    x, y, v = _random_jet(np.random.default_rng(6), model.dims, (8, 8, 8))
+    assert traced_peak(lambda: derivative_bundle_arrays(model, x, y, v)) <= 1.85 * 2**20
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DerivativeBundle)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bundle_errors_of_the_whole_fields_are_those_of_the_point_search(field, bad):
+    model = BUNDLE_MODELS["fluid"]()
+    bundle = derivative_bundle_arrays(
+        model, *_random_jet(np.random.default_rng(7), model.dims, (2, 3)))
+    assert lagrangian.bundle_errors(model, bundle) == lagrangian._point_errors(model, bundle) == {}
+    arr = getattr(bundle, field).copy()
+    at = (1, 2) + (0,) * (arr.ndim - 3) + (arr.shape[-1] - 1,) * (arr.ndim > 2)
+    arr[at] = bad
+    planted = dataclasses.replace(bundle, **{field: arr})
+    errors = lagrangian.bundle_errors(model, planted)
+    ref = lagrangian._point_errors(model, planted)
+    assert list(errors) == list(ref) == [(1, 2)]
+    assert str(errors[(1, 2)]) == str(ref[(1, 2)]) == (
+        f"model 'fluid': non-finite {field} at index {tuple(int(i) for i in at[2:])}"
+        if arr.ndim > 2 else f"model 'fluid': non-finite {field} at index (0,)")
+
+
 def test_an_empty_batch_gives_an_empty_bundle():
     model = BUNDLE_MODELS["fluid"]()
     x, y, v = _random_jet(np.random.default_rng(0), model.dims, (0,))

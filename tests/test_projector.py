@@ -226,6 +226,21 @@ def test_a_one_by_one_compatibility_matrix_has_the_verdict_of_its_svd():
     assert not comp["compatible"][:3].any() and np.all(comp["cond"][:3] == np.inf)
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_a_zero_or_nan_compatibility_scalar_fails_before_any_inverse(value):
+    zeta = np.zeros((3, 1, 1, 2))
+    zeta[..., 0] = 1.0
+    dphidv = np.zeros((3, 1, 1, 2))
+    dphidv[..., 0] = 2.0
+    dphidv[1, ..., 0] = value  # mmat = zeta . dphi = 0 or NaN at point 1
+    with np.errstate(invalid="ignore"):  # np.linalg.det of a singular or NaN matrix
+        comp = compatibility_matrix(zeta, dphidv)
+    assert comp["compatible"].tolist() == [True, False, True]
+    with np.errstate(all="raise"), pytest.raises(  # an inverse of 0 would raise LinAlgError
+            CompatibilityError, match=r"at grid point \(1,\)"):
+        projector.multiplier_matrix(comp)
+
+
 def test_projector_pair_invariants():
     rng = np.random.default_rng(6)
     _, spec, p, bundle, C = wave_setup(rng)
