@@ -100,8 +100,6 @@ def dumps_report(obj, indent: int = 0) -> str:
 # configuration
 
 TASKS = ("verify", "evolve", "fluid-identities")
-# constraint.mode: the Chetaev coefficients, or the custom ones of coeffs_csv
-COEFF_MODES = ("chetaev", "custom")
 
 
 def _finite(val) -> bool:
@@ -148,7 +146,7 @@ CONFIG_TABLE = {
     "constraint": ({
         "name": (_one_of(CONSTRAINTS), None),
         "params": PARAMS,
-        "mode": (_one_of(COEFF_MODES), "chetaev"),
+        # a CSV of constant coefficients in place of the Chetaev ones
         "coeffs_csv": (STRING, ""),
     }, None),
     "grid": ({"nu": (GRID_NU, 64)}, {}),
@@ -159,7 +157,6 @@ CONFIG_TABLE = {
     "stabilize": (("true or false", lambda val: isinstance(val, bool)), False),
     "drift_tol": (POSITIVE, 1e-6),
     "initial": ({
-        "type": (_one_of(("sine",)), "sine"),
         "amplitude": (NUMBER, 1.0),
         "mode": (_integer(0), 1),
         "velocity": (NUMBER, 0.0),
@@ -216,12 +213,6 @@ def load_config(path=None, overrides=None) -> dict:
     name = model.get("name") if isinstance(model, dict) else None
     cfg = _read(CONFIG_TABLE, given, "",
                 MODEL_DEFAULTS.get(name, {}) if isinstance(name, str) else {})
-    ccfg = cfg["constraint"]
-    if ccfg is not None and ccfg["coeffs_csv"] and ccfg["mode"] != "custom":
-        raise ConfigError(
-            f"constraint.coeffs_csv must be empty unless constraint.mode is custom, "
-            f"got {ccfg['coeffs_csv']!r} with mode {ccfg['mode']!r}"
-        )
     width = len(STENCIL)
     if cfg["derivative"] == "fd4" and cfg["grid"]["nu"] < width:
         raise ConfigError(
@@ -249,7 +240,7 @@ def build_scenario(cfg: dict):
             f"constraint dims {spec.dims} do not match model dims {model.dims}"
         )
     matrix = None
-    if ccfg["mode"] == "custom":
+    if ccfg["coeffs_csv"]:
         try:
             matrix = load_custom_coeffs_csv(ccfg["coeffs_csv"], spec.dims)
         except (OSError, ValueError, InvalidArgumentError) as exc:

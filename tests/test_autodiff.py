@@ -410,8 +410,10 @@ PLACEMENTS = {
     "identical": ((0, 1), (0, 1), (5,)),
     "disjoint-runs": ((0, 1), (2, 3), (5,)),
     "nested": ((1,), (0, 1, 2), (5,)),
-    # neither support is a run of the union: the flat-index path
+    # each support evenly spaced in the union: stepped slices
     "interleaved": ((0, 2), (1, 3), (5,)),
+    # neither support is evenly spaced in the union: the flat-index path
+    "irregular": ((0, 1, 3), (0, 2, 3), (5,)),
     # the first operand's values are a scalar batch, the second's (5,)
     "scalar-batch": ((0, 1), (1, 2), ()),
 }

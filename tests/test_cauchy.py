@@ -96,6 +96,38 @@ def test_fd4_needs_a_full_stencil():
         grid_derivative(np.arange(4.0), 1, "fd4")
 
 
+_Y = np.zeros((4, 1))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: CauchyState(0.0, _Y, "odd", ydot=_Y), InvalidArgumentError, "unknown state mode"),
+    (lambda: CauchyState(0.0, _Y, "pde"), InvalidArgumentError, "pde mode needs ydot"),
+    (lambda: CauchyState(0.0, _Y, "pde", ydot=np.zeros((4, 2))), DimensionMismatchError,
+     "ydot must match"),
+    (lambda: CauchyState(0.0, _Y, "fulljet", v0=_Y), InvalidArgumentError,
+     "fulljet mode needs v0 and vi"),
+    (lambda: CauchyState(0.0, _Y, "fulljet", v0=_Y, vi=_Y), DimensionMismatchError,
+     "v0/vi shapes"),
+    (lambda: CauchyState(0.0, _Y, "pde", ydot=_Y, y_offset="shift"), InvalidArgumentError,
+     "unknown y_offset"),
+    (lambda: CauchyState(0.0, np.zeros((4, 2)), "pde", ydot=np.zeros((4, 2)),
+                         y_offset="identity"), InvalidArgumentError, "needs m == n"),
+    (lambda: grid_derivative(_Y, 1, "cheb"), InvalidArgumentError, "derivative method"),
+    (lambda: tilde_eta_contract(wave_pde_state(8), StateVariation(
+        np.zeros((4, 2)), _Y, np.zeros((4, 1, 2)))), DimensionMismatchError, "variation grid"),
+    (lambda: project_onto_constraint(make_constraint("linear-transport"), wave_pde_state(8)),
+     InvalidArgumentError, "applies to fulljet states"),
+    # y + dt ydot overflows while every field value stays finite
+    (lambda: evolve(make_model("wave"), None, CauchyState(0.0, _Y, "pde", ydot=_Y + 2.0),
+                    1.7e308, 1, integrator="euler"),
+     IntegrationError, "^non-finite state after step 1$"),
+], ids=["mode", "no-ydot", "ydot-shape", "no-vi", "vi-shape", "y-offset", "identity-m",
+        "method", "eta-grid", "stabilize-pde", "non-finite-step"])
+def test_each_guard_raises_its_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_eta_contract_values():
     state = wave_pde_state()
     Nu = state.grid_shape[0]

@@ -161,7 +161,6 @@ def test_custom_coefficient_mode_from_csv(tmp_path):
         constraint={
             "name": "linear-transport",
             "params": {"speed": 2.0},
-            "mode": "custom",
             "coeffs_csv": str(coeffs),
         },
     )
@@ -176,7 +175,7 @@ def test_custom_evolve_reproduces_chetaev_run(tmp_path):
     runs = {}
     for mode, csv in (("chetaev", ""), ("custom", str(coeffs))):
         constraint = {"name": "linear-transport", "params": {"speed": 2.0},
-                      "mode": mode, "coeffs_csv": csv}
+                      "coeffs_csv": csv}
         path = write_config(tmp_path, name=f"{mode}.json", task="evolve",
                             constraint=constraint, dt=2e-3, steps=5,
                             grid={"nu": 16}, output_dir=str(tmp_path / mode))
@@ -264,15 +263,15 @@ def test_bad_numeric_key_exits_2_naming_it(tmp_path, capsys, overrides, key):
     ({"output_dir": 5}, "output_dir"),
     ({"tolerances": []}, "tolerances"),
     ({"tolerances": 5}, "tolerances"),
-    ({"constraint": {"name": "linear-transport", "mode": "custom", "coeffs_csv": 5}},
-     "constraint.coeffs_csv"),
-    # the CSV belongs to custom mode; under chetaev it would be ignored
-    ({"constraint": {"name": "linear-transport", "coeffs_csv": "missing.csv"}},
-     "constraint.coeffs_csv"),
+    ({"constraint": {"name": "linear-transport", "coeffs_csv": 5}}, "constraint.coeffs_csv"),
     # keys no table names, at any depth
     ({"task": "evolve", "grid": {"nuu": 9}}, "grid.nuu"),
     ({"task": "evolve", "initial": {"amplitud": 0.1}}, "initial.amplitud"),
     ({"model": {"name": "wave", "prams": {}}}, "model.prams"),
+    # keys that are gone: the coefficients follow from coeffs_csv, and the
+    # initial data is always a sine
+    ({"constraint": {"name": "linear-transport", "mode": "chetaev"}}, "constraint.mode"),
+    ({"task": "evolve", "initial": {"type": "sine"}}, "initial.type"),
     # the state mode follows the constraint; a free fulljet run is not offered
     ({"task": "evolve", "mode": "fulljet"}, "mode"),
 ])
@@ -299,9 +298,7 @@ def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
 
 @pytest.mark.parametrize("overrides, named", [
     ({"model": {"name": "nope"}}, "model.name must be"),
-    ({"constraint": {"name": "linear-transport", "mode": "bogus"}}, "constraint.mode must be"),
     ({"constraint": {"params": {"speed": 2.0}}}, "constraint.name must be"),
-    ({"task": "evolve", "initial": {"type": "cosine"}}, "initial.type must be"),
     ({"constraint": None}, "constraint must be"),
     ({"points": 1, "tuples": 2}, "tuples = 2 is below 3"),
     ({"task": "evolve", "constraint": None, "steps": 1, "grid": {"nu": 4},
@@ -495,7 +492,7 @@ def test_a_failed_newton_projection_names_its_point():
 # point 3 on.
 MIXED_COEFFS = "0,0,0,0,0,0,0,-0.967,0,0,0.627,0\n"
 MIXED = {"model": {"name": "quadratic", "params": {"n": 3, "m": 3}},
-         "constraint": {"name": "incompressibility", "mode": "custom"}}
+         "constraint": {"name": "incompressibility", "coeffs_csv": "C.csv"}}
 
 
 def pointwise_chain(model, spec, p, rng, tols, tuples):
@@ -563,7 +560,7 @@ def test_a_batch_of_points_equals_batches_of_one_bitwise(tmp_path, monkeypatch, 
     from nhfields import cli, verify
 
     overrides = {"tuples": 5, **overrides}
-    if "mode" in overrides.get("constraint", {}):
+    if "coeffs_csv" in overrides.get("constraint", {}):
         (tmp_path / "C.csv").write_text(MIXED_COEFFS)
         overrides["constraint"] = {**overrides["constraint"], "coeffs_csv": str(tmp_path / "C.csv")}
     cfg = load_config(write_config(tmp_path, **overrides))
@@ -914,7 +911,7 @@ def test_verify_reads_its_constraint_tolerances(tmp_path, capsys, tolerances, fa
 
 def test_unreadable_coefficient_csv_exits_2_naming_it(tmp_path, capsys):
     path = write_config(tmp_path, constraint={
-        "name": "linear-transport", "mode": "custom", "coeffs_csv": "no-such-file.csv"})
+        "name": "linear-transport", "coeffs_csv": "no-such-file.csv"})
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "constraint.coeffs_csv must be" in err
@@ -926,8 +923,7 @@ def test_non_finite_coefficient_csv_exits_2_naming_it(tmp_path, capsys, task, en
     coeffs = tmp_path / "C.csv"
     coeffs.write_text(f"{entry},1\n")
     path = write_config(tmp_path, task=task, dt=2e-3, steps=1, grid={"nu": 16}, constraint={
-        "name": "linear-transport", "params": {"speed": 2.0}, "mode": "custom",
-        "coeffs_csv": str(coeffs)})
+        "name": "linear-transport", "params": {"speed": 2.0}, "coeffs_csv": str(coeffs)})
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "constraint.coeffs_csv" in err

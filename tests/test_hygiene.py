@@ -98,6 +98,36 @@ def test_every_private_module_name_is_used_in_the_package():
     assert unused == []
 
 
+def _leaf_keys(table: dict):
+    """The keys of a config table and of its nested tables whose rule is
+    not itself a table, but the wildcard "*"."""
+    for key, (rule, _) in table.items():
+        if isinstance(rule, dict):
+            yield from _leaf_keys(rule)
+        elif key != "*":
+            yield key
+
+
+def test_every_config_key_is_read():
+    """Each leaf key of ``cli.CONFIG_TABLE`` is a string constant of the
+    package outside the two tables that declare the keys, so a key the
+    config checks and no code reads fails."""
+    from nhfields.cli import CONFIG_TABLE
+
+    declaring = {"CONFIG_TABLE", "DEFAULT_TOLERANCES"}
+    strings = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        skip = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id in declaring for t in stmt.targets)
+                for node in ast.walk(stmt)}
+        strings |= {node.value for node in ast.walk(tree) if id(node) not in skip
+                    and isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    keys = set(_leaf_keys(CONFIG_TABLE))
+    assert len(keys) > 20
+    assert sorted(keys - strings) == []
+
+
 def test_no_function_takes_an_errors_or_check_switch():
     """A batched kernel returns the errors of its failing points and never
     raises for one, so no function of the package takes a parameter that

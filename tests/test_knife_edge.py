@@ -2,9 +2,11 @@
 chain, and its constrained evolution in pde mode."""
 
 import numpy as np
+import pytest
 
 from nhfields.cauchy import CauchyState, evolve
 from nhfields.cli import DEFAULT_TOLERANCES, sample_constraint_point
+from nhfields.exceptions import DriftError
 from nhfields.verify import first_failure, verify_points
 
 from helpers import KNIFE_I, KNIFE_J, knife_edge
@@ -57,3 +59,20 @@ def test_at_rest_blades_theta_is_the_free_wave():
         errors.append(np.max(np.abs(res.states[-1].y[:, 2] - want)))
     assert errors[0] < 4.5e-9 and errors[1] < 2.8e-10
     assert errors[0] / errors[1] > 12
+
+
+def test_only_kept_states_are_held_to_the_drift_bound():
+    # at dt 4e-3 an RK stage state of this run leaves the constraint set by
+    # 1.006e-6, past the default drift_tol, while every kept state stays
+    # within 1.47e-10 and the energy drifts by 1.6e-11; the bounds are ten
+    # times those
+    model, spec = knife_edge()
+    res = evolve(model, spec, knife_edge_state(0.5 + 0.2 * np.cos(2 * np.pi * U)), 4e-3, 125)
+    energy = res.diagnostics["energy"]
+    assert np.max(res.diagnostics["max_phi"]) < 1.47e-9
+    assert np.max(np.abs(energy - energy[0])) < 1.6e-10
+    # a kept state off the set still stops the run
+    state = knife_edge_state(0.5 + 0 * U)
+    off = CauchyState(0.0, state.y, "pde", ydot=state.ydot + [0.0, 1e-5, 0.0])
+    with pytest.raises(DriftError, match="off the constraint set"):
+        evolve(model, spec, off, 4e-3, 1)
