@@ -10,17 +10,18 @@ shape S, so whole grids differentiate in one sweep.  Both track their
 support: the sorted tuple ``idx`` of the s seed directions the value
 depends on, with the grad stored batch last as (s,)+S and the Hessian as
 (s, s)+S.  A binary operation on two supports allocates only its result
-over their union and adds each operand's blocks into it, so a temporary
-costs its own support, not all d directions.  A constant (support ``()``)
-of either class meets a value on the path of a plain number.  A ``Dual2``
-product of one support and a scalar map allocate their results and one
-scratch block, through which they sum their Hessian terms into the result
-in place, in the order of the dense formulas, so every entry keeps its
-bits.  A seed's gradient (and Hessian) is one read-only array shared by
-every seed of its batch shape, and a product with the plain scalar 1.0
-shares its operand's arrays, as does a difference with 0.0.  No operation
-writes into an operand's arrays.  ``dense(d)`` reads grad (and Hessian)
-back as S+(d,) (and S+(d, d)) over all d directions.
+over their union and adds each operand's blocks into it through views (a
+slice, or one per run of consecutive positions), so a temporary costs its
+own support, not all d directions, and nothing is gathered.  A constant
+(support ``()``) of either class meets a value on the path of a plain
+number.  A ``Dual2`` product of one support sums its Hessian terms into
+its result row by row through one scratch row, and a scalar map through
+one scratch block, in the order of the dense formulas, so every finite
+entry keeps its bits.  A seed's gradient (and Hessian) is one read-only
+array shared by every seed of its batch shape, and a product with the
+plain scalar 1.0 shares its operand's arrays, as does a difference with
+0.0.  No operation writes into an operand's arrays.  ``dense(d)`` reads
+grad (and Hessian) back as S+(d,) (and S+(d, d)) over all d directions.
 
 Lagrangians and constraints are written against the generic helpers here
 (sin, cos, exp, ... , det) so the same code runs on floats and on duals.
@@ -75,7 +76,9 @@ class Dual:
         g = self.grad
         if out is None:
             out = np.zeros(g.shape[1:] + (d,))
-        out[..., _placement(self.idx, tuple(range(d)))] = g.transpose((*range(1, g.ndim), 0))
+        g = g.transpose((*range(1, g.ndim), 0))
+        for src, dst in _runs(_placement(self.idx, tuple(range(d)))):
+            out[..., dst] = g[..., src]
         return out
 
     def __add__(self, o):
@@ -134,8 +137,8 @@ class Dual:
             return Dual(val, inv * (g1 - val * g2), self.idx)
         union, pa, pb = _union(self.idx, o.idx)[:3]
         diff = np.zeros((len(union),) + val.shape)
-        _put(diff, pa, g1, 1)
-        _put(diff, pb, val * g2, 1, np.subtract)
+        _put(diff, pa, g1)
+        _put(diff, pb, val * g2, np.subtract)
         return Dual(val, np.multiply(inv, diff, out=diff), union)
 
     def __rtruediv__(self, o):
@@ -212,13 +215,13 @@ def _sum(a: Dual, b: Dual, op) -> Dual:
     if batch != wb[0].shape[1:]:
         batch = np.broadcast_shapes(batch, wb[0].shape[1:])
     grad = np.zeros((s,) + batch)
-    _put(grad, pa, wa[0], 1)
-    _put(grad, pb, wb[0], 1, op)
+    _put(grad, pa, wa[0])
+    _put(grad, pb, wb[0], op)
     if len(wa) == 1:
         return Dual(val, grad, union)
     hess = np.zeros((s, s) + batch)
-    _put(hess, aa, wa[1], 2)
-    _put(hess, bb, wb[1], 2, op)
+    _put(hess, aa, wa[1])
+    _put(hess, bb, wb[1], op)
     return Dual2(val, grad, hess, union)
 
 
@@ -229,29 +232,44 @@ def _product_grad(union: tuple, a, b, g1, g2, shape: tuple) -> np.ndarray:
     product's value."""
     support, pa, pb = union[:3]
     grad = np.zeros((len(support),) + shape)
-    _put(grad, pb, a * g2, 1)
-    _put(grad, pa, b * g1, 1, np.add)
+    _put(grad, pb, a * g2)
+    _put(grad, pa, b * g1, np.add)
     return grad
+
+
+class _Runs(tuple):
+    """Where a support that is not evenly spaced in another sits in it: the
+    (source, destination) index pairs of its runs of consecutive positions,
+    each a slice (or a pair of slices, for a Hessian block), so every run is
+    written through a view and nothing is gathered."""
+
+    __slots__ = ()
 
 
 @functools.cache
 def _placement(sub: tuple, sup: tuple):
     """Where the directions of support ``sub`` sit inside support ``sup``:
-    a slice when they are evenly spaced in it, else their positions."""
+    a slice when they are evenly spaced in it, else their ``_Runs``."""
     pos = np.searchsorted(sup, sub).astype(np.intp)
     step = int(pos[1] - pos[0]) if len(sub) > 1 else 1
     if sub and np.all(np.diff(pos) == step):
         return slice(int(pos[0]), int(pos[-1]) + 1, step)
-    return pos
+    cuts = [0, *(np.flatnonzero(np.diff(pos) != 1) + 1).tolist(), len(pos)]
+    return _Runs((slice(i, j), slice(int(pos[i]), int(pos[j - 1]) + 1))
+                 for i, j in zip(cuts, cuts[1:]) if i < j)
 
 
-def _block(p, q, s: int):
-    """Where the Hessian block of directions p x q sits over a support of
-    size s: a pair of slices, or flat positions into its (s*s) axes."""
-    if isinstance(p, slice) and isinstance(q, slice):
+def _runs(place) -> tuple:
+    """A placement as (source, destination) pairs: its runs, or one pair."""
+    return place if type(place) is _Runs else ((slice(None), place),)
+
+
+def _block(p, q):
+    """Where the Hessian block of directions p x q sits: a pair of slices,
+    or the ``_Runs`` of its run x run sub-blocks."""
+    if type(p) is slice and type(q) is slice:
         return p, q
-    r = np.arange(s)
-    return (r[p][:, None] * s + r[q]).ravel()
+    return _Runs(((rs, cs), (rd, cd)) for rs, rd in _runs(p) for cs, cd in _runs(q))
 
 
 @functools.cache
@@ -259,24 +277,23 @@ def _union(a: tuple, b: tuple):
     """The union of two supports, where the grads of a and b sit in it, and
     where the Hessian blocks a x a, b x b, a x b and b x a sit."""
     union = tuple(sorted(set(a) | set(b)))
-    s = len(union)
     pa, pb = _placement(a, union), _placement(b, union)
-    return (union, pa, pb,
-            _block(pa, pa, s), _block(pb, pb, s), _block(pa, pb, s), _block(pb, pa, s))
+    return union, pa, pb, _block(pa, pa), _block(pb, pb), _block(pa, pb), _block(pb, pa)
 
 
-def _put(out, index, block, axes: int, op=None):
-    """out[index] = block, or op(out[index], block), in place, where
-    ``index`` (from ``_placement`` or ``_block``) addresses the first
-    ``axes`` axes of out."""
-    if axes > 1 and isinstance(index, np.ndarray):
-        out = out.reshape((-1,) + out.shape[axes:])
-        block = block.reshape((-1,) + block.shape[axes:])
-    if op is None:
+def _put(out, index, block, op=None):
+    """out[index] = block, or op(out[index], block), in place through views
+    of out, where ``index`` (from ``_placement`` or ``_block``) addresses
+    its leading axes."""
+    if type(index) is _Runs:
+        for src, dst in index:
+            if op is None:
+                out[dst] = block[src]
+            else:
+                view = out[dst]
+                op(view, block[src], out=view)
+    elif op is None:
         out[index] = block
-    elif isinstance(index, np.ndarray):  # a gathered copy, written back
-        part = out[index]
-        out[index] = op(part, block, out=part)
     else:
         view = out[index]
         op(view, block, out=view)
@@ -313,8 +330,8 @@ class Dual2(Dual):
         exact zeros off the support."""
         place = _placement(self.idx, tuple(range(d)))
         g, h = np.zeros((d,) + self.grad.shape[1:]), np.zeros((d, d) + self.hess.shape[2:])
-        _put(g, place, self.grad, 1)
-        _put(h, _block(place, place, d), self.hess, 2)
+        _put(g, place, self.grad)
+        _put(h, _block(place, place), self.hess)
         return np.moveaxis(g, 0, -1), np.moveaxis(h, (0, 1), (-2, -1))
 
     def __sub__(self, o):
@@ -328,13 +345,13 @@ class Dual2(Dual):
         val = a * b
         if self.idx == o.idx:
             # a h2 + b h1 + g1 g2^T + g2 g1^T, summed in the dense order into
-            # the result through one scratch block
+            # the result row by row through one scratch row
             shape = (len(self.idx),) * 2 + val.shape
-            hess, scratch = _product(shape, a, h2), _product(shape, b, h1)
-            hess += scratch
-            np.multiply(g1[:, None], g2[None, :], out=scratch)
-            hess += scratch
-            hess += np.swapaxes(scratch, 0, 1)
+            hess, row = _product(shape, a, h2), np.empty(shape[1:])
+            for i, out in enumerate(hess):
+                out += np.multiply(b, h1[i], out=row)
+                out += np.multiply(g1[i], g2, out=row)
+                out += np.multiply(g1, g2[i], out=row)
             grad = _product(shape[1:], a, g2)
             grad += b * g1
             return Dual2(val, grad, hess, self.idx)
@@ -345,11 +362,11 @@ class Dual2(Dual):
         s = len(union[0])
         grad = _product_grad(union, a, b, g1, g2, val.shape)
         hess = np.zeros((s, s) + val.shape)
-        _put(hess, bb, a * h2, 2)
-        _put(hess, aa, b * h1, 2, np.add)
+        _put(hess, bb, a * h2)
+        _put(hess, aa, b * h1, np.add)
         cross = g1[:, None] * g2[None, :]
-        _put(hess, ab, cross, 2, np.add)
-        _put(hess, ba, np.swapaxes(cross, 0, 1), 2, np.add)
+        _put(hess, ab, cross, np.add)
+        _put(hess, ba, np.swapaxes(cross, 0, 1), np.add)
         return Dual2(val, grad, hess, union[0])
 
     __rmul__ = __mul__

@@ -64,9 +64,9 @@ DEFAULT_TOLERANCES = {
 # deterministic JSON with fixed float formatting
 
 def format_float(x: float) -> str:
-    if np.isnan(x):
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
+    if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return f"{x:.17g}"
 

@@ -35,6 +35,7 @@ from .jet import ConnectionCoeffs, Jet2Point, deletion_minors, dx_minors, solve_
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
+    chunk_points,
     derivative_bundle,
     omega_expansion,
     omega_from_pairings,
@@ -75,6 +76,25 @@ def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
     )
 
 
+def _pinned_terms(H: np.ndarray, spatial: np.ndarray) -> np.ndarray:
+    """The pinned block's part of the right side, H[b, nu, a, i+1]
+    spatial[b, i, nu] summed over b, nu and i, batched as spatial
+    (..., m, n, n+1).  The optimized contraction copies H, so it runs over
+    chunks of the derivative bundle's size (``chunk_points``), whose copy
+    is bounded as the bundle's own chunk is; every chunk has the bits of
+    one contraction over the whole batch."""
+    batch, (m, n, nx) = spatial.shape[:-3], spatial.shape[-3:]
+    B, step = math.prod(batch), chunk_points(m * nx)
+    if B <= step:
+        return np.einsum("...bnai,...bin->...a", H[..., 1:], spatial, optimize=True)
+    H, spatial = H.reshape((B,) + H.shape[-4:]), spatial.reshape((B, m, n, nx))
+    out = np.empty((B, m))
+    for lo in range(0, B, step):
+        out[lo : lo + step] = np.einsum("...bnai,...bin->...a", H[lo : lo + step, ..., 1:],
+                                        spatial[lo : lo + step], optimize=True)
+    return out.reshape(batch + (m,))
+
+
 def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | None = None,
               dphi: np.ndarray | None = None, coeffs: np.ndarray | None = None):
     """The De Donder-Weyl system, batched over the leading axes of v (..., m, n+1).
@@ -106,7 +126,7 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
                 f"spatial block shape {spatial.shape}, expected {batch + (m, nx - 1, nx)}"
             )
         L = 1
-        b = b - np.einsum("...bnai,...bin->...a", H[..., 1:], spatial, optimize=True)
+        b = b - _pinned_terms(H, spatial)
     k = 0 if dphi is None else dphi.shape[-2]
     n_gamma = m * L * nx
     # the form equations, Gamma2-part + lambda^alpha_tau C[alpha, tau, a] = R_a,

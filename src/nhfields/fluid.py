@@ -79,8 +79,8 @@ def fluid_lagrangian(params: FluidParams | None = None) -> LagrangianModel:
         kinetic = 0.0
         for a in range(3):
             kinetic = kinetic + v[a][0] * v[a][0]
-        J = ad.det([[v[a][i + 1] for i in range(3)] for a in range(3)])
-        L = 0.5 * kinetic - params.W(J)
+        # J = det(v^a_i) goes straight into W, so its Hessian is freed there
+        L = 0.5 * kinetic - params.W(ad.det([[v[a][i + 1] for i in range(3)] for a in range(3)]))
         if params.mu:
             frob = 0.0
             for a in range(3):

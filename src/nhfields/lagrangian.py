@@ -12,9 +12,10 @@ from the derivative bundle and theta^a are the contact forms.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,9 +50,27 @@ from .jet import (
 # bundle takes 1.5-2.2 ms in one 512-point chunk against 2.0-3.1 ms in two
 # of 256 (medians of 60 calls).  A binary Dual2 operation allocates only its
 # result over the union support (``autodiff``), so one chunk's temporaries
-# take 2.6 MiB on a 16^3 fluid jet, under the 3 MiB the bundle memory test
+# take 1.9 MiB on a 16^3 fluid jet, under the 3 MiB the bundle memory test
 # allows.
 _CHUNK_BYTES = 512 * 8 * 12 * 12
+
+# the one read-only zero that every bundle block L never reaches is a view of
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
+@lru_cache(maxsize=256)
+def _zeros(shape: tuple) -> np.ndarray:
+    """A read-only view of ``_ZERO`` as a zero array of ``shape``, which
+    holds no memory of its own."""
+    return np.broadcast_to(_ZERO, shape)
+
+
+def chunk_points(width: int) -> int:
+    """The points of a chunk whose width x width blocks of floats take at
+    most ``_CHUNK_BYTES``: the bundle's chunk, with width m(n+1)."""
+    return max(1, _CHUNK_BYTES // (8 * width**2))
+
 
 # a point is regular when its Hessian's condition number is below this
 REGULAR_COND = 1e12
@@ -85,6 +104,8 @@ class DerivativeBundle:
     H (m, n+1, m, n+1) with H[a, mu, b, nu] = d2L/dv^a_mu dv^b_nu,
     d2Ldydv (m, m, n+1) with [b, a, mu] = d2L/dy^b dv^a_mu,
     d2Ldxdv (n+1, m, n+1) with [tau, a, mu] = d2L/dx^tau dv^a_mu.
+    ``derivative_bundle_arrays`` returns every field read-only, and a block
+    that L's support never reaches as a view of one shared zero.
     """
 
     L: np.ndarray
@@ -108,9 +129,11 @@ class DerivativeBundle:
 def bundle_errors(model: "LagrangianModel", bundle: DerivativeBundle) -> dict:
     """The EvaluationError of each batch point whose bundle has a non-finite
     entry, keyed by point index, naming the first such entry, field by
-    field, by its index at the point.  Each field is tested once as a
-    whole; the points are searched only when one is not finite."""
-    if all(np.isfinite(getattr(bundle, f.name)).all() for f in fields(bundle)):
+    field, by its index at the point.  Each field but the shared zeros is
+    tested once as a whole; the points are searched only when one is not
+    finite."""
+    arrays = [getattr(bundle, f.name) for f in fields(bundle)]
+    if all(np.isfinite(a).all() for a in arrays if not np.may_share_memory(a, _ZERO)):
         return {}
     return _point_errors(model, bundle)
 
@@ -137,13 +160,15 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     Every input is seeded, as the Dual2 direction of its flat jet index, and
     every temporary carries the Hessian of its own support only, so an input
     L never reads costs one seed and nothing else.  The flattened batch runs
-    in chunks whose m(n+1) x m(n+1) v-block of the Hessian is at most
-    ``_CHUNK_BYTES``; each result is scattered from its support into the
-    outputs, and entries of inputs L never touches are +0.0.  The outputs
-    are allocated once the first chunk's model pass has returned, so a
-    one-chunk batch never holds them beside that pass's temporaries.
-    Non-finite entries are left to ``bundle_errors``, so an overflow in the
-    pass is no error.
+    in chunks of ``chunk_points(m(n+1))`` points; each result is scattered
+    from its support into the blocks of the bundle it reaches, and entries
+    of inputs L never touches are +0.0.  A block is allocated once the
+    first chunk that reaches it has returned from its model pass, so a
+    one-chunk batch never holds it beside that pass's temporaries; a block
+    no chunk reaches is a view of one shared zero (dLdy, d2Ldydv and
+    d2Ldxdv for the fluid and the wave).  Every field is returned
+    read-only.  Non-finite entries are left to ``bundle_errors``, so an
+    overflow in the pass is no error.
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
@@ -153,38 +178,68 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     x = np.asarray(x, dtype=float).reshape(B, nx)
     y = np.asarray(y, dtype=float).reshape(B, m)
     v = v.reshape(B, m, nx)
-
-    def outputs():  # L, the gradient and the v-columns of the Hessian
-        return np.empty(B), np.zeros((B, dims.N)), np.zeros((B, dims.N, m * nx))
-
-    L, grad, hv = outputs() if B == 0 else (None, None, None)
-    step = max(1, _CHUNK_BYTES // (8 * (m * nx) ** 2))
+    blocks = {}
+    step = chunk_points(m * nx)
     for lo in range(0, B, step):
         s = slice(lo, lo + step)
         with np.errstate(over="ignore", invalid="ignore"):
             out = model.fn(*seed_inputs(ad.Dual2, x[s], y[s], v[s], dims))
         if not isinstance(out, ad.Dual2):
             raise EvaluationError(f"model {model.name!r} did not stay in dual arithmetic")
-        if L is None:  # once the first pass has freed its temporaries
-            L, grad, hv = outputs()
-        L[s] = out.val
-        idx = np.array(out.idx, dtype=np.intp)
-        v0 = int(np.searchsorted(idx, nx + m))  # idx[v0:] are the v inputs
-        if len(idx) and idx[-1] - idx[0] == len(idx) - 1:  # one run: slices, no copies
-            rows = slice(idx[0], idx[-1] + 1)
-            cols = slice(idx[0] + v0 - (nx + m), idx[-1] + 1 - (nx + m))
-        else:
-            rows, cols = idx[:, None], idx[v0:] - (nx + m)
-        grad[s, idx] = out.grad.T
-        hv[s, rows, cols] = np.moveaxis(out.hess[:, v0:], -1, 0)
-    return DerivativeBundle(
-        L.reshape(batch),
-        grad[:, nx : nx + m].reshape(batch + (m,)),
-        grad[:, nx + m :].reshape(batch + (m, nx)),
-        hv[:, nx + m :].reshape(batch + (m, nx, m, nx)),
-        hv[:, nx : nx + m].reshape(batch + (m, m, nx)),
-        hv[:, :nx].reshape(batch + (nx, m, nx)),
-    )
+        if "L" not in blocks:  # once the first pass has freed its temporaries
+            blocks["L"] = np.empty(B)
+        blocks["L"][s] = out.val
+        for name, src, dst, shape in _scatter_plan(out.idx, nx, m):
+            if name not in blocks:  # zeros where no earlier chunk reached it
+                blocks[name] = np.zeros((B,) + shape)
+            part = (out.grad if len(shape) == 1 else out.hess)[src]
+            blocks[name][(s, *dst)] = np.moveaxis(part, -1, 0)
+    shapes = {"L": (), "dLdy": (m,), "dLdv": (m, nx), "H": (m, nx, m, nx),
+              "d2Ldydv": (m, m, nx), "d2Ldxdv": (nx, m, nx)}
+    arrays = {}
+    for name, shape in shapes.items():
+        if name not in blocks:
+            arrays[name] = _zeros(batch + shape)
+            continue
+        arrays[name] = blocks[name].reshape(batch + shape)
+        arrays[name].flags.writeable = False
+    return DerivativeBundle(**arrays)
+
+
+@cache
+def _scatter_plan(idx: tuple, nx: int, m: int) -> tuple:
+    """How a model result over the support ``idx`` scatters into the
+    bundle: for each field past L whose block it reaches, (field, the part
+    of the result's grad or Hessian it takes, where that part sits in the
+    block's rows (and v columns), the block's shape).  The fields of the
+    Hessian take the v inputs as columns."""
+    N = nx + m + m * nx
+    v0 = bisect.bisect_left(idx, nx + m)  # idx[v0:] are the v inputs
+    cols = _span([i - nx - m for i in idx[v0:]])
+    plan = []
+    for name, r0, r1 in (("dLdy", nx, nx + m), ("dLdv", nx + m, N), ("H", nx + m, N),
+                         ("d2Ldydv", nx, nx + m), ("d2Ldxdv", 0, nx)):
+        a, b = bisect.bisect_left(idx, r0), bisect.bisect_left(idx, r1)
+        if a == b:
+            continue
+        at = _span([i - r0 for i in idx[a:b]])
+        if name in ("dLdy", "dLdv"):
+            plan.append((name, slice(a, b), (at,), (r1 - r0,)))
+        elif v0 < len(idx):
+            both = not (isinstance(at, slice) or isinstance(cols, slice))
+            plan.append((name, (slice(a, b), slice(v0, None)), (at[:, None] if both else at, cols),
+                         (r1 - r0, m * nx)))
+    return tuple(plan)
+
+
+def _span(pos: list):
+    """Sorted distinct positions as a slice when they are one run, so that
+    they index a view; else as a read-only array, shared by the cache."""
+    if pos and pos[-1] - pos[0] == len(pos) - 1:
+        return slice(pos[0], pos[-1] + 1)
+    pos = np.array(pos, dtype=np.intp)
+    pos.flags.writeable = False
+    return pos
 
 
 def derivative_bundle(model: LagrangianModel, p: JetPoint) -> DerivativeBundle:

@@ -119,6 +119,13 @@ def bundle_at(bundle, i) -> DerivativeBundle:
                               for f in dataclasses.fields(bundle)))
 
 
+def writable_copy(bundle) -> DerivativeBundle:
+    """The bundle with a writable copy of each field, which a test may
+    change in place; ``derivative_bundle_arrays`` returns read-only ones."""
+    return DerivativeBundle(*(np.array(getattr(bundle, f.name))
+                              for f in dataclasses.fields(bundle)))
+
+
 def oracle_scenario(name, rng):
     """(model, constraint spec, point on its constraint set) of the scenarios
     the pointwise checks are compared with their term-list oracles on:

@@ -4,13 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nhfields import autodiff as ad
 from nhfields.exceptions import InvalidArgumentError
 
-from helpers import DenseDual, DenseDual2, fd_gradient, fd_hessian, same_bits_up_to_zero_sign
+from helpers import (DenseDual, DenseDual2, fd_gradient, fd_hessian, same_bits_up_to_zero_sign,
+                     traced_peak)
 
 
 def poly(x):
@@ -412,7 +414,7 @@ PLACEMENTS = {
     "nested": ((1,), (0, 1, 2), (5,)),
     # each support evenly spaced in the union: stepped slices
     "interleaved": ((0, 2), (1, 3), (5,)),
-    # neither support is evenly spaced in the union: the flat-index path
+    # neither support is evenly spaced in the union: placed as runs
     "irregular": ((0, 1, 3), (0, 2, 3), (5,)),
     # the first operand's values are a scalar batch, the second's (5,)
     "scalar-batch": ((0, 1), (1, 2), ()),
@@ -521,3 +523,93 @@ def test_products_and_scalar_maps_of_mixed_batch_ranks_keep_the_dense_bits():
             assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
             assert same_bits_up_to_zero_sign(grad, ref.grad), (p, q)
             assert same_bits_up_to_zero_sign(hess, ref.hess), (p, q)
+
+
+# ---------------------------------------------------------------------------
+# supports placed as several runs of their union
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+FINITE = st.floats(-2.0, 2.0, allow_nan=False)
+FLUID_SPATIAL = (1, 2, 3, 5, 6, 7, 9, 10, 11)  # W's support among L's 12 v directions
+OPS = {"add": lambda p, q: p + q, "sub": lambda p, q: p - q, "mul": lambda p, q: p * q}
+
+
+@st.composite
+def run_cases(draw):
+    """(op, d, two operands): each operand is its support and drawn value,
+    grad and Hessian entries, and at least one support sits in the union as
+    several runs that are not evenly spaced.  Only a product's entries are
+    finite: the dense reference multiplies each operand's zeros off its
+    support too, and 0 * inf is NaN."""
+    op = draw(st.sampled_from(sorted(OPS)))
+    entries = FINITE if op == "mul" else st.one_of(SPECIAL, FINITE)
+    d = draw(st.integers(4, 12))
+    subsets = st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True)
+    supports = [tuple(sorted(draw(subsets))) for _ in range(2)]
+    union = tuple(sorted(set(supports[0]) | set(supports[1])))
+    assume(any(type(ad._placement(p, union)) is ad._Runs for p in supports))
+    batch = draw(st.integers(1, 9))
+
+    def arr(shape):
+        return draw(hnp.arrays(float, shape, elements=entries))
+
+    return op, d, [(p, arr((batch,)), arr((len(p), batch)), arr((len(p), len(p), batch)))
+                   for p in supports]
+
+
+def _fluid_case(op):
+    """The fluid's W (9 directions, three runs) against its kinetic term (3
+    evenly spaced directions) among L's 12, with -0.0 (and for a sum inf
+    and NaN) planted in every array."""
+    rng = np.random.default_rng(12)
+    operands = []
+    for support in (FLUID_SPATIAL, (0, 4, 8)):
+        s = len(support)
+        arrays = [rng.uniform(-2, 2, shape) for shape in ((4,), (s, 4), (s, s, 4))]
+        for arr in arrays:
+            planted = [-0.0] if op == "mul" else [-0.0, np.inf, np.nan]
+            arr.flat[rng.choice(arr.size, len(planted), replace=False)] = planted
+        operands.append((support, *arrays))
+    return op, 12, operands
+
+
+def _tracked_and_dense(d, support, val, grad, hess):
+    """The operand as a Dual2 over its support, and as the dense reference
+    with the same entries over all d directions."""
+    dense_grad, dense_hess = np.zeros(val.shape + (d,)), np.zeros(val.shape + (d, d))
+    dense_grad[:, list(support)] = grad.T
+    dense_hess[:, np.array(support)[:, None], np.array(support)] = np.moveaxis(hess, -1, 0)
+    return ad.Dual2(val, grad, hess, support), DenseDual2(val, dense_grad, dense_hess)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(run_cases())
+@example(_fluid_case("add")).via("the fluid's 9 in 12")
+@example(_fluid_case("sub")).via("the fluid's 9 in 12")
+@example(_fluid_case("mul")).via("the fluid's 9 in 12")
+def test_operations_on_supports_placed_as_runs_keep_the_dense_bits(case):
+    op, d, operands = case
+    (a, dense_a), (b, dense_b) = (_tracked_and_dense(d, *x) for x in operands)
+    with np.errstate(all="ignore"):
+        out, ref = OPS[op](a, b), OPS[op](dense_a, dense_b)
+    assert out.idx == tuple(sorted(set(a.idx) | set(b.idx)))
+    grad, hess = out.dense(d)
+    assert np.array_equal(out.val.view(np.int64), ref.val.view(np.int64))
+    assert same_bits_up_to_zero_sign(grad, ref.grad)
+    assert same_bits_up_to_zero_sign(hess, ref.hess)
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_a_union_sum_placed_as_runs_allocates_its_result_and_at_most_one_row(op):
+    """The fluid's kinetic term (3 directions) minus its W (9 directions,
+    three runs of L's 12): W's blocks are added into the result through
+    views, where a gathered copy of its 9 x 9 block (324 KiB) would exceed
+    the bound."""
+    rng = np.random.default_rng(4)
+    batch = 512
+    kinetic, w = (ad.Dual2(rng.uniform(-1, 1, batch), rng.uniform(-1, 1, (len(p), batch)),
+                           rng.uniform(-1, 1, (len(p), len(p), batch)), p)
+                  for p in ((0, 4, 8), FLUID_SPATIAL))
+    result = 8 * batch * (1 + 12 + 12 * 12)
+    assert type(ad._placement(FLUID_SPATIAL, tuple(range(12)))) is ad._Runs
+    assert traced_peak(lambda: OPS[op](kinetic, w)) <= result + 8 * batch * 12

@@ -55,6 +55,7 @@ from helpers import (
     oracle_scenario,
     random_point,
     wave_on_constraint_point,
+    writable_copy,
 )
 
 
@@ -533,8 +534,8 @@ def test_a_point_batch_solve_collects_the_error_of_each_unsolved_point():
     rng = np.random.default_rng(8)
     points = [wave_on_constraint_point(rng) for _ in range(3)]
     v = np.stack([p.v for p in points])
-    bundle = derivative_bundle_arrays(make_model("wave"), np.stack([p.x for p in points]),
-                                      np.stack([p.y for p in points]), v)
+    bundle = writable_copy(derivative_bundle_arrays(
+        make_model("wave"), np.stack([p.x for p in points]), np.stack([p.y for p in points]), v))
     bundle.H[1] = 0.0
     bundle.dLdy[1] = 1.0
     block, lam, errors = solve_ddw(bundle, v)
@@ -583,6 +584,7 @@ def test_the_row_space_solution_is_the_pseudo_inverse_one(monkeypatch, name):
     the right side of the free equations from vanishing."""
     rng = np.random.default_rng(31)
     bundle, v, dphi, coeffs = stacked_scenario(name, rng, 6)
+    bundle = writable_copy(bundle)
     bundle.dLdy[...] += rng.uniform(-1, 1, bundle.dLdy.shape)
     m, nx = v.shape[-2:]
     counts = {"pinv": 0}
@@ -615,6 +617,7 @@ def test_a_zero_system_solves_to_zeros_and_the_others_keep_their_bits():
     point by point, gives the other points their batch-of-one bits."""
     rng = np.random.default_rng(9)
     bundle, v, dphi, coeffs = stacked_scenario("mixed", rng, 3)
+    bundle = writable_copy(bundle)
     for field in ("H", "dLdy", "d2Ldydv", "d2Ldxdv"):
         getattr(bundle, field)[1] = 0.0
     for spatial in (None, rng.uniform(-1, 1, (3, 1, 1, 2))):
@@ -795,3 +798,26 @@ def test_nh_field_residual_flags_off_equation_data():
     out = nh_field_residual(model, spec, q)
     assert np.abs(out["residual"][1]) == pytest.approx(1.0)
     assert np.allclose(out["lam_fit"], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [1, 7, 64, 512])
+def test_the_pinned_contraction_keeps_its_bits_over_chunks(monkeypatch, points):
+    """The pinned block's part of the right side runs over chunks of the
+    bundle's size; at every chunk size it has the bits of one contraction
+    over the whole batch, and so does the pinned solve."""
+    from nhfields import ddw, lagrangian
+
+    rng = np.random.default_rng(12)
+    model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
+    batch = (4, 4, 40)  # 640 points: a chunk and a part at the default size
+    v = np.eye(3, 4, 1) + rng.uniform(-0.1, 0.1, batch + (3, 4))
+    bundle = derivative_bundle_arrays(model, rng.uniform(-1, 1, batch + (4,)),
+                                      rng.uniform(-1, 1, batch + (3,)), v)
+    spatial = rng.uniform(-1, 1, batch + (3, 3, 4))
+    whole = np.einsum("...bnai,...bin->...a", bundle.H[..., 1:], spatial, optimize=True)
+    want = solve_ddw(bundle, v, spatial)[:2]
+    monkeypatch.setattr(lagrangian, "_CHUNK_BYTES", points * 8 * 12**2)
+    assert np.array_equal(ddw._pinned_terms(bundle.H, spatial).view(np.int64),
+                          whole.view(np.int64))
+    for got, ref in zip(solve_ddw(bundle, v, spatial)[:2], want):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

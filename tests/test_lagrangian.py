@@ -1,7 +1,6 @@
 """Derivative bundles, regularity, and the Poincare-Cartan form Omega_L."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,8 +388,7 @@ BUNDLE_FIELDS = ("L", "dLdy", "dLdv", "H", "d2Ldydv", "d2Ldxdv")
 
 
 def _chunk_points(model):
-    dims = model.dims
-    return max(1, lagrangian._CHUNK_BYTES // (8 * (dims.m * dims.nx) ** 2))
+    return lagrangian.chunk_points(model.dims.m * model.dims.nx)
 
 
 def _random_jet(rng, dims, shape):
@@ -458,23 +456,22 @@ def test_the_bundle_has_the_same_bits_at_every_chunk_size(monkeypatch, name, sha
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
 
 
+def _allocated_bytes(bundle):
+    """The bytes of the bundle's fields that hold memory of their own: all
+    but the views of the shared zero."""
+    return sum(a.nbytes for a in (getattr(bundle, f) for f in BUNDLE_FIELDS)
+               if not np.may_share_memory(a, lagrangian._ZERO))
+
+
 def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
-    # a 16^3 fluid grid: the outputs take 8.1 MB; one 512-point chunk's
-    # temporaries take about 2.6 MiB, while the whole grid in one chunk
-    # would take 15 MiB
+    # a 16^3 fluid grid: the allocated outputs (L, dLdv and H) take 5.1 MB;
+    # one 512-point chunk's temporaries take about 2.6 MiB, while the whole
+    # grid in one chunk would take 15 MiB
     model = BUNDLE_MODELS["fluid"]()
-    dims = model.dims
-    shape = (16, 16, 16)
-    x, y, v = _random_jet(np.random.default_rng(5), dims, shape)
-    B = int(np.prod(shape))
-    outputs = 8 * B * (1 + dims.N + dims.N * dims.m * dims.nx)
-    tracemalloc.start()
-    try:
-        derivative_bundle_arrays(model, x, y, v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < outputs + 3 * 2**20
+    x, y, v = _random_jet(np.random.default_rng(5), model.dims, (16, 16, 16))
+    outputs = _allocated_bytes(derivative_bundle_arrays(model, x, y, v))
+    assert outputs == 8 * 16**3 * (1 + 12 + 12 * 12)
+    assert traced_peak(lambda: derivative_bundle_arrays(model, x, y, v)) < outputs + 3 * 2**20
 
 
 def test_a_one_chunk_bundle_allocates_its_outputs_after_the_model_pass():
@@ -491,14 +488,63 @@ def test_a_one_chunk_bundle_allocates_its_outputs_after_the_model_pass():
 
 
 def test_an_8_cubed_fluid_model_pass_peaks_below_its_traced_bound():
-    # the outputs (0.97 MiB) and the model pass's temporaries peak at
-    # 1.75 MiB: a product of one support or a scalar map adds its Hessian
-    # terms into its result through one scratch block, seeds share their
-    # arrays and rho * L at rho = 1 copies nothing (1.99 MiB when each
-    # held its own)
+    # the allocated outputs (0.61 MiB) and the model pass's temporaries peak
+    # at 1.29 MiB: a product of one support adds its Hessian terms into its
+    # result through one scratch row, W's blocks are added into L's through
+    # views of its three runs, J is freed inside W, seeds share their arrays
+    # and rho * L at rho = 1 copies nothing (1.75 MiB with a scratch block,
+    # gathered copies and every output allocated)
     model = BUNDLE_MODELS["fluid"]()
     x, y, v = _random_jet(np.random.default_rng(6), model.dims, (8, 8, 8))
-    assert traced_peak(lambda: derivative_bundle_arrays(model, x, y, v)) <= 1.85 * 2**20
+    assert traced_peak(lambda: derivative_bundle_arrays(model, x, y, v)) <= 1.35 * 2**20
+
+
+def _y_reached_later_model():
+    # the wave, plus y^0 v^0_0 in a chunk whose first x^0 is positive: a
+    # support that differs from chunk to chunk
+    def fn(x, y, v):
+        wave = 0.5 * (v[0][0] * v[0][0] - v[0][1] * v[0][1])
+        return wave + y[0] * v[0][0] if x[0].val.flat[0] > 0 else wave
+
+    return LagrangianModel("y-later", Dims(1, 1), fn)
+
+
+@pytest.mark.parametrize("name, zero", [
+    ("fluid", ("dLdy", "d2Ldydv", "d2Ldxdv")),
+    ("wave", ("dLdy", "d2Ldydv", "d2Ldxdv")),
+    ("quadratic-coupled", ("d2Ldxdv",)),
+    ("x-dependent", ()),
+])
+def test_blocks_l_never_reaches_are_one_shared_read_only_zero(name, zero):
+    """Every field is read-only; a block no chunk reaches is a view of one
+    shared zero, which bundle_errors does not test, and a block L reads
+    (y through a coupling, x in the x-dependent model) is allocated."""
+    model = BUNDLE_MODELS[name]()
+    jet = _random_jet(np.random.default_rng(3), model.dims, (2, 3))
+    bundle, dense = derivative_bundle_arrays(model, *jet), dense_derivative_bundle(model, *jet)
+    for field in BUNDLE_FIELDS:
+        arr = getattr(bundle, field)
+        assert arr.shape == getattr(dense, field).shape, field
+        assert not arr.flags.writeable, field
+        assert np.may_share_memory(arr, lagrangian._ZERO) == (field in zero), field
+        if field in zero:
+            assert np.array_equal(arr.view(np.int64), np.zeros(arr.shape).view(np.int64))
+    assert lagrangian.bundle_errors(model, bundle) == {}
+
+
+def test_a_block_a_later_chunk_reaches_first_is_zero_over_the_chunks_before(monkeypatch):
+    model = _y_reached_later_model()
+    x, y, v = _random_jet(np.random.default_rng(4), model.dims, (12,))
+    x[:, 0] = np.repeat([-1.0, 1.0, -1.0], 4)  # only the middle chunk reaches y
+    monkeypatch.setattr(lagrangian, "_CHUNK_BYTES", 4 * 8 * 2**2)
+    bundle = derivative_bundle_arrays(model, x, y, v)
+    chunks = [derivative_bundle_arrays(model, x[s], y[s], v[s])
+              for s in (slice(0, 4), slice(4, 8), slice(8, 12))]
+    assert not np.may_share_memory(bundle.dLdy, lagrangian._ZERO)
+    assert np.may_share_memory(chunks[0].dLdy, lagrangian._ZERO)
+    for field in BUNDLE_FIELDS:
+        want = np.concatenate([getattr(c, field) for c in chunks])
+        assert np.array_equal(getattr(bundle, field).view(np.int64), want.view(np.int64)), field
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DerivativeBundle)])
