@@ -10,9 +10,9 @@ shape S, so whole grids differentiate in one sweep.  Both track their
 support: the sorted tuple ``idx`` of the s seed directions the value
 depends on, with the grad stored batch last as (s,)+S and the Hessian as
 (s, s)+S.  A binary operation on two supports allocates only its result
-over their union and adds each operand's blocks into it through views (a
-slice, or one per run of consecutive positions), so a temporary costs its
-own support, not all d directions, and nothing is gathered.  A constant
+over their union and adds each operand's blocks into it through views,
+one per run of consecutive positions, so a temporary costs its own
+support, not all d directions, and nothing is gathered.  A constant
 (support ``()``) of either class meets a value on the path of a plain
 number.  A ``Dual2`` product of one support sums its Hessian terms into
 its result row by row through one scratch row, and a scalar map through
@@ -77,7 +77,7 @@ class Dual:
         if out is None:
             out = np.zeros(g.shape[1:] + (d,))
         g = g.transpose((*range(1, g.ndim), 0))
-        for src, dst in _runs(_placement(self.idx, tuple(range(d)))):
+        for src, dst in _placement(self.idx, tuple(range(d))):
             out[..., dst] = g[..., src]
         return out
 
@@ -237,39 +237,22 @@ def _product_grad(union: tuple, a, b, g1, g2, shape: tuple) -> np.ndarray:
     return grad
 
 
-class _Runs(tuple):
-    """Where a support that is not evenly spaced in another sits in it: the
-    (source, destination) index pairs of its runs of consecutive positions,
-    each a slice (or a pair of slices, for a Hessian block), so every run is
-    written through a view and nothing is gathered."""
-
-    __slots__ = ()
-
-
 @functools.cache
-def _placement(sub: tuple, sup: tuple):
+def _placement(sub: tuple, sup: tuple) -> tuple:
     """Where the directions of support ``sub`` sit inside support ``sup``:
-    a slice when they are evenly spaced in it, else their ``_Runs``."""
-    pos = np.searchsorted(sup, sub).astype(np.intp)
-    step = int(pos[1] - pos[0]) if len(sub) > 1 else 1
-    if sub and np.all(np.diff(pos) == step):
-        return slice(int(pos[0]), int(pos[-1]) + 1, step)
+    the (source, destination) slice pairs of its runs of consecutive
+    positions, so every run is written through a view and nothing is
+    gathered."""
+    pos = np.searchsorted(sup, sub)
     cuts = [0, *(np.flatnonzero(np.diff(pos) != 1) + 1).tolist(), len(pos)]
-    return _Runs((slice(i, j), slice(int(pos[i]), int(pos[j - 1]) + 1))
+    return tuple((slice(i, j), slice(int(pos[i]), int(pos[j - 1]) + 1))
                  for i, j in zip(cuts, cuts[1:]) if i < j)
 
 
-def _runs(place) -> tuple:
-    """A placement as (source, destination) pairs: its runs, or one pair."""
-    return place if type(place) is _Runs else ((slice(None), place),)
-
-
-def _block(p, q):
-    """Where the Hessian block of directions p x q sits: a pair of slices,
-    or the ``_Runs`` of its run x run sub-blocks."""
-    if type(p) is slice and type(q) is slice:
-        return p, q
-    return _Runs(((rs, cs), (rd, cd)) for rs, rd in _runs(p) for cs, cd in _runs(q))
+def _block(p: tuple, q: tuple) -> tuple:
+    """Where the Hessian block of directions p x q sits, from their
+    placements: the slice pairs of its run x run sub-blocks."""
+    return tuple(((rs, cs), (rd, cd)) for rs, rd in p for cs, cd in q)
 
 
 @functools.cache
@@ -281,22 +264,16 @@ def _union(a: tuple, b: tuple):
     return union, pa, pb, _block(pa, pa), _block(pb, pb), _block(pa, pb), _block(pb, pa)
 
 
-def _put(out, index, block, op=None):
-    """out[index] = block, or op(out[index], block), in place through views
-    of out, where ``index`` (from ``_placement`` or ``_block``) addresses
-    its leading axes."""
-    if type(index) is _Runs:
-        for src, dst in index:
-            if op is None:
-                out[dst] = block[src]
-            else:
-                view = out[dst]
-                op(view, block[src], out=view)
-    elif op is None:
-        out[index] = block
-    else:
-        view = out[index]
-        op(view, block, out=view)
+def _put(out, place, block, op=None):
+    """out[dst] = block[src], or op(out[dst], block[src]), in place through
+    views of out for each (source, destination) pair of ``place`` (from
+    ``_placement`` or ``_block``), which address the leading axes."""
+    for src, dst in place:
+        if op is None:
+            out[dst] = block[src]
+        else:
+            view = out[dst]
+            op(view, block[src], out=view)
 
 
 class Dual2(Dual):

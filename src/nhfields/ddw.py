@@ -85,8 +85,6 @@ def _pinned_terms(H: np.ndarray, spatial: np.ndarray) -> np.ndarray:
     one contraction over the whole batch."""
     batch, (m, n, nx) = spatial.shape[:-3], spatial.shape[-3:]
     B, step = math.prod(batch), chunk_points(m * nx)
-    if B <= step:
-        return np.einsum("...bnai,...bin->...a", H[..., 1:], spatial, optimize=True)
     H, spatial = H.reshape((B,) + H.shape[-4:]), spatial.reshape((B, m, n, nx))
     out = np.empty((B, m))
     for lo in range(0, B, step):

@@ -173,14 +173,15 @@ def _interior(arr: np.ndarray, axes, r: int = 2) -> np.ndarray:
     return arr[tuple(sl)]
 
 
-def _section_jet(section, shape, spacings):
-    """Sample y, dy/dx and the sampled coordinates of a section on a patch.
+def _section_jet(section, shape):
+    """Sample y, dy/dx and the sampled coordinates of a section on a patch
+    whose axis of N points has spacing 1/N.
 
     ``section(x)`` maps coordinate arrays (.., 4) to field values (.., 3)
     in generic scalars; the Jacobian comes from forward differentiation, so
     no periodicity of y is needed.
     """
-    axes = [np.arange(N) * h for N, h in zip(shape, spacings)]
+    axes = [np.arange(N) * (1.0 / N) for N in shape]
     coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (.., 4)
     xs = [ad.Dual.seed(coords[..., mu], 4, mu) for mu in range(4)]
     out = section(xs)
@@ -189,17 +190,16 @@ def _section_jet(section, shape, spacings):
     return coords, y, jac
 
 
-def null_lagrangian_residual(section, shape=(16, 16, 16, 16),
-                             spacings=None) -> float:
-    """max interior |d/dx^i K^i_a(v(x))| for the sampled section.
+def null_lagrangian_residual(section, shape=(16, 16, 16, 16)) -> float:
+    """max interior |d/dx^i K^i_a(v(x))| for the section sampled at spacing
+    1/N on an axis of N points.
 
     The constraint has no y-dependence and no temporal jet dependence, so
     the null-Lagrangian identity reduces to the divergence-free rows of the
     cofactor matrix; total derivatives are 4th-order finite differences of
     the composed map x -> K(v(x)) on the patch.
     """
-    spacings = spacings or tuple(1.0 / N for N in shape)
-    _, _, jac = _section_jet(section, shape, spacings)
+    _, _, jac = _section_jet(section, shape)
     vsp = jac[..., :, 1:]  # (.., 3, 3)
     J = np.linalg.det(vsp)
     if np.min(np.abs(J)) < 1e-8:
@@ -207,20 +207,19 @@ def null_lagrangian_residual(section, shape=(16, 16, 16, 16),
     K = J[..., None, None] * np.swapaxes(np.linalg.inv(vsp), -1, -2)
     div = np.zeros(shape + (3,))
     for i in range(3):
-        div += periodic_derivative(K[..., :, i], spacings[1 + i], axis=1 + i)
+        div += periodic_derivative(K[..., :, i], 1.0 / shape[1 + i], axis=1 + i)
     return float(np.max(np.abs(_interior(div, (1, 2, 3)))))
 
 
-def psi_divergence_residual(section, shape=(8, 8, 8, 8),
-                            spacings=None) -> float:
+def psi_divergence_residual(section, shape=(8, 8, 8, 8)) -> float:
     """max interior |phi - d psi^mu / dx^mu| for the potential
-    psi^0 = 0, psi^i = (J y^a (v^-1)^i_a - x^i) / 3.
+    psi^0 = 0, psi^i = (J y^a (v^-1)^i_a - x^i) / 3, with the section
+    sampled at spacing 1/N on an axis of N points.
 
     The total derivative runs through the composed dependence on
     (x, y(x), v(x)) by finite differences of the sampled psi field.
     """
-    spacings = spacings or tuple(1.0 / N for N in shape)
-    coords, y, jac = _section_jet(section, shape, spacings)
+    coords, y, jac = _section_jet(section, shape)
     vsp = jac[..., :, 1:]
     J = np.linalg.det(vsp)
     if np.min(np.abs(J)) < 1e-8:
@@ -232,6 +231,6 @@ def psi_divergence_residual(section, shape=(8, 8, 8, 8),
     ) / 3.0
     div = np.zeros(shape)
     for i in range(3):
-        div += periodic_derivative(psi[..., i], spacings[1 + i], axis=1 + i)
+        div += periodic_derivative(psi[..., i], 1.0 / shape[1 + i], axis=1 + i)
     phi = J - 1.0
     return float(np.max(np.abs(_interior(phi - div, (1, 2, 3)))))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, fields
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -53,17 +53,6 @@ from .jet import (
 # take 1.9 MiB on a 16^3 fluid jet, under the 3 MiB the bundle memory test
 # allows.
 _CHUNK_BYTES = 512 * 8 * 12 * 12
-
-# the one read-only zero that every bundle block L never reaches is a view of
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
-
-
-@lru_cache(maxsize=256)
-def _zeros(shape: tuple) -> np.ndarray:
-    """A read-only view of ``_ZERO`` as a zero array of ``shape``, which
-    holds no memory of its own."""
-    return np.broadcast_to(_ZERO, shape)
 
 
 def chunk_points(width: int) -> int:
@@ -105,7 +94,7 @@ class DerivativeBundle:
     d2Ldydv (m, m, n+1) with [b, a, mu] = d2L/dy^b dv^a_mu,
     d2Ldxdv (n+1, m, n+1) with [tau, a, mu] = d2L/dx^tau dv^a_mu.
     ``derivative_bundle_arrays`` returns every field read-only, and a block
-    that L's support never reaches as a view of one shared zero.
+    that L's support never reaches as a broadcast zero that holds no memory.
     """
 
     L: np.ndarray
@@ -129,11 +118,9 @@ class DerivativeBundle:
 def bundle_errors(model: "LagrangianModel", bundle: DerivativeBundle) -> dict:
     """The EvaluationError of each batch point whose bundle has a non-finite
     entry, keyed by point index, naming the first such entry, field by
-    field, by its index at the point.  Each field but the shared zeros is
-    tested once as a whole; the points are searched only when one is not
-    finite."""
-    arrays = [getattr(bundle, f.name) for f in fields(bundle)]
-    if all(np.isfinite(a).all() for a in arrays if not np.may_share_memory(a, _ZERO)):
+    field, by its index at the point.  Each field is tested once as a
+    whole; the points are searched only when one is not finite."""
+    if all(np.isfinite(getattr(bundle, f.name)).all() for f in fields(bundle)):
         return {}
     return _point_errors(model, bundle)
 
@@ -160,24 +147,28 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
     Every input is seeded, as the Dual2 direction of its flat jet index, and
     every temporary carries the Hessian of its own support only, so an input
     L never reads costs one seed and nothing else.  The flattened batch runs
-    in chunks of ``chunk_points(m(n+1))`` points; each result is scattered
-    from its support into the blocks of the bundle it reaches, and entries
-    of inputs L never touches are +0.0.  A block is allocated once the
-    first chunk that reaches it has returned from its model pass, so a
-    one-chunk batch never holds it beside that pass's temporaries; a block
-    no chunk reaches is a view of one shared zero (dLdy, d2Ldydv and
-    d2Ldxdv for the fluid and the wave).  Every field is returned
-    read-only.  Non-finite entries are left to ``bundle_errors``, so an
-    overflow in the pass is no error.
+    in chunks of ``chunk_points(m(n+1))`` points; each result's runs are
+    scattered (``autodiff._put``) into batch-last views of the blocks of
+    the bundle it reaches, and entries of inputs L never touches are +0.0.
+    A block is allocated once the first chunk that reaches it has returned
+    from its model pass, so a one-chunk batch never holds it beside that
+    pass's temporaries; a block no chunk reaches is a read-only broadcast
+    zero that holds no memory (dLdy, d2Ldydv and d2Ldxdv for the fluid and
+    the wave).  Every field is returned read-only.  Inputs whose shapes do
+    not match the model raise DimensionMismatchError before the pass;
+    non-finite entries are left to ``bundle_errors``, so an overflow in the
+    pass is no error.
     """
     dims = model.dims
     m, nx = dims.m, dims.nx
-    v = np.asarray(v, dtype=float)
+    x, y, v = (np.asarray(a, dtype=float) for a in (x, y, v))
     batch = v.shape[:-2]
+    if (x.shape, y.shape, v.shape) != (batch + (nx,), batch + (m,), batch + (m, nx)):
+        raise DimensionMismatchError(
+            f"model {model.name!r} takes x, y and v of one batch shape with trailing shapes "
+            f"({nx},), ({m},) and ({m}, {nx}), got {x.shape}, {y.shape} and {v.shape}")
     B = int(np.prod(batch))
-    x = np.asarray(x, dtype=float).reshape(B, nx)
-    y = np.asarray(y, dtype=float).reshape(B, m)
-    v = v.reshape(B, m, nx)
+    x, y, v = x.reshape(B, nx), y.reshape(B, m), v.reshape(B, m, nx)
     blocks = {}
     step = chunk_points(m * nx)
     for lo in range(0, B, step):
@@ -189,20 +180,17 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
         if "L" not in blocks:  # once the first pass has freed its temporaries
             blocks["L"] = np.empty(B)
         blocks["L"][s] = out.val
-        for name, src, dst, shape in _scatter_plan(out.idx, nx, m):
+        for name, src, place, shape in _scatter_plan(out.idx, nx, m):
             if name not in blocks:  # zeros where no earlier chunk reached it
                 blocks[name] = np.zeros((B,) + shape)
             part = (out.grad if len(shape) == 1 else out.hess)[src]
-            blocks[name][(s, *dst)] = np.moveaxis(part, -1, 0)
+            ad._put(np.moveaxis(blocks[name][s], 0, -1), place, part)
     shapes = {"L": (), "dLdy": (m,), "dLdv": (m, nx), "H": (m, nx, m, nx),
               "d2Ldydv": (m, m, nx), "d2Ldxdv": (nx, m, nx)}
-    arrays = {}
-    for name, shape in shapes.items():
-        if name not in blocks:
-            arrays[name] = _zeros(batch + shape)
-            continue
-        arrays[name] = blocks[name].reshape(batch + shape)
-        arrays[name].flags.writeable = False
+    arrays = {name: np.broadcast_to(0.0, batch + shape) for name, shape in shapes.items()}
+    for name, block in blocks.items():
+        block.flags.writeable = False
+        arrays[name] = block.reshape(batch + shapes[name])
     return DerivativeBundle(**arrays)
 
 
@@ -210,36 +198,26 @@ def derivative_bundle_arrays(model: LagrangianModel, x, y, v) -> DerivativeBundl
 def _scatter_plan(idx: tuple, nx: int, m: int) -> tuple:
     """How a model result over the support ``idx`` scatters into the
     bundle: for each field past L whose block it reaches, (field, the part
-    of the result's grad or Hessian it takes, where that part sits in the
-    block's rows (and v columns), the block's shape).  The fields of the
-    Hessian take the v inputs as columns."""
+    of the result's grad or Hessian it takes, that part's runs in the
+    block's rows (and v columns) as ``autodiff._put`` takes them, the
+    block's shape).  The fields of the Hessian take the v inputs as
+    columns."""
     N = nx + m + m * nx
     v0 = bisect.bisect_left(idx, nx + m)  # idx[v0:] are the v inputs
-    cols = _span([i - nx - m for i in idx[v0:]])
+    cols = ad._placement(idx[v0:], tuple(range(nx + m, N)))
     plan = []
     for name, r0, r1 in (("dLdy", nx, nx + m), ("dLdv", nx + m, N), ("H", nx + m, N),
                          ("d2Ldydv", nx, nx + m), ("d2Ldxdv", 0, nx)):
         a, b = bisect.bisect_left(idx, r0), bisect.bisect_left(idx, r1)
         if a == b:
             continue
-        at = _span([i - r0 for i in idx[a:b]])
+        place = ad._placement(idx[a:b], tuple(range(r0, r1)))
         if name in ("dLdy", "dLdv"):
-            plan.append((name, slice(a, b), (at,), (r1 - r0,)))
+            plan.append((name, slice(a, b), place, (r1 - r0,)))
         elif v0 < len(idx):
-            both = not (isinstance(at, slice) or isinstance(cols, slice))
-            plan.append((name, (slice(a, b), slice(v0, None)), (at[:, None] if both else at, cols),
+            plan.append((name, (slice(a, b), slice(v0, None)), ad._block(place, cols),
                          (r1 - r0, m * nx)))
     return tuple(plan)
-
-
-def _span(pos: list):
-    """Sorted distinct positions as a slice when they are one run, so that
-    they index a view; else as a read-only array, shared by the cache."""
-    if pos and pos[-1] - pos[0] == len(pos) - 1:
-        return slice(pos[0], pos[-1] + 1)
-    pos = np.array(pos, dtype=np.intp)
-    pos.flags.writeable = False
-    return pos
 
 
 def derivative_bundle(model: LagrangianModel, p: JetPoint) -> DerivativeBundle:

@@ -198,8 +198,8 @@ def test_null_lagrangian_cubic_polynomial_section():
             x3 + 0.05 * x1 * x2 * x3,
         ]
 
-    r8 = null_lagrangian_residual(fn, (4, 8, 8, 8), spacings=(0.125,) * 4)
-    r16 = null_lagrangian_residual(fn, (4, 16, 16, 16), spacings=(0.0625,) * 4)
+    r8 = null_lagrangian_residual(fn, (4, 8, 8, 8))
+    r16 = null_lagrangian_residual(fn, (4, 16, 16, 16))
     assert r8 < 1e-12 and r16 < 1e-12
 
 

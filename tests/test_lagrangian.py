@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from nhfields import autodiff as ad
 from nhfields import lagrangian
 from nhfields.constraint import chetaev_coefficients, make_constraint, phi_eval_batch
-from nhfields.exceptions import EvaluationError, InvalidArgumentError, RegularityError
+from nhfields.exceptions import (
+    DimensionMismatchError,
+    EvaluationError,
+    InvalidArgumentError,
+    RegularityError,
+)
 from nhfields.exterior import TangentVector
 from nhfields.fluid import FluidParams, fluid_lagrangian
 from nhfields.jet import Dims, JetPoint, seed_inputs
@@ -456,11 +461,16 @@ def test_the_bundle_has_the_same_bits_at_every_chunk_size(monkeypatch, name, sha
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
 
 
+def _holds_no_memory(arr):
+    """Whether arr is a broadcast view whose every stride is zero."""
+    return arr.ndim > 0 and not any(arr.strides)
+
+
 def _allocated_bytes(bundle):
     """The bytes of the bundle's fields that hold memory of their own: all
-    but the views of the shared zero."""
+    but the broadcast zeros."""
     return sum(a.nbytes for a in (getattr(bundle, f) for f in BUNDLE_FIELDS)
-               if not np.may_share_memory(a, lagrangian._ZERO))
+               if not _holds_no_memory(a))
 
 
 def test_bundle_memory_is_its_outputs_plus_a_bounded_chunk():
@@ -515,10 +525,10 @@ def _y_reached_later_model():
     ("quadratic-coupled", ("d2Ldxdv",)),
     ("x-dependent", ()),
 ])
-def test_blocks_l_never_reaches_are_one_shared_read_only_zero(name, zero):
-    """Every field is read-only; a block no chunk reaches is a view of one
-    shared zero, which bundle_errors does not test, and a block L reads
-    (y through a coupling, x in the x-dependent model) is allocated."""
+def test_blocks_l_never_reaches_are_read_only_zeros_that_hold_no_memory(name, zero):
+    """Every field is read-only; a block no chunk reaches is a broadcast
+    zero that holds no memory, and a block L reads (y through a coupling,
+    x in the x-dependent model) is allocated."""
     model = BUNDLE_MODELS[name]()
     jet = _random_jet(np.random.default_rng(3), model.dims, (2, 3))
     bundle, dense = derivative_bundle_arrays(model, *jet), dense_derivative_bundle(model, *jet)
@@ -526,7 +536,7 @@ def test_blocks_l_never_reaches_are_one_shared_read_only_zero(name, zero):
         arr = getattr(bundle, field)
         assert arr.shape == getattr(dense, field).shape, field
         assert not arr.flags.writeable, field
-        assert np.may_share_memory(arr, lagrangian._ZERO) == (field in zero), field
+        assert _holds_no_memory(arr) == (field in zero), field
         if field in zero:
             assert np.array_equal(arr.view(np.int64), np.zeros(arr.shape).view(np.int64))
     assert lagrangian.bundle_errors(model, bundle) == {}
@@ -540,11 +550,27 @@ def test_a_block_a_later_chunk_reaches_first_is_zero_over_the_chunks_before(monk
     bundle = derivative_bundle_arrays(model, x, y, v)
     chunks = [derivative_bundle_arrays(model, x[s], y[s], v[s])
               for s in (slice(0, 4), slice(4, 8), slice(8, 12))]
-    assert not np.may_share_memory(bundle.dLdy, lagrangian._ZERO)
-    assert np.may_share_memory(chunks[0].dLdy, lagrangian._ZERO)
+    assert not _holds_no_memory(bundle.dLdy)
+    assert _holds_no_memory(chunks[0].dLdy)
     for field in BUNDLE_FIELDS:
         want = np.concatenate([getattr(c, field) for c in chunks])
         assert np.array_equal(getattr(bundle, field).view(np.int64), want.view(np.int64)), field
+
+
+@pytest.mark.parametrize("x, y, v", [
+    ((4, 2), (4, 1), (4, 2, 2)),
+    ((4, 3), (4, 1), (4, 1, 2)),
+    ((4, 2), (4, 2), (4, 1, 2)),
+    ((3, 2), (3, 1), (4, 1, 2)),
+    ((2,), (1,), (2,)),
+], ids=["v-rows", "x-width", "y-width", "batch", "v-rank"])
+def test_inputs_of_the_wrong_shape_raise_naming_the_expected_ones(x, y, v):
+    model = make_model("wave")
+    calls = []
+    spied = dataclasses.replace(model, fn=lambda *args: calls.append(1) or model.fn(*args))
+    with pytest.raises(DimensionMismatchError, match=r"\(2,\), \(1,\) and \(1, 2\)"):
+        derivative_bundle_arrays(spied, np.zeros(x), np.zeros(y), np.ones(v))
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DerivativeBundle)])
