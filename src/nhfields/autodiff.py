@@ -149,7 +149,8 @@ class Dual:
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise InvalidArgumentError("dual powers support numeric exponents only")
-        return self._chain(self.val**p, p * self.val ** (p - 1))
+        val = np.asarray(self.val)  # the array power; a float64 scalar's can be an ulp off
+        return self._chain(val**p, p * val ** (p - 1))
 
     def _chain(self, f, df):
         """Compose with a scalar map given f and f' at self.val."""
@@ -400,19 +401,6 @@ def cos(x):
 
 def exp(x):
     return _unary(x, np.exp, np.exp, np.exp)
-
-
-def log(x):
-    return _unary(x, np.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2)
-
-
-def sqrt(x):
-    return _unary(
-        x,
-        np.sqrt,
-        lambda v: 0.5 / np.sqrt(v),
-        lambda v: -0.25 / np.sqrt(v) ** 3,
-    )
 
 
 def det(matrix):

@@ -495,6 +495,35 @@ def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
     return replace(state, v0=v[..., 0], vi=v[..., 1:])
 
 
+def initial_state(model: LagrangianModel, spec: ConstraintSpec | None, N: int,
+                  amplitude: float, mode: int = 1, velocity: float = 0.0,
+                  method: str = "spectral") -> CauchyState:
+    """The built-in initial state on N points per axis.  The fluid (``mode``
+    is not read): the shear amplitude sin(2 pi u2) along u1 from the identity,
+    with its exact spatial jet (J = 1), and v0 = velocity sin(2 pi u3) along
+    u1.  An n = 1 model: y = amplitude sin(2 pi mode u), free in ``pde`` mode
+    with ydot = velocity, constrained in ``fulljet`` mode with vi = D_u y and
+    v0 projected onto phi = 0 by Newton from velocity, jointly to 1e-13."""
+    if model.name == "fluid":
+        _, u2, u3 = grid_coordinates((N,) * 3)
+        y = np.zeros((N, N, N, 3))
+        y[..., 0] = amplitude * np.sin(2 * np.pi * u2)
+        vi = np.broadcast_to(np.eye(3), (N, N, N, 3, 3)).copy()
+        vi[..., 0, 1] += amplitude * 2 * np.pi * np.cos(2 * np.pi * u2)
+        v0 = np.zeros((N, N, N, 3))
+        v0[..., 0] = velocity * np.sin(2 * np.pi * u3)
+        return CauchyState(0.0, y, "fulljet", v0=v0, vi=vi, y_offset="identity")
+    u = grid_coordinates((N,))[0]
+    y = amplitude * np.sin(2 * np.pi * (mode % N) * u)[:, None] * np.ones(model.dims.m)
+    ydot = velocity * np.ones((N, model.dims.m))
+    if spec is None:
+        return CauchyState(0.0, y, "pde", ydot=ydot)
+    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=grid_derivative(y, 1, method))
+    xj, yj, vj = state.jet_arrays(method)
+    vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50, jointly=True)
+    return replace(state, v0=vj[..., 0])
+
+
 # Explicit Runge-Kutta tableaus (weights b, nodes c) for the stage loop in
 # evolve, which takes every one as subdiagonal with a[i][i-1] = c[i], so
 # stage i uses only stage i-1 (ks[-1]), and with c[0] = 0, so the first

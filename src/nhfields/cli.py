@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .cauchy import (
     DERIVATIVES,
     INTEGRATORS,
@@ -31,7 +30,7 @@ from .cauchy import (
     _pack,
     evolve,
     grid_coordinates,
-    grid_derivative,
+    initial_state,
     packed_names,
 )
 from .constraint import (CONSTRAINTS, load_custom_coeffs_csv, make_constraint,
@@ -39,7 +38,8 @@ from .constraint import (CONSTRAINTS, load_custom_coeffs_csv, make_constraint,
 from .ddw import min_check_tuples
 from .exceptions import (ConfigError, DriftError, IntegrationError, InvalidArgumentError,
                          NhfieldsError)
-from .fluid import null_lagrangian_residual, psi_divergence_residual
+from .fluid import (PSI_SECTIONS, mixing_section, null_lagrangian_residual,
+                    psi_divergence_residual)
 from .jet import STENCIL, JetPoint
 # derivative_bundle is no longer called here; it stays bound because the
 # benchmark harness test (bench/tests/test_harness.py) traces it as cli's alias
@@ -351,7 +351,6 @@ def run_verify(cfg: dict, model, spec, out_dir: Path) -> int:
 # evolve task
 
 def build_initial_state(cfg: dict, model, spec) -> CauchyState:
-    init = cfg["initial"]
     dims = model.dims
     N = cfg["grid"]["nu"]
     if model.name != "fluid" and dims.n != 1:
@@ -362,28 +361,9 @@ def build_initial_state(cfg: dict, model, spec) -> CauchyState:
     if N ** dims.n > MAX_GRID_POINTS:
         raise ConfigError(f"grid.nu must be {GRID_NU[0]}, got {N}, which gives "
                           f"{N ** dims.n} points for n = {dims.n}")
-    u = np.arange(N) / N
-    amp = init["amplitude"]
-    if model.name == "fluid":
-        U = np.meshgrid(u, u, u, indexing="ij")
-        disp = np.zeros((N, N, N, 3))
-        disp[..., 0] = amp * np.sin(2 * np.pi * U[1])
-        vi = np.broadcast_to(np.eye(3), (N, N, N, 3, 3)).copy()
-        vi[..., 0, 1] += amp * 2 * np.pi * np.cos(2 * np.pi * U[1])
-        v0 = np.zeros((N, N, N, 3))
-        v0[..., 0] = init["velocity"] * np.sin(2 * np.pi * U[2])
-        return CauchyState(0.0, disp, "fulljet", v0=v0, vi=vi, y_offset="identity")
-    y = amp * np.sin(2 * np.pi * (init["mode"] % N) * u)[:, None] * np.ones(dims.m)
-    ydot = init["velocity"] * np.ones((N, dims.m))
-    if spec is None:
-        return CauchyState(0.0, y, "pde", ydot=ydot)
-    vi = grid_derivative(y, 1, cfg["derivative"])
-    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=vi)
-    # start on the constraint set: solve phi = 0 for v0 (Newton from ydot),
-    # every grid point stepping until the whole field is within tolerance
-    xj, yj, vj = state.jet_arrays(cfg["derivative"])
-    vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50, jointly=True)
-    return dataclasses.replace(state, v0=vj[..., 0])
+    init = cfg["initial"]
+    return initial_state(model, spec, N, init["amplitude"], init["mode"], init["velocity"],
+                         cfg["derivative"])
 
 
 # Rows of a table formatted by one % operation.  On the evolve-fluid tables
@@ -459,28 +439,10 @@ def run_evolve(cfg: dict, model, spec, state0: CauchyState, out_dir: Path) -> in
 # ---------------------------------------------------------------------------
 # fluid identities task
 
-def _mixing_section(eps: float, freq: float):
-    def fn(xs):
-        t, x1, x2, x3 = xs
-        return [
-            x1 + eps * ad.sin(freq * x2) * ad.cos(freq * x3),
-            x2 + eps * ad.sin(freq * x3) * ad.cos(freq * x1),
-            x3 + eps * ad.sin(freq * x1) * ad.cos(freq * x2),
-        ]
-    return fn
-
-
-PSI_SECTIONS = {
-    "identity": lambda xs: [xs[1], xs[2], xs[3]],
-    "shear": lambda xs: [xs[1] + 0.7 * xs[2], xs[2], xs[3]],
-    "double-x1": lambda xs: [2.0 * xs[1], xs[2], xs[3]],
-}
-
-
 def run_fluid_identities(cfg: dict, out_dir: Path) -> int:
     tols = cfg["tolerances"]
     eps, freq = 0.05, float(np.pi)
-    section = _mixing_section(eps, freq)
+    section = mixing_section(eps, freq)
     table = []
     prev = None
     for N in (8, 16, 32):

@@ -234,3 +234,24 @@ def psi_divergence_residual(section, shape=(8, 8, 8, 8)) -> float:
         div += periodic_derivative(psi[..., i], 1.0 / shape[1 + i], axis=1 + i)
     phi = J - 1.0
     return float(np.max(np.abs(_interior(phi - div, (1, 2, 3)))))
+
+
+def mixing_section(eps: float, freq: float):
+    """The smooth section of the fluid-identities task, x^a + eps sin(freq x^b)
+    cos(freq x^c) with (a, b, c) cyclic: its residuals show the 4th order."""
+    def fn(xs):
+        t, x1, x2, x3 = xs
+        return [
+            x1 + eps * ad.sin(freq * x2) * ad.cos(freq * x3),
+            x2 + eps * ad.sin(freq * x3) * ad.cos(freq * x1),
+            x3 + eps * ad.sin(freq * x1) * ad.cos(freq * x2),
+        ]
+    return fn
+
+
+# the task's linear sections, on which psi_divergence_residual is roundoff
+PSI_SECTIONS = {
+    "identity": lambda xs: [xs[1], xs[2], xs[3]],
+    "shear": lambda xs: [xs[1] + 0.7 * xs[2], xs[2], xs[3]],
+    "double-x1": lambda xs: [2.0 * xs[1], xs[2], xs[3]],
+}

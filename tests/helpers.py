@@ -485,3 +485,12 @@ def knife_edge():
 
     return (LagrangianModel("knife-edge", Dims(1, 3), fn),
             ConstraintSpec(Dims(1, 3, 1), [phi], name="knife-edge"))
+
+
+def nonlinear_wave_spec(c=0.5):
+    """The wave's constraint v0 = 2 v1 + c v1^2 (criterion 9): nonlinear, so
+    RK4 leaves its set at O(dt^4)."""
+    def phi(x, y, v):
+        return v[0][0] - 2.0 * v[0][1] - c * v[0][1] * v[0][1]
+
+    return ConstraintSpec(Dims(1, 1, 1), [phi])

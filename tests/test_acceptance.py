@@ -9,24 +9,20 @@ with J = det(spatial jet) = 1.
 import json
 
 import numpy as np
-import pytest
 
-from nhfields import autodiff as ad
 from nhfields.cauchy import (
-    CauchyState,
     StateVariation,
     constrained_membership_check,
     constraint_ansatz_fit,
     evolve,
     free_sode_omega_values,
-    grid_derivative,
+    initial_state,
     sode_vector_field,
     tilde_eta_contract,
 )
 from nhfields.cli import main as cli_main
 from nhfields.constraint import (
     ConstraintPoint,
-    ConstraintSpec,
     chetaev_coefficients,
     make_constraint,
 )
@@ -39,9 +35,11 @@ from nhfields.ddw import (
 )
 from nhfields.exterior import Form, TangentVector, eval_wedge_monomial
 from nhfields.fluid import (
+    PSI_SECTIONS,
     FluidParams,
     fluid_lagrangian,
     fluid_quantities,
+    mixing_section,
     null_lagrangian_residual,
     psi_divergence_residual,
 )
@@ -56,6 +54,7 @@ from nhfields.projector import (
 
 from helpers import (
     fluid_constraint_point,
+    nonlinear_wave_spec,
     random_vector,
     wave_on_constraint_point,
 )
@@ -258,17 +257,11 @@ def test_criterion_07_nonholonomic_field_equations():
     report(7, ok, f"(lambda error {lam_err:.2e}, residual {resid:.2e})")
 
 
-def _wave_pde_state(Nu=64):
-    u = np.arange(Nu) / Nu
-    return CauchyState(0.0, np.sin(2 * np.pi * u)[:, None], "pde",
-                       ydot=np.zeros((Nu, 1)))
-
-
 def test_criterion_08_cauchy_free_layer():
     """i_Gamma eta-tilde = 1 to 1e-12; d'Alembert match < 1e-5 after 1000
     RK4 steps at dt = 1e-3 on 64 points with energy drift < 1e-8; free
     contraction i_Gamma Omega-tilde < 1e-8 on 20 random variations."""
-    state = _wave_pde_state(64)
+    state = initial_state(WAVE, None, 64, 1.0)
     gamma = sode_vector_field(WAVE, None, state)
     eta_gap = abs(tilde_eta_contract(state, gamma) - 1.0)
 
@@ -291,13 +284,6 @@ def test_criterion_08_cauchy_free_layer():
                   f"energy drift {drift:.2e}, free contraction {omega_vals:.2e})")
 
 
-def _constrained_wave_state(Nu=64, amp=0.1):
-    u = np.arange(Nu) / Nu
-    y = amp * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, 1, "spectral")[..., 0]
-    return CauchyState(0.0, y, "fulljet", v0=2.0 * v1, vi=v1[..., None])
-
-
 def test_criterion_09_constrained_cauchy():
     """Constrained full-jet wave evolution: constraint drift scales as
     O(dt^4) under RK4 where a drift signal exists (nonlinear constraint;
@@ -308,22 +294,13 @@ def test_criterion_09_constrained_cauchy():
     1e-7."""
     # (a) linear constraint: exactly tangent field + linear invariant means
     # RK4 preserves phi to roundoff
-    res_lin = evolve(WAVE, WAVE_SPEC, _constrained_wave_state(), 2e-3, 100, "rk4")
+    state = initial_state(WAVE, WAVE_SPEC, 64, 0.1)
+    res_lin = evolve(WAVE, WAVE_SPEC, state, 2e-3, 100, "rk4")
     lin_drift = res_lin.diagnostics["max_phi"].max()
 
     # (b) nonlinear constraint carries the measurable O(dt^4) signal
-    c = 0.5
-
-    def phi(x, y, v):
-        return v[0][0] - 2.0 * v[0][1] - c * v[0][1] * v[0][1]
-
-    nl_spec = ConstraintSpec(Dims(1, 1, 1), [phi])
-    Nu = 64
-    u = np.arange(Nu) / Nu
-    y = 0.1 * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, 1, "spectral")[..., 0]
-    nl_state = CauchyState(0.0, y, "fulljet", v0=2.0 * v1 + c * v1 * v1,
-                           vi=v1[..., None])
+    nl_spec = nonlinear_wave_spec(0.5)
+    nl_state = initial_state(WAVE, nl_spec, 64, 0.1)
     drifts = {}
     for dt in (4e-3, 2e-3):
         out = evolve(WAVE, nl_spec, nl_state, dt, int(round(0.2 / dt)), "rk4",
@@ -332,7 +309,6 @@ def test_criterion_09_constrained_cauchy():
     ratio = drifts[4e-3] / drifts[2e-3]
 
     # (c) form-level checks at the holonomic on-constraint state
-    state = _constrained_wave_state()
     rng = np.random.default_rng(109)
     variations = [StateVariation.random(state, rng) for _ in range(20)]
     membership = np.abs(
@@ -369,40 +345,16 @@ def test_criterion_10_fluid():
             np.abs(pp.P - q["P"]).max(),
         )
 
-    def section(xs):
-        t, x1, x2, x3 = xs
-        w = np.pi
-        e = 0.05
-        return [
-            x1 + e * ad.sin(w * x2) * ad.cos(w * x3),
-            x2 + e * ad.sin(w * x3) * ad.cos(w * x1),
-            x3 + e * ad.sin(w * x1) * ad.cos(w * x2),
-        ]
-
+    section = mixing_section(0.05, np.pi)
     r16 = null_lagrangian_residual(section, (4, 16, 16, 16))
     r32 = null_lagrangian_residual(section, (4, 32, 32, 32))
     ratio = r16 / r32
 
-    psi_sections = {
-        "identity": lambda xs: [xs[1], xs[2], xs[3]],
-        "shear": lambda xs: [xs[1] + 0.7 * xs[2], xs[2], xs[3]],
-        "double-x1": lambda xs: [2.0 * xs[1], xs[2], xs[3]],
-    }
     psi_worst = max(
-        psi_divergence_residual(fn, (6, 8, 8, 8)) for fn in psi_sections.values()
+        psi_divergence_residual(fn, (6, 8, 8, 8)) for fn in PSI_SECTIONS.values()
     )
 
-    N = 8
-    u = np.arange(N) / N
-    U = np.meshgrid(u, u, u, indexing="ij")
-    disp = np.zeros((N, N, N, 3))
-    disp[..., 0] = 0.01 * np.sin(2 * np.pi * U[1])
-    vi = np.broadcast_to(np.eye(3), (N, N, N, 3, 3)).copy()
-    vi[..., 0, 1] += 0.01 * 2 * np.pi * np.cos(2 * np.pi * U[1])
-    v0 = np.zeros((N, N, N, 3))
-    v0[..., 0] = 0.005 * np.sin(2 * np.pi * U[2])
-    smoke_state = CauchyState(0.0, disp, "fulljet", v0=v0, vi=vi,
-                              y_offset="identity")
+    smoke_state = initial_state(FLUID, FLUID_SPEC, 8, 0.01, velocity=0.005)
     smoke = evolve(FLUID, FLUID_SPEC, smoke_state, 1e-3, 100, "rk4",
                    drift_tol=1e-4)
     smoke_drift = smoke.diagnostics["max_phi"].max()

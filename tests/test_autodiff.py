@@ -71,11 +71,20 @@ def test_batched_values_match_scalar():
 
 
 def test_unary_functions():
-    for fn, dfn in ((ad.sin, np.cos), (ad.exp, np.exp),
-                    (ad.log, lambda v: 1 / v), (ad.sqrt, lambda v: 0.5 / np.sqrt(v))):
+    for fn, dfn in ((ad.sin, np.cos), (ad.exp, np.exp)):
         x = ad.Dual.seed(0.8, 1, 0)
         out = fn(x)
         assert float(out.dense(1)[0]) == pytest.approx(dfn(0.8), rel=1e-12)
+
+
+def test_a_power_at_one_point_has_the_bits_of_a_batch_of_one():
+    """A Dual operation on 0-d values returns a float64 scalar, whose ``**``
+    is not numpy's array power: taken on the scalar, the gradient of
+    (x^2 + 1/2)^-1 at this x is one ulp from the batch's."""
+    x = 0.3269752288604239
+    point, batch = (ad.Dual.seed(np.array(v), 1, 0) for v in (x, [x]))
+    got, want = ((d * d + 0.5) ** -1 for d in (point, batch))
+    assert got.dense(1).tobytes() == want.dense(1)[0].tobytes()
 
 
 def test_det_matches_numpy():
@@ -126,7 +135,7 @@ DIRS = 4
 
 
 def _pos(a):
-    """A strictly positive argument for log, sqrt, powers and divisors."""
+    """A strictly positive argument for powers and divisors."""
     return a * a + 0.5
 
 
@@ -135,8 +144,6 @@ UNARY = {
     "sin": ad.sin,
     "cos": ad.cos,
     "exp": ad.exp,
-    "log": lambda a: ad.log(_pos(a)),
-    "sqrt": lambda a: ad.sqrt(_pos(a)),
     "pow2": lambda a: a**2,
     "pow3": lambda a: a**3,
     "pow-1": lambda a: _pos(a) ** -1,

@@ -16,6 +16,7 @@ from nhfields.cauchy import (
     free_sode_omega_values,
     grid_coordinates,
     grid_derivative,
+    initial_state,
     project_onto_constraint,
     sode_vector_field,
     tilde_eta_contract,
@@ -39,20 +40,11 @@ from nhfields.jet import Dims, JetPoint, periodic_derivative
 from nhfields.lagrangian import LagrangianModel, derivative_bundle, make_model
 from nhfields.projector import build_projectors, solve_zeta
 
-from helpers import random_det_one_spatial, traced_peak
+from helpers import nonlinear_wave_spec, random_det_one_spatial, traced_peak
 
 
-def wave_pde_state(Nu=64, amp=1.0, mode=1):
-    u = np.arange(Nu) / Nu
-    y = amp * np.sin(2 * np.pi * mode * u)[:, None]
-    return CauchyState(0.0, y, "pde", ydot=np.zeros((Nu, 1)))
-
-
-def constrained_wave_state(Nu=64, amp=0.1, speed=2.0, method="spectral"):
-    u = np.arange(Nu) / Nu
-    y = amp * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, 1, method)[..., 0]
-    return CauchyState(0.0, y, "fulljet", v0=speed * v1, vi=v1[..., None])
+WAVE = make_model("wave")
+TRANSPORT = make_constraint("linear-transport", {"speed": 2.0})
 
 
 def test_grid_derivative_spectral_and_fd4():
@@ -113,9 +105,9 @@ _Y = np.zeros((4, 1))
     (lambda: CauchyState(0.0, np.zeros((4, 2)), "pde", ydot=np.zeros((4, 2)),
                          y_offset="identity"), InvalidArgumentError, "needs m == n"),
     (lambda: grid_derivative(_Y, 1, "cheb"), InvalidArgumentError, "derivative method"),
-    (lambda: tilde_eta_contract(wave_pde_state(8), StateVariation(
+    (lambda: tilde_eta_contract(initial_state(WAVE, None, 8, 1.0), StateVariation(
         np.zeros((4, 2)), _Y, np.zeros((4, 1, 2)))), DimensionMismatchError, "variation grid"),
-    (lambda: project_onto_constraint(make_constraint("linear-transport"), wave_pde_state(8)),
+    (lambda: project_onto_constraint(TRANSPORT, initial_state(WAVE, None, 8, 1.0)),
      InvalidArgumentError, "applies to fulljet states"),
     # y + dt ydot overflows while every field value stays finite
     (lambda: evolve(make_model("wave"), None, CauchyState(0.0, _Y, "pde", ydot=_Y + 2.0),
@@ -129,7 +121,7 @@ def test_each_guard_raises_its_error(call, error, match):
 
 
 def test_eta_contract_values():
-    state = wave_pde_state()
+    state = initial_state(WAVE, None, 64, 1.0)
     Nu = state.grid_shape[0]
     u = np.arange(Nu) / Nu
     gamma = sode_vector_field(make_model("wave"), None, state)
@@ -148,7 +140,7 @@ def test_eta_contract_values():
 
 def test_omega_tilde_antisymmetry():
     model = make_model("wave")
-    state = wave_pde_state(32)
+    state = initial_state(WAVE, None, 32, 1.0)
     rng = np.random.default_rng(0)
     W1 = StateVariation.random(state, rng)
     W2 = StateVariation.random(state, rng)
@@ -160,7 +152,7 @@ def test_omega_tilde_antisymmetry():
 
 def test_sode_second_order_property_and_acceleration():
     model = make_model("wave")
-    state = wave_pde_state(64)
+    state = initial_state(WAVE, None, 64, 1.0)
     var = sode_vector_field(model, None, state)
     # SODE: the dy block equals the state's velocity block exactly
     assert np.array_equal(var.dy, state.ydot)
@@ -179,7 +171,7 @@ def test_sode_constant_state_is_equilibrium():
 
 def test_free_field_contraction_vanishes():
     model = make_model("wave")
-    state = wave_pde_state(64)
+    state = initial_state(WAVE, None, 64, 1.0)
     rng = np.random.default_rng(1)
     variations = [StateVariation.random(state, rng) for _ in range(20)]
     vals = free_sode_omega_values(model, state, variations)
@@ -188,7 +180,7 @@ def test_free_field_contraction_vanishes():
 
 def test_free_wave_evolution_matches_dalembert():
     model = make_model("wave")
-    state = wave_pde_state(64)
+    state = initial_state(WAVE, None, 64, 1.0)
     res = evolve(model, None, state, 1e-3, 1000, "rk4")
     u = np.arange(64) / 64
     T = res.states[-1].t
@@ -201,7 +193,7 @@ def test_free_wave_evolution_matches_dalembert():
 
 def test_zero_steps_returns_initial_state():
     model = make_model("wave")
-    state = wave_pde_state(16)
+    state = initial_state(WAVE, None, 16, 1.0)
     res = evolve(model, None, state, 1e-3, 0)
     assert len(res.states) == 1 and res.states[0] is state
     assert len(res.diagnostics["t"]) == 1
@@ -211,7 +203,7 @@ def test_euler_integrator_first_order():
     model = make_model("wave")
     errs = []
     for dt, steps in ((2e-4, 500), (1e-4, 1000)):
-        res = evolve(model, None, wave_pde_state(64), dt, steps, "euler")
+        res = evolve(model, None, initial_state(WAVE, None, 64, 1.0), dt, steps, "euler")
         u = np.arange(64) / 64
         T = res.states[-1].t
         exact = 0.5 * (np.sin(2 * np.pi * (u - T)) + np.sin(2 * np.pi * (u + T)))
@@ -222,9 +214,8 @@ def test_euler_integrator_first_order():
 def test_sode_euler_prediction_keeps_constraint_second_order():
     # the projected field is tangent: phi after an Euler step is O(dt^2);
     # for the linear constraint it is exactly zero
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state()
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 64, 0.1)
     var = sode_vector_field(model, spec, state)
     for dt in (1e-2, 1e-3):
         v0p = state.v0 + dt * var.dv[..., 0]
@@ -234,9 +225,8 @@ def test_sode_euler_prediction_keeps_constraint_second_order():
 
 
 def test_constrained_wave_linear_phi_preserved_exactly():
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state()
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 64, 0.1)
     res = evolve(model, spec, state, 2e-3, 100, "rk4")
     # linear constraint + exactly tangent field: RK4 preserves phi to
     # roundoff, no O(dt^4) drift signal exists here
@@ -244,25 +234,26 @@ def test_constrained_wave_linear_phi_preserved_exactly():
     assert res.diagnostics["holonomy"].max() > 1e-3  # holonomy does drift
 
 
-def nonlinear_wave_spec(c=0.5):
-    def phi(x, y, v):
-        return v[0][0] - 2.0 * v[0][1] - c * v[0][1] * v[0][1]
-
-    return ConstraintSpec(Dims(1, 1, 1), [phi])
-
-
-def nonlinear_constrained_state(Nu=64, amp=0.1, c=0.5):
-    u = np.arange(Nu) / Nu
-    y = amp * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, 1, "spectral")[..., 0]
-    v0 = 2.0 * v1 + c * v1 * v1
-    return CauchyState(0.0, y, "fulljet", v0=v0, vi=v1[..., None])
+@pytest.mark.parametrize("method", ["spectral", "fd4"])
+@pytest.mark.parametrize("N", [16, 64])
+def test_the_built_in_constrained_wave_is_its_closed_form_in_every_bit(N, method):
+    """Newton from v0 = 0 lands the built-in constrained wave on the closed
+    form of its v0: 2 D_u y under linear transport at speed 2, and
+    2 D_u y + c (D_u y)^2 under criterion 9's constraint at c = 0.5."""
+    u = np.arange(N) / N
+    y = 0.1 * np.sin(2 * np.pi * u)[:, None]
+    v1 = grid_derivative(y, 1, method)[..., 0]
+    for spec, v0 in [(TRANSPORT, 2.0 * v1),
+                     (nonlinear_wave_spec(0.5), 2.0 * v1 + 0.5 * v1 * v1)]:
+        state = initial_state(WAVE, spec, N, 0.1, method=method)
+        for got, want in [(state.y, y), (state.vi[..., 0], v1), (state.v0, v0)]:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_constrained_drift_is_fourth_order_for_nonlinear_phi():
     model = make_model("wave")
     spec = nonlinear_wave_spec()
-    state = nonlinear_constrained_state()
+    state = initial_state(model, spec, 64, 0.1)
     drifts = {}
     for dt in (4e-3, 2e-3):
         steps = int(round(0.2 / dt))
@@ -277,7 +268,7 @@ def test_projected_difference_fits_constraint_ansatz():
     model = make_model("wave")
     spec = make_constraint("linear-transport", {"speed": 2.0})
     # overdetermined fit: more variations than grid points x constraints
-    state = constrained_wave_state(Nu=16)
+    state = initial_state(model, spec, 16, 0.1)
     rng = np.random.default_rng(2)
     variations = [StateVariation.random(state, rng) for _ in range(40)]
     fit = constraint_ansatz_fit(model, spec, state, variations)
@@ -290,9 +281,8 @@ def test_constraint_ansatz_negative_control():
     # field does not fit the constraint-form ansatz
     from nhfields.cauchy import _omega_tilde, _slice_geometry, _tangent_rows
 
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state(Nu=16)
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 16, 0.1)
     rng = np.random.default_rng(3)
     variations = [StateVariation.random(state, rng) for _ in range(40)]
     geom = _slice_geometry(model, state, "spectral")
@@ -320,9 +310,8 @@ def test_constraint_ansatz_negative_control():
 
 
 def test_projected_contraction_vanishes_on_restricted_class():
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state(Nu=64)
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 64, 0.1)
     rng = np.random.default_rng(4)
     variations = [StateVariation.random(state, rng) for _ in range(20)]
     vals = constrained_membership_check(model, spec, state, variations)
@@ -334,9 +323,8 @@ def test_restriction_to_annihilator_class_is_necessary():
     annihilate dphi, which is why the restricted class is required."""
     from nhfields.cauchy import _omega_tilde, _slice_geometry, _tangent_rows
 
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state(Nu=64)
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 64, 0.1)
     rng = np.random.default_rng(5)
     geom = _slice_geometry(model, state, "spectral")
     T = _tangent_rows(geom)
@@ -354,9 +342,8 @@ def test_restriction_to_annihilator_class_is_necessary():
 
 
 def test_drift_error_raised_off_constraint():
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state()
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 64, 0.1)
     bad = CauchyState(0.0, state.y, "fulljet", v0=state.v0 + 0.1, vi=state.vi)
     with pytest.raises(DriftError):
         sode_vector_field(model, spec, bad)
@@ -380,7 +367,7 @@ def test_incompatible_point_raises():
 def test_instability_aborts_with_step_index():
     model = make_model("wave")
     # CFL-violating explicit Euler blows up; expect a clean abort
-    state = wave_pde_state(64, amp=1.0, mode=12)
+    state = initial_state(WAVE, None, 64, 1.0, 12)
     with pytest.raises(IntegrationError, match=r"at step \d+.*index \(\d+,\)"):
         evolve(model, None, state, 0.5, 200, "euler")
 
@@ -427,13 +414,9 @@ def test_a_fluid_field_evaluation_takes_no_pseudo_inverse(monkeypatch):
     """The temporal De Donder-Weyl solve of the fluid goes by its Gram
     matrices at every point of the 4^3 smoke state (the CLI's fluid evolve
     defaults on a 4^3 grid), so one field evaluation makes no ``pinv``."""
-    from nhfields.cli import build_initial_state, build_scenario, load_config
-
-    cfg = load_config(overrides={
-        "task": "evolve", "model": {"name": "fluid", "params": {"kappa": 1.0, "beta": 1.0}},
-        "constraint": {"name": "incompressibility"}, "grid": {"nu": 4}, "steps": 1})
-    model, spec = build_scenario(cfg)
-    state = build_initial_state(cfg, model, spec)
+    model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
+    spec = make_constraint("incompressibility")
+    state = initial_state(model, spec, 4, 0.01, velocity=0.005)
     counts = {"pinv": 0}
     _spy(monkeypatch, counts, np.linalg, "pinv", "pinv")
     cauchy._evaluate(model, spec, state, "spectral")
@@ -446,10 +429,9 @@ def test_evolve_reuses_the_recorded_field_as_first_stage(monkeypatch, integrator
                                                          stages, constrained):
     model = make_model("wave")
     if constrained:
-        spec, state = make_constraint("linear-transport", {"speed": 2.0}), \
-            constrained_wave_state(Nu=16)
+        spec, state = TRANSPORT, initial_state(WAVE, TRANSPORT, 16, 0.1)
     else:
-        spec, state = None, wave_pde_state(16)
+        spec, state = None, initial_state(WAVE, None, 16, 1.0)
     want = reference_evolve(model, spec, state, 1e-3, 3, integrator)
     # the recorder and the stages (through sode_vector_field) share _evaluate
     counts = {"field": 0}
@@ -467,9 +449,8 @@ def test_evolve_evaluates_each_state_once(monkeypatch, scenario):
     of it, so a 2-step RK4 run builds the jet, the derivative bundle and the
     constraint values once per field evaluation: steps x stages + 1 = 9."""
     if scenario == "wave":
-        model = make_model("wave")
-        spec = make_constraint("linear-transport", {"speed": 2.0})
-        state = constrained_wave_state(Nu=16)
+        model, spec = WAVE, TRANSPORT
+        state = initial_state(model, spec, 16, 0.1)
     else:
         model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
         spec, state = make_constraint("incompressibility"), fluid_fulljet_state(N=4)
@@ -495,7 +476,7 @@ def test_energy_of_a_free_wave_slice():
 def test_stabilized_evolution_bounds_the_drift():
     model = make_model("wave")
     spec = nonlinear_wave_spec()
-    state = nonlinear_constrained_state(Nu=32)
+    state = initial_state(model, spec, 32, 0.1)
     # the intermediate stages sit O(dt^2) off the set, stabilized or not
     free = evolve(model, spec, state, 1e-2, 10, "rk4", drift_tol=1e-3)
     held = evolve(model, spec, state, 1e-2, 10, "rk4", drift_tol=1e-3, stabilize=True)
@@ -509,9 +490,8 @@ def test_stabilized_evolution_bounds_the_drift():
 
 
 def test_stabilization_reprojects():
-    model = make_model("wave")
-    spec = make_constraint("linear-transport", {"speed": 2.0})
-    state = constrained_wave_state()
+    model, spec = WAVE, TRANSPORT
+    state = initial_state(model, spec, 64, 0.1)
     off = CauchyState(
         0.0, state.y, "fulljet", v0=state.v0 + 1e-7, vi=state.vi
     )
@@ -521,7 +501,7 @@ def test_stabilization_reprojects():
 
 
 def test_pde_mode_reconstructs_spatial_jet():
-    state = wave_pde_state(32)
+    state = initial_state(WAVE, None, 32, 1.0)
     vi = state.spatial_jet("spectral")
     u = np.arange(32) / 32
     want = 2 * np.pi * np.cos(2 * np.pi * u)
@@ -531,7 +511,7 @@ def test_pde_mode_reconstructs_spatial_jet():
 def test_bad_integrator_name_rejected():
     model = make_model("wave")
     with pytest.raises(InvalidArgumentError):
-        evolve(model, None, wave_pde_state(16), 1e-3, 1, integrator="leapfrog")
+        evolve(model, None, initial_state(WAVE, None, 16, 1.0), 1e-3, 1, integrator="leapfrog")
 
 
 def fluid_fulljet_state(N=4, seed=11):
@@ -553,9 +533,8 @@ def test_grid_field_is_the_pointwise_chain_at_every_point(scenario):
     spatial block, then the projector) share one kernel per step, so the
     grid field equals the pointwise projected temporal block."""
     if scenario == "wave":
-        model = make_model("wave")
-        spec = make_constraint("linear-transport", {"speed": 2.0})
-        state = constrained_wave_state(Nu=16)
+        model, spec = WAVE, TRANSPORT
+        state = initial_state(model, spec, 16, 0.1)
     else:
         model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
         spec = make_constraint("incompressibility")
@@ -583,7 +562,7 @@ def test_unsolvable_temporal_block_names_the_grid_point():
 
     model = LagrangianModel("no-time", Dims(1, 1), fn)
     with pytest.raises(DdwSolveError, match=r"at grid point \(\d+,\)"):
-        sode_vector_field(model, None, wave_pde_state(16))
+        sode_vector_field(model, None, initial_state(WAVE, None, 16, 1.0))
 
 
 def test_raise_first_names_a_batched_index_and_nothing_else():
@@ -608,7 +587,7 @@ def test_a_singular_hessian_names_its_grid_point():
     spec = make_constraint("linear-transport", {"speed": 2.0})
     with pytest.raises(RegularityError, match=r"^at grid point \(4,\): Hessian is singular in "
                                               r"the zeta solve: Singular matrix$"):
-        sode_vector_field(model, spec, constrained_wave_state(16))
+        sode_vector_field(model, spec, initial_state(WAVE, spec, 16, 0.1))
 
 
 def test_a_non_finite_bundle_names_its_grid_point():
@@ -619,7 +598,7 @@ def test_a_non_finite_bundle_names_its_grid_point():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError, match=r"^at grid point \(4,\): model 'pole': "
                                                   r"non-finite L at index \(0,\)$"):
-            sode_vector_field(model, None, wave_pde_state(16))
+            sode_vector_field(model, None, initial_state(WAVE, None, 16, 1.0))
 
 
 @pytest.mark.parametrize("dt", [1e300, 1.7e308])
@@ -627,8 +606,8 @@ def test_a_non_finite_bundle_names_its_grid_point():
 def test_a_step_that_overflows_names_a_grid_point_and_warns_nothing(constrained, dt):
     # dt = 1e300 overflows v^2 in the bundle of the first stage state, and
     # dt = 1.7e308 the stage update itself; the finiteness checks report both
-    spec = make_constraint("linear-transport", {"speed": 2.0}) if constrained else None
-    state = constrained_wave_state(16) if constrained else wave_pde_state(16)
+    spec = TRANSPORT if constrained else None
+    state = initial_state(WAVE, spec, 16, 0.1 if constrained else 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match=r"^integration blew up at step 1: at grid "
@@ -644,7 +623,7 @@ def test_custom_coefficients_have_shape_k_nx_m(shape):
     with pytest.raises(DimensionMismatchError, match=r"expected \(1, 2, 1\)"):
         replace(spec, coeffs=np.ones(shape))
     custom = replace(spec, coeffs=[[[3.0], [-1.0]]])
-    state = constrained_wave_state(Nu=16)
+    state = initial_state(WAVE, spec, 16, 0.1)
     x, y, v = state.jet_arrays()
     assert np.array_equal(chetaev_coefficients(custom, JetPoint(x[0], y[0], v[0])),
                           [[[3.0], [-1.0]]])
@@ -658,7 +637,7 @@ def test_tangent_rows_are_the_section_and_jet_derivatives():
     from nhfields.cauchy import _slice_geometry, _tangent_rows
 
     cases = [(make_model("fluid", {"kappa": 1.0, "beta": 1.0}), fluid_fulljet_state()),
-             (make_model("wave"), wave_pde_state(32))]
+             (WAVE, initial_state(WAVE, None, 32, 1.0))]
     for model, state in cases:
         G, n, m = state.grid_shape, state.n, state.m
         nx = n + 1
@@ -683,8 +662,7 @@ def _fluid_8():
 
 
 def _constrained_wave_64():
-    return (make_model("wave"), make_constraint("linear-transport", {"speed": 2.0}),
-            constrained_wave_state(Nu=64))
+    return WAVE, TRANSPORT, initial_state(WAVE, TRANSPORT, 64, 0.1)
 
 
 _CHECKS = {
@@ -761,11 +739,7 @@ def test_a_16_cubed_fluid_step_peaks_below_its_traced_bound():
     only the blocks L reaches, and the pinned contraction runs over chunks
     of the same size.  It peaked at 18.6 MiB with the contraction's copy of
     the whole grid's H, gathered copies and every bundle output allocated."""
-    from nhfields.cli import build_initial_state, load_config
-
-    cfg = load_config(None, {"task": "evolve", "model": {"name": "fluid"},
-                             "constraint": {"name": "incompressibility"}, "grid": {"nu": 16}})
-    model = make_model("fluid", cfg["model"]["params"])
+    model = make_model("fluid")
     spec = make_constraint("incompressibility")
-    state = build_initial_state(cfg, model, spec)
+    state = initial_state(model, spec, 16, 0.01, velocity=0.005)
     assert traced_peak(lambda: cauchy.evolve(model, spec, state, 1e-3, 1)) <= 14.0 * 2**20

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from nhfields import autodiff as ad
-from nhfields.cauchy import CauchyState, evolve
+from nhfields.cauchy import evolve, holonomy_defect, initial_state
 from nhfields.constraint import chetaev_coefficients, make_constraint
 from nhfields.exceptions import InvalidArgumentError
 from nhfields.fluid import (
+    PSI_SECTIONS,
     FluidParams,
     fluid_lagrangian,
     fluid_quantities,
+    mixing_section,
     null_lagrangian_residual,
     psi_divergence_residual,
     spatial_hessian_closed,
 )
 from nhfields.jet import JetPoint
-from nhfields.lagrangian import derivative_bundle, hessian_flat, make_model
+from nhfields.lagrangian import derivative_bundle
 from nhfields.projector import compatibility_matrix, solve_zeta
 
 from helpers import fluid_constraint_point, random_det_one_spatial
@@ -160,17 +161,6 @@ def section_linear(A, b=None):
     return fn
 
 
-def mixing_section(eps, freq):
-    def fn(xs):
-        t, x1, x2, x3 = xs
-        return [
-            x1 + eps * ad.sin(freq * x2) * ad.cos(freq * x3),
-            x2 + eps * ad.sin(freq * x3) * ad.cos(freq * x1),
-            x3 + eps * ad.sin(freq * x1) * ad.cos(freq * x2),
-        ]
-    return fn
-
-
 def test_null_lagrangian_linear_section_exact():
     rng = np.random.default_rng(4)
     A = random_det_one_spatial(rng) * 1.4
@@ -204,12 +194,9 @@ def test_null_lagrangian_cubic_polynomial_section():
 
 
 def test_psi_divergence_listed_sections():
-    identity = section_linear(np.eye(3))
-    shear = section_linear(np.array([[1.0, 0.7, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    double = section_linear(np.diag([2.0, 1.0, 1.0]))
-    assert psi_divergence_residual(identity, (6, 8, 8, 8)) < 1e-10
-    assert psi_divergence_residual(shear, (6, 8, 8, 8)) < 1e-6
-    assert psi_divergence_residual(double, (6, 8, 8, 8)) < 1e-6
+    bounds = {"identity": 1e-10, "shear": 1e-6, "double-x1": 1e-6}
+    for name, section in PSI_SECTIONS.items():
+        assert psi_divergence_residual(section, (6, 8, 8, 8)) < bounds[name]
 
 
 def test_psi_divergence_smooth_section_converges():
@@ -219,23 +206,19 @@ def test_psi_divergence_smooth_section_converges():
     assert 10.0 < r8 / r16 < 22.0
 
 
-def make_smoke_state(N=8, amp=0.01, vel=0.005):
-    u = np.arange(N) / N
-    U = np.meshgrid(u, u, u, indexing="ij")
-    disp = np.zeros((N, N, N, 3))
-    disp[..., 0] = amp * np.sin(2 * np.pi * U[1])
-    vi = np.broadcast_to(np.eye(3), (N, N, N, 3, 3)).copy()
-    vi[..., 0, 1] += amp * 2 * np.pi * np.cos(2 * np.pi * U[1])
-    v0 = np.zeros((N, N, N, 3))
-    v0[..., 0] = vel * np.sin(2 * np.pi * U[2])
-    return CauchyState(0.0, disp, "fulljet", v0=v0, vi=vi, y_offset="identity")
+def test_the_shear_state_is_holonomic():
+    """vi is the exact derivative of the section, identity included, so the
+    holonomy defect is roundoff (2.1e-17 at 8^3); a defect that left the
+    identity out would read 1."""
+    state = initial_state(fluid_lagrangian(FluidParams()), None, 8, 0.01, velocity=0.005)
+    assert holonomy_defect(state) < 1e-12
 
 
 @pytest.mark.slow
 def test_torus_smoke_evolution_keeps_constraint():
     model = fluid_lagrangian(FluidParams())
     spec = make_constraint("incompressibility")
-    state = make_smoke_state(8)
+    state = initial_state(model, spec, 8, 0.01, velocity=0.005)
     res = evolve(model, spec, state, 1e-3, 100, "rk4", drift_tol=1e-4)
     assert res.diagnostics["max_phi"].max() < 1e-5
     assert np.abs(res.diagnostics["eta"] - 1.0).max() < 1e-12
@@ -246,8 +229,9 @@ def test_energy_of_the_default_fluid_slice():
     # J = 1 and W(1) = 0, and mu = 0: the energy density is rho |v0|^2 / 2,
     # with v0 = (vel sin(2 pi u3), 0, 0), whose grid mean is rho vel^2 / 4
     params, vel = FluidParams(), 0.005
-    res = evolve(fluid_lagrangian(params), make_constraint("incompressibility"),
-                 make_smoke_state(8, vel=vel), 1e-3, 0)
+    model = fluid_lagrangian(params)
+    res = evolve(model, make_constraint("incompressibility"),
+                 initial_state(model, None, 8, 0.01, velocity=vel), 1e-3, 0)
     assert res.diagnostics["energy"][0] == pytest.approx(params.rho * vel ** 2 / 4,
                                                          rel=1e-12)
 
@@ -256,6 +240,6 @@ def test_torus_smoke_short():
     # 4^3 grid, 5 steps: exercises the full constrained pipeline cheaply
     model = fluid_lagrangian(FluidParams())
     spec = make_constraint("incompressibility")
-    state = make_smoke_state(4)
+    state = initial_state(model, spec, 4, 0.01, velocity=0.005)
     res = evolve(model, spec, state, 1e-3, 5, "rk4", drift_tol=1e-4)
     assert res.diagnostics["max_phi"].max() < 1e-5

@@ -100,8 +100,6 @@ def test_every_private_module_name_is_used_in_the_package():
 
 # public functions no code of the package reads, each with its reason
 UNREAD_PUBLIC = {
-    "autodiff.log": "a generic helper for user models",
-    "autodiff.sqrt": "a generic helper for user models",
     "cauchy.free_sode_omega_values": "the check of criterion 8",
     "cauchy.constraint_ansatz_fit": "a check of criterion 9",
     "cauchy.constrained_membership_check": "a check of criterion 9",
