@@ -8,7 +8,6 @@ incompressible barotropic fluid scenario.
 
 from .cauchy import (
     CauchyState,
-    StateVariation,
     evolve,
     sode_vector_field,
     tilde_eta_contract,

@@ -21,7 +21,6 @@ import numpy as np
 from .constraint import (
     ConstraintSpec,
     coefficient_arrays,
-    jet_block,
     newton_onto_constraint,
     phi_eval_batch,
 )
@@ -34,7 +33,8 @@ from .exceptions import (
     InvalidArgumentError,
     raise_first,
 )
-from .jet import Dims, periodic_derivative
+from .exterior import TangentVector, join_blocks, split_blocks
+from .jet import periodic_derivative
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
@@ -185,49 +185,25 @@ def _section_derivatives(state: CauchyState, method: str) -> np.ndarray:
     return d + np.eye(state.n) if state.y_offset == "identity" else d
 
 
-@dataclass(frozen=True)
-class StateVariation:
-    """A discretized vector field along the embedded state: per-point
-    tangent blocks dx (grid.., n+1), dy (grid.., m), dv (grid.., m, n+1)."""
-
-    dx: np.ndarray
-    dy: np.ndarray
-    dv: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        G = self.dy.shape[:-1]
-        return np.concatenate(
-            [self.dx, self.dy, self.dv.reshape(G + (-1,))], axis=-1
-        )
-
-    @staticmethod
-    def random(state: CauchyState, rng) -> "StateVariation":
-        G, n, m = state.grid_shape, state.n, state.m
-        return StateVariation(
-            rng.uniform(-1, 1, G + (n + 1,)),
-            rng.uniform(-1, 1, G + (m,)),
-            rng.uniform(-1, 1, G + (m, n + 1)),
-        )
-
-
-def tilde_eta_contract(state: CauchyState, W: StateVariation) -> float:
+def tilde_eta_contract(state: CauchyState, W: TangentVector) -> float:
     """eta-tilde(W) = integral of the time component of W over the slice.
 
     The pullback of i_W (dt ^ eta_M) along the embedding keeps only the
     dx^0 component; periodic trapezoid quadrature is the plain grid mean.
     """
-    if W.dy.shape[:-1] != state.grid_shape:
+    grid = state.grid_shape
+    if np.broadcast_shapes(W.dx.shape[:-1], W.dy.shape[:-1], W.dv.shape[:-2]) != grid:
         raise DimensionMismatchError("variation grid does not match state")
-    return float(np.mean(W.dx[..., 0]))
+    return float(np.mean(np.broadcast_to(W.dx[..., 0], grid)))
 
 
 def tilde_omega_contract(model: LagrangianModel, state: CauchyState,
-                         W: StateVariation, Wp: StateVariation,
+                         W: TangentVector, Wp: TangentVector,
                          method: str = "spectral") -> float:
     """Omega-tilde_L(W, W') = integral of Omega_L(W', W, T_1..T_n) over the
     grid, with T_i the embedding tangents."""
     geom = _slice_geometry(model, state, method)
-    return float(_omega_tilde(geom, _tangent_rows(geom), W.dense(), Wp.dense()))
+    return float(_omega_tilde(geom, _tangent_rows(geom), W.components, Wp.components))
 
 
 @dataclass(frozen=True)
@@ -253,13 +229,12 @@ class _SliceGeometry:
     C: np.ndarray | None = None
     max_phi: float = 0.0
 
-    def field(self, Gt: np.ndarray | None = None) -> StateVariation:
+    def field(self, Gt: np.ndarray | None = None) -> TangentVector:
         """The second-order field with temporal block Gt (by default the
         field's own): dx = (1, 0, ...) and dy the slice's v0 block."""
         v = self.v
-        dx = np.zeros(v.shape[:-2] + v.shape[-1:])
-        dx[..., 0] = 1.0
-        return StateVariation(dx, v[..., :, 0].copy(), self.Gt if Gt is None else Gt)
+        return TangentVector(np.eye(v.shape[-1])[0], v[..., :, 0].copy(),
+                             self.Gt if Gt is None else Gt)
 
 
 def _slice_geometry(model: LagrangianModel, state: CauchyState,
@@ -273,7 +248,7 @@ def _slice_geometry(model: LagrangianModel, state: CauchyState,
 
 def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
                       state: CauchyState, method: str = "spectral",
-                      drift_tol: float = 1e-6) -> StateVariation:
+                      drift_tol: float = 1e-6) -> TangentVector:
     """The (projected) second-order vector field evaluated on the state.
 
     On the whole grid at once: solve the free De Donder-Weyl temporal block
@@ -307,7 +282,7 @@ def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
             f"state is off the constraint set: max|phi| = {max_phi:.3e} "
             f"exceeds {drift_tol:.1e}"
         )
-    dphidv = jet_block(dphi, *v.shape[-2:])
+    dphidv = split_blocks(dphi, *v.shape[-2:])[2]
     C = coefficient_arrays(spec, dphidv)
     zeta, errors = solve_zeta_flat(hessian_flat(geom.bundle), C)
     raise_first(errors)
@@ -326,18 +301,12 @@ def _tangent_rows(geom: _SliceGeometry) -> np.ndarray:
     connection.  In pde mode the jet's spatial block already is D_i y.
     """
     state = geom.state
-    G, n, m = state.grid_shape, state.n, state.m
-    dims = Dims(n, m)
-    nx = dims.nx
     if state.mode == "pde":
         dy = geom.v[..., 1:]
     else:
         dy = _section_derivatives(state, geom.method)
-    T = np.zeros(G + (n, dims.N))
-    T[..., :, 1:nx] = np.eye(n)
-    T[..., :, nx : nx + m] = np.swapaxes(dy, -1, -2)
-    T[..., :, nx + m :] = np.moveaxis(geom.dv, -2, -3).reshape(G + (n, m * nx))
-    return T
+    return join_blocks(np.eye(state.n, state.n + 1, 1), np.swapaxes(dy, -1, -2),
+                       np.moveaxis(geom.dv, -2, -3))
 
 
 def _with_tangents(T: np.ndarray, *vecs) -> np.ndarray:
@@ -360,7 +329,7 @@ def _omega_tilde(geom: _SliceGeometry, T: np.ndarray, W: np.ndarray,
 
 def _stacked(variations) -> np.ndarray:
     """The variations as one dense array (R, grid.., N)."""
-    return np.stack([W.dense() for W in variations])
+    return np.stack([W.components for W in variations])
 
 
 def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
@@ -371,7 +340,8 @@ def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
     connection solving the free De Donder-Weyl equation along the slice.
     """
     geom = _evaluate(model, None, state, method)
-    return _omega_tilde(geom, _tangent_rows(geom), geom.field().dense(), _stacked(variations))
+    return _omega_tilde(geom, _tangent_rows(geom), geom.field().components,
+                        _stacked(variations))
 
 
 def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
@@ -388,7 +358,7 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
     T = _tangent_rows(geom)
     Ws = _stacked(variations)
     # Omega-tilde is linear in the field, and P Gamma - Gamma is jet-vertical
-    delta = geom.field().dense() - geom.field(geom.Gfree).dense()
+    delta = geom.field().components - geom.field(geom.Gfree).components
     lhs = _omega_tilde(geom, T, delta, Ws)
     G = state.grid_shape
     B = int(np.prod(G))
@@ -431,7 +401,7 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     Ws = _stacked(variations)
     corr = np.einsum("...nr,...r->...n", np.linalg.pinv(rows),
                      np.einsum("...rn,...n->...r", rows, Ws))
-    return _omega_tilde(geom, T, geom.field().dense(), Ws - corr)
+    return _omega_tilde(geom, T, geom.field().components, Ws - corr)
 
 
 def _pack(state: CauchyState) -> np.ndarray:
@@ -466,7 +436,7 @@ def _unpack(state: CauchyState, arr: np.ndarray, t: float) -> CauchyState:
     )
 
 
-def _rhs(state: CauchyState, var: StateVariation) -> np.ndarray:
+def _rhs(state: CauchyState, var: TangentVector) -> np.ndarray:
     """The packed time derivative of the state under the field ``var``."""
     if state.mode == "pde":
         return np.concatenate([state.ydot, var.dv[..., :, 0]], axis=-1)
@@ -565,7 +535,7 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     states = [state0]
     diags = {"t": [], "max_phi": [], "holonomy": [], "eta": [], "energy": []}
 
-    def record(s: CauchyState) -> StateVariation:
+    def record(s: CauchyState) -> TangentVector:
         geom = _evaluate(model, spec, s, method, drift_tol)
         var, v0, b = geom.field(), geom.v[..., :, 0], geom.bundle
         diags["t"].append(s.t)

@@ -28,7 +28,7 @@ from .exceptions import (
     errors_at,
     raise_first,
 )
-from .exterior import Form, vector_rows
+from .exterior import Form, split_blocks, vector_rows
 from .jet import (
     Dims,
     JetPoint,
@@ -113,7 +113,7 @@ class ConstraintSpec:
 
     def dphidv_arrays(self, x, y, v) -> np.ndarray:
         """The jet block dphi/dv (..., k, m, n+1) of the full differentials."""
-        return jet_block(self.evaluate(x, y, v)[1], self.dims.m, self.dims.nx)
+        return split_blocks(self.evaluate(x, y, v)[1], self.dims.m, self.dims.nx)[2]
 
     def at(self, p: JetPoint) -> "ConstraintPoint":
         """The constraint data of the pointwise chain at p, after checking
@@ -121,7 +121,7 @@ class ConstraintSpec:
         ``evaluate`` call, from which the coefficients follow."""
         phi, dphi = self.evaluate(p.x, p.y, p.v)
         raise_first(off_constraint_errors(phi, self.on_tol))
-        dphidv = jet_block(dphi, self.dims.m, self.dims.nx)
+        dphidv = split_blocks(dphi, self.dims.m, self.dims.nx)[2]
         return ConstraintPoint(p, dphi, coefficient_arrays(self, dphidv))
 
 
@@ -132,11 +132,6 @@ def off_constraint_errors(phi: np.ndarray, tol: float) -> dict:
     return errors_at(worst > tol, lambda idx: OffConstraintError(
         f"point is off the constraint set: |phi| = {worst[idx]:.3e} "
         f"(tolerance {tol:.1e}, values {phi[idx].tolist()})"))
-
-
-def jet_block(rows: np.ndarray, m: int, nx: int) -> np.ndarray:
-    """The jet block (..., m, n+1) of dense rows (..., N)."""
-    return rows[..., nx + m :].reshape(rows.shape[:-1] + (m, nx))
 
 
 @dataclass(frozen=True)
@@ -157,12 +152,11 @@ class ConstraintPoint:
 
     @property
     def dphidv(self) -> np.ndarray:
-        return jet_block(self.dphi, self.p.m, self.p.n + 1)
+        return split_blocks(self.dphi, self.p.m, self.p.n + 1)[2]
 
     @staticmethod
     def unconstrained(p: JetPoint) -> "ConstraintPoint":
-        m, nx = p.v.shape
-        return ConstraintPoint(p, np.zeros((0, nx + m + m * nx)), np.zeros((0, nx, m)))
+        return ConstraintPoint(p, np.zeros((0, Dims(p.n, p.m).N)), np.zeros((0, p.n + 1, p.m)))
 
 
 def coefficient_arrays(spec: ConstraintSpec, dphidv: np.ndarray) -> np.ndarray:
@@ -258,10 +252,10 @@ def phi_eval_batch(coeffs: np.ndarray, v: np.ndarray, vecs: np.ndarray) -> np.nd
     v = np.asarray(v, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     m, nx = v.shape[-2:]
-    if vecs.shape[-2:] != (nx, nx + m + m * nx):
+    N = Dims(nx - 1, m).N
+    if vecs.shape[-2:] != (nx, N):
         raise DimensionMismatchError(
-            f"constraint forms take n+1 = {nx} vectors of length "
-            f"{nx + m + m * nx}, got shape {vecs.shape}"
+            f"constraint forms take n+1 = {nx} vectors of length {N}, got shape {vecs.shape}"
         )
     theta_pair = contact_pairings(v, vecs)[0]
     if coeffs.shape[-3] == 0:  # free case: no forms, no minors

@@ -21,17 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import (
-    ConstraintPoint,
-    ConstraintSpec,
-    coefficient_arrays,
-    jet_block,
-    phi_from_pairings,
-)
+from .constraint import ConstraintPoint, ConstraintSpec, coefficient_arrays, phi_from_pairings
 from .exceptions import (DdwSolveError, DimensionMismatchError, InvalidArgumentError, errors_at,
                          raise_first)
-from .exterior import vector_rows
-from .jet import ConnectionCoeffs, Jet2Point, deletion_minors, dx_minors, solve_points
+from .exterior import split_blocks, vector_rows
+from .jet import ConnectionCoeffs, Dims, Jet2Point, deletion_minors, dx_minors, solve_points
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
@@ -60,10 +54,10 @@ def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
     """The horizontal projector as (..., N, N) matrices: columns over x map
     to the horizontal lifts, all other columns vanish."""
     m, nx = coeffs.Gamma.shape[-2:]
-    N = nx + m + m * nx
+    N = Dims(nx - 1, m).N
     h = np.zeros(coeffs.Gamma.shape[:-2] + (N, N))
     h[..., :nx] = np.swapaxes(
-        vector_rows([coeffs.lift_components(mu) for mu in range(nx)], N), -1, -2)
+        vector_rows([coeffs.horizontal_lift(mu) for mu in range(nx)], N), -1, -2)
     return h
 
 
@@ -135,11 +129,12 @@ def solve_ddw(bundle: DerivativeBundle, v: np.ndarray, spatial: np.ndarray | Non
     if k:
         A[..., :m, n_gamma:] = np.swapaxes(coeffs.reshape(batch + (k * nx, m)), -1, -2)
         # row (alpha, mu): dphi_alpha/dv on the block of mu
-        tang, dphidv = np.zeros(batch + (k, L, m, L, nx)), jet_block(dphi, m, nx)
+        dphix, dphiy, dphidv = split_blocks(dphi, m, nx)
+        tang = np.zeros(batch + (k, L, m, L, nx))
         for mu in range(L):
             tang[..., mu, :, mu, :] = dphidv
         A[..., m:, :n_gamma] = tang.reshape(batch + (k * L, n_gamma))
-        rows = -dphi[..., :L] - dphi[..., nx : nx + m] @ v[..., :L]
+        rows = -dphix[..., :L] - dphiy @ v[..., :L]
         b = np.concatenate([b, rows.reshape(batch + (k * L,))], axis=-1)
     bound = _SOLVE_TOL * np.maximum(1.0, np.max(np.abs(b), axis=-1, initial=0.0))
 
@@ -329,7 +324,7 @@ def nh_field_residual(model: LagrangianModel, spec: ConstraintSpec,
     E = el_residual(model, q)
     p, dims = q.point, spec.dims
     phi, dphi = spec.evaluate(p.x, p.y, p.v)
-    C = coefficient_arrays(spec, jet_block(dphi, dims.m, dims.nx))
+    C = coefficient_arrays(spec, split_blocks(dphi, dims.m, dims.nx)[2])
     Cmat = C.reshape(spec.k * dims.nx, dims.m).T  # (m, k(n+1))
     lam_flat, *_ = np.linalg.lstsq(Cmat, E, rcond=None)
     return {

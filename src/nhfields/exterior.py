@@ -1,63 +1,85 @@
-"""Pointwise exterior algebra: wedge monomials of covectors and contractions.
+"""The tangent layout of the jet space, tangent vectors, and pointwise
+exterior algebra: wedge monomials of covectors and contractions.
+
+Tangent vectors and covectors are dense length-N arrays in one fixed
+layout: the x-block (n+1), the y-block (m) and the v-block (m(n+1),
+a-major/mu-minor), N = (n+1) + m + m(n+1).  ``join_blocks`` and
+``split_blocks`` are the one place the block offsets are written.
 
 A k-form is stored as a list of terms, each a coefficient times an ordered
-wedge of k covectors.  Covectors are dense length-N arrays in the fixed
-tangent layout (x-block, y-block, v-block a-major/mu-minor).  Evaluation of
-one term on k tangent vectors is the determinant of the pairing matrix
-A[i][j] = <factor_i, vector_j>, so antisymmetry and multilinearity are
-inherited from the determinant.
+wedge of k covectors.  Evaluation of one term on k tangent vectors is the
+determinant of the pairing matrix A[i][j] = <factor_i, vector_j>, so
+antisymmetry and multilinearity are inherited from the determinant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidArgumentError
 
 
+def join_blocks(dx, dy, dv) -> np.ndarray:
+    """Dense rows (..., N) in the tangent layout from the blocks dx (..., n+1),
+    dy (..., m) and dv (..., m, n+1), whose batch axes broadcast."""
+    dx, dy, dv = (np.asarray(a, dtype=float) for a in (dx, dy, dv))
+    nx, m = dx.shape[-1], dy.shape[-1]
+    rows = np.empty(_batch_shape(dx, dy, dv) + (nx + m + m * nx,))
+    rows[..., :nx] = dx
+    rows[..., nx : nx + m] = dy
+    rows[..., nx + m :] = dv.reshape(dv.shape[:-2] + (m * nx,))
+    return rows
+
+
+def split_blocks(rows: np.ndarray, m: int, nx: int):
+    """The blocks dx (..., n+1), dy (..., m) and dv (..., m, n+1) of dense
+    rows (..., N) in the tangent layout, as views of the rows."""
+    if rows.shape[-1:] != (nx + m + m * nx,):
+        raise DimensionMismatchError(
+            f"rows of shape {rows.shape} do not match m={m}, n+1={nx}")
+    return (rows[..., :nx], rows[..., nx : nx + m],
+            rows[..., nx + m :].reshape(rows.shape[:-1] + (m, nx)))
+
+
+def _batch_shape(dx, dy, dv) -> tuple:
+    """The broadcast batch shape of blocks dx (..., n+1), dy (..., m) and
+    dv (..., m, n+1)."""
+    if dv.shape[-2:] != (dy.shape[-1], dx.shape[-1]):
+        raise DimensionMismatchError(
+            f"dv shape {dv.shape} inconsistent with dx {dx.shape}, dy {dy.shape}")
+    return np.broadcast_shapes(dx.shape[:-1], dy.shape[:-1], dv.shape[:-2])
+
+
 @dataclass(frozen=True)
 class TangentVector:
-    """Tangent vector to the jet space in block components.
-
-    dx: (n+1,) base components, dy: (m,) fiber components,
-    dv: (m, n+1) jet components.  The flat layout is
-    (x-block, y-block, v-block a-major/mu-minor), total
-    N = (n+1) + m + m(n+1).
+    """Tangent vectors to the jet space in block components, at one point or
+    over leading batch axes: dx (..., n+1) base components, dy (..., m)
+    fiber components and dv (..., m, n+1) jet components, whose batch axes
+    broadcast.  ``components`` are the dense rows (..., N) of
+    ``join_blocks``, computed when first read.
     """
 
     dx: np.ndarray
     dy: np.ndarray
     dv: np.ndarray
-    components: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dx = np.asarray(self.dx, dtype=float)
-        dy = np.asarray(self.dy, dtype=float)
-        dv = np.asarray(self.dv, dtype=float)
-        if dv.shape != (dy.shape[0], dx.shape[0]):
-            raise DimensionMismatchError(
-                f"dv shape {dv.shape} inconsistent with dx {dx.shape}, dy {dy.shape}"
-            )
+        dx, dy, dv = (np.asarray(a, dtype=float) for a in (self.dx, self.dy, self.dv))
+        _batch_shape(dx, dy, dv)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
         object.__setattr__(self, "dv", dv)
-        object.__setattr__(
-            self, "components", np.concatenate([dx, dy, dv.ravel()])
-        )
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        return join_blocks(self.dx, self.dy, self.dv)
 
     @staticmethod
     def from_components(arr, n: int, m: int) -> "TangentVector":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != ((n + 1) + m + m * (n + 1),):
-            raise DimensionMismatchError(
-                f"components shape {arr.shape} does not match n={n}, m={m}"
-            )
-        dx = arr[: n + 1]
-        dy = arr[n + 1 : n + 1 + m]
-        dv = arr[n + 1 + m :].reshape(m, n + 1)
-        return TangentVector(dx, dy, dv)
+        return TangentVector(*split_blocks(np.asarray(arr, dtype=float), m, n + 1))
 
     @staticmethod
     def basis(index: int, n: int, m: int) -> "TangentVector":
@@ -66,17 +88,10 @@ class TangentVector:
         return TangentVector.from_components(e, n, m)
 
 
-def _as_covector_rows(factors, dim=None):
+def _as_covector_rows(factors, dim: int):
     """Stack covectors (dense arrays or basis indices) into a (k, N) matrix."""
     if len(factors) == 0:
         raise InvalidArgumentError("a wedge monomial needs at least one factor")
-    dense = [f for f in factors if not isinstance(f, (int, np.integer))]
-    if dim is None:
-        if not dense:
-            raise InvalidArgumentError(
-                "cannot infer dimension from basis indices alone; pass dim"
-            )
-        dim = len(np.atleast_1d(dense[0]))
     rows = np.zeros((len(factors), dim))
     for i, f in enumerate(factors):
         if isinstance(f, (int, np.integer)):
@@ -141,18 +156,11 @@ class Form:
         return self.factors.shape[2]
 
     @staticmethod
-    def from_terms(terms, dim=None) -> "Form":
-        """Build from [(coeff, [covector-or-index, ...]), ...]."""
+    def from_terms(terms, dim: int) -> "Form":
+        """Build from [(coeff, [covector-or-index, ...]), ...] on the layout
+        of dimension ``dim``."""
         if not terms:
             raise InvalidArgumentError("a form needs at least one term")
-        if dim is None:
-            for _, fac in terms:
-                for f in fac:
-                    if not isinstance(f, (int, np.integer)):
-                        dim = len(np.atleast_1d(f))
-                        break
-                if dim is not None:
-                    break
         rows = [_as_covector_rows(fac, dim) for _, fac in terms]
         k = rows[0].shape[0]
         if any(r.shape[0] != k for r in rows):

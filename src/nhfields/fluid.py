@@ -21,20 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .constraint import (
-    ConstraintSpec,
-    coefficient_arrays,
-    incompressibility_constraint,
-    jet_block,
-)
+from .constraint import ConstraintSpec, coefficient_arrays, incompressibility_constraint
 from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
     InvalidArgumentError,
 )
+from .exterior import split_blocks
 from .jet import Dims, JetPoint, periodic_derivative
 from .lagrangian import LagrangianModel, derivative_bundle
-from .projector import compatibility_matrix, solve_zeta
+from .projector import compatibility_matrix, dense_rows, solve_zeta
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
     spec = spec or incompressibility_constraint()
     dims = spec.dims
     _, dphi = spec.evaluate(p.x, p.y, p.v)
-    coeffs = coefficient_arrays(spec, jet_block(dphi, dims.m, dims.nx))
+    coeffs = coefficient_arrays(spec, split_blocks(dphi, dims.m, dims.nx)[2])
     generic = solve_zeta(derivative_bundle(fluid_lagrangian(params), p), coeffs).zeta
     gap = np.max(np.abs(generic - zeta))
     if gap > 1e-9 * np.max(np.abs(zeta)):
@@ -150,8 +146,7 @@ def fluid_quantities(params: FluidParams, p: JetPoint,
     f = float(np.einsum("ai,ai->", zeta[0, :, 1:], C_matrix))
     if not compatibility_matrix(zeta, dphidv)["compatible"]:
         raise CompatibilityError(f"compatibility scalar f = {f:.3e} vanishes")
-    rows = np.zeros((2, dims.N))  # zeta and dphi in the full layout
-    rows[:, dims.nx + dims.m :] = np.concatenate([zeta, dphidv]).reshape(2, -1)
+    rows = dense_rows(np.concatenate([zeta, dphidv]))  # zeta and dphi in the full layout
     P = np.eye(dims.N) - np.outer(rows[0], rows[1]) / f
     return {"J": J, "vinv": vinv, "C": C_matrix, "zeta": zeta[0], "f": f, "P": P}
 

@@ -22,7 +22,7 @@ from .exceptions import (
     errors_at,
     raise_first,
 )
-from .exterior import TangentVector
+from .exterior import TangentVector, join_blocks, split_blocks
 
 
 @dataclass(frozen=True)
@@ -154,20 +154,11 @@ class ConnectionCoeffs:
         object.__setattr__(self, "Gamma", G)
         object.__setattr__(self, "Gamma2", G2)
 
-    def lift_components(self, mu: int) -> np.ndarray:
-        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu as
-        components (..., N) in the flat layout."""
-        m, nx = self.Gamma.shape[-2:]
-        batch = self.Gamma.shape[:-2]
-        dx = np.zeros(batch + (nx,))
-        dx[..., mu] = 1.0
-        return np.concatenate([dx, self.Gamma[..., mu],
-                               self.Gamma2[..., mu, :].reshape(batch + (m * nx,))], axis=-1)
-
     def horizontal_lift(self, mu: int) -> TangentVector:
-        """H_mu at a single point."""
-        m, nx = self.Gamma.shape
-        return TangentVector.from_components(self.lift_components(mu), nx - 1, m)
+        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu, at
+        one point or over the batch axes."""
+        nx = self.Gamma.shape[-1]
+        return TangentVector(np.eye(nx)[mu], self.Gamma[..., mu], self.Gamma2[..., mu, :])
 
 
 def connection_errors(Gamma: np.ndarray, Gamma2: np.ndarray) -> dict:
@@ -214,22 +205,16 @@ def contact_eval(p: JetPoint, u: TangentVector) -> np.ndarray:
 def contact_covectors(p: JetPoint) -> np.ndarray:
     """Dense rows (m, N) of the contact forms theta^a at p."""
     m, nx = p.v.shape
-    N = nx + m + m * nx
-    rows = np.zeros((m, N))
-    for a in range(m):
-        rows[a, nx + a] = 1.0
-        rows[a, :nx] = -p.v[a]
-    return rows
+    return join_blocks(-p.v, np.eye(m), np.zeros((m, nx)))
 
 
 def contact_pairings(v: np.ndarray, vecs: np.ndarray):
     """theta^a(w_j) (..., m, q) and dx^nu(w_j) (..., n+1, q) over tuples
     vecs (..., q, N) of vectors at jet coordinates v (..., m, n+1), whose
     leading shapes broadcast: the pairing rows of the form kernels."""
-    m, nx = v.shape[-2:]
-    theta = vecs[..., nx : nx + m].swapaxes(-1, -2) - np.einsum(
-        "...an,...qn->...aq", v, vecs[..., :nx])
-    return theta, vecs[..., :nx].swapaxes(-1, -2)
+    dx, dy, _ = split_blocks(vecs, *v.shape[-2:])
+    theta = dy.swapaxes(-1, -2) - np.einsum("...an,...qn->...aq", v, dx)
+    return theta, dx.swapaxes(-1, -2)
 
 
 @functools.cache
@@ -319,9 +304,8 @@ def semiholonomic_residuals(Gamma: np.ndarray, v: np.ndarray):
     """
     nx = v.shape[-1]
     direct = np.max(np.abs(Gamma - v), axis=(-2, -1), initial=0.0)
-    # the dx and dy blocks of the lifts H_mu: the identity and Gamma^a_mu
-    lifts = np.concatenate([np.broadcast_to(np.eye(nx), Gamma.shape[:-2] + (nx, nx)),
-                            np.swapaxes(Gamma, -1, -2)], axis=-1)
+    # the lifts H_mu with their v-blocks, which theta^a does not read, zero
+    lifts = join_blocks(np.eye(nx), np.swapaxes(Gamma, -1, -2), np.zeros(v.shape[-2:]))
     via_contact = np.max(np.abs(contact_pairings(v, lifts)[0]), axis=(-2, -1), initial=0.0)
     bad = np.abs(direct - via_contact) > 1e-12 * (1.0 + direct)
     return direct, errors_at(bad, lambda idx: InternalConsistencyError(

@@ -28,7 +28,7 @@ from .exceptions import (
     errors_at,
     raise_first,
 )
-from .exterior import Form, vector_rows
+from .exterior import Form, join_blocks, split_blocks, vector_rows
 from .jet import (
     Dims,
     JetPoint,
@@ -268,11 +268,8 @@ def omega_form(bundle: DerivativeBundle, p: JetPoint) -> Form:
     # d^n x_mu = (-1)^mu dx^0 ^ .. (omit mu) .. ^ dx^n
     for a in range(m):
         for mu in range(nx):
-            diff = np.zeros(dims.N)
-            diff[:nx] = bundle.d2Ldxdv[:, a, mu]
-            for b in range(m):
-                diff[dims.iy(b)] = bundle.d2Ldydv[b, a, mu]
-            diff[nx + m :] = bundle.H[:, :, a, mu].reshape(-1)
+            diff = join_blocks(bundle.d2Ldxdv[:, a, mu], bundle.d2Ldydv[:, a, mu],
+                               bundle.H[:, :, a, mu])
             rest = [nu for nu in range(nx) if nu != mu]
             terms.append((-((-1.0) ** mu), [diff, theta[a]] + rest))
     if not terms:
@@ -334,7 +331,7 @@ def omega_pairings(bundle: DerivativeBundle, v: np.ndarray, vecs: np.ndarray):
     D = np.concatenate([bundle.d2Ldxdv.reshape(own + (nx, m * nx)),
                         bundle.d2Ldydv.reshape(own + (m, m * nx)),
                         bundle.H.reshape(own + (m * nx, m * nx))], axis=-2)
-    return (vecs[..., nx : nx + m], contact_pairings(v, vecs)[0],
+    return (split_blocks(vecs, m, nx)[1], contact_pairings(v, vecs)[0],
             np.swapaxes(D, -1, -2) @ np.swapaxes(vecs, -1, -2))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintPoint, jet_block, phi_eval_batch
+from .constraint import ConstraintPoint, phi_eval_batch
 from .exceptions import (
     CompatibilityError,
     InternalConsistencyError,
@@ -24,6 +24,7 @@ from .exceptions import (
     errors_at,
     raise_first,
 )
+from .exterior import join_blocks, split_blocks
 from .jet import JetPoint, finite_points, solve_points
 from .lagrangian import DerivativeBundle, hessian_flat, omega_eval_batch
 
@@ -47,9 +48,7 @@ def dense_rows(zeta: np.ndarray) -> np.ndarray:
     """Rows (..., k, N) of jet-vertical vectors (..., k, m, n+1) in the full
     layout."""
     m, nx = zeta.shape[-2:]
-    rows = np.zeros(zeta.shape[:-2] + (nx + m + m * nx,))
-    rows[..., nx + m :] = zeta.reshape(zeta.shape[:-2] + (m * nx,))
-    return rows
+    return join_blocks(np.zeros(nx), np.zeros(m), zeta)
 
 
 @dataclass(frozen=True)
@@ -176,10 +175,10 @@ def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
     Gamma2 changes.  Returns (Gamma2 - lam zeta, lam (..., k, L)).
     """
     m, L, nx = Gamma2.shape[-3:]
-    dphidv = jet_block(dphi, m, nx)
+    dphix, dphiy, dphidv = split_blocks(dphi, m, nx)
     dphiH = (
-        dphi[..., :L]
-        + np.einsum("...kb,...bu->...ku", dphi[..., nx : nx + m], Gamma)
+        dphix[..., :L]
+        + np.einsum("...kb,...bu->...ku", dphiy, Gamma)
         + np.einsum("...kbn,...bun->...ku", dphidv, Gamma2)
     )
     lam = np.einsum("...kl,...lu->...ku", Lam, dphiH)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraint import coefficient_arrays, constraint_ranks, jet_block, off_constraint_errors
+from .constraint import coefficient_arrays, constraint_ranks, off_constraint_errors
 from .ddw import DdwSolution, nh_ddw_residual_batch, solve_ddw
+from .exterior import split_blocks
 from .jet import ConnectionCoeffs, connection_errors, semiholonomic_residuals
 from .lagrangian import bundle_errors, derivative_bundle_arrays, hessian_flat, regularity_check
 from .projector import (compatibility_matrix, project_lifts, projector_pairs, solve_zeta_flat,
@@ -105,7 +106,7 @@ def verify_points(model, spec, points: list, rng, tols, tuples: int) -> list:
     phi, c["dphi"] = spec.evaluate(c["x"], c["y"], c["v"])
     if not c.stop(off_constraint_errors(phi, spec.on_tol)):
         return c.out
-    c["dphidv"] = jet_block(c["dphi"], m, nx)
+    c["dphidv"] = split_blocks(c["dphi"], m, nx)[2]
     c["coeffs"] = coefficient_arrays(spec, c["dphidv"])
     rank, errors = constraint_ranks(c["dphidv"], c["coeffs"])
     c.record(rank=rank)

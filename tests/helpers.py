@@ -38,10 +38,17 @@ def wedge_eval_oracle(factors, vectors) -> float:
     return cofactor_det(rows @ cols)
 
 
-def random_vector(rng, n, m) -> TangentVector:
-    return TangentVector(
-        rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, m), rng.uniform(-1, 1, (m, n + 1))
-    )
+def random_vector(rng, n, m, batch=()) -> TangentVector:
+    """Uniform blocks on [-1, 1), drawn dx, then dy, then dv, over the
+    leading ``batch`` axes."""
+    return TangentVector(rng.uniform(-1, 1, batch + (n + 1,)), rng.uniform(-1, 1, batch + (m,)),
+                         rng.uniform(-1, 1, batch + (m, n + 1)))
+
+
+def random_variation(state, rng) -> TangentVector:
+    """A random variation along a Cauchy state: a ``random_vector`` batched
+    over its grid."""
+    return random_vector(rng, state.n, state.m, state.grid_shape)
 
 
 def random_point(rng, n, m) -> JetPoint:

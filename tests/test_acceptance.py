@@ -11,7 +11,6 @@ import json
 import numpy as np
 
 from nhfields.cauchy import (
-    StateVariation,
     constrained_membership_check,
     constraint_ansatz_fit,
     evolve,
@@ -55,6 +54,7 @@ from nhfields.projector import (
 from helpers import (
     fluid_constraint_point,
     nonlinear_wave_spec,
+    random_variation,
     random_vector,
     wave_on_constraint_point,
 )
@@ -266,7 +266,7 @@ def test_criterion_08_cauchy_free_layer():
     eta_gap = abs(tilde_eta_contract(state, gamma) - 1.0)
 
     rng = np.random.default_rng(108)
-    variations = [StateVariation.random(state, rng) for _ in range(20)]
+    variations = [random_variation(state, rng) for _ in range(20)]
     omega_vals = np.abs(free_sode_omega_values(WAVE, state, variations)).max()
 
     res = evolve(WAVE, None, state, 1e-3, 1000, "rk4")
@@ -310,7 +310,7 @@ def test_criterion_09_constrained_cauchy():
 
     # (c) form-level checks at the holonomic on-constraint state
     rng = np.random.default_rng(109)
-    variations = [StateVariation.random(state, rng) for _ in range(20)]
+    variations = [random_variation(state, rng) for _ in range(20)]
     membership = np.abs(
         constrained_membership_check(WAVE, WAVE_SPEC, state, variations)
     ).max()

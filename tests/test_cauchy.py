@@ -9,7 +9,6 @@ import pytest
 from nhfields import cauchy
 from nhfields.cauchy import (
     CauchyState,
-    StateVariation,
     constrained_membership_check,
     constraint_ansatz_fit,
     evolve,
@@ -36,11 +35,12 @@ from nhfields.exceptions import (
     RegularityError,
     raise_first,
 )
+from nhfields.exterior import TangentVector
 from nhfields.jet import Dims, JetPoint, periodic_derivative
 from nhfields.lagrangian import LagrangianModel, derivative_bundle, make_model
 from nhfields.projector import build_projectors, solve_zeta
 
-from helpers import nonlinear_wave_spec, random_det_one_spatial, traced_peak
+from helpers import nonlinear_wave_spec, random_det_one_spatial, random_variation, traced_peak
 
 
 WAVE = make_model("wave")
@@ -105,7 +105,7 @@ _Y = np.zeros((4, 1))
     (lambda: CauchyState(0.0, np.zeros((4, 2)), "pde", ydot=np.zeros((4, 2)),
                          y_offset="identity"), InvalidArgumentError, "needs m == n"),
     (lambda: grid_derivative(_Y, 1, "cheb"), InvalidArgumentError, "derivative method"),
-    (lambda: tilde_eta_contract(initial_state(WAVE, None, 8, 1.0), StateVariation(
+    (lambda: tilde_eta_contract(initial_state(WAVE, None, 8, 1.0), TangentVector(
         np.zeros((4, 2)), _Y, np.zeros((4, 1, 2)))), DimensionMismatchError, "variation grid"),
     (lambda: project_onto_constraint(TRANSPORT, initial_state(WAVE, None, 8, 1.0)),
      InvalidArgumentError, "applies to fulljet states"),
@@ -126,24 +126,26 @@ def test_eta_contract_values():
     u = np.arange(Nu) / Nu
     gamma = sode_vector_field(make_model("wave"), None, state)
     assert tilde_eta_contract(state, gamma) == 1.0
-    W = StateVariation(
+    W = TangentVector(
         np.stack([np.sin(2 * np.pi * u), np.zeros(Nu)], axis=-1),
         np.zeros((Nu, 1)),
         np.zeros((Nu, 1, 2)),
     )
     assert abs(tilde_eta_contract(state, W)) < 1e-12
-    vertical = StateVariation(
+    vertical = TangentVector(
         np.zeros((Nu, 2)), np.zeros((Nu, 1)), np.ones((Nu, 1, 2))
     )
     assert tilde_eta_contract(state, vertical) == 0.0
+    shared = TangentVector(np.eye(2)[0], np.zeros(1), np.zeros((Nu, 1, 2)))  # broadcast dx, dy
+    assert tilde_eta_contract(state, shared) == 1.0
 
 
 def test_omega_tilde_antisymmetry():
     model = make_model("wave")
     state = initial_state(WAVE, None, 32, 1.0)
     rng = np.random.default_rng(0)
-    W1 = StateVariation.random(state, rng)
-    W2 = StateVariation.random(state, rng)
+    W1 = random_variation(state, rng)
+    W2 = random_variation(state, rng)
     a = tilde_omega_contract(model, state, W1, W2)
     b = tilde_omega_contract(model, state, W2, W1)
     assert a == pytest.approx(-b, abs=1e-12)
@@ -173,7 +175,7 @@ def test_free_field_contraction_vanishes():
     model = make_model("wave")
     state = initial_state(WAVE, None, 64, 1.0)
     rng = np.random.default_rng(1)
-    variations = [StateVariation.random(state, rng) for _ in range(20)]
+    variations = [random_variation(state, rng) for _ in range(20)]
     vals = free_sode_omega_values(model, state, variations)
     assert np.abs(vals).max() < 1e-8
 
@@ -270,7 +272,7 @@ def test_projected_difference_fits_constraint_ansatz():
     # overdetermined fit: more variations than grid points x constraints
     state = initial_state(model, spec, 16, 0.1)
     rng = np.random.default_rng(2)
-    variations = [StateVariation.random(state, rng) for _ in range(40)]
+    variations = [random_variation(state, rng) for _ in range(40)]
     fit = constraint_ansatz_fit(model, spec, state, variations)
     assert np.abs(fit["values"]).max() > 1e-3  # the difference is nontrivial
     assert fit["residual"] < 1e-9
@@ -284,15 +286,15 @@ def test_constraint_ansatz_negative_control():
     model, spec = WAVE, TRANSPORT
     state = initial_state(model, spec, 16, 0.1)
     rng = np.random.default_rng(3)
-    variations = [StateVariation.random(state, rng) for _ in range(40)]
+    variations = [random_variation(state, rng) for _ in range(40)]
     geom = _slice_geometry(model, state, "spectral")
     T = _tangent_rows(geom)
     gamma = sode_vector_field(model, None, state)
     # corrupt the dy block: breaks the second-order structure
-    wrong = StateVariation(gamma.dx, gamma.dy + 0.35, gamma.dv)
+    wrong = TangentVector(gamma.dx, gamma.dy + 0.35, gamma.dv)
     lhs = np.array(
-        [_omega_tilde(geom, T, wrong.dense(), W.dense())
-         - _omega_tilde(geom, T, gamma.dense(), W.dense())
+        [_omega_tilde(geom, T, wrong.components, W.components)
+         - _omega_tilde(geom, T, gamma.components, W.components)
          for W in variations]
     )
     from nhfields.constraint import coefficient_arrays, phi_eval_batch
@@ -302,7 +304,7 @@ def test_constraint_ansatz_negative_control():
     cols = []
     B = 16
     for W in variations:
-        vecs = np.concatenate([W.dense()[..., None, :], T], axis=-2)
+        vecs = np.concatenate([W.components[..., None, :], T], axis=-2)
         cols.append(phi_eval_batch(C, geom.v, vecs).reshape(B) / B)
     M = np.asarray(cols)
     coeff, *_ = np.linalg.lstsq(M, lhs, rcond=None)
@@ -313,7 +315,7 @@ def test_projected_contraction_vanishes_on_restricted_class():
     model, spec = WAVE, TRANSPORT
     state = initial_state(model, spec, 64, 0.1)
     rng = np.random.default_rng(4)
-    variations = [StateVariation.random(state, rng) for _ in range(20)]
+    variations = [random_variation(state, rng) for _ in range(20)]
     vals = constrained_membership_check(model, spec, state, variations)
     assert np.abs(vals).max() < 1e-7
 
@@ -333,11 +335,11 @@ def test_restriction_to_annihilator_class_is_necessary():
     pinv = np.linalg.pinv(dphi)
     vals = []
     for _ in range(10):
-        W = StateVariation.random(state, rng)
-        dense = W.dense()
+        W = random_variation(state, rng)
+        dense = W.components
         corr = np.einsum("...nr,...r->...n", pinv,
                          np.einsum("...rn,...n->...r", dphi, dense))
-        vals.append(_omega_tilde(geom, T, pgamma.dense(), dense - corr))
+        vals.append(_omega_tilde(geom, T, pgamma.components, dense - corr))
     assert np.abs(vals).max() > 1e-4
 
 
@@ -382,7 +384,8 @@ _TABLEAUS = {
 
 def reference_evolve(model, spec, state, dt, steps, integrator, stabilize=False,
                      drift_tol=1e-6):
-    """Explicit Runge-Kutta that evaluates the field afresh at every stage."""
+    """Explicit Runge-Kutta that evaluates the field afresh at every stage;
+    only the kept states are held to ``drift_tol``."""
     weights, nodes = _TABLEAUS[integrator]
     for _ in range(steps):
         y0, t0 = cauchy._pack(state), state.t
@@ -390,7 +393,8 @@ def reference_evolve(model, spec, state, dt, steps, integrator, stabilize=False,
         for c in nodes:
             stage = state if c == 0.0 else cauchy._unpack(state, y0 + dt * c * ks[-1],
                                                           t0 + c * dt)
-            var = sode_vector_field(model, spec, stage, drift_tol=drift_tol)
+            var = sode_vector_field(model, spec, stage,
+                                    drift_tol=drift_tol if c == 0.0 else np.inf)
             ks.append(cauchy._rhs(stage, var))
         state = cauchy._unpack(state, y0 + dt * sum(w * k for w, k in zip(weights, ks)),
                                t0 + dt)
@@ -681,7 +685,7 @@ _CHECKS = {
 def test_each_check_evaluates_its_slice_once(monkeypatch, scenario, check):
     model, spec, state = scenario()
     rng = np.random.default_rng(6)
-    variations = [StateVariation.random(state, rng) for _ in range(20)]
+    variations = [random_variation(state, rng) for _ in range(20)]
     counts = dict.fromkeys(["bundle", "differentials", "grid", "omega", "phi"], 0)
     _spy(monkeypatch, counts, cauchy, "derivative_bundle_arrays", "bundle")
     _spy(monkeypatch, counts, ConstraintSpec, "evaluate", "differentials")
@@ -710,7 +714,7 @@ def test_stacked_checks_match_a_loop_over_variations(scenario):
         model = make_model("fluid", {"kappa": 1.0, "beta": 1.0})
         spec, state = make_constraint("incompressibility"), fluid_fulljet_state()
     rng = np.random.default_rng(7)
-    variations = [StateVariation.random(state, rng) for _ in range(5)]
+    variations = [random_variation(state, rng) for _ in range(5)]
     gamma = sode_vector_field(model, None, state)
     pgamma = sode_vector_field(model, spec, state)
     want = np.array([tilde_omega_contract(model, state, pgamma, W)

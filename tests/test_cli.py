@@ -337,6 +337,17 @@ def test_initial_data_beyond_the_float_range_exits_1(tmp_path, capsys):
     assert "non-finite constraint values" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_evolve_that_blows_up_exits_1_and_writes_no_file(tmp_path, capsys):
+    # dt = 1 is far past the step a 32-point free wave is stable at
+    path = write_config(tmp_path, task="evolve", constraint=None, grid={"nu": 32}, dt=1.0,
+                        steps=200)
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "evolve FAILED: integration blew up at step 26")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("overrides, failure", [
     ({"points": 1}, "verify FAILED: RegularityError at point 0"),
     ({"task": "evolve", "grid": {"nu": 4}, "steps": 1}, "error: RegularityError"),
@@ -727,6 +738,20 @@ def test_fluid_identities_task(tmp_path):
     assert 10.0 <= grids[2]["ratio_vs_previous"] <= 22.0
     for row in report["psi_divergence"]:
         assert row["residual"] < 1e-6
+
+
+@pytest.mark.parametrize("tolerance, failure", [
+    ("null_lagrangian", "null_lagrangian 16^4 residual 5.221e-05"),
+    ("psi_divergence", "psi_divergence shear"),
+])
+def test_a_failed_fluid_identity_exits_1_with_a_failing_report(tmp_path, capsys, tolerance,
+                                                               failure):
+    path = write_config(tmp_path, task="fluid-identities", model={"name": "fluid"},
+                        constraint=None, tolerances={tolerance: 1e-30})
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"fluid-identities FAILED: {failure}")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["summary"]["pass"] is False
 
 
 def test_float_formatting_17_digits():

@@ -28,7 +28,7 @@ from nhfields.exceptions import (
     NhfieldsError,
     OffConstraintError,
 )
-from nhfields.exterior import TangentVector
+from nhfields.exterior import TangentVector, split_blocks
 from nhfields.jet import Dims, JetPoint, seed_inputs
 from nhfields.lagrangian import make_model
 
@@ -407,8 +407,7 @@ def test_newton_steps_every_point_like_the_whole_batch(monkeypatch, tol, iters, 
 
 def _split_jet(z, dims):
     """Flat jet coordinates (..., N) as the arrays (x, y, v)."""
-    nx, m = dims.nx, dims.m
-    return z[..., :nx], z[..., nx : nx + m], z[..., nx + m :].reshape(z.shape[:-1] + (m, nx))
+    return split_blocks(z, dims.m, dims.nx)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

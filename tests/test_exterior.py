@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhfields.exceptions import DimensionMismatchError, InvalidArgumentError
-from nhfields.exterior import Form, TangentVector, eval_wedge_monomial
+from nhfields.exterior import Form, TangentVector, eval_wedge_monomial, join_blocks, split_blocks
 
 from helpers import random_vector, wedge_eval_oracle
 
@@ -127,3 +127,29 @@ def test_tangent_vector_layout_roundtrip():
     back = TangentVector.from_components(v.components, 2, 3)
     assert np.array_equal(back.dv, v.dv)
     assert v.components[3 + 3 + 1 * 3 + 2] == v.dv[1, 2]
+    # a batch: the stacked components of its points, bit for bit, whose
+    # blocks split_blocks returns as views; blocks broadcast over the batch
+    W = random_vector(rng, 2, 3, (4, 3))
+    points = [TangentVector(W.dx[idx], W.dy[idx], W.dv[idx]).components
+              for idx in np.ndindex(4, 3)]
+    assert W.components.tobytes() == np.stack(points).tobytes()
+    blocks = split_blocks(W.components, 3, 3)
+    assert all(np.shares_memory(block, W.components) for block in blocks)
+    assert [b.tobytes() for b in blocks] == [b.tobytes() for b in (W.dx, W.dy, W.dv)]
+    shared = TangentVector(W.dx[0, 0], W.dy, W.dv[0, 0]).components
+    assert shared.shape == (4, 3, N)
+    assert np.array_equal(shared[2, 1], join_blocks(W.dx[0, 0], W.dy[2, 1], W.dv[0, 0]))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: TangentVector(np.zeros(3), np.zeros(2), np.zeros((3, 3))), DimensionMismatchError,
+     "dv shape"),
+    (lambda: split_blocks(np.zeros((2, 14)), 3, 3), DimensionMismatchError, "do not match"),
+    (lambda: Form.from_terms([], dim=5), InvalidArgumentError, "at least one term"),
+    (lambda: Form.from_terms([(1.0, [0]), (1.0, [0, 1])], dim=5), DimensionMismatchError,
+     "share the degree"),
+    (lambda: Form.from_terms([(1.0, [5])], dim=5), DimensionMismatchError, "outside layout"),
+], ids=["blocks", "rows", "no-terms", "mixed-degree", "index"])
+def test_each_layout_and_form_guard_raises_its_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

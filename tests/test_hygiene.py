@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -210,3 +211,64 @@ def test_only_main_sets_the_allocator(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["code"] == 2 and out["import"] == []
     assert out["main"] == ([[-3, 32 * 2**20], [-1, 64 * 2**20]] if out["has_mallopt"] else [])
+
+
+# Imports tests/conftest.py and then the package from the directory given
+# as the first argument, and prints the examples a derandomized property draws.
+DRAW_EXAMPLES = """
+import json, sys
+sys.path[:0] = [sys.argv[2], sys.argv[1]]
+import conftest, nhfields
+from hypothesis import given, settings, strategies as st
+seen = []
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.floats(-10, 10))
+def prop(x):
+    seen.append(x)
+prop()
+print(json.dumps(seen))
+"""
+
+
+def test_a_literal_added_to_the_package_moves_no_drawn_example(tmp_path):
+    """Under the pin of ``conftest``, a property draws the same examples after
+    a numeric literal is appended to a loaded module of the package."""
+    drawn = []
+    for extra in ("", "\n_K = (0.8125,)\n"):
+        pkg = tmp_path / str(len(drawn)) / "nhfields"
+        shutil.copytree(SRC, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+        (pkg / "autodiff.py").write_text((pkg / "autodiff.py").read_text() + extra)
+        proc = subprocess.run([sys.executable, "-c", DRAW_EXAMPLES, str(pkg.parent),
+                               str(Path(__file__).parent)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        drawn.append(json.loads(proc.stdout))
+    assert drawn[0] == drawn[1] and len(drawn[0]) == 100
+
+
+def _sums(node: ast.AST) -> set:
+    """The names, attributes and constants a sum adds, through its + chain."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _sums(node.left) | _sums(node.right)
+    return {getattr(node, "id", getattr(node, "attr", getattr(node, "value", None)))}
+
+
+# the definitions outside exterior that write the tangent layout's block
+# offsets, each with its reason
+LAYOUT_OFFSETS = {
+    "jet.Dims": "the tangent dimension N and the flat jet index that seeds each v input",
+    "lagrangian._scatter_plan": "the bundle blocks' ranges among a model result's directions",
+}
+
+
+def test_only_exterior_writes_the_tangent_layout_offsets():
+    """``exterior.join_blocks`` and ``split_blocks`` own the block offsets of
+    the tangent layout: a module-level definition elsewhere that adds the
+    fiber rank m to the x-block's end, nx + m or n + 1 + m, is listed in
+    ``LAYOUT_OFFSETS``."""
+    sites = {f"{path.stem}.{top.name}" for path in SRC.glob("*.py")
+             for top in ast.parse(path.read_text()).body if hasattr(top, "name")
+             for node in ast.walk(top) if isinstance(node, ast.BinOp)
+             for terms in [_sums(node)] if "m" in terms and ("nx" in terms or {"n", 1} <= terms)}
+    assert {"exterior.join_blocks", "exterior.split_blocks"} <= sites
+    assert {s for s in sites if not s.startswith("exterior.")} == set(LAYOUT_OFFSETS)

@@ -100,6 +100,18 @@ def test_contact_on_vertical_and_horizontal_vectors():
         assert np.allclose(contact_eval(p, h), 0.0)
 
 
+def test_a_batched_horizontal_lift_has_the_bits_of_each_point():
+    rng = np.random.default_rng(4)
+    Gamma, Gamma2 = rng.uniform(-1, 1, (3, 2, 2, 3)), rng.uniform(-1, 1, (3, 2, 2, 3, 3))
+    for mu in range(3):
+        lifts = ConnectionCoeffs(Gamma, Gamma2).horizontal_lift(mu).components
+        points = [ConnectionCoeffs(Gamma[idx], Gamma2[idx]).horizontal_lift(mu).components
+                  for idx in np.ndindex(3, 2)]
+        assert lifts.tobytes() == np.stack(points).tobytes()
+        assert np.array_equal(lifts[2, 1], np.concatenate(
+            [np.eye(3)[mu], Gamma[2, 1, :, mu], Gamma2[2, 1, :, mu].ravel()]))
+
+
 def test_contact_matches_direct_formula():
     rng = np.random.default_rng(3)
     for _ in range(20):
