@@ -105,6 +105,8 @@ class CauchyState:
     y_offset "identity" marks states whose stored y is a displacement from
     the identity map u -> u (used by the continuum scenarios, where the
     actual deformation is not a periodic function); it requires m == n.
+    derivative, one of ``DERIVATIVES``, is the state's grid derivative: of y
+    for D_i y, and of the jet for the field's pinned spatial block.
     """
 
     t: float
@@ -114,6 +116,7 @@ class CauchyState:
     v0: np.ndarray | None = None
     vi: np.ndarray | None = None
     y_offset: str = "none"
+    derivative: str = "spectral"
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -140,6 +143,8 @@ class CauchyState:
             raise InvalidArgumentError(f"unknown y_offset {self.y_offset!r}")
         if self.y_offset == "identity" and self.m != self.n:
             raise InvalidArgumentError("identity offset needs m == n")
+        if self.derivative not in DERIVATIVES:
+            raise InvalidArgumentError(f"unknown derivative {self.derivative!r}")
 
     @property
     def grid_shape(self) -> tuple:
@@ -156,12 +161,12 @@ class CauchyState:
     def velocity(self) -> np.ndarray:
         return self.ydot if self.mode == "pde" else self.v0
 
-    def spatial_jet(self, method: str = "spectral") -> np.ndarray:
+    def spatial_jet(self) -> np.ndarray:
         """vi as (grid..., m, n): stored in fulljet mode, the section
         derivatives D_i y in pde mode."""
-        return self.vi if self.mode == "fulljet" else _section_derivatives(self, method)
+        return self.vi if self.mode == "fulljet" else _section_derivatives(self)
 
-    def jet_arrays(self, method: str = "spectral"):
+    def jet_arrays(self):
         """Batched jet coordinates (x, y, v) with the grid as batch shape."""
         G = self.grid_shape
         coords = grid_coordinates(G)
@@ -172,16 +177,14 @@ class CauchyState:
         y = self.y
         if self.y_offset == "identity":
             y = y + np.stack(coords, axis=-1)
-        v = np.concatenate(
-            [self.velocity()[..., None], self.spatial_jet(method)], axis=-1
-        )
+        v = np.concatenate([self.velocity()[..., None], self.spatial_jet()], axis=-1)
         return x, y, v
 
 
-def _section_derivatives(state: CauchyState, method: str) -> np.ndarray:
+def _section_derivatives(state: CauchyState) -> np.ndarray:
     """D_i y of the actual section as (grid..., m, n): the grid derivatives
     of the stored y, plus the identity under an identity offset."""
-    d = grid_derivative(state.y, state.n, method)
+    d = grid_derivative(state.y, state.n, state.derivative)
     return d + np.eye(state.n) if state.y_offset == "identity" else d
 
 
@@ -198,11 +201,10 @@ def tilde_eta_contract(state: CauchyState, W: TangentVector) -> float:
 
 
 def tilde_omega_contract(model: LagrangianModel, state: CauchyState,
-                         W: TangentVector, Wp: TangentVector,
-                         method: str = "spectral") -> float:
+                         W: TangentVector, Wp: TangentVector) -> float:
     """Omega-tilde_L(W, W') = integral of Omega_L(W', W, T_1..T_n) over the
     grid, with T_i the embedding tangents."""
-    geom = _slice_geometry(model, state, method)
+    geom = _slice_geometry(model, state)
     return float(_omega_tilde(geom, _tangent_rows(geom), W.components, Wp.components))
 
 
@@ -217,7 +219,6 @@ class _SliceGeometry:
     checked max|phi| over the slice (0 without a constraint)."""
 
     state: CauchyState
-    method: str
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
@@ -237,18 +238,16 @@ class _SliceGeometry:
                              self.Gt if Gt is None else Gt)
 
 
-def _slice_geometry(model: LagrangianModel, state: CauchyState,
-                    method: str) -> _SliceGeometry:
-    x, y, v = state.jet_arrays(method)
+def _slice_geometry(model: LagrangianModel, state: CauchyState) -> _SliceGeometry:
+    x, y, v = state.jet_arrays()
     bundle = derivative_bundle_arrays(model, x, y, v)
     raise_first(bundle_errors(model, bundle))
-    dv = np.swapaxes(grid_derivative(v, state.n, method), -1, -2)
-    return _SliceGeometry(state, method, x, y, v, dv, bundle)
+    dv = np.swapaxes(grid_derivative(v, state.n, state.derivative), -1, -2)
+    return _SliceGeometry(state, x, y, v, dv, bundle)
 
 
 def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
-                      state: CauchyState, method: str = "spectral",
-                      drift_tol: float = 1e-6) -> TangentVector:
+                      state: CauchyState, drift_tol: float = 1e-6) -> TangentVector:
     """The (projected) second-order vector field evaluated on the state.
 
     On the whole grid at once: solve the free De Donder-Weyl temporal block
@@ -257,18 +256,17 @@ def sode_vector_field(model: LagrangianModel, spec: ConstraintSpec | None,
     nonholonomic projector.  The returned variation has dx = (1, 0, ...) and
     dy equal to the state's v0 block, which is the second-order condition.
     """
-    return _evaluate(model, spec, state, method, drift_tol).field()
+    return _evaluate(model, spec, state, drift_tol).field()
 
 
 def _evaluate(model: LagrangianModel, spec: ConstraintSpec | None,
-              state: CauchyState, method: str,
-              drift_tol: float = 1e-6) -> _SliceGeometry:
+              state: CauchyState, drift_tol: float = 1e-6) -> _SliceGeometry:
     """The one place the field is assembled: the slice geometry, the free
     temporal block of the De Donder-Weyl solve and, with a constraint, after
     checking that the slice is on the constraint set, that block projected
     through the nonholonomic projector (the time-horizontal lift H_0 has
     Gamma^b_0 = v^b_0), from one constraint pass."""
-    geom = _slice_geometry(model, state, method)
+    geom = _slice_geometry(model, state)
     x, y, v = geom.x, geom.y, geom.v
     block, _, errors = solve_ddw(geom.bundle, v, geom.dv)
     raise_first(errors)
@@ -301,10 +299,7 @@ def _tangent_rows(geom: _SliceGeometry) -> np.ndarray:
     connection.  In pde mode the jet's spatial block already is D_i y.
     """
     state = geom.state
-    if state.mode == "pde":
-        dy = geom.v[..., 1:]
-    else:
-        dy = _section_derivatives(state, geom.method)
+    dy = geom.v[..., 1:] if state.mode == "pde" else _section_derivatives(state)
     return join_blocks(np.eye(state.n, state.n + 1, 1), np.swapaxes(dy, -1, -2),
                        np.moveaxis(geom.dv, -2, -3))
 
@@ -333,20 +328,19 @@ def _stacked(variations) -> np.ndarray:
 
 
 def free_sode_omega_values(model: LagrangianModel, state: CauchyState,
-                           variations, method: str = "spectral") -> np.ndarray:
+                           variations) -> np.ndarray:
     """i_Gamma Omega-tilde_L on a list of variations for the free field.
 
     Vanishes (to quadrature/solver accuracy) when Gamma comes from a
     connection solving the free De Donder-Weyl equation along the slice.
     """
-    geom = _evaluate(model, None, state, method)
+    geom = _evaluate(model, None, state)
     return _omega_tilde(geom, _tangent_rows(geom), geom.field().components,
                         _stacked(variations))
 
 
 def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
-                          state: CauchyState, variations,
-                          method: str = "spectral") -> dict:
+                          state: CauchyState, variations) -> dict:
     """Fit i_{P Gamma} Omega-tilde - i_Gamma Omega-tilde by a grid-sampled
     section of the induced constraint codistribution.
 
@@ -354,7 +348,7 @@ def constraint_ansatz_fit(model: LagrangianModel, spec: ConstraintSpec,
     alpha-tilde(W) = mean_j c_alpha(u_j) Phi_alpha(W(u_j), T_1..T_n(u_j));
     returns the least-squares coefficients and the worst-case fit residual.
     """
-    geom = _evaluate(model, spec, state, method)
+    geom = _evaluate(model, spec, state)
     T = _tangent_rows(geom)
     Ws = _stacked(variations)
     # Omega-tilde is linear in the field, and P Gamma - Gamma is jet-vertical
@@ -385,8 +379,7 @@ def ftilde_annihilator_rows(coeffs: np.ndarray, v: np.ndarray,
 
 
 def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
-                                 state: CauchyState, variations,
-                                 method: str = "spectral") -> np.ndarray:
+                                 state: CauchyState, variations) -> np.ndarray:
     """i_{P Gamma} Omega-tilde_L on variations tangent to the constrained
     state space that also annihilate the induced codistribution.
 
@@ -395,7 +388,7 @@ def constrained_membership_check(model: LagrangianModel, spec: ConstraintSpec,
     Phi_alpha(. , T_1..T_n); on that class the constrained equation forces
     the contraction to vanish.
     """
-    geom = _evaluate(model, spec, state, method)
+    geom = _evaluate(model, spec, state)
     T = _tangent_rows(geom)
     rows = np.concatenate([geom.dphi, ftilde_annihilator_rows(geom.C, geom.v, T)], axis=-2)
     Ws = _stacked(variations)
@@ -447,33 +440,32 @@ def _rhs(state: CauchyState, var: TangentVector) -> np.ndarray:
     )
 
 
-def holonomy_defect(state: CauchyState, method: str = "spectral") -> float:
+def holonomy_defect(state: CauchyState) -> float:
     """max |vi - D_i y| in fulljet mode (0 by construction in pde mode)."""
     if state.mode == "pde":
         return 0.0
-    return float(np.max(np.abs(state.vi - _section_derivatives(state, method)),
-                        initial=0.0))
+    return float(np.max(np.abs(state.vi - _section_derivatives(state)), initial=0.0))
 
 
-def project_onto_constraint(spec: ConstraintSpec, state: CauchyState,
-                            method: str = "spectral") -> CauchyState:
+def project_onto_constraint(spec: ConstraintSpec, state: CauchyState) -> CauchyState:
     """Two Newton steps re-projecting the jet block onto phi = 0 (stabilization)."""
     if state.mode != "fulljet":
         raise InvalidArgumentError("stabilization applies to fulljet states")
-    x, y, v = state.jet_arrays(method)
+    x, y, v = state.jet_arrays()
     v, _ = newton_onto_constraint(spec, x, y, v, slice(None), 0.0, 2)
     return replace(state, v0=v[..., 0], vi=v[..., 1:])
 
 
 def initial_state(model: LagrangianModel, spec: ConstraintSpec | None, N: int,
                   amplitude: float, mode: int = 1, velocity: float = 0.0,
-                  method: str = "spectral") -> CauchyState:
-    """The built-in initial state on N points per axis.  The fluid (``mode``
-    is not read): the shear amplitude sin(2 pi u2) along u1 from the identity,
-    with its exact spatial jet (J = 1), and v0 = velocity sin(2 pi u3) along
-    u1.  An n = 1 model: y = amplitude sin(2 pi mode u), free in ``pde`` mode
-    with ydot = velocity, constrained in ``fulljet`` mode with vi = D_u y and
-    v0 projected onto phi = 0 by Newton from velocity, jointly to 1e-13."""
+                  derivative: str = "spectral") -> CauchyState:
+    """The built-in initial state on N points per axis, which carries the
+    grid derivative ``derivative``.  The fluid (``mode`` is not read): the
+    shear amplitude sin(2 pi u2) along u1 from the identity, with its exact
+    spatial jet (J = 1), and v0 = velocity sin(2 pi u3) along u1.  An n = 1
+    model: y = amplitude sin(2 pi mode u), free in ``pde`` mode with
+    ydot = velocity, constrained in ``fulljet`` mode with vi = D_u y and v0
+    projected onto phi = 0 by Newton from velocity, jointly to 1e-13."""
     if model.name == "fluid":
         _, u2, u3 = grid_coordinates((N,) * 3)
         y = np.zeros((N, N, N, 3))
@@ -482,14 +474,16 @@ def initial_state(model: LagrangianModel, spec: ConstraintSpec | None, N: int,
         vi[..., 0, 1] += amplitude * 2 * np.pi * np.cos(2 * np.pi * u2)
         v0 = np.zeros((N, N, N, 3))
         v0[..., 0] = velocity * np.sin(2 * np.pi * u3)
-        return CauchyState(0.0, y, "fulljet", v0=v0, vi=vi, y_offset="identity")
+        return CauchyState(0.0, y, "fulljet", v0=v0, vi=vi, y_offset="identity",
+                           derivative=derivative)
     u = grid_coordinates((N,))[0]
     y = amplitude * np.sin(2 * np.pi * (mode % N) * u)[:, None] * np.ones(model.dims.m)
     ydot = velocity * np.ones((N, model.dims.m))
     if spec is None:
-        return CauchyState(0.0, y, "pde", ydot=ydot)
-    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=grid_derivative(y, 1, method))
-    xj, yj, vj = state.jet_arrays(method)
+        return CauchyState(0.0, y, "pde", ydot=ydot, derivative=derivative)
+    state = CauchyState(0.0, y, "fulljet", v0=ydot, vi=grid_derivative(y, 1, derivative),
+                        derivative=derivative)
+    xj, yj, vj = state.jet_arrays()
     vj, _ = newton_onto_constraint(spec, xj, yj, vj, slice(0, 1), 1e-13, 50, jointly=True)
     return replace(state, v0=vj[..., 0])
 
@@ -514,8 +508,8 @@ class EvolutionResult:
 
 def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
            state0: CauchyState, dt: float, steps: int,
-           integrator: str = "rk4", method: str = "spectral",
-           drift_tol: float = 1e-6, stabilize: bool = False) -> EvolutionResult:
+           integrator: str = "rk4", drift_tol: float = 1e-6,
+           stabilize: bool = False) -> EvolutionResult:
     """Explicit time stepping of the (projected) second-order field.
 
     Diagnostics recorded per stored step: time, max |phi_alpha|, holonomy
@@ -536,11 +530,11 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
     diags = {"t": [], "max_phi": [], "holonomy": [], "eta": [], "energy": []}
 
     def record(s: CauchyState) -> TangentVector:
-        geom = _evaluate(model, spec, s, method, drift_tol)
+        geom = _evaluate(model, spec, s, drift_tol)
         var, v0, b = geom.field(), geom.v[..., :, 0], geom.bundle
         diags["t"].append(s.t)
         diags["max_phi"].append(geom.max_phi)
-        diags["holonomy"].append(holonomy_defect(s, method))
+        diags["holonomy"].append(holonomy_defect(s))
         diags["eta"].append(tilde_eta_contract(s, var))
         diags["energy"].append(float(np.mean(
             np.einsum("...a,...a->...", v0, b.dLdv[..., :, 0]) - b.L)))
@@ -558,7 +552,7 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
                     ystage = y0 + dt * c * ks[-1]
                 stage_state = _unpack(state, ystage, t0 + c * dt)
                 # a stage state is not kept, so only kept states meet drift_tol
-                stage = sode_vector_field(model, spec, stage_state, method, np.inf)
+                stage = sode_vector_field(model, spec, stage_state, np.inf)
                 ks.append(_rhs(stage_state, stage))
             with np.errstate(over="ignore", invalid="ignore"):
                 ynew = y0 + dt * sum(w * k for w, k in zip(weights, ks))
@@ -566,7 +560,7 @@ def evolve(model: LagrangianModel, spec: ConstraintSpec | None,
                 raise IntegrationError(f"non-finite state after step {step + 1}")
             state = _unpack(state, ynew, t0 + dt)
             if stabilize and spec is not None:
-                state = project_onto_constraint(spec, state, method)
+                state = project_onto_constraint(spec, state)
             states.append(state)
             var = record(state)
         except EvaluationError as exc:

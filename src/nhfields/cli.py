@@ -401,8 +401,8 @@ def run_evolve(cfg: dict, model, spec, state0: CauchyState, out_dir: Path) -> in
     try:
         result = evolve(
             model, spec, state0, cfg["dt"], cfg["steps"],
-            integrator=cfg["integrator"], method=cfg["derivative"],
-            drift_tol=cfg["drift_tol"], stabilize=cfg["stabilize"],
+            integrator=cfg["integrator"], drift_tol=cfg["drift_tol"],
+            stabilize=cfg["stabilize"],
         )
     except (DriftError, IntegrationError) as exc:
         print(f"evolve FAILED: {exc}", file=sys.stderr)

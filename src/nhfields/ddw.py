@@ -24,8 +24,9 @@ import numpy as np
 from .constraint import ConstraintPoint, ConstraintSpec, coefficient_arrays, phi_from_pairings
 from .exceptions import (DdwSolveError, DimensionMismatchError, InvalidArgumentError, errors_at,
                          raise_first)
-from .exterior import split_blocks, vector_rows
-from .jet import ConnectionCoeffs, Dims, Jet2Point, deletion_minors, dx_minors, solve_points
+from .exterior import split_blocks
+from .jet import (ConnectionCoeffs, Jet2Point, deletion_minors, dx_minors, horizontal_lifts,
+                  lift_pairings, solve_points)
 from .lagrangian import (
     DerivativeBundle,
     LagrangianModel,
@@ -48,17 +49,6 @@ class DdwSolution:
 
     coeffs: ConnectionCoeffs
     multipliers: np.ndarray
-
-
-def _connection_matrix(coeffs: ConnectionCoeffs) -> np.ndarray:
-    """The horizontal projector as (..., N, N) matrices: columns over x map
-    to the horizontal lifts, all other columns vanish."""
-    m, nx = coeffs.Gamma.shape[-2:]
-    N = Dims(nx - 1, m).N
-    h = np.zeros(coeffs.Gamma.shape[:-2] + (N, N))
-    h[..., :nx] = np.swapaxes(
-        vector_rows([coeffs.horizontal_lift(mu) for mu in range(nx)], N), -1, -2)
-    return h
 
 
 def free_ddw_rhs(bundle: DerivativeBundle, v: np.ndarray) -> np.ndarray:
@@ -234,7 +224,7 @@ def nh_ddw_residual_batch(bundle: DerivativeBundle, v: np.ndarray, dphi: np.ndar
     batch = v.shape[:-2]
     tuples = vecs.shape[-3]
     _check_tuples(tuples, k, nx)
-    hmat = _connection_matrix(sol.coeffs)
+    conn = sol.coeffs
     # i_h Omega_L - n Omega_L from n+3 copies of each tuple: copy i has
     # h(w_i) in slot i, the last copy is the tuple unchanged.  h keeps the
     # dx rows, so the copies share the dx minors of the tuple, and each
@@ -243,7 +233,9 @@ def nh_ddw_residual_batch(bundle: DerivativeBundle, v: np.ndarray, dphi: np.ndar
     expansion = omega_expansion((minors_n, minors_nx))
     inner = bundle.broadcast(1), v[..., None, :, :]
     base = omega_pairings(*inner, vecs)
-    lifted = omega_pairings(*inner, vecs @ np.swapaxes(hmat, -1, -2)[..., None, :, :])
+    # h(w) = dx^mu(w) H_mu over the horizontal lifts H_mu
+    lifts = horizontal_lifts(conn.Gamma, conn.Gamma2)[..., None, :, :]
+    lifted = omega_pairings(*inner, vecs[..., :nx] @ lifts)
     # copy i, for i = 0..n+1, then the tuple itself
     vals = []
     for i in range(nx + 1):
@@ -283,9 +275,8 @@ def nh_ddw_residual_batch(bundle: DerivativeBundle, v: np.ndarray, dphi: np.ndar
             lam_gap[idx] = np.max(np.abs(M[idx] @ (lam[idx] - lam_fit[idx])), initial=0.0)
     out = {
         "form_residual": form_residual,
-        # dphi_alpha(H_mu) over the horizontal lifts, the x-columns of hmat
-        "tangency_residual": np.max(np.abs(dphi @ hmat[..., :nx]), axis=(-2, -1),
-                                    initial=0.0),
+        "tangency_residual": np.max(np.abs(lift_pairings(dphi, conn.Gamma, conn.Gamma2)),
+                                    axis=(-2, -1), initial=0.0),
         "lam_fit": lam_fit.reshape(batch + (k, nx)),
     }
     if gap:

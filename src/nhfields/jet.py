@@ -154,11 +154,23 @@ class ConnectionCoeffs:
         object.__setattr__(self, "Gamma", G)
         object.__setattr__(self, "Gamma2", G2)
 
-    def horizontal_lift(self, mu: int) -> TangentVector:
-        """H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu, at
-        one point or over the batch axes."""
-        nx = self.Gamma.shape[-1]
-        return TangentVector(np.eye(nx)[mu], self.Gamma[..., mu], self.Gamma2[..., mu, :])
+
+def horizontal_lifts(Gamma: np.ndarray, Gamma2: np.ndarray) -> np.ndarray:
+    """The lifts H_mu = d/dx^mu + Gamma^a_mu d/dy^a + Gamma^a_{mu nu} d/dv^a_nu,
+    mu < L, as dense rows (..., L, N) from Gamma (..., m, L) and Gamma2
+    (..., m, L, n+1), whose batch axes broadcast."""
+    L, nx = Gamma2.shape[-2:]
+    return join_blocks(np.eye(L, nx), np.swapaxes(Gamma, -1, -2), np.moveaxis(Gamma2, -2, -3))
+
+
+def lift_pairings(dphi: np.ndarray, Gamma: np.ndarray, Gamma2: np.ndarray) -> np.ndarray:
+    """dphi_alpha(H_mu) (..., k, L) of the covectors dphi (..., k, N) on the
+    horizontal lifts of Gamma (..., m, L) and Gamma2 (..., m, L, n+1), by
+    blocks, with no dense lift built."""
+    m, L, nx = Gamma2.shape[-3:]
+    dphix, dphiy, dphidv = split_blocks(dphi, m, nx)
+    return (dphix[..., :L] + np.einsum("...kb,...bu->...ku", dphiy, Gamma)
+            + np.einsum("...kbn,...bun->...ku", dphidv, Gamma2))
 
 
 def connection_errors(Gamma: np.ndarray, Gamma2: np.ndarray) -> dict:
@@ -302,10 +314,9 @@ def semiholonomic_residuals(Gamma: np.ndarray, v: np.ndarray):
     residuals and the InternalConsistencyError of each point where the two
     disagree, keyed by point index.
     """
-    nx = v.shape[-1]
     direct = np.max(np.abs(Gamma - v), axis=(-2, -1), initial=0.0)
-    # the lifts H_mu with their v-blocks, which theta^a does not read, zero
-    lifts = join_blocks(np.eye(nx), np.swapaxes(Gamma, -1, -2), np.zeros(v.shape[-2:]))
+    # the lifts H_mu with a broadcast zero v-block, which theta^a does not read
+    lifts = horizontal_lifts(Gamma, np.broadcast_to(0.0, Gamma.shape + Gamma.shape[-1:]))
     via_contact = np.max(np.abs(contact_pairings(v, lifts)[0]), axis=(-2, -1), initial=0.0)
     bad = np.abs(direct - via_contact) > 1e-12 * (1.0 + direct)
     return direct, errors_at(bad, lambda idx: InternalConsistencyError(

@@ -24,8 +24,8 @@ from .exceptions import (
     errors_at,
     raise_first,
 )
-from .exterior import join_blocks, split_blocks
-from .jet import JetPoint, finite_points, solve_points
+from .exterior import join_blocks
+from .jet import JetPoint, finite_points, lift_pairings, solve_points
 from .lagrangian import DerivativeBundle, hessian_flat, omega_eval_batch
 
 
@@ -174,14 +174,7 @@ def project_lifts(Gamma: np.ndarray, Gamma2: np.ndarray, dphi: np.ndarray,
     Q(H_mu) = lam^alpha_mu zeta_alpha; the zeta are jet-vertical, so only
     Gamma2 changes.  Returns (Gamma2 - lam zeta, lam (..., k, L)).
     """
-    m, L, nx = Gamma2.shape[-3:]
-    dphix, dphiy, dphidv = split_blocks(dphi, m, nx)
-    dphiH = (
-        dphix[..., :L]
-        + np.einsum("...kb,...bu->...ku", dphiy, Gamma)
-        + np.einsum("...kbn,...bun->...ku", dphidv, Gamma2)
-    )
-    lam = np.einsum("...kl,...lu->...ku", Lam, dphiH)
+    lam = np.einsum("...kl,...lu->...ku", Lam, lift_pairings(dphi, Gamma, Gamma2))
     return Gamma2 - np.einsum("...ku,...kan->...aun", lam, zeta), lam
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nhfields import autodiff as ad
 from nhfields.constraint import ConstraintSpec, constraint_forms, make_constraint
 from nhfields.exterior import Form, TangentVector
-from nhfields.jet import Dims, JetPoint
+from nhfields.jet import Dims, JetPoint, horizontal_lifts
 from nhfields.lagrangian import DerivativeBundle, LagrangianModel, make_model, omega_form
 
 
@@ -392,7 +392,7 @@ def form_check_oracle(bundle, cp, sol, rng, tuples) -> dict:
     m, nx = p.v.shape
     N = nx + m + m * nx
     vecs = rng.uniform(-1.0, 1.0, size=(tuples, nx + 1, N))
-    lifts = np.array([sol.coeffs.horizontal_lift(mu).components for mu in range(nx)])
+    lifts = horizontal_lifts(sol.coeffs.Gamma, sol.coeffs.Gamma2)
     omega = omega_form(bundle, p)
     b = -(nx - 1) * omega.eval_batch(vecs)
     for i in range(nx + 1):

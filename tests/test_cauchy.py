@@ -104,6 +104,8 @@ _Y = np.zeros((4, 1))
      "unknown y_offset"),
     (lambda: CauchyState(0.0, np.zeros((4, 2)), "pde", ydot=np.zeros((4, 2)),
                          y_offset="identity"), InvalidArgumentError, "needs m == n"),
+    (lambda: CauchyState(0.0, _Y, "pde", ydot=_Y, derivative="cheb"), InvalidArgumentError,
+     "unknown derivative 'cheb'"),
     (lambda: grid_derivative(_Y, 1, "cheb"), InvalidArgumentError, "derivative method"),
     (lambda: tilde_eta_contract(initial_state(WAVE, None, 8, 1.0), TangentVector(
         np.zeros((4, 2)), _Y, np.zeros((4, 1, 2)))), DimensionMismatchError, "variation grid"),
@@ -114,7 +116,7 @@ _Y = np.zeros((4, 1))
                     1.7e308, 1, integrator="euler"),
      IntegrationError, "^non-finite state after step 1$"),
 ], ids=["mode", "no-ydot", "ydot-shape", "no-vi", "vi-shape", "y-offset", "identity-m",
-        "method", "eta-grid", "stabilize-pde", "non-finite-step"])
+        "derivative", "method", "eta-grid", "stabilize-pde", "non-finite-step"])
 def test_each_guard_raises_its_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -236,18 +238,18 @@ def test_constrained_wave_linear_phi_preserved_exactly():
     assert res.diagnostics["holonomy"].max() > 1e-3  # holonomy does drift
 
 
-@pytest.mark.parametrize("method", ["spectral", "fd4"])
+@pytest.mark.parametrize("derivative", ["spectral", "fd4"])
 @pytest.mark.parametrize("N", [16, 64])
-def test_the_built_in_constrained_wave_is_its_closed_form_in_every_bit(N, method):
+def test_the_built_in_constrained_wave_is_its_closed_form_in_every_bit(N, derivative):
     """Newton from v0 = 0 lands the built-in constrained wave on the closed
     form of its v0: 2 D_u y under linear transport at speed 2, and
     2 D_u y + c (D_u y)^2 under criterion 9's constraint at c = 0.5."""
     u = np.arange(N) / N
     y = 0.1 * np.sin(2 * np.pi * u)[:, None]
-    v1 = grid_derivative(y, 1, method)[..., 0]
+    v1 = grid_derivative(y, 1, derivative)[..., 0]
     for spec, v0 in [(TRANSPORT, 2.0 * v1),
                      (nonlinear_wave_spec(0.5), 2.0 * v1 + 0.5 * v1 * v1)]:
-        state = initial_state(WAVE, spec, N, 0.1, method=method)
+        state = initial_state(WAVE, spec, N, 0.1, derivative=derivative)
         for got, want in [(state.y, y), (state.vi[..., 0], v1), (state.v0, v0)]:
             assert got.tobytes() == want.tobytes()
 
@@ -287,7 +289,7 @@ def test_constraint_ansatz_negative_control():
     state = initial_state(model, spec, 16, 0.1)
     rng = np.random.default_rng(3)
     variations = [random_variation(state, rng) for _ in range(40)]
-    geom = _slice_geometry(model, state, "spectral")
+    geom = _slice_geometry(model, state)
     T = _tangent_rows(geom)
     gamma = sode_vector_field(model, None, state)
     # corrupt the dy block: breaks the second-order structure
@@ -328,7 +330,7 @@ def test_restriction_to_annihilator_class_is_necessary():
     model, spec = WAVE, TRANSPORT
     state = initial_state(model, spec, 64, 0.1)
     rng = np.random.default_rng(5)
-    geom = _slice_geometry(model, state, "spectral")
+    geom = _slice_geometry(model, state)
     T = _tangent_rows(geom)
     pgamma = sode_vector_field(model, spec, state)
     dphi = spec.evaluate(geom.x, geom.y, geom.v)[1]
@@ -423,7 +425,7 @@ def test_a_fluid_field_evaluation_takes_no_pseudo_inverse(monkeypatch):
     state = initial_state(model, spec, 4, 0.01, velocity=0.005)
     counts = {"pinv": 0}
     _spy(monkeypatch, counts, np.linalg, "pinv", "pinv")
-    cauchy._evaluate(model, spec, state, "spectral")
+    cauchy._evaluate(model, spec, state)
     assert counts["pinv"] == 0
 
 
@@ -506,10 +508,27 @@ def test_stabilization_reprojects():
 
 def test_pde_mode_reconstructs_spatial_jet():
     state = initial_state(WAVE, None, 32, 1.0)
-    vi = state.spatial_jet("spectral")
+    vi = state.spatial_jet()
     u = np.arange(32) / 32
     want = 2 * np.pi * np.cos(2 * np.pi * u)
     assert np.abs(vi[:, 0, 0] - want).max() < 1e-11
+
+
+@pytest.mark.parametrize("derivative", ["spectral", "fd4"])
+def test_a_state_carries_its_grid_derivative_through_the_field_and_the_run(derivative):
+    """The spatial jet, the pinned block D_i v, the holonomy defect and every
+    kept state of a run, stabilized or not, take the state's own grid
+    derivative."""
+    state = initial_state(WAVE, None, 32, 1.0, derivative=derivative)
+    assert state.spatial_jet().tobytes() == grid_derivative(state.y, 1, derivative).tobytes()
+    geom = cauchy._slice_geometry(WAVE, state)
+    want = np.swapaxes(grid_derivative(geom.v, 1, derivative), -1, -2)
+    assert geom.dv.tobytes() == want.tobytes()
+    assert [s.derivative for s in evolve(WAVE, None, state, 1e-3, 2).states] == [derivative] * 3
+    held = initial_state(WAVE, TRANSPORT, 16, 0.1, derivative=derivative)
+    assert cauchy.holonomy_defect(held) == 0.0
+    run = evolve(WAVE, TRANSPORT, held, 1e-3, 1, stabilize=True)
+    assert [s.derivative for s in run.states] == [derivative] * 2
 
 
 def test_bad_integrator_name_rejected():
@@ -645,7 +664,7 @@ def test_tangent_rows_are_the_section_and_jet_derivatives():
     for model, state in cases:
         G, n, m = state.grid_shape, state.n, state.m
         nx = n + 1
-        T = _tangent_rows(_slice_geometry(model, state, "spectral"))
+        T = _tangent_rows(_slice_geometry(model, state))
         v = state.jet_arrays()[2]
         assert T.shape == G + (n, Dims(n, m).N)
         for i in range(n):
@@ -726,7 +745,7 @@ def test_stacked_checks_match_a_loop_over_variations(scenario):
         assert np.abs(want).max() > 1e-3
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
-    geom = _slice_geometry(model, state, "spectral")
+    geom = _slice_geometry(model, state)
     T = _tangent_rows(geom)
     C = coefficient_arrays(spec, spec.dphidv_arrays(geom.x, geom.y, geom.v))
     N = T.shape[-1]

@@ -92,6 +92,14 @@ def test_unknown_model_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_a_config_whose_root_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"task": "verify"}]))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -309,6 +317,8 @@ def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
     ({"model": {"name": "wave", "params": {"speed": 1.0}}}, "model.params"),
     ({"constraint": {"name": "linear-transport", "params": {"dims": 1}}},
      "constraint.params"),
+    ({"constraint": {"name": "incompressibility"}},
+     "constraint dims Dims(n=3, m=3, k=1) do not match model dims Dims(n=1, m=1, k=0)"),
 ])
 def test_scenario_error_exits_2_without_an_output_directory(tmp_path, capsys, overrides,
                                                              named):

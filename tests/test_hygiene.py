@@ -156,20 +156,35 @@ def test_every_config_key_is_read():
     assert sorted(keys - strings) == []
 
 
-def test_no_function_takes_an_errors_or_check_switch():
-    """A batched kernel returns the errors of its failing points and never
-    raises for one, so no function of the package takes a parameter that
-    chooses between the two, named ``errors`` or ``check``."""
-    switches = []
+def _function_parameters():
+    """(module path, definition, parameter names) of each function and
+    lambda of the package."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
-                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
-                         + [a.vararg, a.kwarg] if arg is not None]
-                switches += [f"{path.name}:{node.lineno} {name}" for name in names
-                             if name in ("errors", "check")]
+                yield path, node, [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                                   + [a.vararg, a.kwarg] if arg is not None]
+
+
+def test_no_function_takes_an_errors_or_check_switch():
+    """A batched kernel returns the errors of its failing points and never
+    raises for one, so no function of the package takes a parameter that
+    chooses between the two, named ``errors`` or ``check``."""
+    switches = [f"{path.name}:{node.lineno} {name}" for path, node, names in _function_parameters()
+                for name in names if name in ("errors", "check")]
     assert switches == []
+
+
+def test_the_grid_derivative_choice_lives_in_the_state():
+    """A Cauchy state carries its grid derivative (``CauchyState.derivative``),
+    so no function of the package takes it as a parameter named ``method``
+    or ``derivative``, but the kernel that applies it and the builder of the
+    initial states, which stores it."""
+    takers = {f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
+              for path, node, names in _function_parameters()
+              if {"method", "derivative"} & set(names)}
+    assert takers == {"cauchy.grid_derivative", "cauchy.initial_state"}
 
 
 # Replaces ctypes.CDLL with a recorder of mallopt calls, imports the package

@@ -19,6 +19,8 @@ from nhfields.jet import (
     _minors,
     contact_eval,
     deletion_minors,
+    horizontal_lifts,
+    lift_pairings,
     periodic_derivative,
     semiholonomic_residual,
 )
@@ -100,16 +102,28 @@ def test_contact_on_vertical_and_horizontal_vectors():
         assert np.allclose(contact_eval(p, h), 0.0)
 
 
-def test_a_batched_horizontal_lift_has_the_bits_of_each_point():
+def test_batched_horizontal_lifts_have_the_bits_of_each_point():
     rng = np.random.default_rng(4)
     Gamma, Gamma2 = rng.uniform(-1, 1, (3, 2, 2, 3)), rng.uniform(-1, 1, (3, 2, 2, 3, 3))
+    lifts = horizontal_lifts(Gamma, Gamma2)
+    points = [horizontal_lifts(Gamma[idx], Gamma2[idx]) for idx in np.ndindex(3, 2)]
+    assert lifts.shape == (3, 2, 3, 11)
+    assert lifts.tobytes() == np.stack(points).tobytes()
     for mu in range(3):
-        lifts = ConnectionCoeffs(Gamma, Gamma2).horizontal_lift(mu).components
-        points = [ConnectionCoeffs(Gamma[idx], Gamma2[idx]).horizontal_lift(mu).components
-                  for idx in np.ndindex(3, 2)]
-        assert lifts.tobytes() == np.stack(points).tobytes()
-        assert np.array_equal(lifts[2, 1], np.concatenate(
+        assert np.array_equal(lifts[2, 1, mu], np.concatenate(
             [np.eye(3)[mu], Gamma[2, 1, :, mu], Gamma2[2, 1, :, mu].ravel()]))
+
+
+def test_lift_pairings_pair_the_covectors_with_the_lifts():
+    """dphi_alpha(H_mu) by blocks, for L = 2 of the n+1 = 3 lifts, is the
+    pairing of the dense rows of dphi and of the lifts."""
+    rng = np.random.default_rng(5)
+    Gamma, Gamma2 = rng.uniform(-1, 1, (4, 2, 2)), rng.uniform(-1, 1, (4, 2, 2, 3))
+    dphi = rng.uniform(-1, 1, (4, 3, 11))
+    got = lift_pairings(dphi, Gamma, Gamma2)
+    want = np.einsum("...kn,...un->...ku", dphi, horizontal_lifts(Gamma, Gamma2))
+    assert got.shape == (4, 3, 2)
+    assert np.abs(got - want).max() < 1e-14
 
 
 def test_contact_matches_direct_formula():

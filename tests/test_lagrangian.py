@@ -139,6 +139,12 @@ def test_regularity_quadratic_and_degenerate():
     assert out["det"] == pytest.approx(0.0) and not out["regular"]
 
 
+def test_a_model_that_leaves_dual_arithmetic_raises():
+    model = LagrangianModel("constant", Dims(1, 1), lambda x, y, v: 1.0)
+    with pytest.raises(EvaluationError, match="^model 'constant' did not stay in dual"):
+        derivative_bundle_arrays(model, np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 1, 2)))
+
+
 def test_batched_regularity_and_bundle_errors_per_point():
     """regularity_check over stacked points gives each point's pointwise
     verdict, and bundle_errors names each point whose bundle is not finite
